@@ -23,6 +23,7 @@ from .cca import read_embeddings
 from .pipeline import (
     PipelineConfigError,
     StageError,
+    model_select,
     run_pipeline,
     validate_config,
 )
@@ -118,7 +119,7 @@ def _cmd_crf_train(args) -> int:
     if len(grid) > 1 and not args.dev:
         raise SystemExit("--lambda-grid has several points; --dev is required")
     dev = read_conll(args.dev, strict=True) if args.dev else None
-    best = None
+    models, reports = {}, []
     for lam in grid:
         model = train_crf(
             train,
@@ -133,9 +134,10 @@ def _cmd_crf_train(args) -> int:
             pred = tag_sentences(model, [toks for toks, _ in dev])
             f1 = evaluate(pred, [tags for _, tags in dev]).f1
         print(f"lambda={lam:g}\tdev_f1={f1:.4f}", file=sys.stderr)
-        if best is None or f1 > best[0]:
-            best = (f1, lam, model)
-    _, lam, model = best
+        models[lam] = model
+        reports.append({"lambda": lam, "f1": f1})
+    lam = model_select(reports)["lambda"]
+    model = models[lam]
     model.save(args.out)
     print(f"saved {args.out} (lambda={lam:g})", file=sys.stderr)
     return 0

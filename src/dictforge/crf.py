@@ -5,6 +5,12 @@ label at scoring time; transitions are label-bigram indicators (optionally
 label trigrams via a composite-state expansion).  Training maximizes the
 L2-regularized conditional log-likelihood with exact gradients from the
 forward-backward recursions, run in log space.
+
+A sentence list is compiled once into a sparse token×observation matrix
+X, so the emissions of every token are one product X @ W and the emission
+gradient is one product X.T @ (label marginals - gold one-hot).  Forward,
+backward and Viterbi run over the whole batch at once: sentences are padded
+longest first, and each step updates the prefix still running.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .corpus import word_shape
 from .tagging import (
@@ -245,7 +251,9 @@ def extract_features(
 class CrfModel:
     """Frozen feature index plus one weight per (observation, label) pair
     and per transition indicator.  Observations unseen at training time are
-    ignored at inference."""
+    ignored at inference.  solver holds the L-BFGS status (converged, nit,
+    nfev, message) of the fit that produced the weights; save and load
+    leave it out."""
 
     config: FeatureConfig
     obs_names: list[str]
@@ -256,6 +264,7 @@ class CrfModel:
     embeddings: SentinelEmbeddings | None = None
     obs_index: dict[str, int] = field(default_factory=dict, repr=False)
     trans_index: dict[str, int] = field(default_factory=dict, repr=False)
+    solver: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.obs_index:
@@ -395,6 +404,8 @@ class _Chain:
             self.states = list(LABELS)
             self.state_label = np.arange(len(LABELS))
         self.m = len(self.states)
+        # state -> label one-hot, so state marginals @ to_label are label marginals
+        self.to_label = np.eye(len(LABELS))[self.state_label]
         self._build_maps()
 
     def _tid(self, name: str) -> int:
@@ -404,8 +415,9 @@ class _Chain:
         cfg = self.model.config
         m = self.m
         # start_fids[s]: weight ids firing when the sentence begins in s
-        # (-1 marks an invalid start state); pair maps list every valid
-        # transition with the weight ids it fires.
+        # (start_valid marks the states a sentence may begin in); the pair
+        # arrays and pair_fid_map list every valid transition with the
+        # weight ids it fires.
         self.start_valid = np.zeros(m, dtype=bool)
         start_fids: list[list[int]] = [[] for _ in range(m)]
         rows, cols, fids = [], [], []
@@ -438,6 +450,9 @@ class _Chain:
         self.pair_cols = np.array(cols, dtype=int)
         self.pair_fids = np.array(fids, dtype=int)
         self.start_fids = start_fids
+        self.pair_fid_map: dict[tuple[int, int], list[int]] = {}
+        for a, b, fid in zip(rows, cols, fids):
+            self.pair_fid_map.setdefault((a, b), []).append(fid)
         if cfg.prev_tags and cfg.prev2:
             valid = np.zeros((m, m), dtype=bool)
             for si, (_, c) in enumerate(self.states):
@@ -473,13 +488,29 @@ class _Chain:
 
 @dataclass
 class _Compiled:
-    """One sentence reduced to arrays for the objective loop."""
+    """A list of nonempty sentences reduced to arrays.
 
-    obs_ids: list[np.ndarray]
-    obs_vals: list[np.ndarray]
+    Rows of X are the tokens of all sentences, concatenated in input order.
+    The batch layout pads sentences to T×B, longest first: sentence
+    order[r] sits in column r, active[t] sentences are still running at
+    step t (always a prefix of the columns), and token i sits at flat
+    index slot[i] of the T×B grid.
+    """
+
+    X: sp.csr_matrix
+    lengths: np.ndarray
+    order: np.ndarray
+    active: np.ndarray
+    slot: np.ndarray
     gold: np.ndarray | None
-    gold_states: np.ndarray | None
     gold_fids: np.ndarray | None
+
+    def padded(self, token_rows: np.ndarray) -> np.ndarray:
+        """Scatter per-token rows into a T×B×m array, zero elsewhere."""
+        T, B = len(self.active), len(self.order)
+        out = np.zeros((T * B, token_rows.shape[1]))
+        out[self.slot] = token_rows
+        return out.reshape(T, B, -1)
 
 
 def _compile(
@@ -487,109 +518,121 @@ def _compile(
     chain: _Chain,
     sentences: Sequence[tuple[Sequence[str], Sequence[str] | None]],
     with_gold: bool,
-) -> list[_Compiled]:
-    compiled = []
+) -> _Compiled:
+    index = model.obs_index
+    cols: list[int] = []
+    vals: list[float] = []
+    indptr = [0]
+    lengths = []
+    gold: list[int] = []
+    gold_fids: list[int] = []
     for tokens, tags in sentences:
-        obs = _observations(
+        if not tokens:
+            raise ValueError("empty sentence")
+        lengths.append(len(tokens))
+        for feats in _observations(
             tokens, model.config, model.dictionaries, model.embeddings
-        )
-        ids, vals = [], []
-        for feats in obs:
-            pairs = [
-                (model.obs_index[name], v)
-                for name, v in feats.items()
-                if name in model.obs_index
-            ]
-            ids.append(np.array([p[0] for p in pairs], dtype=int))
-            vals.append(np.array([p[1] for p in pairs], dtype=float))
-        gold = gold_states = gold_fids = None
+        ):
+            for name, v in feats.items():
+                col = index.get(name)
+                if col is not None:
+                    cols.append(col)
+                    vals.append(v)
+            indptr.append(len(cols))
         if with_gold:
             validate_bio(tags)
             if len(tags) != len(tokens):
                 raise ValueError("token/tag length mismatch")
-            gold = np.array([_LABEL_IDX[t] for t in tags], dtype=int)
+            gold.extend(_LABEL_IDX[t] for t in tags)
             path = chain.state_path(tags)
-            gold_states = np.array(path, dtype=int)
-            fids = list(chain.start_fids[path[0]])
+            gold_fids.extend(chain.start_fids[path[0]])
             for a, b in zip(path, path[1:]):
-                mask = (chain.pair_rows == a) & (chain.pair_cols == b)
-                fids.extend(chain.pair_fids[mask])
-            gold_fids = np.array(fids, dtype=int)
-        compiled.append(_Compiled(ids, vals, gold, gold_states, gold_fids))
-    return compiled
+                gold_fids.extend(chain.pair_fid_map.get((a, b), ()))
+    if not lengths:
+        raise ValueError("no sentences")
+    lengths = np.array(lengths, dtype=int)
+    X = sp.csr_matrix(
+        (np.array(vals, dtype=float), np.array(cols, dtype=np.int64), np.array(indptr)),
+        shape=(int(lengths.sum()), chain.n_obs),
+    )
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    T, B = int(lengths.max()), order.size
+    active = (lengths[order][None, :] > np.arange(T)[:, None]).sum(axis=1)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    step = np.arange(X.shape[0]) - starts
+    slot = step * B + np.repeat(rank, lengths)
+    return _Compiled(
+        X,
+        lengths,
+        order,
+        active,
+        slot,
+        np.array(gold, dtype=int) if with_gold else None,
+        np.array(gold_fids, dtype=int) if with_gold else None,
+    )
 
 
-def _emissions(compiled: _Compiled, w_obs: np.ndarray) -> np.ndarray:
-    n = len(compiled.obs_ids)
-    E = np.zeros((n, len(LABELS)))
-    for i, (ids, vals) in enumerate(zip(compiled.obs_ids, compiled.obs_vals)):
-        if ids.size:
-            E[i] = vals @ w_obs[ids]
-    return E
-
-
-def _forward(start: np.ndarray, trans: np.ndarray, estate: np.ndarray):
-    n, m = estate.shape
-    alpha = np.empty((n, m))
-    alpha[0] = start + estate[0]
-    for t in range(1, n):
-        alpha[t] = logsumexp(alpha[t - 1][:, None] + trans, axis=0) + estate[t]
-    return alpha, float(logsumexp(alpha[-1]))
-
-
-def _backward(trans: np.ndarray, estate: np.ndarray) -> np.ndarray:
-    n, m = estate.shape
-    beta = np.empty((n, m))
-    beta[-1] = 0.0
-    for t in range(n - 2, -1, -1):
-        beta[t] = logsumexp(trans + (estate[t + 1] + beta[t + 1])[None, :], axis=1)
-    return beta
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along axis; an all -inf slice gives -inf without a
+    floating-point warning."""
+    peak = np.max(x, axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    total = np.exp(x - peak).sum(axis=axis)
+    out = np.full_like(total, -np.inf)
+    np.log(total, out=out, where=total > 0)
+    return out + np.squeeze(peak, axis=axis)
 
 
 def _neg_objective(
     weights: np.ndarray,
     model: CrfModel,
     chain: _Chain,
-    compiled: Sequence[_Compiled],
+    comp: _Compiled,
 ) -> tuple[float, np.ndarray]:
-    """Negative (log-likelihood - lambda * ||w||^2) and its gradient."""
+    """Negative (log-likelihood - lambda * ||w||^2) and its gradient.
+
+    Forward and backward run over the whole batch at once, one step per
+    position, on the prefix of sentences still active at that step."""
     n_lab = len(LABELS)
     w_obs = weights[: chain.offset].reshape(chain.n_obs, n_lab)
     start, trans = chain.scores(weights)
+    E = comp.X @ w_obs
+    estate = E[:, chain.state_label]
+    S = comp.padded(estate)
+    T, B, m = S.shape
+    alpha = np.full_like(S, -np.inf)
+    beta = np.zeros_like(S)
+    alpha[0] = start + S[0]
+    for t in range(1, T):
+        a = comp.active[t]
+        alpha[t, :a] = _logsumexp(alpha[t - 1, :a, :, None] + trans, axis=1) + S[t, :a]
+    log_z = _logsumexp(alpha[comp.lengths[comp.order] - 1, np.arange(B)], axis=1)
+    pair_expect = np.zeros((m, m))
+    for t in range(T - 1, 0, -1):
+        a = comp.active[t]
+        ahead = trans + (S[t, :a] + beta[t, :a])[:, None, :]
+        beta[t - 1, :a] = _logsumexp(ahead, axis=2)
+        pair_expect += np.exp(
+            alpha[t - 1, :a, :, None] + ahead - log_z[:a, None, None]
+        ).sum(axis=0)
+    start_expect = np.exp(alpha[0] + beta[0] - log_z[:, None]).sum(axis=0)
+    # state marginals of every token, in token order
+    node = np.exp(
+        alpha.reshape(T * B, m)[comp.slot]
+        + beta.reshape(T * B, m)[comp.slot]
+        - log_z[comp.slot % B, None]
+    )
+
+    gold_onehot = np.zeros((E.shape[0], n_lab))
+    gold_onehot[np.arange(E.shape[0]), comp.gold] = 1.0
     grad = np.zeros_like(weights)
-    g_obs = grad[: chain.offset].reshape(chain.n_obs, n_lab)
-    pair_expect = np.zeros((chain.m, chain.m))
-    start_expect = np.zeros(chain.m)
-    ll = 0.0
-    for sent in compiled:
-        E = _emissions(sent, w_obs)
-        estate = E[:, chain.state_label]
-        alpha, log_z = _forward(start, trans, estate)
-        beta = _backward(trans, estate)
-        node = np.exp(alpha + beta - log_z)
-        n = estate.shape[0]
-        start_expect += node[0]
-        for t in range(1, n):
-            pair_expect += np.exp(
-                alpha[t - 1][:, None]
-                + trans
-                + (estate[t] + beta[t])[None, :]
-                - log_z
-            )
-        # expected minus observed emission counts
-        for i in range(n):
-            ids, vals = sent.obs_ids[i], sent.obs_vals[i]
-            if not ids.size:
-                continue
-            lab_marg = np.bincount(
-                chain.state_label, weights=node[i], minlength=n_lab
-            )
-            g_obs[ids] += np.outer(vals, lab_marg)
-            g_obs[ids, sent.gold[i]] -= vals
-        gold_score = float(E[np.arange(n), sent.gold].sum())
-        gold_score += float(weights[sent.gold_fids].sum()) if sent.gold_fids.size else 0.0
-        ll += gold_score - log_z
-        np.subtract.at(grad, sent.gold_fids, 1.0)
+    grad[: chain.offset] = (comp.X.T @ (node @ chain.to_label - gold_onehot)).ravel()
+    gold_score = float(E[np.arange(E.shape[0]), comp.gold].sum())
+    gold_score += float(weights[comp.gold_fids].sum())
+    ll = gold_score - float(log_z.sum())
+    np.subtract.at(grad, comp.gold_fids, 1.0)
     if chain.pair_fids.size:
         np.add.at(
             grad,
@@ -648,7 +691,8 @@ def fit_weights(
     max_iters: int = 500,
     gtol: float = 1e-5,
 ) -> CrfModel:
-    """Quasi-Newton fit of the weights; returns a new model."""
+    """Quasi-Newton fit of the weights; returns a new model carrying the
+    solver status."""
     if not sentences:
         raise ValueError("empty training set")
     chain = _Chain(model)
@@ -668,7 +712,13 @@ def fit_weights(
         raise RuntimeError(
             f"training diverged: objective={result.fun}, message={result.message}"
         )
-    return replace(model, weights=result.x)
+    solver = {
+        "converged": bool(result.success),
+        "nit": int(result.nit),
+        "nfev": int(result.nfev),
+        "message": str(result.message),
+    }
+    return replace(model, weights=result.x, solver=solver)
 
 
 def train_crf(
@@ -703,35 +753,67 @@ def log_likelihood_and_gradient(
     return -value, -grad
 
 
-def viterbi_decode(model: CrfModel, tokens: Sequence[str]) -> list[str]:
-    """Exact argmax tag sequence; ties prefer B over I over O."""
-    if not tokens:
-        return []
-    chain = _Chain(model)
-    compiled = _compile(model, chain, [(tokens, None)], with_gold=False)[0]
-    w_obs = model.weights[: chain.offset].reshape(chain.n_obs, len(LABELS))
-    estate = _emissions(compiled, w_obs)[:, chain.state_label]
-    start, trans = chain.scores(model.weights)
-    n, m = estate.shape
-    delta = start + estate[0]
-    back = np.zeros((n, m), dtype=int)
-    for t in range(1, n):
-        cand = delta[:, None] + trans
-        back[t] = np.argmax(cand, axis=0)
-        delta = cand[back[t], np.arange(m)] + estate[t]
-    state = int(np.argmax(delta))
-    path = [state]
-    for t in range(n - 1, 0, -1):
-        state = int(back[t, state])
-        path.append(state)
-    path.reverse()
-    return [LABELS[chain.state_label[s]] for s in path]
+def _viterbi(
+    comp: _Compiled, estate: np.ndarray, start: np.ndarray, trans: np.ndarray
+) -> np.ndarray:
+    """Best state of every token, in token order; ties take the first
+    state index."""
+    S = comp.padded(estate)
+    T, B, m = S.shape
+    delta = np.empty_like(S)
+    back = np.zeros((T, B, m), dtype=np.intp)
+    delta[0] = start + S[0]
+    for t in range(1, T):
+        a = comp.active[t]
+        cand = delta[t - 1, :a, :, None] + trans
+        back[t, :a] = np.argmax(cand, axis=1)
+        delta[t, :a] = cand.max(axis=1) + S[t, :a]
+    best = np.empty((T, B), dtype=np.intp)
+    cur = np.zeros(B, dtype=np.intp)
+    for t in range(T - 1, -1, -1):
+        a = comp.active[t]
+        # columns [ending, a) hold the sentences whose last token is at t
+        ending = comp.active[t + 1] if t + 1 < T else 0
+        cur[ending:a] = np.argmax(delta[t, ending:a], axis=1)
+        best[t, :a] = cur[:a]
+        if t:
+            cur[:a] = back[t, np.arange(a), cur[:a]]
+    return best.reshape(-1)[comp.slot]
+
+
+# sentences per batched decode, which bounds the back-pointer array
+_DECODE_CHUNK = 1024
 
 
 def tag_sentences(
     model: CrfModel, sentences: Iterable[Sequence[str]]
 ) -> list[list[str]]:
-    return [viterbi_decode(model, tokens) for tokens in sentences]
+    """Exact argmax tag sequence of each sentence, in input order; ties
+    prefer B over I over O.  Sentences are decoded longest first in
+    batches of _DECODE_CHUNK."""
+    sentences = list(sentences)
+    out: list[list[str]] = [[] for _ in sentences]
+    chain = _Chain(model)
+    start, trans = chain.scores(model.weights)
+    w_obs = model.weights[: chain.offset].reshape(chain.n_obs, len(LABELS))
+    state_tag = np.array(LABELS)[chain.state_label]
+    todo = sorted(
+        (i for i, tokens in enumerate(sentences) if len(tokens)),
+        key=lambda i: -len(sentences[i]),
+    )
+    for lo in range(0, len(todo), _DECODE_CHUNK):
+        ids = todo[lo : lo + _DECODE_CHUNK]
+        comp = _compile(model, chain, [(sentences[i], None) for i in ids], False)
+        states = _viterbi(comp, (comp.X @ w_obs)[:, chain.state_label], start, trans)
+        tags = state_tag[states].tolist()
+        for i, end in zip(ids, np.cumsum(comp.lengths)):
+            out[i] = tags[end - len(sentences[i]) : end]
+    return out
+
+
+def viterbi_decode(model: CrfModel, tokens: Sequence[str]) -> list[str]:
+    """Exact argmax tag sequence; ties prefer B over I over O."""
+    return tag_sentences(model, [tokens])[0]
 
 
 @dataclass(frozen=True)

@@ -603,7 +603,7 @@ class _Runner:
             if dev is not None:
                 pred = tag_sentences(model, [toks for toks, _ in dev])
                 f1 = evaluate(pred, [tags for _, tags in dev]).f1
-            return model, {"lambda": lam, "f1": f1}
+            return model, {"lambda": lam, "f1": f1, **model.solver}
 
         if self.jobs > 1 and len(cfg.crf_lambda_grid) > 1:
             with ThreadPoolExecutor(max_workers=self.jobs) as pool:
@@ -614,7 +614,7 @@ class _Runner:
         chosen = model_select(reports)
         model = next(m for m, rep in pairs if rep["lambda"] == chosen["lambda"])
 
-        details = {"selection": chosen, "features": cfg.crf_features}
+        details = {"selection": chosen, "grid": reports, "features": cfg.crf_features}
         if cfg.test is not None:
             test = read_conll(cfg.test, strict=True)
             pred = tag_sentences(model, [toks for toks, _ in test])

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from dictforge.cli import _parse_lambda_grid, main
+from dictforge.crf import CrfModel
 from dictforge.synth import SynthSpec, generate
 from dictforge.tagging import bio_spans, read_conll, write_conll
 
@@ -243,3 +244,23 @@ class TestCrfCommands:
         ]
         assert variants[0] == "baseline"
         assert any(v.startswith("dict-") for v in variants[1:])
+
+    def test_grid_tie_saves_smaller_lambda(self, bench, tmp_path, capsys):
+        # a descending grid whose points tie on dev F1 still saves the
+        # smaller lambda, as the pipeline's model_select does
+        root, sc, paths = bench
+        model_path = tmp_path / "model.npz"
+        code = main(
+            [
+                "crf", "train", "--data", str(root / "tiny.conll"),
+                "--dev", str(root / "tiny.conll"), "--features", "baseline",
+                "--lambda-grid", "1,0.1", "--max-iters", "30",
+                "--out", str(model_path),
+            ]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        scores = [line.split("dev_f1=")[1] for line in err.splitlines() if "dev_f1=" in line]
+        assert len(scores) == 2 and scores[0] == scores[1]
+        assert "(lambda=0.1)" in err
+        assert CrfModel.load(model_path).regularizer == 0.1

@@ -62,6 +62,27 @@ def model_log_z(model, tokens):
     return path_score(model, tokens, gold) - ll
 
 
+def memo_path_scorer(model, tokens):
+    """path_score with each (position, history, label) step scored once,
+    so enumerating every path of a 7-token sentence stays cheap."""
+    steps = {}
+
+    def score(labels):
+        total = 0.0
+        hist = (START, START) if model.config.prev2 else START
+        for i, lab in enumerate(labels):
+            if (i, hist, lab) not in steps:
+                feats = extract_features(
+                    tokens, i, hist, lab, model.config, model.dictionaries, model.embeddings
+                )
+                steps[i, hist, lab] = model.score_step(feats)
+            total += steps[i, hist, lab]
+            hist = (hist[1], lab) if model.config.prev2 else lab
+        return total
+
+    return score
+
+
 def randomized(model, rng, scale=0.5):
     w = rng.normal(0.0, scale, size=model.weights.shape)
     return replace(model, weights=w)
@@ -356,6 +377,74 @@ class TestViterbi:
             assert viterbi_decode(model, tokens) == list(best)
 
 
+class TestBatching:
+    """Batched likelihood and decoding against one-sentence calls, which
+    exposes padding, masking and re-ordering between sentences."""
+
+    LENGTHS = (3, 1, 7, 2, 5, 1, 6, 4, 7, 2)
+
+    def mixed_model(self, prev2):
+        rng = np.random.default_rng(41 if prev2 else 43)
+        pool = ["flu", "hit", "the", "coast", "Ebola", "yellow", "fever", "ran"]
+        sentences = []
+        for n in self.LENGTHS:
+            tokens = [pool[int(j)] for j in rng.integers(0, len(pool), n)]
+            tags, prev = [], "O"
+            for _ in range(n):
+                prev = str(rng.choice(["B", "O"] if prev == "O" else list(LABELS)))
+                tags.append(prev)
+            sentences.append((tokens, tags))
+        model = build_model(
+            sentences,
+            FeatureConfig(prev2=prev2, dict_match=True, embedding=True),
+            dictionaries=[Dictionary({"flu": 1.0, "yellow fever": 0.5}, provenance="manual")],
+            embeddings=SentinelEmbeddings(
+                {"flu": np.array([0.3, -0.2]), "ebola": np.array([0.1, 0.4])}
+            ),
+            regularizer=0.0,
+        )
+        return randomized(model, rng), sentences
+
+    @pytest.mark.parametrize("prev2", [False, True])
+    def test_likelihood_is_sum_of_single_sentences(self, prev2):
+        model, sentences = self.mixed_model(prev2)
+        ll, grad = log_likelihood_and_gradient(model, sentences)
+        singles = [log_likelihood_and_gradient(model, [s]) for s in sentences]
+        ll_sum = sum(v for v, _ in singles)
+        grad_sum = np.sum([g for _, g in singles], axis=0)
+        assert abs(ll - ll_sum) <= 1e-12 * abs(ll_sum)
+        assert np.max(np.abs(grad - grad_sum)) <= 1e-12 * np.max(np.abs(grad_sum))
+
+    @pytest.mark.parametrize("prev2", [False, True])
+    def test_batch_decode_matches_enumerated_singles(self, prev2):
+        model, sentences = self.mixed_model(prev2)
+        batch = [tokens for tokens, _ in sentences]
+        np.random.default_rng(5).shuffle(batch)
+        batch.insert(4, [])
+        singles = [viterbi_decode(model, tokens) for tokens in batch]
+        assert tag_sentences(model, batch) == singles
+        for tokens, tags in zip(batch, singles):
+            score = memo_path_scorer(model, tokens)
+            best = min(
+                product(LABELS, repeat=len(tokens)),
+                key=lambda labs: (
+                    -score(labs),
+                    tuple(LABELS.index(l) for l in reversed(labs)),
+                ),
+            )
+            assert tags == list(best)
+
+    def test_prev2_chain_raises_no_floating_point_error(self):
+        # the composite chain has -inf start and transition entries; the
+        # recursions must mask them rather than produce or hide nan
+        model, sentences = self.mixed_model(prev2=True)
+        with np.errstate(all="raise"):
+            ll, grad = log_likelihood_and_gradient(model, sentences)
+            tags = tag_sentences(model, [tokens for tokens, _ in sentences])
+        assert np.isfinite(ll) and np.all(np.isfinite(grad))
+        assert [len(t) for t in tags] == list(self.LENGTHS)
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         d = Dictionary({"flu": 1.0}, provenance="manual")
@@ -375,6 +464,14 @@ class TestPersistence:
         assert loaded.embeddings.x == emb.x
         tokens = ["The", "flu", "spread"]
         assert viterbi_decode(loaded, tokens) == viterbi_decode(model, tokens)
+
+    def test_solver_status_kept_in_memory_only(self, tmp_path):
+        model = fit_weights(build_model(FIXTURE, LEAN, regularizer=0.1), FIXTURE, max_iters=1)
+        assert model.solver["converged"] is False
+        assert model.solver["nit"] == 1
+        path = tmp_path / "capped.model.npz"
+        model.save(path)
+        assert CrfModel.load(path).solver is None
 
     def test_roundtrip_without_extras(self, tmp_path):
         model = train_crf(FIXTURE, LEAN, regularizer=0.1)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -398,3 +399,23 @@ class TestRunPipeline:
         loaded = RunManifest.load(config.outdir / "manifest.json")
         assert loaded.config_hash == manifest.config_hash
         assert set(loaded.stages) == set(manifest.stages)
+
+    def test_crf_solver_status_recorded(self, finished_run, tmp_path):
+        # one L-BFGS iteration cannot converge; every grid point says so in
+        # crf.json and in the manifest details
+        workdir, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        capped = dataclasses.replace(
+            config, outdir=tmp_path / "out", crf_max_iters=1, crf_lambda_grid=(0.05, 0.5)
+        )
+        manifest = run_pipeline(capped, stages=("crf",))
+        details = manifest.stages["crf"]["details"]
+        on_disk = json.loads((capped.outdir / "crf.json").read_text(encoding="utf-8"))
+        assert on_disk["grid"] == details["grid"]
+        assert [row["lambda"] for row in details["grid"]] == [0.05, 0.5]
+        for row in details["grid"]:
+            assert row["converged"] is False
+            assert row["nit"] == 1 and row["nfev"] >= 1
+            assert isinstance(row["message"], str)
+        assert details["selection"] in details["grid"]
+        assert "test" in on_disk

@@ -64,11 +64,10 @@ class Token:
     lower: str
     char_start: int
     char_end: int
-    shape_caps: str
 
     @classmethod
     def make(cls, text: str, start: int) -> "Token":
-        return cls(text, text.lower(), start, start + len(text), word_shape(text))
+        return cls(text, text.lower(), start, start + len(text))
 
 
 @dataclass(frozen=True)

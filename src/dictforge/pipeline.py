@@ -3,10 +3,11 @@
 A run reads a declarative config (INI sections or the same structure as
 JSON), executes the stages extract → views → cca → classify | cotrain →
 tag → crf in dependency order, and records a manifest with input/output
-content hashes so unchanged stages are skipped on re-runs.  Grid points
-are scored on the dev split and the winner is chosen by
-``model_select``; everything a later reader needs to reproduce the run
-lands next to the artifacts in the output directory.
+content hashes so stages with unchanged inputs, parameters and package
+source are skipped on re-runs.  Only the views stage featurizes
+occurrences; cca and classify read what it wrote.  Grid points are scored
+on the dev split and the winner is chosen by ``model_select``; everything
+a later reader needs to reproduce the run lands next to the artifacts.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .cca import (
     embed_phrases,
     read_embeddings,
     solve_cca,
-    spelling_vector,
     write_embeddings,
 )
 from .classifier import (
@@ -58,7 +58,8 @@ from .tagging import (
     tag_with_dictionary,
     write_dictionary,
 )
-from .views import build_design_matrices, collect_occurrences, read_triplets, write_locators, write_triplets
+from .views import (SparseVector, build_design_matrices, collect_occurrences, read_locators,
+                    read_triplets, write_locators, write_triplets)
 
 __all__ = [
     "PipelineConfig",
@@ -76,7 +77,7 @@ STAGES = ("extract", "views", "cca", "classify", "cotrain", "tag", "crf")
 # artifacts each stage must leave behind in the output directory
 _OUTPUTS = {
     "extract": ("candidates.tsv",),
-    "views": ("views.X.tsv", "views.Z.tsv", "views.locators.tsv"),
+    "views": ("views.X.npz", "views.Z.npz", "views.locators.tsv"),
     "cca": ("cca.model.npz",),
     "classify": ("dict.cca.tsv", "embeddings.tsv", "svm.json"),
     "cotrain": ("dict.cotrain.tsv", "cotrain.json"),
@@ -342,6 +343,12 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _code_digest() -> str:
+    """Hash of the package's Python sources; a code edit invalidates every stage."""
+    files = sorted(Path(__file__).parent.glob("*.py"))
+    return hashlib.sha256(b"".join(p.name.encode() + p.read_bytes() for p in files)).hexdigest()
+
+
 def _json_text(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
@@ -414,14 +421,13 @@ class _Runner:
         return {"candidates": len(cands), "patterns": len(patterns)}
 
     def stage_views(self, tmp: Path) -> dict:
-        occs = self.occurrences()
-        views = build_design_matrices(occs)
-        with open(tmp / "views.X.tsv", "w", encoding="utf-8") as fh:
+        views = build_design_matrices(self.occurrences())
+        with open(tmp / "views.X.npz", "wb") as fh:
             write_triplets(views.X, fh)
-        with open(tmp / "views.Z.tsv", "w", encoding="utf-8") as fh:
+        with open(tmp / "views.Z.npz", "wb") as fh:
             write_triplets(views.Z, fh)
         with open(tmp / "views.locators.tsv", "w", encoding="utf-8") as fh:
-            write_locators(occs, fh)
+            write_locators(views.occurrences, fh)
         return {
             "occurrences": views.n,
             "d_spelling": views.X.shape[1],
@@ -430,8 +436,8 @@ class _Runner:
 
     def stage_cca(self, tmp: Path) -> dict:
         cfg = self.config
-        X = read_triplets(self.outdir / "views.X.tsv")
-        Z = read_triplets(self.outdir / "views.Z.tsv")
+        X = read_triplets(self.outdir / "views.X.npz")
+        Z = read_triplets(self.outdir / "views.Z.npz")
         summary = accumulate_covariance(X, Z)
         model = solve_cca(
             summary,
@@ -449,12 +455,17 @@ class _Runner:
         }
 
     def _candidate_embeddings(self, model: CcaModel) -> dict[str, np.ndarray]:
-        views = build_design_matrices(self.occurrences())
-        cands = read_candidates(self.outdir / "candidates.tsv")
-        vectors = {
-            c.lower: spelling_vector(c.lower, views.spelling_index, views.caps_bit)
-            for c in cands
-        }
+        """A phrase's spelling vector is the X row of its first occurrence."""
+        X = read_triplets(self.outdir / "views.X.npz")
+        first_row: dict[str, int] = {}
+        for row, (_, phrase) in enumerate(read_locators(self.outdir / "views.locators.tsv")):
+            first_row.setdefault(phrase, row)
+        vectors = {}
+        for c in read_candidates(self.outdir / "candidates.tsv"):
+            if c.lower not in first_row:
+                raise StageError("classify", f"candidate {c.lower!r} has no occurrence row")
+            span = slice(X.indptr[first_row[c.lower]], X.indptr[first_row[c.lower] + 1])
+            vectors[c.lower] = SparseVector(tuple(zip(X.indices[span], X.data[span])))
         return {e.phrase: e.vector for e in embed_phrases(model, vectors)}
 
     def stage_classify(self, tmp: Path) -> dict:
@@ -630,9 +641,9 @@ def _stage_inputs(config: PipelineConfig, stage: str) -> list[Path]:
     table = {
         "extract": [config.corpus, config.patterns],
         "views": [config.corpus, out / "candidates.tsv"],
-        "cca": [out / "views.X.tsv", out / "views.Z.tsv"],
-        "classify": [config.corpus, out / "candidates.tsv", config.seeds,
-                     out / "cca.model.npz"],
+        "cca": [out / "views.X.npz", out / "views.Z.npz"],
+        "classify": [out / "candidates.tsv", config.seeds, out / "cca.model.npz",
+                     out / "views.X.npz", out / "views.locators.tsv"],
         "cotrain": [config.corpus, out / "candidates.tsv", config.seeds],
         "tag": [out / "dict.cca.tsv", out / "dict.cotrain.tsv", config.test],
         "crf": [config.train],
@@ -728,6 +739,7 @@ def run_pipeline(
         stages=dict(previous),
     )
     runner = _Runner(config, jobs=jobs)
+    code = _code_digest()
 
     for stage in requested:
         reason = _applicable(config, stage)
@@ -745,7 +757,7 @@ def run_pipeline(
             inputs[str(p)] = _sha256(Path(p))
         params = _stage_params(config, stage)
         signature = hashlib.sha256(
-            _json_text({"inputs": inputs, "params": params, "version": __version__}).encode()
+            _json_text({"inputs": inputs, "params": params, "code": code}).encode()
         ).hexdigest()
 
         prev = previous.get(stage)

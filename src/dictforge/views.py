@@ -3,8 +3,8 @@
 Every corpus occurrence of a candidate phrase becomes one paired
 observation: a *spelling* view (phrase identity + capitalization bit) and
 a *context* view (position-conjoined words from a three-token window on
-each side).  Rows of the two design matrices are aligned by construction
-and traceable through a locator audit.
+each side).  Rows of the two design matrices are aligned by construction,
+saved as ``.npz`` triplets and traceable through a locator audit in row order.
 """
 
 from __future__ import annotations
@@ -293,25 +293,12 @@ def audit_dense_columns(matrix: sp.spmatrix, exempt: set[int] = frozenset()) -> 
 
 
 def write_triplets(matrix: sp.spmatrix, fh) -> None:
-    """Header ``n d nnz`` then one ``row col value`` line per entry, in
-    row-major order."""
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    fh.write(f"{matrix.shape[0]} {matrix.shape[1]} {coo.nnz}\n")
-    for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-        fh.write(f"{r} {c} {float(v)!r}\n")
+    """(row, col, value) triplets as an ``.npz`` archive into a binary file."""
+    sp.save_npz(fh, matrix.tocoo())
 
 
 def read_triplets(path: str | Path) -> sp.csr_matrix:
-    with open(path, encoding="utf-8") as fh:
-        n, d, nnz = map(int, fh.readline().split())
-        rows, cols, vals = [], [], []
-        for _ in range(nnz):
-            r, c, v = fh.readline().split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, d), dtype=np.float64)
+    return sp.load_npz(path).tocsr()
 
 
 def write_locators(occurrences: Sequence[CandidateOccurrence], fh) -> None:

@@ -22,8 +22,13 @@ from dictforge.pipeline import (
 )
 from dictforge.synth import SynthSpec, generate
 from dictforge.tagging import evaluate, read_conll, read_dictionary, tag_with_dictionary
-from dictforge.views import build_design_matrices, collect_occurrences
-from dictforge.extraction import CandidatePhrase
+from dictforge.views import (
+    build_design_matrices,
+    collect_occurrences,
+    read_locators,
+    read_triplets,
+)
+from dictforge.extraction import CandidatePhrase, read_candidates
 
 
 MINIMAL = """
@@ -253,7 +258,7 @@ class TestRunPipeline:
         workdir, config, manifest = finished_run
         out = config.outdir
         for name in (
-            "candidates.tsv", "views.X.tsv", "views.Z.tsv", "views.locators.tsv",
+            "candidates.tsv", "views.X.npz", "views.Z.npz", "views.locators.tsv",
             "cca.model.npz", "dict.cca.tsv", "embeddings.tsv", "svm.json",
             "dict.cotrain.tsv", "cotrain.json", "report.json",
             "crf.model.npz", "crf.json", "manifest.json",
@@ -299,6 +304,62 @@ class TestRunPipeline:
         finally:
             config.seeds.write_text(seeds, encoding="utf-8")
             run_pipeline(config, stages=("classify",))
+
+    def test_locators_follow_view_row_order(self, finished_run):
+        # doc ids "corpus.txt:10" < "corpus.txt:2" sort apart from stream order
+        workdir, config, _ = finished_run
+        out = config.outdir
+        assert len(config.corpus.read_text(encoding="utf-8").splitlines()) >= 10
+        cands = read_candidates(out / "candidates.tsv")
+        views = build_design_matrices(
+            collect_occurrences(iter_sentences(config.corpus), cands)
+        )
+        X = read_triplets(out / "views.X.npz")
+        rows = read_locators(out / "views.locators.tsv")
+        assert [loc for loc, _ in rows] == [o.locator for o in views.occurrences]
+        assert X.shape[0] == len(rows)
+        for i, (_, phrase) in enumerate(rows):
+            assert X[i, views.spelling_index.col(("id", phrase))] == 1.0
+
+    def test_classify_never_reads_the_corpus(self, finished_run, tmp_path, monkeypatch):
+        workdir, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text(
+            config.seeds.read_text(encoding="utf-8") + "# a comment\n", encoding="utf-8"
+        )
+        copy = dataclasses.replace(config, seeds=seeds, outdir=tmp_path / "out")
+
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("classify tokenized the corpus")
+
+        monkeypatch.setattr("dictforge.pipeline.iter_sentences", no_corpus)
+        manifest = run_pipeline(copy, stages=("classify",))
+        assert manifest.stages["classify"]["cached"] is False
+        assert str(config.corpus) not in manifest.stages["classify"]["inputs"]
+        assert (copy.outdir / "dict.cca.tsv").read_bytes() == (
+            config.outdir / "dict.cca.tsv"
+        ).read_bytes()
+
+    def test_candidate_without_occurrence_names_itself(self, finished_run, tmp_path):
+        workdir, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        with open(copy.outdir / "candidates.tsv", "a", encoding="utf-8") as fh:
+            fh.write("zzyzx quux\t1\n")
+        with pytest.raises(StageError, match=r"\[classify\].*'zzyzx quux'"):
+            run_pipeline(copy, stages=("classify",))
+
+    def test_code_change_invalidates_every_stage(self, finished_run, tmp_path, monkeypatch):
+        workdir, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        run_pipeline(copy)  # artifact inputs now live under the copy's paths
+        manifest = run_pipeline(copy)
+        assert all(rec["cached"] for rec in manifest.stages.values())
+        monkeypatch.setattr("dictforge.pipeline._code_digest", lambda: "edited")
+        manifest = run_pipeline(copy)
+        assert not any(rec["cached"] for rec in manifest.stages.values())
 
     def test_selection_matches_exhaustive_reevaluation(self, finished_run):
         workdir, config, manifest = finished_run

@@ -31,7 +31,6 @@ __all__ = [
     "accumulate_covariance",
     "solve_cca",
     "embed_phrases",
-    "spelling_vector",
     "write_embeddings",
     "read_embeddings",
 ]
@@ -265,16 +264,6 @@ def solve_cca(
 class PhraseEmbedding:
     phrase: str
     vector: np.ndarray
-
-
-def spelling_vector(phrase_lower: str, index, caps_bit: Mapping[str, int]) -> SparseVector:
-    """Canonical spelling vector of a phrase: identity column plus the
-    majority-casing bit.  Raises KeyError for phrases outside the index."""
-    entries = [(index.col(("id", phrase_lower)), 1.0)]
-    if caps_bit.get(phrase_lower, 0):
-        entries.append((index.col(("caps",)), 1.0))
-    entries.sort()
-    return SparseVector(tuple(entries))
 
 
 def embed_phrases(

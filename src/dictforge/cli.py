@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 from .corpus import iter_sentences
 from .crf import (
@@ -72,8 +75,18 @@ def _load_crf_extras(args) -> tuple[FeatureConfig, tuple, SentinelEmbeddings | N
     return config, dictionaries, embeddings
 
 
-def _read_tokens(path: str) -> list[list[str]]:
-    return [[t.text for t in s.tokens] for s in iter_sentences(path)]
+# sentences `forge crf tag` reads ahead and decodes in one batch
+_TAG_CHUNK = 1024
+
+
+def _read_tokens(path: str) -> Iterator[list[str]]:
+    """Token texts of each corpus sentence, streamed."""
+    return (s.texts() for s in iter_sentences(path))
+
+
+def _open_out(path: str | None):
+    """The ``--out`` file, or stdout (left open) when none is given."""
+    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
 def _cmd_run(args) -> int:
@@ -101,14 +114,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_tag(args) -> int:
     dictionary = read_dictionary(args.dict)
-    sentences = _read_tokens(args.input)
-    rows = [(toks, tag_with_dictionary(toks, dictionary)) for toks in sentences]
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    rows = ((toks, tag_with_dictionary(toks, dictionary)) for toks in _read_tokens(args.input))
+    with _open_out(args.out) as out:
         write_conll(rows, out)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -146,13 +154,9 @@ def _cmd_crf_train(args) -> int:
 def _cmd_crf_tag(args) -> int:
     model = CrfModel.load(args.model)
     sentences = _read_tokens(args.input)
-    rows = list(zip(sentences, tag_sentences(model, sentences)))
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        write_conll(rows, out)
-    finally:
-        if args.out:
-            out.close()
+    with _open_out(args.out) as out:
+        while chunk := list(islice(sentences, _TAG_CHUNK)):
+            write_conll(zip(chunk, tag_sentences(model, chunk)), out)
     return 0
 
 
@@ -171,12 +175,8 @@ def _cmd_crf_curve(args) -> int:
         train, test, sizes, variants,
         regularizer=args.regularizer, max_iters=args.max_iters,
     )
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _open_out(args.out) as out:
         write_curve_tsv(rows, out)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 

@@ -89,14 +89,8 @@ class DecisionListState:
     trace: list[dict] = field(default_factory=list)
 
 
-def _context_items(occ: CandidateOccurrence):
-    return tuple(zip((-3, -2, -1), occ.left_context)) + tuple(
-        zip((1, 2, 3), occ.right_context)
-    )
-
-
 def _bigrams(occ: CandidateOccurrence):
-    return list(combinations(_context_items(occ), 2))
+    return list(combinations(occ.context_items(), 2))
 
 
 class _Indexed:

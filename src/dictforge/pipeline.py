@@ -4,8 +4,9 @@ A run reads a declarative config (INI sections or the same structure as
 JSON), executes the stages extract → views → cca → classify | cotrain →
 tag → crf in dependency order, and records a manifest with input/output
 content hashes so stages with unchanged inputs, parameters and package
-source are skipped on re-runs.  Only the views stage featurizes
-occurrences; cca and classify read what it wrote.  Grid points are scored
+source are skipped on re-runs.  Only the extract and views stages read the
+corpus; cca, classify and cotrain read the views artifacts (the design
+matrices and the occurrence table in their row order).  Grid points are scored
 on the dev split and the winner is chosen by ``model_select``; everything
 a later reader needs to reproduce the run lands next to the artifacts.
 """
@@ -58,8 +59,8 @@ from .tagging import (
     tag_with_dictionary,
     write_dictionary,
 )
-from .views import (SparseVector, build_design_matrices, collect_occurrences, read_locators,
-                    read_triplets, write_locators, write_triplets)
+from .views import (SparseVector, build_design_matrices, collect_occurrences, read_occurrences,
+                    read_triplets, write_occurrences, write_triplets)
 
 __all__ = [
     "PipelineConfig",
@@ -77,7 +78,7 @@ STAGES = ("extract", "views", "cca", "classify", "cotrain", "tag", "crf")
 # artifacts each stage must leave behind in the output directory
 _OUTPUTS = {
     "extract": ("candidates.tsv",),
-    "views": ("views.X.npz", "views.Z.npz", "views.locators.tsv"),
+    "views": ("views.X.npz", "views.Z.npz", "views.occurrences.tsv"),
     "cca": ("cca.model.npz",),
     "classify": ("dict.cca.tsv", "embeddings.tsv", "svm.json"),
     "cotrain": ("dict.cotrain.tsv", "cotrain.json"),
@@ -392,20 +393,13 @@ class _Runner:
         self.jobs = max(1, jobs)
         self.outdir = config.outdir
         self._sentences = None
-        self._occurrences = None
 
-    # -- lazy corpus-derived state shared by stages ---------------------
+    # -- the corpus, tokenized once for extract and views ---------------
 
     def sentences(self):
         if self._sentences is None:
             self._sentences = list(iter_sentences(self.config.corpus))
         return self._sentences
-
-    def occurrences(self):
-        if self._occurrences is None:
-            cands = read_candidates(self.outdir / "candidates.tsv")
-            self._occurrences = list(collect_occurrences(self.sentences(), cands))
-        return self._occurrences
 
     def dev_rows(self):
         return read_conll(self.config.dev, strict=True)
@@ -421,13 +415,14 @@ class _Runner:
         return {"candidates": len(cands), "patterns": len(patterns)}
 
     def stage_views(self, tmp: Path) -> dict:
-        views = build_design_matrices(self.occurrences())
+        cands = read_candidates(self.outdir / "candidates.tsv")
+        views = build_design_matrices(list(collect_occurrences(self.sentences(), cands)))
         with open(tmp / "views.X.npz", "wb") as fh:
             write_triplets(views.X, fh)
         with open(tmp / "views.Z.npz", "wb") as fh:
             write_triplets(views.Z, fh)
-        with open(tmp / "views.locators.tsv", "w", encoding="utf-8") as fh:
-            write_locators(views.occurrences, fh)
+        with open(tmp / "views.occurrences.tsv", "w", encoding="utf-8") as fh:
+            write_occurrences(views.occurrences, fh)
         return {
             "occurrences": views.n,
             "d_spelling": views.X.shape[1],
@@ -458,8 +453,8 @@ class _Runner:
         """A phrase's spelling vector is the X row of its first occurrence."""
         X = read_triplets(self.outdir / "views.X.npz")
         first_row: dict[str, int] = {}
-        for row, (_, phrase) in enumerate(read_locators(self.outdir / "views.locators.tsv")):
-            first_row.setdefault(phrase, row)
+        for row, occ in enumerate(read_occurrences(self.outdir / "views.occurrences.tsv")):
+            first_row.setdefault(occ.phrase_lower, row)
         vectors = {}
         for c in read_candidates(self.outdir / "candidates.tsv"):
             if c.lower not in first_row:
@@ -538,7 +533,8 @@ class _Runner:
         cfg = self.config
         seeds = read_seeds(cfg.seeds)
         state = dl_cotrain(
-            self.occurrences(), seeds, m=cfg.cotrain_m, epsilon=cfg.cotrain_epsilon
+            read_occurrences(self.outdir / "views.occurrences.tsv"),
+            seeds, m=cfg.cotrain_m, epsilon=cfg.cotrain_epsilon,
         )
         if cfg.dev is None and len(cfg.cotrain_theta_grid) > 1:
             raise StageError(
@@ -643,8 +639,8 @@ def _stage_inputs(config: PipelineConfig, stage: str) -> list[Path]:
         "views": [config.corpus, out / "candidates.tsv"],
         "cca": [out / "views.X.npz", out / "views.Z.npz"],
         "classify": [out / "candidates.tsv", config.seeds, out / "cca.model.npz",
-                     out / "views.X.npz", out / "views.locators.tsv"],
-        "cotrain": [config.corpus, out / "candidates.tsv", config.seeds],
+                     out / "views.X.npz", out / "views.occurrences.tsv"],
+        "cotrain": [out / "views.occurrences.tsv", config.seeds],
         "tag": [out / "dict.cca.tsv", out / "dict.cotrain.tsv", config.test],
         "crf": [config.train],
     }

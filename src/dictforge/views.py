@@ -3,8 +3,10 @@
 Every corpus occurrence of a candidate phrase becomes one paired
 observation: a *spelling* view (phrase identity + capitalization bit) and
 a *context* view (position-conjoined words from a three-token window on
-each side).  Rows of the two design matrices are aligned by construction,
-saved as ``.npz`` triplets and traceable through a locator audit in row order.
+each side).  Rows of the two design matrices are aligned by construction
+and saved as ``.npz`` triplets beside an occurrence table in the same row
+order.  In a pipeline run only the extract and views stages read the
+corpus; cca, classify and cotrain read these artifacts.
 """
 
 from __future__ import annotations
@@ -29,14 +31,15 @@ __all__ = [
     "ViewMatrices",
     "collect_occurrences",
     "majority_caps_bits",
+    "spelling_vector",
     "featurize_spelling",
     "featurize_context",
     "build_design_matrices",
     "audit_dense_columns",
     "write_triplets",
     "read_triplets",
-    "write_locators",
-    "read_locators",
+    "write_occurrences",
+    "read_occurrences",
 ]
 
 # Distinguished symbol for context slots that fall outside the sentence.
@@ -66,6 +69,10 @@ class CandidateOccurrence:
     left_context: tuple[str, str, str]
     right_context: tuple[str, str, str]
     locator: Locator
+
+    def context_items(self) -> tuple[tuple[int, str], ...]:
+        """The six (position, word) slots of the window, left to right."""
+        return tuple(zip(CONTEXT_POSITIONS, self.left_context + self.right_context))
 
 
 @dataclass(frozen=True)
@@ -187,29 +194,33 @@ def majority_caps_bits(occurrences: Iterable[CandidateOccurrence]) -> dict[str, 
     return {k: int(2 * upper.get(k, 0) > total[k]) for k in total}
 
 
-def featurize_spelling(
-    occ: CandidateOccurrence, index: FeatureIndex, caps_bit: Mapping[str, int]
+def spelling_vector(
+    phrase_lower: str, index: FeatureIndex, caps_bit: Mapping[str, int]
 ) -> SparseVector:
     """Identity feature plus the phrase's majority-casing bit, both 1.0.
 
     Unknown phrases raise ``KeyError``: the spelling view has no OOV
     fallback because an unseen phrase has no meaningful identity column.
     """
-    entries = [(index.col(("id", occ.phrase_lower)), 1.0)]
-    if caps_bit.get(occ.phrase_lower, 0):
+    entries = [(index.col(("id", phrase_lower)), 1.0)]
+    if caps_bit.get(phrase_lower, 0):
         entries.append((index.col(("caps",)), 1.0))
     entries.sort()
     return SparseVector(tuple(entries))
+
+
+def featurize_spelling(
+    occ: CandidateOccurrence, index: FeatureIndex, caps_bit: Mapping[str, int]
+) -> SparseVector:
+    """The spelling vector of the occurrence's phrase."""
+    return spelling_vector(occ.phrase_lower, index, caps_bit)
 
 
 def featurize_context(occ: CandidateOccurrence, index: FeatureIndex) -> SparseVector:
     """One indicator per (position, word) with boundary padding; words the
     frozen index has never seen fall back to that position's OOV column."""
     cols = set()
-    window = list(zip((-3, -2, -1), occ.left_context)) + list(
-        zip((1, 2, 3), occ.right_context)
-    )
-    for pos, word in window:
+    for pos, word in occ.context_items():
         name = ("ctx", pos, word)
         if name in index:
             cols.add(index.col(name))
@@ -252,10 +263,8 @@ def build_design_matrices(occurrences: Iterable[CandidateOccurrence]) -> ViewMat
     context = FeatureIndex()
     for occ in occs:
         spelling.add(("id", occ.phrase_lower))
-        for pos, word in zip((-3, -2, -1), occ.left_context):
-            context.add(("ctx", pos, word))
-        for pos, word in zip((1, 2, 3), occ.right_context):
-            context.add(("ctx", pos, word))
+        for item in occ.context_items():
+            context.add(("ctx", *item))
     spelling.add(("caps",), reserved=True)
     for pos in CONTEXT_POSITIONS:
         context.add(("oov", pos), reserved=True)
@@ -301,19 +310,30 @@ def read_triplets(path: str | Path) -> sp.csr_matrix:
     return sp.load_npz(path).tocsr()
 
 
-def write_locators(occurrences: Sequence[CandidateOccurrence], fh) -> None:
-    """Row-order audit: doc_id, sentence index, token span, phrase."""
+def write_occurrences(occurrences: Sequence[CandidateOccurrence], fh) -> None:
+    """One row per occurrence: doc_id, sentence index, token span, phrase,
+    space-joined surface, then the six context words.  Tokens never contain
+    whitespace, so the joins are lossless."""
     for occ in occurrences:
         loc = occ.locator
-        fh.write(
-            f"{loc.doc_id}\t{loc.sentence_index}\t{loc.start}\t{loc.end}\t{occ.phrase_lower}\n"
-        )
+        fields = [loc.doc_id, str(loc.sentence_index), str(loc.start), str(loc.end),
+                  occ.phrase_lower, " ".join(occ.surface), *occ.left_context, *occ.right_context]
+        fh.write("\t".join(fields) + "\n")
 
 
-def read_locators(path: str | Path) -> list[tuple[Locator, str]]:
+def read_occurrences(path: str | Path) -> list[CandidateOccurrence]:
+    """The occurrences of a :func:`write_occurrences` table, in row order."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            doc_id, idx, s, e, phrase = line.rstrip("\n").split("\t")
-            out.append((Locator(doc_id, int(idx), int(s), int(e)), phrase))
+            doc_id, idx, s, e, phrase, surface, *window = line.rstrip("\n").split("\t")
+            if len(window) != len(CONTEXT_POSITIONS):
+                raise ValueError(f"{path}: malformed occurrence row {line!r}")
+            out.append(CandidateOccurrence(
+                phrase_lower=phrase,
+                surface=tuple(surface.split(" ")),
+                left_context=tuple(window[:3]),
+                right_context=tuple(window[3:]),
+                locator=Locator(doc_id, int(idx), int(s), int(e)),
+            ))
     return out

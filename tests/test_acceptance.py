@@ -18,7 +18,6 @@ from dictforge.cca import (
     accumulate_covariance,
     embed_phrases,
     solve_cca,
-    spelling_vector,
 )
 from dictforge.classifier import (
     SeedSet,
@@ -50,7 +49,7 @@ from dictforge.tagging import (
     read_conll,
     tag_with_dictionary,
 )
-from dictforge.views import build_design_matrices, collect_occurrences
+from dictforge.views import build_design_matrices, collect_occurrences, spelling_vector
 
 
 # --- independent oracles -------------------------------------------------

@@ -14,10 +14,9 @@ from dictforge.cca import (
     embed_phrases,
     read_embeddings,
     solve_cca,
-    spelling_vector,
     write_embeddings,
 )
-from dictforge.views import FeatureIndex, SparseVector
+from dictforge.views import FeatureIndex, SparseVector, spelling_vector
 
 
 def gen_eig_correlations(summary, kappa, k):

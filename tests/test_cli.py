@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import dictforge.cli
 from dictforge.cli import _parse_lambda_grid, main
 from dictforge.crf import CrfModel
 from dictforge.synth import SynthSpec, generate
@@ -27,6 +28,23 @@ def bench(tmp_path_factory):
         for phrase in sc.entities:
             fh.write(f"{phrase}\t1.0\n")
     return root, sc, paths
+
+
+def output_before_second_sentence(monkeypatch, capsys, argv):
+    """Run ``forge`` on stdout and return what it had written when it asked
+    the corpus reader for the second sentence."""
+    real = dictforge.cli.iter_sentences
+    seen = []
+
+    def spy(path):
+        for i, sentence in enumerate(real(path)):
+            if i == 1:
+                seen.append(capsys.readouterr().out)
+            yield sentence
+
+    monkeypatch.setattr("dictforge.cli.iter_sentences", spy)
+    assert main(argv) == 0
+    return seen[0]
 
 
 class TestLambdaGrid:
@@ -140,6 +158,13 @@ class TestTagCommand:
         out = capsys.readouterr().out
         assert out.count("\n\n") >= 14  # blank line between sentences
 
+    def test_streams_sentence_by_sentence(self, bench, monkeypatch, capsys):
+        root, sc, paths = bench
+        argv = ["tag", "--dict", str(root / "hand.dict.tsv"), "--input", str(root / "tiny.txt")]
+        first = output_before_second_sentence(monkeypatch, capsys, argv)
+        n_tokens = len((root / "tiny.txt").read_text().splitlines()[0].split())
+        assert first.count("\n") == n_tokens + 1 and first.endswith("\n\n")
+
     def test_missing_dictionary_exits_1(self, bench, tmp_path, capsys):
         root, sc, paths = bench
         code = main(
@@ -173,6 +198,19 @@ class TestCrfCommands:
         assert [len(t) for t, _ in rows] == [
             len(line.split()) for line in (root / "tiny.txt").read_text().splitlines()
         ]
+
+    def test_tag_decodes_in_chunks(self, bench, tmp_path, monkeypatch, capsys):
+        root, sc, paths = bench
+        model_path = tmp_path / "model.npz"
+        argv = ["crf", "train", "--data", str(root / "tiny.conll"), "--max-iters", "5",
+                "--out", str(model_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("dictforge.cli._TAG_CHUNK", 1)
+        argv = ["crf", "tag", "--model", str(model_path), "--input", str(root / "tiny.txt")]
+        first = output_before_second_sentence(monkeypatch, capsys, argv)
+        n_tokens = len((root / "tiny.txt").read_text().splitlines()[0].split())
+        assert first.count("\n") == n_tokens + 1 and first.endswith("\n\n")
 
     def test_grid_needs_dev(self, bench, tmp_path):
         root, sc, paths = bench

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dictforge.cca import CcaModel, embed_phrases, spelling_vector
+from dictforge.cca import CcaModel, embed_phrases
 from dictforge.classifier import SeedSet, build_dictionary, train_svm
 from dictforge.corpus import iter_sentences
 from dictforge.pipeline import (
@@ -25,8 +25,9 @@ from dictforge.tagging import evaluate, read_conll, read_dictionary, tag_with_di
 from dictforge.views import (
     build_design_matrices,
     collect_occurrences,
-    read_locators,
+    read_occurrences,
     read_triplets,
+    spelling_vector,
 )
 from dictforge.extraction import CandidatePhrase, read_candidates
 
@@ -258,7 +259,7 @@ class TestRunPipeline:
         workdir, config, manifest = finished_run
         out = config.outdir
         for name in (
-            "candidates.tsv", "views.X.npz", "views.Z.npz", "views.locators.tsv",
+            "candidates.tsv", "views.X.npz", "views.Z.npz", "views.occurrences.tsv",
             "cca.model.npz", "dict.cca.tsv", "embeddings.tsv", "svm.json",
             "dict.cotrain.tsv", "cotrain.json", "report.json",
             "crf.model.npz", "crf.json", "manifest.json",
@@ -315,14 +316,18 @@ class TestRunPipeline:
             collect_occurrences(iter_sentences(config.corpus), cands)
         )
         X = read_triplets(out / "views.X.npz")
-        rows = read_locators(out / "views.locators.tsv")
-        assert [loc for loc, _ in rows] == [o.locator for o in views.occurrences]
+        rows = read_occurrences(out / "views.occurrences.tsv")
+        assert rows == views.occurrences
         assert X.shape[0] == len(rows)
-        for i, (_, phrase) in enumerate(rows):
-            assert X[i, views.spelling_index.col(("id", phrase))] == 1.0
+        for i, occ in enumerate(rows):
+            assert X[i, views.spelling_index.col(("id", occ.phrase_lower))] == 1.0
 
-    def test_classify_never_reads_the_corpus(self, finished_run, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("stage", ["classify", "cotrain"])
+    def test_classify_never_reads_the_corpus(self, finished_run, tmp_path, monkeypatch, stage):
+        # classify and cotrain re-execute on a seed edit from the views
+        # artifacts alone, with unchanged results
         workdir, config, _ = finished_run
+        artifact = {"classify": "dict.cca.tsv", "cotrain": "dict.cotrain.tsv"}[stage]
         shutil.copytree(config.outdir, tmp_path / "out")
         seeds = tmp_path / "seeds.txt"
         seeds.write_text(
@@ -331,15 +336,17 @@ class TestRunPipeline:
         copy = dataclasses.replace(config, seeds=seeds, outdir=tmp_path / "out")
 
         def no_corpus(*args, **kwargs):
-            raise AssertionError("classify tokenized the corpus")
+            raise AssertionError(f"{stage} read the corpus")
 
         monkeypatch.setattr("dictforge.pipeline.iter_sentences", no_corpus)
-        manifest = run_pipeline(copy, stages=("classify",))
-        assert manifest.stages["classify"]["cached"] is False
-        assert str(config.corpus) not in manifest.stages["classify"]["inputs"]
-        assert (copy.outdir / "dict.cca.tsv").read_bytes() == (
-            config.outdir / "dict.cca.tsv"
-        ).read_bytes()
+        monkeypatch.setattr("dictforge.pipeline.collect_occurrences", no_corpus)
+        manifest = run_pipeline(copy, stages=(stage,))
+        assert manifest.stages[stage]["cached"] is False
+        inputs = manifest.stages[stage]["inputs"]
+        assert str(config.corpus) not in inputs
+        if stage == "cotrain":
+            assert str(copy.outdir / "candidates.tsv") not in inputs
+        assert (copy.outdir / artifact).read_bytes() == (config.outdir / artifact).read_bytes()
 
     def test_candidate_without_occurrence_names_itself(self, finished_run, tmp_path):
         workdir, config, _ = finished_run

@@ -20,9 +20,9 @@ from dictforge.views import (
     featurize_context,
     featurize_spelling,
     majority_caps_bits,
-    read_locators,
+    read_occurrences,
     read_triplets,
-    write_locators,
+    write_occurrences,
     write_triplets,
 )
 
@@ -45,6 +45,10 @@ class TestCollect:
         assert occ.left_context == (BOUNDARY, BOUNDARY, "chronic")
         assert occ.right_context == ("infection", BOUNDARY, BOUNDARY)
         assert occ.locator == Locator("d", 0, 1, 3)
+        assert occ.context_items() == (
+            (-3, BOUNDARY), (-2, BOUNDARY), (-1, "chronic"),
+            (1, "infection"), (2, BOUNDARY), (3, BOUNDARY),
+        )
 
     def test_longest_match_wins(self):
         got = list(
@@ -236,10 +240,17 @@ class TestViewIO:
         assert (back != vm.X).nnz == 0
 
     def test_locator_roundtrip(self, tmp_path):
-        vm, _ = build_fixture()
-        p = tmp_path / "rows.audit"
+        corpus = sents("the flu spread fast", "Flu and ebola are here", "chronic Hepatitis B")
+        occs = list(collect_occurrences(corpus, cands("flu", "ebola", "hepatitis b")))
+        assert ("Hepatitis", "B") in [o.surface for o in occs]
+        assert any(BOUNDARY in o.left_context + o.right_context for o in occs)
+        p = tmp_path / "rows.tsv"
         with open(p, "w", encoding="utf-8") as fh:
-            write_locators(vm.occurrences, fh)
-        back = read_locators(p)
-        assert [loc for loc, _ in back] == [o.locator for o in vm.occurrences]
-        assert [ph for _, ph in back] == [o.phrase_lower for o in vm.occurrences]
+            write_occurrences(occs, fh)
+        assert read_occurrences(p) == occs
+
+    def test_short_occurrence_row_rejected(self, tmp_path):
+        p = tmp_path / "rows.tsv"
+        p.write_text("d\t0\t1\t2\tflu\tFlu\tthe\t⊥\t⊥\tspread\tfast\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed"):
+            read_occurrences(p)

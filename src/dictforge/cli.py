@@ -81,7 +81,7 @@ _TAG_CHUNK = 1024
 
 def _read_tokens(path: str) -> Iterator[list[str]]:
     """Token texts of each corpus sentence, streamed."""
-    return (s.texts() for s in iter_sentences(path))
+    return (list(s.tokens) for s in iter_sentences(path))
 
 
 def _open_out(path: str | None):

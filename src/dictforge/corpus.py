@@ -2,12 +2,14 @@
 
 Documents are streamed one at a time; nothing here ever needs the whole
 corpus in memory.  Segmentation and tokenization are deterministic,
-rule-based approximations with byte-offset bookkeeping so every token can
-be traced back to its source document.
+rule-based approximations; a token is a plain string, traced back to its
+source through its sentence's doc id and index and its position in the
+sentence.
 """
 
 from __future__ import annotations
 
+import re
 import string
 import unicodedata
 from collections import Counter
@@ -16,7 +18,6 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 __all__ = [
-    "Token",
     "Sentence",
     "VocabStats",
     "word_shape",
@@ -52,77 +53,29 @@ def word_shape(text: str) -> str:
 
 
 @dataclass(frozen=True)
-class Token:
-    """One surface token with offsets into its source document.
-
-    ``document[char_start:char_end] == text`` always holds for tokens
-    produced by :func:`segment_sentences`; for bare :func:`tokenize` the
-    offsets index the string that was tokenized.
-    """
-
-    text: str
-    lower: str
-    char_start: int
-    char_end: int
-
-    @classmethod
-    def make(cls, text: str, start: int) -> "Token":
-        return cls(text, text.lower(), start, start + len(text))
-
-
-@dataclass(frozen=True)
 class Sentence:
     doc_id: str
     index: int
-    tokens: tuple[Token, ...]
-
-    def texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
+    tokens: tuple[str, ...]
 
     def lowers(self) -> list[str]:
-        return [t.lower for t in self.tokens]
+        return [t.lower() for t in self.tokens]
 
 
-def _edge_is_punct(ch: str) -> bool:
-    # Anything non-alphanumeric counts as detachable edge punctuation.
-    return not ch.isalnum()
+# A run of non-whitespace from its first to its last alphanumeric character,
+# or one other non-whitespace character.  ``[^\W_]`` is exactly
+# ``str.isalnum`` and ``\s`` exactly ``str.isspace``.
+_TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?|\S")
 
 
-def _tokenize_span(document: str, start: int, end: int) -> Iterator[Token]:
-    """Tokens of document[start:end] with document-absolute offsets."""
-    i = start
-    n = end
-    while i < n:
-        if document[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not document[j].isspace():
-            j += 1
-        # Detach leading punctuation one character at a time.
-        a = i
-        while a < j and _edge_is_punct(document[a]):
-            yield Token.make(document[a], a)
-            a += 1
-        # Find the core span; trailing punctuation comes after it.
-        b = j
-        while b > a and _edge_is_punct(document[b - 1]):
-            b -= 1
-        if a < b:
-            yield Token.make(document[a:b], a)
-        for p in range(b, j):
-            yield Token.make(document[p], p)
-        i = j
-
-
-def tokenize(sentence_text: str) -> list[Token]:
+def tokenize(sentence_text: str) -> list[str]:
     """Whitespace tokenization with edge-punctuation detachment.
 
     Leading and trailing non-alphanumeric characters of each whitespace
     chunk become single-character tokens; interior punctuation is kept, so
     hyphenated words ("Epstein-Barr") and decimals ("3.5") stay whole.
     """
-    return list(_tokenize_span(sentence_text, 0, len(sentence_text)))
+    return _TOKEN.findall(sentence_text)
 
 
 def _default_abbreviations() -> frozenset[str]:
@@ -139,7 +92,9 @@ def _default_abbreviations() -> frozenset[str]:
 
 DEFAULT_ABBREVIATIONS = _default_abbreviations()
 
-_TERMINATORS = ".?!"
+# A run of terminators followed by whitespace; group 1 is the character
+# after the whitespace.
+_TERMINATOR_RUN = re.compile(r"[.?!]+(?=\s+(\S))")
 
 
 def _word_before(document: str, pos: int) -> str:
@@ -160,35 +115,21 @@ def segment_sentences(
 
     A trailing-period split is suppressed when the chunk ending at the
     period (lowercased, period included) is in the abbreviation stoplist.
-    Token offsets are absolute into ``document``.  Empty or whitespace-only
-    input yields an empty list.
+    Empty or whitespace-only input yields an empty list.
     """
     boundaries = [0]
-    n = len(document)
-    i = 0
-    while i < n:
-        if document[i] not in _TERMINATORS:
-            i += 1
+    for m in _TERMINATOR_RUN.finditer(document):
+        after = m.group(1)
+        if not (after.isupper() or after.isdigit()):
             continue
-        j = i
-        while j < n and document[j] in _TERMINATORS:
-            j += 1
-        # Split only before "whitespace then uppercase-or-digit".
-        k = j
-        while k < n and document[k].isspace():
-            k += 1
-        splits = k > j and k < n and (document[k].isupper() or document[k].isdigit())
-        if splits and "?" not in document[i:j] and "!" not in document[i:j]:
-            if _word_before(document, j).lower() in abbreviations:
-                splits = False
-        if splits:
-            boundaries.append(j)
-        i = j
-    boundaries.append(n)
+        run = m.group()
+        if "?" in run or "!" in run or _word_before(document, m.end()).lower() not in abbreviations:
+            boundaries.append(m.end())
+    boundaries.append(len(document))
 
     sentences = []
     for start, end in zip(boundaries, boundaries[1:]):
-        tokens = tuple(_tokenize_span(document, start, end))
+        tokens = tuple(_TOKEN.findall(document, start, end))
         if tokens:
             sentences.append(Sentence(doc_id, len(sentences), tokens))
     return sentences
@@ -211,8 +152,8 @@ class VocabStats:
         return cls({}, 0)
 
     def add_sentence(self, sentence: Sentence) -> None:
-        for tok in sentence.tokens:
-            self.counts[tok.lower] = self.counts.get(tok.lower, 0) + 1
+        for tok in sentence.lowers():
+            self.counts[tok] = self.counts.get(tok, 0) + 1
         self.total_tokens += len(sentence.tokens)
 
     def merge(self, other: "VocabStats") -> "VocabStats":
@@ -241,8 +182,7 @@ def read_corpus(path: str | Path) -> Iterator[tuple[str, str]]:
     """Yield ``(doc_id, text)`` pairs from a corpus location.
 
     A directory is read as one document per file (sorted by name); a single
-    file as one document per line.  Text is NFC-normalized on ingest; all
-    downstream offsets refer to the normalized string.
+    file as one document per line.  Text is NFC-normalized on ingest.
     """
     path = Path(path)
     if path.is_dir():
@@ -273,6 +213,6 @@ def write_token_stream(sentences: Iterable[Sentence], fh) -> int:
     per tab-separated field.  Returns the number of sentences written."""
     count = 0
     for s in sentences:
-        fh.write("\t".join([s.doc_id, str(s.index), *s.texts()]) + "\n")
+        fh.write("\t".join([s.doc_id, str(s.index), *s.tokens]) + "\n")
         count += 1
     return count

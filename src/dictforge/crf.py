@@ -27,6 +27,7 @@ from scipy.optimize import minimize
 from .corpus import word_shape
 from .tagging import (
     Dictionary,
+    PhraseSet,
     evaluate,
     match_phrase_spans,
     tag_with_dictionary,
@@ -134,7 +135,7 @@ class SentinelEmbeddings:
         self.k = self.matrix.shape[1]
         self.x = float(np.max(np.abs(self.matrix)))
         self._row = {p: i for i, p in enumerate(self.phrases)}
-        self.phrase_set = {tuple(p.split(" ")) for p in self.phrases}
+        self.phrase_set = PhraseSet(p.split(" ") for p in self.phrases)
 
     def vector(self, phrase: str) -> np.ndarray:
         return self.matrix[self._row[phrase]]

@@ -113,9 +113,9 @@ def _is_punct(text: str) -> bool:
     return not any(c.isalnum() for c in text)
 
 
-def _match_words(sentence: Sentence, pattern: ExtractionPattern) -> list[str]:
+def _match_words(sentence: Sentence, pattern: ExtractionPattern) -> Sequence[str]:
     if pattern.case_sensitive:
-        return sentence.texts()
+        return sentence.tokens
     return sentence.lowers()
 
 
@@ -125,7 +125,7 @@ def _literal(words: Sequence[str], pattern: ExtractionPattern) -> tuple[str, ...
     return tuple(w.lower() for w in words)
 
 
-def _find_literal(words: list[str], literal: tuple[str, ...], start: int = 0) -> Iterator[int]:
+def _find_literal(words: Sequence[str], literal: tuple[str, ...], start: int = 0) -> Iterator[int]:
     m = len(literal)
     for i in range(start, len(words) - m + 1):
         if tuple(words[i : i + m]) == literal:
@@ -152,7 +152,7 @@ def extract_between(sentence: Sentence, pattern: ExtractionPattern) -> list[Cand
             if j + len(right) > len(words):
                 break
             if tuple(words[j : j + len(right)]) == right:
-                span = [t.text for t in sentence.tokens[gap_start:j]]
+                span = sentence.tokens[gap_start:j]
                 if not any(_is_punct(t) for t in span):
                     out.append(CandidatePhrase.from_tokens(span))
                 break  # nearest right literal decides; farther ones ignored
@@ -177,7 +177,7 @@ def _conjunct_spans(sentence: Sentence, start: int, pattern: ExtractionPattern) 
         while (
             i < n
             and lower[i] not in STOPWORDS
-            and not _is_punct(sentence.tokens[i].text)
+            and not _is_punct(sentence.tokens[i])
             and i - s < pattern.max_phrase_len
         ):
             i += 1
@@ -219,9 +219,7 @@ def extract_after_trigger(
             spans = _conjunct_spans(sentence, after, pattern)
         for s, e in spans:
             if e - s <= pattern.max_phrase_len:
-                out.append(
-                    CandidatePhrase.from_tokens([t.text for t in sentence.tokens[s:e]])
-                )
+                out.append(CandidatePhrase.from_tokens(sentence.tokens[s:e]))
     return out
 
 

@@ -9,12 +9,14 @@ gold entity exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Dictionary",
     "EvalReport",
+    "PhraseSet",
     "match_phrase_spans",
     "tag_with_dictionary",
     "bio_spans",
@@ -27,6 +29,18 @@ __all__ = [
 ]
 
 PROVENANCES = ("cca", "cotrain", "manual", "candidate-list")
+
+
+class PhraseSet(frozenset):
+    """Phrases as token tuples, with the longest phrase length computed
+    once so matching a sentence never rescans the set."""
+
+    max_len: int
+
+    def __new__(cls, phrases: Iterable[Sequence[str]] = ()):
+        self = super().__new__(cls, map(tuple, phrases))
+        self.max_len = max(map(len, self), default=0)
+        return self
 
 
 @dataclass
@@ -57,9 +71,10 @@ class Dictionary:
             phrase = " ".join(phrase)
         return phrase.lower() in self.scores
 
-    @property
-    def phrases(self) -> set[tuple[str, ...]]:
-        return {tuple(p.split(" ")) for p in self.scores}
+    @cached_property
+    def phrases(self) -> PhraseSet:
+        # built once: nothing mutates ``scores`` after construction
+        return PhraseSet(p.split(" ") for p in self.scores)
 
 
 def write_dictionary(dictionary: Dictionary, fh) -> None:
@@ -95,7 +110,7 @@ def read_dictionary(path: str | Path) -> Dictionary:
 
 def match_phrase_spans(
     tokens: Sequence[str],
-    phrases: set[tuple[str, ...]],
+    phrases: PhraseSet,
     case_sensitive: bool = False,
 ) -> list[tuple[int, int, tuple[str, ...]]]:
     """Exact phrase occurrences as (start, end, matched key) triples.
@@ -103,10 +118,10 @@ def match_phrase_spans(
     Longest match wins at each position, scanning left to right, and
     matches never overlap.  Lowercased comparison unless case_sensitive.
     """
-    if not phrases:
+    max_len = phrases.max_len
+    if not max_len:
         return []
-    max_len = max(len(p) for p in phrases)
-    words = list(tokens) if case_sensitive else [t.lower() for t in tokens]
+    words = tokens if case_sensitive else [t.lower() for t in tokens]
     spans: list[tuple[int, int, tuple[str, ...]]] = []
     i = 0
     n = len(words)

@@ -20,6 +20,7 @@ import scipy.sparse as sp
 
 from .corpus import Sentence
 from .extraction import CandidatePhrase
+from .tagging import PhraseSet, match_phrase_spans
 
 __all__ = [
     "BOUNDARY",
@@ -147,37 +148,24 @@ def collect_occurrences(
 ) -> Iterator[CandidateOccurrence]:
     """Maximal non-overlapping candidate matches with their contexts.
 
-    At each position the longest matching candidate wins; scanning left to
-    right makes ties resolve leftmost.  Matching is on lowercased tokens.
+    Matching is :func:`~dictforge.tagging.match_phrase_spans` on lowercased
+    tokens: the longest candidate wins at each position, and scanning left
+    to right makes ties resolve leftmost.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
-    phrase_set = {tuple(c.lower.split(" ")) for c in candidates}
-    max_len = max(len(p) for p in phrase_set)
+    phrases = PhraseSet(c.lower.split(" ") for c in candidates)
     for sentence in sentences:
         low = sentence.lowers()
         n = len(low)
-        i = 0
-        while i < n:
-            hit = 0
-            for length in range(min(max_len, n - i), 0, -1):
-                if tuple(low[i : i + length]) in phrase_set:
-                    hit = length
-                    break
-            if hit == 0:
-                i += 1
-                continue
-            j = i + hit
-            left = tuple([BOUNDARY] * (3 - min(3, i)) + low[max(0, i - 3) : i])
-            right = tuple(low[j : j + 3] + [BOUNDARY] * (3 - min(3, n - j)))
+        for i, j, key in match_phrase_spans(low, phrases, case_sensitive=True):
             yield CandidateOccurrence(
-                phrase_lower=" ".join(low[i:j]),
-                surface=tuple(t.text for t in sentence.tokens[i:j]),
-                left_context=left,
-                right_context=right,
+                phrase_lower=" ".join(key),
+                surface=sentence.tokens[i:j],
+                left_context=tuple([BOUNDARY] * (3 - min(3, i)) + low[max(0, i - 3) : i]),
+                right_context=tuple(low[j : j + 3] + [BOUNDARY] * (3 - min(3, n - j))),
                 locator=Locator(sentence.doc_id, sentence.index, i, j),
             )
-            i = j
 
 
 def majority_caps_bits(occurrences: Iterable[CandidateOccurrence]) -> dict[str, int]:

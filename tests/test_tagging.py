@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dictforge.tagging import (
     Dictionary,
     EvalReport,
+    PhraseSet,
     bio_spans,
     evaluate,
     read_conll,
@@ -59,6 +60,11 @@ class TestTagger:
         dic = d("flu", "swine flu")
         assert tag_with_dictionary(tokens, dic) == tag_with_dictionary(tokens, dic)
 
+    def test_phrases_built_once(self):
+        dic = d("flu", "swine flu")
+        assert dic.phrases is dic.phrases
+        assert dic.phrases == {("flu",), ("swine", "flu")}
+
     @given(
         st.lists(st.sampled_from(["flu", "swine", "virus", "the"]), min_size=1, max_size=12)
     )
@@ -66,6 +72,14 @@ class TestTagger:
         tags = tag_with_dictionary(tokens, d("flu", "swine flu", "virus"))
         validate_bio(tags)
         assert len(tags) == len(tokens)
+
+
+class TestPhraseSet:
+    def test_reports_longest_phrase_length(self):
+        phrases = PhraseSet([["flu"], ["hepatitis", "b", "virus"], ["b", "virus"]])
+        assert phrases.max_len == 3
+        assert ("b", "virus") in phrases
+        assert PhraseSet().max_len == 0
 
 
 class TestBioSpans:

@@ -77,6 +77,24 @@ class TestCollect:
             seen[o.phrase_lower] = seen.get(o.phrase_lower, 0) + 1
         assert seen == planted
 
+    def test_nested_and_overlapping_candidates(self):
+        got = list(
+            collect_occurrences(
+                sents("chronic hepatitis b virus , Hepatitis spread", "the b virus"),
+                cands("hepatitis", "hepatitis b", "b virus"),
+            )
+        )
+        assert [(o.locator, o.phrase_lower, o.surface) for o in got] == [
+            (Locator("d", 0, 1, 3), "hepatitis b", ("hepatitis", "b")),
+            (Locator("d", 0, 5, 6), "hepatitis", ("Hepatitis",)),
+            (Locator("d", 1, 1, 3), "b virus", ("b", "virus")),
+        ]
+        assert [o.left_context + o.right_context for o in got] == [
+            (BOUNDARY, BOUNDARY, "chronic", "virus", ",", "hepatitis"),
+            ("b", "virus", ",", "spread", BOUNDARY, BOUNDARY),
+            (BOUNDARY, BOUNDARY, "the", BOUNDARY, BOUNDARY, BOUNDARY),
+        ]
+
     def test_case_insensitive_matching_preserves_surface(self):
         (occ,) = collect_occurrences(sents("Ebola spread fast"), cands("ebola"))
         assert occ.surface == ("Ebola",)

@@ -16,13 +16,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .linalg import randomized_svd, sym_inv_sqrt
-from .views import SparseVector
 
 __all__ = [
     "CovarianceSummary",
@@ -150,18 +149,6 @@ class CcaModel:
     def d2(self) -> int:
         return self.phi2.shape[0]
 
-    def embed(self, x) -> np.ndarray:
-        """Spelling-view projection phi1' x of one sparse or dense vector."""
-        if isinstance(x, SparseVector):
-            out = np.zeros(self.k)
-            for c, v in x.entries:
-                out += v * self.phi1[c]
-            return out
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.d1,):
-            raise ValueError(f"expected vector of dim {self.d1}, got {x.shape}")
-        return self.phi1.T @ x
-
     def save(self, path: str | Path) -> None:
         # write to the exact path given; np.savez appends .npz to bare names
         with open(path, "wb") as fh:
@@ -266,22 +253,14 @@ class PhraseEmbedding:
     vector: np.ndarray
 
 
-def embed_phrases(
-    model: CcaModel,
-    spelling_vectors: Mapping[str, SparseVector],
-) -> list[PhraseEmbedding]:
-    """One embedding per phrase from its canonical spelling vector, in
-    mapping order.  Every instance of a phrase shares this embedding."""
-    out = []
-    for phrase, vec in spelling_vectors.items():
-        cols = vec.columns()
-        if cols and cols[-1] >= model.d1:
-            raise ValueError(
-                f"spelling vector for {phrase!r} has column {cols[-1]} "
-                f">= model d1 {model.d1}"
-            )
-        out.append(PhraseEmbedding(phrase, model.embed(vec)))
-    return out
+def embed_phrases(model: CcaModel, spelling_rows) -> np.ndarray:
+    """Spelling-view projections phi1' x, one row per row of a (sparse)
+    spelling matrix of width d1."""
+    if spelling_rows.shape[1] != model.d1:
+        raise ValueError(
+            f"spelling rows have {spelling_rows.shape[1]} columns, model d1 is {model.d1}"
+        )
+    return spelling_rows @ model.phi1
 
 
 def write_embeddings(embeddings: Iterable[PhraseEmbedding], fh) -> None:
@@ -292,11 +271,15 @@ def write_embeddings(embeddings: Iterable[PhraseEmbedding], fh) -> None:
 
 
 def read_embeddings(path: str | Path) -> dict[str, np.ndarray]:
+    """Phrase vectors of a :func:`write_embeddings` file; blank lines are
+    skipped, a phrase without components is an error."""
     out: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) < 2:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            out[parts[0]] = np.array([float(v) for v in parts[1:]])
+            phrase, _, vector = line.rstrip("\n").partition("\t")
+            if not vector:
+                raise ValueError(f"{path}, line {lineno}: {phrase!r} has no vector components")
+            out[phrase] = np.array([float(v) for v in vector.split("\t")])
     return out

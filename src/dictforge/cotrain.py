@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .classifier import SeedSet
 from .tagging import Dictionary
-from .views import CandidateOccurrence
+from .views import CONTEXT_POSITIONS, OccurrenceTable
 
 __all__ = [
     "Rule",
@@ -89,29 +87,24 @@ class DecisionListState:
     trace: list[dict] = field(default_factory=list)
 
 
-def _bigrams(occ: CandidateOccurrence):
-    return list(combinations(occ.context_items(), 2))
-
-
 class _Indexed:
-    """Occurrences mapped to integer ids for vectorized counting."""
+    """Phrase ids and the 15 context-bigram ids of each occurrence row."""
 
-    def __init__(self, occurrences: Sequence[CandidateOccurrence]):
-        self.n = len(occurrences)
-        self.phrase_of: dict[str, int] = {}
-        self.bigram_of: dict[tuple, int] = {}
-        phrase_rows = np.empty(self.n, dtype=np.int64)
-        bigram_rows = np.empty((self.n, 15), dtype=np.int64)
-        for r, occ in enumerate(occurrences):
-            phrase_rows[r] = self.phrase_of.setdefault(
-                occ.phrase_lower, len(self.phrase_of)
-            )
-            for j, bg in enumerate(_bigrams(occ)):
-                bigram_rows[r, j] = self.bigram_of.setdefault(bg, len(self.bigram_of))
-        self.phrase_ids = phrase_rows
-        self.bigram_ids = bigram_rows
-        self.phrases = list(self.phrase_of)
-        self.bigrams = list(self.bigram_of)
+    def __init__(self, table: OccurrenceTable):
+        self.n = table.n
+        self.phrase_ids = table.phrase_ids
+        self.phrases = table.phrases
+        self.phrase_of = {p: i for i, p in enumerate(table.phrases)}
+        # a bigram is a pair of context ids at two distinct positions,
+        # coded as first * d + second
+        first, second = np.triu_indices(len(CONTEXT_POSITIONS), k=1)
+        d = len(table.contexts)
+        codes = table.context_ids[:, first] * d + table.context_ids[:, second]
+        unique, inverse = np.unique(codes, return_inverse=True)
+        self.bigram_ids = inverse.reshape(self.n, len(first))
+        self.bigrams = [
+            (table.contexts[c // d], table.contexts[c % d]) for c in unique.tolist()
+        ]
 
 
 class _RuleArrays:
@@ -200,7 +193,7 @@ def _select_rules(
 
 
 def dl_cotrain(
-    occurrences: Sequence[CandidateOccurrence],
+    table: OccurrenceTable,
     seeds: SeedSet,
     m: int = 5,
     epsilon: float = 0.95,
@@ -214,14 +207,14 @@ def dl_cotrain(
     spelling-labeled data, then up to i*m new spelling rules per label
     from the context-labeled data; the loop ends when an iteration adds
     nothing (or at ``max_iters``).  Occurrences the current list cannot
-    label are excluded from rule counts, not treated as negatives.
+    label are excluded from rule counts, not treated as negatives.  The
+    final ``labeled`` map is keyed by row of ``table``.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    occs = list(occurrences)
-    idx = _Indexed(occs)
+    idx = _Indexed(table)
 
     missing = [
         s for s in (*seeds.positives, *seeds.negatives) if s not in idx.phrase_of

@@ -59,8 +59,8 @@ from .tagging import (
     tag_with_dictionary,
     write_dictionary,
 )
-from .views import (SparseVector, build_design_matrices, collect_occurrences, read_occurrences,
-                    read_triplets, write_occurrences, write_triplets)
+from .views import (OccurrenceTable, build_design_matrices, collect_occurrences,
+                    read_occurrences, read_triplets, write_occurrences, write_triplets)
 
 __all__ = [
     "PipelineConfig",
@@ -393,6 +393,7 @@ class _Runner:
         self.jobs = max(1, jobs)
         self.outdir = config.outdir
         self._sentences = None
+        self._occurrences = None
 
     # -- the corpus, tokenized once for extract and views ---------------
 
@@ -400,6 +401,13 @@ class _Runner:
         if self._sentences is None:
             self._sentences = list(iter_sentences(self.config.corpus))
         return self._sentences
+
+    # -- the views' occurrence table, interned once for classify and cotrain
+
+    def occurrences(self) -> OccurrenceTable:
+        if self._occurrences is None:
+            self._occurrences = read_occurrences(self.outdir / "views.occurrences.tsv")
+        return self._occurrences
 
     def dev_rows(self):
         return read_conll(self.config.dev, strict=True)
@@ -452,16 +460,18 @@ class _Runner:
     def _candidate_embeddings(self, model: CcaModel) -> dict[str, np.ndarray]:
         """A phrase's spelling vector is the X row of its first occurrence."""
         X = read_triplets(self.outdir / "views.X.npz")
-        first_row: dict[str, int] = {}
-        for row, occ in enumerate(read_occurrences(self.outdir / "views.occurrences.tsv")):
-            first_row.setdefault(occ.phrase_lower, row)
-        vectors = {}
-        for c in read_candidates(self.outdir / "candidates.tsv"):
-            if c.lower not in first_row:
-                raise StageError("classify", f"candidate {c.lower!r} has no occurrence row")
-            span = slice(X.indptr[first_row[c.lower]], X.indptr[first_row[c.lower] + 1])
-            vectors[c.lower] = SparseVector(tuple(zip(X.indices[span], X.data[span])))
-        return {e.phrase: e.vector for e in embed_phrases(model, vectors)}
+        table = self.occurrences()
+        if table.n != X.shape[0]:
+            raise StageError(
+                "classify",
+                f"views.occurrences.tsv has {table.n} rows, views.X.npz has {X.shape[0]}",
+            )
+        first_row = table.first_rows()
+        names = [c.lower for c in read_candidates(self.outdir / "candidates.tsv")]
+        for name in names:
+            if name not in first_row:
+                raise StageError("classify", f"candidate {name!r} has no occurrence row")
+        return dict(zip(names, embed_phrases(model, X[[first_row[p] for p in names]])))
 
     def stage_classify(self, tmp: Path) -> dict:
         cfg = self.config
@@ -533,8 +543,7 @@ class _Runner:
         cfg = self.config
         seeds = read_seeds(cfg.seeds)
         state = dl_cotrain(
-            read_occurrences(self.outdir / "views.occurrences.tsv"),
-            seeds, m=cfg.cotrain_m, epsilon=cfg.cotrain_epsilon,
+            self.occurrences(), seeds, m=cfg.cotrain_m, epsilon=cfg.cotrain_epsilon
         )
         if cfg.dev is None and len(cfg.cotrain_theta_grid) > 1:
             raise StageError(

@@ -3,17 +3,19 @@
 Every corpus occurrence of a candidate phrase becomes one paired
 observation: a *spelling* view (phrase identity + capitalization bit) and
 a *context* view (position-conjoined words from a three-token window on
-each side).  Rows of the two design matrices are aligned by construction
-and saved as ``.npz`` triplets beside an occurrence table in the same row
-order.  In a pipeline run only the extract and views stages read the
-corpus; cca, classify and cotrain read these artifacts.
+each side).  Both design matrices are built from one interned occurrence
+table, a phrase id and six (position, word) ids per row, so their rows are
+aligned by construction.  They are saved as ``.npz`` triplets beside an
+occurrence table file in the same row order.  In a pipeline run only the
+extract and views stages read the corpus; cca, classify and cotrain read
+these artifacts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,14 +29,11 @@ __all__ = [
     "CONTEXT_POSITIONS",
     "Locator",
     "CandidateOccurrence",
-    "FeatureIndex",
-    "SparseVector",
+    "OccurrenceTable",
     "ViewMatrices",
     "collect_occurrences",
     "majority_caps_bits",
-    "spelling_vector",
-    "featurize_spelling",
-    "featurize_context",
+    "intern_occurrences",
     "build_design_matrices",
     "audit_dense_columns",
     "write_triplets",
@@ -71,76 +70,6 @@ class CandidateOccurrence:
     right_context: tuple[str, str, str]
     locator: Locator
 
-    def context_items(self) -> tuple[tuple[int, str], ...]:
-        """The six (position, word) slots of the window, left to right."""
-        return tuple(zip(CONTEXT_POSITIONS, self.left_context + self.right_context))
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Entries as (column, value) with strictly increasing columns and no
-    explicit zeros."""
-
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        cols = [c for c, _ in self.entries]
-        if any(b <= a for a, b in zip(cols, cols[1:])):
-            raise ValueError("columns must be strictly increasing")
-        if any(v == 0.0 for _, v in self.entries):
-            raise ValueError("explicit zeros are not allowed")
-
-    def columns(self) -> list[int]:
-        return [c for c, _ in self.entries]
-
-
-class FeatureIndex:
-    """Bidirectional feature-name/column map for one view.
-
-    Grows while unfrozen; after :meth:`freeze` unseen names raise
-    ``KeyError`` so silent feature drift is impossible.  ``reserved``
-    marks columns (OOV slots, the caps bit) that may legitimately stay
-    unrealized in a given corpus.
-    """
-
-    def __init__(self):
-        self._name_to_col: dict = {}
-        self._col_to_name: list = []
-        self.reserved: set[int] = set()
-        self.frozen = False
-
-    def __len__(self) -> int:
-        return len(self._col_to_name)
-
-    def add(self, name, reserved: bool = False) -> int:
-        col = self._name_to_col.get(name)
-        if col is not None:
-            return col
-        if self.frozen:
-            raise KeyError(f"feature index is frozen; unseen feature {name!r}")
-        col = len(self._col_to_name)
-        self._name_to_col[name] = col
-        self._col_to_name.append(name)
-        if reserved:
-            self.reserved.add(col)
-        return col
-
-    def col(self, name) -> int:
-        try:
-            return self._name_to_col[name]
-        except KeyError:
-            raise KeyError(f"unknown feature {name!r}") from None
-
-    def name(self, col: int):
-        return self._col_to_name[col]
-
-    def __contains__(self, name) -> bool:
-        return name in self._name_to_col
-
-    def freeze(self) -> "FeatureIndex":
-        self.frozen = True
-        return self
-
 
 def collect_occurrences(
     sentences: Iterable[Sentence],
@@ -171,7 +100,7 @@ def collect_occurrences(
 def majority_caps_bits(occurrences: Iterable[CandidateOccurrence]) -> dict[str, int]:
     """Capitalization bit per phrase: 1 iff a strict majority of its
     occurrences start with an uppercase character (ties give 0), so every
-    instance of a phrase shares one spelling vector."""
+    instance of a phrase shares one spelling row."""
     upper: dict[str, int] = {}
     total: dict[str, int] = {}
     for occ in occurrences:
@@ -182,51 +111,61 @@ def majority_caps_bits(occurrences: Iterable[CandidateOccurrence]) -> dict[str, 
     return {k: int(2 * upper.get(k, 0) > total[k]) for k in total}
 
 
-def spelling_vector(
-    phrase_lower: str, index: FeatureIndex, caps_bit: Mapping[str, int]
-) -> SparseVector:
-    """Identity feature plus the phrase's majority-casing bit, both 1.0.
+@dataclass(eq=False)
+class OccurrenceTable:
+    """Occurrences as interned integer columns, in X/Z row order.
 
-    Unknown phrases raise ``KeyError``: the spelling view has no OOV
-    fallback because an unseen phrase has no meaningful identity column.
+    ``phrase_ids[r]`` indexes ``phrases``; ``context_ids[r, j]`` indexes
+    ``contexts``, the (position, word) slot at ``CONTEXT_POSITIONS[j]``.
+    Both name lists are in order of first appearance over the rows.
     """
-    entries = [(index.col(("id", phrase_lower)), 1.0)]
-    if caps_bit.get(phrase_lower, 0):
-        entries.append((index.col(("caps",)), 1.0))
-    entries.sort()
-    return SparseVector(tuple(entries))
+
+    phrase_ids: np.ndarray
+    context_ids: np.ndarray
+    phrases: list[str]
+    contexts: list[tuple[int, str]]
+
+    @property
+    def n(self) -> int:
+        return len(self.phrase_ids)
+
+    def first_rows(self) -> dict[str, int]:
+        """Row of each phrase's first occurrence."""
+        _, rows = np.unique(self.phrase_ids, return_index=True)
+        return dict(zip(self.phrases, rows.tolist()))
 
 
-def featurize_spelling(
-    occ: CandidateOccurrence, index: FeatureIndex, caps_bit: Mapping[str, int]
-) -> SparseVector:
-    """The spelling vector of the occurrence's phrase."""
-    return spelling_vector(occ.phrase_lower, index, caps_bit)
-
-
-def featurize_context(occ: CandidateOccurrence, index: FeatureIndex) -> SparseVector:
-    """One indicator per (position, word) with boundary padding; words the
-    frozen index has never seen fall back to that position's OOV column."""
-    cols = set()
-    for pos, word in occ.context_items():
-        name = ("ctx", pos, word)
-        if name in index:
-            cols.add(index.col(name))
-        else:
-            cols.add(index.col(("oov", pos)))
-    return SparseVector(tuple((c, 1.0) for c in sorted(cols)))
+def intern_occurrences(
+    phrases: Iterable[str], windows: Iterable[Sequence[str]]
+) -> OccurrenceTable:
+    """The table of a phrase column and a column of six-word context
+    windows (left to right, boundary-padded)."""
+    phrase_of: dict[str, int] = {}
+    context_of: dict[tuple[int, str], int] = {}
+    phrase_ids = [phrase_of.setdefault(p, len(phrase_of)) for p in phrases]
+    context_ids = [
+        context_of.setdefault(item, len(context_of))
+        for window in windows
+        for item in zip(CONTEXT_POSITIONS, window, strict=True)
+    ]
+    return OccurrenceTable(
+        phrase_ids=np.array(phrase_ids, dtype=np.int64),
+        context_ids=np.array(context_ids, dtype=np.int64).reshape(
+            len(phrase_ids), len(CONTEXT_POSITIONS)
+        ),
+        phrases=list(phrase_of),
+        contexts=list(context_of),
+    )
 
 
 @dataclass
 class ViewMatrices:
-    """Aligned sparse design matrices plus everything needed to featurize
-    new occurrences consistently."""
+    """Aligned sparse design matrices, the interned table they index and
+    the occurrences in row order."""
 
     X: sp.csr_matrix
     Z: sp.csr_matrix
-    spelling_index: FeatureIndex
-    context_index: FeatureIndex
-    caps_bit: dict[str, int]
+    table: OccurrenceTable
     occurrences: list[CandidateOccurrence]
 
     @property
@@ -234,52 +173,43 @@ class ViewMatrices:
         return self.X.shape[0]
 
 
-def build_design_matrices(occurrences: Iterable[CandidateOccurrence]) -> ViewMatrices:
-    """Freeze feature indices over the occurrence stream, then emit one
-    aligned row pair per occurrence.
+def _indicators(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape, dtype=np.float64)
 
-    Rows are ordered by locator so the result is independent of stream
-    order.  An empty stream is an error (downstream decompositions are
-    undefined on zero observations).
+
+def build_design_matrices(occurrences: Iterable[CandidateOccurrence]) -> ViewMatrices:
+    """One aligned row pair per occurrence, rows ordered by locator so the
+    result is independent of stream order.
+
+    Spelling columns are the phrase identities, then one capitalization
+    column set on every row of a phrase with a majority-capitalized
+    surface, so every instance of a phrase shares one spelling row.
+    Context columns are the (position, word) slots, then one OOV column per
+    position, reserved for words outside this build and set by no row.  Identity and slot columns are
+    in order of first appearance.  An empty stream is an error (downstream
+    decompositions are undefined on zero observations).
     """
     occs = sorted(occurrences, key=lambda o: o.locator)
     if not occs:
         raise ValueError("no candidate occurrences: design matrices are empty")
-
-    caps_bit = majority_caps_bits(occs)
-    spelling = FeatureIndex()
-    context = FeatureIndex()
-    for occ in occs:
-        spelling.add(("id", occ.phrase_lower))
-        for item in occ.context_items():
-            context.add(("ctx", *item))
-    spelling.add(("caps",), reserved=True)
-    for pos in CONTEXT_POSITIONS:
-        context.add(("oov", pos), reserved=True)
-    spelling.freeze()
-    context.freeze()
-
-    def assemble(vectors: list[SparseVector], d: int) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        for r, vec in enumerate(vectors):
-            for c, v in vec.entries:
-                rows.append(r)
-                cols.append(c)
-                vals.append(v)
-        return sp.csr_matrix(
-            (vals, (rows, cols)), shape=(len(vectors), d), dtype=np.float64
-        )
-
-    xs = [featurize_spelling(o, spelling, caps_bit) for o in occs]
-    zs = [featurize_context(o, context) for o in occs]
-    return ViewMatrices(
-        X=assemble(xs, len(spelling)),
-        Z=assemble(zs, len(context)),
-        spelling_index=spelling,
-        context_index=context,
-        caps_bit=caps_bit,
-        occurrences=occs,
+    table = intern_occurrences(
+        (o.phrase_lower for o in occs), (o.left_context + o.right_context for o in occs)
     )
+    caps_bit = majority_caps_bits(occs)
+    capped = np.array([caps_bit[p] for p in table.phrases], dtype=bool)[table.phrase_ids]
+    rows = np.arange(table.n)
+    d1 = len(table.phrases) + 1
+    X = _indicators(
+        np.concatenate([rows, rows[capped]]),
+        np.concatenate([table.phrase_ids, np.full(capped.sum(), d1 - 1)]),
+        (table.n, d1),
+    )
+    Z = _indicators(
+        np.repeat(rows, len(CONTEXT_POSITIONS)),
+        table.context_ids.ravel(),
+        (table.n, len(table.contexts) + len(CONTEXT_POSITIONS)),
+    )
+    return ViewMatrices(X=X, Z=Z, table=table, occurrences=occs)
 
 
 def audit_dense_columns(matrix: sp.spmatrix, exempt: set[int] = frozenset()) -> list[int]:
@@ -309,19 +239,15 @@ def write_occurrences(occurrences: Sequence[CandidateOccurrence], fh) -> None:
         fh.write("\t".join(fields) + "\n")
 
 
-def read_occurrences(path: str | Path) -> list[CandidateOccurrence]:
-    """The occurrences of a :func:`write_occurrences` table, in row order."""
-    out = []
+def read_occurrences(path: str | Path) -> OccurrenceTable:
+    """The phrase and context columns of a :func:`write_occurrences`
+    table, interned in row order."""
+    phrases, windows = [], []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            doc_id, idx, s, e, phrase, surface, *window = line.rstrip("\n").split("\t")
-            if len(window) != len(CONTEXT_POSITIONS):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 6 + len(CONTEXT_POSITIONS):
                 raise ValueError(f"{path}: malformed occurrence row {line!r}")
-            out.append(CandidateOccurrence(
-                phrase_lower=phrase,
-                surface=tuple(surface.split(" ")),
-                left_context=tuple(window[:3]),
-                right_context=tuple(window[3:]),
-                locator=Locator(doc_id, int(idx), int(s), int(e)),
-            ))
-    return out
+            phrases.append(fields[4])
+            windows.append(fields[6:])
+    return intern_occurrences(phrases, windows)

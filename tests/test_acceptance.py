@@ -49,7 +49,7 @@ from dictforge.tagging import (
     read_conll,
     tag_with_dictionary,
 )
-from dictforge.views import build_design_matrices, collect_occurrences, spelling_vector
+from dictforge.views import build_design_matrices, collect_occurrences
 
 
 # --- independent oracles -------------------------------------------------
@@ -115,11 +115,9 @@ def benchmark_routes(seed, outdir, run_cotrain=False):
     model = solve_cca(
         accumulate_covariance(views.X, views.Z), k=20, kappa=1e-4, seed=0
     )
-    vectors = {
-        c.lower: spelling_vector(c.lower, views.spelling_index, views.caps_bit)
-        for c in candidates
-    }
-    embeddings = {e.phrase: e.vector for e in embed_phrases(model, vectors)}
+    first_row = views.table.first_rows()
+    names = [c.lower for c in candidates]
+    embeddings = dict(zip(names, embed_phrases(model, views.X[[first_row[p] for p in names]])))
     seeds = read_seeds(paths["seeds"])
     pos, neg, missing = resolve_seeds(seeds, embeddings)
     assert not missing
@@ -135,7 +133,7 @@ def benchmark_routes(seed, outdir, run_cotrain=False):
     out = {"sc": sc, "cca": set_f1(best[1].scores, sc.entities)}
 
     if run_cotrain:
-        state = dl_cotrain(occurrences, seeds, m=5, epsilon=0.95)
+        state = dl_cotrain(views.table, seeds, m=5, epsilon=0.95)
         best = None
         for theta in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
             d = dictionary_from_rules(state, theta)

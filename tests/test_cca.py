@@ -16,7 +16,6 @@ from dictforge.cca import (
     solve_cca,
     write_embeddings,
 )
-from dictforge.views import FeatureIndex, SparseVector, spelling_vector
 
 
 def gen_eig_correlations(summary, kappa, k):
@@ -228,53 +227,49 @@ def small_model():
 class TestEmbed:
     def test_zero_vector_embeds_to_zero(self):
         model = small_model()
-        np.testing.assert_array_equal(model.embed(SparseVector(())), np.zeros(3))
+        np.testing.assert_array_equal(embed_phrases(model, sp.csr_matrix((1, 6))), np.zeros((1, 3)))
 
     def test_one_hot_picks_phi_row(self):
         model = small_model()
-        vec = SparseVector(((2, 1.0),))
-        np.testing.assert_allclose(model.embed(vec), model.phi1[2], atol=1e-15)
+        rows = sp.csr_matrix(np.eye(6)[[2, 5]])
+        np.testing.assert_array_equal(embed_phrases(model, rows), model.phi1[[2, 5]])
 
     def test_matches_dense_matvec_oracle(self):
         model = small_model()
         rng = np.random.default_rng(1)
-        x = rng.standard_normal(6)
-        np.testing.assert_allclose(model.embed(x), model.phi1.T @ x, atol=1e-12)
+        x = rng.standard_normal((4, 6))
+        got = embed_phrases(model, sp.csr_matrix(x))
+        np.testing.assert_allclose(got, np.stack([model.phi1.T @ v for v in x]), atol=1e-12)
 
     def test_dense_dimension_mismatch(self):
         model = small_model()
         with pytest.raises(ValueError):
-            model.embed(np.ones(7))
+            embed_phrases(model, np.ones((1, 7)))
 
     def test_embed_phrases_checks_columns(self):
         model = small_model()
-        vecs = {"flu": SparseVector(((0, 1.0),)), "bad": SparseVector(((99, 1.0),))}
-        with pytest.raises(ValueError):
-            embed_phrases(model, vecs)
+        with pytest.raises(ValueError, match="100 columns"):
+            embed_phrases(model, sp.csr_matrix((2, 100)))
 
     def test_embed_phrases_shares_identity_rows(self):
         model = small_model()
-        vecs = {
-            "flu": SparseVector(((0, 1.0),)),
-            "ebola": SparseVector(((1, 1.0),)),
-        }
-        embs = embed_phrases(model, vecs)
-        assert [e.phrase for e in embs] == ["flu", "ebola"]
-        np.testing.assert_allclose(embs[0].vector, model.phi1[0])
-        np.testing.assert_allclose(embs[1].vector, model.phi1[1])
+        # rows 0 and 2 are two instances of the phrase with identity column 1
+        rows = sp.csr_matrix(np.eye(6)[[1, 0, 1]])
+        embs = embed_phrases(model, rows)
+        np.testing.assert_array_equal(embs[0], embs[2])
+        np.testing.assert_array_equal(embs[0], model.phi1[1])
+        np.testing.assert_array_equal(embs[1], model.phi1[0])
 
     def test_spelling_vector_includes_caps_bit(self):
-        idx = FeatureIndex()
-        idx.add(("id", "flu"))
-        idx.add(("id", "ebola"))
-        idx.add(("caps",), reserved=True)
-        idx.freeze()
-        plain = spelling_vector("flu", idx, {"flu": 0})
-        capped = spelling_vector("flu", idx, {"flu": 1})
-        assert plain.columns() == [0]
-        assert capped.columns() == [0, 2]
-        with pytest.raises(KeyError):
-            spelling_vector("smallpox", idx, {})
+        # the caps column (last) adds its projection to the identity's
+        model = small_model()
+        plain = np.zeros((1, 6))
+        plain[0, 0] = 1.0
+        capped = plain.copy()
+        capped[0, 5] = 1.0
+        embs = embed_phrases(model, sp.csr_matrix(np.vstack([plain, capped])))
+        np.testing.assert_array_equal(embs[0], model.phi1[0])
+        np.testing.assert_array_equal(embs[1], model.phi1[0] + model.phi1[5])
 
     def test_save_load_roundtrip(self, tmp_path):
         model = small_model()
@@ -299,3 +294,16 @@ class TestEmbed:
         back = read_embeddings(p)
         assert set(back) == {"influenza", "hepatitis b"}
         np.testing.assert_array_equal(back["hepatitis b"], embs[1].vector)
+
+    def test_embedding_without_components_rejected(self, tmp_path):
+        p = tmp_path / "emb.tsv"
+        p.write_text("flu\t0.5\t1.0\n\nebola\nzika\t1\t2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"emb\.tsv, line 3: 'ebola' has no vector"):
+            read_embeddings(p)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "emb.tsv"
+        p.write_text("\nflu\t0.5\t1.0\n\nzika\t1\t2\n", encoding="utf-8")
+        back = read_embeddings(p)
+        assert list(back) == ["flu", "zika"]
+        np.testing.assert_array_equal(back["zika"], [1.0, 2.0])

@@ -13,7 +13,7 @@ from dictforge.cotrain import (
     dl_cotrain,
     rule_strength,
 )
-from dictforge.views import BOUNDARY, CandidateOccurrence, Locator
+from dictforge.views import BOUNDARY, CandidateOccurrence, Locator, intern_occurrences
 
 
 def occ(phrase, left, right, row):
@@ -25,6 +25,12 @@ def occ(phrase, left, right, row):
         left_context=left,
         right_context=right,
         locator=Locator("d", row, 0, 1),
+    )
+
+
+def table(rows):
+    return intern_occurrences(
+        [o.phrase_lower for o in rows], [o.left_context + o.right_context for o in rows]
     )
 
 
@@ -70,25 +76,25 @@ SEEDS = SeedSet.make(["ebola"], ["mutant"])
 
 class TestDlCotrain:
     def test_perfect_predictor_joins_context_list_in_iteration_one(self):
-        state = dl_cotrain(clean_collection(), SEEDS, m=20, epsilon=0.95)
+        state = dl_cotrain(table(clean_collection()), SEEDS, m=20, epsilon=0.95)
         first = state.trace[0]
         added = {tuple(r["condition"]) for r in first["added_context"]}
         assert ("bigram", (1, "virus"), (2, "spreads")) in added
 
     def test_bootstraps_unlabeled_phrases(self):
-        state = dl_cotrain(clean_collection(), SEEDS, m=5, epsilon=0.9)
+        state = dl_cotrain(table(clean_collection()), SEEDS, m=5, epsilon=0.9)
         dic = dictionary_from_rules(state, theta=0.9)
         assert set(dic.scores) == {"ebola", "zika", "lassa", "dengue"}
 
     def test_terminates_and_labels_everything_on_clean_data(self):
-        state = dl_cotrain(clean_collection(), SEEDS, m=5, epsilon=0.9)
+        state = dl_cotrain(table(clean_collection()), SEEDS, m=5, epsilon=0.9)
         assert len(state.labeled) == 24
         assert state.trace[-1]["added_context"] == []
         assert state.trace[-1]["added_spelling"] == []
 
     def test_counts_match_counting_oracle(self):
         rows = clean_collection()
-        state = dl_cotrain(rows, SEEDS, m=20, epsilon=0.5)
+        state = dl_cotrain(table(rows), SEEDS, m=20, epsilon=0.5)
         # oracle: recount every admitted context rule of iteration 1
         # against the seed labeling that produced it
         label_of = {"ebola": "positive", "mutant": "negative"}
@@ -123,7 +129,7 @@ class TestDlCotrain:
                 [["virus", "spreads", "fast"], ["protein", "binds", "here"]]
             )
             rows.append(occ(phrase, ["we", "saw", "the"], right, r))
-        state = dl_cotrain(rows, SEEDS, m=5, epsilon=1 - 1e-12)
+        state = dl_cotrain(table(rows), SEEDS, m=5, epsilon=1 - 1e-12)
         assert state.iteration <= 3
         assert len(state.spelling_rules) <= 6
 
@@ -152,7 +158,7 @@ class TestDlCotrain:
                 rows.append(occ(phrase, rng.choice(lefts), rng.choice(pool), r))
                 r += 1
         seeds = SeedSet.make(pos[:2], neg[:2])
-        state = dl_cotrain(rows, seeds, m=5, epsilon=0.75)
+        state = dl_cotrain(table(rows), seeds, m=5, epsilon=0.75)
         dic = dictionary_from_rules(state, theta=0.75)
         got = set(dic.scores)
         tp = len(got & set(pos))
@@ -162,7 +168,7 @@ class TestDlCotrain:
         assert f1 >= 0.8
 
     def test_monotone_rule_growth(self):
-        state = dl_cotrain(clean_collection(), SEEDS, m=2, epsilon=0.9)
+        state = dl_cotrain(table(clean_collection()), SEEDS, m=2, epsilon=0.9)
         sp = [t["spelling_rules"] for t in state.trace]
         cx = [t["context_rules"] for t in state.trace]
         assert sp == sorted(sp)
@@ -170,7 +176,7 @@ class TestDlCotrain:
 
     def test_label_provenance(self):
         rows = clean_collection()
-        state = dl_cotrain(rows, SEEDS, m=5, epsilon=0.9)
+        state = dl_cotrain(table(rows), SEEDS, m=5, epsilon=0.9)
         spelling_label = {
             r.condition[1]: r.label for r in state.spelling_rules
         }
@@ -196,26 +202,26 @@ class TestDlCotrain:
         rows = clean_collection()
         shuffled = list(rows)
         random.Random(0).shuffle(shuffled)
-        a = dl_cotrain(rows, SEEDS, m=3, epsilon=0.9)
+        a = dl_cotrain(table(rows), SEEDS, m=3, epsilon=0.9)
         for other in (rows, shuffled):
-            b = dl_cotrain(other, SEEDS, m=3, epsilon=0.9)
+            b = dl_cotrain(table(other), SEEDS, m=3, epsilon=0.9)
             assert a.spelling_rules == b.spelling_rules
             assert a.context_rules == b.context_rules
             assert a.trace == b.trace
 
     def test_unresolvable_seed_fails(self):
         with pytest.raises(ValueError, match="smallpox"):
-            dl_cotrain(clean_collection(), SeedSet.make(["smallpox"], ["mutant"]), m=1, epsilon=0.9)
+            dl_cotrain(table(clean_collection()), SeedSet.make(["smallpox"], ["mutant"]), m=1, epsilon=0.9)
 
     def test_parameter_validation(self):
         rows = clean_collection()
         with pytest.raises(ValueError):
-            dl_cotrain(rows, SEEDS, m=0, epsilon=0.9)
+            dl_cotrain(table(rows), SEEDS, m=0, epsilon=0.9)
         with pytest.raises(ValueError):
-            dl_cotrain(rows, SEEDS, m=1, epsilon=1.0)
+            dl_cotrain(table(rows), SEEDS, m=1, epsilon=1.0)
 
     def test_max_iters_cap(self):
-        state = dl_cotrain(clean_collection(), SEEDS, m=1, epsilon=0.9, max_iters=1)
+        state = dl_cotrain(table(clean_collection()), SEEDS, m=1, epsilon=0.9, max_iters=1)
         assert state.iteration == 1
 
 
@@ -243,7 +249,7 @@ class TestDictionaryFromRules:
         assert set(dic.scores) == {"ebola"}
 
     def test_theta_monotonicity(self):
-        state = dl_cotrain(clean_collection(), SEEDS, m=5, epsilon=0.9)
+        state = dl_cotrain(table(clean_collection()), SEEDS, m=5, epsilon=0.9)
         low = set(dictionary_from_rules(state, theta=0.3).scores)
         high = set(dictionary_from_rules(state, theta=0.8).scores)
         assert high <= low
@@ -264,7 +270,7 @@ class TestDictionaryFromRules:
         assert set(dic.scores) == oracle == {"a", "d"}
 
     def test_metadata_recorded(self):
-        state = dl_cotrain(clean_collection(), SEEDS, m=5, epsilon=0.9)
+        state = dl_cotrain(table(clean_collection()), SEEDS, m=5, epsilon=0.9)
         dic = dictionary_from_rules(state, theta=0.4)
         assert dic.provenance == "cotrain"
         assert dic.metadata["theta"] == "0.4"

@@ -27,7 +27,6 @@ from dictforge.views import (
     collect_occurrences,
     read_occurrences,
     read_triplets,
-    spelling_vector,
 )
 from dictforge.extraction import CandidatePhrase, read_candidates
 
@@ -316,11 +315,15 @@ class TestRunPipeline:
             collect_occurrences(iter_sentences(config.corpus), cands)
         )
         X = read_triplets(out / "views.X.npz")
-        rows = read_occurrences(out / "views.occurrences.tsv")
-        assert rows == views.occurrences
-        assert X.shape[0] == len(rows)
-        for i, occ in enumerate(rows):
-            assert X[i, views.spelling_index.col(("id", occ.phrase_lower))] == 1.0
+        lines = (out / "views.occurrences.tsv").read_text(encoding="utf-8").splitlines()
+        assert [tuple(line.split("\t")[:4]) for line in lines] == [
+            (o.locator.doc_id, str(o.locator.sentence_index), str(o.locator.start),
+             str(o.locator.end)) for o in views.occurrences
+        ]
+        table = read_occurrences(out / "views.occurrences.tsv")
+        assert X.shape[0] == table.n == len(views.occurrences)
+        for i, occ in enumerate(views.occurrences):
+            assert X[i, table.phrases.index(occ.phrase_lower)] == 1.0
 
     @pytest.mark.parametrize("stage", ["classify", "cotrain"])
     def test_classify_never_reads_the_corpus(self, finished_run, tmp_path, monkeypatch, stage):
@@ -357,6 +360,20 @@ class TestRunPipeline:
         with pytest.raises(StageError, match=r"\[classify\].*'zzyzx quux'"):
             run_pipeline(copy, stages=("classify",))
 
+    def test_short_occurrence_table_rejected(self, finished_run, tmp_path):
+        workdir, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        table = copy.outdir / "views.occurrences.tsv"
+        lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+        table.write_text("".join(lines[:-1]), encoding="utf-8")
+        n = len(lines)
+        with pytest.raises(
+            StageError,
+            match=rf"\[classify\] views.occurrences.tsv has {n - 1} rows, views.X.npz has {n}",
+        ):
+            run_pipeline(copy, stages=("classify",))
+
     def test_code_change_invalidates_every_stage(self, finished_run, tmp_path, monkeypatch):
         workdir, config, _ = finished_run
         shutil.copytree(config.outdir, tmp_path / "out")
@@ -381,11 +398,9 @@ class TestRunPipeline:
         occs = list(collect_occurrences(sents, cands))
         views = build_design_matrices(occs)
         model = CcaModel.load(out / "cca.model.npz")
-        vectors = {
-            c.lower: spelling_vector(c.lower, views.spelling_index, views.caps_bit)
-            for c in cands
-        }
-        embeddings = {e.phrase: e.vector for e in embed_phrases(model, vectors)}
+        first_row = views.table.first_rows()
+        names = [c.lower for c in cands]
+        embeddings = dict(zip(names, embed_phrases(model, views.X[[first_row[p] for p in names]])))
         dev = read_conll(config.dev, strict=True)
 
         from dictforge.classifier import read_seeds, resolve_seeds

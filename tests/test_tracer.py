@@ -58,3 +58,28 @@ def test_sentence_counters(tracer_module, tmp_path):
     counts = tracer.metrics()
     assert counts["corpus.sentences"] == len(sentences) == 3
     assert counts["corpus.tokens"] == sum(len(s.tokens) for s in sentences) == 9
+
+
+def test_view_counters(tracer_module, tmp_path):
+    import dictforge.pipeline
+    from dictforge.corpus import segment_sentences
+    from dictforge.extraction import CandidatePhrase
+
+    sentences = segment_sentences("The flu spread. Ebola and flu are here.")
+    cands = [CandidatePhrase((w,), w, 1) for w in ("flu", "ebola")]
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        views = dictforge.pipeline.build_design_matrices(
+            dictforge.pipeline.collect_occurrences(sentences, cands)
+        )
+        with open(tmp_path / "X.npz", "wb") as fh:
+            dictforge.pipeline.write_triplets(views.X, fh)
+    finally:
+        tracer.uninstall()
+    counts = tracer.metrics()
+    assert counts["views.occurrences"] == views.n == 3
+    assert counts["views.d_spelling"] == views.X.shape[1] == 3
+    assert counts["views.d_context"] == views.Z.shape[1]
+    assert counts["views.nnz"] == views.X.nnz + views.Z.nnz
+    assert counts["views.triplet_bytes"] == (tmp_path / "X.npz").stat().st_size > 0

@@ -1,24 +1,24 @@
 """Occurrence collection and two-view featurization."""
 
-import io
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dictforge.corpus import segment_sentences
 from dictforge.extraction import CandidatePhrase
 from dictforge.views import (
     BOUNDARY,
+    CONTEXT_POSITIONS,
     CandidateOccurrence,
-    FeatureIndex,
     Locator,
-    SparseVector,
     audit_dense_columns,
     build_design_matrices,
     collect_occurrences,
-    featurize_context,
-    featurize_spelling,
+    intern_occurrences,
     majority_caps_bits,
     read_occurrences,
     read_triplets,
@@ -45,10 +45,6 @@ class TestCollect:
         assert occ.left_context == (BOUNDARY, BOUNDARY, "chronic")
         assert occ.right_context == ("infection", BOUNDARY, BOUNDARY)
         assert occ.locator == Locator("d", 0, 1, 3)
-        assert occ.context_items() == (
-            (-3, BOUNDARY), (-2, BOUNDARY), (-1, "chronic"),
-            (1, "infection"), (2, BOUNDARY), (3, BOUNDARY),
-        )
 
     def test_longest_match_wins(self):
         got = list(
@@ -105,86 +101,124 @@ class TestCollect:
             list(collect_occurrences(sents("a b"), []))
 
 
-class TestSparseVector:
-    def test_rejects_unsorted_columns(self):
-        with pytest.raises(ValueError):
-            SparseVector(((3, 1.0), (1, 1.0)))
-
-    def test_rejects_duplicate_columns(self):
-        with pytest.raises(ValueError):
-            SparseVector(((1, 1.0), (1, 1.0)))
-
-    def test_rejects_explicit_zero(self):
-        with pytest.raises(ValueError):
-            SparseVector(((0, 0.0),))
-
-
-class TestFeatureIndex:
-    def test_bidirectional(self):
-        idx = FeatureIndex()
-        c = idx.add(("id", "flu"))
-        assert idx.col(("id", "flu")) == c
-        assert idx.name(c) == ("id", "flu")
-
-    def test_frozen_rejects_new_features(self):
-        idx = FeatureIndex()
-        idx.add(("id", "flu"))
-        idx.freeze()
-        with pytest.raises(KeyError):
-            idx.add(("id", "ebola"))
-        with pytest.raises(KeyError):
-            idx.col(("id", "ebola"))
-
-
 def build_fixture():
     corpus = sents("the flu spread fast", "Flu and ebola are here", "no matches here")
     occs = list(collect_occurrences(corpus, cands("flu", "ebola")))
     return build_design_matrices(occs), occs
 
 
+def window(occ):
+    return occ.left_context + occ.right_context
+
+
+def oracle_views(occs):
+    """Per-row featurization by named columns: identities then the caps
+    column for the spelling view, (position, word) slots then one OOV
+    column per position for the context view, each in order of first
+    appearance over locator-sorted rows."""
+    occs = sorted(occs, key=lambda o: o.locator)
+    upper, total = Counter(), Counter(o.phrase_lower for o in occs)
+    for o in occs:
+        upper[o.phrase_lower] += bool(o.surface and o.surface[0][:1].isupper())
+    spelling, context = {}, {}
+    for o in occs:
+        spelling.setdefault(("id", o.phrase_lower), len(spelling))
+        for item in zip(CONTEXT_POSITIONS, window(o)):
+            context.setdefault(("ctx", *item), len(context))
+    spelling[("caps",)] = len(spelling)
+    for pos in CONTEXT_POSITIONS:
+        context[("oov", pos)] = len(context)
+    X = np.zeros((len(occs), len(spelling)))
+    Z = np.zeros((len(occs), len(context)))
+    for r, o in enumerate(occs):
+        X[r, spelling[("id", o.phrase_lower)]] = 1.0
+        if 2 * upper[o.phrase_lower] > total[o.phrase_lower]:
+            X[r, spelling[("caps",)]] = 1.0
+        for item in zip(CONTEXT_POSITIONS, window(o)):
+            Z[r, context[("ctx", *item)]] = 1.0
+    return X, Z, spelling, context, occs
+
+
+def assert_tables_equal(a, b):
+    np.testing.assert_array_equal(a.phrase_ids, b.phrase_ids)
+    np.testing.assert_array_equal(a.context_ids, b.context_ids)
+    assert a.phrases == b.phrases
+    assert a.contexts == b.contexts
+
+
+words = st.sampled_from(["the", "flu", "spread", "a", ",", BOUNDARY])
+occurrence_lists = st.lists(
+    st.builds(
+        lambda phrase, upper, left, right, doc, sent, start: CandidateOccurrence(
+            phrase,
+            tuple(((w[:1].upper() + w[1:]) if upper and i == 0 else w)
+                  for i, w in enumerate(phrase.split(" "))),
+            left,
+            right,
+            Locator(doc, sent, start, start + len(phrase.split(" "))),
+        ),
+        st.sampled_from(["flu", "ebola", "hepatitis b", "zika"]),
+        st.booleans(),
+        st.tuples(words, words, words),
+        st.tuples(words, words, words),
+        st.sampled_from(["a", "b", "a:10", "a:2"]),
+        st.integers(0, 3),
+        st.integers(0, 6),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestInterned:
+    @given(occurrence_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_oracle(self, occs):
+        X, Z, spelling, context, rows = oracle_views(occs)
+        vm = build_design_matrices(occs)
+        np.testing.assert_array_equal(vm.X.toarray(), X)
+        np.testing.assert_array_equal(vm.Z.toarray(), Z)
+        assert vm.X.has_canonical_format and vm.Z.has_canonical_format
+        table = vm.table
+        assert table.phrases == [name[1] for name in spelling if name[0] == "id"]
+        assert table.contexts == [name[1:] for name in context if name[0] == "ctx"]
+        assert [table.phrases[i] for i in table.phrase_ids] == [o.phrase_lower for o in rows]
+        assert [[table.contexts[i] for i in ids] for ids in table.context_ids] == [
+            list(zip(CONTEXT_POSITIONS, window(o))) for o in rows
+        ]
+        assert_tables_equal(
+            table, intern_occurrences([o.phrase_lower for o in rows], map(window, rows))
+        )
+
+    def test_first_rows(self):
+        vm, _ = build_fixture()
+        assert vm.table.first_rows() == {"flu": 0, "ebola": 2}
+
+    def test_window_must_have_six_words(self):
+        with pytest.raises(ValueError):
+            intern_occurrences(["flu"], [("the", "a", "b", "c", "d")])
+
+
 class TestFeaturize:
     def test_spelling_identity_plus_caps(self):
-        vm, _ = build_fixture()
-        occ = vm.occurrences[0]
-        vec = featurize_spelling(occ, vm.spelling_index, {"flu": 1})
-        assert vec.columns() == sorted(
-            [vm.spelling_index.col(("id", "flu")), vm.spelling_index.col(("caps",))]
-        )
-        vec0 = featurize_spelling(occ, vm.spelling_index, {"flu": 0})
-        assert vec0.columns() == [vm.spelling_index.col(("id", "flu"))]
-
-    def test_unknown_phrase_fails(self):
-        vm, _ = build_fixture()
-        stranger = CandidateOccurrence(
-            "smallpox", ("smallpox",), (BOUNDARY,) * 3, (BOUNDARY,) * 3, Locator("x", 0, 0, 1)
-        )
-        with pytest.raises(KeyError):
-            featurize_spelling(stranger, vm.spelling_index, {})
+        corpus = sents("Flu spread", "the Flu", "flu again", "the ebola")
+        vm = build_design_matrices(collect_occurrences(corpus, cands("flu", "ebola")))
+        flu, ebola = vm.table.phrases.index("flu"), vm.table.phrases.index("ebola")
+        caps = vm.X.shape[1] - 1
+        for row, phrase in enumerate(vm.table.phrase_ids):
+            want = [flu, caps] if phrase == flu else [ebola]
+            assert vm.X[row].indices.tolist() == want
 
     def test_context_has_six_positions(self):
         vm, _ = build_fixture()
-        vec = featurize_context(vm.occurrences[0], vm.context_index)
-        assert len(vec.entries) == 6
-        assert all(v == 1.0 for _, v in vec.entries)
-
-    def test_unseen_word_maps_to_position_oov(self):
-        vm, _ = build_fixture()
-        occ = CandidateOccurrence(
-            "flu",
-            ("flu",),
-            (BOUNDARY, BOUNDARY, "zzz"),
-            ("spread", "fast", BOUNDARY),
-            Locator("x", 0, 1, 2),
-        )
-        vec = featurize_context(occ, vm.context_index)
-        assert vm.context_index.col(("oov", -1)) in vec.columns()
-        assert vm.context_index.col(("ctx", 1, "spread")) in vec.columns()
+        assert np.diff(vm.Z.indptr).tolist() == [6] * vm.n
+        assert (vm.Z.data == 1.0).all()
 
     def test_majority_caps_ties_give_zero(self):
         vm, occs = build_fixture()
         # "flu" seen once lowercase, once capitalized: tie, bit stays 0
-        assert vm.caps_bit["flu"] == 0
-        assert vm.caps_bit["ebola"] == 0
+        assert majority_caps_bits(occs) == {"flu": 0, "ebola": 0}
+        assert vm.X[:, -1].nnz == 0
         bits = majority_caps_bits(
             occs + [CandidateOccurrence("flu", ("FLU",), occs[0].left_context, occs[0].right_context, Locator("e", 0, 0, 1))]
         )
@@ -228,6 +262,7 @@ class TestDesignMatrices:
         b = build_design_matrices(shuffled)
         assert (a.X != b.X).nnz == 0
         assert (a.Z != b.Z).nnz == 0
+        assert_tables_equal(a.table, b.table)
 
     def test_empty_stream_fails(self):
         with pytest.raises(ValueError):
@@ -242,10 +277,12 @@ class TestDesignMatrices:
 
     def test_dense_columns_modulo_reserved(self):
         vm, _ = build_fixture()
-        assert audit_dense_columns(vm.X, exempt=vm.spelling_index.reserved) == []
-        assert audit_dense_columns(vm.Z, exempt=vm.context_index.reserved) == []
+        caps = {vm.X.shape[1] - 1}
+        oov = set(range(vm.Z.shape[1] - 6, vm.Z.shape[1]))
+        assert audit_dense_columns(vm.X, exempt=caps) == []
+        assert audit_dense_columns(vm.Z, exempt=oov) == []
         # without the exemption the unrealized reserved columns do surface
-        assert audit_dense_columns(vm.Z) == sorted(vm.context_index.reserved)
+        assert audit_dense_columns(vm.Z) == sorted(oov)
 
 
 class TestViewIO:
@@ -259,13 +296,20 @@ class TestViewIO:
 
     def test_locator_roundtrip(self, tmp_path):
         corpus = sents("the flu spread fast", "Flu and ebola are here", "chronic Hepatitis B")
-        occs = list(collect_occurrences(corpus, cands("flu", "ebola", "hepatitis b")))
-        assert ("Hepatitis", "B") in [o.surface for o in occs]
-        assert any(BOUNDARY in o.left_context + o.right_context for o in occs)
+        vm = build_design_matrices(
+            collect_occurrences(corpus, cands("flu", "ebola", "hepatitis b"))
+        )
+        assert ("Hepatitis", "B") in [o.surface for o in vm.occurrences]
+        assert any(BOUNDARY in window(o) for o in vm.occurrences)
         p = tmp_path / "rows.tsv"
         with open(p, "w", encoding="utf-8") as fh:
-            write_occurrences(occs, fh)
-        assert read_occurrences(p) == occs
+            write_occurrences(vm.occurrences, fh)
+        lines = p.read_text(encoding="utf-8").splitlines()
+        assert [tuple(line.split("\t")[:4]) for line in lines] == [
+            (o.locator.doc_id, str(o.locator.sentence_index), str(o.locator.start),
+             str(o.locator.end)) for o in vm.occurrences
+        ]
+        assert_tables_equal(read_occurrences(p), vm.table)
 
     def test_short_occurrence_row_rejected(self, tmp_path):
         p = tmp_path / "rows.tsv"

@@ -12,7 +12,8 @@ so no external optimizer is involved and retraining is bit-reproducible.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import takewhile
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -29,6 +30,7 @@ __all__ = [
     "train_svm",
     "svm_objective",
     "build_dictionary",
+    "cut_dictionary",
 ]
 
 
@@ -102,12 +104,14 @@ def resolve_seeds(
 
 @dataclass
 class SvmModel:
-    """Trained separator: score(x) = weights.x + bias."""
+    """Trained separator: score(x) = weights.x + bias.  solver holds the
+    fit's report (epochs, gap, converged) and takes no part in equality."""
 
     weights: np.ndarray
     bias: float
     C: float
     dims_used: int
+    solver: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.weights).all() or not np.isfinite(self.bias):
@@ -136,14 +140,17 @@ def _fit(X: np.ndarray, y: np.ndarray, C: float, tol: float, max_epochs: int):
 
     Stops when the duality gap drops below tol * max(1, primal); the gap
     is exact because the dual objective is available in closed form from
-    the maintained w = sum_i alpha_i y_i x_i.
+    the maintained w = sum_i alpha_i y_i x_i.  Returns the weights, the
+    bias and the report {epochs, gap, converged} of the last sweep.
     """
     n, d = X.shape
     Xa = np.hstack([X, np.ones((n, 1))])  # bias column
     q = np.einsum("ij,ij->i", Xa, Xa)  # always >= 1
     alpha = np.zeros(n)
     w = np.zeros(d + 1)
-    for _ in range(max_epochs):
+    epochs, gap, converged = 0, float("inf"), False
+    while epochs < max_epochs and not converged:
+        epochs += 1
         for i in range(n):
             g = y[i] * (Xa[i] @ w) - 1.0
             a_new = min(max(alpha[i] - g / q[i], 0.0), C)
@@ -154,9 +161,9 @@ def _fit(X: np.ndarray, y: np.ndarray, C: float, tol: float, max_epochs: int):
         margins = y * (Xa @ w)
         primal = 0.5 * (w @ w) + C * np.sum(np.maximum(0.0, 1.0 - margins))
         dual = np.sum(alpha) - 0.5 * (w @ w)
-        if primal - dual <= tol * max(1.0, abs(primal)):
-            break
-    return w[:d], float(w[d])
+        gap = float(primal - dual)
+        converged = bool(gap <= tol * max(1.0, abs(primal)))
+    return w[:d], float(w[d]), {"epochs": epochs, "gap": gap, "converged": converged}
 
 
 def train_svm(
@@ -187,8 +194,8 @@ def train_svm(
         raise ValueError("seed embeddings disagree in dimension")
     X = np.vstack(vecs)
     y = np.array([1.0] * len(pos) + [-1.0] * len(neg))
-    w, b = _fit(X, y, C, tol, max_epochs)
-    return SvmModel(weights=w, bias=b, C=C, dims_used=X.shape[1])
+    w, b, solver = _fit(X, y, C, tol, max_epochs)
+    return SvmModel(weights=w, bias=b, C=C, dims_used=X.shape[1], solver=solver)
 
 
 def build_dictionary(
@@ -202,26 +209,28 @@ def build_dictionary(
 
     Every candidate must have an embedding.  The default threshold keeps
     exactly the phrases the classifier accepts; raising it trades recall
-    for precision and never grows the dictionary.  An empty result is
-    valid but warned about, since it usually means the classifier or
-    seeds are off.
+    for precision and never grows the dictionary; the cut is
+    :func:`cut_dictionary` of the full ranking.
     """
-    if threshold < 0.0:
-        raise ValueError("threshold must be >= 0")
     scored = []
     for phrase in candidates:
         if phrase not in embeddings:
             raise KeyError(f"candidate {phrase!r} has no embedding")
         _, score = model.predict(embeddings[phrase])
-        if score >= threshold:
-            scored.append((phrase, score))
+        scored.append((phrase, score))
     scored.sort(key=lambda ps: (-ps[1], ps[0]))
-    if not scored:
+    meta = {"C": repr(model.C), "dims": str(model.dims_used), **(metadata or {})}
+    return cut_dictionary(Dictionary(dict(scored), "cca", meta), threshold)
+
+
+def cut_dictionary(ranking: Dictionary, threshold: float) -> Dictionary:
+    """The prefix of a ranking (such as one built at a lower threshold)
+    scoring at least ``threshold``.  An empty result is valid but warned
+    about, since it usually means the classifier or seeds are off."""
+    if threshold < 0.0:
+        raise ValueError("threshold must be >= 0")
+    scores = dict(takewhile(lambda ps: ps[1] >= threshold, ranking.scores.items()))
+    if not scores:
         warnings.warn("classifier accepted no candidates; dictionary is empty")
-    meta = {
-        "C": repr(model.C),
-        "dims": str(model.dims_used),
-        "threshold": repr(threshold),
-    }
-    meta.update(metadata or {})
-    return Dictionary(scores=dict(scored), provenance="cca", metadata=meta)
+    meta = {**ranking.metadata, "threshold": repr(threshold)}
+    return Dictionary(scores=scores, provenance=ranking.provenance, metadata=meta)

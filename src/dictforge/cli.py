@@ -7,32 +7,28 @@ import argparse
 import sys
 from contextlib import nullcontext
 from itertools import islice
-from pathlib import Path
 from typing import Iterator
 
 from .corpus import iter_sentences
 from .crf import (
     CrfModel,
-    CurveVariant,
     FeatureConfig,
     SentinelEmbeddings,
     learning_curve,
     standard_variants,
     tag_sentences,
-    train_crf,
     write_curve_tsv,
 )
 from .cca import read_embeddings
 from .pipeline import (
     PipelineConfigError,
     StageError,
-    model_select,
     run_pipeline,
+    select_crf,
     validate_config,
 )
 from .synth import SynthSpec, generate
 from .tagging import (
-    evaluate,
     read_conll,
     read_dictionary,
     tag_with_dictionary,
@@ -93,7 +89,7 @@ def _cmd_run(args) -> int:
     config = validate_config(args.config)
     stages = args.stages.split(",") if args.stages else None
     log = (lambda s: None) if args.quiet else lambda s: print(s, file=sys.stderr)
-    run_pipeline(config, stages=stages, jobs=args.jobs, log=log)
+    run_pipeline(config, stages=stages, log=log)
     if not args.quiet:
         print(f"manifest: {config.outdir / 'manifest.json'}", file=sys.stderr)
     return 0
@@ -127,27 +123,13 @@ def _cmd_crf_train(args) -> int:
     if len(grid) > 1 and not args.dev:
         raise SystemExit("--lambda-grid has several points; --dev is required")
     dev = read_conll(args.dev, strict=True) if args.dev else None
-    models, reports = {}, []
-    for lam in grid:
-        model = train_crf(
-            train,
-            config,
-            dictionaries=dictionaries,
-            embeddings=embeddings,
-            regularizer=lam,
-            max_iters=args.max_iters,
-        )
-        f1 = 0.0
-        if dev is not None:
-            pred = tag_sentences(model, [toks for toks, _ in dev])
-            f1 = evaluate(pred, [tags for _, tags in dev]).f1
-        print(f"lambda={lam:g}\tdev_f1={f1:.4f}", file=sys.stderr)
-        models[lam] = model
-        reports.append({"lambda": lam, "f1": f1})
-    lam = model_select(reports)["lambda"]
-    model = models[lam]
+    model, chosen, reports = select_crf(
+        train, config, grid, dev, args.max_iters, dictionaries, embeddings
+    )
+    for row in reports:
+        print(f"lambda={row['lambda']:g}\tdev_f1={row['f1']:.4f}", file=sys.stderr)
     model.save(args.out)
-    print(f"saved {args.out} (lambda={lam:g})", file=sys.stderr)
+    print(f"saved {args.out} (lambda={chosen['lambda']:g})", file=sys.stderr)
     return 0
 
 
@@ -190,7 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute the pipeline from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--stages", help="comma-separated subset to run")
-    p.add_argument("--jobs", type=int, default=1, help="parallel grid points")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(fn=_cmd_run)
 

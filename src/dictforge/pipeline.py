@@ -18,7 +18,6 @@ import hashlib
 import json
 import shutil
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -38,13 +37,14 @@ from .cca import (
 from .classifier import (
     SeedSet,
     build_dictionary,
+    cut_dictionary,
     read_seeds,
     resolve_seeds,
     train_svm,
 )
 from .corpus import iter_sentences
 from .cotrain import dl_cotrain, dictionary_from_rules
-from .crf import FeatureConfig, SentinelEmbeddings, tag_sentences, train_crf
+from .crf import CrfModel, FeatureConfig, SentinelEmbeddings, tag_sentences, train_crf
 from .extraction import (
     extract_candidates,
     load_patterns,
@@ -71,6 +71,7 @@ __all__ = [
     "validate_config",
     "run_pipeline",
     "model_select",
+    "select_crf",
 ]
 
 STAGES = ("extract", "views", "cca", "classify", "cotrain", "tag", "crf")
@@ -336,6 +337,34 @@ def model_select(reports: Iterable[Mapping]) -> dict:
     return min(rows, key=key)
 
 
+def select_crf(
+    train: Sequence[tuple[list[str], list[str]]],
+    features: FeatureConfig,
+    lambdas: Iterable[float],
+    dev: Sequence[tuple[list[str], list[str]]] | None,
+    max_iters: int,
+    dictionaries: tuple = (),
+    embeddings: SentinelEmbeddings | None = None,
+) -> tuple[CrfModel, dict, list[dict]]:
+    """Train one CRF per lambda and keep the one ``model_select`` picks by
+    dev F1 (0.0 without dev).  Returns (model, chosen row, every row); a
+    row is the lambda, its F1 and the fit's L-BFGS status."""
+    models, reports = {}, []
+    for lam in lambdas:
+        model = train_crf(
+            train, features, dictionaries=dictionaries, embeddings=embeddings,
+            regularizer=lam, max_iters=max_iters,
+        )
+        f1 = 0.0
+        if dev is not None:
+            pred = tag_sentences(model, [toks for toks, _ in dev])
+            f1 = evaluate(pred, [tags for _, tags in dev]).f1
+        models[lam] = model
+        reports.append({"lambda": lam, "f1": f1, **model.solver})
+    chosen = model_select(reports)
+    return models[chosen["lambda"]], chosen, reports
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -388,9 +417,8 @@ def _dev_f1(dictionary: Dictionary, dev: Sequence[tuple[list[str], list[str]]]) 
 class _Runner:
     """Holds one run's state: config, previous manifest, lazy inputs."""
 
-    def __init__(self, config: PipelineConfig, jobs: int = 1):
+    def __init__(self, config: PipelineConfig):
         self.config = config
-        self.jobs = max(1, jobs)
         self.outdir = config.outdir
         self._sentences = None
         self._occurrences = None
@@ -409,8 +437,13 @@ class _Runner:
             self._occurrences = read_occurrences(self.outdir / "views.occurrences.tsv")
         return self._occurrences
 
-    def dev_rows(self):
-        return read_conll(self.config.dev, strict=True)
+    def dev_rows(self, stage: str, points: int) -> list | None:
+        """The dev split; None without one, which only a one-point grid allows."""
+        if self.config.dev is not None:
+            return read_conll(self.config.dev, strict=True)
+        if points > 1:
+            raise StageError(stage, "grid has several points but inputs.dev is not set")
+        return None
 
     # -- stage bodies: write artifacts into tmp, return manifest details
 
@@ -484,40 +517,30 @@ class _Runner:
                 "classify",
                 f"seeds missing from the candidate list: {', '.join(sorted(missing))}",
             )
-        grid = [
-            (k, C, thr)
-            for k in cfg.svm_k_grid
-            for C in cfg.svm_c_grid
-            for thr in cfg.svm_threshold_grid
-        ]
-        if cfg.dev is None and len(grid) > 1:
-            raise StageError(
-                "classify", "grid has several points but inputs.dev is not set"
-            )
-        dev = self.dev_rows() if cfg.dev is not None else None
-
-        def evaluate_point(point):
-            k, C, thr = point
+        points = len(cfg.svm_k_grid) * len(cfg.svm_c_grid) * len(cfg.svm_threshold_grid)
+        dev = self.dev_rows("classify", points)
+        # one fit and one ranking per (k, C); each threshold cuts the ranking
+        lowest = min(cfg.svm_threshold_grid)
+        fits, reports, fitted = [], [], {}
+        for k in cfg.svm_k_grid:
             sliced = {p: v[:k] for p, v in embeddings.items()}
-            svm = train_svm(sliced, SeedSet.make(pos, neg), C=C)
-            d = build_dictionary(sorted(sliced), sliced, svm, threshold=thr)
-            f1 = _dev_f1(d, dev) if dev is not None else 0.0
-            return {"k": k, "C": C, "threshold": thr, "f1": f1}
-
-        if self.jobs > 1 and len(grid) > 1:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                reports = list(pool.map(evaluate_point, grid))
-        else:
-            reports = [evaluate_point(p) for p in grid]
+            for C in cfg.svm_c_grid:
+                svm = train_svm(sliced, SeedSet.make(pos, neg), C=C)
+                ranking = build_dictionary(sorted(sliced), sliced, svm, threshold=lowest)
+                fitted[k, C] = svm, ranking
+                fits.append({"k": k, "C": C, **svm.solver})
+                for thr in cfg.svm_threshold_grid:
+                    d = cut_dictionary(ranking, thr)
+                    f1 = _dev_f1(d, dev) if dev is not None else 0.0
+                    reports.append({"k": k, "C": C, "threshold": thr, "f1": f1})
         chosen = model_select(reports)
 
         k, C, thr = chosen["k"], chosen["C"], chosen["threshold"]
-        sliced = {p: v[:k] for p, v in embeddings.items()}
-        svm = train_svm(sliced, SeedSet.make(pos, neg), C=C)
-        dictionary = build_dictionary(sorted(sliced), sliced, svm, threshold=thr)
+        svm, ranking = fitted[k, C]
+        dictionary = cut_dictionary(ranking, thr)
         with open(tmp / "dict.cca.tsv", "w", encoding="utf-8") as fh:
             write_dictionary(dictionary, fh)
-        ranked = [PhraseEmbedding(p, sliced[p]) for p in sorted(sliced)]
+        ranked = [PhraseEmbedding(p, embeddings[p][:k]) for p in sorted(embeddings)]
         with open(tmp / "embeddings.tsv", "w", encoding="utf-8") as fh:
             write_embeddings(ranked, fh)
         (tmp / "svm.json").write_text(
@@ -529,27 +552,25 @@ class _Runner:
                     "k": k,
                     "threshold": thr,
                     "dev_f1": chosen["f1"],
+                    "solver": svm.solver,
                 }
             ),
             encoding="utf-8",
         )
         return {
             "selection": chosen,
-            "grid_points": len(grid),
+            "grid_points": points,
+            "fits": fits,
             "dictionary_size": len(dictionary),
         }
 
     def stage_cotrain(self, tmp: Path) -> dict:
         cfg = self.config
+        dev = self.dev_rows("cotrain", len(cfg.cotrain_theta_grid))
         seeds = read_seeds(cfg.seeds)
         state = dl_cotrain(
             self.occurrences(), seeds, m=cfg.cotrain_m, epsilon=cfg.cotrain_epsilon
         )
-        if cfg.dev is None and len(cfg.cotrain_theta_grid) > 1:
-            raise StageError(
-                "cotrain", "theta grid has several points but inputs.dev is not set"
-            )
-        dev = self.dev_rows() if cfg.dev is not None else None
         reports = []
         for theta in cfg.cotrain_theta_grid:
             d = dictionary_from_rules(state, theta=theta)
@@ -592,44 +613,18 @@ class _Runner:
         cfg = self.config
         feats = FeatureConfig.from_flags(cfg.crf_features)
         train = read_conll(cfg.train, strict=True)
-        dictionaries = []
+        dictionaries = ()
         if feats.dict_match:
-            dictionaries.append(read_dictionary(self.outdir / "dict.cca.tsv"))
+            dictionaries = (read_dictionary(self.outdir / "dict.cca.tsv"),)
         embeddings = None
         if feats.embedding:
             embeddings = SentinelEmbeddings(
                 read_embeddings(self.outdir / "embeddings.tsv")
             )
-        if cfg.dev is None and len(cfg.crf_lambda_grid) > 1:
-            raise StageError(
-                "crf", "lambda grid has several points but inputs.dev is not set"
-            )
-        dev = self.dev_rows() if cfg.dev is not None else None
-
-        def evaluate_point(lam):
-            model = train_crf(
-                train,
-                feats,
-                dictionaries=tuple(dictionaries),
-                embeddings=embeddings,
-                regularizer=lam,
-                max_iters=cfg.crf_max_iters,
-            )
-            f1 = 0.0
-            if dev is not None:
-                pred = tag_sentences(model, [toks for toks, _ in dev])
-                f1 = evaluate(pred, [tags for _, tags in dev]).f1
-            return model, {"lambda": lam, "f1": f1, **model.solver}
-
-        if self.jobs > 1 and len(cfg.crf_lambda_grid) > 1:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                pairs = list(pool.map(evaluate_point, cfg.crf_lambda_grid))
-        else:
-            pairs = [evaluate_point(lam) for lam in cfg.crf_lambda_grid]
-        reports = [rep for _, rep in pairs]
-        chosen = model_select(reports)
-        model = next(m for m, rep in pairs if rep["lambda"] == chosen["lambda"])
-
+        dev = self.dev_rows("crf", len(cfg.crf_lambda_grid))
+        model, chosen, reports = select_crf(
+            train, feats, cfg.crf_lambda_grid, dev, cfg.crf_max_iters, dictionaries, embeddings
+        )
         details = {"selection": chosen, "grid": reports, "features": cfg.crf_features}
         if cfg.test is not None:
             test = read_conll(cfg.test, strict=True)
@@ -718,9 +713,12 @@ def run_pipeline(
     """Execute the requested stages (default: every applicable one).
 
     A stage whose input hashes, parameters, and recorded outputs all
-    match the previous manifest is skipped.  A failing stage moves its
+    match the previous manifest is skipped.  Grid points run serially:
+    ``jobs`` must be 1.  A failing stage moves its
     partial outputs to ``<outdir>/quarantine/`` and aborts the run.
     """
+    if jobs != 1:
+        raise ValueError(f"grid points run serially; jobs must be 1, got {jobs}")
     unknown = [s for s in (stages or ()) if s not in STAGES]
     if unknown:
         raise ValueError(f"unknown stages: {', '.join(unknown)}")
@@ -743,7 +741,7 @@ def run_pipeline(
         config_hash=hashlib.sha256(config_blob.encode()).hexdigest(),
         stages=dict(previous),
     )
-    runner = _Runner(config, jobs=jobs)
+    runner = _Runner(config)
     code = _code_digest()
 
     for stage in requested:

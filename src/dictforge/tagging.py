@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Dictionary",
@@ -32,14 +32,17 @@ PROVENANCES = ("cca", "cotrain", "manual", "candidate-list")
 
 
 class PhraseSet(frozenset):
-    """Phrases as token tuples, with the longest phrase length computed
-    once so matching a sentence never rescans the set."""
+    """Phrases as token tuples, with the longest phrase length and the first
+    tokens computed once: matching never rescans the set or tries lengths
+    at a position where no phrase starts."""
 
     max_len: int
+    starts: frozenset[str]
 
     def __new__(cls, phrases: Iterable[Sequence[str]] = ()):
         self = super().__new__(cls, map(tuple, phrases))
         self.max_len = max(map(len, self), default=0)
+        self.starts = frozenset(p[0] for p in self if p)
         return self
 
 
@@ -121,18 +124,20 @@ def match_phrase_spans(
     max_len = phrases.max_len
     if not max_len:
         return []
+    starts = phrases.starts
     words = tokens if case_sensitive else [t.lower() for t in tokens]
     spans: list[tuple[int, int, tuple[str, ...]]] = []
     i = 0
     n = len(words)
     while i < n:
         hit = 0
-        for length in range(min(max_len, n - i), 0, -1):
-            key = tuple(words[i : i + length])
-            if key in phrases:
-                spans.append((i, i + length, key))
-                hit = length
-                break
+        if words[i] in starts:
+            for length in range(min(max_len, n - i), 0, -1):
+                key = tuple(words[i : i + length])
+                if key in phrases:
+                    spans.append((i, i + length, key))
+                    hit = length
+                    break
         i += hit if hit else 1
     return spans
 

@@ -10,6 +10,7 @@ from dictforge.classifier import (
     SeedSet,
     SvmModel,
     build_dictionary,
+    cut_dictionary,
     read_seeds,
     resolve_seeds,
     svm_objective,
@@ -28,6 +29,14 @@ def separable_embeddings():
 
 
 SEEDS = SeedSet.make(["a", "b"], ["c", "d"])
+
+
+def non_separable():
+    """Positives on both sides of the negatives on one axis: no line
+    separates them."""
+    emb = {"a": np.array([1.0]), "c": np.array([-1.0]),
+           "b": np.array([0.5]), "d": np.array([-0.5])}
+    return emb, SeedSet.make(["a", "c"], ["b", "d"])
 
 
 class TestSeedSet:
@@ -79,8 +88,7 @@ class TestTraining:
         for phrase in ("c", "d"):
             assert model.predict(separable_embeddings()[phrase])[0] == "not_entity"
 
-    def test_matches_convex_oracle(self):
-        cp = pytest.importorskip("cvxpy")
+    def test_matches_convex_oracle(self, svm_oracles):
         rng = np.random.default_rng(0)
         for trial in range(3):
             n, d = 12, 4
@@ -97,15 +105,8 @@ class TestTraining:
             )
             model = train_svm(emb, seeds, C=C)
             ours = svm_objective(model.weights, model.bias, X, y, C)
-
-            w = cp.Variable(d)
-            b = cp.Variable()
-            obj = 0.5 * (cp.sum_squares(w) + cp.square(b)) + C * cp.sum(
-                cp.pos(1 - cp.multiply(y, X @ w + b))
-            )
-            problem = cp.Problem(cp.Minimize(obj))
-            problem.solve()
-            assert abs(ours - problem.value) <= 1e-4
+            for name, optimum in svm_oracles(X, y, C).items():
+                assert abs(ours - optimum) <= 1e-4, name
 
     def test_objective_beats_zero_and_random(self):
         rng = np.random.default_rng(1)
@@ -154,6 +155,34 @@ class TestTraining:
     def test_nonpositive_c_fails(self):
         with pytest.raises(ValueError):
             train_svm(separable_embeddings(), SEEDS, C=0.0)
+
+
+class TestSolverReport:
+    def test_converged_fit_reports_its_gap(self):
+        model = train_svm(separable_embeddings(), SEEDS, C=1.0, tol=1e-6)
+        emb = separable_embeddings()
+        X = np.vstack([emb[p] for p in "abcd"])
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        primal = svm_objective(model.weights, model.bias, X, y, 1.0)
+        assert set(model.solver) == {"epochs", "gap", "converged"}
+        assert model.solver["converged"] is True
+        assert 1 <= model.solver["epochs"] < 100_000
+        assert model.solver["gap"] <= 1e-6 * max(1.0, primal)
+
+    def test_epoch_cap_reports_no_convergence(self):
+        emb, seeds = non_separable()
+        model = train_svm(emb, seeds, C=1.0, max_epochs=1)
+        assert model.solver["converged"] is False
+        assert model.solver["epochs"] == 1
+        assert 0.0 < model.solver["gap"] < np.inf
+
+    def test_report_is_not_part_of_the_model(self):
+        m1 = train_svm(*non_separable(), C=1.0)
+        m2 = train_svm(*non_separable(), C=1.0, max_epochs=1)
+        assert m1.solver["converged"] is True and m1.solver["epochs"] > 1
+        assert m1.solver != m2.solver
+        m2.weights, m2.bias = m1.weights, m1.bias
+        assert m1 == m2
 
 
 class TestPredict:
@@ -241,3 +270,32 @@ class TestBuildDictionary:
         model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
         with pytest.raises(ValueError):
             build_dictionary([], {}, model, threshold=-0.1)
+
+
+class TestCutDictionary:
+    def test_cut_of_low_ranking_equals_build_at_threshold(self):
+        model = SvmModel(weights=np.array([1.0, -0.5]), bias=0.1, C=2.0, dims_used=2)
+        rng = np.random.default_rng(5)
+        emb = {f"p{i}": rng.standard_normal(2) for i in range(60)}
+        emb["tie"] = emb["p0"].copy()  # equal scores keep phrase order
+        ranking = build_dictionary(sorted(emb), emb, model, threshold=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for t in (0.0, 0.1, 0.35, 1.0, 5.0):
+                cut = cut_dictionary(ranking, t)
+                built = build_dictionary(sorted(emb), emb, model, threshold=t)
+                assert list(cut.scores.items()) == list(built.scores.items())
+                assert cut.metadata == built.metadata
+                assert cut.provenance == built.provenance
+
+    def test_empty_cut_warns(self):
+        model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
+        ranking = build_dictionary(["x"], {"x": np.array([0.5])}, model)
+        with pytest.warns(UserWarning, match="empty"):
+            assert len(cut_dictionary(ranking, 0.6)) == 0
+
+    def test_negative_threshold_rejected(self):
+        model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
+        ranking = build_dictionary(["x"], {"x": np.array([0.5])}, model)
+        with pytest.raises(ValueError):
+            cut_dictionary(ranking, -0.1)

@@ -464,13 +464,47 @@ class TestRunPipeline:
         with pytest.raises(StageError, match="dev"):
             run_pipeline(nodev, stages=("classify",))
 
-    def test_parallel_grid_matches_serial(self, finished_run, tmp_path):
+    def test_one_fit_and_one_ranking_per_k_and_c(self, finished_run, tmp_path, monkeypatch):
         workdir, config, _ = finished_run
-        par = dataclasses.replace(config, outdir=tmp_path / "par")
-        run_pipeline(par, stages=("extract", "views", "cca", "classify"), jobs=4)
-        assert (par.outdir / "dict.cca.tsv").read_bytes() == (
-            config.outdir / "dict.cca.tsv"
-        ).read_bytes()
+        shutil.copytree(config.outdir, tmp_path / "out")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        calls = {"train_svm": 0, "build_dictionary": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, fn in (("train_svm", train_svm), ("build_dictionary", build_dictionary)):
+            monkeypatch.setattr(f"dictforge.pipeline.{name}", counted(name, fn))
+        manifest = run_pipeline(copy, stages=("classify",))
+        assert manifest.stages["classify"]["cached"] is False
+        fits = len(config.svm_k_grid) * len(config.svm_c_grid)
+        assert calls == {"train_svm": fits, "build_dictionary": fits}
+        for name in ("dict.cca.tsv", "embeddings.tsv"):
+            assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
+
+    def test_solver_reports_recorded(self, finished_run):
+        workdir, config, _ = finished_run
+        manifest = RunManifest.load(config.outdir / "manifest.json")
+        details = manifest.stages["classify"]["details"]
+        assert [(row["k"], row["C"]) for row in details["fits"]] == [
+            (k, C) for k in config.svm_k_grid for C in config.svm_c_grid
+        ]
+        svm = json.loads((config.outdir / "svm.json").read_text(encoding="utf-8"))
+        chosen = next(
+            row for row in details["fits"] if (row["k"], row["C"]) == (svm["k"], svm["C"])
+        )
+        assert svm["solver"] == {key: chosen[key] for key in ("epochs", "gap", "converged")}
+        for row in details["fits"]:
+            assert row["converged"] is True
+            assert row["epochs"] >= 1 and row["gap"] >= -1e-12
+
+    def test_jobs_other_than_one_rejected(self, finished_run):
+        _, config, _ = finished_run
+        with pytest.raises(ValueError, match="jobs"):
+            run_pipeline(config, jobs=2)
 
     def test_unknown_stage_name_rejected(self, finished_run):
         _, config, _ = finished_run

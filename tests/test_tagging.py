@@ -12,6 +12,7 @@ from dictforge.tagging import (
     PhraseSet,
     bio_spans,
     evaluate,
+    match_phrase_spans,
     read_conll,
     read_dictionary,
     tag_with_dictionary,
@@ -23,6 +24,25 @@ from dictforge.tagging import (
 
 def d(*phrases, provenance="manual"):
     return Dictionary({p: 1.0 for p in phrases}, provenance=provenance)
+
+
+def longest_leftmost_oracle(tokens, phrases, case_sensitive=False):
+    """Brute force: at each position compare every phrase, keep the longest
+    hit and resume after it."""
+    words = tokens if case_sensitive else [t.lower() for t in tokens]
+    spans, i = [], 0
+    while i < len(words):
+        hits = [p for p in phrases if p and tuple(words[i : i + len(p)]) == p]
+        if hits:
+            best = max(hits, key=len)
+            spans.append((i, i + len(best), best))
+            i += len(best)
+        else:
+            i += 1
+    return spans
+
+
+_WORDS = st.sampled_from(["flu", "Flu", "swine", "virus", "b", "the"])
 
 
 class TestTagger:
@@ -80,6 +100,22 @@ class TestPhraseSet:
         assert phrases.max_len == 3
         assert ("b", "virus") in phrases
         assert PhraseSet().max_len == 0
+
+    def test_reports_first_tokens(self):
+        phrases = PhraseSet([["flu"], ["hepatitis", "b", "virus"], ["b", "virus"]])
+        assert phrases.starts == {"flu", "hepatitis", "b"}
+        assert PhraseSet().starts == frozenset()
+
+    @given(
+        st.lists(_WORDS, max_size=15),
+        st.lists(st.lists(_WORDS, min_size=1, max_size=4), max_size=6),
+        st.booleans(),
+    )
+    def test_spans_match_brute_force_oracle(self, tokens, phrases, case_sensitive):
+        phrase_set = PhraseSet(phrases)
+        assert match_phrase_spans(tokens, phrase_set, case_sensitive) == (
+            longest_leftmost_oracle(tokens, phrase_set, case_sensitive)
+        )
 
 
 class TestBioSpans:

@@ -4,24 +4,30 @@ low-dimensional phrase embeddings.
 The projection pair comes from the singular value decomposition of the
 whitened cross-covariance
 
-    T = (Cxx + k1*I)^(-1/2) Cxz (Czz + k2*I)^(-1/2)
+    T = L1^(-1) Cxz W2,    L1 L1ᵀ = Cxx + k1*I,    W2 = (Czz + k2*I)^(-1/2)
 
-with the truncated SVD computed by the randomized method.  Projections
-are mapped back through the whitening transforms, so columns of Phi1 are
-orthonormal in the (Cxx + k1*I) inner product.
+with the truncated SVD computed by the randomized method.  The spelling
+view is whitened by the exact sparse Cholesky factor L1 (never a dense
+d1×d1 matrix); the context view by its dense inverse square root.  Any
+whitening W with Wᵀ(C + k*I)W = I gives the same canonical correlations and
+the same projections, so the solve maps back through the whitening (Phi1 =
+L1^(-ᵀ) U, Phi2 = W2 V) and fixes column signs on Phi1: its
+largest-magnitude entry is positive, and Phi2 flips with it.  Columns of
+Phi1 are orthonormal in the (Cxx + k1*I) inner product.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve_triangular
 
-from .linalg import randomized_svd, sym_inv_sqrt
+from .linalg import randomized_svd, sparse_cholesky, sym_inv_sqrt
 
 __all__ = [
     "CovarianceSummary",
@@ -34,8 +40,8 @@ __all__ = [
     "read_embeddings",
 ]
 
-# Above this dimension full whitening (a dense eigendecomposition) is
-# replaced by a diagonal approximation.
+# Above this dimension the context view's full whitening (a dense
+# eigendecomposition) is replaced by a diagonal approximation.
 FULL_WHITEN_MAX_DIM = 20_000
 
 
@@ -127,7 +133,9 @@ class CcaModel:
 
     ``kappa`` records the per-view regularizers actually used.  Canonical
     correlations are non-increasing; values may exceed 1 by no more than
-    numerical noise when kappa is tiny.
+    numerical noise when kappa is tiny.  ``solver`` reports how the solve
+    was done (each view's whitening and the SVD residuals); it is not
+    saved.
     """
 
     phi1: np.ndarray
@@ -135,6 +143,7 @@ class CcaModel:
     singular_values: np.ndarray
     k: int
     kappa: tuple[float, float]
+    solver: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         s = self.singular_values
@@ -189,8 +198,9 @@ def _resolve_kappa(kappa, summary: CovarianceSummary) -> tuple[float, float]:
 
 
 def _whitener(cvv, d: int, kappa: float, mode: str):
-    """Full inverse square root, or its diagonal approximation for very
-    high-dimensional views.  Returns (matvec-ready operator, is_diag)."""
+    """Context-view whitening: the full inverse square root, or its diagonal
+    approximation for very high-dimensional views.  Returns (matvec-ready
+    operator, is_diag)."""
     if mode == "auto":
         mode = "full" if d <= FULL_WHITEN_MAX_DIM else "diag"
         if mode == "diag":
@@ -220,6 +230,11 @@ def solve_cca(
 
     ``kappa`` may be a scalar (used for both views), a per-view pair, or
     None for the default scale-aware choice 1e-4 * trace(Cvv)/d per view.
+
+    The spelling view is always whitened by the sparse Cholesky factor of
+    Cxx + k1*I.  ``whiten`` ("auto", "full" or "diag") and
+    ``FULL_WHITEN_MAX_DIM`` govern only the context view: "auto" is "full"
+    up to that dimension and "diag", with a warning, above it.
     """
     if not summary.is_finite():
         raise ValueError("covariance summary contains non-finite values")
@@ -229,22 +244,30 @@ def solve_cca(
         )
     k1, k2 = _resolve_kappa(kappa, summary)
 
-    w1, diag1 = _whitener(summary.cxx(), summary.d1, k1, whiten)
+    # The spelling covariance is diagonal plus the caps row and column.
+    # The caps column being last is what keeps the factor fill-free: an
+    # arrowhead matrix pointing down-right has an O(d1) Cholesky factor.
+    L1 = sparse_cholesky(summary.cxx() + k1 * sp.identity(summary.d1))
     w2, diag2 = _whitener(summary.czz(), summary.d2, k2, whiten)
-    cxz = summary.cxz()
-
-    if diag1 or diag2:
-        # keep T sparse when either side is a diagonal scaling
-        left = sp.diags(w1) if diag1 else sp.csr_matrix(w1)
-        right = sp.diags(w2) if diag2 else sp.csr_matrix(w2)
-        T = (left @ sp.csr_matrix(cxz) @ right).tocsr()
-    else:
-        T = w1 @ (sp.csr_matrix(cxz) @ w2)
+    cxz = sp.csr_matrix(summary.cxz())
+    cxz_w2 = (cxz @ sp.diags(w2)).toarray() if diag2 else cxz @ w2
+    T = spsolve_triangular(L1, cxz_w2, lower=True)
 
     U, s, Vt = randomized_svd(T, k, oversample=oversample, power_iters=power_iters, seed=seed)
-    phi1 = (w1[:, None] * U) if diag1 else (w1 @ U)
+    residuals = np.linalg.norm(T.T @ U - Vt.T * s, axis=0)
+    phi1 = spsolve_triangular(L1.T.tocsr(), U, lower=False)
     phi2 = (w2[:, None] * Vt.T) if diag2 else (w2 @ Vt.T)
-    return CcaModel(phi1=phi1, phi2=phi2, singular_values=s, k=k, kappa=(k1, k2))
+    # signs on phi1, not U, so the result does not depend on the whitening
+    peak = phi1[np.argmax(np.abs(phi1), axis=0), np.arange(k)]
+    flip = np.where(peak < 0, -1.0, 1.0)
+    solver = {
+        "whitening": {"spelling": "cholesky", "context": "diag" if diag2 else "full"},
+        "svd_residuals": [float(r) for r in residuals],
+    }
+    return CcaModel(
+        phi1=phi1 * flip, phi2=phi2 * flip, singular_values=s, k=k, kappa=(k1, k2),
+        solver=solver,
+    )
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,20 @@
-"""Dense/sparse linear algebra helpers: randomized truncated SVD and
-symmetric whitening transforms."""
+"""Dense/sparse linear algebra helpers: randomized truncated SVD and the
+two whitening transforms of CCA.
+
+A view is whitened either by a sparse Cholesky factor L of C + kappa*I
+(:func:`sparse_cholesky`; any W with Wᵀ(C + kappa*I)W = I gives the same
+canonical correlations, and L⁻ᵀ is such a W) or by the dense symmetric
+inverse square root (:func:`sym_inv_sqrt`).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-__all__ = ["randomized_svd", "sym_inv_sqrt", "spectral_norm"]
+__all__ = ["randomized_svd", "sparse_cholesky", "sym_inv_sqrt", "spectral_norm"]
 
 
 def _fix_signs(U: np.ndarray, Vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,6 +79,31 @@ def sym_inv_sqrt(C: np.ndarray, kappa: float) -> np.ndarray:
     w, V = scipy.linalg.eigh(C)
     shifted = np.maximum(w + kappa, np.finfo(np.float64).tiny)
     return (V / np.sqrt(shifted)) @ V.T
+
+
+def sparse_cholesky(A) -> sp.csr_matrix:
+    """Lower-triangular L with L Lᵀ = A for sparse symmetric positive
+    definite ``A``, in A's own row and column order.
+
+    No fill-reducing permutation is applied, so the caller's ordering
+    decides the fill: an arrowhead matrix (diagonal plus a last row and
+    column) has a factor with at most 2d - 1 nonzeros.  Read off a
+    symmetric-mode LU without pivoting, where U = D Lᵤᵀ and L = Lᵤ D^(1/2).
+    Raises ``ValueError`` if the LU pivoted or a pivot is not positive,
+    i.e. when ``A`` is not positive definite.
+    """
+    A = sp.csc_matrix(A, dtype=np.float64)
+    try:
+        lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0, options={"SymmetricMode": True})
+    except RuntimeError as exc:  # an exactly zero pivot
+        raise ValueError(f"matrix is not positive definite: {exc}") from None
+    order = np.arange(A.shape[0])
+    if not (np.array_equal(lu.perm_r, order) and np.array_equal(lu.perm_c, order)):
+        raise ValueError("sparse LU permuted rows or columns; matrix is not positive definite")
+    pivots = lu.U.diagonal()
+    if not np.all(pivots > 0):
+        raise ValueError("matrix is not positive definite: a pivot is <= 0")
+    return (lu.L @ sp.diags(np.sqrt(pivots))).tocsr()
 
 
 def spectral_norm(A) -> float:

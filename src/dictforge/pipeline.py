@@ -53,7 +53,9 @@ from .extraction import (
 )
 from .tagging import (
     Dictionary,
+    bio_spans,
     evaluate,
+    evaluate_spans,
     read_conll,
     read_dictionary,
     tag_with_dictionary,
@@ -409,9 +411,23 @@ class RunManifest:
         )
 
 
-def _dev_f1(dictionary: Dictionary, dev: Sequence[tuple[list[str], list[str]]]) -> float:
-    pred = [tag_with_dictionary(toks, dictionary) for toks, _ in dev]
-    return evaluate(pred, [tags for _, tags in dev]).f1
+def _dev_scorer(
+    dev: Sequence[tuple[list[str], list[str]]] | None,
+) -> Callable[[Dictionary], float]:
+    """Dev F1 of a dictionary (0.0 without dev).  The dev side, lowercased
+    tokens and gold spans, is prepared once for every grid point."""
+    if dev is None:
+        return lambda dictionary: 0.0
+    words = [[t.lower() for t in toks] for toks, _ in dev]
+    gold = [bio_spans(tags) for _, tags in dev]
+
+    def f1(dictionary: Dictionary) -> float:
+        # matching lowercased words case-sensitively is the default
+        # lowercase match, without lowercasing again per grid point
+        pred = [tag_with_dictionary(w, dictionary, case_sensitive=True) for w in words]
+        return evaluate_spans(pred, gold).f1
+
+    return f1
 
 
 class _Runner:
@@ -488,6 +504,7 @@ class _Runner:
             "k": model.k,
             "kappa": list(model.kappa),
             "top_singular_values": [round(float(s), 6) for s in model.singular_values[:5]],
+            **model.solver,
         }
 
     def _candidate_embeddings(self, model: CcaModel) -> dict[str, np.ndarray]:
@@ -518,7 +535,7 @@ class _Runner:
                 f"seeds missing from the candidate list: {', '.join(sorted(missing))}",
             )
         points = len(cfg.svm_k_grid) * len(cfg.svm_c_grid) * len(cfg.svm_threshold_grid)
-        dev = self.dev_rows("classify", points)
+        dev_f1 = _dev_scorer(self.dev_rows("classify", points))
         # one fit and one ranking per (k, C); each threshold cuts the ranking
         lowest = min(cfg.svm_threshold_grid)
         fits, reports, fitted = [], [], {}
@@ -531,8 +548,7 @@ class _Runner:
                 fits.append({"k": k, "C": C, **svm.solver})
                 for thr in cfg.svm_threshold_grid:
                     d = cut_dictionary(ranking, thr)
-                    f1 = _dev_f1(d, dev) if dev is not None else 0.0
-                    reports.append({"k": k, "C": C, "threshold": thr, "f1": f1})
+                    reports.append({"k": k, "C": C, "threshold": thr, "f1": dev_f1(d)})
         chosen = model_select(reports)
 
         k, C, thr = chosen["k"], chosen["C"], chosen["threshold"]
@@ -566,7 +582,7 @@ class _Runner:
 
     def stage_cotrain(self, tmp: Path) -> dict:
         cfg = self.config
-        dev = self.dev_rows("cotrain", len(cfg.cotrain_theta_grid))
+        dev_f1 = _dev_scorer(self.dev_rows("cotrain", len(cfg.cotrain_theta_grid)))
         seeds = read_seeds(cfg.seeds)
         state = dl_cotrain(
             self.occurrences(), seeds, m=cfg.cotrain_m, epsilon=cfg.cotrain_epsilon
@@ -574,8 +590,7 @@ class _Runner:
         reports = []
         for theta in cfg.cotrain_theta_grid:
             d = dictionary_from_rules(state, theta=theta)
-            f1 = _dev_f1(d, dev) if dev is not None else 0.0
-            reports.append({"theta": theta, "f1": f1})
+            reports.append({"theta": theta, "f1": dev_f1(d)})
         chosen = model_select(reports)
         dictionary = dictionary_from_rules(state, theta=chosen["theta"])
         with open(tmp / "dict.cotrain.tsv", "w", encoding="utf-8") as fh:

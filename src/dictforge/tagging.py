@@ -22,6 +22,7 @@ __all__ = [
     "bio_spans",
     "validate_bio",
     "evaluate",
+    "evaluate_spans",
     "read_dictionary",
     "write_dictionary",
     "read_conll",
@@ -228,15 +229,28 @@ def evaluate(
         raise ValueError(
             f"sentence count mismatch: {len(predicted)} predicted vs {len(gold)} gold"
         )
-    tp = fp = fn = 0
     for idx, (p, g) in enumerate(zip(predicted, gold)):
         if len(p) != len(g):
             raise ValueError(f"token count mismatch in sentence {idx}")
-        pred_spans = bio_spans(p)
-        gold_spans = bio_spans(g)
-        tp += len(pred_spans & gold_spans)
-        fp += len(pred_spans - gold_spans)
-        fn += len(gold_spans - pred_spans)
+    return evaluate_spans(predicted, [bio_spans(g) for g in gold])
+
+
+def evaluate_spans(
+    predicted: Sequence[Sequence[str]], gold_spans: Sequence[set[tuple[int, int]]]
+) -> EvalReport:
+    """:func:`evaluate` against gold entity spans already taken with
+    :func:`bio_spans`, so many predictions can be scored against one gold
+    set without re-reading its tags.  Sentences must be aligned."""
+    if len(predicted) != len(gold_spans):
+        raise ValueError(
+            f"sentence count mismatch: {len(predicted)} predicted vs {len(gold_spans)} gold"
+        )
+    tp = fp = fn = 0
+    for p, gold in zip(predicted, gold_spans):
+        pred = bio_spans(p)
+        tp += len(pred & gold)
+        fp += len(pred - gold)
+        fn += len(gold - pred)
     return EvalReport.from_counts(tp, fp, fn)
 
 

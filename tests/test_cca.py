@@ -1,12 +1,14 @@
 """CCA: covariance summaries, the whitened-SVD solve, and embeddings."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import dictforge.cca
 from dictforge.cca import (
     CcaModel,
     PhraseEmbedding,
@@ -16,6 +18,7 @@ from dictforge.cca import (
     solve_cca,
     write_embeddings,
 )
+from dictforge.linalg import sparse_cholesky, sym_inv_sqrt
 
 
 def gen_eig_correlations(summary, kappa, k):
@@ -31,6 +34,28 @@ def gen_eig_correlations(summary, kappa, k):
     evals = scipy.linalg.eigh(A, B, eigvals_only=True)
     evals = np.clip(evals[::-1], 0, None)
     return np.sqrt(evals[:k])
+
+
+def spelling_summary(rng, n, d1, d2):
+    """Covariance summary shaped like the pipeline's views: each spelling
+    row is one phrase-identity column plus the caps column, ordered last;
+    each context row has three active columns, one tied to the phrase."""
+    phrase = rng.integers(0, d1 - 1, n)
+    capped = rng.random(n) < np.where(phrase % 3 == 0, 0.8, 0.1)
+    rows = np.concatenate([np.arange(n), np.flatnonzero(capped)])
+    cols = np.concatenate([phrase, np.full(int(capped.sum()), d1 - 1)])
+    X = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, d1))
+    zcols = np.stack(
+        [phrase % d2, rng.integers(0, d2, n), (phrase * 7 + rng.integers(0, 2, n)) % d2], axis=1
+    )
+    Z = sp.csr_matrix((np.ones(3 * n), (np.repeat(np.arange(n), 3), zcols.ravel())), shape=(n, d2))
+    return accumulate_covariance(X, Z)
+
+
+def phi1_signs(phi1):
+    """The solve's sign rule: each column's largest-magnitude entry is positive."""
+    peak = phi1[np.argmax(np.abs(phi1), axis=0), np.arange(phi1.shape[1])]
+    return phi1 * np.where(peak < 0, -1.0, 1.0)
 
 
 class TestAccumulate:
@@ -109,8 +134,6 @@ class TestSolve:
         Z = rng.standard_normal((30, 12))
         s = accumulate_covariance(X, Z)
         model = solve_cca(s, k=4, kappa=1e-3, seed=5)
-        from dictforge.linalg import sym_inv_sqrt
-
         T = (
             sym_inv_sqrt(s.cxx().toarray(), 1e-3)
             @ s.cxz().toarray()
@@ -215,6 +238,68 @@ class TestSolve:
                 k=2,
                 kappa=(1e-4, 1e-4),
             )
+
+
+class TestSpellingWhitening:
+    """The spelling view is whitened by its sparse Cholesky factor; no
+    d1×d1 matrix is densified."""
+
+    KAPPA = 1e-4
+
+    def test_dense_whitening_only_for_context_view(self, monkeypatch):
+        s = spelling_summary(np.random.default_rng(0), n=3000, d1=301, d2=12)
+        shapes = []
+
+        def counting(C, kappa):
+            shapes.append(np.shape(C))
+            return sym_inv_sqrt(C, kappa)
+
+        monkeypatch.setattr(dictforge.cca, "sym_inv_sqrt", counting)
+        solve_cca(s, k=4, kappa=self.KAPPA, seed=0)
+        assert shapes == [(s.d2, s.d2)]
+
+    def test_matches_dense_oracles(self):
+        s = spelling_summary(np.random.default_rng(1), n=3000, d1=301, d2=12)
+        k = 4
+        # the sketch (k + oversample columns) spans all d2 = 12 columns of T,
+        # so the truncated SVD is exact and only the whitening is compared
+        model = solve_cca(s, k=k, kappa=self.KAPPA, seed=0)
+        np.testing.assert_allclose(
+            model.singular_values, gen_eig_correlations(s, self.KAPPA, k), rtol=0, atol=1e-10
+        )
+        cxx = s.cxx().toarray() + self.KAPPA * np.eye(s.d1)
+        w1 = sym_inv_sqrt(s.cxx().toarray(), self.KAPPA)
+        w2 = sym_inv_sqrt(s.czz().toarray(), self.KAPPA)
+        U, sigma, _ = np.linalg.svd(w1 @ s.cxz().toarray() @ w2)
+        oracle = phi1_signs(w1 @ U[:, :k])
+        np.testing.assert_allclose(model.phi1, oracle, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(model.phi1.T @ cxx @ model.phi1, np.eye(k), atol=1e-10)
+        L1 = sparse_cholesky(s.cxx() + self.KAPPA * sp.identity(s.d1))
+        assert L1.nnz <= 2 * s.d1
+
+    def test_solver_report(self):
+        s = spelling_summary(np.random.default_rng(2), n=2000, d1=101, d2=12)
+        model = solve_cca(s, k=4, kappa=self.KAPPA, seed=0)
+        assert model.solver["whitening"] == {"spelling": "cholesky", "context": "full"}
+        assert len(model.solver["svd_residuals"]) == 4
+        assert max(model.solver["svd_residuals"]) <= 1e-12
+        diag = solve_cca(s, k=4, kappa=self.KAPPA, seed=0, whiten="diag")
+        assert diag.solver["whitening"] == {"spelling": "cholesky", "context": "diag"}
+
+    def test_sign_rule_on_phi1(self):
+        s = spelling_summary(np.random.default_rng(3), n=2000, d1=101, d2=12)
+        model = solve_cca(s, k=4, kappa=self.KAPPA, seed=0)
+        np.testing.assert_array_equal(model.phi1, phi1_signs(model.phi1))
+
+    def test_large_candidate_set_stays_exact(self):
+        # above the context view's dense-whitening limit of 20,000: the
+        # spelling view is still whitened exactly and nothing warns
+        s = spelling_summary(np.random.default_rng(4), n=60_000, d1=25_001, d2=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = solve_cca(s, k=10, kappa=self.KAPPA, seed=0)
+        A = s.cxx() + self.KAPPA * sp.identity(s.d1)
+        np.testing.assert_allclose(model.phi1.T @ (A @ model.phi1), np.eye(10), atol=1e-10)
 
 
 def small_model():

@@ -1,10 +1,10 @@
-"""Randomized truncated SVD and whitening transforms."""
+"""Randomized truncated SVD, sparse Cholesky and whitening transforms."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dictforge.linalg import randomized_svd, spectral_norm, sym_inv_sqrt
+from dictforge.linalg import randomized_svd, sparse_cholesky, spectral_norm, sym_inv_sqrt
 
 
 def gapped_matrix(rng, n, d, k, tail=1e-5):
@@ -103,3 +103,39 @@ class TestSymInvSqrt:
     def test_rejects_nonpositive_kappa(self):
         with pytest.raises(ValueError):
             sym_inv_sqrt(np.eye(3), kappa=0.0)
+
+
+class TestSparseCholesky:
+    def test_factors_dense_spd(self):
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((9, 9))
+        A = M @ M.T + 0.1 * np.eye(9)
+        L = sparse_cholesky(sp.csr_matrix(A))
+        assert sp.issparse(L)
+        np.testing.assert_allclose(L.toarray(), np.linalg.cholesky(A), atol=1e-12)
+
+    def test_arrowhead_factor_has_no_fill(self):
+        rng = np.random.default_rng(6)
+        d = 500
+        A = sp.lil_matrix((d, d))
+        A.setdiag(rng.uniform(1.0, 2.0, d))
+        A[d - 1, d - 1] = float(d)
+        arrow = rng.uniform(0.0, 0.5, d - 1)
+        A[d - 1, : d - 1] = arrow
+        A[: d - 1, d - 1] = arrow[:, None]
+        L = sparse_cholesky(A)
+        assert sp.tril(L).nnz == L.nnz == 2 * d - 1
+        np.testing.assert_allclose((L @ L.T).toarray(), A.toarray(), atol=1e-12)
+
+    def test_rejects_indefinite(self):
+        with pytest.raises(ValueError, match="positive definite"):
+            sparse_cholesky(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
+
+    def test_rejects_pivoting(self):
+        # a zero leading diagonal forces a row exchange
+        with pytest.raises(ValueError, match="permuted"):
+            sparse_cholesky(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+
+    def test_rejects_singular(self):
+        with pytest.raises(ValueError, match="positive definite"):
+            sparse_cholesky(sp.csr_matrix((3, 3)))

@@ -16,12 +16,19 @@ from dictforge.pipeline import (
     PipelineConfigError,
     RunManifest,
     StageError,
+    _dev_scorer,
     model_select,
     run_pipeline,
     validate_config,
 )
 from dictforge.synth import SynthSpec, generate
-from dictforge.tagging import evaluate, read_conll, read_dictionary, tag_with_dictionary
+from dictforge.tagging import (
+    Dictionary,
+    evaluate,
+    read_conll,
+    read_dictionary,
+    tag_with_dictionary,
+)
 from dictforge.views import (
     build_design_matrices,
     collect_occurrences,
@@ -500,6 +507,25 @@ class TestRunPipeline:
         for row in details["fits"]:
             assert row["converged"] is True
             assert row["epochs"] >= 1 and row["gap"] >= -1e-12
+        cca = manifest.stages["cca"]["details"]
+        assert cca["whitening"] == {"spelling": "cholesky", "context": "full"}
+        assert len(cca["svd_residuals"]) == config.cca_k
+        assert all(0.0 <= r <= 1e-6 for r in cca["svd_residuals"])
+
+    def test_dev_scorer_matches_evaluate(self, finished_run):
+        # dev F1 from gold spans and lowercased words taken once equals
+        # tagging and scoring each dictionary afresh
+        _, config, _ = finished_run
+        dev = read_conll(config.dev, strict=True)
+        ranked = list(read_dictionary(config.outdir / "dict.cca.tsv").scores)
+        rng = np.random.default_rng(0)
+        dev_f1 = _dev_scorer(dev)
+        for size in (0, 1, len(ranked) // 2, len(ranked)):
+            picked = rng.permutation(ranked)[:size]
+            d = Dictionary({p: 1.0 for p in picked}, provenance="cca")
+            pred = [tag_with_dictionary(toks, d) for toks, _ in dev]
+            assert dev_f1(d) == evaluate(pred, [tags for _, tags in dev]).f1
+        assert _dev_scorer(None)(Dictionary({"flu": 1.0})) == 0.0
 
     def test_jobs_other_than_one_rejected(self, finished_run):
         _, config, _ = finished_run

@@ -12,6 +12,7 @@ from dictforge.tagging import (
     PhraseSet,
     bio_spans,
     evaluate,
+    evaluate_spans,
     match_phrase_spans,
     read_conll,
     read_dictionary,
@@ -180,6 +181,36 @@ class TestEvaluate:
         two = evaluate([["B", "O"], ["B", "O"]], [["B", "O"], ["O", "B"]])
         assert one.tp == 1
         assert (two.tp, two.fp, two.fn) == (1, 1, 1)
+
+
+def count_spans_oracle(predicted, gold):
+    """Per-sentence span comparison by list membership."""
+    tp = fp = fn = 0
+    for p, g in zip(predicted, gold):
+        ps, gs = list(bio_spans(p)), list(bio_spans(g))
+        tp += sum(span in gs for span in ps)
+        fp += sum(span not in gs for span in ps)
+        fn += sum(span not in ps for span in gs)
+    return EvalReport.from_counts(tp, fp, fn)
+
+
+_TAGS = st.lists(st.sampled_from(["B", "I", "O"]), max_size=10)
+
+
+class TestEvaluateSpans:
+    @given(st.lists(st.tuples(_TAGS, _TAGS), max_size=8))
+    def test_matches_evaluate(self, pairs):
+        # predicted tags may be ill-formed; gold spans are taken once
+        pairs = [(p[: len(g)] + ["O"] * (len(g) - len(p)), g) for p, g in pairs]
+        predicted = [p for p, _ in pairs]
+        gold = [g for _, g in pairs]
+        report = evaluate_spans(predicted, [bio_spans(g) for g in gold])
+        assert report == evaluate(predicted, gold)
+        assert report == count_spans_oracle(predicted, gold)
+
+    def test_sentence_count_mismatch(self):
+        with pytest.raises(ValueError, match="sentence count"):
+            evaluate_spans([["O"]], [set(), set()])
 
 
 class TestDictionaryIO:

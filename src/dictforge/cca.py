@@ -6,19 +6,20 @@ whitened cross-covariance
 
     T = L1^(-1) Cxz W2,    L1 L1ᵀ = Cxx + k1*I,    W2 = (Czz + k2*I)^(-1/2)
 
-with the truncated SVD computed by the randomized method.  The spelling
-view is whitened by the exact sparse Cholesky factor L1 (never a dense
-d1×d1 matrix); the context view by its dense inverse square root.  Any
-whitening W with Wᵀ(C + k*I)W = I gives the same canonical correlations and
-the same projections, so the solve maps back through the whitening (Phi1 =
-L1^(-ᵀ) U, Phi2 = W2 V) and fixes column signs on Phi1: its
-largest-magnitude entry is positive, and Phi2 flips with it.  Columns of
-Phi1 are orthonormal in the (Cxx + k1*I) inner product.
+with the truncated SVD computed by the randomized method.  Each view has
+one exact whitening route: the spelling view its sparse Cholesky factor L1
+(never a dense d1×d1 matrix), the context view its dense inverse square
+root W2.  Any whitening W with Wᵀ(C + k*I)W = I gives the same canonical
+correlations and the same projections, so the solve maps back through the
+whitening (Phi1 = L1^(-ᵀ) U, Phi2 = W2 V) and fixes column signs on Phi1:
+its largest-magnitude entry is positive, and Phi2 flips with it.  Columns
+of Phi1 are orthonormal in the (Cxx + k1*I) inner product.  The solve
+records the residual ‖T vⱼ − σⱼ uⱼ‖ of each singular pair, which measures
+how far the randomized sketch is from converged.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -40,28 +41,18 @@ __all__ = [
     "read_embeddings",
 ]
 
-# Above this dimension the context view's full whitening (a dense
-# eigendecomposition) is replaced by a diagonal approximation.
-FULL_WHITEN_MAX_DIM = 20_000
-
-
 @dataclass
 class CovarianceSummary:
-    """Second-moment sums of two row-aligned views.
+    """Second-moment sums of two row-aligned views and their row count.
 
-    Raw sums (not normalized by n) are stored so merging partial summaries
-    from disjoint row sets is plain sparse addition and reproduces the
-    whole-matrix computation up to float summation order.  Normalized
-    covariances come from the ``cxx``/``czz``/``cxz`` accessors.
+    The (uncentered) covariances come from the ``cxx``/``czz``/``cxz``
+    accessors, each a sum divided by n.
     """
 
     sxx: sp.csr_matrix
     szz: sp.csr_matrix
     sxz: sp.csr_matrix
-    sum_x: np.ndarray
-    sum_z: np.ndarray
     n: int
-    center: bool = False
 
     @property
     def d1(self) -> int:
@@ -71,44 +62,20 @@ class CovarianceSummary:
     def d2(self) -> int:
         return self.szz.shape[0]
 
-    def merge(self, other: "CovarianceSummary") -> "CovarianceSummary":
-        if (self.d1, self.d2, self.center) != (other.d1, other.d2, other.center):
-            raise ValueError("summaries have incompatible shapes or centering")
-        return CovarianceSummary(
-            self.sxx + other.sxx,
-            self.szz + other.szz,
-            self.sxz + other.sxz,
-            self.sum_x + other.sum_x,
-            self.sum_z + other.sum_z,
-            self.n + other.n,
-            self.center,
-        )
+    def cxx(self) -> sp.csr_matrix:
+        return self.sxx / self.n
 
-    def _normalize(self, s: sp.csr_matrix, mean_a: np.ndarray, mean_b: np.ndarray):
-        c = s / self.n
-        if self.center:
-            return np.asarray(c.todense()) - np.outer(mean_a, mean_b)
-        return c
+    def czz(self) -> sp.csr_matrix:
+        return self.szz / self.n
 
-    def cxx(self):
-        m = self.sum_x / self.n
-        return self._normalize(self.sxx, m, m)
-
-    def czz(self):
-        m = self.sum_z / self.n
-        return self._normalize(self.szz, m, m)
-
-    def cxz(self):
-        return self._normalize(self.sxz, self.sum_x / self.n, self.sum_z / self.n)
+    def cxz(self) -> sp.csr_matrix:
+        return self.sxz / self.n
 
     def is_finite(self) -> bool:
-        return all(
-            np.isfinite(m.data if sp.issparse(m) else m).all()
-            for m in (self.sxx, self.szz, self.sxz, self.sum_x, self.sum_z)
-        )
+        return all(np.isfinite(m.data).all() for m in (self.sxx, self.szz, self.sxz))
 
 
-def accumulate_covariance(X, Z, center: bool = False) -> CovarianceSummary:
+def accumulate_covariance(X, Z) -> CovarianceSummary:
     """Covariance summary of row-aligned views X (n×d1) and Z (n×d2)."""
     X = sp.csr_matrix(X, dtype=np.float64)
     Z = sp.csr_matrix(Z, dtype=np.float64)
@@ -120,10 +87,7 @@ def accumulate_covariance(X, Z, center: bool = False) -> CovarianceSummary:
         sxx=(X.T @ X).tocsr(),
         szz=(Z.T @ Z).tocsr(),
         sxz=(X.T @ Z).tocsr(),
-        sum_x=np.asarray(X.sum(axis=0)).ravel(),
-        sum_z=np.asarray(Z.sum(axis=0)).ravel(),
         n=X.shape[0],
-        center=center,
     )
 
 
@@ -197,26 +161,6 @@ def _resolve_kappa(kappa, summary: CovarianceSummary) -> tuple[float, float]:
     return (float(k1), float(k2))
 
 
-def _whitener(cvv, d: int, kappa: float, mode: str):
-    """Context-view whitening: the full inverse square root, or its diagonal
-    approximation for very high-dimensional views.  Returns (matvec-ready
-    operator, is_diag)."""
-    if mode == "auto":
-        mode = "full" if d <= FULL_WHITEN_MAX_DIM else "diag"
-        if mode == "diag":
-            warnings.warn(
-                f"view dimension {d} exceeds {FULL_WHITEN_MAX_DIM}; "
-                "falling back to diagonal whitening"
-            )
-    if mode == "full":
-        dense = np.asarray(cvv.todense()) if sp.issparse(cvv) else np.asarray(cvv)
-        return sym_inv_sqrt(dense, kappa), False
-    if mode == "diag":
-        diag = cvv.diagonal() if sp.issparse(cvv) else np.diag(np.asarray(cvv))
-        return 1.0 / np.sqrt(diag + kappa), True
-    raise ValueError(f"unknown whitening mode {mode!r}")
-
-
 def solve_cca(
     summary: CovarianceSummary,
     k: int,
@@ -224,17 +168,17 @@ def solve_cca(
     oversample: int = 10,
     power_iters: int = 4,
     seed: int = 0,
-    whiten: str = "auto",
 ) -> CcaModel:
     """Top-``k`` CCA projections from a covariance summary.
 
     ``kappa`` may be a scalar (used for both views), a per-view pair, or
     None for the default scale-aware choice 1e-4 * trace(Cvv)/d per view.
 
-    The spelling view is always whitened by the sparse Cholesky factor of
-    Cxx + k1*I.  ``whiten`` ("auto", "full" or "diag") and
-    ``FULL_WHITEN_MAX_DIM`` govern only the context view: "auto" is "full"
-    up to that dimension and "diag", with a warning, above it.
+    The spelling view is whitened by the sparse Cholesky factor of
+    Cxx + k1*I, the context view by the dense (Czz + k2*I)^(-1/2).  The
+    solver report records ``svd_residuals``, ‖T vⱼ − σⱼ uⱼ‖ per component;
+    it is zero, up to rounding, only when the randomized sketch holds the
+    top singular subspace exactly.
     """
     if not summary.is_finite():
         raise ValueError("covariance summary contains non-finite values")
@@ -248,20 +192,20 @@ def solve_cca(
     # The caps column being last is what keeps the factor fill-free: an
     # arrowhead matrix pointing down-right has an O(d1) Cholesky factor.
     L1 = sparse_cholesky(summary.cxx() + k1 * sp.identity(summary.d1))
-    w2, diag2 = _whitener(summary.czz(), summary.d2, k2, whiten)
-    cxz = sp.csr_matrix(summary.cxz())
-    cxz_w2 = (cxz @ sp.diags(w2)).toarray() if diag2 else cxz @ w2
-    T = spsolve_triangular(L1, cxz_w2, lower=True)
+    w2 = sym_inv_sqrt(summary.czz().toarray(), k2)
+    T = spsolve_triangular(L1, summary.cxz() @ w2, lower=True)
 
     U, s, Vt = randomized_svd(T, k, oversample=oversample, power_iters=power_iters, seed=seed)
-    residuals = np.linalg.norm(T.T @ U - Vt.T * s, axis=0)
+    # TᵀU = VS holds by construction of the sketch's SVD, so only TV - US
+    # measures how far the sketch is from the true singular pairs
+    residuals = np.linalg.norm(T @ Vt.T - U * s, axis=0)
     phi1 = spsolve_triangular(L1.T.tocsr(), U, lower=False)
-    phi2 = (w2[:, None] * Vt.T) if diag2 else (w2 @ Vt.T)
+    phi2 = w2 @ Vt.T
     # signs on phi1, not U, so the result does not depend on the whitening
     peak = phi1[np.argmax(np.abs(phi1), axis=0), np.arange(k)]
     flip = np.where(peak < 0, -1.0, 1.0)
     solver = {
-        "whitening": {"spelling": "cholesky", "context": "diag" if diag2 else "full"},
+        "whitening": {"spelling": "cholesky", "context": "full"},
         "svd_residuals": [float(r) for r in residuals],
     }
     return CcaModel(

@@ -5,7 +5,8 @@ observation: a *spelling* view (phrase identity + capitalization bit) and
 a *context* view (position-conjoined words from a three-token window on
 each side).  Both design matrices are built from one interned occurrence
 table, a phrase id and six (position, word) ids per row, so their rows are
-aligned by construction.  They are saved as ``.npz`` triplets beside an
+aligned by construction; Z has one column per (position, word) slot of the
+table and none held in reserve.  They are saved as ``.npz`` triplets beside an
 occurrence table file in the same row order.  In a pipeline run only the
 extract and views stages read the corpus; cca, classify and cotrain read
 these artifacts.
@@ -184,10 +185,10 @@ def build_design_matrices(occurrences: Iterable[CandidateOccurrence]) -> ViewMat
     Spelling columns are the phrase identities, then one capitalization
     column set on every row of a phrase with a majority-capitalized
     surface, so every instance of a phrase shares one spelling row.
-    Context columns are the (position, word) slots, then one OOV column per
-    position, reserved for words outside this build and set by no row.  Identity and slot columns are
-    in order of first appearance.  An empty stream is an error (downstream
-    decompositions are undefined on zero observations).
+    Context columns are the (position, word) slots that occur in this
+    build, so every context column is set by some row.  Identity and slot
+    columns are in order of first appearance.  An empty stream is an error
+    (downstream decompositions are undefined on zero observations).
     """
     occs = sorted(occurrences, key=lambda o: o.locator)
     if not occs:
@@ -207,14 +208,14 @@ def build_design_matrices(occurrences: Iterable[CandidateOccurrence]) -> ViewMat
     Z = _indicators(
         np.repeat(rows, len(CONTEXT_POSITIONS)),
         table.context_ids.ravel(),
-        (table.n, len(table.contexts) + len(CONTEXT_POSITIONS)),
+        (table.n, len(table.contexts)),
     )
     return ViewMatrices(X=X, Z=Z, table=table, occurrences=occs)
 
 
 def audit_dense_columns(matrix: sp.spmatrix, exempt: set[int] = frozenset()) -> list[int]:
-    """Columns no row touches, minus exempt (reserved) ones.  A healthy
-    build returns []."""
+    """Columns no row touches, minus exempt ones (such as a caps column no
+    phrase sets).  A healthy build returns []."""
     counts = np.asarray((matrix != 0).sum(axis=0)).ravel()
     return [int(c) for c in np.flatnonzero(counts == 0) if int(c) not in exempt]
 

@@ -1,5 +1,5 @@
-"""Shared test plumbing: the acceptance-line reporter and the SVM convex
-oracles."""
+"""Shared test plumbing: the acceptance-line reporter, the SVM convex
+oracles and the CCA residual oracle."""
 
 import numpy as np
 import pytest
@@ -85,6 +85,20 @@ def svm_oracles():
         return {name: oracle(X, y, C) for name, oracle in oracles.items()}
 
     return solve
+
+
+@pytest.fixture
+def cca_residual_oracle():
+    """``cca_residual_oracle(summary, model)`` is ‖T vⱼ − σⱼ uⱼ‖ per
+    component, computed without any whitening: with B = Cxx + k1*I and
+    dⱼ = Cxz φ₂ⱼ − σⱼ B φ₁ⱼ, the residual is √(dⱼᵀ B⁻¹ dⱼ)."""
+
+    def residuals(summary, model):
+        B = summary.cxx().toarray() + model.kappa[0] * np.eye(summary.d1)
+        d = summary.cxz() @ model.phi2 - (B @ model.phi1) * model.singular_values
+        return np.sqrt(np.clip(np.sum(d * np.linalg.solve(B, d), axis=0), 0.0, None))
+
+    return residuals
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dictforge.cca import CcaModel, embed_phrases
+from dictforge.cca import CcaModel, accumulate_covariance, embed_phrases
 from dictforge.classifier import SeedSet, build_dictionary, train_svm
 from dictforge.corpus import iter_sentences
 from dictforge.pipeline import (
@@ -492,7 +492,7 @@ class TestRunPipeline:
         for name in ("dict.cca.tsv", "embeddings.tsv"):
             assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
 
-    def test_solver_reports_recorded(self, finished_run):
+    def test_solver_reports_recorded(self, finished_run, cca_residual_oracle):
         workdir, config, _ = finished_run
         manifest = RunManifest.load(config.outdir / "manifest.json")
         details = manifest.stages["classify"]["details"]
@@ -509,8 +509,13 @@ class TestRunPipeline:
             assert row["epochs"] >= 1 and row["gap"] >= -1e-12
         cca = manifest.stages["cca"]["details"]
         assert cca["whitening"] == {"spelling": "cholesky", "context": "full"}
+        summary = accumulate_covariance(
+            read_triplets(config.outdir / "views.X.npz"),
+            read_triplets(config.outdir / "views.Z.npz"),
+        )
+        oracle = cca_residual_oracle(summary, CcaModel.load(config.outdir / "cca.model.npz"))
         assert len(cca["svd_residuals"]) == config.cca_k
-        assert all(0.0 <= r <= 1e-6 for r in cca["svd_residuals"])
+        np.testing.assert_allclose(cca["svd_residuals"], oracle, rtol=1e-6, atol=1e-9)
 
     def test_dev_scorer_matches_evaluate(self, finished_run):
         # dev F1 from gold spans and lowercased words taken once equals

@@ -113,9 +113,8 @@ def window(occ):
 
 def oracle_views(occs):
     """Per-row featurization by named columns: identities then the caps
-    column for the spelling view, (position, word) slots then one OOV
-    column per position for the context view, each in order of first
-    appearance over locator-sorted rows."""
+    column for the spelling view, (position, word) slots for the context
+    view, each in order of first appearance over locator-sorted rows."""
     occs = sorted(occs, key=lambda o: o.locator)
     upper, total = Counter(), Counter(o.phrase_lower for o in occs)
     for o in occs:
@@ -126,8 +125,6 @@ def oracle_views(occs):
         for item in zip(CONTEXT_POSITIONS, window(o)):
             context.setdefault(("ctx", *item), len(context))
     spelling[("caps",)] = len(spelling)
-    for pos in CONTEXT_POSITIONS:
-        context[("oov", pos)] = len(context)
     X = np.zeros((len(occs), len(spelling)))
     Z = np.zeros((len(occs), len(context)))
     for r, o in enumerate(occs):
@@ -228,10 +225,10 @@ class TestFeaturize:
 class TestDesignMatrices:
     def test_shapes_match_hand_count(self):
         vm, _ = build_fixture()
-        # 3 occurrences; spelling = 2 identities + caps; context = 14
-        # realized (position, word) pairs + 6 reserved OOV columns
+        # 3 occurrences; spelling = 2 identities + caps; context = the 14
+        # realized (position, word) pairs
         assert vm.X.shape == (3, 3)
-        assert vm.Z.shape == (3, 20)
+        assert vm.Z.shape == (3, 14)
 
     def test_shapes_match_set_oracle(self):
         vm, occs = build_fixture()
@@ -239,7 +236,7 @@ class TestDesignMatrices:
         for o in occs:
             pairs.update(zip((-3, -2, -1), o.left_context))
             pairs.update(zip((1, 2, 3), o.right_context))
-        assert vm.Z.shape[1] == len(pairs) + 6
+        assert vm.Z.shape[1] == len(pairs)
         assert vm.X.shape[1] == len({o.phrase_lower for o in occs}) + 1
 
     def test_same_phrase_same_spelling_row(self):
@@ -277,12 +274,12 @@ class TestDesignMatrices:
 
     def test_dense_columns_modulo_reserved(self):
         vm, _ = build_fixture()
-        caps = {vm.X.shape[1] - 1}
-        oov = set(range(vm.Z.shape[1] - 6, vm.Z.shape[1]))
-        assert audit_dense_columns(vm.X, exempt=caps) == []
-        assert audit_dense_columns(vm.Z, exempt=oov) == []
-        # without the exemption the unrealized reserved columns do surface
-        assert audit_dense_columns(vm.Z) == sorted(oov)
+        # no phrase of the fixture is majority-capitalized, so only the
+        # caps column is unset; every context column is set by some row
+        caps = vm.X.shape[1] - 1
+        assert audit_dense_columns(vm.X) == [caps]
+        assert audit_dense_columns(vm.X, exempt={caps}) == []
+        assert audit_dense_columns(vm.Z) == []
 
 
 class TestViewIO:

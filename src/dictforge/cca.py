@@ -151,13 +151,9 @@ def _resolve_kappa(kappa, summary: CovarianceSummary) -> tuple[float, float]:
         tx = float(summary.sxx.diagonal().sum()) / summary.n
         tz = float(summary.szz.diagonal().sum()) / summary.n
         return (1e-4 * tx / summary.d1, 1e-4 * tz / summary.d2)
-    if np.isscalar(kappa):
-        if kappa <= 0:
-            raise ValueError("kappa must be positive")
-        return (float(kappa), float(kappa))
-    k1, k2 = kappa
-    if k1 <= 0 or k2 <= 0:
-        raise ValueError("kappa must be positive")
+    k1, k2 = (kappa, kappa) if np.isscalar(kappa) else kappa
+    if not (np.isfinite(k1) and np.isfinite(k2) and k1 > 0 and k2 > 0):
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     return (float(k1), float(k2))
 
 

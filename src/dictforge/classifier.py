@@ -178,8 +178,8 @@ def train_svm(
     Seeds without an embedding are reported via a warning and skipped; if
     either class ends up empty, training fails.
     """
-    if C <= 0:
-        raise ValueError(f"C must be positive, got {C}")
+    if not (np.isfinite(C) and C > 0):
+        raise ValueError(f"C must be positive and finite, got {C}")
     pos, neg, missing = resolve_seeds(seeds, embeddings)
     if missing:
         warnings.warn(f"seeds without embeddings skipped: {missing}")

@@ -16,11 +16,12 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import shutil
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,20 +77,24 @@ __all__ = [
     "select_crf",
 ]
 
-STAGES = ("extract", "views", "cca", "classify", "cotrain", "tag", "crf")
 
-# artifacts each stage must leave behind in the output directory
-_OUTPUTS = {
-    "extract": ("candidates.tsv",),
-    "views": ("views.X.npz", "views.Z.npz", "views.occurrences.tsv"),
-    "cca": ("cca.model.npz",),
-    "classify": ("dict.cca.tsv", "embeddings.tsv", "svm.json"),
-    "cotrain": ("dict.cotrain.tsv", "cotrain.json"),
-    "tag": ("report.json",),
-    "crf": ("crf.model.npz", "crf.json"),
+class _Stage(NamedTuple):
+    outputs: tuple[str, ...]  # artifacts it must leave in the output directory
+    section: str | None = None  # config section recorded as its manifest params
+    needs: str | None = None  # optional [inputs] key it cannot run without
+
+
+# in dependency order
+_STAGES = {
+    "extract": _Stage(("candidates.tsv",)),
+    "views": _Stage(("views.X.npz", "views.Z.npz", "views.occurrences.tsv")),
+    "cca": _Stage(("cca.model.npz",), "cca"),
+    "classify": _Stage(("dict.cca.tsv", "embeddings.tsv", "svm.json"), "svm"),
+    "cotrain": _Stage(("dict.cotrain.tsv", "cotrain.json"), "cotrain"),
+    "tag": _Stage(("report.json",), needs="test"),
+    "crf": _Stage(("crf.model.npz", "crf.json"), "crf", needs="train"),
 }
-
-_PAPER_C_GRID = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0)
+STAGES = tuple(_STAGES)
 
 
 class PipelineConfigError(ValueError):
@@ -130,7 +135,7 @@ class PipelineConfig:
     cca_oversample: int = 10
     cca_power_iters: int = 4
     # classify grid; embedding dimensions are prefixes of one cca solve
-    svm_c_grid: tuple[float, ...] = _PAPER_C_GRID
+    svm_c_grid: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0)
     svm_k_grid: tuple[int, ...] = (10, 20, 30)
     svm_threshold_grid: tuple[float, ...] = (0.0,)
     # cotrain stage
@@ -143,33 +148,104 @@ class PipelineConfig:
     crf_max_iters: int = 200
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.replace(",", " ").split())
+def _grid(conv: type) -> Callable[[str], tuple]:
+    """Parser of a space- or comma-separated list of ``conv`` values."""
+
+    def parse(text: str) -> tuple:
+        values = tuple(conv(v) for v in text.replace(",", " ").split())
+        if not values:
+            raise ValueError("grid is empty")
+        return values
+
+    return parse
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.replace(",", " ").split())
+def _kappa(text: str) -> float | None:
+    return None if text.strip().lower() == "auto" else float(text)
+
+
+def _features(text: str) -> str:
+    FeatureConfig.from_flags(text)
+    return text
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEG = (lambda v: v >= 0, "must be >= 0")
+_FILE = (Path.is_file, "file not found")
+
+# [section] key -> (parser, per-value check).  The parsed value sets the
+# PipelineConfig field that ``_field`` names, and only that field holds a
+# default.  Grid parsers return tuples, checked value by value.
+_KEYS = {
+    "inputs": dict.fromkeys(("corpus", "patterns", "seeds", "train", "dev", "test"), (Path, _FILE)),
+    "output": {"dir": (Path, None)},
+    "cca": {
+        "k": (int, _POSITIVE),
+        "kappa": (_kappa, _POSITIVE),
+        "seed": (int, _NONNEG),
+        "oversample": (int, _POSITIVE),
+        "power_iters": (int, _NONNEG),
+    },
+    "svm": {
+        "c_grid": (_grid(float), _POSITIVE),
+        "k_grid": (_grid(int), _POSITIVE),
+        "threshold_grid": (_grid(float), _NONNEG),
+    },
+    "cotrain": {
+        "m": (int, _POSITIVE),
+        "epsilon": (float, (lambda v: 0 < v < 1, "must be in (0, 1)")),
+        "theta_grid": (_grid(float), (lambda v: 0 < v <= 1, "must be in (0, 1]")),
+    },
+    "crf": {
+        "features": (_features, None),
+        "lambda_grid": (_grid(float), _POSITIVE),
+        "max_iters": (int, _POSITIVE),
+    },
+}
+
+
+def _field(section: str, key: str) -> str:
+    """The PipelineConfig field that ``[section] key`` sets."""
+    return {"inputs": key, "output": "outdir"}.get(section, f"{section}_{key}")
+
+
+def _violation(value, check: tuple | None) -> str | None:
+    """Why one parsed value fails its key's check; None when it passes.
+    ``None`` (``kappa = auto``) and unchecked keys always pass."""
+    if value is None or check is None:
+        return None
+    if isinstance(value, float) and not math.isfinite(value):
+        return "must be finite"
+    ok, need = check
+    return None if ok(value) else need
 
 
 def _raw_sections(path: Path) -> dict[str, dict[str, str]]:
+    """{section: {key: raw text}}, lowercased, from INI or JSON."""
     text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json" or text.lstrip()[:1] == "{":
+    try:
+        if path.suffix != ".json" and text.lstrip()[:1] != "{":
+            parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+            parser.read_string(text)
+            return {
+                sec.lower(): {k.lower(): v for k, v in parser[sec].items()}
+                for sec in parser.sections()
+            }
         data = json.loads(text)
-
-        def flat(v):
-            if isinstance(v, (list, tuple)):
-                return " ".join(str(x) for x in v)
-            return str(v)
-
-        return {
-            str(sec).lower(): {str(k).lower(): flat(v) for k, v in body.items()}
-            for sec, body in data.items()
-        }
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read_string(text)
+    except (configparser.Error, json.JSONDecodeError) as exc:
+        raise PipelineConfigError([f"unparseable config: {exc}"]) from exc
+    if not isinstance(data, dict):
+        raise PipelineConfigError([f"config: top level is {type(data).__name__}, not an object"])
+    errors = [f"{sec}: section is {type(body).__name__}, not an object"
+              for sec, body in data.items() if not isinstance(body, dict)]
+    if errors:
+        raise PipelineConfigError(errors)
     return {
-        sec.lower(): {k.lower(): v for k, v in parser[sec].items()}
-        for sec in parser.sections()
+        sec.lower(): {
+            k.lower(): " ".join(map(str, v)) if isinstance(v, list) else str(v)
+            for k, v in body.items()
+        }
+        for sec, body in data.items()
     }
 
 
@@ -178,149 +254,45 @@ def validate_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     if not path.is_file():
         raise PipelineConfigError([f"config file not found: {path}"])
-    try:
-        sections = _raw_sections(path)
-    except (configparser.Error, json.JSONDecodeError) as exc:
-        raise PipelineConfigError([f"unparseable config: {exc}"]) from exc
+    sections = _raw_sections(path)
 
     errors: list[str] = []
-    base = path.parent
-
-    def take(section: str, key: str, default: str | None = None) -> str | None:
-        return sections.get(section, {}).get(key, default)
-
-    def take_path(section: str, key: str, required: bool) -> Path | None:
-        raw = take(section, key)
-        if raw is None:
-            if required:
-                errors.append(f"{section}.{key}: required")
-            return None
-        p = Path(raw)
-        if not p.is_absolute():
-            p = base / p
-        if key != "dir" and not p.is_file():
-            errors.append(f"{section}.{key}: file not found: {p}")
-            return None
-        return p
-
-    def take_num(section, key, default, conv, check, what):
-        raw = take(section, key)
-        if raw is None:
-            return default
-        try:
-            val = conv(raw)
-        except ValueError:
-            errors.append(f"{section}.{key}: not {what}: {raw!r}")
-            return default
-        ok, msg = check(val)
-        if not ok:
-            errors.append(f"{section}.{key}: {msg} (got {raw})")
-            return default
-        return val
-
-    positive = lambda v: (v > 0, "must be positive")
-    nonneg = lambda v: (v >= 0, "must be >= 0")
-
-    corpus = take_path("inputs", "corpus", required=True)
-    patterns = take_path("inputs", "patterns", required=True)
-    seeds = take_path("inputs", "seeds", required=True)
-    train = take_path("inputs", "train", required=False)
-    dev = take_path("inputs", "dev", required=False)
-    test = take_path("inputs", "test", required=False)
-    outdir_raw = take("output", "dir")
-    if outdir_raw is None:
-        errors.append("output.dir: required")
-        outdir = Path(".")
-    else:
-        outdir = Path(outdir_raw)
-        if not outdir.is_absolute():
-            outdir = base / outdir
-
-    cca_k = take_num("cca", "k", 30, int, positive, "an integer")
-    kappa_raw = take("cca", "kappa", "1e-4")
-    if kappa_raw.strip().lower() == "auto":
-        cca_kappa: float | None = None
-    else:
-        cca_kappa = take_num("cca", "kappa", 1e-4, float, positive, "a number")
-    cca_seed = take_num("cca", "seed", 0, int, nonneg, "an integer")
-    cca_p = take_num("cca", "oversample", 10, int, positive, "an integer")
-    cca_q = take_num("cca", "power_iters", 4, int, nonneg, "an integer")
-
-    def take_grid(section, key, default, conv, check):
-        raw = take(section, key)
-        if raw is None:
-            return default
-        try:
-            vals = conv(raw)
-        except ValueError:
-            errors.append(f"{section}.{key}: unparseable grid: {raw!r}")
-            return default
-        if not vals:
-            errors.append(f"{section}.{key}: grid is empty")
-            return default
-        for v in vals:
-            ok, msg = check(v)
-            if not ok:
-                errors.append(f"{section}.{key}: {msg} (got {v})")
-                return default
-        return vals
-
-    c_grid = take_grid("svm", "c_grid", _PAPER_C_GRID, _parse_floats, positive)
-    k_grid = take_grid("svm", "k_grid", (10, 20, 30), _parse_ints, positive)
-    thr_grid = take_grid("svm", "threshold_grid", (0.0,), _parse_floats, nonneg)
-    if not errors and max(k_grid) > cca_k:
-        errors.append(
-            f"svm.k_grid: max entry {max(k_grid)} exceeds cca.k = {cca_k}"
-        )
-
-    m = take_num("cotrain", "m", 5, int, positive, "an integer")
-    epsilon = take_num(
-        "cotrain", "epsilon", 0.95, float,
-        lambda v: (0 < v < 1, "must be in (0, 1)"), "a number",
-    )
-    theta_grid = take_grid(
-        "cotrain", "theta_grid", (0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-        _parse_floats, lambda v: (0 < v <= 1, "must be in (0, 1]"),
-    )
-
-    features = take("crf", "features", "baseline,dict")
-    try:
-        FeatureConfig.from_flags(features)
-    except ValueError as exc:
-        errors.append(f"crf.features: {exc}")
-    lambda_grid = take_grid(
-        "crf", "lambda_grid", (1e-4, 1e-2, 1.0), _parse_floats, positive
-    )
-    crf_iters = take_num("crf", "max_iters", 200, int, positive, "an integer")
-
-    known = {
-        "inputs": {"corpus", "patterns", "seeds", "train", "dev", "test"},
-        "output": {"dir"},
-        "cca": {"k", "kappa", "seed", "oversample", "power_iters"},
-        "svm": {"c_grid", "k_grid", "threshold_grid"},
-        "cotrain": {"m", "epsilon", "theta_grid"},
-        "crf": {"features", "lambda_grid", "max_iters"},
-    }
+    values: dict[str, object] = {}
+    required = {f.name for f in fields(PipelineConfig) if f.default is MISSING}
+    for sec, keys in _KEYS.items():
+        for key, (parse, check) in keys.items():
+            raw = sections.get(sec, {}).get(key)
+            if raw is None:
+                if _field(sec, key) in required:
+                    errors.append(f"{sec}.{key}: required")
+                continue
+            try:
+                value = parse(raw)
+            except ValueError as exc:
+                errors.append(f"{sec}.{key}: {exc}")
+                continue
+            if isinstance(value, Path) and not value.is_absolute():
+                value = path.parent / value
+            for v in value if isinstance(value, tuple) else (value,):
+                if (why := _violation(v, check)) is not None:
+                    errors.append(f"{sec}.{key}: {why} (got {v})")
+                    break
+            else:
+                values[_field(sec, key)] = value
     for sec, body in sections.items():
-        if sec not in known:
+        if sec not in _KEYS:
             errors.append(f"{sec}: unknown section")
             continue
-        for key in body:
-            if key not in known[sec]:
-                errors.append(f"{sec}.{key}: unknown key")
-
+        errors += [f"{sec}.{key}: unknown key" for key in body if key not in _KEYS[sec]]
     if errors:
         raise PipelineConfigError(errors)
-    return PipelineConfig(
-        corpus=corpus, patterns=patterns, seeds=seeds, outdir=outdir,
-        train=train, dev=dev, test=test,
-        cca_k=cca_k, cca_kappa=cca_kappa, cca_seed=cca_seed,
-        cca_oversample=cca_p, cca_power_iters=cca_q,
-        svm_c_grid=c_grid, svm_k_grid=k_grid, svm_threshold_grid=thr_grid,
-        cotrain_m=m, cotrain_epsilon=epsilon, cotrain_theta_grid=theta_grid,
-        crf_features=features, crf_lambda_grid=lambda_grid,
-        crf_max_iters=crf_iters,
-    )
+
+    config = PipelineConfig(**values)
+    if max(config.svm_k_grid) > config.cca_k:
+        raise PipelineConfigError(
+            [f"svm.k_grid: max entry {max(config.svm_k_grid)} exceeds cca.k = {config.cca_k}"]
+        )
+    return config
 
 
 def model_select(reports: Iterable[Mapping]) -> dict:
@@ -394,21 +366,11 @@ class RunManifest:
     stages: dict = field(default_factory=dict)
 
     def save(self, path: Path) -> None:
-        payload = {
-            "version": self.version,
-            "config_hash": self.config_hash,
-            "stages": self.stages,
-        }
-        path.write_text(_json_text(payload), encoding="utf-8")
+        path.write_text(_json_text(asdict(self)), encoding="utf-8")
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
-        data = json.loads(path.read_text(encoding="utf-8"))
-        return cls(
-            version=data["version"],
-            config_hash=data["config_hash"],
-            stages=data["stages"],
-        )
+        return cls(**json.loads(path.read_text(encoding="utf-8")))
 
 
 def _dev_scorer(
@@ -681,42 +643,9 @@ def _stage_inputs(config: PipelineConfig, stage: str) -> list[Path]:
 
 
 def _stage_params(config: PipelineConfig, stage: str) -> dict:
-    if stage == "cca":
-        return {
-            "k": config.cca_k,
-            "kappa": config.cca_kappa,
-            "seed": config.cca_seed,
-            "oversample": config.cca_oversample,
-            "power_iters": config.cca_power_iters,
-        }
-    if stage == "classify":
-        return {
-            "c_grid": list(config.svm_c_grid),
-            "k_grid": list(config.svm_k_grid),
-            "threshold_grid": list(config.svm_threshold_grid),
-        }
-    if stage == "cotrain":
-        return {
-            "m": config.cotrain_m,
-            "epsilon": config.cotrain_epsilon,
-            "theta_grid": list(config.cotrain_theta_grid),
-        }
-    if stage == "crf":
-        return {
-            "features": config.crf_features,
-            "lambda_grid": list(config.crf_lambda_grid),
-            "max_iters": config.crf_max_iters,
-        }
-    return {}
-
-
-def _applicable(config: PipelineConfig, stage: str) -> str | None:
-    """None when the stage can run; otherwise the reason it cannot."""
-    if stage == "tag" and config.test is None:
-        return "inputs.test is not set"
-    if stage == "crf" and config.train is None:
-        return "inputs.train is not set"
-    return None
+    """A stage's config section, read back from the config."""
+    section = _STAGES[stage].section
+    return {key: getattr(config, _field(section, key)) for key in _KEYS.get(section, ())}
 
 
 def run_pipeline(
@@ -760,8 +689,9 @@ def run_pipeline(
     code = _code_digest()
 
     for stage in requested:
-        reason = _applicable(config, stage)
-        if reason is not None:
+        needs = _STAGES[stage].needs
+        if needs is not None and getattr(config, needs) is None:
+            reason = f"inputs.{needs} is not set"
             if stages is not None:
                 raise StageError(stage, f"requested but not runnable: {reason}")
             manifest.stages[stage] = {"skipped": reason}
@@ -809,7 +739,7 @@ def run_pipeline(
         elapsed = time.monotonic() - started
 
         outputs = {}
-        for name in _OUTPUTS[stage]:
+        for name in _STAGES[stage].outputs:
             src = tmp / name
             if not src.is_file():
                 _quarantine(outdir, stage, tmp)

@@ -180,6 +180,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_cca(s, k=1, kappa=0.0)
 
+    @pytest.mark.parametrize("kappa", [np.inf, np.nan, (1e-4, np.inf), (np.nan, 1e-4)])
+    def test_rejects_nonfinite_kappa(self, kappa):
+        s = accumulate_covariance(np.ones((2, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            solve_cca(s, k=1, kappa=kappa)
+
     def test_model_enforces_sorted_spectrum(self):
         with pytest.raises(ValueError):
             CcaModel(

@@ -144,7 +144,7 @@ class TestTraining:
 
     def test_one_class_fails(self):
         emb = separable_embeddings()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError), pytest.warns(UserWarning, match="seeds without embeddings"):
             train_svm({"a": emb["a"], "b": emb["b"]}, SeedSet.make(["a", "b"], ["c"]), C=1.0)
 
     def test_dimension_mismatch_fails(self):
@@ -155,6 +155,11 @@ class TestTraining:
     def test_nonpositive_c_fails(self):
         with pytest.raises(ValueError):
             train_svm(separable_embeddings(), SEEDS, C=0.0)
+
+    @pytest.mark.parametrize("C", [np.inf, np.nan])
+    def test_nonfinite_c_fails(self, C):
+        with pytest.raises(ValueError, match="finite"):
+            train_svm(separable_embeddings(), SEEDS, C=C)
 
 
 class TestSolverReport:

@@ -79,6 +79,29 @@ class TestRunCommand:
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "none.cfg")]) == 2
 
+    @pytest.mark.parametrize("blob", ["[1, 2]", '{"cca": 5}'])
+    def test_non_object_json_config_exits_2(self, tmp_path, capsys, blob):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(blob, encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "not an object" in capsys.readouterr().err
+
+    def test_nonfinite_kappa_exits_2(self, bench, tmp_path, capsys):
+        root, sc, paths = bench
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[inputs]\n"
+            f"corpus = {paths['corpus']}\n"
+            f"patterns = {paths['patterns']}\n"
+            f"seeds = {paths['seeds']}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+            "[cca]\nkappa = inf\n",
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+        assert "cca.kappa: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_stage_error_exits_1(self, bench, tmp_path, capsys):
         root, sc, paths = bench
         cfg = tmp_path / "run.cfg"

@@ -15,8 +15,11 @@ from dictforge.pipeline import (
     PipelineConfig,
     PipelineConfigError,
     RunManifest,
+    STAGES,
     StageError,
+    _KEYS,
     _dev_scorer,
+    _field,
     model_select,
     run_pipeline,
     validate_config,
@@ -202,6 +205,53 @@ class TestValidateConfig:
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(PipelineConfigError, match="not found"):
             validate_config(tmp_path / "none.cfg")
+
+    @pytest.mark.parametrize(
+        "section, line, name",
+        [
+            ("cca", "kappa = inf", "cca.kappa"),
+            ("cca", "kappa = nan", "cca.kappa"),
+            ("svm", "c_grid = 0.1 inf", "svm.c_grid"),
+            ("svm", "threshold_grid = 0 inf", "svm.threshold_grid"),
+            ("cotrain", "theta_grid = nan", "cotrain.theta_grid"),
+            ("crf", "lambda_grid = inf", "crf.lambda_grid"),
+        ],
+    )
+    def test_nonfinite_numbers_rejected(self, tmp_path, section, line, name):
+        path = write_minimal(tmp_path, **{section: [line]})
+        with pytest.raises(PipelineConfigError, match=rf"{name}: must be finite"):
+            validate_config(path)
+
+    @pytest.mark.parametrize(
+        "blob, name",
+        [([1, 2], "top level is list"), ({"cca": 5}, "cca: section is int"),
+         ({"output": {"dir": "out"}, "inputs": "x"}, "inputs: section is str")],
+    )
+    def test_non_object_json_rejected(self, tmp_path, blob, name):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(blob), encoding="utf-8")
+        with pytest.raises(PipelineConfigError, match=name):
+            validate_config(path)
+
+    def test_every_field_set_by_exactly_one_key(self):
+        reached = [_field(sec, key) for sec, keys in _KEYS.items() for key in keys]
+        assert sorted(reached) == sorted(f.name for f in dataclasses.fields(PipelineConfig))
+
+    def test_every_key_at_its_default_gives_the_defaults(self, tmp_path):
+        path = write_minimal(
+            tmp_path,
+            cca=["k = 30", "kappa = 1e-4", "seed = 0", "oversample = 10", "power_iters = 4"],
+            svm=["c_grid = 1e-4 1e-3 1e-2 0.1 1 10 100", "k_grid = 10 20 30",
+                 "threshold_grid = 0"],
+            cotrain=["m = 5", "epsilon = 0.95", "theta_grid = 0.5 0.6 0.7 0.8 0.9 1"],
+            crf=["features = baseline,dict", "lambda_grid = 1e-4 1e-2 1", "max_iters = 200"],
+        )
+        spelled = validate_config(path)
+        for f in dataclasses.fields(PipelineConfig):
+            if f.default is not dataclasses.MISSING:
+                # the JSON text is what config_hash sees: 1 and 1.0 differ there
+                assert json.dumps(getattr(spelled, f.name)) == json.dumps(f.default), f.name
+        assert spelled == validate_config(write_minimal(tmp_path))
 
 
 class TestModelSelect:
@@ -541,6 +591,19 @@ class TestRunPipeline:
         _, config, _ = finished_run
         with pytest.raises(ValueError, match="unknown stages"):
             run_pipeline(config, stages=("polish",))
+
+    def test_stage_params_are_their_config_section(self, finished_run):
+        workdir, config, manifest = finished_run
+        sections = {"cca": "cca", "classify": "svm", "cotrain": "cotrain", "crf": "crf"}
+        assert set(manifest.stages) == set(STAGES)
+        for stage, record in manifest.stages.items():
+            section = sections.get(stage)
+            expected = {
+                f.name.removeprefix(f"{section}_"): getattr(config, f.name)
+                for f in dataclasses.fields(PipelineConfig)
+                if section and f.name.startswith(f"{section}_")
+            }
+            assert record["params"] == expected, stage
 
     def test_manifest_round_trip(self, finished_run):
         workdir, config, manifest = finished_run

@@ -25,7 +25,6 @@ __all__ = [
     "SeedSet",
     "SvmModel",
     "read_seeds",
-    "write_seeds",
     "resolve_seeds",
     "train_svm",
     "svm_objective",
@@ -77,15 +76,6 @@ def read_seeds(path: str | Path) -> SeedSet:
             else:
                 target.append(line.lower())
     return SeedSet.make(positives, negatives)
-
-
-def write_seeds(seeds: SeedSet, fh) -> None:
-    fh.write("[positive]\n")
-    for p in seeds.positives:
-        fh.write(p + "\n")
-    fh.write("[negative]\n")
-    for n in seeds.negatives:
-        fh.write(n + "\n")
 
 
 def resolve_seeds(

@@ -1,4 +1,4 @@
-"""Corpus ingestion: sentence segmentation, tokenization, vocabulary counts.
+"""Corpus ingestion: sentence segmentation and tokenization.
 
 Documents are streamed one at a time; nothing here ever needs the whole
 corpus in memory.  Segmentation and tokenization are deterministic,
@@ -12,21 +12,17 @@ from __future__ import annotations
 import re
 import string
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = [
     "Sentence",
-    "VocabStats",
     "word_shape",
     "tokenize",
     "segment_sentences",
-    "build_vocab",
     "read_corpus",
     "iter_sentences",
-    "write_token_stream",
     "DEFAULT_ABBREVIATIONS",
 ]
 
@@ -135,49 +131,6 @@ def segment_sentences(
     return sentences
 
 
-@dataclass
-class VocabStats:
-    """Lowercased token-type counts.
-
-    ``total_tokens`` is always the sum of the retained counts, so the
-    identity survives :meth:`top` truncation; merging partial stats from
-    parallel workers is associative and commutative.
-    """
-
-    counts: dict[str, int]
-    total_tokens: int
-
-    @classmethod
-    def empty(cls) -> "VocabStats":
-        return cls({}, 0)
-
-    def add_sentence(self, sentence: Sentence) -> None:
-        for tok in sentence.lowers():
-            self.counts[tok] = self.counts.get(tok, 0) + 1
-        self.total_tokens += len(sentence.tokens)
-
-    def merge(self, other: "VocabStats") -> "VocabStats":
-        merged = Counter(self.counts)
-        merged.update(other.counts)
-        return VocabStats(dict(merged), self.total_tokens + other.total_tokens)
-
-    def top(self, k: int) -> "VocabStats":
-        """The ``k`` most frequent types; cutoff ties break lexicographically."""
-        ranked = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-        return VocabStats(dict(ranked), sum(c for _, c in ranked))
-
-
-def build_vocab(sentences: Iterable[Sentence], top_k: int) -> VocabStats:
-    """Count lowercased token types over a sentence stream and keep the
-    ``top_k`` most frequent (fewer if the stream has fewer types)."""
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
-    stats = VocabStats.empty()
-    for sentence in sentences:
-        stats.add_sentence(sentence)
-    return stats.top(top_k)
-
-
 def read_corpus(path: str | Path) -> Iterator[tuple[str, str]]:
     """Yield ``(doc_id, text)`` pairs from a corpus location.
 
@@ -206,13 +159,3 @@ def iter_sentences(
     """Stream sentences from a corpus location, document by document."""
     for doc_id, text in read_corpus(path):
         yield from segment_sentences(text, doc_id=doc_id, abbreviations=abbreviations)
-
-
-def write_token_stream(sentences: Iterable[Sentence], fh) -> int:
-    """Write one line per sentence: doc_id, sentence index, then one token
-    per tab-separated field.  Returns the number of sentences written."""
-    count = 0
-    for s in sentences:
-        fh.write("\t".join([s.doc_id, str(s.index), *s.tokens]) + "\n")
-        count += 1
-    return count

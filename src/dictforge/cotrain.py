@@ -22,7 +22,6 @@ from .views import CONTEXT_POSITIONS, OccurrenceTable
 __all__ = [
     "Rule",
     "DecisionListState",
-    "rule_strength",
     "dl_cotrain",
     "dictionary_from_rules",
 ]
@@ -31,20 +30,6 @@ _UNLABELED = -1
 _NEG = 0
 _POS = 1
 _LABEL_NAMES = {_POS: "positive", _NEG: "negative"}
-
-
-def rule_strength(
-    count_match: int, count_total: int, smoothing: str = "none", alpha: float = 0.1
-) -> float:
-    """Precision estimate of a rule.  Unsmoothed by default; the add-alpha
-    variant shrinks one-off rules away from certainty."""
-    if count_total < 1:
-        raise ValueError("strength undefined for count_total = 0")
-    if smoothing == "none":
-        return count_match / count_total
-    if smoothing == "add-alpha":
-        return (count_match + alpha) / (count_total + 2 * alpha)
-    raise ValueError(f"unknown smoothing {smoothing!r}")
 
 
 @dataclass(frozen=True)
@@ -167,20 +152,12 @@ def _select_rules(
     label: int,
     limit: int,
     epsilon: float,
-    smoothing: str,
-    alpha: float,
 ) -> list[tuple[int, int, int, float]]:
     """Top ``limit`` new rules for one label: strength strictly above
     epsilon, ranked by count_match desc, ties by strength desc then by
     lexicographic condition."""
     match = matches[label]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if smoothing == "none":
-            strength = np.where(total >= 1, match / np.maximum(total, 1), -1.0)
-        else:
-            strength = np.where(
-                total >= 1, (match + alpha) / (np.maximum(total, 1) + 2 * alpha), -1.0
-            )
+    strength = np.where(total >= 1, match / np.maximum(total, 1), -1.0)
     qualifying = np.flatnonzero(
         (total >= 1) & (strength > epsilon) & (arrays.label == _UNLABELED)
     )
@@ -197,8 +174,6 @@ def dl_cotrain(
     seeds: SeedSet,
     m: int = 5,
     epsilon: float = 0.95,
-    smoothing: str = "none",
-    alpha: float = 0.1,
     max_iters: int | None = None,
 ) -> DecisionListState:
     """Run the alternating decision-list algorithm to a fixed point.
@@ -263,7 +238,7 @@ def dl_cotrain(
         added_ctx = []
         for label in (_POS, _NEG):
             for cid, cm, ct, strength in _select_rules(
-                total, matches, context, idx.bigrams, label, i * m, epsilon, smoothing, alpha
+                total, matches, context, idx.bigrams, label, i * m, epsilon
             ):
                 added_ctx.append(admit_context(cid, label, cm, ct, strength))
 
@@ -272,7 +247,7 @@ def dl_cotrain(
         added_sp = []
         for label in (_POS, _NEG):
             for cid, cm, ct, strength in _select_rules(
-                total, matches, spelling, idx.phrases, label, i * m, epsilon, smoothing, alpha
+                total, matches, spelling, idx.phrases, label, i * m, epsilon
             ):
                 added_sp.append(
                     admit_spelling(idx.phrases[cid], label, cm, ct, strength)

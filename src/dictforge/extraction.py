@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import Sentence, VocabStats
+from .corpus import Sentence
 
 __all__ = [
     "ExtractionPattern",
@@ -29,10 +29,8 @@ __all__ = [
     "extract_after_trigger",
     "extract_candidates",
     "aggregate_candidates",
-    "candidates_from_vocab",
     "parse_patterns",
     "load_patterns",
-    "load_chunks",
     "write_candidates",
     "read_candidates",
 ]
@@ -65,7 +63,8 @@ class ExtractionPattern:
 
     ``kind`` is "between" (uses ``left``/``right`` literals) or
     "after_trigger" (uses ``trigger``).  Literals are nonempty token
-    sequences; matching lowercases both sides unless ``case_sensitive``.
+    sequences.  Unless ``case_sensitive``, they are lowercased on
+    construction and matched against the lowercased sentence.
     """
 
     kind: str
@@ -84,6 +83,9 @@ class ExtractionPattern:
             raise ValueError("between pattern needs left and right literals")
         if self.kind == "after_trigger" and not self.trigger:
             raise ValueError("after_trigger pattern needs a trigger")
+        if not self.case_sensitive:
+            for name in ("left", "right", "trigger"):
+                object.__setattr__(self, name, tuple(w.lower() for w in getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -113,23 +115,17 @@ def _is_punct(text: str) -> bool:
     return not any(c.isalnum() for c in text)
 
 
-def _match_words(sentence: Sentence, pattern: ExtractionPattern) -> Sequence[str]:
-    if pattern.case_sensitive:
-        return sentence.tokens
-    return sentence.lowers()
-
-
-def _literal(words: Sequence[str], pattern: ExtractionPattern) -> tuple[str, ...]:
-    if pattern.case_sensitive:
-        return tuple(words)
-    return tuple(w.lower() for w in words)
-
-
-def _find_literal(words: Sequence[str], literal: tuple[str, ...], start: int = 0) -> Iterator[int]:
+def _find_literal(words: Sequence[str], literal: tuple[str, ...]) -> Iterator[int]:
+    """Start of every occurrence of ``literal``, overlapping ones included."""
     m = len(literal)
-    for i in range(start, len(words) - m + 1):
-        if tuple(words[i : i + m]) == literal:
+    first = literal[0]
+    for i in range(len(words) - m + 1):
+        if words[i] == first and tuple(words[i : i + m]) == literal:
             yield i
+
+
+def _phrase(tokens: Sequence[str], lower: Sequence[str], s: int, e: int) -> CandidatePhrase:
+    return CandidatePhrase(tuple(tokens[s:e]), " ".join(lower[s:e]))
 
 
 def extract_between(sentence: Sentence, pattern: ExtractionPattern) -> list[CandidatePhrase]:
@@ -141,9 +137,14 @@ def extract_between(sentence: Sentence, pattern: ExtractionPattern) -> list[Cand
     """
     if pattern.kind != "between":
         raise ValueError("extract_between needs a 'between' pattern")
-    words = _match_words(sentence, pattern)
-    left = _literal(pattern.left, pattern)
-    right = _literal(pattern.right, pattern)
+    return _between(sentence.tokens, sentence.lowers(), pattern)
+
+
+def _between(
+    tokens: Sequence[str], lower: Sequence[str], pattern: ExtractionPattern
+) -> list[CandidatePhrase]:
+    words = tokens if pattern.case_sensitive else lower
+    left, right = pattern.left, pattern.right
     out = []
     for i in _find_literal(words, left):
         gap_start = i + len(left)
@@ -151,22 +152,22 @@ def extract_between(sentence: Sentence, pattern: ExtractionPattern) -> list[Cand
             j = gap_start + gap
             if j + len(right) > len(words):
                 break
-            if tuple(words[j : j + len(right)]) == right:
-                span = sentence.tokens[gap_start:j]
-                if not any(_is_punct(t) for t in span):
-                    out.append(CandidatePhrase.from_tokens(span))
+            if words[j] == right[0] and tuple(words[j : j + len(right)]) == right:
+                if not any(_is_punct(t) for t in tokens[gap_start:j]):
+                    out.append(_phrase(tokens, lower, gap_start, j))
                 break  # nearest right literal decides; farther ones ignored
     return out
 
 
-def _conjunct_spans(sentence: Sentence, start: int, pattern: ExtractionPattern) -> list[tuple[int, int]]:
+def _conjunct_spans(
+    tokens: Sequence[str], lower: Sequence[str], start: int, max_len: int
+) -> list[tuple[int, int]]:
     """Noun-phrase-like spans after position ``start``.
 
     Skips leading stopwords, collects non-stopword non-punctuation tokens
-    up to max_phrase_len, and continues across "," / "and" / "or" so a
+    up to ``max_len``, and continues across "," / "and" / "or" so a
     coordinated list yields one span per conjunct.
     """
-    lower = sentence.lowers()
     n = len(lower)
     spans = []
     i = start
@@ -174,12 +175,7 @@ def _conjunct_spans(sentence: Sentence, start: int, pattern: ExtractionPattern) 
         while i < n and lower[i] in STOPWORDS and lower[i] not in _COORDINATORS:
             i += 1
         s = i
-        while (
-            i < n
-            and lower[i] not in STOPWORDS
-            and not _is_punct(sentence.tokens[i])
-            and i - s < pattern.max_phrase_len
-        ):
+        while i < n and lower[i] not in STOPWORDS and not _is_punct(tokens[i]) and i - s < max_len:
             i += 1
         if i > s:
             spans.append((s, i))
@@ -190,54 +186,23 @@ def _conjunct_spans(sentence: Sentence, start: int, pattern: ExtractionPattern) 
     return spans
 
 
-def extract_after_trigger(
-    sentence: Sentence,
-    pattern: ExtractionPattern,
-    chunks: dict[tuple[str, int], list[tuple[int, int]]] | None = None,
-) -> list[CandidatePhrase]:
-    """Noun-phrase-like candidates following each trigger occurrence.
-
-    When ``chunks`` provides externally annotated chunk spans for this
-    sentence (keyed by (doc_id, sentence index)), spans starting right
-    after the trigger override the built-in heuristic: the chunk at the
-    trigger end is taken, and further chunks separated only by
-    coordinators continue the list.
-    """
+def extract_after_trigger(sentence: Sentence, pattern: ExtractionPattern) -> list[CandidatePhrase]:
+    """Noun-phrase-like candidates following each trigger occurrence."""
     if pattern.kind != "after_trigger":
         raise ValueError("extract_after_trigger needs an 'after_trigger' pattern")
-    words = _match_words(sentence, pattern)
-    trigger = _literal(pattern.trigger, pattern)
-    out = []
-    sentence_chunks = None
-    if chunks is not None:
-        sentence_chunks = chunks.get((sentence.doc_id, sentence.index))
-    for i in _find_literal(words, trigger):
-        after = i + len(trigger)
-        if sentence_chunks is not None:
-            spans = _chunk_spans(sentence, after, sentence_chunks)
-        else:
-            spans = _conjunct_spans(sentence, after, pattern)
-        for s, e in spans:
-            if e - s <= pattern.max_phrase_len:
-                out.append(CandidatePhrase.from_tokens(sentence.tokens[s:e]))
-    return out
+    return _after_trigger(sentence.tokens, sentence.lowers(), pattern)
 
 
-def _chunk_spans(sentence: Sentence, start: int, chunk_list: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    lower = sentence.lowers()
-    by_start = {s: (s, e) for s, e in chunk_list}
-    spans = []
-    pos = start
-    while pos in by_start:
-        span = by_start[pos]
-        spans.append(span)
-        pos = span[1]
-        # continue only across a coordinated list
-        while pos < len(lower) and lower[pos] in _COORDINATORS:
-            pos += 1
-        if pos == span[1]:
-            break
-    return spans
+def _after_trigger(
+    tokens: Sequence[str], lower: Sequence[str], pattern: ExtractionPattern
+) -> list[CandidatePhrase]:
+    trigger = pattern.trigger
+    words = tokens if pattern.case_sensitive else lower
+    return [
+        _phrase(tokens, lower, s, e)
+        for i in _find_literal(words, trigger)
+        for s, e in _conjunct_spans(tokens, lower, i + len(trigger), pattern.max_phrase_len)
+    ]
 
 
 def aggregate_candidates(matches: Iterable[CandidatePhrase]) -> list[CandidatePhrase]:
@@ -261,36 +226,18 @@ def aggregate_candidates(matches: Iterable[CandidatePhrase]) -> list[CandidatePh
 
 
 def extract_candidates(
-    sentences: Iterable[Sentence],
-    patterns: Sequence[ExtractionPattern],
-    chunks: dict[tuple[str, int], list[tuple[int, int]]] | None = None,
+    sentences: Iterable[Sentence], patterns: Sequence[ExtractionPattern]
 ) -> list[CandidatePhrase]:
-    """Run every pattern over the sentence stream and aggregate."""
+    """Run every pattern over the sentence stream and aggregate; each
+    sentence is lowercased once for all patterns."""
 
     def matches() -> Iterator[CandidatePhrase]:
         for sentence in sentences:
+            tokens, lower = sentence.tokens, sentence.lowers()
             for p in patterns:
-                if p.kind == "between":
-                    yield from extract_between(sentence, p)
-                else:
-                    yield from extract_after_trigger(sentence, p, chunks)
+                yield from (_between if p.kind == "between" else _after_trigger)(tokens, lower, p)
 
     return aggregate_candidates(matches())
-
-
-def candidates_from_vocab(vocab: VocabStats) -> list[CandidatePhrase]:
-    """Single-word candidates from vocabulary types (word-embedding mode).
-
-    Types without any alphabetic character (bare punctuation, numbers) are
-    skipped.  Sorted like :func:`aggregate_candidates`.
-    """
-    out = [
-        CandidatePhrase((w,), w, c)
-        for w, c in vocab.counts.items()
-        if any(ch.isalpha() for ch in w)
-    ]
-    out.sort(key=lambda c: (-c.freq, c.lower))
-    return out
 
 
 def parse_patterns(lines: Iterable[str]) -> list[ExtractionPattern]:
@@ -300,74 +247,68 @@ def parse_patterns(lines: Iterable[str]) -> list[ExtractionPattern]:
         after diagnosed with | max_len=4
         between the ... virus | case_sensitive
 
-    "between" splits its literals at the "..." placeholder; "after" (or
-    "after_trigger") takes the rest of the line as the trigger.  Options
-    follow a "|": ``max_len=N`` and ``case_sensitive``.  Blank lines and
-    ``#`` comments are ignored.
+    "between" splits its literals at the one "..." placeholder it must
+    hold; "after" (or "after_trigger") takes the rest of the line as the
+    trigger.  Options follow a "|": ``max_len=N`` and ``case_sensitive``.
+    Blank lines and ``#`` comments are ignored.  A malformed line raises
+    ``ValueError`` prefixed with ``line N:``.
     """
     patterns = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        body, _, opts = line.partition("|")
-        fields = body.split()
-        kind, rest = fields[0], fields[1:]
-        max_len = 5
-        case_sensitive = False
-        for opt in opts.split():
-            if opt.startswith("max_len="):
-                max_len = int(opt.split("=", 1)[1])
-            elif opt == "case_sensitive":
-                case_sensitive = True
-            else:
-                raise ValueError(f"line {lineno}: unknown option {opt!r}")
-        if kind == "between":
-            if "..." not in rest:
-                raise ValueError(f"line {lineno}: between pattern needs '...'")
-            cut = rest.index("...")
-            patterns.append(
-                ExtractionPattern(
-                    "between",
-                    left=tuple(rest[:cut]),
-                    right=tuple(rest[cut + 1 :]),
-                    max_phrase_len=max_len,
-                    case_sensitive=case_sensitive,
-                )
-            )
-        elif kind in ("after", "after_trigger"):
-            patterns.append(
-                ExtractionPattern(
-                    "after_trigger",
-                    trigger=tuple(rest),
-                    max_phrase_len=max_len,
-                    case_sensitive=case_sensitive,
-                )
-            )
-        else:
-            raise ValueError(f"line {lineno}: unknown pattern kind {kind!r}")
+        if line:
+            try:
+                patterns.append(_parse_line(line))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     if not patterns:
         raise ValueError("no patterns declared")
     return patterns
 
 
+def _parse_line(line: str) -> ExtractionPattern:
+    body, _, opts = line.partition("|")
+    fields = body.split()
+    if not fields:
+        raise ValueError("missing pattern kind")
+    kind, rest = fields[0], fields[1:]
+    max_len = 5
+    case_sensitive = False
+    for opt in opts.split():
+        if opt.startswith("max_len="):
+            value = opt.split("=", 1)[1]
+            try:
+                max_len = int(value)
+            except ValueError:
+                raise ValueError(f"max_len needs an integer, got {value!r}") from None
+        elif opt == "case_sensitive":
+            case_sensitive = True
+        else:
+            raise ValueError(f"unknown option {opt!r}")
+    if kind == "between":
+        if rest.count("...") != 1:
+            raise ValueError("between pattern needs exactly one '...'")
+        cut = rest.index("...")
+        return ExtractionPattern(
+            "between",
+            left=tuple(rest[:cut]),
+            right=tuple(rest[cut + 1 :]),
+            max_phrase_len=max_len,
+            case_sensitive=case_sensitive,
+        )
+    if kind in ("after", "after_trigger"):
+        return ExtractionPattern(
+            "after_trigger",
+            trigger=tuple(rest),
+            max_phrase_len=max_len,
+            case_sensitive=case_sensitive,
+        )
+    raise ValueError(f"unknown pattern kind {kind!r}")
+
+
 def load_patterns(path: str | Path) -> list[ExtractionPattern]:
     with open(path, encoding="utf-8") as fh:
         return parse_patterns(fh)
-
-
-def load_chunks(path: str | Path) -> dict[tuple[str, int], list[tuple[int, int]]]:
-    """Sidecar chunk annotations: ``doc_id TAB sentence_index TAB start TAB end``
-    per line (token span, end exclusive), overriding the NP heuristic."""
-    chunks: dict[tuple[str, int], list[tuple[int, int]]] = defaultdict(list)
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            doc_id, idx, s, e = line.split("\t")
-            chunks[(doc_id, int(idx))].append((int(s), int(e)))
-    return dict(chunks)
 
 
 def write_candidates(candidates: Sequence[CandidatePhrase], fh) -> None:

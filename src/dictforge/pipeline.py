@@ -428,7 +428,6 @@ class _Runner:
     def stage_extract(self, tmp: Path) -> dict:
         patterns = load_patterns(self.config.patterns)
         cands = extract_candidates(self.sentences(), patterns)
-        cands = sorted(cands, key=lambda c: (-c.freq, c.lower))
         with open(tmp / "candidates.tsv", "w", encoding="utf-8") as fh:
             write_candidates(cands, fh)
         return {"candidates": len(cands), "patterns": len(patterns)}

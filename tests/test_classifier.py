@@ -1,6 +1,5 @@
 """Seed handling and the linear margin classifier."""
 
-import io
 import warnings
 
 import numpy as np
@@ -15,7 +14,6 @@ from dictforge.classifier import (
     resolve_seeds,
     svm_objective,
     train_svm,
-    write_seeds,
 )
 
 
@@ -50,10 +48,11 @@ class TestSeedSet:
 
     def test_file_roundtrip(self, tmp_path):
         seeds = SeedSet.make(["human immunodeficiency", "influenza"], ["mutant"])
-        buf = io.StringIO()
-        write_seeds(seeds, buf)
         p = tmp_path / "seeds.txt"
-        p.write_text(buf.getvalue(), encoding="utf-8")
+        p.write_text(
+            "[positive]\nhuman immunodeficiency\ninfluenza\n[negative]\nmutant\n",
+            encoding="utf-8",
+        )
         assert read_seeds(p) == seeds
 
     def test_file_with_comments(self, tmp_path):

@@ -1,22 +1,17 @@
-"""Segmentation, tokenization, and vocabulary counting."""
+"""Segmentation and tokenization."""
 
 import re
 import sys
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dictforge.corpus import (
-    Sentence,
-    VocabStats,
-    build_vocab,
     read_corpus,
     segment_sentences,
     tokenize,
     word_shape,
-    write_token_stream,
 )
 
 
@@ -164,53 +159,6 @@ class TestSegmentation:
         assert from_sentences == tokenize(doc)
 
 
-def sent(words, doc_id="d", index=0):
-    return Sentence(doc_id, index, tuple(words))
-
-
-class TestVocab:
-    def test_counts_match_counter_oracle(self):
-        sents = [sent(["a", "B", "b", "a"]), sent(["c", "A"], index=1)]
-        stats = build_vocab(sents, top_k=10)
-        oracle = Counter(t.lower() for s in sents for t in s.tokens)
-        assert stats.counts == dict(oracle)
-        assert stats.total_tokens == sum(oracle.values())
-
-    def test_top_k_tie_breaks_lexicographically(self):
-        stats = build_vocab([sent(["b", "b", "a", "a", "c"])], top_k=1)
-        assert stats.counts == {"a": 2}
-        assert stats.total_tokens == 2
-
-    def test_total_tracks_retained_counts_after_truncation(self):
-        stats = build_vocab([sent(["a", "a", "b", "c"])], top_k=2)
-        assert stats.counts == {"a": 2, "b": 1}
-        assert stats.total_tokens == 3
-
-    def test_rejects_nonpositive_k(self):
-        with pytest.raises(ValueError):
-            build_vocab([], top_k=0)
-
-    @given(
-        st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=30),
-        st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=30),
-    )
-    def test_merge_equals_combined_pass(self, left, right):
-        a = build_vocab([sent(left)] if left else [], top_k=100)
-        b = build_vocab([sent(right)] if right else [], top_k=100)
-        merged = a.merge(b)
-        combined = build_vocab(
-            ([sent(left)] if left else []) + ([sent(right, index=1)] if right else []),
-            top_k=100,
-        )
-        assert merged.counts == combined.counts
-        assert merged.total_tokens == combined.total_tokens
-
-    def test_merge_is_commutative(self):
-        a = VocabStats({"x": 2, "y": 1}, 3)
-        b = VocabStats({"y": 4, "z": 1}, 5)
-        assert a.merge(b) == b.merge(a)
-
-
 class TestCorpusIO:
     def test_file_is_one_document_per_line(self, tmp_path):
         p = tmp_path / "corpus.txt"
@@ -234,11 +182,3 @@ class TestCorpusIO:
         p.write_text("café menu\n", encoding="utf-8")  # decomposed accent
         (_, text), = read_corpus(p)
         assert "café" in text
-
-    def test_token_stream_format(self, tmp_path):
-        import io
-
-        out = io.StringIO()
-        n = write_token_stream([sent(["Hi", "there", "."])], out)
-        assert n == 1
-        assert out.getvalue() == "d\t0\tHi\tthere\t.\n"

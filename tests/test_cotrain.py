@@ -11,7 +11,6 @@ from dictforge.cotrain import (
     Rule,
     dictionary_from_rules,
     dl_cotrain,
-    rule_strength,
 )
 from dictforge.views import BOUNDARY, CandidateOccurrence, Locator, intern_occurrences
 
@@ -32,26 +31,6 @@ def table(rows):
     return intern_occurrences(
         [o.phrase_lower for o in rows], [o.left_context + o.right_context for o in rows]
     )
-
-
-class TestRuleStrength:
-    def test_plain_precision(self):
-        assert rule_strength(95, 100) == pytest.approx(0.95)
-
-    def test_one_of_one(self):
-        assert rule_strength(1, 1) == 1.0
-        assert rule_strength(1, 1, smoothing="add-alpha") < 1.0
-        assert rule_strength(1, 1, smoothing="add-alpha", alpha=0.1) == pytest.approx(
-            1.1 / 1.2
-        )
-
-    def test_zero_total_undefined(self):
-        with pytest.raises(ValueError):
-            rule_strength(0, 0)
-
-    def test_unknown_smoothing(self):
-        with pytest.raises(ValueError):
-            rule_strength(1, 2, smoothing="laplace-ish")
 
 
 def clean_collection():

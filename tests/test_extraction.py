@@ -12,16 +12,13 @@ from dictforge.extraction import (
     CandidatePhrase,
     ExtractionPattern,
     aggregate_candidates,
-    candidates_from_vocab,
     extract_after_trigger,
     extract_between,
     extract_candidates,
-    load_chunks,
     parse_patterns,
     read_candidates,
     write_candidates,
 )
-from dictforge.corpus import VocabStats
 
 THE_VIRUS = ExtractionPattern("between", left=("the",), right=("virus",))
 
@@ -64,6 +61,10 @@ class TestBetween:
         got = extract_between(sent("The Influenza Virus spread"), THE_VIRUS)
         assert lowers(got) == ["influenza"]
         assert got[0].tokens == ("Influenza",)
+
+    def test_mixed_case_literals_match_lowercase_text(self):
+        p = ExtractionPattern("between", left=("The",), right=("VIRUS",))
+        assert lowers(extract_between(sent("the flu virus"), p)) == ["flu"]
 
     def test_case_sensitive_mode(self):
         p = ExtractionPattern(
@@ -115,14 +116,12 @@ class TestAfterTrigger:
         )
         assert lowers(got) == ["malaria", "cholera"]
 
-    def test_chunk_sidecar_overrides_heuristic(self, tmp_path):
-        s = segment_sentences("patients with late stage kidney disease", doc_id="d")[0]
-        # heuristic alone would not know the span; sidecar pins tokens 2..6
-        p = tmp_path / "chunks.tsv"
-        p.write_text("d\t0\t2\t6\n", encoding="utf-8")
-        chunks = load_chunks(p)
-        got = extract_after_trigger(s, PATIENTS, chunks=chunks)
-        assert lowers(got) == ["late stage kidney disease"]
+    def test_overlapping_trigger_occurrences_each_match(self):
+        of_of = ExtractionPattern("after_trigger", trigger=("of", "of"))
+        s = sent("cases of of of measles rose")
+        assert lowers(extract_after_trigger(s, of_of)) == ["measles rose", "measles rose"]
+        (c,) = extract_candidates([s], [of_of])
+        assert (c.lower, c.freq) == ("measles rose", 2)
 
 
 class TestAggregate:
@@ -224,13 +223,21 @@ class TestPatternParsing:
         assert p.case_sensitive
 
     def test_rejects_bad_lines(self):
-        with pytest.raises(ValueError):
-            parse_patterns(["between the virus"])  # missing ...
-        with pytest.raises(ValueError):
-            parse_patterns(["blorp the ... virus"])
-        with pytest.raises(ValueError):
-            parse_patterns(["after x | shiny"])
-        with pytest.raises(ValueError):
+        for line in [
+            "between the virus",  # missing ...
+            "between the ... ... virus",  # a second ...
+            "between ... virus",  # no left literal
+            "between the ...",  # no right literal
+            "after",  # no trigger
+            "blorp the ... virus",
+            "after x | shiny",
+            "| max_len=3",  # no pattern kind
+            "after x | max_len=abc",
+            "after x | max_len=0",
+        ]:
+            with pytest.raises(ValueError, match=r"^line 2: "):
+                parse_patterns(["# first", line])
+        with pytest.raises(ValueError, match="no patterns declared"):
             parse_patterns(["# nothing declared"])
 
 
@@ -253,11 +260,3 @@ class TestCandidateIO:
         got = read_candidates(p)
         assert [(c.lower, c.freq) for c in got] == [("influenza", 2), ("hepatitis b", 1)]
         assert got[1].tokens == ("hepatitis", "b")
-
-
-class TestVocabCandidates:
-    def test_skips_nonalpha_types(self):
-        vocab = VocabStats({"virus": 5, ".": 9, "3.5": 2, "b2": 1}, 17)
-        got = candidates_from_vocab(vocab)
-        assert lowers(got) == ["virus", "b2"]
-        assert [c.freq for c in got] == [5, 1]

@@ -84,7 +84,8 @@ class FeatureConfig:
         """Parse a comma-separated flag list such as "baseline,dict,emb".
 
         "baseline" turns on the lexical families and label bigrams; "dict",
-        "emb", and "prev2" add the corresponding extras.
+        "emb", and "prev2" add the corresponding extras.  "prev2" widens
+        the label bigrams, so it needs "baseline".
         """
         base = {f: False for f in cls.__dataclass_fields__}
         for flag in flags.split(","):
@@ -109,6 +110,8 @@ class FeatureConfig:
                 base["prev2"] = True
             else:
                 raise ValueError(f"unknown feature flag {flag!r}")
+        if base["prev2"] and not base["prev_tags"]:
+            raise ValueError("feature flag 'prev2' needs 'baseline' (its label bigrams)")
         return cls(**base)
 
 

@@ -14,12 +14,12 @@ lowercase form and is independent of stream order.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import Sentence
+from .corpus import Sentence, tokenize
 
 __all__ = [
     "ExtractionPattern",
@@ -88,27 +88,12 @@ class ExtractionPattern:
                 object.__setattr__(self, name, tuple(w.lower() for w in getattr(self, name)))
 
 
-@dataclass(frozen=True)
-class CandidatePhrase:
-    """A candidate phrase: surface tokens plus corpus frequency.
+class CandidatePhrase(NamedTuple):
+    """A candidate phrase, lowercased, with its corpus frequency: one
+    ``candidates.tsv`` row."""
 
-    Per-sentence extraction emits freq=1 matches with the surface form at
-    the match site; aggregation sums frequencies and keeps the most common
-    casing as the representative surface.
-    """
-
-    tokens: tuple[str, ...]
     lower: str
-    freq: int = 1
-
-    @classmethod
-    def from_tokens(cls, tokens: Sequence[str], freq: int = 1) -> "CandidatePhrase":
-        toks = tuple(tokens)
-        return cls(toks, " ".join(t.lower() for t in toks), freq)
-
-    @property
-    def rare(self) -> bool:
-        return self.freq < 2
+    freq: int
 
 
 def _is_punct(text: str) -> bool:
@@ -124,12 +109,8 @@ def _find_literal(words: Sequence[str], literal: tuple[str, ...]) -> Iterator[in
             yield i
 
 
-def _phrase(tokens: Sequence[str], lower: Sequence[str], s: int, e: int) -> CandidatePhrase:
-    return CandidatePhrase(tuple(tokens[s:e]), " ".join(lower[s:e]))
-
-
-def extract_between(sentence: Sentence, pattern: ExtractionPattern) -> list[CandidatePhrase]:
-    """Phrases strictly between the left and right literals.
+def extract_between(sentence: Sentence, pattern: ExtractionPattern) -> list[str]:
+    """Lowercase phrases strictly between the left and right literals.
 
     Each left-literal occurrence pairs with the nearest following right
     literal; the gap must be 1..max_phrase_len tokens and contain no
@@ -142,7 +123,7 @@ def extract_between(sentence: Sentence, pattern: ExtractionPattern) -> list[Cand
 
 def _between(
     tokens: Sequence[str], lower: Sequence[str], pattern: ExtractionPattern
-) -> list[CandidatePhrase]:
+) -> list[str]:
     words = tokens if pattern.case_sensitive else lower
     left, right = pattern.left, pattern.right
     out = []
@@ -154,7 +135,7 @@ def _between(
                 break
             if words[j] == right[0] and tuple(words[j : j + len(right)]) == right:
                 if not any(_is_punct(t) for t in tokens[gap_start:j]):
-                    out.append(_phrase(tokens, lower, gap_start, j))
+                    out.append(" ".join(lower[gap_start:j]))
                 break  # nearest right literal decides; farther ones ignored
     return out
 
@@ -186,8 +167,8 @@ def _conjunct_spans(
     return spans
 
 
-def extract_after_trigger(sentence: Sentence, pattern: ExtractionPattern) -> list[CandidatePhrase]:
-    """Noun-phrase-like candidates following each trigger occurrence."""
+def extract_after_trigger(sentence: Sentence, pattern: ExtractionPattern) -> list[str]:
+    """Lowercase noun-phrase-like candidates following each trigger occurrence."""
     if pattern.kind != "after_trigger":
         raise ValueError("extract_after_trigger needs an 'after_trigger' pattern")
     return _after_trigger(sentence.tokens, sentence.lowers(), pattern)
@@ -195,34 +176,24 @@ def extract_after_trigger(sentence: Sentence, pattern: ExtractionPattern) -> lis
 
 def _after_trigger(
     tokens: Sequence[str], lower: Sequence[str], pattern: ExtractionPattern
-) -> list[CandidatePhrase]:
+) -> list[str]:
     trigger = pattern.trigger
     words = tokens if pattern.case_sensitive else lower
     return [
-        _phrase(tokens, lower, s, e)
+        " ".join(lower[s:e])
         for i in _find_literal(words, trigger)
         for s, e in _conjunct_spans(tokens, lower, i + len(trigger), pattern.max_phrase_len)
     ]
 
 
-def aggregate_candidates(matches: Iterable[CandidatePhrase]) -> list[CandidatePhrase]:
-    """Merge matches by lowercase form.
-
-    Frequencies are summed; the representative surface is the most common
-    casing (ties broken lexicographically), so the result is independent
-    of stream order.  Sorted by frequency descending, then lowercase form.
-    """
-    freq: dict[str, int] = defaultdict(int)
-    casings: dict[str, Counter] = defaultdict(Counter)
-    for m in matches:
-        freq[m.lower] += m.freq
-        casings[m.lower][m.tokens] += m.freq
-    out = []
-    for lower, f in freq.items():
-        surface = min(casings[lower].items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        out.append(CandidatePhrase(surface, lower, f))
-    out.sort(key=lambda c: (-c.freq, c.lower))
-    return out
+def aggregate_candidates(matches: Iterable[str]) -> list[CandidatePhrase]:
+    """Count matches by lowercase form, sorted by frequency descending,
+    then form, so the result is independent of stream order."""
+    counts = Counter(matches)
+    return sorted(
+        (CandidatePhrase(lower, freq) for lower, freq in counts.items()),
+        key=lambda c: (-c.freq, c.lower),
+    )
 
 
 def extract_candidates(
@@ -231,7 +202,7 @@ def extract_candidates(
     """Run every pattern over the sentence stream and aggregate; each
     sentence is lowercased once for all patterns."""
 
-    def matches() -> Iterator[CandidatePhrase]:
+    def matches() -> Iterator[str]:
         for sentence in sentences:
             tokens, lower = sentence.tokens, sentence.lowers()
             for p in patterns:
@@ -249,9 +220,11 @@ def parse_patterns(lines: Iterable[str]) -> list[ExtractionPattern]:
 
     "between" splits its literals at the one "..." placeholder it must
     hold; "after" (or "after_trigger") takes the rest of the line as the
-    trigger.  Options follow a "|": ``max_len=N`` and ``case_sensitive``.
-    Blank lines and ``#`` comments are ignored.  A malformed line raises
-    ``ValueError`` prefixed with ``line N:``.
+    trigger.  Each literal is tokenized like the corpus, so punctuation at
+    a word's edge is a token of its own: "after viruses, e.g." matches the
+    sentence tokens "viruses , e.g .".  Options follow a "|": ``max_len=N``
+    and ``case_sensitive``.  Blank lines and ``#`` comments are ignored.  A
+    malformed line raises ``ValueError`` prefixed with ``line N:``.
     """
     patterns = []
     for lineno, raw in enumerate(lines, start=1):
@@ -291,19 +264,23 @@ def _parse_line(line: str) -> ExtractionPattern:
         cut = rest.index("...")
         return ExtractionPattern(
             "between",
-            left=tuple(rest[:cut]),
-            right=tuple(rest[cut + 1 :]),
+            left=_literal(rest[:cut]),
+            right=_literal(rest[cut + 1 :]),
             max_phrase_len=max_len,
             case_sensitive=case_sensitive,
         )
     if kind in ("after", "after_trigger"):
         return ExtractionPattern(
             "after_trigger",
-            trigger=tuple(rest),
+            trigger=_literal(rest),
             max_phrase_len=max_len,
             case_sensitive=case_sensitive,
         )
     raise ValueError(f"unknown pattern kind {kind!r}")
+
+
+def _literal(words: Sequence[str]) -> tuple[str, ...]:
+    return tuple(tokenize(" ".join(words)))
 
 
 def load_patterns(path: str | Path) -> list[ExtractionPattern]:
@@ -325,5 +302,5 @@ def read_candidates(path: str | Path) -> list[CandidatePhrase]:
             if not line:
                 continue
             lower, freq = line.split("\t")
-            out.append(CandidatePhrase(tuple(lower.split(" ")), lower, int(freq)))
+            out.append(CandidatePhrase(lower, int(freq)))
     return out

@@ -132,8 +132,6 @@ class PipelineConfig:
     cca_k: int = 30
     cca_kappa: float | None = 1e-4
     cca_seed: int = 0
-    cca_oversample: int = 10
-    cca_power_iters: int = 4
     # classify grid; embedding dimensions are prefixes of one cca solve
     svm_c_grid: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0)
     svm_k_grid: tuple[int, ...] = (10, 20, 30)
@@ -183,8 +181,6 @@ _KEYS = {
         "k": (int, _POSITIVE),
         "kappa": (_kappa, _POSITIVE),
         "seed": (int, _NONNEG),
-        "oversample": (int, _POSITIVE),
-        "power_iters": (int, _NONNEG),
     },
     "svm": {
         "c_grid": (_grid(float), _POSITIVE),
@@ -440,7 +436,7 @@ class _Runner:
         with open(tmp / "views.Z.npz", "wb") as fh:
             write_triplets(views.Z, fh)
         with open(tmp / "views.occurrences.tsv", "w", encoding="utf-8") as fh:
-            write_occurrences(views.occurrences, fh)
+            write_occurrences(views.rows, fh)
         return {
             "occurrences": views.n,
             "d_spelling": views.X.shape[1],
@@ -456,8 +452,6 @@ class _Runner:
             summary,
             k=cfg.cca_k,
             kappa=cfg.cca_kappa,
-            oversample=cfg.cca_oversample,
-            power_iters=cfg.cca_power_iters,
             seed=cfg.cca_seed,
         )
         model.save(tmp / "cca.model.npz")

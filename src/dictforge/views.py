@@ -28,12 +28,9 @@ from .tagging import PhraseSet, match_phrase_spans
 __all__ = [
     "BOUNDARY",
     "CONTEXT_POSITIONS",
-    "Locator",
-    "CandidateOccurrence",
     "OccurrenceTable",
     "ViewMatrices",
     "collect_occurrences",
-    "majority_caps_bits",
     "intern_occurrences",
     "build_design_matrices",
     "audit_dense_columns",
@@ -49,38 +46,19 @@ BOUNDARY = "⊥"
 CONTEXT_POSITIONS = (-3, -2, -1, 1, 2, 3)
 
 
-@dataclass(frozen=True, order=True)
-class Locator:
-    doc_id: str
-    sentence_index: int
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
-class CandidateOccurrence:
-    """One corpus instance of a candidate phrase.
-
-    Context windows are lowercased, never cross the sentence boundary, and
-    are padded with :data:`BOUNDARY` to exactly three tokens per side.
-    """
-
-    phrase_lower: str
-    surface: tuple[str, ...]
-    left_context: tuple[str, str, str]
-    right_context: tuple[str, str, str]
-    locator: Locator
-
-
 def collect_occurrences(
     sentences: Iterable[Sentence],
     candidates: Sequence[CandidatePhrase],
-) -> Iterator[CandidateOccurrence]:
-    """Maximal non-overlapping candidate matches with their contexts.
+) -> Iterator[tuple]:
+    """Maximal non-overlapping candidate matches with their contexts, as
+    ``views.occurrences.tsv`` rows: doc_id, sentence index, token span,
+    phrase, space-joined surface, then the six context words.
 
     Matching is :func:`~dictforge.tagging.match_phrase_spans` on lowercased
     tokens: the longest candidate wins at each position, and scanning left
-    to right makes ties resolve leftmost.
+    to right makes ties resolve leftmost.  Context windows are lowercased,
+    never cross the sentence boundary, and are padded with
+    :data:`BOUNDARY` to exactly three tokens per side.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
@@ -89,27 +67,12 @@ def collect_occurrences(
         low = sentence.lowers()
         n = len(low)
         for i, j, key in match_phrase_spans(low, phrases, case_sensitive=True):
-            yield CandidateOccurrence(
-                phrase_lower=" ".join(key),
-                surface=sentence.tokens[i:j],
-                left_context=tuple([BOUNDARY] * (3 - min(3, i)) + low[max(0, i - 3) : i]),
-                right_context=tuple(low[j : j + 3] + [BOUNDARY] * (3 - min(3, n - j))),
-                locator=Locator(sentence.doc_id, sentence.index, i, j),
+            yield (
+                sentence.doc_id, sentence.index, i, j,
+                " ".join(key), " ".join(sentence.tokens[i:j]),
+                *[BOUNDARY] * (3 - min(3, i)), *low[max(0, i - 3) : i],
+                *low[j : j + 3], *[BOUNDARY] * (3 - min(3, n - j)),
             )
-
-
-def majority_caps_bits(occurrences: Iterable[CandidateOccurrence]) -> dict[str, int]:
-    """Capitalization bit per phrase: 1 iff a strict majority of its
-    occurrences start with an uppercase character (ties give 0), so every
-    instance of a phrase shares one spelling row."""
-    upper: dict[str, int] = {}
-    total: dict[str, int] = {}
-    for occ in occurrences:
-        key = occ.phrase_lower
-        total[key] = total.get(key, 0) + 1
-        if occ.surface and occ.surface[0][:1].isupper():
-            upper[key] = upper.get(key, 0) + 1
-    return {k: int(2 * upper.get(k, 0) > total[k]) for k in total}
 
 
 @dataclass(eq=False)
@@ -162,12 +125,12 @@ def intern_occurrences(
 @dataclass
 class ViewMatrices:
     """Aligned sparse design matrices, the interned table they index and
-    the occurrences in row order."""
+    the :func:`collect_occurrences` rows in row order."""
 
     X: sp.csr_matrix
     Z: sp.csr_matrix
     table: OccurrenceTable
-    occurrences: list[CandidateOccurrence]
+    rows: list[tuple]
 
     @property
     def n(self) -> int:
@@ -178,39 +141,41 @@ def _indicators(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> s
     return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape, dtype=np.float64)
 
 
-def build_design_matrices(occurrences: Iterable[CandidateOccurrence]) -> ViewMatrices:
-    """One aligned row pair per occurrence, rows ordered by locator so the
-    result is independent of stream order.
+def build_design_matrices(rows: Iterable[tuple]) -> ViewMatrices:
+    """One aligned row pair per :func:`collect_occurrences` row, ordered
+    by locator (doc_id, sentence index, span) so the result is independent
+    of stream order.
 
     Spelling columns are the phrase identities, then one capitalization
-    column set on every row of a phrase with a majority-capitalized
-    surface, so every instance of a phrase shares one spelling row.
-    Context columns are the (position, word) slots that occur in this
-    build, so every context column is set by some row.  Identity and slot
-    columns are in order of first appearance.  An empty stream is an error
-    (downstream decompositions are undefined on zero observations).
+    column set on every row of a phrase whose surface starts uppercase in
+    a strict majority of its occurrences (ties give 0), so every instance
+    of a phrase shares one spelling row.  Context columns are the
+    (position, word) slots that occur in this build, so every context
+    column is set by some row.  Identity and slot columns are in order of
+    first appearance.  An empty stream is an error (downstream
+    decompositions are undefined on zero observations).
     """
-    occs = sorted(occurrences, key=lambda o: o.locator)
-    if not occs:
+    rows = sorted(rows, key=lambda row: row[:4])
+    if not rows:
         raise ValueError("no candidate occurrences: design matrices are empty")
-    table = intern_occurrences(
-        (o.phrase_lower for o in occs), (o.left_context + o.right_context for o in occs)
-    )
-    caps_bit = majority_caps_bits(occs)
-    capped = np.array([caps_bit[p] for p in table.phrases], dtype=bool)[table.phrase_ids]
-    rows = np.arange(table.n)
+    table = intern_occurrences((row[4] for row in rows), (row[6:] for row in rows))
+    upper = np.array([row[5][:1].isupper() for row in rows], dtype=np.float64)
     d1 = len(table.phrases) + 1
+    votes = np.bincount(table.phrase_ids, weights=upper, minlength=d1 - 1)
+    totals = np.bincount(table.phrase_ids, minlength=d1 - 1)
+    capped = (2 * votes > totals)[table.phrase_ids]
+    r = np.arange(table.n)
     X = _indicators(
-        np.concatenate([rows, rows[capped]]),
+        np.concatenate([r, r[capped]]),
         np.concatenate([table.phrase_ids, np.full(capped.sum(), d1 - 1)]),
         (table.n, d1),
     )
     Z = _indicators(
-        np.repeat(rows, len(CONTEXT_POSITIONS)),
+        np.repeat(r, len(CONTEXT_POSITIONS)),
         table.context_ids.ravel(),
         (table.n, len(table.contexts)),
     )
-    return ViewMatrices(X=X, Z=Z, table=table, occurrences=occs)
+    return ViewMatrices(X=X, Z=Z, table=table, rows=rows)
 
 
 def audit_dense_columns(matrix: sp.spmatrix, exempt: set[int] = frozenset()) -> list[int]:
@@ -229,15 +194,11 @@ def read_triplets(path: str | Path) -> sp.csr_matrix:
     return sp.load_npz(path).tocsr()
 
 
-def write_occurrences(occurrences: Sequence[CandidateOccurrence], fh) -> None:
-    """One row per occurrence: doc_id, sentence index, token span, phrase,
-    space-joined surface, then the six context words.  Tokens never contain
-    whitespace, so the joins are lossless."""
-    for occ in occurrences:
-        loc = occ.locator
-        fields = [loc.doc_id, str(loc.sentence_index), str(loc.start), str(loc.end),
-                  occ.phrase_lower, " ".join(occ.surface), *occ.left_context, *occ.right_context]
-        fh.write("\t".join(fields) + "\n")
+def write_occurrences(rows: Iterable[tuple], fh) -> None:
+    """One tab-joined line per :func:`collect_occurrences` row.  Tokens
+    never contain whitespace, so the joins are lossless."""
+    for row in rows:
+        fh.write("\t".join(map(str, row)) + "\n")
 
 
 def read_occurrences(path: str | Path) -> OccurrenceTable:

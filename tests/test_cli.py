@@ -102,6 +102,22 @@ class TestRunCommand:
         assert "cca.kappa: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_prev2_without_baseline_exits_2(self, bench, tmp_path, capsys):
+        root, sc, paths = bench
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[inputs]\n"
+            f"corpus = {paths['corpus']}\n"
+            f"patterns = {paths['patterns']}\n"
+            f"seeds = {paths['seeds']}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+            "[crf]\nfeatures = dict,prev2\n",
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+        assert "crf.features: feature flag 'prev2' needs 'baseline'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_stage_error_exits_1(self, bench, tmp_path, capsys):
         root, sc, paths = bench
         cfg = tmp_path / "run.cfg"
@@ -244,6 +260,15 @@ class TestCrfCommands:
                     "--lambda-grid", "0.1,1", "--out", str(tmp_path / "m.npz"),
                 ]
             )
+
+    def test_prev2_without_baseline_exits_1(self, bench, tmp_path, capsys):
+        root, sc, paths = bench
+        model = tmp_path / "m.npz"
+        argv = ["crf", "train", "--data", str(root / "tiny.conll"),
+                "--features", "prev2", "--out", str(model)]
+        assert main(argv) == 1
+        assert "'prev2' needs 'baseline'" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_dict_feature_needs_dict_flag(self, bench, tmp_path):
         root, sc, paths = bench

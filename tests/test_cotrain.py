@@ -12,25 +12,18 @@ from dictforge.cotrain import (
     dictionary_from_rules,
     dl_cotrain,
 )
-from dictforge.views import BOUNDARY, CandidateOccurrence, Locator, intern_occurrences
+from dictforge.views import BOUNDARY, CONTEXT_POSITIONS, intern_occurrences
 
 
 def occ(phrase, left, right, row):
-    left = tuple(left) if len(left) == 3 else (BOUNDARY,) * (3 - len(left)) + tuple(left)
-    right = tuple(right) if len(right) == 3 else tuple(right) + (BOUNDARY,) * (3 - len(right))
-    return CandidateOccurrence(
-        phrase_lower=phrase,
-        surface=tuple(phrase.split(" ")),
-        left_context=left,
-        right_context=right,
-        locator=Locator("d", row, 0, 1),
-    )
+    """A ``views.occurrences.tsv`` row; short context sides are padded."""
+    left = (BOUNDARY,) * (3 - len(left)) + tuple(left)
+    right = tuple(right) + (BOUNDARY,) * (3 - len(right))
+    return ("d", row, 0, 1, phrase, phrase, *left, *right)
 
 
 def table(rows):
-    return intern_occurrences(
-        [o.phrase_lower for o in rows], [o.left_context + o.right_context for o in rows]
-    )
+    return intern_occurrences([o[4] for o in rows], [o[6:] for o in rows])
 
 
 def clean_collection():
@@ -80,12 +73,10 @@ class TestDlCotrain:
         oracle_total = Counter()
         oracle_match = Counter()
         for o in rows:
-            label = label_of.get(o.phrase_lower)
+            label = label_of.get(o[4])
             if label is None:
                 continue
-            items = list(zip((-3, -2, -1), o.left_context)) + list(
-                zip((1, 2, 3), o.right_context)
-            )
+            items = list(zip(CONTEXT_POSITIONS, o[6:]))
             for a in range(len(items)):
                 for b in range(a + 1, len(items)):
                     bg = ("bigram", items[a], items[b])
@@ -162,12 +153,10 @@ class TestDlCotrain:
         context_rules = state.context_rules
         for row, label in state.labeled.items():
             o = rows[row]
-            if o.phrase_lower in spelling_label:
-                assert spelling_label[o.phrase_lower] == label
+            if o[4] in spelling_label:
+                assert spelling_label[o[4]] == label
                 continue
-            items = set(
-                zip((-3, -2, -1), o.left_context)
-            ) | set(zip((1, 2, 3), o.right_context))
+            items = set(zip(CONTEXT_POSITIONS, o[6:]))
             matching = [
                 r
                 for r in context_rules

@@ -174,6 +174,11 @@ class TestExtractFeatures:
         assert cfg.dict_match and cfg.embedding and not cfg.prev2
         with pytest.raises(ValueError):
             FeatureConfig.from_flags("baseline,turbo")
+        # without baseline's label bigrams a prev2 chain has no transitions
+        for flags in ("prev2", "dict,prev2"):
+            with pytest.raises(ValueError, match="'prev2' needs 'baseline'"):
+                FeatureConfig.from_flags(flags)
+            assert FeatureConfig.from_flags("baseline," + flags).prev2
 
 
 FIXTURE = [

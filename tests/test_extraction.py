@@ -28,18 +28,14 @@ def sent(text):
     return s
 
 
-def lowers(candidates):
-    return [c.lower for c in candidates]
-
-
 class TestBetween:
     def test_single_word_gap(self):
         got = extract_between(sent("we studied the influenza virus in mice"), THE_VIRUS)
-        assert lowers(got) == ["influenza"]
+        assert got == ["influenza"]
 
     def test_multiword_gap(self):
         got = extract_between(sent("the human immunodeficiency virus replicates"), THE_VIRUS)
-        assert lowers(got) == ["human immunodeficiency"]
+        assert got == ["human immunodeficiency"]
 
     def test_empty_gap_excluded(self):
         assert extract_between(sent("the virus mutates"), THE_VIRUS) == []
@@ -55,28 +51,26 @@ class TestBetween:
 
     def test_nearest_right_literal_wins(self):
         got = extract_between(sent("the influenza virus and the measles virus"), THE_VIRUS)
-        assert lowers(got) == ["influenza", "measles"]
+        assert got == ["influenza", "measles"]
 
     def test_case_insensitive_by_default(self):
         got = extract_between(sent("The Influenza Virus spread"), THE_VIRUS)
-        assert lowers(got) == ["influenza"]
-        assert got[0].tokens == ("Influenza",)
+        assert got == ["influenza"]
 
     def test_mixed_case_literals_match_lowercase_text(self):
         p = ExtractionPattern("between", left=("The",), right=("VIRUS",))
-        assert lowers(extract_between(sent("the flu virus"), p)) == ["flu"]
+        assert extract_between(sent("the flu virus"), p) == ["flu"]
 
     def test_case_sensitive_mode(self):
         p = ExtractionPattern(
             "between", left=("the",), right=("virus",), case_sensitive=True
         )
         assert extract_between(sent("The Influenza Virus spread"), p) == []
-        assert lowers(extract_between(sent("it is the influenza virus"), p)) == ["influenza"]
+        assert extract_between(sent("it is the influenza virus"), p) == ["influenza"]
 
-    def test_surface_form_preserved(self):
+    def test_hyphenated_phrase_is_one_lowercase_token(self):
         got = extract_between(sent("we found the Epstein-Barr virus there"), THE_VIRUS)
-        assert got[0].tokens == ("Epstein-Barr",)
-        assert got[0].lower == "epstein-barr"
+        assert got == ["epstein-barr"]
 
 
 DIAGNOSED = ExtractionPattern("after_trigger", trigger=("diagnosed", "with"))
@@ -87,90 +81,59 @@ SUCH_AS = ExtractionPattern("after_trigger", trigger=("diseases", "such", "as"))
 class TestAfterTrigger:
     def test_simple_np(self):
         got = extract_after_trigger(sent("patients with cystic fibrosis were enrolled"), PATIENTS)
-        assert lowers(got) == ["cystic fibrosis"]
+        assert got == ["cystic fibrosis"]
 
     def test_coordination_splits_conjuncts(self):
         got = extract_after_trigger(sent("diseases such as measles, mumps and rubella"), SUCH_AS)
-        assert lowers(got) == ["measles", "mumps", "rubella"]
+        assert got == ["measles", "mumps", "rubella"]
 
     def test_stopword_only_span_excluded(self):
         assert extract_after_trigger(sent("patients with the"), PATIENTS) == []
 
     def test_leading_determiner_skipped(self):
         got = extract_after_trigger(sent("patients with the flu were rare"), PATIENTS)
-        assert lowers(got) == ["flu"]
+        assert got == ["flu"]
 
     def test_period_stops_the_list(self):
         got = extract_after_trigger(sent("he was diagnosed with malaria."), DIAGNOSED)
-        assert lowers(got) == ["malaria"]
+        assert got == ["malaria"]
 
     def test_max_len_truncates(self):
         p = ExtractionPattern("after_trigger", trigger=("diagnosed", "with"), max_phrase_len=2)
         got = extract_after_trigger(sent("diagnosed with acute viral hemorrhagic fever"), p)
-        assert lowers(got) == ["acute viral"]
+        assert got == ["acute viral"]
 
     def test_multiple_trigger_occurrences(self):
         got = extract_after_trigger(
             sent("patients with malaria were seen and patients with cholera were seen"),
             PATIENTS,
         )
-        assert lowers(got) == ["malaria", "cholera"]
+        assert got == ["malaria", "cholera"]
 
     def test_overlapping_trigger_occurrences_each_match(self):
         of_of = ExtractionPattern("after_trigger", trigger=("of", "of"))
         s = sent("cases of of of measles rose")
-        assert lowers(extract_after_trigger(s, of_of)) == ["measles rose", "measles rose"]
+        assert extract_after_trigger(s, of_of) == ["measles rose", "measles rose"]
         (c,) = extract_candidates([s], [of_of])
         assert (c.lower, c.freq) == ("measles rose", 2)
 
 
 class TestAggregate:
     def test_case_merge(self):
-        merged = aggregate_candidates(
-            [CandidatePhrase.from_tokens(["influenza"]), CandidatePhrase.from_tokens(["Influenza"])]
-        )
-        assert len(merged) == 1
-        assert merged[0].lower == "influenza"
-        assert merged[0].freq == 2
+        sentences = [sent("the influenza virus spread"), sent("the Influenza virus spread")]
+        assert extract_candidates(sentences, [THE_VIRUS]) == [CandidatePhrase("influenza", 2)]
 
     def test_empty_stream(self):
         assert aggregate_candidates([]) == []
 
     def test_sorted_by_freq_then_lower(self):
-        merged = aggregate_candidates(
-            [
-                CandidatePhrase.from_tokens(["b"]),
-                CandidatePhrase.from_tokens(["a"]),
-                CandidatePhrase.from_tokens(["b"]),
-                CandidatePhrase.from_tokens(["c"]),
-                CandidatePhrase.from_tokens(["a"]),
-            ]
-        )
-        assert lowers(merged) == ["a", "b", "c"]
-        assert [c.freq for c in merged] == [2, 2, 1]
+        merged = aggregate_candidates(["b", "a", "b", "c", "a"])
+        assert merged == [("a", 2), ("b", 2), ("c", 1)]
 
-    def test_majority_casing_wins(self):
-        merged = aggregate_candidates(
-            [
-                CandidatePhrase.from_tokens(["HIV"]),
-                CandidatePhrase.from_tokens(["HIV"]),
-                CandidatePhrase.from_tokens(["hiv"]),
-            ]
-        )
-        assert merged[0].tokens == ("HIV",)
-
-    @given(st.permutations(["a", "B", "b", "C", "c", "c", "a", "A"]))
+    @given(st.permutations(["a", "b", "b", "c", "c", "c", "a", "a"]))
     def test_order_independent(self, words):
-        base = aggregate_candidates(
-            CandidatePhrase.from_tokens([w]) for w in ["a", "B", "b", "C", "c", "c", "a", "A"]
-        )
-        permuted = aggregate_candidates(CandidatePhrase.from_tokens([w]) for w in words)
-        assert permuted == base
-
-    def test_rare_flag(self):
-        merged = aggregate_candidates([CandidatePhrase.from_tokens(["x"])])
-        assert merged[0].rare
-        assert not CandidatePhrase.from_tokens(["y"], freq=2).rare
+        base = aggregate_candidates(["a", "b", "b", "c", "c", "c", "a", "a"])
+        assert aggregate_candidates(words) == base
 
 
 class TestDriver:
@@ -213,6 +176,13 @@ class TestPatternParsing:
         assert pats[1].max_phrase_len == 4
         assert pats[2].kind == "after_trigger"
 
+    def test_literals_tokenized_like_the_corpus(self):
+        (after, between) = parse_patterns(["after viruses, e.g.", "between (the ... virus)"])
+        assert after.trigger == ("viruses", ",", "e.g", ".")
+        assert extract_after_trigger(sent("viruses, e.g. measles rose"), after) == ["measles rose"]
+        assert (between.left, between.right) == (("(", "the"), ("virus", ")"))
+        assert extract_between(sent("a strain (the zika virus) spread"), between) == ["zika"]
+
     def test_multiword_literals(self):
         (p,) = parse_patterns(["between a strain of ... virus family"])
         assert p.left == ("a", "strain", "of")
@@ -243,13 +213,7 @@ class TestPatternParsing:
 
 class TestCandidateIO:
     def test_roundtrip(self):
-        cands = aggregate_candidates(
-            [
-                CandidatePhrase.from_tokens(["Epstein-Barr"]),
-                CandidatePhrase.from_tokens(["influenza"]),
-                CandidatePhrase.from_tokens(["influenza"]),
-            ]
-        )
+        cands = aggregate_candidates(["epstein-barr", "influenza", "influenza"])
         buf = io.StringIO()
         write_candidates(cands, buf)
         assert buf.getvalue() == "influenza\t2\nepstein-barr\t1\n"
@@ -258,5 +222,4 @@ class TestCandidateIO:
         p = tmp_path / "candidates.tsv"
         p.write_text("influenza\t2\nhepatitis b\t1\n", encoding="utf-8")
         got = read_candidates(p)
-        assert [(c.lower, c.freq) for c in got] == [("influenza", 2), ("hepatitis b", 1)]
-        assert got[1].tokens == ("hepatitis", "b")
+        assert got == [CandidatePhrase("influenza", 2), CandidatePhrase("hepatitis b", 1)]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -237,10 +238,16 @@ class TestValidateConfig:
         reached = [_field(sec, key) for sec, keys in _KEYS.items() for key in keys]
         assert sorted(reached) == sorted(f.name for f in dataclasses.fields(PipelineConfig))
 
+    def test_readme_key_table_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | default | accepts |\n", 1)[1].split("\n\n", 1)[0]
+        listed = re.findall(r"^\| `(\w+\.\w+)` \|", table, flags=re.M)
+        assert listed == [f"{sec}.{key}" for sec, keys in _KEYS.items() for key in keys]
+
     def test_every_key_at_its_default_gives_the_defaults(self, tmp_path):
         path = write_minimal(
             tmp_path,
-            cca=["k = 30", "kappa = 1e-4", "seed = 0", "oversample = 10", "power_iters = 4"],
+            cca=["k = 30", "kappa = 1e-4", "seed = 0"],
             svm=["c_grid = 1e-4 1e-3 1e-2 0.1 1 10 100", "k_grid = 10 20 30",
                  "threshold_grid = 0"],
             cotrain=["m = 5", "epsilon = 0.95", "theta_grid = 0.5 0.6 0.7 0.8 0.9 1"],
@@ -374,13 +381,12 @@ class TestRunPipeline:
         X = read_triplets(out / "views.X.npz")
         lines = (out / "views.occurrences.tsv").read_text(encoding="utf-8").splitlines()
         assert [tuple(line.split("\t")[:4]) for line in lines] == [
-            (o.locator.doc_id, str(o.locator.sentence_index), str(o.locator.start),
-             str(o.locator.end)) for o in views.occurrences
+            tuple(map(str, row[:4])) for row in views.rows
         ]
         table = read_occurrences(out / "views.occurrences.tsv")
-        assert X.shape[0] == table.n == len(views.occurrences)
-        for i, occ in enumerate(views.occurrences):
-            assert X[i, table.phrases.index(occ.phrase_lower)] == 1.0
+        assert X.shape[0] == table.n == len(views.rows)
+        for i, row in enumerate(views.rows):
+            assert X[i, table.phrases.index(row[4])] == 1.0
 
     @pytest.mark.parametrize("stage", ["classify", "cotrain"])
     def test_classify_never_reads_the_corpus(self, finished_run, tmp_path, monkeypatch, stage):
@@ -451,7 +457,7 @@ class TestRunPipeline:
         cands = []
         for line in (out / "candidates.tsv").read_text(encoding="utf-8").splitlines():
             text, freq = line.split("\t")
-            cands.append(CandidatePhrase.from_tokens(text.split(" "), int(freq)))
+            cands.append(CandidatePhrase(text, int(freq)))
         occs = list(collect_occurrences(sents, cands))
         views = build_design_matrices(occs)
         model = CcaModel.load(out / "cca.model.npz")

@@ -66,7 +66,7 @@ def test_view_counters(tracer_module, tmp_path):
     from dictforge.extraction import CandidatePhrase
 
     sentences = segment_sentences("The flu spread. Ebola and flu are here.")
-    cands = [CandidatePhrase((w,), w, 1) for w in ("flu", "ebola")]
+    cands = [CandidatePhrase(w, 1) for w in ("flu", "ebola")]
     tracer = tracer_module.Tracer()
     tracer.install()
     try:

@@ -13,13 +13,10 @@ from dictforge.extraction import CandidatePhrase
 from dictforge.views import (
     BOUNDARY,
     CONTEXT_POSITIONS,
-    CandidateOccurrence,
-    Locator,
     audit_dense_columns,
     build_design_matrices,
     collect_occurrences,
     intern_occurrences,
-    majority_caps_bits,
     read_occurrences,
     read_triplets,
     write_occurrences,
@@ -28,7 +25,7 @@ from dictforge.views import (
 
 
 def cands(*lowers):
-    return [CandidatePhrase(tuple(l.split(" ")), l, 1) for l in lowers]
+    return [CandidatePhrase(l, 1) for l in lowers]
 
 
 def sents(*texts, doc="d"):
@@ -41,10 +38,9 @@ def sents(*texts, doc="d"):
 
 class TestCollect:
     def test_boundary_padding(self):
-        (occ,) = collect_occurrences(sents("chronic hepatitis b infection"), cands("hepatitis b"))
-        assert occ.left_context == (BOUNDARY, BOUNDARY, "chronic")
-        assert occ.right_context == ("infection", BOUNDARY, BOUNDARY)
-        assert occ.locator == Locator("d", 0, 1, 3)
+        (row,) = collect_occurrences(sents("chronic hepatitis b infection"), cands("hepatitis b"))
+        assert row == ("d", 0, 1, 3, "hepatitis b", "hepatitis b",
+                       BOUNDARY, BOUNDARY, "chronic", "infection", BOUNDARY, BOUNDARY)
 
     def test_longest_match_wins(self):
         got = list(
@@ -52,11 +48,11 @@ class TestCollect:
                 sents("chronic hepatitis b infection"), cands("hepatitis", "hepatitis b")
             )
         )
-        assert [o.phrase_lower for o in got] == ["hepatitis b"]
+        assert [row[4] for row in got] == ["hepatitis b"]
 
     def test_nonoverlapping_leftmost(self):
         got = list(collect_occurrences(sents("flu flu flu"), cands("flu", "flu flu")))
-        assert [(o.locator.start, o.locator.end) for o in got] == [(0, 2), (2, 3)]
+        assert [row[2:4] for row in got] == [(0, 2), (2, 3)]
 
     def test_match_counts_equal_plant_counts(self):
         rng = random.Random(3)
@@ -67,11 +63,8 @@ class TestCollect:
             n = rng.choice(names)
             planted[n] += 1
             corpus.append(f"the {n} virus appeared again")
-        got = list(collect_occurrences(sents(*corpus), cands(*names)))
-        seen = {}
-        for o in got:
-            seen[o.phrase_lower] = seen.get(o.phrase_lower, 0) + 1
-        assert seen == planted
+        got = collect_occurrences(sents(*corpus), cands(*names))
+        assert Counter(row[4] for row in got) == planted
 
     def test_nested_and_overlapping_candidates(self):
         got = list(
@@ -80,21 +73,20 @@ class TestCollect:
                 cands("hepatitis", "hepatitis b", "b virus"),
             )
         )
-        assert [(o.locator, o.phrase_lower, o.surface) for o in got] == [
-            (Locator("d", 0, 1, 3), "hepatitis b", ("hepatitis", "b")),
-            (Locator("d", 0, 5, 6), "hepatitis", ("Hepatitis",)),
-            (Locator("d", 1, 1, 3), "b virus", ("b", "virus")),
+        assert [row[:6] for row in got] == [
+            ("d", 0, 1, 3, "hepatitis b", "hepatitis b"),
+            ("d", 0, 5, 6, "hepatitis", "Hepatitis"),
+            ("d", 1, 1, 3, "b virus", "b virus"),
         ]
-        assert [o.left_context + o.right_context for o in got] == [
+        assert [row[6:] for row in got] == [
             (BOUNDARY, BOUNDARY, "chronic", "virus", ",", "hepatitis"),
             ("b", "virus", ",", "spread", BOUNDARY, BOUNDARY),
             (BOUNDARY, BOUNDARY, "the", BOUNDARY, BOUNDARY, BOUNDARY),
         ]
 
     def test_case_insensitive_matching_preserves_surface(self):
-        (occ,) = collect_occurrences(sents("Ebola spread fast"), cands("ebola"))
-        assert occ.surface == ("Ebola",)
-        assert occ.phrase_lower == "ebola"
+        (row,) = collect_occurrences(sents("Ebola spread fast"), cands("ebola"))
+        assert row[4:6] == ("ebola", "Ebola")
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
@@ -103,37 +95,33 @@ class TestCollect:
 
 def build_fixture():
     corpus = sents("the flu spread fast", "Flu and ebola are here", "no matches here")
-    occs = list(collect_occurrences(corpus, cands("flu", "ebola")))
-    return build_design_matrices(occs), occs
+    rows = list(collect_occurrences(corpus, cands("flu", "ebola")))
+    return build_design_matrices(rows), rows
 
 
-def window(occ):
-    return occ.left_context + occ.right_context
-
-
-def oracle_views(occs):
+def oracle_views(rows):
     """Per-row featurization by named columns: identities then the caps
     column for the spelling view, (position, word) slots for the context
     view, each in order of first appearance over locator-sorted rows."""
-    occs = sorted(occs, key=lambda o: o.locator)
-    upper, total = Counter(), Counter(o.phrase_lower for o in occs)
-    for o in occs:
-        upper[o.phrase_lower] += bool(o.surface and o.surface[0][:1].isupper())
+    rows = sorted(rows, key=lambda row: row[:4])
+    upper, total = Counter(), Counter(row[4] for row in rows)
+    for row in rows:
+        upper[row[4]] += row[5][0].isupper()
     spelling, context = {}, {}
-    for o in occs:
-        spelling.setdefault(("id", o.phrase_lower), len(spelling))
-        for item in zip(CONTEXT_POSITIONS, window(o)):
+    for row in rows:
+        spelling.setdefault(("id", row[4]), len(spelling))
+        for item in zip(CONTEXT_POSITIONS, row[6:]):
             context.setdefault(("ctx", *item), len(context))
     spelling[("caps",)] = len(spelling)
-    X = np.zeros((len(occs), len(spelling)))
-    Z = np.zeros((len(occs), len(context)))
-    for r, o in enumerate(occs):
-        X[r, spelling[("id", o.phrase_lower)]] = 1.0
-        if 2 * upper[o.phrase_lower] > total[o.phrase_lower]:
+    X = np.zeros((len(rows), len(spelling)))
+    Z = np.zeros((len(rows), len(context)))
+    for r, row in enumerate(rows):
+        X[r, spelling[("id", row[4])]] = 1.0
+        if 2 * upper[row[4]] > total[row[4]]:
             X[r, spelling[("caps",)]] = 1.0
-        for item in zip(CONTEXT_POSITIONS, window(o)):
+        for item in zip(CONTEXT_POSITIONS, row[6:]):
             Z[r, context[("ctx", *item)]] = 1.0
-    return X, Z, spelling, context, occs
+    return X, Z, spelling, context, rows
 
 
 def assert_tables_equal(a, b):
@@ -146,13 +134,10 @@ def assert_tables_equal(a, b):
 words = st.sampled_from(["the", "flu", "spread", "a", ",", BOUNDARY])
 occurrence_lists = st.lists(
     st.builds(
-        lambda phrase, upper, left, right, doc, sent, start: CandidateOccurrence(
-            phrase,
-            tuple(((w[:1].upper() + w[1:]) if upper and i == 0 else w)
-                  for i, w in enumerate(phrase.split(" "))),
-            left,
-            right,
-            Locator(doc, sent, start, start + len(phrase.split(" "))),
+        lambda phrase, upper, left, right, doc, sent, start: (
+            doc, sent, start, start + len(phrase.split(" ")),
+            phrase, phrase[:1].upper() + phrase[1:] if upper else phrase,
+            *left, *right,
         ),
         st.sampled_from(["flu", "ebola", "hepatitis b", "zika"]),
         st.booleans(),
@@ -170,21 +155,22 @@ occurrence_lists = st.lists(
 class TestInterned:
     @given(occurrence_lists)
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_row_oracle(self, occs):
-        X, Z, spelling, context, rows = oracle_views(occs)
-        vm = build_design_matrices(occs)
+    def test_matches_per_row_oracle(self, rows):
+        X, Z, spelling, context, rows = oracle_views(rows)
+        vm = build_design_matrices(rows)
         np.testing.assert_array_equal(vm.X.toarray(), X)
         np.testing.assert_array_equal(vm.Z.toarray(), Z)
         assert vm.X.has_canonical_format and vm.Z.has_canonical_format
         table = vm.table
         assert table.phrases == [name[1] for name in spelling if name[0] == "id"]
         assert table.contexts == [name[1:] for name in context if name[0] == "ctx"]
-        assert [table.phrases[i] for i in table.phrase_ids] == [o.phrase_lower for o in rows]
+        assert vm.rows == rows
+        assert [table.phrases[i] for i in table.phrase_ids] == [row[4] for row in rows]
         assert [[table.contexts[i] for i in ids] for ids in table.context_ids] == [
-            list(zip(CONTEXT_POSITIONS, window(o))) for o in rows
+            list(zip(CONTEXT_POSITIONS, row[6:])) for row in rows
         ]
         assert_tables_equal(
-            table, intern_occurrences([o.phrase_lower for o in rows], map(window, rows))
+            table, intern_occurrences([row[4] for row in rows], [row[6:] for row in rows])
         )
 
     def test_first_rows(self):
@@ -212,14 +198,13 @@ class TestFeaturize:
         assert (vm.Z.data == 1.0).all()
 
     def test_majority_caps_ties_give_zero(self):
-        vm, occs = build_fixture()
+        vm, rows = build_fixture()
         # "flu" seen once lowercase, once capitalized: tie, bit stays 0
-        assert majority_caps_bits(occs) == {"flu": 0, "ebola": 0}
         assert vm.X[:, -1].nnz == 0
-        bits = majority_caps_bits(
-            occs + [CandidateOccurrence("flu", ("FLU",), occs[0].left_context, occs[0].right_context, Locator("e", 0, 0, 1))]
-        )
-        assert bits["flu"] == 1
+        vm = build_design_matrices(rows + [("e", 0, 0, 1, "flu", "FLU", *rows[0][6:])])
+        flu = vm.table.phrases.index("flu")
+        caps = vm.X[:, -1].toarray().ravel()
+        assert caps.tolist() == [float(p == flu) for p in vm.table.phrase_ids]
 
 
 class TestDesignMatrices:
@@ -231,31 +216,28 @@ class TestDesignMatrices:
         assert vm.Z.shape == (3, 14)
 
     def test_shapes_match_set_oracle(self):
-        vm, occs = build_fixture()
-        pairs = set()
-        for o in occs:
-            pairs.update(zip((-3, -2, -1), o.left_context))
-            pairs.update(zip((1, 2, 3), o.right_context))
+        vm, rows = build_fixture()
+        pairs = {item for row in rows for item in zip(CONTEXT_POSITIONS, row[6:])}
         assert vm.Z.shape[1] == len(pairs)
-        assert vm.X.shape[1] == len({o.phrase_lower for o in occs}) + 1
+        assert vm.X.shape[1] == len({row[4] for row in rows}) + 1
 
     def test_same_phrase_same_spelling_row(self):
         vm, _ = build_fixture()
         # rows 0 and 1 are both "flu" (with differing casing in the corpus)
-        assert vm.occurrences[0].phrase_lower == vm.occurrences[1].phrase_lower
+        assert vm.rows[0][4] == vm.rows[1][4]
         np.testing.assert_array_equal(vm.X[0].toarray(), vm.X[1].toarray())
         assert (vm.Z[0] != vm.Z[1]).nnz > 0
 
     def test_rows_sorted_by_locator(self):
         vm, _ = build_fixture()
-        locs = [o.locator for o in vm.occurrences]
+        locs = [row[:4] for row in vm.rows]
         assert locs == sorted(locs)
 
     def test_order_independent(self):
-        _, occs = build_fixture()
-        shuffled = list(occs)
+        _, rows = build_fixture()
+        shuffled = list(rows)
         random.Random(0).shuffle(shuffled)
-        a = build_design_matrices(occs)
+        a = build_design_matrices(rows)
         b = build_design_matrices(shuffled)
         assert (a.X != b.X).nnz == 0
         assert (a.Z != b.Z).nnz == 0
@@ -265,12 +247,11 @@ class TestDesignMatrices:
         with pytest.raises(ValueError):
             build_design_matrices([])
 
-    def test_word_mode_dimension(self):
+    def test_single_word_candidates_dimension(self):
         corpus = sents("alpha beta gamma", "beta gamma delta")
-        vocab_words = ["alpha", "beta", "gamma", "delta"]
-        occs = list(collect_occurrences(corpus, cands(*vocab_words)))
-        vm = build_design_matrices(occs)
-        assert vm.X.shape == (6, len(vocab_words) + 1)
+        words = ["alpha", "beta", "gamma", "delta"]
+        vm = build_design_matrices(collect_occurrences(corpus, cands(*words)))
+        assert vm.X.shape == (6, len(words) + 1)
 
     def test_dense_columns_modulo_reserved(self):
         vm, _ = build_fixture()
@@ -296,15 +277,14 @@ class TestViewIO:
         vm = build_design_matrices(
             collect_occurrences(corpus, cands("flu", "ebola", "hepatitis b"))
         )
-        assert ("Hepatitis", "B") in [o.surface for o in vm.occurrences]
-        assert any(BOUNDARY in window(o) for o in vm.occurrences)
+        assert "Hepatitis B" in [row[5] for row in vm.rows]
+        assert any(BOUNDARY in row[6:] for row in vm.rows)
         p = tmp_path / "rows.tsv"
         with open(p, "w", encoding="utf-8") as fh:
-            write_occurrences(vm.occurrences, fh)
+            write_occurrences(vm.rows, fh)
         lines = p.read_text(encoding="utf-8").splitlines()
-        assert [tuple(line.split("\t")[:4]) for line in lines] == [
-            (o.locator.doc_id, str(o.locator.sentence_index), str(o.locator.start),
-             str(o.locator.end)) for o in vm.occurrences
+        assert [tuple(line.split("\t")) for line in lines] == [
+            tuple(map(str, row)) for row in vm.rows
         ]
         assert_tables_equal(read_occurrences(p), vm.table)
 

@@ -79,6 +79,10 @@ class FeatureConfig:
     dict_match: bool = False
     embedding: bool = False
 
+    def __post_init__(self):
+        if self.prev2 and not self.prev_tags:
+            raise ValueError("feature flag 'prev2' needs 'baseline' (its label bigrams)")
+
     @classmethod
     def from_flags(cls, flags: str) -> "FeatureConfig":
         """Parse a comma-separated flag list such as "baseline,dict,emb".
@@ -110,8 +114,6 @@ class FeatureConfig:
                 base["prev2"] = True
             else:
                 raise ValueError(f"unknown feature flag {flag!r}")
-        if base["prev2"] and not base["prev_tags"]:
-            raise ValueError("feature flag 'prev2' needs 'baseline' (its label bigrams)")
         return cls(**base)
 
 

@@ -179,6 +179,9 @@ class TestExtractFeatures:
             with pytest.raises(ValueError, match="'prev2' needs 'baseline'"):
                 FeatureConfig.from_flags(flags)
             assert FeatureConfig.from_flags("baseline," + flags).prev2
+        # the rule holds however the config is built, e.g. from a model file
+        with pytest.raises(ValueError, match="'prev2' needs 'baseline'"):
+            FeatureConfig(prev_tags=False, prev2=True)
 
 
 FIXTURE = [

@@ -156,7 +156,7 @@ class TestInterned:
     @given(occurrence_lists)
     @settings(max_examples=60, deadline=None)
     def test_matches_per_row_oracle(self, rows):
-        X, Z, spelling, context, rows = oracle_views(rows)
+        X, Z, spelling, context, ordered = oracle_views(rows)
         vm = build_design_matrices(rows)
         np.testing.assert_array_equal(vm.X.toarray(), X)
         np.testing.assert_array_equal(vm.Z.toarray(), Z)
@@ -164,13 +164,14 @@ class TestInterned:
         table = vm.table
         assert table.phrases == [name[1] for name in spelling if name[0] == "id"]
         assert table.contexts == [name[1:] for name in context if name[0] == "ctx"]
-        assert vm.rows == rows
-        assert [table.phrases[i] for i in table.phrase_ids] == [row[4] for row in rows]
+        assert vm.rows == ordered
+        assert [table.phrases[i] for i in table.phrase_ids] == [row[4] for row in ordered]
         assert [[table.contexts[i] for i in ids] for ids in table.context_ids] == [
-            list(zip(CONTEXT_POSITIONS, row[6:])) for row in rows
+            list(zip(CONTEXT_POSITIONS, row[6:])) for row in ordered
         ]
         assert_tables_equal(
-            table, intern_occurrences([row[4] for row in rows], [row[6:] for row in rows])
+            table,
+            intern_occurrences([row[4] for row in ordered], [row[6:] for row in ordered]),
         )
 
     def test_first_rows(self):

@@ -4,6 +4,7 @@ the tagger, the benchmark generator, and the sequence model."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import nullcontext
 from itertools import islice
@@ -21,11 +22,13 @@ from .crf import (
 )
 from .cca import read_embeddings
 from .pipeline import (
+    _KEYS,
     PipelineConfigError,
     StageError,
     run_pipeline,
     select_crf,
     validate_config,
+    _violation,
 )
 from .synth import SynthSpec, generate
 from .tagging import (
@@ -39,12 +42,13 @@ __all__ = ["main"]
 
 
 def _parse_lambda_grid(text: str) -> tuple[float, ...]:
-    """Either an explicit list ("0.01,0.1,1") or a decade range
-    ("1e-4..10") expanded one order of magnitude at a time."""
+    """Either an explicit list ("0.01,0.1,1"), parsed and checked like the
+    ``crf.lambda_grid`` config key, or a decade range ("1e-4..10") of
+    finite positive bounds expanded one order of magnitude at a time."""
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = float(lo_s), float(hi_s)
-        if lo <= 0 or hi < lo:
+        if not 0 < lo <= hi < math.inf:
             raise ValueError(f"bad grid range: {text!r}")
         vals = []
         v = lo
@@ -52,9 +56,11 @@ def _parse_lambda_grid(text: str) -> tuple[float, ...]:
             vals.append(v)
             v *= 10
         return tuple(vals)
-    vals = tuple(float(v) for v in text.replace(",", " ").split())
-    if not vals:
-        raise ValueError("empty grid")
+    parse, check = _KEYS["crf"]["lambda_grid"]
+    vals = parse(text)
+    for v in vals:
+        if (why := _violation(v, check)) is not None:
+            raise ValueError(f"bad grid value: {why} (got {v})")
     return vals
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "segment_sentences",
     "read_corpus",
     "iter_sentences",
-    "DEFAULT_ABBREVIATIONS",
 ]
 
 # Shape classes for a token's capitalization pattern.
@@ -74,19 +73,17 @@ def tokenize(sentence_text: str) -> list[str]:
     return _TOKEN.findall(sentence_text)
 
 
-def _default_abbreviations() -> frozenset[str]:
-    common = {
+# Chunks (lowercased, period included) after which a period never ends a
+# sentence; single initials ("J. Smith") among them.
+_ABBREVIATIONS = frozenset(
+    {
         "dr.", "mr.", "mrs.", "ms.", "prof.", "st.", "jr.", "sr.",
         "fig.", "figs.", "eq.", "eqs.", "ref.", "refs.", "no.", "nos.",
         "e.g.", "i.e.", "al.", "etc.", "vs.", "cf.", "ca.", "approx.",
         "spp.", "sp.", "var.",
     }
-    # Single initials ("J. Smith") never end a sentence.
-    common.update(f"{c}." for c in string.ascii_lowercase)
-    return frozenset(common)
-
-
-DEFAULT_ABBREVIATIONS = _default_abbreviations()
+    | {f"{c}." for c in string.ascii_lowercase}
+)
 
 # A run of terminators followed by whitespace; group 1 is the character
 # after the whitespace.
@@ -101,16 +98,12 @@ def _word_before(document: str, pos: int) -> str:
     return document[i:pos]
 
 
-def segment_sentences(
-    document: str,
-    doc_id: str = "",
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
-) -> list[Sentence]:
+def segment_sentences(document: str, doc_id: str = "") -> list[Sentence]:
     """Split a document at ``[.?!]`` runs followed by whitespace and an
     uppercase letter or digit, then tokenize each sentence.
 
     A trailing-period split is suppressed when the chunk ending at the
-    period (lowercased, period included) is in the abbreviation stoplist.
+    period (lowercased, period included) is in ``_ABBREVIATIONS``.
     Empty or whitespace-only input yields an empty list.
     """
     boundaries = [0]
@@ -119,7 +112,7 @@ def segment_sentences(
         if not (after.isupper() or after.isdigit()):
             continue
         run = m.group()
-        if "?" in run or "!" in run or _word_before(document, m.end()).lower() not in abbreviations:
+        if "?" in run or "!" in run or _word_before(document, m.end()).lower() not in _ABBREVIATIONS:
             boundaries.append(m.end())
     boundaries.append(len(document))
 
@@ -152,10 +145,7 @@ def read_corpus(path: str | Path) -> Iterator[tuple[str, str]]:
         raise FileNotFoundError(f"corpus path does not exist: {path}")
 
 
-def iter_sentences(
-    path: str | Path,
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
-) -> Iterator[Sentence]:
+def iter_sentences(path: str | Path) -> Iterator[Sentence]:
     """Stream sentences from a corpus location, document by document."""
     for doc_id, text in read_corpus(path):
-        yield from segment_sentences(text, doc_id=doc_id, abbreviations=abbreviations)
+        yield from segment_sentences(text, doc_id=doc_id)

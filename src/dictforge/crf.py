@@ -1,10 +1,12 @@
-"""First-order linear-chain conditional tagger over {B, I, O}.
+"""Linear-chain conditional tagger over {B, I, O}.
 
 Emission features are label-independent observations conjoined with the
-label at scoring time; transitions are label-bigram indicators (optionally
-label trigrams via a composite-state expansion).  Training maximizes the
-L2-regularized conditional log-likelihood with exact gradients from the
-forward-backward recursions, run in log space.
+label at scoring time; transitions are label-bigram indicators, plus
+label-trigram indicators with prev2.  The chain's states are the label
+histories the transitions read, (label,) or (previous label, label), so
+one state space serves both orders and inference stays exact.  Training
+maximizes the L2-regularized conditional log-likelihood with exact
+gradients from the forward-backward recursions, run in log space.
 
 A sentence list is compiled once into a sparse token×observation matrix
 X, so the emissions of every token are one product X @ W and the emission
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -63,58 +66,37 @@ _LABEL_IDX = {lab: i for i, lab in enumerate(LABELS)}
 class FeatureConfig:
     """Which feature families the tagger extracts.
 
-    The lexical families plus label bigrams form the baseline tagger;
-    dict_match and embedding consume external artifacts.  prev2 widens the
-    label history to two tags by expanding the chain over composite
-    (previous label, label) states, which keeps inference exact.
+    baseline is the lexical families (lowercased word, capitalization
+    shape, prefixes and suffixes up to four characters, the words two either
+    side and the five-token shape pattern) plus label bigrams.  dict_match
+    and embedding consume external artifacts.  prev2 adds label trigrams by
+    widening the chain's states to (previous label, label) pairs, so it
+    needs baseline's label bigrams.
     """
 
-    word_identity: bool = True
-    caps_lexical: bool = True
-    prefix_suffix: bool = True
-    window_words: bool = True
-    window_caps_pattern: bool = True
-    prev_tags: bool = True
+    baseline: bool = True
     prev2: bool = False
     dict_match: bool = False
     embedding: bool = False
 
     def __post_init__(self):
-        if self.prev2 and not self.prev_tags:
+        if self.prev2 and not self.baseline:
             raise ValueError("feature flag 'prev2' needs 'baseline' (its label bigrams)")
 
     @classmethod
     def from_flags(cls, flags: str) -> "FeatureConfig":
-        """Parse a comma-separated flag list such as "baseline,dict,emb".
-
-        "baseline" turns on the lexical families and label bigrams; "dict",
-        "emb", and "prev2" add the corresponding extras.  "prev2" widens
-        the label bigrams, so it needs "baseline".
-        """
-        base = {f: False for f in cls.__dataclass_fields__}
-        for flag in flags.split(","):
-            flag = flag.strip()
-            if not flag:
-                continue
-            if flag == "baseline":
-                for name in (
-                    "word_identity",
-                    "caps_lexical",
-                    "prefix_suffix",
-                    "window_words",
-                    "window_caps_pattern",
-                    "prev_tags",
-                ):
-                    base[name] = True
-            elif flag == "dict":
-                base["dict_match"] = True
-            elif flag == "emb":
-                base["embedding"] = True
-            elif flag == "prev2":
-                base["prev2"] = True
-            else:
+        """Parse a comma-separated flag list such as "baseline,dict,emb";
+        each flag turns on one field (see _FLAGS) and the rest are off."""
+        on = set()
+        for flag in filter(None, (f.strip() for f in flags.split(","))):
+            if flag not in _FLAGS:
                 raise ValueError(f"unknown feature flag {flag!r}")
-        return cls(**base)
+            on.add(_FLAGS[flag])
+        return cls(**{name: name in on for name in cls.__dataclass_fields__})
+
+
+# feature flag -> the FeatureConfig field it turns on
+_FLAGS = {"baseline": "baseline", "dict": "dict_match", "emb": "embedding", "prev2": "prev2"}
 
 
 class SentinelEmbeddings:
@@ -173,28 +155,21 @@ def _observations(
 ) -> list[dict[str, float]]:
     """Label-independent feature values, one mapping per token."""
     n = len(tokens)
-    lowers = [t.lower() for t in tokens]
-    shapes = [word_shape(t) for t in tokens]
     rows: list[dict[str, float]] = [{} for _ in range(n)]
-    for i in range(n):
-        feats = rows[i]
-        if config.word_identity:
-            feats[f"w={lowers[i]}"] = 1.0
-        if config.caps_lexical:
+    if config.baseline:
+        lowers = [t.lower() for t in tokens]
+        shapes = [word_shape(t) for t in tokens]
+        for i, (low, feats) in enumerate(zip(lowers, rows)):
+            feats[f"w={low}"] = 1.0
             feats[f"caps={shapes[i]}"] = 1.0
-        if config.prefix_suffix:
-            for length in range(1, min(4, len(lowers[i])) + 1):
-                feats[f"pre{length}={lowers[i][:length]}"] = 1.0
-                feats[f"suf{length}={lowers[i][-length:]}"] = 1.0
-        if config.window_words:
+            for length in range(1, min(4, len(low)) + 1):
+                feats[f"pre{length}={low[:length]}"] = 1.0
+                feats[f"suf{length}={low[-length:]}"] = 1.0
             for off in (-2, -1, 1, 2):
                 j = i + off
-                word = lowers[j] if 0 <= j < n else BOUNDARY
-                feats[f"win{off:+d}={word}"] = 1.0
-        if config.window_caps_pattern:
+                feats[f"win{off:+d}={lowers[j] if 0 <= j < n else BOUNDARY}"] = 1.0
             pattern = "|".join(
-                shapes[i + off] if 0 <= i + off < n else BOUNDARY
-                for off in range(-2, 3)
+                shapes[j] if 0 <= j < n else BOUNDARY for j in range(i - 2, i + 3)
             )
             feats[f"wshape={pattern}"] = 1.0
     if config.dict_match:
@@ -242,14 +217,12 @@ def extract_features(
         raise IndexError(f"position {position} outside sentence")
     obs = _observations(tokens, config, _named_dicts(dictionaries), embeddings)
     out = {f"{name}|y={label}": v for name, v in obs[position].items()}
-    if config.prev_tags:
+    if config.baseline:
         if config.prev2:
-            two_back, prev = prev_label
+            two_back, prev_label = prev_label
             if position >= 1:
-                out[f"t2|{two_back}>{prev}>{label}"] = 1.0
-        else:
-            prev = prev_label
-        out[f"t|{prev}>{label}"] = 1.0
+                out[f"t2|{two_back}>{prev_label}>{label}"] = 1.0
+        out[f"t|{prev_label}>{label}"] = 1.0
     return out
 
 
@@ -360,6 +333,10 @@ class CrfModel:
             )
             for entry in meta["dictionaries"]
         )
+        if unknown := sorted(set(meta["config"]) - set(FeatureConfig.__dataclass_fields__)):
+            raise ValueError(
+                f"{path}: unknown feature config keys {', '.join(unknown)}; retrain the model"
+            )
         return cls(
             config=FeatureConfig(**meta["config"]),
             obs_names=list(meta["obs_names"]),
@@ -372,101 +349,58 @@ class CrfModel:
 
 
 def _trans_names(config: FeatureConfig) -> list[str]:
-    names: list[str] = []
-    if config.prev_tags:
-        for p in (START,) + LABELS:
-            for c in LABELS:
-                names.append(f"t|{p}>{c}")
-        if config.prev2:
-            for a in (START,) + LABELS:
-                for b in LABELS:
-                    for c in LABELS:
-                        names.append(f"t2|{a}>{b}>{c}")
+    if not config.baseline:
+        return []
+    prevs = (START,) + LABELS
+    names = [f"t|{p}>{c}" for p, c in product(prevs, LABELS)]
+    if config.prev2:
+        names += [f"t2|{a}>{b}>{c}" for a, b, c in product(prevs, LABELS, LABELS)]
     return names
 
 
 class _Chain:
     """State space of the label chain plus weight-to-score plumbing.
 
-    First order uses the three labels directly.  With prev2 the states are
-    (previous label, label) pairs ordered by (label, previous label), so
-    first-index argmax tie-breaking still prefers B over I over O in the
-    decoded sequence.
+    A state is the label history the transitions read: (label,) in first
+    order, (previous label, label) with prev2.  States are ordered by their
+    last label, so first-index argmax tie-breaking still prefers B over I
+    over O in the decoded sequence.  A move a -> b is valid when b's
+    history is a's shifted by one label, and a sentence begins in a state
+    whose history is all START.
     """
 
     def __init__(self, model: CrfModel):
-        self.model = model
         cfg = model.config
         self.n_obs = len(model.obs_names)
         self.offset = self.n_obs * len(LABELS)
-        if cfg.prev_tags and cfg.prev2:
-            prevs = (START,) + LABELS
-            self.states = sorted(
-                ((p, c) for p in prevs for c in LABELS),
-                key=lambda s: (_LABEL_IDX[s[1]], prevs.index(s[0])),
-            )
-            self.state_label = np.array([_LABEL_IDX[c] for _, c in self.states])
-        else:
-            self.states = list(LABELS)
-            self.state_label = np.arange(len(LABELS))
-        self.m = len(self.states)
+        history = [(START,) + LABELS] if cfg.prev2 else []
+        self.states = sorted(product(*history, LABELS), key=lambda s: _LABEL_IDX[s[-1]])
+        self.index = {s: i for i, s in enumerate(self.states)}
+        self.state_label = np.array([_LABEL_IDX[s[-1]] for s in self.states])
         # state -> label one-hot, so state marginals @ to_label are label marginals
         self.to_label = np.eye(len(LABELS))[self.state_label]
-        self._build_maps()
 
-    def _tid(self, name: str) -> int:
-        return self.offset + self.model.trans_index[name]
+        def tid(name: str) -> int:
+            return self.offset + model.trans_index[name]
 
-    def _build_maps(self):
-        cfg = self.model.config
-        m = self.m
-        # start_fids[s]: weight ids firing when the sentence begins in s
-        # (start_valid marks the states a sentence may begin in); the pair
-        # arrays and pair_fid_map list every valid transition with the
-        # weight ids it fires.
-        self.start_valid = np.zeros(m, dtype=bool)
-        start_fids: list[list[int]] = [[] for _ in range(m)]
-        rows, cols, fids = [], [], []
-        if cfg.prev_tags and cfg.prev2:
-            for si, (p, c) in enumerate(self.states):
-                if p == START:
-                    self.start_valid[si] = True
-                    start_fids[si].append(self._tid(f"t|{START}>{c}"))
-            for si, (p, c) in enumerate(self.states):
-                for sj, (p2, c2) in enumerate(self.states):
-                    if p2 != c:
-                        continue
-                    rows.append(si)
-                    cols.append(sj)
-                    fids.append(self._tid(f"t|{c}>{c2}"))
-                    rows.append(si)
-                    cols.append(sj)
-                    fids.append(self._tid(f"t2|{p}>{c}>{c2}"))
-        else:
-            self.start_valid[:] = True
-            if cfg.prev_tags:
-                for si, c in enumerate(self.states):
-                    start_fids[si].append(self._tid(f"t|{START}>{c}"))
-                for si, c in enumerate(self.states):
-                    for sj, c2 in enumerate(self.states):
-                        rows.append(si)
-                        cols.append(sj)
-                        fids.append(self._tid(f"t|{c}>{c2}"))
-        self.pair_rows = np.array(rows, dtype=int)
-        self.pair_cols = np.array(cols, dtype=int)
-        self.pair_fids = np.array(fids, dtype=int)
-        self.start_fids = start_fids
+        # start_fids[s] and pair_fid_map[a, b]: the weight ids firing when
+        # a sentence begins in s and on the valid move a -> b
+        self.start_valid = np.array([all(p == START for p in s[:-1]) for s in self.states])
+        self.start_fids = [
+            [tid(f"t|{START}>{s[-1]}")] if ok and cfg.baseline else []
+            for s, ok in zip(self.states, self.start_valid)
+        ]
+        self.valid = np.array([[b[:-1] == a[1:] for b in self.states] for a in self.states])
         self.pair_fid_map: dict[tuple[int, int], list[int]] = {}
-        for a, b, fid in zip(rows, cols, fids):
-            self.pair_fid_map.setdefault((a, b), []).append(fid)
-        if cfg.prev_tags and cfg.prev2:
-            valid = np.zeros((m, m), dtype=bool)
-            for si, (_, c) in enumerate(self.states):
-                for sj, (p2, _) in enumerate(self.states):
-                    valid[si, sj] = p2 == c
-            self.valid = valid
-        else:
-            self.valid = np.ones((m, m), dtype=bool)
+        for (i, a), (j, b) in product(enumerate(self.states), repeat=2):
+            if not (self.valid[i, j] and cfg.baseline):
+                continue
+            fids = [tid(f"t|{a[-1]}>{b[-1]}")]
+            if cfg.prev2:
+                fids.append(tid(f"t2|{a[0]}>{a[-1]}>{b[-1]}"))
+            self.pair_fid_map[i, j] = fids
+        pairs = [(i, j, f) for (i, j), fids in self.pair_fid_map.items() for f in fids]
+        self.pair_rows, self.pair_cols, self.pair_fids = np.array(pairs, dtype=int).reshape(-1, 3).T
 
     def scores(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(start vector, transition matrix) in log space; invalid moves
@@ -482,14 +416,12 @@ class _Chain:
 
     def state_path(self, labels: Sequence[str]) -> list[int]:
         """State index sequence realizing a label sequence."""
-        if self.model.config.prev_tags and self.model.config.prev2:
-            path = []
-            prev = START
-            for lab in labels:
-                path.append(self.states.index((prev, lab)))
-                prev = lab
-            return path
-        return [_LABEL_IDX[lab] for lab in labels]
+        state = (START,) * len(self.states[0])
+        path = []
+        for lab in labels:
+            state = state[1:] + (lab,)
+            path.append(self.index[state])
+        return path
 
 
 @dataclass
@@ -695,7 +627,6 @@ def fit_weights(
     sentences: Sequence[tuple[Sequence[str], Sequence[str]]],
     init: np.ndarray | None = None,
     max_iters: int = 500,
-    gtol: float = 1e-5,
 ) -> CrfModel:
     """Quasi-Newton fit of the weights; returns a new model carrying the
     solver status."""
@@ -712,7 +643,7 @@ def fit_weights(
         args=(model, chain, compiled),
         jac=True,
         method="L-BFGS-B",
-        options={"gtol": gtol, "maxiter": max_iters},
+        options={"gtol": 1e-5, "maxiter": max_iters},
     )
     if not np.all(np.isfinite(result.x)) or not np.isfinite(result.fun):
         raise RuntimeError(

@@ -66,6 +66,9 @@ class Dictionary:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if any(not p.strip() for p in self.scores):
             raise ValueError("empty phrase in dictionary")
+        # tokens are lowercased before lookup, so such a phrase never matches
+        if cased := [p for p in self.scores if p != p.lower()]:
+            raise ValueError(f"dictionary phrase {cased[0]!r} is not lowercase")
 
     def __len__(self) -> int:
         return len(self.scores)

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dictforge.cli
@@ -63,7 +64,9 @@ class TestLambdaGrid:
     def test_single_value(self):
         assert _parse_lambda_grid("0.5") == (0.5,)
 
-    @pytest.mark.parametrize("text", ["10..1", "0..1", "", "x"])
+    @pytest.mark.parametrize(
+        "text", ["10..1", "0..1", "", "x", "0", "-1", "nan", "1e-4..inf"]
+    )
     def test_rejects_bad_grids(self, text):
         with pytest.raises(ValueError):
             _parse_lambda_grid(text)
@@ -269,6 +272,33 @@ class TestCrfCommands:
         assert main(argv) == 1
         assert "'prev2' needs 'baseline'" in capsys.readouterr().err
         assert not model.exists()
+
+    def test_model_file_with_old_config_keys_exits_1(self, bench, tmp_path, capsys):
+        root, sc, paths = bench
+        model_path = tmp_path / "old.model.npz"
+        argv = ["crf", "train", "--data", str(root / "tiny.conll"), "--max-iters", "5",
+                "--out", str(model_path)]
+        assert main(argv) == 0
+        # model files once held nine feature flags, six of them folded into baseline
+        with np.load(model_path) as data:
+            arrays = dict(data)
+        meta = json.loads(str(arrays["meta"]))
+        old = ["caps_lexical", "prefix_suffix", "prev_tags", "window_caps_pattern",
+               "window_words", "word_identity"]
+        meta["config"] = dict.fromkeys(old, True) | {
+            "prev2": False, "dict_match": False, "embedding": False
+        }
+        arrays["meta"] = np.array(json.dumps(meta))
+        with open(model_path, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        with pytest.raises(ValueError, match=", ".join(old)):
+            CrfModel.load(model_path)
+        capsys.readouterr()
+        argv = ["crf", "tag", "--model", str(model_path), "--input", str(root / "tiny.txt")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "word_identity" in captured.err
+        assert captured.out == ""
 
     def test_dict_feature_needs_dict_flag(self, bench, tmp_path):
         root, sc, paths = bench

@@ -2,9 +2,11 @@
 
 import math
 import random
+import re
 from dataclasses import replace
 from io import StringIO
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,17 +29,20 @@ from dictforge.crf import (
     viterbi_decode,
     write_curve_tsv,
 )
-from dictforge.crf import START
+from dictforge.crf import _FLAGS, START
 from dictforge.tagging import Dictionary, evaluate
 
-LEAN = FeatureConfig(
-    word_identity=True,
-    caps_lexical=False,
-    prefix_suffix=False,
-    window_words=False,
-    window_caps_pattern=False,
-    prev_tags=True,
-)
+# chain orders, named by prev2: first order, label trigrams, and None for
+# no transitions at all (the chain that crf.features = dict builds)
+ORDERS = [False, True, None]
+
+
+def order_config(prev2, extras=False):
+    """Config of one chain order; extras adds the dict and emb families
+    to the orders that have transitions."""
+    if prev2 is None:
+        return FeatureConfig(baseline=False, dict_match=True)
+    return FeatureConfig(prev2=prev2, dict_match=extras, embedding=extras)
 
 
 def path_score(model, tokens, labels):
@@ -170,8 +175,8 @@ class TestExtractFeatures:
 
     def test_flag_parsing(self):
         cfg = FeatureConfig.from_flags("baseline,dict,emb")
-        assert cfg.word_identity and cfg.prev_tags
-        assert cfg.dict_match and cfg.embedding and not cfg.prev2
+        assert cfg == FeatureConfig(dict_match=True, embedding=True)
+        assert FeatureConfig.from_flags(" dict, ,") == FeatureConfig(baseline=False, dict_match=True)
         with pytest.raises(ValueError):
             FeatureConfig.from_flags("baseline,turbo")
         # without baseline's label bigrams a prev2 chain has no transitions
@@ -181,7 +186,13 @@ class TestExtractFeatures:
             assert FeatureConfig.from_flags("baseline," + flags).prev2
         # the rule holds however the config is built, e.g. from a model file
         with pytest.raises(ValueError, match="'prev2' needs 'baseline'"):
-            FeatureConfig(prev_tags=False, prev2=True)
+            FeatureConfig(baseline=False, prev2=True)
+
+    def test_readme_lists_every_flag(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        row = re.search(r"^\| `crf\.features` \|.*\|$", readme, flags=re.M).group()
+        listed = re.findall(r"`(\w+)`", row.rsplit("|", 2)[1])
+        assert listed == list(_FLAGS)
 
 
 FIXTURE = [
@@ -193,7 +204,7 @@ FIXTURE = [
 
 class TestLikelihood:
     def test_uniform_single_token(self):
-        model = build_model([(["a"], ["O"])], LEAN, regularizer=0.0)
+        model = build_model([(["a"], ["O"])], regularizer=0.0)
         ll, _ = log_likelihood_and_gradient(model, [(["a"], ["O"])])
         assert ll == pytest.approx(-math.log(3), abs=1e-12)
 
@@ -205,7 +216,7 @@ class TestLikelihood:
         assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_malformed_gold_rejected(self):
-        model = build_model(FIXTURE, LEAN)
+        model = build_model(FIXTURE)
         with pytest.raises(ValueError):
             log_likelihood_and_gradient(model, [(["a", "b"], ["O", "I"])])
 
@@ -214,7 +225,7 @@ class TestLikelihood:
         [
             (FeatureConfig(), 0.5),
             (FeatureConfig(prev2=True, dict_match=True, embedding=True), 0.1),
-            (FeatureConfig(prev_tags=False), 0.0),
+            (FeatureConfig(baseline=False, dict_match=True), 0.0),
         ],
     )
     def test_gradient_matches_central_differences(self, config, lam):
@@ -294,7 +305,7 @@ class TestTraining:
         assert viterbi_decode(model, sent[0]) == sent[1]
 
     def test_huge_regularizer_kills_weights(self):
-        model = train_crf(FIXTURE, LEAN, regularizer=1e6)
+        model = train_crf(FIXTURE, regularizer=1e6)
         assert np.linalg.norm(model.weights) <= 1e-3
 
     def test_generalizes_to_unseen_entities(self):
@@ -324,7 +335,7 @@ class TestTraining:
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
-            train_crf([], LEAN)
+            train_crf([])
 
     def test_unindexed_features_ignored_at_inference(self):
         model = train_crf(FIXTURE, regularizer=0.1)
@@ -334,14 +345,14 @@ class TestTraining:
 
 class TestViterbi:
     def test_strong_emission_wins(self):
-        model = build_model(FIXTURE, LEAN)
+        model = build_model(FIXTURE)
         w = model.weights.copy()
         w[model.feature_id("w=flu|y=B")] = 5.0
         model = replace(model, weights=w)
         assert viterbi_decode(model, ["The", "flu", "spread", "fast"])[1] == "B"
 
     def test_zero_weights_tie_breaks_to_b(self):
-        model = build_model(FIXTURE, LEAN)
+        model = build_model(FIXTURE)
         assert viterbi_decode(model, ["a", "b", "c"]) == ["B", "B", "B"]
 
     def test_zero_weights_tie_breaks_to_b_composite(self):
@@ -349,17 +360,17 @@ class TestViterbi:
         assert viterbi_decode(model, ["a", "b", "c"]) == ["B", "B", "B"]
 
     def test_partial_tie_prefers_late_positions_first(self):
-        model = build_model([(["x", "a"], ["O", "O"])], LEAN)
+        model = build_model([(["x", "a"], ["O", "O"])])
         w = model.weights.copy()
         w[model.feature_id("w=a|y=O")] = 1.0
         model = replace(model, weights=w)
         assert viterbi_decode(model, ["x", "a"]) == ["B", "O"]
 
     def test_empty_sentence(self):
-        model = build_model(FIXTURE, LEAN)
+        model = build_model(FIXTURE)
         assert viterbi_decode(model, []) == []
 
-    @pytest.mark.parametrize("prev2", [False, True])
+    @pytest.mark.parametrize("prev2", ORDERS)
     def test_matches_enumeration_oracle(self, prev2):
         rng = np.random.default_rng(17 if prev2 else 7)
         pool = ["flu", "hit", "the", "coast", "Ebola", "teams", "ran"]
@@ -370,7 +381,8 @@ class TestViterbi:
             sentences.append([pool[int(j)] for j in pick.integers(0, len(pool), k)])
         model = build_model(
             [(s, ["O"] * len(s)) for s in sentences],
-            FeatureConfig(prev2=prev2),
+            order_config(prev2),
+            dictionaries=[Dictionary({"flu": 1.0, "the coast": 0.5}, provenance="manual")],
             regularizer=0.0,
         )
         model = randomized(model, rng)
@@ -404,7 +416,7 @@ class TestBatching:
             sentences.append((tokens, tags))
         model = build_model(
             sentences,
-            FeatureConfig(prev2=prev2, dict_match=True, embedding=True),
+            order_config(prev2, extras=True),
             dictionaries=[Dictionary({"flu": 1.0, "yellow fever": 0.5}, provenance="manual")],
             embeddings=SentinelEmbeddings(
                 {"flu": np.array([0.3, -0.2]), "ebola": np.array([0.1, 0.4])}
@@ -413,7 +425,7 @@ class TestBatching:
         )
         return randomized(model, rng), sentences
 
-    @pytest.mark.parametrize("prev2", [False, True])
+    @pytest.mark.parametrize("prev2", ORDERS)
     def test_likelihood_is_sum_of_single_sentences(self, prev2):
         model, sentences = self.mixed_model(prev2)
         ll, grad = log_likelihood_and_gradient(model, sentences)
@@ -474,7 +486,7 @@ class TestPersistence:
         assert viterbi_decode(loaded, tokens) == viterbi_decode(model, tokens)
 
     def test_solver_status_kept_in_memory_only(self, tmp_path):
-        model = fit_weights(build_model(FIXTURE, LEAN, regularizer=0.1), FIXTURE, max_iters=1)
+        model = fit_weights(build_model(FIXTURE, regularizer=0.1), FIXTURE, max_iters=1)
         assert model.solver["converged"] is False
         assert model.solver["nit"] == 1
         path = tmp_path / "capped.model.npz"
@@ -482,7 +494,7 @@ class TestPersistence:
         assert CrfModel.load(path).solver is None
 
     def test_roundtrip_without_extras(self, tmp_path):
-        model = train_crf(FIXTURE, LEAN, regularizer=0.1)
+        model = train_crf(FIXTURE, regularizer=0.1)
         path = tmp_path / "lean.model.npz"
         model.save(path)
         loaded = CrfModel.load(path)
@@ -540,9 +552,9 @@ class TestLearningCurve:
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
-            learning_curve(FIXTURE, FIXTURE, [2, 1], [CurveVariant("b", LEAN)])
+            learning_curve(FIXTURE, FIXTURE, [2, 1], [CurveVariant("b", FeatureConfig())])
         with pytest.raises(ValueError):
-            learning_curve(FIXTURE, FIXTURE, [99], [CurveVariant("b", LEAN)])
+            learning_curve(FIXTURE, FIXTURE, [99], [CurveVariant("b", FeatureConfig())])
 
     def test_tsv_output(self):
         rows = [

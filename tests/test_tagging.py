@@ -245,6 +245,15 @@ class TestDictionaryIO:
         with pytest.raises(ValueError):
             Dictionary({" ": 1.0})
 
+    def test_phrase_with_capitals_rejected(self, tmp_path):
+        # lookups lowercase the tokens, so "HIV" would silently never match
+        with pytest.raises(ValueError, match="'HIV' is not lowercase"):
+            Dictionary({"flu": 1.0, "HIV": 1.0})
+        path = tmp_path / "hand.dict.tsv"
+        path.write_text("yellow Fever\t1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="'yellow Fever'"):
+            read_dictionary(path)
+
     def test_membership_api(self):
         dic = d("hepatitis b")
         assert "hepatitis b" in dic

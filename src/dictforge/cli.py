@@ -64,11 +64,17 @@ def _parse_lambda_grid(text: str) -> tuple[float, ...]:
     return vals
 
 
-def _load_crf_extras(args) -> tuple[FeatureConfig, tuple, SentinelEmbeddings | None]:
+def _features_and_dicts(args) -> tuple[FeatureConfig, tuple]:
+    """The --features config and the --dict dictionaries it needs."""
     config = FeatureConfig.from_flags(args.features)
     dictionaries = tuple(read_dictionary(p) for p in args.dict or ())
     if config.dict_match and not dictionaries:
         raise SystemExit("--features includes dict but no --dict given")
+    return config, dictionaries
+
+
+def _load_crf_extras(args) -> tuple[FeatureConfig, tuple, SentinelEmbeddings | None]:
+    config, dictionaries = _features_and_dicts(args)
     embeddings = None
     if config.embedding:
         if not args.emb:
@@ -149,8 +155,7 @@ def _cmd_crf_tag(args) -> int:
 
 
 def _cmd_crf_curve(args) -> int:
-    config = FeatureConfig.from_flags(args.features)
-    dictionaries = tuple(read_dictionary(p) for p in args.dict or ())
+    config, dictionaries = _features_and_dicts(args)
     word_emb = SentinelEmbeddings(read_embeddings(args.word_emb)) if args.word_emb else None
     phrase_emb = (
         SentinelEmbeddings(read_embeddings(args.phrase_emb)) if args.phrase_emb else None

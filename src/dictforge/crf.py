@@ -10,9 +10,15 @@ gradients from the forward-backward recursions, run in log space.
 
 A sentence list is compiled once into a sparse token×observation matrix
 X, so the emissions of every token are one product X @ W and the emission
-gradient is one product X.T @ (label marginals - gold one-hot).  Forward,
-backward and Viterbi run over the whole batch at once: sentences are padded
-longest first, and each step updates the prefix still running.
+gradient is one product X.T @ (label marginals - gold one-hot).
+_observations names each token's observations and is the specification of
+X; the compiler builds the same rows without naming per token.  It interns
+the tokens into types, looks up each type's lexical columns once, takes
+the window columns from the neighbours' types and the five-token shape
+pattern from a base-6 code, matches dictionaries and embedding phrases once
+per sentence, and masks the resulting id matrix into the CSR arrays.
+Forward, backward and Viterbi run over the whole batch at once: sentences
+are padded longest first, and each step updates the prefix still running.
 """
 
 from __future__ import annotations
@@ -27,7 +33,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
-from .corpus import word_shape
+from .corpus import (
+    SHAPE_ALL_CAPS,
+    SHAPE_ALL_LOWER,
+    SHAPE_INIT_CAP,
+    SHAPE_MIXED,
+    SHAPE_NON_ALPHA,
+    word_shape,
+)
 from .tagging import (
     Dictionary,
     PhraseSet,
@@ -86,12 +99,16 @@ class FeatureConfig:
     @classmethod
     def from_flags(cls, flags: str) -> "FeatureConfig":
         """Parse a comma-separated flag list such as "baseline,dict,emb";
-        each flag turns on one field (see _FLAGS) and the rest are off."""
+        each flag turns on one field (see _FLAGS) and the rest are off.  A
+        list without any flag is rejected: it would build a model with no
+        features."""
         on = set()
         for flag in filter(None, (f.strip() for f in flags.split(","))):
             if flag not in _FLAGS:
                 raise ValueError(f"unknown feature flag {flag!r}")
             on.add(_FLAGS[flag])
+        if not on:
+            raise ValueError(f"no feature flag given (one of {', '.join(_FLAGS)})")
         return cls(**{name: name in on for name in cls.__dataclass_fields__})
 
 
@@ -121,28 +138,29 @@ class SentinelEmbeddings:
             raise ValueError("non-finite embedding component")
         self.k = self.matrix.shape[1]
         self.x = float(np.max(np.abs(self.matrix)))
-        self._row = {p: i for i, p in enumerate(self.phrases)}
+        # phrase -> its row of matrix
+        self.row = {p: i for i, p in enumerate(self.phrases)}
         self.phrase_set = PhraseSet(p.split(" ") for p in self.phrases)
-
-    def vector(self, phrase: str) -> np.ndarray:
-        return self.matrix[self._row[phrase]]
 
 
 def _named_dicts(
     dictionaries: Iterable,
 ) -> tuple[tuple[str, Dictionary], ...]:
     """Normalize to (name, Dictionary) pairs, naming by provenance and
-    suffixing duplicates."""
+    suffixing a taken name with #2, #3, ... until it is unique, so every
+    dictionary has its own dict: columns."""
     out: list[tuple[str, Dictionary]] = []
-    seen: dict[str, int] = {}
+    taken: set[str] = set()
     for item in dictionaries:
         if isinstance(item, Dictionary):
-            name, d = item.provenance, item
+            base, d = item.provenance, item
         else:
-            name, d = item
-        seen[name] = seen.get(name, 0) + 1
-        if seen[name] > 1:
-            name = f"{name}#{seen[name]}"
+            base, d = item
+        name, k = base, 1
+        while name in taken:
+            k += 1
+            name = f"{base}#{k}"
+        taken.add(name)
         out.append((name, d))
     return tuple(out)
 
@@ -153,7 +171,12 @@ def _observations(
     dictionaries: tuple[tuple[str, Dictionary], ...],
     embeddings: SentinelEmbeddings | None,
 ) -> list[dict[str, float]]:
-    """Label-independent feature values, one mapping per token."""
+    """Label-independent feature values, one mapping per token.
+
+    This is the readable specification of the observations: build_model
+    indexes their names in first-seen order, extract_features reads them,
+    and _compile must produce the same rows, in this order, per token.
+    """
     n = len(tokens)
     rows: list[dict[str, float]] = [{} for _ in range(n)]
     if config.baseline:
@@ -187,7 +210,7 @@ def _observations(
             inside.update(range(s + 1, e))
         for i in range(n):
             if i in starts:
-                vec = embeddings.vector(" ".join(starts[i]))
+                vec = embeddings.matrix[embeddings.row[" ".join(starts[i])]]
             elif i in inside:
                 vec = np.full(embeddings.k, 2.0 * embeddings.x)
             else:
@@ -457,26 +480,22 @@ def _compile(
     sentences: Sequence[tuple[Sequence[str], Sequence[str] | None]],
     with_gold: bool,
 ) -> _Compiled:
-    index = model.obs_index
-    cols: list[int] = []
-    vals: list[float] = []
-    indptr = [0]
-    lengths = []
+    """Reduce sentences to X, the batch layout and (with_gold) the gold
+    labels and gold transition ids.
+
+    X holds exactly the rows _observations specifies, each listing its
+    indexed columns in the order _observations emits them, but features
+    are computed per family over the whole batch: a token×slot matrix of
+    column ids (-1 where a name is not in the index) is built block by
+    block and masked row by row into the CSR arrays.
+    """
+    texts: list[Sequence[str]] = []
     gold: list[int] = []
     gold_fids: list[int] = []
     for tokens, tags in sentences:
         if not tokens:
             raise ValueError("empty sentence")
-        lengths.append(len(tokens))
-        for feats in _observations(
-            tokens, model.config, model.dictionaries, model.embeddings
-        ):
-            for name, v in feats.items():
-                col = index.get(name)
-                if col is not None:
-                    cols.append(col)
-                    vals.append(v)
-            indptr.append(len(cols))
+        texts.append(tokens)
         if with_gold:
             validate_bio(tags)
             if len(tags) != len(tokens):
@@ -486,20 +505,53 @@ def _compile(
             gold_fids.extend(chain.start_fids[path[0]])
             for a, b in zip(path, path[1:]):
                 gold_fids.extend(chain.pair_fid_map.get((a, b), ()))
-    if not lengths:
+    if not texts:
         raise ValueError("no sentences")
-    lengths = np.array(lengths, dtype=int)
+    lengths = np.array([len(tokens) for tokens in texts], dtype=int)
+    # each token's position in its sentence
+    step = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    n = step.size
+    index, config = model.obs_index, model.config
+    # one n×width block of column ids per family, in _observations' order;
+    # the empty block keeps hstack defined when no family is on
+    blocks = [np.empty((n, 0), dtype=np.int64)]
+    if config.baseline:
+        blocks.append(_lexical_ids(index, texts, step, np.repeat(lengths, lengths)))
+    if config.dict_match:
+        for name, dictionary in model.dictionaries:
+            cols = np.array([index.get(f"dict:{name}={t}", -1) for t in LABELS])
+            tags = [_LABEL_IDX[t] for tokens in texts for t in tag_with_dictionary(tokens, dictionary)]
+            blocks.append(cols[tags][:, None])
+    values = None
+    if config.embedding:
+        emb = model.embeddings
+        if emb is None:
+            raise ValueError("embedding features enabled without a table")
+        # each token's row of `table`: its phrase's vector where it starts
+        # a known phrase, then the 2x (inside) and 4x (outside) sentinels
+        table = np.vstack([emb.matrix, np.full((2, emb.k), [[2.0 * emb.x], [4.0 * emb.x]])])
+        role = np.full(n, len(emb.phrases) + 1)
+        for first, tokens in zip(np.cumsum(lengths) - lengths, texts):
+            for s, e, key in match_phrase_spans(tokens, emb.phrase_set):
+                role[first + s] = emb.row[" ".join(key)]
+                role[first + s + 1 : first + e] = len(emb.phrases)
+        values = table[role]
+        cols = np.array([index.get(f"emb{j}", -1) for j in range(emb.k)])
+        blocks.append(np.broadcast_to(cols, (n, emb.k)))
+    ids = np.hstack(blocks)
+    vals = np.ones(ids.shape)
+    if values is not None:
+        vals[:, ids.shape[1] - values.shape[1] :] = values
+    keep = ids >= 0
     X = sp.csr_matrix(
-        (np.array(vals, dtype=float), np.array(cols, dtype=np.int64), np.array(indptr)),
-        shape=(int(lengths.sum()), chain.n_obs),
+        (vals[keep], ids[keep], np.concatenate(([0], np.cumsum(keep.sum(axis=1))))),
+        shape=(n, chain.n_obs),
     )
     order = np.argsort(-lengths, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     T, B = int(lengths.max()), order.size
     active = (lengths[order][None, :] > np.arange(T)[:, None]).sum(axis=1)
-    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    step = np.arange(X.shape[0]) - starts
     slot = step * B + np.repeat(rank, lengths)
     return _Compiled(
         X,
@@ -509,6 +561,73 @@ def _compile(
         slot,
         np.array(gold, dtype=int) if with_gold else None,
         np.array(gold_fids, dtype=int) if with_gold else None,
+    )
+
+
+# word_shape's classes plus BOUNDARY: the digits of a wshape= code
+_SHAPES = (SHAPE_ALL_LOWER, SHAPE_INIT_CAP, SHAPE_ALL_CAPS, SHAPE_MIXED, SHAPE_NON_ALPHA, BOUNDARY)
+_SHAPE_IDX = {s: i for i, s in enumerate(_SHAPES)}
+_WINDOW = (-2, -1, 1, 2)
+
+
+def _lexical_ids(
+    index: Mapping[str, int],
+    texts: Sequence[Sequence[str]],
+    step: np.ndarray,
+    size: np.ndarray,
+) -> np.ndarray:
+    """Column ids of the baseline family, one row per token: w=, caps=,
+    pre1/suf1 .. pre4/suf4 (-1 past the token's length), win-2 .. win+2
+    and wshape=.  step and size are each token's position in its sentence
+    and that sentence's length.
+
+    Tokens are interned into types, and each type's own names and its
+    window name per offset are looked up once; BOUNDARY is one more type.
+    Windows index the neighbours' types, and the five-token shape pattern
+    is a base-6 code over _SHAPES, named once per distinct code.
+    """
+    types: dict[str, int] = {}
+    n = step.size
+    tok_type = np.fromiter(
+        (types.setdefault(t, len(types)) for tokens in texts for t in tokens),
+        dtype=np.intp,
+        count=n,
+    )
+    bound = len(types)
+    own = np.full((bound + 1, 10), -1, dtype=np.int64)
+    win = np.empty((bound + 1, len(_WINDOW)), dtype=np.int64)
+    shape = np.empty(bound + 1, dtype=np.int64)
+    for text, t in types.items():
+        low = text.lower()
+        caps = word_shape(text)
+        names = [f"w={low}", f"caps={caps}"]
+        for length in range(1, min(4, len(low)) + 1):
+            names += (f"pre{length}={low[:length]}", f"suf{length}={low[-length:]}")
+        own[t, : len(names)] = [index.get(name, -1) for name in names]
+        win[t] = [index.get(f"win{off:+d}={low}", -1) for off in _WINDOW]
+        shape[t] = _SHAPE_IDX[caps]
+    win[bound] = [index.get(f"win{off:+d}={BOUNDARY}", -1) for off in _WINDOW]
+    shape[bound] = _SHAPE_IDX[BOUNDARY]
+    # the types at offsets -2 .. +2 of every token, BOUNDARY past its sentence
+    near = np.full((n, 5), bound)
+    for k, off in enumerate(range(-2, 3)):
+        inside = (step + off >= 0) & (step + off < size)
+        near[inside, k] = tok_type[np.flatnonzero(inside) + off]
+    digits = len(_SHAPES) ** np.arange(5)
+    codes, code_of = np.unique(shape[near] @ digits, return_inverse=True)
+    pattern = np.array(
+        [
+            index.get("wshape=" + "|".join(_SHAPES[c // d % len(_SHAPES)] for d in digits), -1)
+            for c in codes.tolist()
+        ],
+        dtype=np.int64,
+    )
+    return np.hstack(
+        [
+            own[tok_type],
+            win[near[:, [off + 2 for off in _WINDOW]], np.arange(len(_WINDOW))],
+            pattern[code_of][:, None],
+        ]
     )
 
 
@@ -811,6 +930,8 @@ def learning_curve(
     the held-out sentences; rows are plot-ready."""
     if list(sizes) != sorted(sizes):
         raise ValueError("sizes must be ascending")
+    if sizes and sizes[0] < 1:
+        raise ValueError(f"size {sizes[0]} is below 1")
     if sizes and sizes[-1] > len(train):
         raise ValueError(f"size {sizes[-1]} exceeds training set of {len(train)}")
     rows = []

@@ -121,6 +121,22 @@ class TestRunCommand:
         assert "crf.features: feature flag 'prev2' needs 'baseline'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_feature_list_exits_2(self, bench, tmp_path, capsys):
+        root, sc, paths = bench
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[inputs]\n"
+            f"corpus = {paths['corpus']}\n"
+            f"patterns = {paths['patterns']}\n"
+            f"seeds = {paths['seeds']}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+            "[crf]\nfeatures =\n",
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(cfg), "--quiet"]) == 2
+        assert "crf.features: no feature flag given" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_stage_error_exits_1(self, bench, tmp_path, capsys):
         root, sc, paths = bench
         cfg = tmp_path / "run.cfg"
@@ -273,6 +289,15 @@ class TestCrfCommands:
         assert "'prev2' needs 'baseline'" in capsys.readouterr().err
         assert not model.exists()
 
+    def test_empty_feature_list_exits_1(self, bench, tmp_path, capsys):
+        root, sc, paths = bench
+        model = tmp_path / "m.npz"
+        argv = ["crf", "train", "--data", str(root / "tiny.conll"),
+                "--features", "", "--out", str(model)]
+        assert main(argv) == 1
+        assert "no feature flag given" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_model_file_with_old_config_keys_exits_1(self, bench, tmp_path, capsys):
         root, sc, paths = bench
         model_path = tmp_path / "old.model.npz"
@@ -360,6 +385,28 @@ class TestCrfCommands:
         ]
         assert variants[0] == "baseline"
         assert any(v.startswith("dict-") for v in variants[1:])
+
+    def test_curve_size_below_one_exits_1(self, bench, tmp_path, capsys):
+        root, sc, paths = bench
+        out = tmp_path / "curve.tsv"
+        argv = ["crf", "curve", "--train", str(root / "tiny.conll"),
+                "--test", str(root / "tiny.conll"), "--sizes=-20,5", "--out", str(out)]
+        assert main(argv) == 1
+        assert "size -20 is below 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_curve_dict_feature_needs_dict_flag(self, bench, tmp_path):
+        root, sc, paths = bench
+        out = tmp_path / "curve.tsv"
+        with pytest.raises(SystemExit, match="--dict"):
+            main(
+                [
+                    "crf", "curve", "--train", str(root / "tiny.conll"),
+                    "--test", str(root / "tiny.conll"), "--sizes", "5",
+                    "--features", "baseline,dict", "--out", str(out),
+                ]
+            )
+        assert not out.exists()
 
     def test_grid_tie_saves_smaller_lambda(self, bench, tmp_path, capsys):
         # a descending grid whose points tie on dev F1 still saves the

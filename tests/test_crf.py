@@ -10,8 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from dictforge import crf
 from dictforge.crf import (
     LABELS,
     CrfModel,
@@ -29,7 +33,7 @@ from dictforge.crf import (
     viterbi_decode,
     write_curve_tsv,
 )
-from dictforge.crf import _FLAGS, START
+from dictforge.crf import _FLAGS, START, _Chain, _compile, _named_dicts, _observations
 from dictforge.tagging import Dictionary, evaluate
 
 # chain orders, named by prev2: first order, label trigrams, and None for
@@ -179,6 +183,10 @@ class TestExtractFeatures:
         assert FeatureConfig.from_flags(" dict, ,") == FeatureConfig(baseline=False, dict_match=True)
         with pytest.raises(ValueError):
             FeatureConfig.from_flags("baseline,turbo")
+        # a list without flags would train a model with no features
+        for flags in ("", " , "):
+            with pytest.raises(ValueError, match="no feature flag"):
+                FeatureConfig.from_flags(flags)
         # without baseline's label bigrams a prev2 chain has no transitions
         for flags in ("prev2", "dict,prev2"):
             with pytest.raises(ValueError, match="'prev2' needs 'baseline'"):
@@ -296,6 +304,100 @@ def trigger_corpus(n, rng, entities):
 
 TRAIN_ENTITIES = ["ebola", "zika", "lassa", "rift valley", "nipah"]
 TEST_ENTITIES = ["marburg", "hendra", "yellow fever", "mpox"]
+
+
+def oracle_matrix(model, sentences):
+    """X built row by row from _observations, the specification that
+    _compile reproduces entry for entry."""
+    cols, vals, indptr = [], [], [0]
+    for tokens in sentences:
+        for feats in _observations(tokens, model.config, model.dictionaries, model.embeddings):
+            for name, v in feats.items():
+                if name in model.obs_index:
+                    cols.append(model.obs_index[name])
+                    vals.append(v)
+            indptr.append(len(cols))
+    return sp.csr_matrix(
+        (np.array(vals, dtype=float), np.array(cols, dtype=np.int64), np.array(indptr)),
+        shape=(len(indptr) - 1, len(model.obs_names)),
+    )
+
+
+# one word in several casings, all-caps, mixed, non-alpha and one-letter
+# tokens; UNSEEN never occur in training sentences, and among them "İ"
+# lowercases to two characters and "⊥" is the BOUNDARY word itself
+SEEN = ["flu", "Flu", "FLU", "fLu", "yellow", "fever", "Yellow", "a", "A", "42", "-", "hit"]
+UNSEEN = ["FEVER", "e.g", "x1", "Ebola", "İstanbul", "⊥"]
+# two dictionaries share a provenance, and a third takes the name the
+# second is given; phrases are multiword and nested
+COMPILE_DICTS = [
+    Dictionary({"yellow fever": 1.0, "fever": 0.5, "flu": 0.2}, provenance="manual"),
+    Dictionary({"yellow": 1.0, "a": 0.5, "flu hit": 0.2}, provenance="manual"),
+    ("manual#2", Dictionary({"fever": 1.0, "42": 0.5}, provenance="manual")),
+]
+COMPILE_EMB = SentinelEmbeddings(
+    {
+        "flu": np.array([-0.5, 0.25]),
+        "yellow fever": np.array([0.3, -0.75]),
+        "fever": np.array([0.125, 0.0]),
+        "a": np.array([0.0, -1.5]),
+    }
+)
+
+
+def sentences_of(words):
+    return st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=6), min_size=1, max_size=5)
+
+
+class TestCompile:
+    """The per-type assembly of X against _observations."""
+
+    def test_duplicate_names_get_distinct_suffixes(self):
+        names = [name for name, _ in _named_dicts(COMPILE_DICTS)]
+        assert names == ["manual", "manual#2", "manual#2#2"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        baseline=st.booleans(),
+        prev2=st.booleans(),
+        dict_match=st.booleans(),
+        embedding=st.booleans(),
+        train=sentences_of(SEEN),
+        test=sentences_of(SEEN + UNSEEN),
+    )
+    def test_matches_observations(self, baseline, prev2, dict_match, embedding, train, test):
+        config = FeatureConfig(baseline, prev2 and baseline, dict_match, embedding)
+        model = build_model(
+            [(tokens, ["O"] * len(tokens)) for tokens in train],
+            config,
+            dictionaries=COMPILE_DICTS,
+            embeddings=COMPILE_EMB,
+        )
+        X = _compile(model, _Chain(model), [(tokens, None) for tokens in test], False).X
+        oracle = oracle_matrix(model, test)
+        assert X.shape == oracle.shape
+        for got, want in [(X.indptr, oracle.indptr), (X.indices, oracle.indices), (X.data, oracle.data)]:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_fit_from_oracle_matrix_is_bit_identical(self, monkeypatch):
+        model = build_model(
+            FIXTURE,
+            FeatureConfig(dict_match=True, embedding=True),
+            dictionaries=COMPILE_DICTS,
+            embeddings=COMPILE_EMB,
+            regularizer=0.1,
+        )
+        fast = fit_weights(model, FIXTURE)
+
+        def with_oracle_matrix(model, chain, sentences, with_gold):
+            comp = _compile(model, chain, sentences, with_gold)
+            return replace(comp, X=oracle_matrix(model, [tokens for tokens, _ in sentences]))
+
+        monkeypatch.setattr(crf, "_compile", with_oracle_matrix)
+        slow = fit_weights(model, FIXTURE)
+        assert fast.weights.tobytes() == slow.weights.tobytes()
+        assert fast.solver == slow.solver
 
 
 class TestTraining:
@@ -555,6 +657,10 @@ class TestLearningCurve:
             learning_curve(FIXTURE, FIXTURE, [2, 1], [CurveVariant("b", FeatureConfig())])
         with pytest.raises(ValueError):
             learning_curve(FIXTURE, FIXTURE, [99], [CurveVariant("b", FeatureConfig())])
+        # a negative size would slice from the end of the training set
+        for sizes in ([-20, 2], [0, 1]):
+            with pytest.raises(ValueError, match=f"size {sizes[0]} is below 1"):
+                learning_curve(FIXTURE, FIXTURE, sizes, [CurveVariant("b", FeatureConfig())])
 
     def test_tsv_output(self):
         rows = [

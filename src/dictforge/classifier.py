@@ -202,13 +202,18 @@ def build_dictionary(
     for precision and never grows the dictionary; the cut is
     :func:`cut_dictionary` of the full ranking.
     """
-    scored = []
+    candidates = list(candidates)
     for phrase in candidates:
         if phrase not in embeddings:
             raise KeyError(f"candidate {phrase!r} has no embedding")
-        _, score = model.predict(embeddings[phrase])
-        scored.append((phrase, score))
-    scored.sort(key=lambda ps: (-ps[1], ps[0]))
+    vecs = [embeddings[p] for p in candidates]
+    E = np.array(vecs, dtype=np.float64) if vecs else np.empty((0, model.dims_used))
+    if E.shape[1:] != (model.dims_used,):
+        raise ValueError(f"expected dim {model.dims_used}, got {E.shape[1:]}")
+    # vecdot sums each row as ``decision`` does; a matrix product may not,
+    # and would move scores in the last bit
+    scores = np.vecdot(E, model.weights) + model.bias
+    scored = sorted(zip(candidates, scores.tolist()), key=lambda ps: (-ps[1], ps[0]))
     meta = {"C": repr(model.C), "dims": str(model.dims_used), **(metadata or {})}
     return cut_dictionary(Dictionary(dict(scored), "cca", meta), threshold)
 

@@ -10,7 +10,6 @@ threshold over positive spelling rules yields the comparison dictionary.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +72,8 @@ class DecisionListState:
 
 
 class _Indexed:
-    """Phrase ids and the 15 context-bigram ids of each occurrence row."""
+    """Phrase ids and the 15 context-bigram ids of each occurrence row,
+    and each view's condition keys ranked in lexicographic order."""
 
     def __init__(self, table: OccurrenceTable):
         self.n = table.n
@@ -90,6 +90,18 @@ class _Indexed:
         self.bigrams = [
             (table.contexts[c // d], table.contexts[c % d]) for c in unique.tolist()
         ]
+        self.phrase_rank = _ranks(sorted(range(len(self.phrases)), key=self.phrases.__getitem__))
+        # contexts are distinct, so bigram keys order as their pairs of
+        # context ranks do
+        context_rank = _ranks(sorted(range(d), key=table.contexts.__getitem__))
+        self.bigram_rank = _ranks(np.lexsort((context_rank[unique % d], context_rank[unique // d])))
+
+
+def _ranks(order) -> np.ndarray:
+    """rank[i] = position of item i in ``order``, a permutation of 0..n-1."""
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank
 
 
 class _RuleArrays:
@@ -99,9 +111,6 @@ class _RuleArrays:
         self.label = np.full(size, _UNLABELED, dtype=np.int8)
         self.strength = np.full(size, -np.inf)
         self.order = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
-
-    def has(self, cid: int) -> bool:
-        return self.label[cid] != _UNLABELED
 
     def add(self, cid: int, label: int, strength: float, order: int) -> None:
         self.label[cid] = label
@@ -115,58 +124,47 @@ def _label_by_spelling(idx: _Indexed, arrays: _RuleArrays) -> np.ndarray:
 
 def _label_by_context(idx: _Indexed, arrays: _RuleArrays) -> np.ndarray:
     """Strongest matching rule decides; ties go to the earlier addition."""
-    s = arrays.strength[idx.bigram_ids]
-    best = s.max(axis=1)
-    labels = np.full(idx.n, _UNLABELED, dtype=np.int64)
-    hit = np.isfinite(best)
-    if not hit.any():
-        return labels
-    order = arrays.order[idx.bigram_ids].astype(np.float64)
-    order[s < best[:, None]] = np.inf
-    pick = order.argmin(axis=1)
-    chosen = idx.bigram_ids[np.arange(idx.n), pick]
-    labels[hit] = arrays.label[chosen[hit]]
-    return labels
+    admitted = np.flatnonzero(arrays.label != _UNLABELED)
+    ranked = admitted[np.lexsort((arrays.order[admitted], -arrays.strength[admitted]))]
+    # rank of each condition's rule; conditions without one rank last
+    rank = np.full(len(arrays.label), len(ranked), dtype=np.int64)
+    rank[ranked] = np.arange(len(ranked))
+    best = rank[idx.bigram_ids].min(axis=1)
+    return np.append(arrays.label[ranked], _UNLABELED).astype(np.int64)[best]
 
 
 def _count(ids, labels, size: int):
     """Totals and per-label match counts over labeled occurrences."""
     mask = labels != _UNLABELED
-    if ids.ndim == 1:
-        flat = ids[mask]
-        flat_y = labels[mask]
-    else:
-        flat = ids[mask].ravel()
-        flat_y = np.repeat(labels[mask], ids.shape[1])
-    total = np.bincount(flat, minlength=size)
-    pos = np.bincount(flat[flat_y == _POS], minlength=size)
-    neg = np.bincount(flat[flat_y == _NEG], minlength=size)
-    return total, {_POS: pos, _NEG: neg}
+    rows, y = ids[mask], labels[mask]
+    # one count per (condition, label); the labels are 0 and 1
+    codes = rows * 2 + y.reshape((-1,) + (1,) * (rows.ndim - 1))
+    counts = np.bincount(codes.ravel(), minlength=2 * size).reshape(size, 2)
+    return counts.sum(axis=1), {_NEG: counts[:, _NEG], _POS: counts[:, _POS]}
 
 
 def _select_rules(
     total: np.ndarray,
     matches: dict[int, np.ndarray],
     arrays: _RuleArrays,
-    keys: list,
+    key_rank: np.ndarray,
     label: int,
     limit: int,
     epsilon: float,
 ) -> list[tuple[int, int, int, float]]:
     """Top ``limit`` new rules for one label: strength strictly above
     epsilon, ranked by count_match desc, ties by strength desc then by
-    lexicographic condition."""
+    lexicographic condition (``key_rank``)."""
     match = matches[label]
     strength = np.where(total >= 1, match / np.maximum(total, 1), -1.0)
     qualifying = np.flatnonzero(
         (total >= 1) & (strength > epsilon) & (arrays.label == _UNLABELED)
     )
-    picked = [
-        (-int(match[cid]), -float(strength[cid]), keys[cid], int(cid))
-        for cid in qualifying
+    order = np.lexsort((key_rank[qualifying], -strength[qualifying], -match[qualifying]))
+    return [
+        (cid, int(match[cid]), int(total[cid]), float(strength[cid]))
+        for cid in qualifying[order[:limit]].tolist()
     ]
-    top = heapq.nsmallest(limit, picked)
-    return [(cid, -nm, int(total[cid]), -ns) for nm, ns, _, cid in top]
 
 
 def dl_cotrain(
@@ -238,7 +236,7 @@ def dl_cotrain(
         added_ctx = []
         for label in (_POS, _NEG):
             for cid, cm, ct, strength in _select_rules(
-                total, matches, context, idx.bigrams, label, i * m, epsilon
+                total, matches, context, idx.bigram_rank, label, i * m, epsilon
             ):
                 added_ctx.append(admit_context(cid, label, cm, ct, strength))
 
@@ -247,7 +245,7 @@ def dl_cotrain(
         added_sp = []
         for label in (_POS, _NEG):
             for cid, cm, ct, strength in _select_rules(
-                total, matches, spelling, idx.phrases, label, i * m, epsilon
+                total, matches, spelling, idx.phrase_rank, label, i * m, epsilon
             ):
                 added_sp.append(
                     admit_spelling(idx.phrases[cid], label, cm, ct, strength)

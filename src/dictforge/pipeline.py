@@ -54,9 +54,10 @@ from .extraction import (
 )
 from .tagging import (
     Dictionary,
+    EvalReport,
+    PhraseSet,
     bio_spans,
     evaluate,
-    evaluate_spans,
     read_conll,
     read_dictionary,
     tag_with_dictionary,
@@ -371,19 +372,60 @@ class RunManifest:
 
 def _dev_scorer(
     dev: Sequence[tuple[list[str], list[str]]] | None,
+    phrases: Iterable[str],
 ) -> Callable[[Dictionary], float]:
-    """Dev F1 of a dictionary (0.0 without dev).  The dev side, lowercased
-    tokens and gold spans, is prepared once for every grid point."""
+    """Dev F1 of a dictionary drawn from ``phrases`` (0.0 without dev),
+    equal to ``evaluate`` of ``tag_with_dictionary`` over the dev split.
+
+    The dev split is matched once against the whole phrase universe: at
+    each token position where some phrase starts, the lattice keeps every
+    matching (end, phrase), longest first.  Token positions run on across
+    sentences, so one walk covers the split.  A dictionary then keeps, at
+    each position it reaches, its longest phrase there and jumps past it:
+    the longest-first, non-overlapping rule of ``match_phrase_spans``.
+    A dictionary phrase outside ``phrases`` raises ``ValueError``.
+    """
     if dev is None:
         return lambda dictionary: 0.0
-    words = [[t.lower() for t in toks] for toks, _ in dev]
-    gold = [bio_spans(tags) for _, tags in dev]
+    names = set(phrases)
+    universe = PhraseSet(p.split(" ") for p in names)
+    lattice: list[tuple[int, list[tuple[int, str]]]] = []
+    gold: set[tuple[int, int]] = set()
+    offset = 0
+    for toks, tags in dev:
+        words = [t.lower() for t in toks]
+        n = len(words)
+        for i, w in enumerate(words):
+            if w in universe.starts:
+                options = [
+                    (offset + i + length, " ".join(words[i : i + length]))
+                    for length in range(min(universe.max_len, n - i), 0, -1)
+                    if tuple(words[i : i + length]) in universe
+                ]
+                if options:
+                    lattice.append((offset + i, options))
+        gold.update((offset + s, offset + e) for s, e in bio_spans(tags))
+        offset += n
 
     def f1(dictionary: Dictionary) -> float:
-        # matching lowercased words case-sensitively is the default
-        # lowercase match, without lowercasing again per grid point
-        pred = [tag_with_dictionary(w, dictionary, case_sensitive=True) for w in words]
-        return evaluate_spans(pred, gold).f1
+        kept = dictionary.scores
+        if outside := kept.keys() - names:
+            raise ValueError(
+                f"dictionary phrase {min(outside)!r} is not in the dev scorer's phrases"
+            )
+        tp = fp = reached = 0
+        for start, options in lattice:
+            if start < reached:
+                continue
+            for end, phrase in options:
+                if phrase in kept:
+                    if (start, end) in gold:
+                        tp += 1
+                    else:
+                        fp += 1
+                    reached = end
+                    break
+        return EvalReport.from_counts(tp, fp, len(gold) - tp).f1
 
     return f1
 
@@ -396,6 +438,7 @@ class _Runner:
         self.outdir = config.outdir
         self._sentences = None
         self._occurrences = None
+        self._dev = None
 
     # -- the corpus, tokenized once for extract and views ---------------
 
@@ -405,6 +448,7 @@ class _Runner:
         return self._sentences
 
     # -- the views' occurrence table, interned once for classify and cotrain
+    # (the views stage hands over the table it built when it runs)
 
     def occurrences(self) -> OccurrenceTable:
         if self._occurrences is None:
@@ -412,9 +456,12 @@ class _Runner:
         return self._occurrences
 
     def dev_rows(self, stage: str, points: int) -> list | None:
-        """The dev split; None without one, which only a one-point grid allows."""
+        """The dev split, read once per run; None without one, which only a
+        one-point grid allows."""
         if self.config.dev is not None:
-            return read_conll(self.config.dev, strict=True)
+            if self._dev is None:
+                self._dev = read_conll(self.config.dev, strict=True)
+            return self._dev
         if points > 1:
             raise StageError(stage, "grid has several points but inputs.dev is not set")
         return None
@@ -437,6 +484,7 @@ class _Runner:
             write_triplets(views.Z, fh)
         with open(tmp / "views.occurrences.tsv", "w", encoding="utf-8") as fh:
             write_occurrences(views.rows, fh)
+        self._occurrences = views.table
         return {
             "occurrences": views.n,
             "d_spelling": views.X.shape[1],
@@ -490,7 +538,7 @@ class _Runner:
                 f"seeds missing from the candidate list: {', '.join(sorted(missing))}",
             )
         points = len(cfg.svm_k_grid) * len(cfg.svm_c_grid) * len(cfg.svm_threshold_grid)
-        dev_f1 = _dev_scorer(self.dev_rows("classify", points))
+        dev_f1 = _dev_scorer(self.dev_rows("classify", points), embeddings)
         # one fit and one ranking per (k, C); each threshold cuts the ranking
         lowest = min(cfg.svm_threshold_grid)
         fits, reports, fitted = [], [], {}
@@ -537,11 +585,10 @@ class _Runner:
 
     def stage_cotrain(self, tmp: Path) -> dict:
         cfg = self.config
-        dev_f1 = _dev_scorer(self.dev_rows("cotrain", len(cfg.cotrain_theta_grid)))
+        table = self.occurrences()
+        dev_f1 = _dev_scorer(self.dev_rows("cotrain", len(cfg.cotrain_theta_grid)), table.phrases)
         seeds = read_seeds(cfg.seeds)
-        state = dl_cotrain(
-            self.occurrences(), seeds, m=cfg.cotrain_m, epsilon=cfg.cotrain_epsilon
-        )
+        state = dl_cotrain(table, seeds, m=cfg.cotrain_m, epsilon=cfg.cotrain_epsilon)
         reports = []
         for theta in cfg.cotrain_theta_grid:
             d = dictionary_from_rules(state, theta=theta)

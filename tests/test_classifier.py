@@ -276,6 +276,37 @@ class TestBuildDictionary:
             build_dictionary([], {}, model, threshold=-0.1)
 
 
+    @pytest.mark.parametrize("layout", ["own", "prefix", "element-strided"])
+    @pytest.mark.parametrize("k", [1, 2, 7, 30])
+    def test_scores_equal_decision_bit_for_bit(self, layout, k):
+        # one product over the stacked candidates scores each row exactly as
+        # ``decision`` scores it.  "prefix" is the pipeline's ``v[:k]`` of a
+        # row of a wider embedding matrix (a strided 2-D slice).  An
+        # element-strided vector is scored as its contiguous copy: the
+        # ranking stacks every vector into one contiguous matrix, while
+        # ``decision`` on the strided view takes BLAS's strided path
+        rng = np.random.default_rng(k)
+        M = rng.standard_normal((400, 60))
+        view = {
+            "own": lambda i: M[i, :k].copy(),
+            "prefix": lambda i: M[i, :k],
+            "element-strided": lambda i: M[i, ::2][:k],
+        }[layout]
+        emb = {f"p{i:03d}": view(i) for i in range(len(M))}
+        model = SvmModel(weights=rng.standard_normal(k), bias=0.1, C=1.0, dims_used=k)
+        d = build_dictionary(list(emb), emb, model)
+        decisions = {p: model.decision(np.ascontiguousarray(v)) for p, v in emb.items()}
+        expected = sorted(
+            ((p, s) for p, s in decisions.items() if s >= 0), key=lambda ps: (-ps[1], ps[0])
+        )
+        assert list(d.scores.items()) == expected
+
+    def test_embedding_of_the_wrong_dimension_fails(self):
+        model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
+        with pytest.raises(ValueError, match="expected dim 1"):
+            build_dictionary(["x"], {"x": np.array([1.0, 2.0])}, model)
+
+
 class TestCutDictionary:
     def test_cut_of_low_ranking_equals_build_at_threshold(self):
         model = SvmModel(weights=np.array([1.0, -0.5]), bias=0.1, C=2.0, dims_used=2)

@@ -1,10 +1,15 @@
 """Decision-list co-training."""
 
+import heapq
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dictforge import cotrain
 from dictforge.classifier import SeedSet
 from dictforge.cotrain import (
     DecisionListState,
@@ -250,3 +255,81 @@ class TestDictionaryFromRules:
             dictionary_from_rules(state, theta=0.0)
         with pytest.raises(ValueError):
             dictionary_from_rules(state, theta=1.5)
+
+
+# -- the heap and two-gather selection the rank-based one replaced, kept as
+# the oracle of rule choice: conditions are ordered by their keys themselves
+
+def heap_select_rules(total, matches, arrays, keys, label, limit, epsilon):
+    match = matches[label]
+    strength = np.where(total >= 1, match / np.maximum(total, 1), -1.0)
+    qualifying = np.flatnonzero(
+        (total >= 1) & (strength > epsilon) & (arrays.label == cotrain._UNLABELED)
+    )
+    picked = [
+        (-int(match[cid]), -float(strength[cid]), keys[cid], int(cid))
+        for cid in qualifying
+    ]
+    top = heapq.nsmallest(limit, picked)
+    return [(cid, -nm, int(total[cid]), -ns) for nm, ns, _, cid in top]
+
+
+def argmin_label_by_context(idx, arrays):
+    s = arrays.strength[idx.bigram_ids]
+    best = s.max(axis=1)
+    labels = np.full(idx.n, cotrain._UNLABELED, dtype=np.int64)
+    hit = np.isfinite(best)
+    if not hit.any():
+        return labels
+    order = arrays.order[idx.bigram_ids].astype(np.float64)
+    order[s < best[:, None]] = np.inf
+    pick = order.argmin(axis=1)
+    chosen = idx.bigram_ids[np.arange(idx.n), pick]
+    labels[hit] = arrays.label[chosen[hit]]
+    return labels
+
+
+class KeyedIndexed(cotrain._Indexed):
+    """Hands the condition keys, not their ranks, to the rule selection."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.phrase_rank, self.bigram_rank = self.phrases, self.bigrams
+
+
+@st.composite
+def tied_collections(draw):
+    """Few phrases and few context words, so many rules tie in count and
+    in strength; both seeds occur."""
+    words = ["a", "b", "c"]
+    phrases = ["ebola", "mutant", "zika", "same", "lassa"]
+    rows = []
+    for r in range(draw(st.integers(6, 50))):
+        phrase = {0: "ebola", 1: "mutant"}.get(r) or draw(st.sampled_from(phrases))
+        context = draw(st.lists(st.sampled_from(words), min_size=6, max_size=6))
+        rows.append(occ(phrase, context[:3], context[3:], r))
+    return rows
+
+
+class TestRuleChoiceByRank:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        tied_collections(),
+        st.integers(1, 3),
+        st.sampled_from([0.3, 0.5, 0.6, 0.95]),
+    )
+    def test_state_equals_heap_and_argmin_oracle(self, rows, m, epsilon):
+        state = dl_cotrain(table(rows), SEEDS, m=m, epsilon=epsilon)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cotrain, "_Indexed", KeyedIndexed)
+            mp.setattr(cotrain, "_select_rules", heap_select_rules)
+            mp.setattr(cotrain, "_label_by_context", argmin_label_by_context)
+            oracle = dl_cotrain(table(rows), SEEDS, m=m, epsilon=epsilon)
+        assert state == oracle
+
+    @settings(max_examples=30, deadline=None)
+    @given(tied_collections())
+    def test_ranks_order_keys_lexicographically(self, rows):
+        idx = cotrain._Indexed(table(rows))
+        assert [idx.phrases[i] for i in np.argsort(idx.phrase_rank)] == sorted(idx.phrases)
+        assert [idx.bigrams[i] for i in np.argsort(idx.bigram_rank)] == sorted(idx.bigrams)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dictforge.cca import CcaModel, accumulate_covariance, embed_phrases
 from dictforge.classifier import SeedSet, build_dictionary, train_svm
@@ -19,6 +21,7 @@ from dictforge.pipeline import (
     STAGES,
     StageError,
     _KEYS,
+    _Runner,
     _dev_scorer,
     _field,
     model_select,
@@ -317,6 +320,69 @@ class TestModelSelect:
         assert got == best
 
 
+_DEV_WORDS = st.sampled_from(["a", "b", "c", "A", "B"])
+
+
+@st.composite
+def _dev_split(draw):
+    """Sentences of a few words, cased and not, with well-formed gold BIO
+    tags (an I after O is turned into a B)."""
+    dev = []
+    for _ in range(draw(st.integers(0, 4))):
+        toks = draw(st.lists(_DEV_WORDS, min_size=1, max_size=8))
+        tags = draw(st.lists(st.sampled_from("BIO"), min_size=len(toks), max_size=len(toks)))
+        tags = ["B" if t == "I" and (i == 0 or tags[i - 1] == "O") else t for i, t in enumerate(tags)]
+        dev.append((toks, tags))
+    return dev
+
+
+def _tagged_f1(dev, dictionary):
+    pred = [tag_with_dictionary(toks, dictionary) for toks, _ in dev]
+    return evaluate(pred, [tags for _, tags in dev]).f1
+
+
+class TestDevScorer:
+    """The match-lattice dev F1 against tagging and scoring afresh."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _dev_split(),
+        st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(" ".join),
+                 unique=True, max_size=8),
+        st.lists(st.integers(0, 7)),
+    )
+    # nested ("a" in "a b" in "a b c") and overlapping ("a b", "b c") phrases
+    @example([(["A", "b", "c", "a", "b"], ["B", "I", "O", "B", "I"])],
+             ["a", "a b", "a b c", "b c"], [0, 1, 2, 3])
+    @example([(["A", "b", "c", "a", "b"], ["B", "I", "O", "B", "I"])],
+             ["a", "a b", "a b c", "b c"], [1, 3])
+    def test_matches_tagging_oracle(self, dev, universe, picks):
+        d = Dictionary({universe[i]: 1.0 for i in picks if i < len(universe)})
+        assert _dev_scorer(dev, universe)(d) == _tagged_f1(dev, d)
+
+    @pytest.mark.parametrize("kept", [("a b c",), ("a b", "b c"), ("a", "b c"), ("b c",), ()])
+    def test_nested_overlapping_and_sentence_end(self, kept):
+        # gold entities end each sentence; "b c" only matches at the end
+        dev = [(["a", "b", "c"], ["O", "B", "I"]), (["x", "a", "b"], ["O", "B", "I"])]
+        universe = ["a", "a b", "a b c", "b c", "b"]
+        d = Dictionary(dict.fromkeys(kept, 1.0))
+        assert _dev_scorer(dev, universe)(d) == _tagged_f1(dev, d)
+
+    def test_sentence_end_match_counts(self):
+        dev = [(["x", "Flu"], ["O", "B"]), (["flu", "x"], ["O", "O"])]
+        d = Dictionary({"flu": 1.0})
+        assert _dev_scorer(dev, ["flu"])(d) == pytest.approx(2 / 3) == _tagged_f1(dev, d)
+
+    def test_empty_dictionary_scores_zero(self):
+        dev = [(["flu"], ["B"])]
+        assert _dev_scorer(dev, ["flu"])(Dictionary({})) == 0.0
+
+    def test_phrase_outside_the_universe_rejected(self):
+        dev_f1 = _dev_scorer([(["flu"], ["B"])], ["flu"])
+        with pytest.raises(ValueError, match="swine flu"):
+            dev_f1(Dictionary({"flu": 1.0, "swine flu": 0.5}))
+
+
 class TestRunPipeline:
     def test_all_artifacts_present(self, finished_run):
         workdir, config, manifest = finished_run
@@ -574,19 +640,58 @@ class TestRunPipeline:
         np.testing.assert_allclose(cca["svd_residuals"], oracle, rtol=1e-6, atol=1e-9)
 
     def test_dev_scorer_matches_evaluate(self, finished_run):
-        # dev F1 from gold spans and lowercased words taken once equals
+        # dev F1 from one match lattice over the candidate list equals
         # tagging and scoring each dictionary afresh
         _, config, _ = finished_run
         dev = read_conll(config.dev, strict=True)
         ranked = list(read_dictionary(config.outdir / "dict.cca.tsv").scores)
         rng = np.random.default_rng(0)
-        dev_f1 = _dev_scorer(dev)
+        candidates = [c.lower for c in read_candidates(config.outdir / "candidates.tsv")]
+        dev_f1 = _dev_scorer(dev, candidates)
         for size in (0, 1, len(ranked) // 2, len(ranked)):
             picked = rng.permutation(ranked)[:size]
             d = Dictionary({p: 1.0 for p in picked}, provenance="cca")
             pred = [tag_with_dictionary(toks, d) for toks, _ in dev]
             assert dev_f1(d) == evaluate(pred, [tags for _, tags in dev]).f1
-        assert _dev_scorer(None)(Dictionary({"flu": 1.0})) == 0.0
+        assert _dev_scorer(None, ())(Dictionary({"flu": 1.0})) == 0.0
+
+    def test_views_table_is_the_written_table(self, finished_run, tmp_path):
+        # classify and cotrain of a cold run use the table the views stage
+        # built, which must be the one they would parse from its file
+        _, config, _ = finished_run
+        runner = _Runner(config)
+        runner.stage_views(tmp_path)
+        table = runner.occurrences()
+        written = read_occurrences(tmp_path / "views.occurrences.tsv")
+        for name in ("phrase_ids", "context_ids"):
+            got, want = getattr(table, name), getattr(written, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert table.phrases == written.phrases
+        assert table.contexts == written.contexts
+
+    def test_cold_run_parses_neither_occurrences_nor_dev_twice(
+        self, finished_run, tmp_path, monkeypatch
+    ):
+        _, config, _ = finished_run
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        dev_reads = []
+
+        def no_parse(path):
+            raise AssertionError(f"parsed {path} in the run that wrote it")
+
+        def counting_read_conll(path, strict=False):
+            if path == config.dev:
+                dev_reads.append(path)
+            return read_conll(path, strict=strict)
+
+        monkeypatch.setattr("dictforge.pipeline.read_occurrences", no_parse)
+        monkeypatch.setattr("dictforge.pipeline.read_conll", counting_read_conll)
+        manifest = run_pipeline(copy)
+        assert not any(record.get("cached") for record in manifest.stages.values())
+        assert len(dev_reads) == 1
+        for name in ("dict.cca.tsv", "dict.cotrain.tsv", "crf.json"):
+            assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
 
     def test_jobs_other_than_one_rejected(self, finished_run):
         _, config, _ = finished_run

@@ -2,13 +2,15 @@
 
 A run reads a declarative config (INI sections or the same structure as
 JSON), executes the stages extract → views → cca → classify | cotrain →
-tag → crf in dependency order, and records a manifest with input/output
-content hashes so stages with unchanged inputs, parameters and package
-source are skipped on re-runs.  Only the extract and views stages read the
-corpus; cca, classify and cotrain read the views artifacts (the design
-matrices and the occurrence table in their row order).  Grid points are scored
-on the dev split and the winner is chosen by ``model_select``; everything
-a later reader needs to reproduce the run lands next to the artifacts.
+tag → crf in dependency order, and records a manifest.  Each ``_STAGES`` row
+declares what its stage reads (config inputs and earlier artifacts, by name)
+and which package modules its body calls.  A rerun serves a stage from the
+manifest when the content hashes of its reads, its parameters and its code
+(``pipeline.py`` plus the import closure of its modules) are unchanged, so a
+moved output directory stays cached and a module edit re-executes only the
+stages that import it.  Grid points are scored on the dev split and the winner
+is chosen by ``model_select``; everything a later reader needs to reproduce the
+run lands next to the artifacts.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import configparser
 import hashlib
 import json
 import math
+import re
 import shutil
+import tempfile
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -81,19 +85,30 @@ __all__ = [
 
 class _Stage(NamedTuple):
     outputs: tuple[str, ...]  # artifacts it must leave in the output directory
+    reads: tuple[str, ...]  # [inputs] keys and earlier artifacts it hashes (see _inputs)
+    modules: tuple[str, ...]  # package modules its body calls (see _closure)
     section: str | None = None  # config section recorded as its manifest params
     needs: str | None = None  # optional [inputs] key it cannot run without
 
 
 # in dependency order
 _STAGES = {
-    "extract": _Stage(("candidates.tsv",)),
-    "views": _Stage(("views.X.npz", "views.Z.npz", "views.occurrences.tsv")),
-    "cca": _Stage(("cca.model.npz",), "cca"),
-    "classify": _Stage(("dict.cca.tsv", "embeddings.tsv", "svm.json"), "svm"),
-    "cotrain": _Stage(("dict.cotrain.tsv", "cotrain.json"), "cotrain"),
-    "tag": _Stage(("report.json",), needs="test"),
-    "crf": _Stage(("crf.model.npz", "crf.json"), "crf", needs="train"),
+    "extract": _Stage(("candidates.tsv",), ("corpus", "patterns"), ("corpus", "extraction")),
+    "views": _Stage(("views.X.npz", "views.Z.npz", "views.occurrences.tsv"),
+                    ("corpus", "candidates.tsv"), ("corpus", "extraction", "views")),
+    "cca": _Stage(("cca.model.npz",), ("views.X.npz", "views.Z.npz"), ("views", "cca"), "cca"),
+    "classify": _Stage(("dict.cca.tsv", "embeddings.tsv", "svm.json"),
+                       ("candidates.tsv", "seeds", "dev", "cca.model.npz", "views.X.npz",
+                        "views.occurrences.tsv"),
+                       ("extraction", "views", "cca", "classifier", "tagging"), "svm"),
+    "cotrain": _Stage(("dict.cotrain.tsv", "cotrain.json"),
+                      ("views.occurrences.tsv", "seeds", "dev"),
+                      ("views", "classifier", "cotrain", "tagging"), "cotrain"),
+    "tag": _Stage(("report.json",), ("test", "dict.cca.tsv?", "dict.cotrain.tsv?"), ("tagging",),
+                  needs="test"),
+    "crf": _Stage(("crf.model.npz", "crf.json"),
+                  ("train", "dev", "test", "dict.cca.tsv if dict", "embeddings.tsv if emb"),
+                  ("crf", "cca", "tagging"), "crf", needs="train"),
 }
 STAGES = tuple(_STAGES)
 
@@ -344,10 +359,19 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _code_digest() -> str:
-    """Hash of the package's Python sources; a code edit invalidates every stage."""
-    files = sorted(Path(__file__).parent.glob("*.py"))
-    return hashlib.sha256(b"".join(p.name.encode() + p.read_bytes() for p in files)).hexdigest()
+def _sources() -> dict[str, bytes]:
+    """The package's modules by name, as their files hold them."""
+    return {p.stem: p.read_bytes() for p in Path(__file__).parent.glob("*.py")}
+
+
+def _closure(modules: Iterable[str], sources: Mapping[str, bytes]) -> list[str]:
+    """``modules`` and all they import by ``from .x import`` lines, transitively."""
+    seen, todo = set(), list(modules)
+    while todo:
+        if (name := todo.pop()) not in seen:
+            seen.add(name)
+            todo += re.findall(r"^[ \t]*from \.(\w+) import", sources[name].decode(), re.M)
+    return sorted(seen)
 
 
 def _json_text(data) -> str:
@@ -431,7 +455,7 @@ def _dev_scorer(
 
 
 class _Runner:
-    """Holds one run's state: config, previous manifest, lazy inputs."""
+    """Holds one run's state: config and lazy inputs."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
@@ -635,9 +659,7 @@ class _Runner:
             dictionaries = (read_dictionary(self.outdir / "dict.cca.tsv"),)
         embeddings = None
         if feats.embedding:
-            embeddings = SentinelEmbeddings(
-                read_embeddings(self.outdir / "embeddings.tsv")
-            )
+            embeddings = SentinelEmbeddings(read_embeddings(self.outdir / "embeddings.tsv"))
         dev = self.dev_rows("crf", len(cfg.crf_lambda_grid))
         model, chosen, reports = select_crf(
             train, feats, cfg.crf_lambda_grid, dev, cfg.crf_max_iters, dictionaries, embeddings
@@ -652,40 +674,23 @@ class _Runner:
         return details
 
 
-# stage -> (config inputs, artifact inputs from earlier stages)
-def _stage_inputs(config: PipelineConfig, stage: str) -> list[Path]:
-    out = config.outdir
-    table = {
-        "extract": [config.corpus, config.patterns],
-        "views": [config.corpus, out / "candidates.tsv"],
-        "cca": [out / "views.X.npz", out / "views.Z.npz"],
-        "classify": [out / "candidates.tsv", config.seeds, out / "cca.model.npz",
-                     out / "views.X.npz", out / "views.occurrences.tsv"],
-        "cotrain": [out / "views.occurrences.tsv", config.seeds],
-        "tag": [out / "dict.cca.tsv", out / "dict.cotrain.tsv", config.test],
-        "crf": [config.train],
-    }
-    paths = list(table[stage])
-    if stage in ("classify", "cotrain", "crf") and config.dev is not None:
-        paths.append(config.dev)
-    if stage == "crf":
-        feats = FeatureConfig.from_flags(config.crf_features)
-        if feats.dict_match:
-            paths.append(config.outdir / "dict.cca.tsv")
-        if feats.embedding:
-            paths.append(config.outdir / "embeddings.tsv")
-        if config.test is not None:
-            paths.append(config.test)
-    if stage == "tag":
-        # either dictionary may be absent; hash whichever exists
-        paths = [p for p in paths if p == config.test or p.is_file()]
-    return paths
-
-
-def _stage_params(config: PipelineConfig, stage: str) -> dict:
-    """A stage's config section, read back from the config."""
-    section = _STAGES[stage].section
-    return {key: getattr(config, _field(section, key)) for key in _KEYS.get(section, ())}
+def _inputs(config: PipelineConfig, stage: str) -> dict[str, str]:
+    """Content hashes of the files a stage reads, keyed by the names its row
+    reads them under, so a moved output directory keeps its cache.  An unset
+    [inputs] key is not read, ``name?`` only if the artifact exists, and
+    ``name if flag`` only when crf.features names ``flag``."""
+    flags = {f.strip() for f in config.crf_features.split(",")}
+    inputs = {}
+    for read in _STAGES[stage].reads:
+        read, _, flag = read.partition(" if ")
+        name = read.rstrip("?")
+        path = getattr(config, name) if name in _KEYS["inputs"] else config.outdir / name
+        if path is None or (flag and flag not in flags) or (name != read and not path.is_file()):
+            continue
+        if not path.is_file():
+            raise StageError(stage, f"missing input: {path}")
+        inputs[name] = _sha256(path)
+    return inputs
 
 
 def run_pipeline(
@@ -696,8 +701,8 @@ def run_pipeline(
 ) -> RunManifest:
     """Execute the requested stages (default: every applicable one).
 
-    A stage whose input hashes, parameters, and recorded outputs all
-    match the previous manifest is skipped.  Grid points run serially:
+    A stage whose input hashes, parameters, code and recorded outputs
+    all match the previous manifest is skipped.  Grid points run serially:
     ``jobs`` must be 1.  A failing stage moves its
     partial outputs to ``<outdir>/quarantine/`` and aborts the run.
     """
@@ -711,9 +716,7 @@ def run_pipeline(
     outdir = config.outdir
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_path = outdir / "manifest.json"
-    previous = (
-        RunManifest.load(manifest_path).stages if manifest_path.is_file() else {}
-    )
+    previous = RunManifest.load(manifest_path).stages if manifest_path.is_file() else {}
     config_blob = _json_text(
         {
             f.name: (str(v) if isinstance(v := getattr(config, f.name), Path) else v)
@@ -726,7 +729,7 @@ def run_pipeline(
         stages=dict(previous),
     )
     runner = _Runner(config)
-    code = _code_digest()
+    sources = _sources()
 
     for stage in requested:
         needs = _STAGES[stage].needs
@@ -738,12 +741,11 @@ def run_pipeline(
             log(f"{stage}: skipped ({reason})")
             continue
 
-        inputs = {}
-        for p in _stage_inputs(config, stage):
-            if p is None or not Path(p).is_file():
-                raise StageError(stage, f"missing input: {p}")
-            inputs[str(p)] = _sha256(Path(p))
-        params = _stage_params(config, stage)
+        inputs = _inputs(config, stage)
+        section = _STAGES[stage].section
+        params = {key: getattr(config, _field(section, key)) for key in _KEYS.get(section, ())}
+        closure = ("__init__", "pipeline", *_closure(_STAGES[stage].modules, sources))
+        code = hashlib.sha256(b"".join(m.encode() + sources[m] for m in closure)).hexdigest()
         signature = hashlib.sha256(
             _json_text({"inputs": inputs, "params": params, "code": code}).encode()
         ).hexdigest()
@@ -757,9 +759,7 @@ def run_pipeline(
                 for name, digest in prev.get("outputs", {}).items()
             )
         ):
-            record = dict(prev)
-            record["cached"] = True
-            manifest.stages[stage] = record
+            manifest.stages[stage] = {**prev, "cached": True}
             log(f"{stage}: cached")
             continue
 
@@ -770,6 +770,8 @@ def run_pipeline(
         started = time.monotonic()
         try:
             details = getattr(runner, f"stage_{stage}")(tmp)
+            if missing := [n for n in _STAGES[stage].outputs if not (tmp / n).is_file()]:
+                raise StageError(stage, f"stage produced no {missing[0]}")
         except StageError:
             _quarantine(outdir, stage, tmp)
             raise
@@ -780,11 +782,7 @@ def run_pipeline(
 
         outputs = {}
         for name in _STAGES[stage].outputs:
-            src = tmp / name
-            if not src.is_file():
-                _quarantine(outdir, stage, tmp)
-                raise StageError(stage, f"stage produced no {name}")
-            shutil.move(str(src), str(outdir / name))
+            shutil.move(str(tmp / name), str(outdir / name))
             outputs[name] = _sha256(outdir / name)
         shutil.rmtree(tmp)
 
@@ -792,6 +790,7 @@ def run_pipeline(
             "signature": signature,
             "inputs": inputs,
             "params": params,
+            "code": code,
             "outputs": outputs,
             "elapsed_s": round(elapsed, 3),
             "cached": False,
@@ -807,8 +806,7 @@ def run_pipeline(
 def _quarantine(outdir: Path, stage: str, tmp: Path) -> None:
     if not tmp.exists():
         return
-    dest = outdir / "quarantine" / f"{stage}-{time.strftime('%Y%m%dT%H%M%S')}"
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    if dest.exists():
-        shutil.rmtree(dest)
-    shutil.move(str(tmp), str(dest))
+    (outdir / "quarantine").mkdir(exist_ok=True)
+    # mkdtemp makes a fresh directory, so a second failure keeps the first's
+    tmp.replace(tempfile.mkdtemp(prefix=f"{stage}-{time.strftime('%Y%m%dT%H%M%S')}-",
+                                 dir=outdir / "quarantine"))

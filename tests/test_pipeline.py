@@ -1,5 +1,6 @@
 """Config validation, model selection, and the cached stage runner."""
 
+import ast
 import dataclasses
 import json
 import re
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from dictforge.cca import CcaModel, accumulate_covariance, embed_phrases
 from dictforge.classifier import SeedSet, build_dictionary, train_svm
 from dictforge.corpus import iter_sentences
+from dictforge.cotrain import dictionary_from_rules
 from dictforge.pipeline import (
     PipelineConfig,
     PipelineConfigError,
@@ -21,9 +23,12 @@ from dictforge.pipeline import (
     STAGES,
     StageError,
     _KEYS,
+    _STAGES,
     _Runner,
+    _closure,
     _dev_scorer,
     _field,
+    _sources,
     model_select,
     run_pipeline,
     validate_config,
@@ -101,6 +106,13 @@ def finished_run(workdir):
     config = validate_config(workdir / "pipeline.cfg")
     manifest = run_pipeline(config)
     return workdir, config, manifest
+
+
+def _edit_module(monkeypatch, module):
+    """Make the run see a comment appended to ``module``'s source."""
+    sources = _sources()
+    edited = {**sources, module: sources[module] + b"\n# edited\n"}
+    monkeypatch.setattr("dictforge.pipeline._sources", lambda: edited)
 
 
 def write_minimal(tmp_path, **overrides):
@@ -475,9 +487,9 @@ class TestRunPipeline:
         manifest = run_pipeline(copy, stages=(stage,))
         assert manifest.stages[stage]["cached"] is False
         inputs = manifest.stages[stage]["inputs"]
-        assert str(config.corpus) not in inputs
+        assert "corpus" not in inputs
         if stage == "cotrain":
-            assert str(copy.outdir / "candidates.tsv") not in inputs
+            assert "candidates.tsv" not in inputs
         assert (copy.outdir / artifact).read_bytes() == (config.outdir / artifact).read_bytes()
 
     def test_candidate_without_occurrence_names_itself(self, finished_run, tmp_path):
@@ -503,16 +515,75 @@ class TestRunPipeline:
         ):
             run_pipeline(copy, stages=("classify",))
 
+    def test_copied_output_directory_stays_cached(self, finished_run, tmp_path):
+        # inputs are recorded by the names the stage table reads them under,
+        # so a finished run moved elsewhere re-executes nothing
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        manifest = run_pipeline(copy)
+        assert all(rec["cached"] for rec in manifest.stages.values())
+        # crf.features = baseline,dict: crf reads the cca dictionary, not the embeddings
+        assert {stage: set(rec["inputs"]) for stage, rec in manifest.stages.items()} == {
+            "extract": {"corpus", "patterns"},
+            "views": {"corpus", "candidates.tsv"},
+            "cca": {"views.X.npz", "views.Z.npz"},
+            "classify": {"candidates.tsv", "seeds", "dev", "cca.model.npz", "views.X.npz",
+                         "views.occurrences.tsv"},
+            "cotrain": {"views.occurrences.tsv", "seeds", "dev"},
+            "tag": {"test", "dict.cca.tsv", "dict.cotrain.tsv"},
+            "crf": {"train", "dev", "test", "dict.cca.tsv"},
+        }
+
     def test_code_change_invalidates_every_stage(self, finished_run, tmp_path, monkeypatch):
+        # every stage's code fingerprint covers pipeline.py
         workdir, config, _ = finished_run
         shutil.copytree(config.outdir, tmp_path / "out")
         copy = dataclasses.replace(config, outdir=tmp_path / "out")
-        run_pipeline(copy)  # artifact inputs now live under the copy's paths
-        manifest = run_pipeline(copy)
-        assert all(rec["cached"] for rec in manifest.stages.values())
-        monkeypatch.setattr("dictforge.pipeline._code_digest", lambda: "edited")
+        _edit_module(monkeypatch, "pipeline")
         manifest = run_pipeline(copy)
         assert not any(rec["cached"] for rec in manifest.stages.values())
+
+    @pytest.mark.parametrize(
+        "module, rerun",
+        [
+            ("crf", {"crf"}),
+            ("cotrain", {"cotrain"}),
+            ("linalg", {"cca", "classify", "crf"}),
+            ("synth", set()),
+            ("cli", set()),
+        ],
+    )
+    def test_module_edit_reexecutes_the_stages_that_import_it(
+        self, finished_run, tmp_path, monkeypatch, module, rerun
+    ):
+        # a comment edit leaves every artifact as it was, so no stage
+        # downstream of the edited ones re-executes
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        _edit_module(monkeypatch, module)
+        manifest = run_pipeline(copy)
+        assert {s for s, rec in manifest.stages.items() if not rec["cached"]} == rerun
+
+    def test_cotrain_edit_reexecutes_tag_when_its_dictionary_changes(
+        self, finished_run, tmp_path, monkeypatch
+    ):
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        _edit_module(monkeypatch, "cotrain")
+        real = dictionary_from_rules
+
+        def one_phrase_fewer(state, theta):
+            d = real(state, theta=theta)
+            return dataclasses.replace(d, scores=dict(list(d.scores.items())[1:]))
+
+        monkeypatch.setattr("dictforge.pipeline.dictionary_from_rules", one_phrase_fewer)
+        manifest = run_pipeline(copy)
+        assert {s for s, rec in manifest.stages.items() if not rec["cached"]} == {"cotrain", "tag"}
+        changed = copy.outdir / "dict.cotrain.tsv"
+        assert changed.read_bytes() != (config.outdir / "dict.cotrain.tsv").read_bytes()
 
     def test_selection_matches_exhaustive_reevaluation(self, finished_run):
         workdir, config, manifest = finished_run
@@ -559,10 +630,12 @@ class TestRunPipeline:
             config, seeds=bad_seeds, outdir=tmp_path / "out"
         )
         run_pipeline(broken, stages=("extract", "views", "cca"))
-        with pytest.raises(StageError, match=r"\[classify\]"):
-            run_pipeline(broken, stages=("classify",))
-        quarantine = broken.outdir / "quarantine"
-        assert quarantine.is_dir() and any(quarantine.iterdir())
+        # back to back, within the same second: each failure keeps its own
+        for _ in range(2):
+            with pytest.raises(StageError, match=r"\[classify\]"):
+                run_pipeline(broken, stages=("classify",))
+        kept = list((broken.outdir / "quarantine").iterdir())
+        assert len(kept) == 2 and all(p.name.startswith("classify-") for p in kept)
 
     def test_missing_dependency_artifact_fails(self, workdir, tmp_path):
         config = validate_config(workdir / "pipeline.cfg")
@@ -607,6 +680,7 @@ class TestRunPipeline:
 
         for name, fn in (("train_svm", train_svm), ("build_dictionary", build_dictionary)):
             monkeypatch.setattr(f"dictforge.pipeline.{name}", counted(name, fn))
+        (copy.outdir / "manifest.json").unlink()  # the copy would be served from cache
         manifest = run_pipeline(copy, stages=("classify",))
         assert manifest.stages["classify"]["cached"] is False
         fits = len(config.svm_k_grid) * len(config.svm_c_grid)
@@ -741,3 +815,44 @@ class TestRunPipeline:
             assert isinstance(row["message"], str)
         assert details["selection"] in details["grid"]
         assert "test" in on_disk
+
+
+def _ast_imports(module):
+    """The package modules ``module`` imports, by its parsed ``from .x import`` nodes."""
+    tree = ast.parse(_sources()[module])
+    return {
+        node.module.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    }
+
+
+class TestStageTable:
+    CLOSURES = {
+        "extract": {"corpus", "extraction"},
+        "views": {"corpus", "extraction", "tagging", "views"},
+        "cca": {"cca", "linalg", "views", "extraction", "corpus", "tagging"},
+        "classify": {"cca", "linalg", "classifier", "tagging", "extraction", "corpus", "views"},
+        "cotrain": {"cotrain", "classifier", "tagging", "views", "extraction", "corpus"},
+        "tag": {"tagging"},
+        "crf": {"crf", "corpus", "tagging", "views", "extraction", "cca", "linalg"},
+    }
+
+    def test_reads_name_config_paths_or_earlier_outputs(self):
+        paths = {f.name for f in dataclasses.fields(PipelineConfig) if "Path" in f.type}
+        written = set()
+        for stage, row in _STAGES.items():
+            names = [read.partition(" if ")[0].rstrip("?") for read in row.reads]
+            for name in names:
+                assert name in written or name in paths - {"outdir"}, (stage, name)
+            assert row.needs is None or row.needs in names, stage
+            written.update(row.outputs)
+
+    def test_closure_matches_an_ast_import_walk(self):
+        for stage, row in _STAGES.items():
+            seen, todo = set(), list(row.modules)
+            while todo:
+                if (name := todo.pop()) not in seen:
+                    seen.add(name)
+                    todo += _ast_imports(name)
+            assert set(_closure(row.modules, _sources())) == seen == self.CLOSURES[stage], stage

@@ -8,9 +8,11 @@ and which package modules its body calls.  A rerun serves a stage from the
 manifest when the content hashes of its reads, its parameters and its code
 (``pipeline.py`` plus the import closure of its modules) are unchanged, so a
 moved output directory stays cached and a module edit re-executes only the
-stages that import it.  Grid points are scored on the dev split and the winner
-is chosen by ``model_select``; everything a later reader needs to reproduce the
-run lands next to the artifacts.
+stages that import it; a run hashes each file once.  Only extract and views
+read the corpus; cca, classify and cotrain load the occurrence table views
+stores (``views.table.npz``).  Grid points are scored on the dev split and the
+winner is chosen by ``model_select``; everything a later reader needs to
+reproduce the run lands next to the artifacts.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import configparser
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
 import tempfile
@@ -67,8 +70,9 @@ from .tagging import (
     tag_with_dictionary,
     write_dictionary,
 )
-from .views import (OccurrenceTable, build_design_matrices, collect_occurrences,
-                    read_occurrences, read_triplets, write_occurrences, write_triplets)
+from .views import OccurrenceTable, build_design_matrices, collect_occurrences
+# not called here: perfbench/tracer.py's WRAPS wraps them under this module
+from .views import read_triplets, write_triplets  # noqa: F401
 
 __all__ = [
     "PipelineConfig",
@@ -94,15 +98,13 @@ class _Stage(NamedTuple):
 # in dependency order
 _STAGES = {
     "extract": _Stage(("candidates.tsv",), ("corpus", "patterns"), ("corpus", "extraction")),
-    "views": _Stage(("views.X.npz", "views.Z.npz", "views.occurrences.tsv"),
-                    ("corpus", "candidates.tsv"), ("corpus", "extraction", "views")),
-    "cca": _Stage(("cca.model.npz",), ("views.X.npz", "views.Z.npz"), ("views", "cca"), "cca"),
+    "views": _Stage(("views.table.npz",), ("corpus", "candidates.tsv"),
+                    ("corpus", "extraction", "views")),
+    "cca": _Stage(("cca.model.npz",), ("views.table.npz",), ("views", "cca"), "cca"),
     "classify": _Stage(("dict.cca.tsv", "embeddings.tsv", "svm.json"),
-                       ("candidates.tsv", "seeds", "dev", "cca.model.npz", "views.X.npz",
-                        "views.occurrences.tsv"),
+                       ("candidates.tsv", "seeds", "dev", "cca.model.npz", "views.table.npz"),
                        ("extraction", "views", "cca", "classifier", "tagging"), "svm"),
-    "cotrain": _Stage(("dict.cotrain.tsv", "cotrain.json"),
-                      ("views.occurrences.tsv", "seeds", "dev"),
+    "cotrain": _Stage(("dict.cotrain.tsv", "cotrain.json"), ("views.table.npz", "seeds", "dev"),
                       ("views", "classifier", "cotrain", "tagging"), "cotrain"),
     "tag": _Stage(("report.json",), ("test", "dict.cca.tsv?", "dict.cotrain.tsv?"), ("tagging",),
                   needs="test"),
@@ -359,18 +361,32 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+class _Digests(dict):
+    """Path -> content hash, each file hashed once per run (outputs as moved in)."""
+
+    def __missing__(self, path: Path) -> str:
+        self[path] = digest = _sha256(path)
+        return digest
+
+
 def _sources() -> dict[str, bytes]:
     """The package's modules by name, as their files hold them."""
     return {p.stem: p.read_bytes() for p in Path(__file__).parent.glob("*.py")}
 
 
-def _closure(modules: Iterable[str], sources: Mapping[str, bytes]) -> list[str]:
-    """``modules`` and all they import by ``from .x import`` lines, transitively."""
+def _imports(sources: Mapping[str, bytes]) -> dict[str, list[str]]:
+    """Each module's ``from .x import`` targets."""
+    pattern = re.compile(r"^[ \t]*from \.(\w+) import", re.M)
+    return {name: pattern.findall(source.decode()) for name, source in sources.items()}
+
+
+def _closure(modules: Iterable[str], imports: Mapping[str, list[str]]) -> list[str]:
+    """``modules`` and all they import, transitively."""
     seen, todo = set(), list(modules)
     while todo:
         if (name := todo.pop()) not in seen:
             seen.add(name)
-            todo += re.findall(r"^[ \t]*from \.(\w+) import", sources[name].decode(), re.M)
+            todo += imports[name]
     return sorted(seen)
 
 
@@ -387,7 +403,10 @@ class RunManifest:
     stages: dict = field(default_factory=dict)
 
     def save(self, path: Path) -> None:
-        path.write_text(_json_text(asdict(self)), encoding="utf-8")
+        # a write cut short leaves the previous manifest in place
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text(_json_text(asdict(self)), encoding="utf-8")
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
@@ -461,7 +480,6 @@ class _Runner:
         self.config = config
         self.outdir = config.outdir
         self._sentences = None
-        self._occurrences = None
         self._dev = None
 
     # -- the corpus, tokenized once for extract and views ---------------
@@ -470,14 +488,6 @@ class _Runner:
         if self._sentences is None:
             self._sentences = list(iter_sentences(self.config.corpus))
         return self._sentences
-
-    # -- the views' occurrence table, interned once for classify and cotrain
-    # (the views stage hands over the table it built when it runs)
-
-    def occurrences(self) -> OccurrenceTable:
-        if self._occurrences is None:
-            self._occurrences = read_occurrences(self.outdir / "views.occurrences.tsv")
-        return self._occurrences
 
     def dev_rows(self, stage: str, points: int) -> list | None:
         """The dev split, read once per run; None without one, which only a
@@ -501,31 +511,19 @@ class _Runner:
 
     def stage_views(self, tmp: Path) -> dict:
         cands = read_candidates(self.outdir / "candidates.tsv")
-        views = build_design_matrices(list(collect_occurrences(self.sentences(), cands)))
-        with open(tmp / "views.X.npz", "wb") as fh:
-            write_triplets(views.X, fh)
-        with open(tmp / "views.Z.npz", "wb") as fh:
-            write_triplets(views.Z, fh)
-        with open(tmp / "views.occurrences.tsv", "w", encoding="utf-8") as fh:
-            write_occurrences(views.rows, fh)
-        self._occurrences = views.table
+        table = build_design_matrices(collect_occurrences(self.sentences(), cands)).table
+        table.save(tmp / "views.table.npz")
         return {
-            "occurrences": views.n,
-            "d_spelling": views.X.shape[1],
-            "d_context": views.Z.shape[1],
+            "occurrences": table.n,
+            "d_spelling": len(table.phrases) + 1,
+            "d_context": len(table.contexts),
         }
 
     def stage_cca(self, tmp: Path) -> dict:
         cfg = self.config
-        X = read_triplets(self.outdir / "views.X.npz")
-        Z = read_triplets(self.outdir / "views.Z.npz")
+        X, Z = OccurrenceTable.load(self.outdir / "views.table.npz").design_matrices()
         summary = accumulate_covariance(X, Z)
-        model = solve_cca(
-            summary,
-            k=cfg.cca_k,
-            kappa=cfg.cca_kappa,
-            seed=cfg.cca_seed,
-        )
+        model = solve_cca(summary, k=cfg.cca_k, kappa=cfg.cca_kappa, seed=cfg.cca_seed)
         model.save(tmp / "cca.model.npz")
         return {
             "k": model.k,
@@ -534,26 +532,18 @@ class _Runner:
             **model.solver,
         }
 
-    def _candidate_embeddings(self, model: CcaModel) -> dict[str, np.ndarray]:
-        """A phrase's spelling vector is the X row of its first occurrence."""
-        X = read_triplets(self.outdir / "views.X.npz")
-        table = self.occurrences()
-        if table.n != X.shape[0]:
-            raise StageError(
-                "classify",
-                f"views.occurrences.tsv has {table.n} rows, views.X.npz has {X.shape[0]}",
-            )
-        first_row = table.first_rows()
-        names = [c.lower for c in read_candidates(self.outdir / "candidates.tsv")]
-        for name in names:
-            if name not in first_row:
-                raise StageError("classify", f"candidate {name!r} has no occurrence row")
-        return dict(zip(names, embed_phrases(model, X[[first_row[p] for p in names]])))
-
     def stage_classify(self, tmp: Path) -> dict:
         cfg = self.config
         model = CcaModel.load(self.outdir / "cca.model.npz")
-        embeddings = self._candidate_embeddings(model)
+        # a candidate's embedding is its spelling row (identity, caps bit) times phi1
+        table = OccurrenceTable.load(self.outdir / "views.table.npz")
+        id_of = {p: i for i, p in enumerate(table.phrases)}
+        names = [c.lower for c in read_candidates(self.outdir / "candidates.tsv")]
+        for name in names:
+            if name not in id_of:
+                raise StageError("classify", f"candidate {name!r} has no occurrence row")
+        rows = table.spelling_rows(np.array([id_of[p] for p in names], dtype=np.int64))
+        embeddings = dict(zip(names, embed_phrases(model, rows)))
         seeds = read_seeds(cfg.seeds)
         pos, neg, missing = resolve_seeds(seeds, embeddings)
         if missing:
@@ -586,20 +576,16 @@ class _Runner:
         ranked = [PhraseEmbedding(p, embeddings[p][:k]) for p in sorted(embeddings)]
         with open(tmp / "embeddings.tsv", "w", encoding="utf-8") as fh:
             write_embeddings(ranked, fh)
-        (tmp / "svm.json").write_text(
-            _json_text(
-                {
-                    "weights": [float(w) for w in svm.weights],
-                    "bias": float(svm.bias),
-                    "C": C,
-                    "k": k,
-                    "threshold": thr,
-                    "dev_f1": chosen["f1"],
-                    "solver": svm.solver,
-                }
-            ),
-            encoding="utf-8",
-        )
+        record = {
+            "weights": [float(w) for w in svm.weights],
+            "bias": float(svm.bias),
+            "C": C,
+            "k": k,
+            "threshold": thr,
+            "dev_f1": chosen["f1"],
+            "solver": svm.solver,
+        }
+        (tmp / "svm.json").write_text(_json_text(record), encoding="utf-8")
         return {
             "selection": chosen,
             "grid_points": points,
@@ -609,7 +595,7 @@ class _Runner:
 
     def stage_cotrain(self, tmp: Path) -> dict:
         cfg = self.config
-        table = self.occurrences()
+        table = OccurrenceTable.load(self.outdir / "views.table.npz")
         dev_f1 = _dev_scorer(self.dev_rows("cotrain", len(cfg.cotrain_theta_grid)), table.phrases)
         seeds = read_seeds(cfg.seeds)
         state = dl_cotrain(table, seeds, m=cfg.cotrain_m, epsilon=cfg.cotrain_epsilon)
@@ -621,17 +607,13 @@ class _Runner:
         dictionary = dictionary_from_rules(state, theta=chosen["theta"])
         with open(tmp / "dict.cotrain.tsv", "w", encoding="utf-8") as fh:
             write_dictionary(dictionary, fh)
-        (tmp / "cotrain.json").write_text(
-            _json_text(
-                {
-                    "iterations": len(state.trace),
-                    "spelling_rules": len(state.spelling_rules),
-                    "context_rules": len(state.context_rules),
-                    "selection": chosen,
-                }
-            ),
-            encoding="utf-8",
-        )
+        record = {
+            "iterations": len(state.trace),
+            "spelling_rules": len(state.spelling_rules),
+            "context_rules": len(state.context_rules),
+            "selection": chosen,
+        }
+        (tmp / "cotrain.json").write_text(_json_text(record), encoding="utf-8")
         return {"selection": chosen, "dictionary_size": len(dictionary)}
 
     def stage_tag(self, tmp: Path) -> dict:
@@ -674,7 +656,7 @@ class _Runner:
         return details
 
 
-def _inputs(config: PipelineConfig, stage: str) -> dict[str, str]:
+def _inputs(config: PipelineConfig, stage: str, digests: _Digests) -> dict[str, str]:
     """Content hashes of the files a stage reads, keyed by the names its row
     reads them under, so a moved output directory keeps its cache.  An unset
     [inputs] key is not read, ``name?`` only if the artifact exists, and
@@ -689,7 +671,7 @@ def _inputs(config: PipelineConfig, stage: str) -> dict[str, str]:
             continue
         if not path.is_file():
             raise StageError(stage, f"missing input: {path}")
-        inputs[name] = _sha256(path)
+        inputs[name] = digests[path]
     return inputs
 
 
@@ -730,6 +712,8 @@ def run_pipeline(
     )
     runner = _Runner(config)
     sources = _sources()
+    imports = _imports(sources)
+    digests = _Digests()
 
     for stage in requested:
         needs = _STAGES[stage].needs
@@ -741,10 +725,10 @@ def run_pipeline(
             log(f"{stage}: skipped ({reason})")
             continue
 
-        inputs = _inputs(config, stage)
+        inputs = _inputs(config, stage, digests)
         section = _STAGES[stage].section
         params = {key: getattr(config, _field(section, key)) for key in _KEYS.get(section, ())}
-        closure = ("__init__", "pipeline", *_closure(_STAGES[stage].modules, sources))
+        closure = ("__init__", "pipeline", *_closure(_STAGES[stage].modules, imports))
         code = hashlib.sha256(b"".join(m.encode() + sources[m] for m in closure)).hexdigest()
         signature = hashlib.sha256(
             _json_text({"inputs": inputs, "params": params, "code": code}).encode()
@@ -755,7 +739,7 @@ def run_pipeline(
             prev
             and prev.get("signature") == signature
             and all(
-                (outdir / name).is_file() and _sha256(outdir / name) == digest
+                (outdir / name).is_file() and digests[outdir / name] == digest
                 for name, digest in prev.get("outputs", {}).items()
             )
         ):
@@ -764,8 +748,7 @@ def run_pipeline(
             continue
 
         tmp = outdir / f".{stage}.tmp"
-        if tmp.exists():
-            shutil.rmtree(tmp)
+        shutil.rmtree(tmp, ignore_errors=True)
         tmp.mkdir()
         started = time.monotonic()
         try:
@@ -783,7 +766,7 @@ def run_pipeline(
         outputs = {}
         for name in _STAGES[stage].outputs:
             shutil.move(str(tmp / name), str(outdir / name))
-            outputs[name] = _sha256(outdir / name)
+            outputs[name] = digests[outdir / name] = _sha256(outdir / name)
         shutil.rmtree(tmp)
 
         manifest.stages[stage] = {

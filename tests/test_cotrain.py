@@ -21,14 +21,15 @@ from dictforge.views import BOUNDARY, CONTEXT_POSITIONS, intern_occurrences
 
 
 def occ(phrase, left, right, row):
-    """A ``views.occurrences.tsv`` row; short context sides are padded."""
+    """A :func:`~dictforge.views.collect_occurrences` row; short context
+    sides are padded."""
     left = (BOUNDARY,) * (3 - len(left)) + tuple(left)
     right = tuple(right) + (BOUNDARY,) * (3 - len(right))
     return ("d", row, 0, 1, phrase, phrase, *left, *right)
 
 
 def table(rows):
-    return intern_occurrences([o[4] for o in rows], [o[6:] for o in rows])
+    return intern_occurrences(rows)
 
 
 def clean_collection():

@@ -1,6 +1,7 @@
 """Config validation, model selection, and the cached stage runner."""
 
 import ast
+import collections
 import dataclasses
 import json
 import re
@@ -28,6 +29,8 @@ from dictforge.pipeline import (
     _closure,
     _dev_scorer,
     _field,
+    _imports,
+    _sha256,
     _sources,
     model_select,
     run_pipeline,
@@ -42,10 +45,11 @@ from dictforge.tagging import (
     tag_with_dictionary,
 )
 from dictforge.views import (
+    CONTEXT_POSITIONS,
+    OccurrenceTable,
+    ViewMatrices,
     build_design_matrices,
     collect_occurrences,
-    read_occurrences,
-    read_triplets,
 )
 from dictforge.extraction import CandidatePhrase, read_candidates
 
@@ -400,12 +404,13 @@ class TestRunPipeline:
         workdir, config, manifest = finished_run
         out = config.outdir
         for name in (
-            "candidates.tsv", "views.X.npz", "views.Z.npz", "views.occurrences.tsv",
-            "cca.model.npz", "dict.cca.tsv", "embeddings.tsv", "svm.json",
+            "candidates.tsv", "views.table.npz", "cca.model.npz",
+            "dict.cca.tsv", "embeddings.tsv", "svm.json",
             "dict.cotrain.tsv", "cotrain.json", "report.json",
             "crf.model.npz", "crf.json", "manifest.json",
         ):
             assert (out / name).is_file(), name
+        assert set(manifest.stages["views"]["outputs"]) == {"views.table.npz"}
 
     def test_manifest_hashes_match_disk(self, finished_run):
         import hashlib
@@ -427,7 +432,9 @@ class TestRunPipeline:
         run_pipeline(
             fresh, stages=("extract", "views", "cca", "classify", "cotrain", "tag")
         )
-        for name in ("dict.cca.tsv", "dict.cotrain.tsv", "report.json", "embeddings.tsv"):
+        for name in (
+            "views.table.npz", "dict.cca.tsv", "dict.cotrain.tsv", "report.json", "embeddings.tsv"
+        ):
             assert (config.outdir / name).read_bytes() == (fresh.outdir / name).read_bytes()
 
     def test_stage_subset_reruns_only_what_changed(self, finished_run):
@@ -453,17 +460,16 @@ class TestRunPipeline:
         out = config.outdir
         assert len(config.corpus.read_text(encoding="utf-8").splitlines()) >= 10
         cands = read_candidates(out / "candidates.tsv")
-        views = build_design_matrices(
-            collect_occurrences(iter_sentences(config.corpus), cands)
-        )
-        X = read_triplets(out / "views.X.npz")
-        lines = (out / "views.occurrences.tsv").read_text(encoding="utf-8").splitlines()
-        assert [tuple(line.split("\t")[:4]) for line in lines] == [
-            tuple(map(str, row[:4])) for row in views.rows
+        rows = list(collect_occurrences(iter_sentences(config.corpus), cands))
+        ordered = sorted(rows, key=lambda row: row[:4])
+        assert ordered != rows
+        table = OccurrenceTable.load(out / "views.table.npz")
+        assert [table.phrases[i] for i in table.phrase_ids] == [row[4] for row in ordered]
+        assert [[table.contexts[i] for i in ids] for ids in table.context_ids.tolist()] == [
+            list(zip(CONTEXT_POSITIONS, row[6:])) for row in ordered
         ]
-        table = read_occurrences(out / "views.occurrences.tsv")
-        assert X.shape[0] == table.n == len(views.rows)
-        for i, row in enumerate(views.rows):
+        X = ViewMatrices(table).X
+        for i, row in enumerate(ordered):
             assert X[i, table.phrases.index(row[4])] == 1.0
 
     @pytest.mark.parametrize("stage", ["classify", "cotrain"])
@@ -501,19 +507,19 @@ class TestRunPipeline:
         with pytest.raises(StageError, match=r"\[classify\].*'zzyzx quux'"):
             run_pipeline(copy, stages=("classify",))
 
-    def test_short_occurrence_table_rejected(self, finished_run, tmp_path):
+    @pytest.mark.parametrize("stage", ["cca", "classify", "cotrain"])
+    def test_inconsistent_table_names_stage_and_file(self, finished_run, tmp_path, stage):
         workdir, config, _ = finished_run
         shutil.copytree(config.outdir, tmp_path / "out")
         copy = dataclasses.replace(config, outdir=tmp_path / "out")
-        table = copy.outdir / "views.occurrences.tsv"
-        lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
-        table.write_text("".join(lines[:-1]), encoding="utf-8")
-        n = len(lines)
-        with pytest.raises(
-            StageError,
-            match=rf"\[classify\] views.occurrences.tsv has {n - 1} rows, views.X.npz has {n}",
-        ):
-            run_pipeline(copy, stages=("classify",))
+        path = copy.outdir / "views.table.npz"
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["phrase_ids"] = arrays["phrase_ids"][:-1]
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(StageError, match=rf"\[{stage}\] .*views\.table\.npz: context_ids"):
+            run_pipeline(copy, stages=(stage,))
 
     def test_copied_output_directory_stays_cached(self, finished_run, tmp_path):
         # inputs are recorded by the names the stage table reads them under,
@@ -527,10 +533,9 @@ class TestRunPipeline:
         assert {stage: set(rec["inputs"]) for stage, rec in manifest.stages.items()} == {
             "extract": {"corpus", "patterns"},
             "views": {"corpus", "candidates.tsv"},
-            "cca": {"views.X.npz", "views.Z.npz"},
-            "classify": {"candidates.tsv", "seeds", "dev", "cca.model.npz", "views.X.npz",
-                         "views.occurrences.tsv"},
-            "cotrain": {"views.occurrences.tsv", "seeds", "dev"},
+            "cca": {"views.table.npz"},
+            "classify": {"candidates.tsv", "seeds", "dev", "cca.model.npz", "views.table.npz"},
+            "cotrain": {"views.table.npz", "seeds", "dev"},
             "tag": {"test", "dict.cca.tsv", "dict.cotrain.tsv"},
             "crf": {"train", "dev", "test", "dict.cca.tsv"},
         }
@@ -706,8 +711,7 @@ class TestRunPipeline:
         cca = manifest.stages["cca"]["details"]
         assert cca["whitening"] == {"spelling": "cholesky", "context": "full"}
         summary = accumulate_covariance(
-            read_triplets(config.outdir / "views.X.npz"),
-            read_triplets(config.outdir / "views.Z.npz"),
+            *OccurrenceTable.load(config.outdir / "views.table.npz").design_matrices()
         )
         oracle = cca_residual_oracle(summary, CcaModel.load(config.outdir / "cca.model.npz"))
         assert len(cca["svd_residuals"]) == config.cca_k
@@ -730,42 +734,103 @@ class TestRunPipeline:
         assert _dev_scorer(None, ())(Dictionary({"flu": 1.0})) == 0.0
 
     def test_views_table_is_the_written_table(self, finished_run, tmp_path):
-        # classify and cotrain of a cold run use the table the views stage
-        # built, which must be the one they would parse from its file
+        # cca, classify and cotrain load the table the views stage built,
+        # and the design matrices rebuilt from it are the built ones
         _, config, _ = finished_run
-        runner = _Runner(config)
-        runner.stage_views(tmp_path)
-        table = runner.occurrences()
-        written = read_occurrences(tmp_path / "views.occurrences.tsv")
-        for name in ("phrase_ids", "context_ids"):
-            got, want = getattr(table, name), getattr(written, name)
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
-        assert table.phrases == written.phrases
-        assert table.contexts == written.contexts
+        _Runner(config).stage_views(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["views.table.npz"]
+        cands = read_candidates(config.outdir / "candidates.tsv")
+        built = build_design_matrices(collect_occurrences(iter_sentences(config.corpus), cands))
+        loaded = ViewMatrices(OccurrenceTable.load(tmp_path / "views.table.npz"))
+        for name in ("phrase_ids", "context_ids", "caps"):
+            np.testing.assert_array_equal(getattr(loaded.table, name), getattr(built.table, name))
+        assert loaded.table.phrases == built.table.phrases
+        assert loaded.table.contexts == built.table.contexts
+        for got, want in ((loaded.X, built.X), (loaded.Z, built.Z)):
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_cold_run_parses_neither_occurrences_nor_dev_twice(
         self, finished_run, tmp_path, monkeypatch
     ):
+        # the corpus is tokenized and matched once (by views), X and Z are
+        # built once (by cca), and the dev split is read once for classify,
+        # cotrain and crf
         _, config, _ = finished_run
         copy = dataclasses.replace(config, outdir=tmp_path / "out")
-        dev_reads = []
+        calls = collections.Counter()
 
-        def no_parse(path):
-            raise AssertionError(f"parsed {path} in the run that wrote it")
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name, args[0] if name == "read_conll" else None] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        def counting_read_conll(path, strict=False):
-            if path == config.dev:
-                dev_reads.append(path)
-            return read_conll(path, strict=strict)
-
-        monkeypatch.setattr("dictforge.pipeline.read_occurrences", no_parse)
-        monkeypatch.setattr("dictforge.pipeline.read_conll", counting_read_conll)
+        for name, fn in (
+            ("iter_sentences", iter_sentences),
+            ("collect_occurrences", collect_occurrences),
+            ("read_conll", read_conll),
+        ):
+            monkeypatch.setattr(f"dictforge.pipeline.{name}", counted(name, fn))
+        monkeypatch.setattr(
+            OccurrenceTable, "design_matrices",
+            counted("design_matrices", OccurrenceTable.design_matrices),
+        )
         manifest = run_pipeline(copy)
         assert not any(record.get("cached") for record in manifest.stages.values())
-        assert len(dev_reads) == 1
+        assert calls["iter_sentences", None] == calls["collect_occurrences", None] == 1
+        assert calls["design_matrices", None] == 1
+        assert calls["read_conll", config.dev] == 1
         for name in ("dict.cca.tsv", "dict.cotrain.tsv", "crf.json"):
             assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
+
+    def test_no_file_hashed_twice_in_a_run(self, finished_run, tmp_path, monkeypatch):
+        _, config, _ = finished_run
+        seeds = tmp_path / "seeds.txt"
+        shutil.copy(config.seeds, seeds)
+        copy = dataclasses.replace(config, seeds=seeds, outdir=tmp_path / "out")
+        hashed = collections.Counter()
+        real = _sha256
+
+        def counted(path):
+            hashed[path] += 1
+            return real(path)
+
+        monkeypatch.setattr("dictforge.pipeline._sha256", counted)
+        cold = run_pipeline(copy)
+        assert not any(record["cached"] for record in cold.stages.values())
+        assert max(hashed.values()) == 1
+        hashed.clear()
+        with open(seeds, "a", encoding="utf-8") as fh:
+            fh.write("# a comment\n")
+        rerun = run_pipeline(copy)
+        ran = {stage for stage, record in rerun.stages.items() if not record["cached"]}
+        assert ran == {"classify", "cotrain"}
+        assert max(hashed.values()) == 1
+        assert config.corpus in hashed and copy.outdir / "views.table.npz" in hashed
+
+    def test_interrupted_manifest_write_keeps_the_previous(
+        self, finished_run, tmp_path, monkeypatch
+    ):
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        path = copy.outdir / "manifest.json"
+        before = path.read_bytes()
+        manifest = RunManifest.load(path)
+        manifest.stages["extract"] = {"skipped": "edited"}
+        write_text = Path.write_text
+
+        def cut_short(self, text, *args, **kwargs):
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", cut_short)
+        with pytest.raises(OSError):
+            manifest.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert all(record["cached"] for record in run_pipeline(copy).stages.values())
 
     def test_jobs_other_than_one_rejected(self, finished_run):
         _, config, _ = finished_run
@@ -855,4 +920,5 @@ class TestStageTable:
                 if (name := todo.pop()) not in seen:
                     seen.add(name)
                     todo += _ast_imports(name)
-            assert set(_closure(row.modules, _sources())) == seen == self.CLOSURES[stage], stage
+            closure = set(_closure(row.modules, _imports(_sources())))
+            assert closure == seen == self.CLOSURES[stage], stage

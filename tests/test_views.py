@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,13 +14,12 @@ from dictforge.extraction import CandidatePhrase
 from dictforge.views import (
     BOUNDARY,
     CONTEXT_POSITIONS,
-    audit_dense_columns,
+    OccurrenceTable,
+    ViewMatrices,
     build_design_matrices,
     collect_occurrences,
     intern_occurrences,
-    read_occurrences,
     read_triplets,
-    write_occurrences,
     write_triplets,
 )
 
@@ -125,10 +125,19 @@ def oracle_views(rows):
 
 
 def assert_tables_equal(a, b):
-    np.testing.assert_array_equal(a.phrase_ids, b.phrase_ids)
-    np.testing.assert_array_equal(a.context_ids, b.context_ids)
+    for name in ("phrase_ids", "context_ids", "caps"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want)
     assert a.phrases == b.phrases
     assert a.contexts == b.contexts
+
+
+def audit_dense_columns(matrix: sp.spmatrix, exempt: set[int] = frozenset()) -> list[int]:
+    """Columns no row touches, minus exempt ones (such as a caps column no
+    phrase sets).  A healthy build returns []."""
+    counts = np.asarray((matrix != 0).sum(axis=0)).ravel()
+    return [int(c) for c in np.flatnonzero(counts == 0) if int(c) not in exempt]
 
 
 words = st.sampled_from(["the", "flu", "spread", "a", ",", BOUNDARY])
@@ -164,15 +173,11 @@ class TestInterned:
         table = vm.table
         assert table.phrases == [name[1] for name in spelling if name[0] == "id"]
         assert table.contexts == [name[1:] for name in context if name[0] == "ctx"]
-        assert vm.rows == ordered
         assert [table.phrases[i] for i in table.phrase_ids] == [row[4] for row in ordered]
         assert [[table.contexts[i] for i in ids] for ids in table.context_ids] == [
             list(zip(CONTEXT_POSITIONS, row[6:])) for row in ordered
         ]
-        assert_tables_equal(
-            table,
-            intern_occurrences([row[4] for row in ordered], [row[6:] for row in ordered]),
-        )
+        assert_tables_equal(table, intern_occurrences(ordered))
 
     def test_first_rows(self):
         vm, _ = build_fixture()
@@ -180,7 +185,7 @@ class TestInterned:
 
     def test_window_must_have_six_words(self):
         with pytest.raises(ValueError):
-            intern_occurrences(["flu"], [("the", "a", "b", "c", "d")])
+            intern_occurrences([("d", 0, 0, 1, "flu", "flu", "the", "a", "b", "c", "d")])
 
 
 class TestFeaturize:
@@ -225,14 +230,30 @@ class TestDesignMatrices:
     def test_same_phrase_same_spelling_row(self):
         vm, _ = build_fixture()
         # rows 0 and 1 are both "flu" (with differing casing in the corpus)
-        assert vm.rows[0][4] == vm.rows[1][4]
+        assert vm.table.phrase_ids[0] == vm.table.phrase_ids[1]
         np.testing.assert_array_equal(vm.X[0].toarray(), vm.X[1].toarray())
         assert (vm.Z[0] != vm.Z[1]).nnz > 0
 
     def test_rows_sorted_by_locator(self):
+        _, rows = build_fixture()
+        vm = build_design_matrices(reversed(rows))
+        ordered = sorted(rows, key=lambda row: row[:4])
+        table = vm.table
+        assert [table.phrases[i] for i in table.phrase_ids] == [row[4] for row in ordered]
+        assert [table.contexts[i][1] for i in table.context_ids[:, -1]] == [
+            row[-1] for row in ordered
+        ]
+
+    def test_matrices_built_once_on_first_access(self, monkeypatch):
+        calls = []
+        build = OccurrenceTable.design_matrices
+        monkeypatch.setattr(
+            OccurrenceTable, "design_matrices", lambda table: calls.append(1) or build(table)
+        )
         vm, _ = build_fixture()
-        locs = [row[:4] for row in vm.rows]
-        assert locs == sorted(locs)
+        assert calls == []
+        assert vm.X is vm.X and vm.X.shape == (3, 3) and vm.Z.shape == (3, 14)
+        assert len(calls) == 1
 
     def test_order_independent(self):
         _, rows = build_fixture()
@@ -273,24 +294,57 @@ class TestViewIO:
         back = read_triplets(p)
         assert (back != vm.X).nnz == 0
 
-    def test_locator_roundtrip(self, tmp_path):
+    def test_table_roundtrip(self, tmp_path):
         corpus = sents("the flu spread fast", "Flu and ebola are here", "chronic Hepatitis B")
         vm = build_design_matrices(
             collect_occurrences(corpus, cands("flu", "ebola", "hepatitis b"))
         )
-        assert "Hepatitis B" in [row[5] for row in vm.rows]
-        assert any(BOUNDARY in row[6:] for row in vm.rows)
-        p = tmp_path / "rows.tsv"
-        with open(p, "w", encoding="utf-8") as fh:
-            write_occurrences(vm.rows, fh)
-        lines = p.read_text(encoding="utf-8").splitlines()
-        assert [tuple(line.split("\t")) for line in lines] == [
-            tuple(map(str, row)) for row in vm.rows
-        ]
-        assert_tables_equal(read_occurrences(p), vm.table)
+        assert "hepatitis b" in vm.table.phrases
+        assert (3, BOUNDARY) in vm.table.contexts
+        p = tmp_path / "views.table.npz"
+        vm.table.save(p)
+        with np.load(p, allow_pickle=False) as data:
+            assert data["phrase_ids"].dtype == data["context_ids"].dtype == np.int32
+        back = OccurrenceTable.load(p)
+        # int64, so arithmetic on ids (cotrain's bigram codes) cannot wrap
+        assert back.phrase_ids.dtype == back.context_ids.dtype == np.int64
+        assert_tables_equal(back, vm.table)
+        rebuilt = ViewMatrices(back)
+        for a, b in ((rebuilt.X, vm.X), (rebuilt.Z, vm.Z)):
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
-    def test_short_occurrence_row_rejected(self, tmp_path):
-        p = tmp_path / "rows.tsv"
-        p.write_text("d\t0\t1\t2\tflu\tFlu\tthe\t⊥\t⊥\tspread\tfast\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="malformed"):
-            read_occurrences(p)
+    @pytest.mark.parametrize(
+        "key, edit, problem",
+        [
+            ("phrase_ids", lambda a: a[:-1], "six per row"),
+            ("caps", lambda a: a[:-1], "caps and phrases"),
+            ("words", lambda a: a[:-1], "positions and words"),
+            ("phrase_ids", lambda a: a + 5, "phrase id is out of range"),
+            ("context_ids", lambda a: a - 1, "context id is out of range"),
+        ],
+        ids=["short-phrase-ids", "short-caps", "short-words", "phrase-id-range", "context-id-range"],
+    )
+    def test_inconsistent_table_rejected(self, tmp_path, key, edit, problem):
+        vm, _ = build_fixture()
+        p = tmp_path / "views.table.npz"
+        vm.table.save(p)
+        with np.load(p) as data:
+            arrays = dict(data)
+        arrays[key] = edit(arrays[key])
+        with open(p, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match=rf"views\.table\.npz: .*{problem}"):
+            OccurrenceTable.load(p)
+
+    def test_pickled_names_rejected(self, tmp_path):
+        vm, _ = build_fixture()
+        p = tmp_path / "views.table.npz"
+        vm.table.save(p)
+        with np.load(p) as data:
+            arrays = dict(data)
+        arrays["phrases"] = np.array(vm.table.phrases, dtype=object)
+        with open(p, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match="allow_pickle"):
+            OccurrenceTable.load(p)

@@ -8,8 +8,10 @@ Two pattern kinds produce the high-recall, low-precision candidate list:
   e.g. after "diagnosed with", with coordinated lists split into one
   candidate per conjunct.
 
-Matching is per sentence and pure; aggregation merges matches by
-lowercase form and is independent of stream order.
+Matching runs on the interned corpus: literals are found as id sequences,
+one numpy pass per literal word, and never across a sentence boundary.
+Aggregation merges matches by lowercase form and is independent of stream
+order.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Sentence, tokenize
+import numpy as np
+
+from .corpus import Corpus, Sentence, tokenize
 
 __all__ = [
     "ExtractionPattern",
@@ -100,90 +104,107 @@ def _is_punct(text: str) -> bool:
     return not any(c.isalnum() for c in text)
 
 
-def _find_literal(words: Sequence[str], literal: tuple[str, ...]) -> Iterator[int]:
-    """Start of every occurrence of ``literal``, overlapping ones included."""
-    m = len(literal)
-    first = literal[0]
-    for i in range(len(words) - m + 1):
-        if words[i] == first and tuple(words[i : i + m]) == literal:
-            yield i
+# Token flags: bit 0 punctuation, bit 1 stopword, bit 2 coordinator.
+_PUNCT, _STOP, _COORD = 1, 2, 4
+
+
+def _flags(corpus: Corpus) -> np.ndarray:
+    """Each token's flags, read from its type and lowercase form."""
+    lowers = list(corpus.lowers)
+    per_type = np.fromiter(
+        (
+            _PUNCT * _is_punct(text) + _STOP * (low in STOPWORDS) + _COORD * (low in _COORDINATORS)
+            for text, low in zip(corpus.vocab, map(lowers.__getitem__, corpus.lower.tolist()))
+        ),
+        np.int8,
+        len(corpus.vocab),
+    )
+    return per_type[corpus.ids]
+
+
+def _find_literal(corpus: Corpus, literal: tuple[str, ...], case_sensitive: bool) -> np.ndarray:
+    """Start of every occurrence of ``literal`` within a sentence,
+    overlapping ones included: type ids are compared when
+    ``case_sensitive``, lowercase ids otherwise."""
+    words, ids = (corpus.ids, corpus.vocab) if case_sensitive else (corpus.lower_ids, corpus.lowers)
+    hits = np.flatnonzero(words == ids.get(literal[0], -1))
+    for k, word in enumerate(literal[1:], start=1):
+        hits = hits[hits + k < len(words)]
+        hits = hits[words[hits + k] == ids.get(word, -1)]
+    return hits[hits + len(literal) <= corpus.sentence_end(hits)]
+
+
+def _between(corpus: Corpus, pattern: ExtractionPattern, flags: np.ndarray) -> np.ndarray:
+    """(start, end) token spans strictly between the left and right
+    literals.  Each left-literal occurrence pairs with the nearest right
+    literal starting after its end; the gap must be 1..max_phrase_len tokens
+    of the same sentence and hold no punctuation token, otherwise the
+    occurrence yields nothing."""
+    left = _find_literal(corpus, pattern.left, pattern.case_sensitive)
+    right = _find_literal(corpus, pattern.right, pattern.case_sensitive)
+    gap = left + len(pattern.left)
+    j = np.append(right, np.iinfo(np.int64).max)[np.searchsorted(right, gap, side="right")]
+    punct = np.concatenate(([0], np.cumsum(flags & _PUNCT)))
+    ok = (j - gap <= pattern.max_phrase_len) & (j < corpus.sentence_end(left))
+    ok[ok] = punct[j[ok]] == punct[gap[ok]]
+    return np.stack((gap[ok], j[ok]), axis=1)
+
+
+def _after_trigger(corpus: Corpus, pattern: ExtractionPattern, flags: np.ndarray) -> np.ndarray:
+    """(start, end) noun-phrase-like spans after each trigger occurrence.
+
+    From the end of the trigger, skip stopwords other than coordinators,
+    take up to ``max_phrase_len`` non-stopword non-punctuation tokens as a
+    span, and continue past a following "," / "and" / "or", so a
+    coordinated list yields one span per conjunct.  Every trigger
+    occurrence advances one conjunct per round; spans come out in trigger,
+    then position order.
+    """
+    trigger = _find_literal(corpus, pattern.trigger, pattern.case_sensitive)
+    end = corpus.sentence_end(trigger)
+    pos = trigger + len(pattern.trigger)
+    owner = np.arange(len(trigger))
+    kept = np.append(np.flatnonzero(flags & (_STOP | _COORD) != _STOP), len(flags))
+    stops = np.append(np.flatnonzero(flags & (_PUNCT | _STOP)), len(flags))
+    found = []
+    while len(pos):
+        s = np.minimum(kept[np.searchsorted(kept, pos)], end)
+        e = np.minimum(np.minimum(stops[np.searchsorted(stops, s)], end), s + pattern.max_phrase_len)
+        found.append(np.stack((owner, s, e), axis=1)[e > s])
+        more = e < end
+        more[more] = flags[e[more]] & _COORD != 0
+        pos, end, owner = e[more] + 1, end[more], owner[more]
+    spans = np.concatenate(found) if found else np.zeros((0, 3), np.int64)
+    return spans[np.lexsort((spans[:, 1], spans[:, 0])), 1:]
+
+
+def _phrases(corpus: Corpus, spans: np.ndarray) -> list[str]:
+    """The lowercase text of each (start, end) span, joined once per
+    distinct id sequence."""
+    lowers = list(corpus.lowers)
+    at = spans[:, :1] + np.arange(np.max(spans[:, 1] - spans[:, 0], initial=0))
+    keys = np.where(at < spans[:, 1:], corpus.lower_ids[np.minimum(at, len(corpus.ids) - 1)], -1)
+    texts: dict[tuple[int, ...], str] = {}
+    return [
+        texts[key] if key in texts else texts.setdefault(key, " ".join(lowers[i] for i in key if i >= 0))
+        for key in map(tuple, keys.tolist())
+    ]
 
 
 def extract_between(sentence: Sentence, pattern: ExtractionPattern) -> list[str]:
-    """Lowercase phrases strictly between the left and right literals.
-
-    Each left-literal occurrence pairs with the nearest following right
-    literal; the gap must be 1..max_phrase_len tokens and contain no
-    punctuation tokens, otherwise the occurrence yields nothing.
-    """
+    """Lowercase phrases of one sentence that :func:`_between` finds."""
     if pattern.kind != "between":
         raise ValueError("extract_between needs a 'between' pattern")
-    return _between(sentence.tokens, sentence.lowers(), pattern)
-
-
-def _between(
-    tokens: Sequence[str], lower: Sequence[str], pattern: ExtractionPattern
-) -> list[str]:
-    words = tokens if pattern.case_sensitive else lower
-    left, right = pattern.left, pattern.right
-    out = []
-    for i in _find_literal(words, left):
-        gap_start = i + len(left)
-        for gap in range(1, pattern.max_phrase_len + 1):
-            j = gap_start + gap
-            if j + len(right) > len(words):
-                break
-            if words[j] == right[0] and tuple(words[j : j + len(right)]) == right:
-                if not any(_is_punct(t) for t in tokens[gap_start:j]):
-                    out.append(" ".join(lower[gap_start:j]))
-                break  # nearest right literal decides; farther ones ignored
-    return out
-
-
-def _conjunct_spans(
-    tokens: Sequence[str], lower: Sequence[str], start: int, max_len: int
-) -> list[tuple[int, int]]:
-    """Noun-phrase-like spans after position ``start``.
-
-    Skips leading stopwords, collects non-stopword non-punctuation tokens
-    up to ``max_len``, and continues across "," / "and" / "or" so a
-    coordinated list yields one span per conjunct.
-    """
-    n = len(lower)
-    spans = []
-    i = start
-    while i < n:
-        while i < n and lower[i] in STOPWORDS and lower[i] not in _COORDINATORS:
-            i += 1
-        s = i
-        while i < n and lower[i] not in STOPWORDS and not _is_punct(tokens[i]) and i - s < max_len:
-            i += 1
-        if i > s:
-            spans.append((s, i))
-        if i < n and lower[i] in _COORDINATORS:
-            i += 1
-            continue
-        break
-    return spans
+    corpus = Corpus.of([sentence])
+    return _phrases(corpus, _between(corpus, pattern, _flags(corpus)))
 
 
 def extract_after_trigger(sentence: Sentence, pattern: ExtractionPattern) -> list[str]:
-    """Lowercase noun-phrase-like candidates following each trigger occurrence."""
+    """Lowercase candidates of one sentence that :func:`_after_trigger` finds."""
     if pattern.kind != "after_trigger":
         raise ValueError("extract_after_trigger needs an 'after_trigger' pattern")
-    return _after_trigger(sentence.tokens, sentence.lowers(), pattern)
-
-
-def _after_trigger(
-    tokens: Sequence[str], lower: Sequence[str], pattern: ExtractionPattern
-) -> list[str]:
-    trigger = pattern.trigger
-    words = tokens if pattern.case_sensitive else lower
-    return [
-        " ".join(lower[s:e])
-        for i in _find_literal(words, trigger)
-        for s, e in _conjunct_spans(tokens, lower, i + len(trigger), pattern.max_phrase_len)
-    ]
+    corpus = Corpus.of([sentence])
+    return _phrases(corpus, _after_trigger(corpus, pattern, _flags(corpus)))
 
 
 def aggregate_candidates(matches: Iterable[str]) -> list[CandidatePhrase]:
@@ -197,18 +218,20 @@ def aggregate_candidates(matches: Iterable[str]) -> list[CandidatePhrase]:
 
 
 def extract_candidates(
-    sentences: Iterable[Sentence], patterns: Sequence[ExtractionPattern]
+    corpus: Corpus | Iterable[Sentence], patterns: Sequence[ExtractionPattern]
 ) -> list[CandidatePhrase]:
-    """Run every pattern over the sentence stream and aggregate; each
-    sentence is lowercased once for all patterns."""
-
-    def matches() -> Iterator[str]:
-        for sentence in sentences:
-            tokens, lower = sentence.tokens, sentence.lowers()
-            for p in patterns:
-                yield from (_between if p.kind == "between" else _after_trigger)(tokens, lower, p)
-
-    return aggregate_candidates(matches())
+    """Run every pattern over an interned corpus (or sentences, interned
+    first) and aggregate."""
+    if not isinstance(corpus, Corpus):
+        corpus = Corpus.of(corpus)
+    flags = _flags(corpus)
+    return aggregate_candidates(
+        phrase
+        for p in patterns
+        for phrase in _phrases(
+            corpus, (_between if p.kind == "between" else _after_trigger)(corpus, p, flags)
+        )
+    )
 
 
 def parse_patterns(lines: Iterable[str]) -> list[ExtractionPattern]:

@@ -9,10 +9,11 @@ manifest when the content hashes of its reads, its parameters and its code
 (``pipeline.py`` plus the import closure of its modules) are unchanged, so a
 moved output directory stays cached and a module edit re-executes only the
 stages that import it; a run hashes each file once.  Only extract and views
-read the corpus; cca, classify and cotrain load the occurrence table views
-stores (``views.table.npz``).  Grid points are scored on the dev split and the
-winner is chosen by ``model_select``; everything a later reader needs to
-reproduce the run lands next to the artifacts.
+read the corpus, which a run interns once for both; cca, classify and
+cotrain load the occurrence table views stores (``views.table.npz``).  Grid
+points are scored on the dev split and the winner is chosen by
+``model_select``; everything a later reader needs to reproduce the run lands
+next to the artifacts.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .classifier import (
     resolve_seeds,
     train_svm,
 )
-from .corpus import iter_sentences
+from .corpus import intern_corpus
 from .cotrain import dl_cotrain, dictionary_from_rules
 from .crf import CrfModel, FeatureConfig, SentinelEmbeddings, tag_sentences, train_crf
 from .extraction import (
@@ -72,6 +73,7 @@ from .tagging import (
 )
 from .views import OccurrenceTable, build_design_matrices, collect_occurrences
 # not called here: perfbench/tracer.py's WRAPS wraps them under this module
+from .corpus import iter_sentences  # noqa: F401
 from .views import read_triplets, write_triplets  # noqa: F401
 
 __all__ = [
@@ -410,7 +412,16 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
-        return cls(**json.loads(path.read_text(encoding="utf-8")))
+        """A saved manifest; ``ValueError`` if the file does not hold one."""
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if not (
+            isinstance(data, dict)
+            and data.keys() == {f.name for f in fields(cls)}
+            and isinstance(data["stages"], dict)
+            and all(isinstance(record, dict) for record in data["stages"].values())
+        ):
+            raise ValueError("not an object with the manifest fields")
+        return cls(**data)
 
 
 def _dev_scorer(
@@ -479,15 +490,15 @@ class _Runner:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.outdir = config.outdir
-        self._sentences = None
+        self._corpus = None
         self._dev = None
 
-    # -- the corpus, tokenized once for extract and views ---------------
+    # -- the corpus, read and interned once for extract and views ---------
 
-    def sentences(self):
-        if self._sentences is None:
-            self._sentences = list(iter_sentences(self.config.corpus))
-        return self._sentences
+    def corpus(self):
+        if self._corpus is None:
+            self._corpus = intern_corpus(self.config.corpus)
+        return self._corpus
 
     def dev_rows(self, stage: str, points: int) -> list | None:
         """The dev split, read once per run; None without one, which only a
@@ -504,14 +515,14 @@ class _Runner:
 
     def stage_extract(self, tmp: Path) -> dict:
         patterns = load_patterns(self.config.patterns)
-        cands = extract_candidates(self.sentences(), patterns)
+        cands = extract_candidates(self.corpus(), patterns)
         with open(tmp / "candidates.tsv", "w", encoding="utf-8") as fh:
             write_candidates(cands, fh)
         return {"candidates": len(cands), "patterns": len(patterns)}
 
     def stage_views(self, tmp: Path) -> dict:
         cands = read_candidates(self.outdir / "candidates.tsv")
-        table = build_design_matrices(collect_occurrences(self.sentences(), cands)).table
+        table = build_design_matrices(collect_occurrences(self.corpus(), cands)).table
         table.save(tmp / "views.table.npz")
         return {
             "occurrences": table.n,
@@ -684,9 +695,10 @@ def run_pipeline(
     """Execute the requested stages (default: every applicable one).
 
     A stage whose input hashes, parameters, code and recorded outputs
-    all match the previous manifest is skipped.  Grid points run serially:
-    ``jobs`` must be 1.  A failing stage moves its
-    partial outputs to ``<outdir>/quarantine/`` and aborts the run.
+    all match the previous manifest is skipped; an unreadable manifest is
+    logged and counts as none.  Grid points run serially: ``jobs`` must be
+    1.  A failing stage moves its partial outputs to ``<outdir>/quarantine/``
+    and aborts the run.
     """
     if jobs != 1:
         raise ValueError(f"grid points run serially; jobs must be 1, got {jobs}")
@@ -698,7 +710,12 @@ def run_pipeline(
     outdir = config.outdir
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_path = outdir / "manifest.json"
-    previous = RunManifest.load(manifest_path).stages if manifest_path.is_file() else {}
+    previous = {}
+    if manifest_path.is_file():
+        try:
+            previous = RunManifest.load(manifest_path).stages
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
+            log(f"{manifest_path}: unreadable manifest, every stage runs ({exc})")
     config_blob = _json_text(
         {
             f.name: (str(v) if isinstance(v := getattr(config, f.name), Path) else v)

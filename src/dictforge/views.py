@@ -3,11 +3,14 @@
 Every corpus occurrence of a candidate phrase becomes one paired
 observation: a *spelling* view (phrase identity + capitalization bit) and
 a *context* view (position-conjoined words from a three-token window on
-each side).  Both design matrices are built from one interned occurrence
-table, a phrase id and six (position, word) ids per row, so their rows are
-aligned by construction; Z has one column per (position, word) slot of the
-table and none held in reserve.  A pipeline run stores the table, not the
-matrices, as ``views.table.npz``, which cca, classify and cotrain load.
+each side).  Occurrences are matched on the interned corpus's lowercase
+ids, and their context windows, capitalization bits and locator order are
+array operations.  Both design matrices are built from one interned
+occurrence table, a phrase id and six (position, word) ids per row, so their
+rows are aligned by construction; Z has one column per (position, word)
+slot of the table and none held in reserve.  A pipeline run stores the
+table, not the matrices, as ``views.table.npz``, which cca, classify and
+cotrain load.
 """
 
 from __future__ import annotations
@@ -15,18 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Sentence
+from .corpus import Corpus
 from .extraction import CandidatePhrase
-from .tagging import PhraseSet, match_phrase_spans
 
 __all__ = [
     "BOUNDARY",
     "CONTEXT_POSITIONS",
+    "Occurrences",
     "OccurrenceTable",
     "ViewMatrices",
     "collect_occurrences",
@@ -42,33 +45,155 @@ BOUNDARY = "⊥"
 CONTEXT_POSITIONS = (-3, -2, -1, 1, 2, 3)
 
 
-def collect_occurrences(
-    sentences: Iterable[Sentence],
-    candidates: Sequence[CandidatePhrase],
-) -> Iterator[tuple]:
-    """Maximal non-overlapping candidate matches with their contexts, as
-    rows: doc_id, sentence index, token span, phrase, space-joined surface,
-    then the six context words.
+@dataclass(eq=False)
+class Occurrences:
+    """Maximal non-overlapping candidate matches in an interned corpus, in
+    corpus order: match r is candidate ``names[phrase[r]]`` at tokens
+    ``start[r]:end[r]``, in sentence ``sentence[r]``.  Iterating yields one
+    row per match: doc_id, sentence index, token span in the sentence,
+    phrase, space-joined surface, then the six context words."""
 
-    Matching is :func:`~dictforge.tagging.match_phrase_spans` on lowercased
+    corpus: Corpus
+    sentence: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    phrase: np.ndarray
+    names: list[str]
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def windows(self) -> np.ndarray:
+        """Lowercase ids of each match's six context slots, three tokens on
+        each side within the sentence; a slot outside it holds the id that
+        names :data:`BOUNDARY`, ``len(corpus.lowers)`` unless the corpus has
+        that token."""
+        corpus = self.corpus
+        offsets = np.array(CONTEXT_POSITIONS)
+        slots = np.where(offsets < 0, self.start[:, None] + offsets, self.end[:, None] + offsets - 1)
+        inside = (slots >= corpus.starts[self.sentence, None]) & (
+            slots < corpus.starts[self.sentence + 1, None]
+        )
+        boundary = corpus.lowers.get(BOUNDARY, len(corpus.lowers))
+        return np.where(inside, corpus.lower_ids[np.where(inside, slots, 0)], boundary)
+
+    def __iter__(self) -> Iterator[tuple]:
+        corpus = self.corpus
+        types, words = list(corpus.vocab), [*corpus.lowers, BOUNDARY]
+        first = corpus.starts[self.sentence]
+        for k, s, e, i, j, p, window in zip(
+            self.sentence.tolist(), self.start.tolist(), self.end.tolist(),
+            (self.start - first).tolist(), (self.end - first).tolist(),
+            self.phrase.tolist(), self.windows().tolist(),
+        ):
+            yield (
+                corpus.doc_id(int(corpus.doc[k])), int(corpus.index[k]), i, j, self.names[p],
+                " ".join(types[t] for t in corpus.ids[s:e].tolist()),
+                *map(words.__getitem__, window),
+            )
+
+    def table(self) -> OccurrenceTable:
+        """The interned table, rows in locator (doc_id, sentence index,
+        span) order; doc ids compare as strings, so "c:10" precedes "c:2"."""
+        corpus = self.corpus
+        docs, doc_of = np.unique(corpus.doc[self.sentence], return_inverse=True)
+        names = [corpus.doc_id(d) for d in docs.tolist()]
+        rank = np.empty(len(names), dtype=np.int64)
+        rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+        first = corpus.starts[self.sentence]
+        order = np.lexsort(
+            (self.end - first, self.start - first, corpus.index[self.sentence], rank[doc_of])
+        )
+        # a surface's caps bit is its first token's, a flag of that token's type
+        types = list(corpus.vocab)
+        heads, head_of = np.unique(corpus.ids[self.start[order]], return_inverse=True)
+        upper = np.array([types[t][:1].isupper() for t in heads.tolist()], dtype=bool)
+        width = len(corpus.lowers) + 1
+        words = [*corpus.lowers, BOUNDARY]
+        return _table(
+            self.phrase[order],
+            self.names.__getitem__,
+            self.windows()[order] + width * np.arange(len(CONTEXT_POSITIONS)),
+            lambda code: (CONTEXT_POSITIONS[code // width], words[code % width]),
+            upper[head_of],
+        )
+
+
+def collect_occurrences(
+    corpus: Corpus | Iterable, candidates: Sequence[CandidatePhrase]
+) -> Occurrences:
+    """Maximal non-overlapping candidate matches of an interned corpus (or
+    of :class:`~dictforge.corpus.Sentence` objects, interned first).
+
+    The rule is :func:`~dictforge.tagging.match_phrase_spans` on lowercased
     tokens: the longest candidate wins at each position, and scanning left
-    to right makes ties resolve leftmost.  Context windows are lowercased,
-    never cross the sentence boundary, and are padded with
-    :data:`BOUNDARY` to exactly three tokens per side.
+    to right makes ties resolve leftmost.  Here every position where a
+    candidate's first word occurs walks a trie of the candidates' lowercase
+    ids, one array step per word for all positions at once; only the choice
+    among overlapping matches runs per match.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
-    phrases = PhraseSet(c.lower.split(" ") for c in candidates)
-    for sentence in sentences:
-        low = sentence.lowers()
-        n = len(low)
-        for i, j, key in match_phrase_spans(low, phrases, case_sensitive=True):
-            yield (
-                sentence.doc_id, sentence.index, i, j,
-                " ".join(key), " ".join(sentence.tokens[i:j]),
-                *[BOUNDARY] * (3 - min(3, i)), *low[max(0, i - 3) : i],
-                *low[j : j + 3], *[BOUNDARY] * (3 - min(3, n - j)),
-            )
+    if not isinstance(corpus, Corpus):
+        corpus = Corpus.of(corpus)
+    names = [c.lower for c in candidates]
+    width = len(corpus.lowers)
+    edges: dict[int, int] = {}  # node * width + lowercase id -> child node
+    ends_at = [-1]  # node -> the first candidate it completes, or -1
+    for c, name in enumerate(names):
+        words = [corpus.lowers.get(w, -1) for w in name.split(" ")]
+        if -1 in words:
+            continue  # a word outside the vocabulary never matches
+        node = 0
+        for w in words:
+            node = edges.setdefault(node * width + w, len(ends_at))
+            if node == len(ends_at):
+                ends_at.append(-1)
+        if ends_at[node] < 0:
+            ends_at[node] = c
+    keys = np.array([-1, *sorted(edges)], dtype=np.int64)  # -1: no key equals it
+    children = np.array([-1, *map(edges.__getitem__, keys[1:].tolist())], dtype=np.int64)
+    ends_at = np.array(ends_at)
+    root = np.full(width, -1, dtype=np.int64)  # the root's children, by lowercase id
+    for key, child in edges.items():
+        if key < width:
+            root[key] = child
+
+    # each live start position stands at a trie node, ``depth`` words in;
+    # the longest candidate completed so far is its match
+    words = corpus.lower_ids
+    pos = np.flatnonzero(root[words] >= 0)
+    stop = corpus.sentence_end(pos)
+    length = np.zeros(len(pos), dtype=np.int64)
+    phrase = np.zeros(len(pos), dtype=np.int64)
+    live, node = np.arange(len(pos)), root[words[pos]]
+    depth = 1
+    while len(live):
+        done = ends_at[node] >= 0
+        length[live[done]], phrase[live[done]] = depth, ends_at[node[done]]
+        more = pos[live] + depth < stop[live]
+        live, node = live[more], node[more]
+        key = node * width + words[pos[live] + depth]
+        k = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        found = keys[k] == key
+        live, node = live[found], children[k[found]]
+        depth += 1
+
+    matched = np.flatnonzero(length)
+    kept, reached = [], 0
+    for r, i, n in zip(matched.tolist(), pos[matched].tolist(), length[matched].tolist()):
+        if i >= reached:
+            kept.append(r)
+            reached = i + n
+    start = pos[kept]
+    return Occurrences(
+        corpus=corpus,
+        sentence=np.searchsorted(corpus.starts, start, side="right") - 1,
+        start=start,
+        end=start + length[kept],
+        phrase=phrase[kept],
+        names=names,
+    )
 
 
 def _indicators(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
@@ -165,28 +290,54 @@ class OccurrenceTable:
         )
 
 
+def _first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes in order of first appearance, and each code's
+    position among them."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return distinct[order], rank[inverse]
+
+
+def _table(
+    phrases: np.ndarray,
+    phrase_name: Callable[[int], str],
+    contexts: np.ndarray,
+    context_name: Callable[[int], tuple[int, str]],
+    upper: Sequence[bool],
+) -> OccurrenceTable:
+    """The table of rows given as integer codes, a phrase code and six
+    context-slot codes per row, with each row's surface capitalization;
+    both id spaces number codes in order of first appearance."""
+    phrase_codes, phrase_ids = _first_appearance(phrases)
+    context_codes, context_ids = _first_appearance(contexts.ravel())
+    votes = np.bincount(phrase_ids, weights=upper, minlength=len(phrase_codes))
+    return OccurrenceTable(
+        phrase_ids=phrase_ids,
+        context_ids=context_ids.reshape(len(phrases), len(CONTEXT_POSITIONS)),
+        phrases=list(map(phrase_name, phrase_codes.tolist())),
+        contexts=list(map(context_name, context_codes.tolist())),
+        caps=2 * votes > np.bincount(phrase_ids, minlength=len(phrase_codes)),
+    )
+
+
 def intern_occurrences(rows: Sequence[tuple]) -> OccurrenceTable:
-    """The table of :func:`collect_occurrences` rows, in their order."""
+    """The table of :class:`Occurrences` rows, in their order."""
     phrase_of: dict[str, int] = {}
     context_of: dict[tuple[int, str], int] = {}
-    phrase_ids = np.array(
-        [phrase_of.setdefault(row[4], len(phrase_of)) for row in rows], dtype=np.int64
-    )
-    context_ids = [
+    phrases = [phrase_of.setdefault(row[4], len(phrase_of)) for row in rows]
+    contexts = [
         context_of.setdefault(item, len(context_of))
         for row in rows
         for item in zip(CONTEXT_POSITIONS, row[6:], strict=True)
     ]
-    upper = [row[5][:1].isupper() for row in rows]
-    votes = np.bincount(phrase_ids, weights=upper, minlength=len(phrase_of))
-    return OccurrenceTable(
-        phrase_ids=phrase_ids,
-        context_ids=np.array(context_ids, dtype=np.int64).reshape(
-            len(rows), len(CONTEXT_POSITIONS)
-        ),
-        phrases=list(phrase_of),
-        contexts=list(context_of),
-        caps=2 * votes > np.bincount(phrase_ids, minlength=len(phrase_of)),
+    return _table(
+        np.array(phrases, dtype=np.int64),
+        list(phrase_of).__getitem__,
+        np.array(contexts, dtype=np.int64),
+        list(context_of).__getitem__,
+        [row[5][:1].isupper() for row in rows],
     )
 
 
@@ -206,8 +357,8 @@ class ViewMatrices:
     n = property(lambda self: self.table.n)
 
 
-def build_design_matrices(rows: Iterable[tuple]) -> ViewMatrices:
-    """The views of :func:`collect_occurrences` rows, ordered by locator
+def build_design_matrices(occurrences: Occurrences | Iterable[tuple]) -> ViewMatrices:
+    """The views of occurrences, or of their rows, ordered by locator
     (doc_id, sentence index, span) so the result is independent of stream
     order.
 
@@ -217,10 +368,13 @@ def build_design_matrices(rows: Iterable[tuple]) -> ViewMatrices:
     columns are in order of first appearance.  An empty stream is an error
     (downstream decompositions are undefined on zero observations).
     """
-    rows = sorted(rows, key=lambda row: row[:4])
-    if not rows:
+    if not isinstance(occurrences, Occurrences):
+        occurrences = sorted(occurrences, key=lambda row: row[:4])
+    if not len(occurrences):
         raise ValueError("no candidate occurrences: design matrices are empty")
-    return ViewMatrices(intern_occurrences(rows))
+    if isinstance(occurrences, Occurrences):
+        return ViewMatrices(occurrences.table())
+    return ViewMatrices(intern_occurrences(occurrences))
 
 
 def write_triplets(matrix: sp.spmatrix, fh) -> None:

@@ -1,14 +1,20 @@
-"""Segmentation and tokenization."""
+"""Segmentation, tokenization and the chunked corpus reader."""
 
 import re
+import string
 import sys
+import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dictforge.corpus
 from dictforge.corpus import (
-    read_corpus,
+    _SPACE,
+    intern_corpus,
+    iter_sentences,
     segment_sentences,
     tokenize,
     word_shape,
@@ -97,6 +103,7 @@ class TestTokenize:
             ch = chr(cp)
             assert bool(alnum.match(ch)) == ch.isalnum(), hex(cp)
             assert bool(space.match(ch)) == ch.isspace(), hex(cp)
+            assert bool(_SPACE[min(cp, len(_SPACE) - 1)]) == ch.isspace(), hex(cp)
 
 
 class TestSegmentation:
@@ -163,22 +170,155 @@ class TestCorpusIO:
     def test_file_is_one_document_per_line(self, tmp_path):
         p = tmp_path / "corpus.txt"
         p.write_text("First doc here.\n\nThird line doc.\n", encoding="utf-8")
-        docs = list(read_corpus(p))
-        assert [d for d, _ in docs] == ["corpus.txt:1", "corpus.txt:3"]
+        assert [s.doc_id for s in iter_sentences(p)] == ["corpus.txt:1", "corpus.txt:3"]
+        assert _interned(intern_corpus(p)) == _triples(iter_sentences(p))
 
     def test_directory_is_one_document_per_file(self, tmp_path):
         (tmp_path / "b.txt").write_text("Beta.", encoding="utf-8")
         (tmp_path / "a.txt").write_text("Alpha.", encoding="utf-8")
-        docs = list(read_corpus(tmp_path))
-        assert [d for d, _ in docs] == ["a.txt", "b.txt"]
-        assert [t for _, t in docs] == ["Alpha.", "Beta."]
+        got = list(iter_sentences(tmp_path))
+        assert [s.doc_id for s in got] == ["a.txt", "b.txt"]
+        assert [s.tokens for s in got] == [("Alpha", "."), ("Beta", ".")]
+        assert _interned(intern_corpus(tmp_path)) == _triples(got)
 
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            list(read_corpus(tmp_path / "nope"))
+            list(iter_sentences(tmp_path / "nope"))
+        with pytest.raises(FileNotFoundError):
+            intern_corpus(tmp_path / "nope")
 
     def test_nfc_normalization(self, tmp_path):
         p = tmp_path / "c.txt"
-        p.write_text("café menu\n", encoding="utf-8")  # decomposed accent
-        (_, text), = read_corpus(p)
-        assert "café" in text
+        p.write_text("cafe\u0301 menu\n", encoding="utf-8")  # decomposed accent
+        (s,) = iter_sentences(p)
+        assert s.tokens == ("café", "menu")
+
+
+def _triples(sentences):
+    return [(s.doc_id, s.index, s.tokens) for s in sentences]
+
+
+def _interned(corpus):
+    """(doc_id, index, tokens) of each sentence of an interned corpus, after
+    checking that each type's lowercase id names its lowercase form."""
+    types, lowers = list(corpus.vocab), list(corpus.lowers)
+    assert [lowers[i] for i in corpus.lower.tolist()] == [t.lower() for t in types]
+    starts = corpus.starts.tolist()
+    return [
+        (corpus.doc_id(d), k, tuple(types[t] for t in corpus.ids[a:b].tolist()))
+        for d, k, a, b in zip(corpus.doc.tolist(), corpus.index.tolist(), starts, starts[1:])
+    ]
+
+
+# The reader before chunking: one regex call per document and sentence,
+# each line normalized on its own.  Kept here as the oracle.
+_ORACLE_TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?|\S")
+_ORACLE_TERMINATOR_RUN = re.compile(r"[.?!]+(?=\s+(\S))")
+_ORACLE_ABBREVIATIONS = frozenset(
+    {
+        "dr.", "mr.", "mrs.", "ms.", "prof.", "st.", "jr.", "sr.",
+        "fig.", "figs.", "eq.", "eqs.", "ref.", "refs.", "no.", "nos.",
+        "e.g.", "i.e.", "al.", "etc.", "vs.", "cf.", "ca.", "approx.",
+        "spp.", "sp.", "var.",
+    }
+    | {f"{c}." for c in string.ascii_lowercase}
+)
+
+
+def _oracle_segment(document, doc_id):
+    boundaries = [0]
+    for m in _ORACLE_TERMINATOR_RUN.finditer(document):
+        after = m.group(1)
+        if not (after.isupper() or after.isdigit()):
+            continue
+        run = m.group()
+        i = m.end()
+        while i > 0 and not document[i - 1].isspace():
+            i -= 1
+        if "?" in run or "!" in run or document[i : m.end()].lower() not in _ORACLE_ABBREVIATIONS:
+            boundaries.append(m.end())
+    boundaries.append(len(document))
+    sentences = []
+    for start, end in zip(boundaries, boundaries[1:]):
+        tokens = tuple(_ORACLE_TOKEN.findall(document, start, end))
+        if tokens:
+            sentences.append((doc_id, len(sentences), tokens))
+    return sentences
+
+
+def _oracle_read(path):
+    path = Path(path)
+    if path.is_dir():
+        for p in sorted(path.iterdir()):
+            yield from _oracle_segment(
+                unicodedata.normalize("NFC", p.read_text(encoding="utf-8")), p.name
+            )
+        return
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.rstrip("\n")
+            if text.strip():
+                yield from _oracle_segment(
+                    unicodedata.normalize("NFC", text), f"{path.name}:{lineno}"
+                )
+
+
+# Pieces of a line: abbreviations and terminator runs, combining marks
+# (acute accent, Hangul jamo that NFC composes into syllables), whitespace
+# that ends no line (\x1c, \u2028, no-break space, tab) and blanks.
+_PIECES = st.sampled_from([
+    "a", "B", "3", "x", " ", " ", "\t", ".", "?", "!", "?!", "...", "Dr.", "e.g.", "J.",
+    "et al.", "e", "\u0301", "\u1100", "\u1161", "\u11a8", "\uac00", "\x1c", "\u2028",
+    "\xa0", "_", "(", ",",
+])
+_LINES = st.lists(
+    st.tuples(st.lists(_PIECES, max_size=12).map("".join), st.sampled_from(["\n", "\r\n", "\r"])),
+    max_size=12,
+).map(lambda lines: "".join(text + end for text, end in lines))
+
+
+class TestChunkedReader:
+    """The chunked reader against the per-line oracle, with a chunk budget
+    small enough that lines straddle chunks."""
+
+    @given(text=_LINES, last=st.sampled_from(["", "A.", "tail"]), chunk=st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_file_matches_per_line_oracle(self, tmp_path_factory, text, last, chunk):
+        p = tmp_path_factory.mktemp("reader") / "corpus.txt"
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text + last)  # newline="": \r\n and lone \r reach the file as written
+        want = list(_oracle_read(p))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dictforge.corpus, "_CHUNK_CHARS", chunk)
+            assert _triples(iter_sentences(p)) == want
+            assert _interned(intern_corpus(p)) == want
+
+    @given(texts=st.lists(_LINES, min_size=1, max_size=3), chunk=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_directory_matches_per_file_oracle(self, tmp_path_factory, texts, chunk):
+        root = tmp_path_factory.mktemp("reader")
+        for i, text in enumerate(texts):
+            with open(root / f"doc{i}.txt", "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        want = list(_oracle_read(root))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dictforge.corpus, "_CHUNK_CHARS", chunk)
+            assert _triples(iter_sentences(root)) == want
+            assert _interned(intern_corpus(root)) == want
+
+    def test_period_line_then_uppercase_line(self, tmp_path):
+        # a terminator at a line's end sees the next line's capital, but the
+        # line still ends the document: no sentence spans the newline
+        p = tmp_path / "corpus.txt"
+        p.write_text("It spread.\nThen stopped. Dr.\nSmith came\n", encoding="utf-8")
+        assert _triples(iter_sentences(p)) == list(_oracle_read(p)) == [
+            ("corpus.txt:1", 0, ("It", "spread", ".")),
+            ("corpus.txt:2", 0, ("Then", "stopped", ".")),
+            ("corpus.txt:2", 1, ("Dr", ".")),
+            ("corpus.txt:3", 0, ("Smith", "came")),
+        ]
+
+    @given(st.text(alphabet="ab .?!AB3x\n" + _EXOTIC, max_size=80))
+    @settings(max_examples=60)
+    def test_segment_sentences_matches_oracle(self, doc):
+        assert _triples(segment_sentences(doc, "d")) == _oracle_segment(doc, "d")

@@ -2,13 +2,15 @@
 
 import io
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictforge.corpus import segment_sentences
+from dictforge.corpus import intern_corpus, iter_sentences, segment_sentences
 from dictforge.extraction import (
+    STOPWORDS,
     CandidatePhrase,
     ExtractionPattern,
     aggregate_candidates,
@@ -142,7 +144,7 @@ class TestDriver:
         s = sent(text)
         got = extract_candidates([s], [THE_VIRUS, PATIENTS])
         for c in got:
-            assert c.lower in " ".join(s.lowers())
+            assert c.lower in " ".join(t.lower() for t in s.tokens)
 
     def test_high_recall_on_planted_entities(self):
         rng = random.Random(7)
@@ -223,3 +225,117 @@ class TestCandidateIO:
         p.write_text("influenza\t2\nhepatitis b\t1\n", encoding="utf-8")
         got = read_candidates(p)
         assert got == [CandidatePhrase("influenza", 2), CandidatePhrase("hepatitis b", 1)]
+
+
+# The per-sentence string matchers the id path replaced, kept as the oracle.
+def _oracle_find_literal(words, literal):
+    for i in range(len(words) - len(literal) + 1):
+        if tuple(words[i : i + len(literal)]) == literal:
+            yield i
+
+
+def _oracle_is_punct(text):
+    return not any(c.isalnum() for c in text)
+
+
+def _oracle_between(tokens, lower, pattern):
+    words = tokens if pattern.case_sensitive else lower
+    left, right = pattern.left, pattern.right
+    out = []
+    for i in _oracle_find_literal(words, left):
+        gap_start = i + len(left)
+        for gap in range(1, pattern.max_phrase_len + 1):
+            j = gap_start + gap
+            if j + len(right) > len(words):
+                break
+            if tuple(words[j : j + len(right)]) == right:
+                if not any(_oracle_is_punct(t) for t in tokens[gap_start:j]):
+                    out.append(" ".join(lower[gap_start:j]))
+                break
+    return out
+
+
+def _oracle_after_trigger(tokens, lower, pattern):
+    words = tokens if pattern.case_sensitive else lower
+    coordinators = {",", "and", "or"}
+    out = []
+    for t in _oracle_find_literal(words, pattern.trigger):
+        i, n = t + len(pattern.trigger), len(lower)
+        while i < n:
+            while i < n and lower[i] in STOPWORDS and lower[i] not in coordinators:
+                i += 1
+            s = i
+            while (i < n and lower[i] not in STOPWORDS and not _oracle_is_punct(tokens[i])
+                   and i - s < pattern.max_phrase_len):
+                i += 1
+            if i > s:
+                out.append(" ".join(lower[s:i]))
+            if i < n and lower[i] in coordinators:
+                i += 1
+                continue
+            break
+    return out
+
+
+_WORDS = ["the", "The", "virus", "VIRUS", "of", "and", "or", ",", ".", "(", "flu", "Flu",
+          "hepatitis", "b", "with", "patients", "a", "zika"]
+# literal words include some no corpus token has
+_LITERAL_WORDS = st.sampled_from(["the", "The", "virus", "of", "and", ",", "with", "b", "nowhere"])
+_PATTERNS = st.lists(
+    st.builds(
+        lambda kind, first, second, max_len, case_sensitive: ExtractionPattern(
+            kind, max_phrase_len=max_len, case_sensitive=case_sensitive,
+            **({"left": first, "right": second} if kind == "between" else {"trigger": first}),
+        ),
+        st.sampled_from(["between", "after_trigger"]),
+        st.lists(_LITERAL_WORDS, min_size=1, max_size=2).map(tuple),
+        st.lists(_LITERAL_WORDS, min_size=1, max_size=2).map(tuple),
+        st.integers(1, 4),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestIdPathOracle:
+    """Extraction on the interned corpus against the per-sentence string
+    matchers: between and case-sensitive patterns, overlapping triggers
+    ("of of of"), literal words outside the vocabulary, punctuation in
+    gaps, and matches that would cross a sentence boundary."""
+
+    @given(
+        lines=st.lists(st.lists(st.sampled_from(_WORDS), max_size=14), min_size=1, max_size=12),
+        patterns=_PATTERNS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_sentence_oracle(self, tmp_path_factory, lines, patterns):
+        path = tmp_path_factory.mktemp("extract") / "corpus.txt"
+        path.write_text("".join(" ".join(line) + "\n" for line in lines), encoding="utf-8")
+        sentences = list(iter_sentences(path))
+        matches = Counter()
+        for sentence in sentences:
+            tokens = sentence.tokens
+            lower = [t.lower() for t in tokens]
+            for p in patterns:
+                if p.kind == "between":
+                    want = _oracle_between(tokens, lower, p)
+                    assert extract_between(sentence, p) == want
+                else:
+                    want = _oracle_after_trigger(tokens, lower, p)
+                    assert extract_after_trigger(sentence, p) == want
+                matches.update(want)
+        want = sorted(matches.items(), key=lambda item: (-item[1], item[0]))
+        assert extract_candidates(intern_corpus(path), patterns) == want
+        assert extract_candidates(sentences, patterns) == want
+
+    def test_literals_never_cross_a_sentence_boundary(self, tmp_path):
+        # "virus of" spans two lines here, so the right literal never follows
+        # "the flu"; and a trigger split across lines starts no span
+        path = tmp_path / "corpus.txt"
+        path.write_text("the flu virus\nof measles . The zika virus of\nnote\n", encoding="utf-8")
+        between = ExtractionPattern("between", left=("the",), right=("virus", "of"))
+        after = ExtractionPattern("after_trigger", trigger=("virus", "of"))
+        corpus = intern_corpus(path)
+        assert extract_candidates(corpus, [between]) == [CandidatePhrase("zika", 1)]
+        assert extract_candidates(corpus, [after]) == []

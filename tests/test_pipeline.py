@@ -3,6 +3,7 @@
 import ast
 import collections
 import dataclasses
+import hashlib
 import json
 import re
 import shutil
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from dictforge.cca import CcaModel, accumulate_covariance, embed_phrases
 from dictforge.classifier import SeedSet, build_dictionary, train_svm
-from dictforge.corpus import iter_sentences
+import dictforge.corpus
+from dictforge.corpus import intern_corpus, iter_sentences
 from dictforge.cotrain import dictionary_from_rules
 from dictforge.pipeline import (
     PipelineConfig,
@@ -488,7 +490,8 @@ class TestRunPipeline:
         def no_corpus(*args, **kwargs):
             raise AssertionError(f"{stage} read the corpus")
 
-        monkeypatch.setattr("dictforge.pipeline.iter_sentences", no_corpus)
+        monkeypatch.setattr("dictforge.pipeline.intern_corpus", no_corpus)
+        monkeypatch.setattr("dictforge.corpus._read", no_corpus)
         monkeypatch.setattr("dictforge.pipeline.collect_occurrences", no_corpus)
         manifest = run_pipeline(copy, stages=(stage,))
         assert manifest.stages[stage]["cached"] is False
@@ -753,7 +756,8 @@ class TestRunPipeline:
     def test_cold_run_parses_neither_occurrences_nor_dev_twice(
         self, finished_run, tmp_path, monkeypatch
     ):
-        # the corpus is tokenized and matched once (by views), X and Z are
+        # the corpus is read and tokenized once (for extract and views) and
+        # matched once (by views), X and Z are
         # built once (by cca), and the dev split is read once for classify,
         # cotrain and crf
         _, config, _ = finished_run
@@ -767,18 +771,20 @@ class TestRunPipeline:
             return wrapper
 
         for name, fn in (
-            ("iter_sentences", iter_sentences),
+            ("intern_corpus", intern_corpus),
             ("collect_occurrences", collect_occurrences),
             ("read_conll", read_conll),
         ):
             monkeypatch.setattr(f"dictforge.pipeline.{name}", counted(name, fn))
+        monkeypatch.setattr("dictforge.corpus._read", counted("_read", dictforge.corpus._read))
         monkeypatch.setattr(
             OccurrenceTable, "design_matrices",
             counted("design_matrices", OccurrenceTable.design_matrices),
         )
         manifest = run_pipeline(copy)
         assert not any(record.get("cached") for record in manifest.stages.values())
-        assert calls["iter_sentences", None] == calls["collect_occurrences", None] == 1
+        assert calls["intern_corpus", None] == calls["_read", None] == 1
+        assert calls["collect_occurrences", None] == 1
         assert calls["design_matrices", None] == 1
         assert calls["read_conll", config.dev] == 1
         for name in ("dict.cca.tsv", "dict.cotrain.tsv", "crf.json"):
@@ -831,6 +837,48 @@ class TestRunPipeline:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert all(record["cached"] for record in run_pipeline(copy).stages.values())
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: "[]",
+            lambda text: '{"version": "0", "stages": {}}',
+            lambda text: '{"version": "0", "config_hash": "", "stages": {"extract": 1}}',
+        ],
+        ids=["halved", "a-list", "missing-field", "stage-not-an-object"],
+    )
+    def test_damaged_manifest_counts_as_no_cache(self, finished_run, tmp_path, damage):
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        path = copy.outdir / "manifest.json"
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+        lines = []
+        manifest = run_pipeline(copy, log=lines.append)
+        assert not any(record["cached"] for record in manifest.stages.values())
+        assert set(manifest.stages) == set(STAGES)
+        assert lines[0].startswith(f"{path}: unreadable manifest")
+        assert RunManifest.load(path).stages.keys() == manifest.stages.keys()
+        for record in manifest.stages.values():
+            for name in record["outputs"]:
+                assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
+
+    def test_pinned_extract_and_views_content(self, finished_run):
+        # sha256 of the spec's candidates and of the table's arrays and names,
+        # as written before extraction and matching ran on interned ids
+        _, config, _ = finished_run
+        out = config.outdir
+        candidates = hashlib.sha256((out / "candidates.tsv").read_bytes()).hexdigest()
+        assert candidates == "c3e7716c88725cf5fc21f0d2be994d3019f9c557a2d20d510906b31bc998ea78"
+        table = OccurrenceTable.load(out / "views.table.npz")
+        h = hashlib.sha256()
+        for array in (table.phrase_ids, table.context_ids, table.caps.astype(np.uint8)):
+            h.update(array.astype(array.dtype.newbyteorder("<")).tobytes())
+        h.update("\n".join(table.phrases).encode())
+        h.update("\n".join(f"{position} {word}" for position, word in table.contexts).encode())
+        assert (table.n, len(table.phrases), len(table.contexts)) == (1625, 42, 61)
+        assert h.hexdigest() == "6e2cd264c39fc937c89a0089eeb5610f12adcbb56eba8bec4a79f4ce205ac8c1"
 
     def test_jobs_other_than_one_rejected(self, finished_run):
         _, config, _ = finished_run
@@ -895,8 +943,8 @@ def _ast_imports(module):
 class TestStageTable:
     CLOSURES = {
         "extract": {"corpus", "extraction"},
-        "views": {"corpus", "extraction", "tagging", "views"},
-        "cca": {"cca", "linalg", "views", "extraction", "corpus", "tagging"},
+        "views": {"corpus", "extraction", "views"},
+        "cca": {"cca", "linalg", "views", "extraction", "corpus"},
         "classify": {"cca", "linalg", "classifier", "tagging", "extraction", "corpus", "views"},
         "cotrain": {"cotrain", "classifier", "tagging", "views", "extraction", "corpus"},
         "tag": {"tagging"},

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictforge.corpus import segment_sentences
+from dictforge.corpus import intern_corpus, iter_sentences, segment_sentences
 from dictforge.extraction import CandidatePhrase
 from dictforge.views import (
     BOUNDARY,
@@ -348,3 +348,69 @@ class TestViewIO:
             np.savez(fh, **arrays)
         with pytest.raises(ValueError, match="allow_pickle"):
             OccurrenceTable.load(p)
+
+
+def _oracle_rows(sentences, candidates):
+    """Occurrence rows by the per-sentence string matcher the id path
+    replaced: longest candidate first at each position, left to right,
+    never overlapping, on lowercased tokens."""
+    phrases = {tuple(c.lower.split(" ")) for c in candidates}
+    max_len = max(map(len, phrases))
+    rows = []
+    for sentence in sentences:
+        low = [t.lower() for t in sentence.tokens]
+        n, i = len(low), 0
+        while i < n:
+            for length in range(min(max_len, n - i), 0, -1):
+                if tuple(low[i : i + length]) in phrases:
+                    j = i + length
+                    rows.append((
+                        sentence.doc_id, sentence.index, i, j,
+                        " ".join(low[i:j]), " ".join(sentence.tokens[i:j]),
+                        *[BOUNDARY] * (3 - min(3, i)), *low[max(0, i - 3) : i],
+                        *low[j : j + 3], *[BOUNDARY] * (3 - min(3, n - j)),
+                    ))
+                    i = j
+                    break
+            else:
+                i += 1
+    return rows
+
+
+class TestIdPathOracle:
+    """Occurrences matched on the interned corpus against the string
+    matcher: nested and overlapping candidates, candidate words outside the
+    vocabulary, a corpus token equal to BOUNDARY, and doc ids that sort
+    apart from corpus order ("c:10" before "c:2")."""
+
+    @given(
+        lines=st.lists(
+            st.lists(st.sampled_from(["the", "Flu", "flu", "hepatitis", "B", "b", "virus", ",",
+                                      ".", "The", BOUNDARY, "x"]), max_size=10),
+            min_size=1, max_size=12,
+        ),
+        names=st.lists(
+            st.lists(st.sampled_from(["flu", "hepatitis", "b", "virus", "the", ",", "nowhere"]),
+                     min_size=1, max_size=3).map(" ".join),
+            min_size=1, max_size=6,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_string_oracle(self, tmp_path_factory, lines, names):
+        path = tmp_path_factory.mktemp("views") / "c"
+        path.write_text("".join(" ".join(line) + "\n" for line in lines), encoding="utf-8")
+        candidates = cands(*names)
+        rows = _oracle_rows(iter_sentences(path), candidates)
+        occurrences = collect_occurrences(intern_corpus(path), candidates)
+        assert list(occurrences) == rows
+        if not rows:
+            with pytest.raises(ValueError):
+                build_design_matrices(occurrences)
+            return
+        X, Z, spelling, context, ordered = oracle_views(rows)
+        vm = build_design_matrices(occurrences)
+        np.testing.assert_array_equal(vm.X.toarray(), X)
+        np.testing.assert_array_equal(vm.Z.toarray(), Z)
+        assert vm.table.phrases == [name[1] for name in spelling if name[0] == "id"]
+        assert vm.table.contexts == [name[1:] for name in context if name[0] == "ctx"]
+        assert_tables_equal(vm.table, intern_occurrences(ordered))

@@ -10,7 +10,7 @@ from contextlib import nullcontext
 from itertools import islice
 from typing import Iterator
 
-from .corpus import iter_sentences
+from .corpus import iter_chunks, iter_sentences
 from .crf import (
     CrfModel,
     FeatureConfig,
@@ -32,11 +32,14 @@ from .pipeline import (
 )
 from .synth import SynthSpec, generate
 from .tagging import (
+    conll_text,
+    dictionary_codes,
     read_conll,
     read_dictionary,
-    tag_with_dictionary,
     write_conll,
 )
+# not called here: perfbench/tracer.py's WRAPS wraps it under this module
+from .tagging import tag_with_dictionary  # noqa: F401
 
 __all__ = ["main"]
 
@@ -122,9 +125,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_tag(args) -> int:
     dictionary = read_dictionary(args.dict)
-    rows = ((toks, tag_with_dictionary(toks, dictionary)) for toks in _read_tokens(args.input))
     with _open_out(args.out) as out:
-        write_conll(rows, out)
+        for tokens, corpus in iter_chunks(args.input):
+            out.write(conll_text(tokens, corpus.starts, dictionary_codes(corpus, dictionary)))
     return 0
 
 

@@ -1,16 +1,22 @@
-"""Corpus ingestion: sentence segmentation, tokenization and interning.
+"""Corpus ingestion: sentence segmentation, tokenization, interning and
+phrase matching.
 
 A corpus file holds one document per line and is streamed in chunks of whole
 lines (about ``_CHUNK_CHARS`` characters each); a corpus directory holds one
 document per file and is streamed a file at a time.  Each chunk is
-NFC-normalized once and split by one pass of the terminator regex and one of
-the token regex over the whole chunk, so memory is bounded by one chunk plus
-what the caller keeps.  :func:`intern_corpus` keeps int32 token ids, one
-lowercase id per token type, sentence offsets and each sentence's document
-and index within it; :func:`iter_sentences` yields :class:`Sentence` objects
-instead.  Segmentation and tokenization are deterministic, rule-based
-approximations; a token is traced back to its source through its sentence's
-doc id and index and its position in the sentence.
+NFC-normalized once and split by one pass of the terminator regex over the
+whole chunk; its whitespace-delimited pieces are tokens as they stand when
+they start and end alphanumeric, and go through the token regex otherwise.
+Memory is bounded by one chunk plus what the caller keeps.
+:func:`intern_corpus` keeps int32 token ids, one lowercase id per token type,
+sentence offsets and each sentence's document and index within it;
+:func:`iter_chunks` interns each chunk on its own and :func:`iter_sentences`
+yields :class:`Sentence` objects instead.  :class:`PhraseTrie` finds the
+longest-first, non-overlapping matches of lowercase phrases in an interned
+corpus, for the views and for dictionary tagging.  Segmentation and
+tokenization are deterministic, rule-based approximations; a token is traced
+back to its source through its sentence's doc id and index and its position
+in the sentence.
 """
 
 from __future__ import annotations
@@ -21,17 +27,19 @@ import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "Corpus",
+    "PhraseTrie",
     "Sentence",
     "word_shape",
     "tokenize",
     "segment_sentences",
     "intern_corpus",
+    "iter_chunks",
     "iter_sentences",
 ]
 
@@ -81,8 +89,18 @@ def tokenize(sentence_text: str) -> list[str]:
     Leading and trailing non-alphanumeric characters of each whitespace
     chunk become single-character tokens; interior punctuation is kept, so
     hyphenated words ("Epstein-Barr") and decimals ("3.5") stay whole.
+    This is ``_TOKEN.findall``, run only on the chunks that do not start
+    and end alphanumeric: the others are one token each.
     """
-    return _TOKEN.findall(sentence_text)
+    tokens: list[str] = []
+    whole, split = tokens.append, _TOKEN.findall
+    for piece in sentence_text.split():
+        # the regex's first alternative takes all of such a piece
+        if piece[0].isalnum() and piece[-1].isalnum():
+            whole(piece)
+        else:
+            tokens += split(piece)
+    return tokens
 
 
 # Chunks (lowercased, period included) after which a period never ends a
@@ -147,14 +165,18 @@ def _split(text: str, lines: bool, first: int = 0) -> _Chunk:
 
     Tokens never hold whitespace and every boundary is at a whitespace
     edge, so both are placed by their count of non-whitespace characters
-    before them: tokens and boundaries come from one regex pass each over
-    the whole text.
+    before them: tokens come from one :func:`tokenize` and boundaries from
+    one terminator-regex pass over the whole text.
     """
-    tokens = _TOKEN.findall(text)
+    tokens = tokenize(text)
     lengths = np.fromiter(map(len, tokens), np.int64, len(tokens))
     at = np.cumsum(lengths) - lengths
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
-    spaces = np.flatnonzero(_SPACE[np.minimum(codes, len(_SPACE) - 1)])
+    if text.isascii():  # a byte per character, a quarter of the memory
+        codes = np.frombuffer(text.encode("ascii"), np.uint8)
+        spaces = np.flatnonzero(_SPACE[codes])
+    else:
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+        spaces = np.flatnonzero(_SPACE[np.minimum(codes, len(_SPACE) - 1)])
     newlines = np.flatnonzero(codes == 10) if lines else spaces[:0]
     newlines -= np.searchsorted(spaces, newlines)
     ends = np.array(_sentence_ends(text), dtype=np.int64)
@@ -201,8 +223,17 @@ def _read(path: str | Path) -> tuple[Callable[[int], str], Iterator[_Chunk]]:
         )
         return [p.name for p in files].__getitem__, chunks
     if path.is_file():
-        return f"{path.name}:{{}}".format, _lines(path)
+        return _LineIds(path.name), _lines(path)
     raise FileNotFoundError(f"corpus path does not exist: {path}")
+
+
+class _LineIds(NamedTuple):
+    """Doc ids of a corpus file: ``<file name>:<line>``."""
+
+    name: str
+
+    def __call__(self, line: int) -> str:
+        return f"{self.name}:{line}"
 
 
 def _lines(path: Path) -> Iterator[_Chunk]:
@@ -210,8 +241,12 @@ def _lines(path: Path) -> Iterator[_Chunk]:
         first = 1
         while lines := fh.readlines(_CHUNK_CHARS):
             # NFC never composes across a newline, so one call covers the lines
-            yield _split(unicodedata.normalize("NFC", "".join(lines)), True, first)
-            first += len(lines)
+            count, text = len(lines), unicodedata.normalize("NFC", "".join(lines))
+            del lines  # only the text is held while it is split
+            chunk = _split(text, True, first)
+            del text  # and only the chunk while the caller has it
+            yield chunk
+            first += count
 
 
 def iter_sentences(path: str | Path) -> Iterator[Sentence]:
@@ -219,6 +254,14 @@ def iter_sentences(path: str | Path) -> Iterator[Sentence]:
     doc_id, chunks = _read(path)
     for chunk in chunks:
         yield from _sentences(doc_id, chunk)
+
+
+def iter_chunks(path: str | Path) -> Iterator[tuple[list[str], "Corpus"]]:
+    """Stream a corpus location chunk by chunk: each chunk's token texts and
+    the chunk interned on its own (positions and ids start at 0 in each)."""
+    doc_id, chunks = _read(path)
+    for chunk in chunks:
+        yield chunk.tokens, _intern(doc_id, [chunk])
 
 
 @dataclass(eq=False)
@@ -249,6 +292,19 @@ class Corpus:
         """End of the sentence holding each token position."""
         return self.starts[np.searchsorted(self.starts, positions, side="right")]
 
+    def doc_ranks(self, docs: np.ndarray) -> np.ndarray:
+        """Rank of each of the distinct document numbers ``docs`` among them
+        when their doc ids are compared as strings, so "c:10" precedes "c:2"."""
+        if isinstance(self.doc_id, _LineIds):
+            # every doc id is "<file name>:<line>": the lines' decimal strings decide
+            order = np.argsort(docs.astype(str), kind="stable")
+        else:
+            names = [self.doc_id(d) for d in docs.tolist()]
+            order = sorted(range(len(names)), key=names.__getitem__)
+        rank = np.empty(len(docs), dtype=np.int64)
+        rank[order] = np.arange(len(docs))
+        return rank
+
     @classmethod
     def of(cls, sentences: Iterable[Sentence]) -> "Corpus":
         """In-memory sentences, interned; doc ids are numbered in order of
@@ -262,6 +318,18 @@ class Corpus:
             np.array([s.index for s in sentences], dtype=np.int64),
         )
         return _intern(list(names).__getitem__, [chunk])
+
+    @classmethod
+    def of_tokens(cls, texts: Sequence[Sequence[str]]) -> "Corpus":
+        """Token lists as the sentences of one document with doc id ``""``,
+        interned."""
+        chunk = _Chunk(
+            [t for tokens in texts for t in tokens],
+            np.cumsum([0] + [len(tokens) for tokens in texts]),
+            np.zeros(len(texts), dtype=np.int64),
+            np.arange(len(texts), dtype=np.int64),
+        )
+        return _intern([""].__getitem__, [chunk])
 
 
 def _intern(doc_id: Callable[[int], str], chunks: Iterable[_Chunk]) -> Corpus:
@@ -294,3 +362,78 @@ def _intern(doc_id: Callable[[int], str], chunks: Iterable[_Chunk]) -> Corpus:
 def intern_corpus(path: str | Path) -> Corpus:
     """Read and intern a corpus location in one streaming pass."""
     return _intern(*_read(path))
+
+
+class PhraseTrie:
+    """Lowercase space-joined phrases as a trie over the phrases' own word
+    ids, built once and matched in any number of interned corpora."""
+
+    def __init__(self, phrases: Iterable[str]):
+        self.words: dict[str, int] = {}
+        edges: dict[tuple[int, int], int] = {}  # (node, word id) -> child node
+        ends_at = [-1]  # node -> the first phrase it completes, or -1
+        for p, phrase in enumerate(phrases):
+            node = 0
+            for word in phrase.split(" "):
+                w = self.words.setdefault(word, len(self.words))
+                node = edges.setdefault((node, w), len(ends_at))
+                if node == len(ends_at):
+                    ends_at.append(-1)
+            if ends_at[node] < 0:
+                ends_at[node] = p
+        # word id len(words) stands for every word no phrase holds
+        self.width = width = len(self.words) + 1
+        edge_keys = {node * width + w: child for (node, w), child in edges.items()}
+        self.keys = np.array([-1, *sorted(edge_keys)], dtype=np.int64)  # -1: no key equals it
+        self.children = np.array([-1, *map(edge_keys.__getitem__, self.keys[1:].tolist())])
+        self.ends_at = np.array(ends_at)
+        self.root = np.full(width, -1, dtype=np.int64)  # the root's children, by word id
+        for (node, w), child in edges.items():
+            if node == 0:
+                self.root[w] = child
+
+    def match(self, corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Kept matches in corpus order: match r is phrase ``phrase[r]`` (its
+        index in the phrase list) at tokens ``start[r]:end[r]``.
+
+        The rule is :func:`~dictforge.tagging.match_phrase_spans` on
+        lowercased tokens, one sentence at a time: the longest phrase wins at
+        each position, scanning left to right makes ties resolve leftmost,
+        matches never overlap and never cross a sentence end.  Each
+        lowercase type of the corpus is looked up once; every position where
+        a phrase's first word occurs then walks the trie, one array step per
+        word for all positions at once, and only the choice among
+        overlapping matches runs per match.
+        """
+        unknown = self.width - 1
+        word_of = np.fromiter(
+            (self.words.get(w, unknown) for w in corpus.lowers), np.int64, len(corpus.lowers)
+        )
+        words = word_of[corpus.lower][corpus.ids]
+        # each live start position stands at a trie node, ``depth`` words in;
+        # the longest phrase completed so far is its match
+        pos = np.flatnonzero(self.root[words] >= 0)
+        stop = corpus.sentence_end(pos)
+        length = np.zeros(len(pos), dtype=np.int64)
+        phrase = np.zeros(len(pos), dtype=np.int64)
+        live, node = np.arange(len(pos)), self.root[words[pos]]
+        depth = 1
+        while len(live):
+            done = self.ends_at[node] >= 0
+            length[live[done]], phrase[live[done]] = depth, self.ends_at[node[done]]
+            more = pos[live] + depth < stop[live]
+            live, node = live[more], node[more]
+            key = node * self.width + words[pos[live] + depth]
+            k = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+            found = self.keys[k] == key
+            live, node = live[found], self.children[k[found]]
+            depth += 1
+
+        matched = np.flatnonzero(length)
+        kept, reached = [], 0
+        for r, i, n in zip(matched.tolist(), pos[matched].tolist(), length[matched].tolist()):
+            if i >= reached:
+                kept.append(r)
+                reached = i + n
+        start = pos[kept]
+        return start, start + length[kept], phrase[kept]

@@ -27,13 +27,14 @@ import json
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
 from .corpus import (
+    Corpus,
     SHAPE_ALL_CAPS,
     SHAPE_ALL_LOWER,
     SHAPE_INIT_CAP,
@@ -42,8 +43,10 @@ from .corpus import (
     word_shape,
 )
 from .tagging import (
+    BIO,
     Dictionary,
     PhraseSet,
+    dictionary_codes,
     evaluate,
     match_phrase_spans,
     tag_with_dictionary,
@@ -61,6 +64,7 @@ __all__ = [
     "build_model",
     "fit_weights",
     "train_crf",
+    "train_crf_grid",
     "log_likelihood_and_gradient",
     "viterbi_decode",
     "tag_sentences",
@@ -69,7 +73,7 @@ __all__ = [
     "write_curve_tsv",
 ]
 
-LABELS = ("B", "I", "O")
+LABELS = BIO
 START = "^"
 
 _LABEL_IDX = {lab: i for i, lab in enumerate(LABELS)}
@@ -518,10 +522,10 @@ def _compile(
     if config.baseline:
         blocks.append(_lexical_ids(index, texts, step, np.repeat(lengths, lengths)))
     if config.dict_match:
+        corpus = Corpus.of_tokens(texts)
         for name, dictionary in model.dictionaries:
             cols = np.array([index.get(f"dict:{name}={t}", -1) for t in LABELS])
-            tags = [_LABEL_IDX[t] for tokens in texts for t in tag_with_dictionary(tokens, dictionary)]
-            blocks.append(cols[tags][:, None])
+            blocks.append(cols[dictionary_codes(corpus, dictionary)][:, None])
     values = None
     if config.embedding:
         emb = model.embeddings
@@ -753,6 +757,17 @@ def fit_weights(
         raise ValueError("empty training set")
     chain = _Chain(model)
     compiled = _compile(model, chain, sentences, with_gold=True)
+    return _fit(model, chain, compiled, init, max_iters)
+
+
+def _fit(
+    model: CrfModel,
+    chain: _Chain,
+    compiled: _Compiled,
+    init: np.ndarray | None,
+    max_iters: int,
+) -> CrfModel:
+    """:func:`fit_weights` on a compiled training set."""
     x0 = np.zeros_like(model.weights) if init is None else np.asarray(init, dtype=float)
     if x0.shape != model.weights.shape:
         raise ValueError("init shape mismatch")
@@ -795,6 +810,27 @@ def train_crf(
         regularizer=regularizer,
     )
     return fit_weights(model, sentences, max_iters=max_iters)
+
+
+def train_crf_grid(
+    sentences: Sequence[tuple[Sequence[str], Sequence[str]]],
+    config: FeatureConfig,
+    regularizers: Iterable[float],
+    *,
+    dictionaries: Iterable = (),
+    embeddings: SentinelEmbeddings | None = None,
+    max_iters: int = 500,
+) -> Iterator[CrfModel]:
+    """:func:`train_crf` at each regularizer in turn, with the feature index
+    built and the training set compiled once for all of them; every fit
+    starts from zero weights, so each model equals its own ``train_crf``."""
+    if not sentences:
+        raise ValueError("empty training set")
+    model = build_model(sentences, config, dictionaries=dictionaries, embeddings=embeddings)
+    chain = _Chain(model)
+    compiled = _compile(model, chain, sentences, with_gold=True)
+    for lam in regularizers:
+        yield _fit(replace(model, regularizer=lam), chain, compiled, None, max_iters)
 
 
 def log_likelihood_and_gradient(

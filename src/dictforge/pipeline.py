@@ -51,9 +51,9 @@ from .classifier import (
     resolve_seeds,
     train_svm,
 )
-from .corpus import intern_corpus
+from .corpus import Corpus, intern_corpus
 from .cotrain import dl_cotrain, dictionary_from_rules
-from .crf import CrfModel, FeatureConfig, SentinelEmbeddings, tag_sentences, train_crf
+from .crf import CrfModel, FeatureConfig, SentinelEmbeddings, tag_sentences, train_crf_grid
 from .extraction import (
     extract_candidates,
     load_patterns,
@@ -68,12 +68,13 @@ from .tagging import (
     evaluate,
     read_conll,
     read_dictionary,
-    tag_with_dictionary,
     write_dictionary,
 )
 from .views import OccurrenceTable, build_design_matrices, collect_occurrences
 # not called here: perfbench/tracer.py's WRAPS wraps them under this module
 from .corpus import iter_sentences  # noqa: F401
+from .crf import train_crf  # noqa: F401
+from .tagging import tag_with_dictionary  # noqa: F401
 from .views import read_triplets, write_triplets  # noqa: F401
 
 __all__ = [
@@ -108,8 +109,8 @@ _STAGES = {
                        ("extraction", "views", "cca", "classifier", "tagging"), "svm"),
     "cotrain": _Stage(("dict.cotrain.tsv", "cotrain.json"), ("views.table.npz", "seeds", "dev"),
                       ("views", "classifier", "cotrain", "tagging"), "cotrain"),
-    "tag": _Stage(("report.json",), ("test", "dict.cca.tsv?", "dict.cotrain.tsv?"), ("tagging",),
-                  needs="test"),
+    "tag": _Stage(("report.json",), ("test", "dict.cca.tsv?", "dict.cotrain.tsv?"),
+                  ("corpus", "tagging"), needs="test"),
     "crf": _Stage(("crf.model.npz", "crf.json"),
                   ("train", "dev", "test", "dict.cca.tsv if dict", "embeddings.tsv if emb"),
                   ("crf", "cca", "tagging"), "crf", needs="train"),
@@ -340,11 +341,11 @@ def select_crf(
     dev F1 (0.0 without dev).  Returns (model, chosen row, every row); a
     row is the lambda, its F1 and the fit's L-BFGS status."""
     models, reports = {}, []
-    for lam in lambdas:
-        model = train_crf(
-            train, features, dictionaries=dictionaries, embeddings=embeddings,
-            regularizer=lam, max_iters=max_iters,
-        )
+    for model in train_crf_grid(
+        train, features, lambdas, dictionaries=dictionaries, embeddings=embeddings,
+        max_iters=max_iters,
+    ):
+        lam = model.regularizer
         f1 = 0.0
         if dev is not None:
             pred = tag_sentences(model, [toks for toks, _ in dev])
@@ -629,15 +630,23 @@ class _Runner:
 
     def stage_tag(self, tmp: Path) -> dict:
         test = read_conll(self.config.test, strict=True)
-        gold = [tags for _, tags in test]
+        corpus = Corpus.of_tokens([toks for toks, _ in test])
+        # entity spans as corpus positions, so one set covers the split
+        gold = {
+            (first + s, first + e)
+            for first, (_, tags) in zip(corpus.starts.tolist(), test)
+            for s, e in bio_spans(tags)
+        }
         results = {}
         for name in ("cca", "cotrain"):
             path = self.outdir / f"dict.{name}.tsv"
             if not path.is_file():
                 continue
-            d = read_dictionary(path)
-            pred = [tag_with_dictionary(toks, d) for toks, _ in test]
-            results[name] = evaluate(pred, gold).as_dict()
+            start, end, _ = read_dictionary(path).trie.match(corpus)
+            pred = set(zip(start.tolist(), end.tolist()))
+            results[name] = EvalReport.from_counts(
+                len(pred & gold), len(pred - gold), len(gold - pred)
+            ).as_dict()
         if not results:
             raise StageError("tag", "no dictionary artifacts to evaluate")
         (tmp / "report.json").write_text(_json_text(results), encoding="utf-8")

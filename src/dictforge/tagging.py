@@ -1,9 +1,12 @@
 """Dictionary-based tagging and phrase-level evaluation.
 
 A dictionary tagger marks every exact, non-overlapping dictionary match in
-a sentence as one entity (B I ... I) and everything else O.  Evaluation is
-phrase-level: a predicted entity counts only when both boundaries match a
-gold entity exactly.
+a sentence as one entity (B I ... I) and everything else O.
+:func:`tag_with_dictionary` is the per-sentence specification;
+:func:`dictionary_codes` tags a whole interned corpus with the dictionary's
+:class:`~dictforge.corpus.PhraseTrie`, and :func:`conll_text` formats its
+tags as :func:`write_conll` would.  Evaluation is phrase-level: a predicted
+entity counts only when both boundaries match a gold entity exactly.
 """
 
 from __future__ import annotations
@@ -13,12 +16,18 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from .corpus import Corpus, PhraseTrie
+
 __all__ = [
+    "BIO",
     "Dictionary",
     "EvalReport",
     "PhraseSet",
     "match_phrase_spans",
     "tag_with_dictionary",
+    "dictionary_codes",
     "bio_spans",
     "validate_bio",
     "evaluate",
@@ -27,9 +36,13 @@ __all__ = [
     "write_dictionary",
     "read_conll",
     "write_conll",
+    "conll_text",
 ]
 
 PROVENANCES = ("cca", "cotrain", "manual", "candidate-list")
+
+# the tags, in the order of their codes
+BIO = ("B", "I", "O")
 
 
 class PhraseSet(frozenset):
@@ -82,6 +95,10 @@ class Dictionary:
     def phrases(self) -> PhraseSet:
         # built once: nothing mutates ``scores`` after construction
         return PhraseSet(p.split(" ") for p in self.scores)
+
+    @cached_property
+    def trie(self) -> PhraseTrie:
+        return PhraseTrie(self.scores)
 
 
 def write_dictionary(dictionary: Dictionary, fh) -> None:
@@ -160,6 +177,18 @@ def tag_with_dictionary(
         for j in range(start + 1, end):
             tags[j] = "I"
     return tags
+
+
+def dictionary_codes(corpus: Corpus, dictionary: Dictionary) -> np.ndarray:
+    """:func:`tag_with_dictionary` of every sentence of an interned corpus,
+    one code into :data:`BIO` per token in corpus order."""
+    start, end, _ = dictionary.trie.match(corpus)
+    n = len(corpus.ids)
+    # how many matches hold each position: 1 inside a match, 0 outside
+    depth = np.cumsum(np.bincount(start, minlength=n + 1) - np.bincount(end, minlength=n + 1))
+    codes = np.where(depth[:n] > 0, 1, 2).astype(np.int8)
+    codes[start] = 0
+    return codes
 
 
 def validate_bio(tags: Sequence[str]) -> None:
@@ -290,3 +319,20 @@ def write_conll(sentences: Iterable[tuple[Sequence[str], Sequence[str]]], fh) ->
         for token, tag in zip(tokens, tags):
             fh.write(f"{token}\t{tag}\n")
         fh.write("\n")
+
+
+# what follows a token on its CoNLL line, by tag code, then by tag code + 3
+# for the last token of a sentence (the blank line that ends it)
+_LINE_ENDS = np.array([f"\t{t}\n" for t in BIO] + [f"\t{t}\n\n" for t in BIO], dtype=object)
+
+
+def conll_text(tokens: Sequence[str], starts: np.ndarray, codes: np.ndarray) -> str:
+    """What :func:`write_conll` writes for the sentences
+    ``tokens[starts[k]:starts[k + 1]]`` with tag codes into :data:`BIO`, as
+    one string."""
+    ends = codes.astype(np.int64)
+    ends[starts[1:] - 1] += len(BIO)
+    parts = [""] * (2 * len(tokens))
+    parts[::2] = tokens
+    parts[1::2] = _LINE_ENDS[ends].tolist()
+    return "".join(parts)

@@ -3,14 +3,16 @@
 Every corpus occurrence of a candidate phrase becomes one paired
 observation: a *spelling* view (phrase identity + capitalization bit) and
 a *context* view (position-conjoined words from a three-token window on
-each side).  Occurrences are matched on the interned corpus's lowercase
-ids, and their context windows, capitalization bits and locator order are
-array operations.  Both design matrices are built from one interned
-occurrence table, a phrase id and six (position, word) ids per row, so their
-rows are aligned by construction; Z has one column per (position, word)
-slot of the table and none held in reserve.  A pipeline run stores the
-table, not the matrices, as ``views.table.npz``, which cca, classify and
-cotrain load.
+each side).  Occurrences are matched on the interned corpus by
+:class:`~dictforge.corpus.PhraseTrie`, the matcher dictionary tagging also
+uses, and their context windows, capitalization bits and locator order are
+array operations (doc ids are ranked as strings by
+:meth:`~dictforge.corpus.Corpus.doc_ranks`).  Both design matrices are
+built from one interned occurrence table, a phrase id and six (position,
+word) ids per row, so their rows are aligned by construction; Z has one
+column per (position, word) slot of the table and none held in reserve.
+A pipeline run stores the table, not the matrices, as ``views.table.npz``,
+which cca, classify and cotrain load.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus
+from .corpus import Corpus, PhraseTrie
 from .extraction import CandidatePhrase
 
 __all__ = [
@@ -97,9 +99,7 @@ class Occurrences:
         span) order; doc ids compare as strings, so "c:10" precedes "c:2"."""
         corpus = self.corpus
         docs, doc_of = np.unique(corpus.doc[self.sentence], return_inverse=True)
-        names = [corpus.doc_id(d) for d in docs.tolist()]
-        rank = np.empty(len(names), dtype=np.int64)
-        rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+        rank = corpus.doc_ranks(docs)
         first = corpus.starts[self.sentence]
         order = np.lexsort(
             (self.end - first, self.start - first, corpus.index[self.sentence], rank[doc_of])
@@ -123,75 +123,22 @@ def collect_occurrences(
     corpus: Corpus | Iterable, candidates: Sequence[CandidatePhrase]
 ) -> Occurrences:
     """Maximal non-overlapping candidate matches of an interned corpus (or
-    of :class:`~dictforge.corpus.Sentence` objects, interned first).
-
-    The rule is :func:`~dictforge.tagging.match_phrase_spans` on lowercased
-    tokens: the longest candidate wins at each position, and scanning left
-    to right makes ties resolve leftmost.  Here every position where a
-    candidate's first word occurs walks a trie of the candidates' lowercase
-    ids, one array step per word for all positions at once; only the choice
-    among overlapping matches runs per match.
-    """
+    of :class:`~dictforge.corpus.Sentence` objects, interned first), found
+    by :meth:`~dictforge.corpus.PhraseTrie.match`: the longest candidate wins
+    at each position, and scanning left to right makes ties resolve
+    leftmost."""
     if not candidates:
         raise ValueError("candidate list is empty")
     if not isinstance(corpus, Corpus):
         corpus = Corpus.of(corpus)
     names = [c.lower for c in candidates]
-    width = len(corpus.lowers)
-    edges: dict[int, int] = {}  # node * width + lowercase id -> child node
-    ends_at = [-1]  # node -> the first candidate it completes, or -1
-    for c, name in enumerate(names):
-        words = [corpus.lowers.get(w, -1) for w in name.split(" ")]
-        if -1 in words:
-            continue  # a word outside the vocabulary never matches
-        node = 0
-        for w in words:
-            node = edges.setdefault(node * width + w, len(ends_at))
-            if node == len(ends_at):
-                ends_at.append(-1)
-        if ends_at[node] < 0:
-            ends_at[node] = c
-    keys = np.array([-1, *sorted(edges)], dtype=np.int64)  # -1: no key equals it
-    children = np.array([-1, *map(edges.__getitem__, keys[1:].tolist())], dtype=np.int64)
-    ends_at = np.array(ends_at)
-    root = np.full(width, -1, dtype=np.int64)  # the root's children, by lowercase id
-    for key, child in edges.items():
-        if key < width:
-            root[key] = child
-
-    # each live start position stands at a trie node, ``depth`` words in;
-    # the longest candidate completed so far is its match
-    words = corpus.lower_ids
-    pos = np.flatnonzero(root[words] >= 0)
-    stop = corpus.sentence_end(pos)
-    length = np.zeros(len(pos), dtype=np.int64)
-    phrase = np.zeros(len(pos), dtype=np.int64)
-    live, node = np.arange(len(pos)), root[words[pos]]
-    depth = 1
-    while len(live):
-        done = ends_at[node] >= 0
-        length[live[done]], phrase[live[done]] = depth, ends_at[node[done]]
-        more = pos[live] + depth < stop[live]
-        live, node = live[more], node[more]
-        key = node * width + words[pos[live] + depth]
-        k = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        found = keys[k] == key
-        live, node = live[found], children[k[found]]
-        depth += 1
-
-    matched = np.flatnonzero(length)
-    kept, reached = [], 0
-    for r, i, n in zip(matched.tolist(), pos[matched].tolist(), length[matched].tolist()):
-        if i >= reached:
-            kept.append(r)
-            reached = i + n
-    start = pos[kept]
+    start, end, phrase = PhraseTrie(names).match(corpus)
     return Occurrences(
         corpus=corpus,
         sentence=np.searchsorted(corpus.starts, start, side="right") - 1,
         start=start,
-        end=start + length[kept],
-        phrase=phrase[kept],
+        end=end,
+        phrase=phrase,
         names=names,
     )
 

@@ -1,16 +1,27 @@
 """The ``forge`` entry point: argument plumbing and exit codes."""
 
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dictforge.cli
+import dictforge.corpus
 from dictforge.cli import _parse_lambda_grid, main
+from dictforge.corpus import iter_sentences
 from dictforge.crf import CrfModel
 from dictforge.synth import SynthSpec, generate
-from dictforge.tagging import bio_spans, read_conll, write_conll
+from dictforge.tagging import (
+    bio_spans,
+    read_conll,
+    read_dictionary,
+    tag_with_dictionary,
+    write_conll,
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,19 +42,20 @@ def bench(tmp_path_factory):
     return root, sc, paths
 
 
-def output_before_second_sentence(monkeypatch, capsys, argv):
+def output_before_second_item(monkeypatch, capsys, argv, reader="iter_sentences"):
     """Run ``forge`` on stdout and return what it had written when it asked
-    the corpus reader for the second sentence."""
-    real = dictforge.cli.iter_sentences
+    the corpus reader ``dictforge.cli.<reader>`` for its second item (a
+    sentence, or a chunk for ``iter_chunks``)."""
+    real = getattr(dictforge.cli, reader)
     seen = []
 
     def spy(path):
-        for i, sentence in enumerate(real(path)):
+        for i, item in enumerate(real(path)):
             if i == 1:
                 seen.append(capsys.readouterr().out)
-            yield sentence
+            yield item
 
-    monkeypatch.setattr("dictforge.cli.iter_sentences", spy)
+    monkeypatch.setattr(f"dictforge.cli.{reader}", spy)
     assert main(argv) == 0
     return seen[0]
 
@@ -218,10 +230,70 @@ class TestTagCommand:
 
     def test_streams_sentence_by_sentence(self, bench, monkeypatch, capsys):
         root, sc, paths = bench
+        # every line is a chunk of its own
+        monkeypatch.setattr("dictforge.corpus._CHUNK_CHARS", 1)
         argv = ["tag", "--dict", str(root / "hand.dict.tsv"), "--input", str(root / "tiny.txt")]
-        first = output_before_second_sentence(monkeypatch, capsys, argv)
+        first = output_before_second_item(monkeypatch, capsys, argv, "iter_chunks")
         n_tokens = len((root / "tiny.txt").read_text().splitlines()[0].split())
         assert first.count("\n") == n_tokens + 1 and first.endswith("\n\n")
+
+    @staticmethod
+    def per_sentence_tag(dict_path, input_path) -> str:
+        """The output of the per-sentence ``forge tag``: one Sentence and one
+        tag_with_dictionary call per sentence, one write per line."""
+        dictionary = read_dictionary(dict_path)
+        rows = (
+            (list(s.tokens), tag_with_dictionary(list(s.tokens), dictionary))
+            for s in iter_sentences(input_path)
+        )
+        out = io.StringIO()
+        write_conll(rows, out)
+        return out.getvalue()
+
+    @given(
+        lines=st.lists(
+            st.lists(
+                st.sampled_from(["the", "flu", "Flu", "swine", "b", "B", ".", "?", "Dr.",
+                                 ",", "(x)", "3", "İ", "e\u0301"]),
+                max_size=8,
+            ),
+            max_size=10,
+        ),
+        seps=st.sampled_from([" ", "\t", "\u2028 ", "\xa0"]),
+        phrases=st.lists(
+            st.lists(st.sampled_from(["the", "flu", "swine", "b", ".", "x", "i̇"]),
+                     min_size=1, max_size=3).map(" ".join),
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_output_equals_per_sentence_tagging(self, tmp_path_factory, lines, seps, phrases):
+        root = tmp_path_factory.mktemp("tag")
+        corpus = root / "corpus.txt"
+        corpus.write_text("".join(seps.join(line) + "\n" for line in lines), encoding="utf-8")
+        dict_path = root / "dict.tsv"
+        dict_path.write_text(
+            "# provenance: manual\n" + "".join(f"{p}\t1.0\n" for p in dict.fromkeys(phrases)),
+            encoding="utf-8",
+        )
+        want = self.per_sentence_tag(dict_path, corpus)
+        out = root / "tagged.conll"
+        for chunk in (1, 16, 1 << 20):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dictforge.corpus, "_CHUNK_CHARS", chunk)
+                assert main(["tag", "--dict", str(dict_path), "--input", str(corpus),
+                             "--out", str(out)]) == 0
+            assert out.read_text(encoding="utf-8") == want, chunk
+
+    def test_empty_dictionary_tags_everything_o(self, bench, tmp_path):
+        root, sc, paths = bench
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("# provenance: manual\n", encoding="utf-8")
+        out = tmp_path / "tagged.conll"
+        assert main(["tag", "--dict", str(empty), "--input", str(root / "tiny.txt"),
+                     "--out", str(out)]) == 0
+        rows = read_conll(out)
+        assert len(rows) == 15 and all(set(tags) == {"O"} for _, tags in rows)
 
     def test_missing_dictionary_exits_1(self, bench, tmp_path, capsys):
         root, sc, paths = bench
@@ -266,7 +338,7 @@ class TestCrfCommands:
         capsys.readouterr()
         monkeypatch.setattr("dictforge.cli._TAG_CHUNK", 1)
         argv = ["crf", "tag", "--model", str(model_path), "--input", str(root / "tiny.txt")]
-        first = output_before_second_sentence(monkeypatch, capsys, argv)
+        first = output_before_second_item(monkeypatch, capsys, argv)
         n_tokens = len((root / "tiny.txt").read_text().splitlines()[0].split())
         assert first.count("\n") == n_tokens + 1 and first.endswith("\n\n")
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import dictforge.corpus
 from dictforge.corpus import (
     _SPACE,
+    _TOKEN,
     intern_corpus,
     iter_sentences,
     segment_sentences,
@@ -95,6 +96,24 @@ class TestTokenize:
         once = tokenize(doc)
         again = tokenize(" ".join(once))
         assert again == once
+
+    # every str.isspace character, all of them below U+3001
+    SEPARATORS = "".join(chr(c) for c in range(0x3001) if chr(c).isspace())
+
+    # Oracle: the token regex over the whole text.  tokenize takes a piece
+    # that starts and ends alphanumeric whole; the alphabet has edge
+    # punctuation, "_" (a word character that is not alphanumeric),
+    # combining marks (not alphanumeric), digits that are not ASCII or not
+    # decimal (٣ ² ½ Ⅷ), letters beyond ASCII and every separator.
+    @given(st.text(alphabet="aZ7.,()-'_\u0301\u20ddéßΣǅ٣²½Ⅷ€" + SEPARATORS, max_size=80))
+    @settings(max_examples=300)
+    def test_whole_pieces_equal_token_regex(self, doc):
+        assert tokenize(doc) == _TOKEN.findall(doc)
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_every_separator_splits(self, sep):
+        doc = f"a{sep}b.{sep}(c{sep}"
+        assert tokenize(doc) == _TOKEN.findall(doc) == ["a", "b", ".", "(", "c"]
 
     def test_regex_classes_match_str_predicates(self):
         alnum = re.compile(r"[^\W_]")

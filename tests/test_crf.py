@@ -30,6 +30,7 @@ from dictforge.crf import (
     standard_variants,
     tag_sentences,
     train_crf,
+    train_crf_grid,
     viterbi_decode,
     write_curve_tsv,
 )
@@ -434,6 +435,22 @@ class TestTraining:
             ll, _ = log_likelihood_and_gradient(fitted, FIXTURE)
             finals.append(ll)
         assert finals[0] == pytest.approx(finals[1], abs=1e-6)
+
+    def test_grid_equals_train_crf_at_each_lambda(self, monkeypatch):
+        config = FeatureConfig(dict_match=True, embedding=True)
+        extras = dict(dictionaries=COMPILE_DICTS, embeddings=COMPILE_EMB)
+        builds = []
+        real = crf.build_model
+        monkeypatch.setattr(crf, "build_model", lambda *a, **k: builds.append(1) or real(*a, **k))
+        lambdas = [0.01, 0.1, 1.0]
+        grid = list(train_crf_grid(FIXTURE, config, lambdas, max_iters=60, **extras))
+        assert len(builds) == 1
+        for lam, model in zip(lambdas, grid, strict=True):
+            one = train_crf(FIXTURE, config, regularizer=lam, max_iters=60, **extras)
+            assert model.regularizer == lam
+            assert model.weights.tobytes() == one.weights.tobytes()
+            assert model.solver == one.solver
+            assert model.obs_names == one.obs_names
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):

@@ -947,7 +947,7 @@ class TestStageTable:
         "cca": {"cca", "linalg", "views", "extraction", "corpus"},
         "classify": {"cca", "linalg", "classifier", "tagging", "extraction", "corpus", "views"},
         "cotrain": {"cotrain", "classifier", "tagging", "views", "extraction", "corpus"},
-        "tag": {"tagging"},
+        "tag": {"tagging", "corpus"},
         "crf": {"crf", "corpus", "tagging", "views", "extraction", "cca", "linalg"},
     }
 

@@ -3,14 +3,18 @@
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dictforge.corpus import Corpus, PhraseTrie
 from dictforge.tagging import (
+    BIO,
     Dictionary,
     EvalReport,
     PhraseSet,
     bio_spans,
+    conll_text,
+    dictionary_codes,
     evaluate,
     evaluate_spans,
     match_phrase_spans,
@@ -117,6 +121,86 @@ class TestPhraseSet:
         assert match_phrase_spans(tokens, phrase_set, case_sensitive) == (
             longest_leftmost_oracle(tokens, phrase_set, case_sensitive)
         )
+
+
+def per_sentence_codes(sentences, dictionary):
+    return [BIO.index(t) for tokens in sentences for t in tag_with_dictionary(tokens, dictionary)]
+
+
+# "İ" lowercases to two characters, "i̇" among the phrase words
+_CORPUS_WORDS = ["flu", "Flu", "swine", "virus", "b", "B", "the", "x", "İ", ","]
+_PHRASE_WORDS = ["flu", "swine", "virus", "b", "the", "i̇", ",", "nowhere"]
+
+
+class TestDictionaryCodes:
+    """The trie matcher over an interned corpus against the per-sentence
+    specification, tag_with_dictionary and match_phrase_spans."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sentences=st.lists(
+            st.lists(st.sampled_from(_CORPUS_WORDS), min_size=1, max_size=8), max_size=6
+        ),
+        phrases=st.lists(
+            st.lists(st.sampled_from(_PHRASE_WORDS), min_size=1, max_size=3).map(" ".join),
+            max_size=6,
+        ),
+    )
+    def test_equals_per_sentence_tagging(self, sentences, phrases):
+        dictionary = d(*phrases)
+        corpus = Corpus.of_tokens(sentences)
+        codes = dictionary_codes(corpus, dictionary)
+        assert codes.tolist() == per_sentence_codes(sentences, dictionary)
+        # a phrase listed twice matches as its first listing
+        start, end, phrase = PhraseTrie(phrases).match(corpus)
+        want = [
+            (first + s, first + e, phrases.index(" ".join(key)))
+            for first, tokens in zip(corpus.starts.tolist(), sentences)
+            for s, e, key in match_phrase_spans(tokens, dictionary.phrases)
+        ]
+        assert list(zip(start.tolist(), end.tolist(), phrase.tolist())) == want
+
+    @pytest.mark.parametrize(
+        "sentences, phrases, tags",
+        [
+            # nested: the longest phrase wins
+            ([["chronic", "hepatitis", "b"]], ["hepatitis", "hepatitis b"], "OBI"),
+            # overlapping: the leftmost wins and the next starts after it
+            ([["a", "b", "c", "d"]], ["a b", "b c", "c d"], "BIBI"),
+            ([["a", "b", "c"]], ["b c", "a b"], "BIO"),
+            # a word outside the corpus vocabulary never matches
+            ([["flu", "virus"]], ["flu zzz", "virus"], "OB"),
+            # a phrase never crosses a sentence end
+            ([["a", "b"], ["c"]], ["b c"], "OOO"),
+            ([["a", "b", "c"]], ["b c"], "OBI"),
+            # an empty dictionary tags everything O
+            ([["a", "b"], ["c"]], [], "OOO"),
+            ([], [], ""),
+        ],
+    )
+    def test_cases(self, sentences, phrases, tags):
+        codes = dictionary_codes(Corpus.of_tokens(sentences), d(*phrases))
+        assert "".join(BIO[c] for c in codes.tolist()) == tags
+
+    def test_trie_built_once_per_dictionary(self):
+        dictionary = d("flu", "swine flu")
+        assert dictionary.trie is dictionary.trie
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(_CORPUS_WORDS), min_size=1, max_size=5), max_size=5
+        ),
+        st.lists(st.sampled_from(_PHRASE_WORDS), max_size=3),
+    )
+    def test_conll_text_equals_write_conll(self, sentences, phrases):
+        dictionary = d(*phrases)
+        corpus = Corpus.of_tokens(sentences)
+        out = io.StringIO()
+        write_conll(((t, tag_with_dictionary(t, dictionary)) for t in sentences), out)
+        tokens = [t for tokens in sentences for t in tokens]
+        text = conll_text(tokens, corpus.starts, dictionary_codes(corpus, dictionary))
+        assert text == out.getvalue()
 
 
 class TestBioSpans:

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dictforge.corpus import intern_corpus, iter_sentences, segment_sentences
+from dictforge.corpus import Corpus, Sentence, intern_corpus, iter_sentences, segment_sentences
 from dictforge.extraction import CandidatePhrase
 from dictforge.views import (
     BOUNDARY,
@@ -414,3 +414,41 @@ class TestIdPathOracle:
         assert vm.table.phrases == [name[1] for name in spelling if name[0] == "id"]
         assert vm.table.contexts == [name[1:] for name in context if name[0] == "ctx"]
         assert_tables_equal(vm.table, intern_occurrences(ordered))
+
+
+class TestDocRanks:
+    """Doc ids rank as strings, whatever kind of corpus holds them."""
+
+    @staticmethod
+    def string_ranks(corpus, docs):
+        names = [corpus.doc_id(d) for d in docs]
+        return [sorted(names).index(name) for name in names]
+
+    def test_file_lines_rank_as_strings(self, tmp_path):
+        path = tmp_path / "c"
+        path.write_text("".join(f"flu {i}\n" for i in range(1, 13)), encoding="utf-8")
+        corpus = intern_corpus(path)
+        docs = np.unique(corpus.doc)
+        assert corpus.doc_ranks(docs).tolist() == self.string_ranks(corpus, docs.tolist())
+        assert corpus.doc_ranks(np.array([2, 10])).tolist() == [1, 0]  # "c:10" < "c:2"
+
+    def test_file_table_puts_line_10_before_line_2(self, tmp_path):
+        path = tmp_path / "c"
+        lines = ["x"] * 10
+        lines[1], lines[9] = "the flu", "the zika"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        table = collect_occurrences(intern_corpus(path), cands("flu", "zika")).table()
+        assert table.phrases == ["zika", "flu"]
+
+    def test_directory_names_rank_as_strings(self, tmp_path):
+        for name in ("b", "a10", "a2", "B", "a"):
+            (tmp_path / name).write_text("flu\n", encoding="utf-8")
+        corpus = intern_corpus(tmp_path)
+        docs = np.unique(corpus.doc)
+        assert len(docs) == 5
+        assert corpus.doc_ranks(docs).tolist() == self.string_ranks(corpus, docs.tolist())
+
+    def test_in_memory_doc_ids_rank_as_strings(self):
+        ids = ["x", "c:2", "c:10", "b"]
+        corpus = Corpus.of(Sentence(doc, 0, ("flu",)) for doc in ids)
+        assert corpus.doc_ranks(np.arange(4)).tolist() == [3, 2, 1, 0]

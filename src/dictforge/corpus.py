@@ -11,12 +11,13 @@ Memory is bounded by one chunk plus what the caller keeps.
 :func:`intern_corpus` keeps int32 token ids, one lowercase id per token type,
 sentence offsets and each sentence's document and index within it;
 :func:`iter_chunks` interns each chunk on its own and :func:`iter_sentences`
-yields :class:`Sentence` objects instead.  :class:`PhraseTrie` finds the
-longest-first, non-overlapping matches of lowercase phrases in an interned
-corpus, for the views and for dictionary tagging.  Segmentation and
-tokenization are deterministic, rule-based approximations; a token is traced
-back to its source through its sentence's doc id and index and its position
-in the sentence.
+yields :class:`Sentence` objects instead.  :class:`PhraseTrie` finds every
+occurrence of lowercase phrases in an interned corpus, and
+:func:`longest_first` keeps the longest-first, non-overlapping matches among
+them, for the views, dictionary tagging and scoring, and the CRF.
+Segmentation and tokenization are deterministic, rule-based approximations;
+a token is traced back to its source through its sentence's doc id and
+index and its position in the sentence.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import numpy as np
 __all__ = [
     "Corpus",
     "PhraseTrie",
+    "longest_first",
     "Sentence",
     "word_shape",
     "tokenize",
@@ -392,48 +394,62 @@ class PhraseTrie:
             if node == 0:
                 self.root[w] = child
 
-    def match(self, corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Kept matches in corpus order: match r is phrase ``phrase[r]`` (its
-        index in the phrase list) at tokens ``start[r]:end[r]``.
+    def occurrences(self, corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every occurrence of a phrase inside a sentence of ``corpus``,
+        ordered by start and then longest first: occurrence r is phrase
+        ``phrase[r]`` (the index of its first listing) at tokens
+        ``start[r]:end[r]``.
 
-        The rule is :func:`~dictforge.tagging.match_phrase_spans` on
-        lowercased tokens, one sentence at a time: the longest phrase wins at
-        each position, scanning left to right makes ties resolve leftmost,
-        matches never overlap and never cross a sentence end.  Each
-        lowercase type of the corpus is looked up once; every position where
-        a phrase's first word occurs then walks the trie, one array step per
-        word for all positions at once, and only the choice among
-        overlapping matches runs per match.
+        Each lowercase type of the corpus is looked up once; every position
+        where a phrase's first word occurs then walks the trie, one array
+        step per word for all positions at once.
         """
         unknown = self.width - 1
         word_of = np.fromiter(
             (self.words.get(w, unknown) for w in corpus.lowers), np.int64, len(corpus.lowers)
         )
         words = word_of[corpus.lower][corpus.ids]
-        # each live start position stands at a trie node, ``depth`` words in;
-        # the longest phrase completed so far is its match
-        pos = np.flatnonzero(self.root[words] >= 0)
-        stop = corpus.sentence_end(pos)
-        length = np.zeros(len(pos), dtype=np.int64)
-        phrase = np.zeros(len(pos), dtype=np.int64)
-        live, node = np.arange(len(pos)), self.root[words[pos]]
+        # each live start position stands at a trie node, ``depth`` words in
+        start = np.flatnonzero(self.root[words] >= 0)
+        stop = corpus.sentence_end(start)
+        node = self.root[words[start]]
+        hits = [(start[:0],) * 3]  # (start, end, phrase) completed at each depth
         depth = 1
-        while len(live):
+        while len(start):
             done = self.ends_at[node] >= 0
-            length[live[done]], phrase[live[done]] = depth, self.ends_at[node[done]]
-            more = pos[live] + depth < stop[live]
-            live, node = live[more], node[more]
-            key = node * self.width + words[pos[live] + depth]
+            hits.append((start[done], start[done] + depth, self.ends_at[node[done]]))
+            more = start + depth < stop
+            start, stop, node = start[more], stop[more], node[more]
+            key = node * self.width + words[start + depth]
             k = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
             found = self.keys[k] == key
-            live, node = live[found], self.children[k[found]]
+            start, stop, node = start[found], stop[found], self.children[k[found]]
             depth += 1
+        start, end, phrase = map(np.concatenate, zip(*hits))
+        order = np.lexsort((start - end, start))
+        return start[order], end[order], phrase[order]
 
-        matched = np.flatnonzero(length)
-        kept, reached = [], 0
-        for r, i, n in zip(matched.tolist(), pos[matched].tolist(), length[matched].tolist()):
-            if i >= reached:
-                kept.append(r)
-                reached = i + n
-        start = pos[kept]
-        return start, start + length[kept], phrase[kept]
+    def match(self, corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Kept matches in corpus order: match r is phrase ``phrase[r]`` (its
+        index in the phrase list) at tokens ``start[r]:end[r]``.
+
+        The rule is :func:`~dictforge.tagging.match_phrase_spans` on
+        lowercased tokens, one sentence at a time: :func:`longest_first`
+        over :meth:`occurrences`.
+        """
+        start, end, phrase = self.occurrences(corpus)
+        kept = longest_first(start, end)
+        return start[kept], end[kept], phrase[kept]
+
+
+def longest_first(start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Indices of the occurrences ``start[r]:end[r]``, ordered by start and
+    then longest first, that the longest-first, non-overlapping rule keeps:
+    each one starting at or past the end of the last one kept, so the
+    longest wins at each position and ties resolve leftmost."""
+    kept, reached = [], 0
+    for r, (i, e) in enumerate(zip(start.tolist(), end.tolist())):
+        if i >= reached:
+            kept.append(r)
+            reached = e
+    return np.array(kept, dtype=np.int64)

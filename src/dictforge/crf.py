@@ -13,10 +13,11 @@ X, so the emissions of every token are one product X @ W and the emission
 gradient is one product X.T @ (label marginals - gold one-hot).
 _observations names each token's observations and is the specification of
 X; the compiler builds the same rows without naming per token.  It interns
-the tokens into types, looks up each type's lexical columns once, takes
-the window columns from the neighbours' types and the five-token shape
-pattern from a base-6 code, matches dictionaries and embedding phrases once
-per sentence, and masks the resulting id matrix into the CSR arrays.
+the batch once as a Corpus, looks up each token type's lexical columns
+once, takes the window columns from the neighbours' types and the
+five-token shape pattern from a base-6 code, matches each dictionary and
+the embedding phrases in it with one PhraseTrie match each, and masks the
+resulting id matrix into the CSR arrays.
 Forward, backward and Viterbi run over the whole batch at once: sentences
 are padded longest first, and each step updates the prefix still running.
 """
@@ -35,6 +36,7 @@ from scipy.optimize import minimize
 
 from .corpus import (
     Corpus,
+    PhraseTrie,
     SHAPE_ALL_CAPS,
     SHAPE_ALL_LOWER,
     SHAPE_INIT_CAP,
@@ -46,9 +48,11 @@ from .tagging import (
     BIO,
     Dictionary,
     PhraseSet,
+    check_phrases,
     dictionary_codes,
     evaluate,
     match_phrase_spans,
+    span_codes,
     tag_with_dictionary,
     validate_bio,
 )
@@ -128,13 +132,16 @@ class SentinelEmbeddings:
     phrase's vector; later tokens of the phrase carry the constant 2*x in
     every dimension, and tokens outside any known phrase carry 4*x, so the
     three token roles stay linearly separable even when components are
-    negative.
+    negative.  ``trie`` matches the phrases in an interned corpus, its
+    phrase index the row of ``matrix``; ``phrase_set`` and ``row`` serve
+    :func:`_observations`.
     """
 
     def __init__(self, table: Mapping[str, np.ndarray]):
         if not table:
             raise ValueError("embedding table is empty")
         self.phrases = tuple(table)
+        check_phrases(self.phrases, "embedding")
         self.matrix = np.vstack([np.asarray(table[p], dtype=float) for p in self.phrases])
         if self.matrix.ndim != 2:
             raise ValueError("embedding vectors must share one dimension")
@@ -145,6 +152,7 @@ class SentinelEmbeddings:
         # phrase -> its row of matrix
         self.row = {p: i for i, p in enumerate(self.phrases)}
         self.phrase_set = PhraseSet(p.split(" ") for p in self.phrases)
+        self.trie = PhraseTrie(self.phrases)
 
 
 def _named_dicts(
@@ -519,10 +527,10 @@ def _compile(
     # one n×width block of column ids per family, in _observations' order;
     # the empty block keeps hstack defined when no family is on
     blocks = [np.empty((n, 0), dtype=np.int64)]
+    corpus = Corpus.of_tokens(texts)
     if config.baseline:
-        blocks.append(_lexical_ids(index, texts, step, np.repeat(lengths, lengths)))
+        blocks.append(_lexical_ids(index, corpus, step, np.repeat(lengths, lengths)))
     if config.dict_match:
-        corpus = Corpus.of_tokens(texts)
         for name, dictionary in model.dictionaries:
             cols = np.array([index.get(f"dict:{name}={t}", -1) for t in LABELS])
             blocks.append(cols[dictionary_codes(corpus, dictionary)][:, None])
@@ -534,11 +542,10 @@ def _compile(
         # each token's row of `table`: its phrase's vector where it starts
         # a known phrase, then the 2x (inside) and 4x (outside) sentinels
         table = np.vstack([emb.matrix, np.full((2, emb.k), [[2.0 * emb.x], [4.0 * emb.x]])])
-        role = np.full(n, len(emb.phrases) + 1)
-        for first, tokens in zip(np.cumsum(lengths) - lengths, texts):
-            for s, e, key in match_phrase_spans(tokens, emb.phrase_set):
-                role[first + s] = emb.row[" ".join(key)]
-                role[first + s + 1 : first + e] = len(emb.phrases)
+        start, end, phrase = emb.trie.match(corpus)
+        # the 2x row inside a phrase and the 4x row outside, its own at its start
+        role = len(emb.phrases) + (span_codes(n, start, end) == BIO.index("O"))
+        role[start] = phrase
         values = table[role]
         cols = np.array([index.get(f"emb{j}", -1) for j in range(emb.k)])
         blocks.append(np.broadcast_to(cols, (n, emb.k)))
@@ -576,7 +583,7 @@ _WINDOW = (-2, -1, 1, 2)
 
 def _lexical_ids(
     index: Mapping[str, int],
-    texts: Sequence[Sequence[str]],
+    corpus: Corpus,
     step: np.ndarray,
     size: np.ndarray,
 ) -> np.ndarray:
@@ -585,18 +592,13 @@ def _lexical_ids(
     and wshape=.  step and size are each token's position in its sentence
     and that sentence's length.
 
-    Tokens are interned into types, and each type's own names and its
-    window name per offset are looked up once; BOUNDARY is one more type.
+    Each token type's own names and its window name per offset are looked
+    up once; BOUNDARY is one more type.
     Windows index the neighbours' types, and the five-token shape pattern
     is a base-6 code over _SHAPES, named once per distinct code.
     """
-    types: dict[str, int] = {}
+    types, tok_type = corpus.vocab, corpus.ids
     n = step.size
-    tok_type = np.fromiter(
-        (types.setdefault(t, len(types)) for tokens in texts for t in tokens),
-        dtype=np.intp,
-        count=n,
-    )
     bound = len(types)
     own = np.full((bound + 1, 10), -1, dtype=np.int64)
     win = np.empty((bound + 1, len(_WINDOW)), dtype=np.int64)

@@ -320,10 +320,15 @@ def write_candidates(candidates: Sequence[CandidatePhrase], fh) -> None:
 def read_candidates(path: str | Path) -> list[CandidatePhrase]:
     out = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line:
                 continue
-            lower, freq = line.split("\t")
-            out.append(CandidatePhrase(lower, int(freq)))
+            try:
+                lower, freq = line.split("\t")
+                out.append(CandidatePhrase(lower, int(freq)))
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {lineno}: expected phrase TAB frequency, got {line!r}"
+                ) from None
     return out

@@ -51,7 +51,7 @@ from .classifier import (
     resolve_seeds,
     train_svm,
 )
-from .corpus import Corpus, intern_corpus
+from .corpus import intern_corpus
 from .cotrain import dl_cotrain, dictionary_from_rules
 from .crf import CrfModel, FeatureConfig, SentinelEmbeddings, tag_sentences, train_crf_grid
 from .extraction import (
@@ -62,9 +62,7 @@ from .extraction import (
 )
 from .tagging import (
     Dictionary,
-    EvalReport,
-    PhraseSet,
-    bio_spans,
+    dictionary_scorer,
     evaluate,
     read_conll,
     read_dictionary,
@@ -110,7 +108,7 @@ _STAGES = {
     "cotrain": _Stage(("dict.cotrain.tsv", "cotrain.json"), ("views.table.npz", "seeds", "dev"),
                       ("views", "classifier", "cotrain", "tagging"), "cotrain"),
     "tag": _Stage(("report.json",), ("test", "dict.cca.tsv?", "dict.cotrain.tsv?"),
-                  ("corpus", "tagging"), needs="test"),
+                  ("tagging",), needs="test"),
     "crf": _Stage(("crf.model.npz", "crf.json"),
                   ("train", "dev", "test", "dict.cca.tsv if dict", "embeddings.tsv if emb"),
                   ("crf", "cca", "tagging"), "crf", needs="train"),
@@ -429,60 +427,12 @@ def _dev_scorer(
     dev: Sequence[tuple[list[str], list[str]]] | None,
     phrases: Iterable[str],
 ) -> Callable[[Dictionary], float]:
-    """Dev F1 of a dictionary drawn from ``phrases`` (0.0 without dev),
-    equal to ``evaluate`` of ``tag_with_dictionary`` over the dev split.
-
-    The dev split is matched once against the whole phrase universe: at
-    each token position where some phrase starts, the lattice keeps every
-    matching (end, phrase), longest first.  Token positions run on across
-    sentences, so one walk covers the split.  A dictionary then keeps, at
-    each position it reaches, its longest phrase there and jumps past it:
-    the longest-first, non-overlapping rule of ``match_phrase_spans``.
-    A dictionary phrase outside ``phrases`` raises ``ValueError``.
-    """
+    """Dev F1 of a dictionary drawn from ``phrases`` (0.0 without dev), by
+    ``dictionary_scorer``."""
     if dev is None:
         return lambda dictionary: 0.0
-    names = set(phrases)
-    universe = PhraseSet(p.split(" ") for p in names)
-    lattice: list[tuple[int, list[tuple[int, str]]]] = []
-    gold: set[tuple[int, int]] = set()
-    offset = 0
-    for toks, tags in dev:
-        words = [t.lower() for t in toks]
-        n = len(words)
-        for i, w in enumerate(words):
-            if w in universe.starts:
-                options = [
-                    (offset + i + length, " ".join(words[i : i + length]))
-                    for length in range(min(universe.max_len, n - i), 0, -1)
-                    if tuple(words[i : i + length]) in universe
-                ]
-                if options:
-                    lattice.append((offset + i, options))
-        gold.update((offset + s, offset + e) for s, e in bio_spans(tags))
-        offset += n
-
-    def f1(dictionary: Dictionary) -> float:
-        kept = dictionary.scores
-        if outside := kept.keys() - names:
-            raise ValueError(
-                f"dictionary phrase {min(outside)!r} is not in the dev scorer's phrases"
-            )
-        tp = fp = reached = 0
-        for start, options in lattice:
-            if start < reached:
-                continue
-            for end, phrase in options:
-                if phrase in kept:
-                    if (start, end) in gold:
-                        tp += 1
-                    else:
-                        fp += 1
-                    reached = end
-                    break
-        return EvalReport.from_counts(tp, fp, len(gold) - tp).f1
-
-    return f1
+    score = dictionary_scorer(dev, phrases)
+    return lambda dictionary: score(dictionary).f1
 
 
 class _Runner:
@@ -630,25 +580,15 @@ class _Runner:
 
     def stage_tag(self, tmp: Path) -> dict:
         test = read_conll(self.config.test, strict=True)
-        corpus = Corpus.of_tokens([toks for toks, _ in test])
-        # entity spans as corpus positions, so one set covers the split
-        gold = {
-            (first + s, first + e)
-            for first, (_, tags) in zip(corpus.starts.tolist(), test)
-            for s, e in bio_spans(tags)
+        dictionaries = {
+            name: read_dictionary(path)
+            for name in ("cca", "cotrain")
+            if (path := self.outdir / f"dict.{name}.tsv").is_file()
         }
-        results = {}
-        for name in ("cca", "cotrain"):
-            path = self.outdir / f"dict.{name}.tsv"
-            if not path.is_file():
-                continue
-            start, end, _ = read_dictionary(path).trie.match(corpus)
-            pred = set(zip(start.tolist(), end.tolist()))
-            results[name] = EvalReport.from_counts(
-                len(pred & gold), len(pred - gold), len(gold - pred)
-            ).as_dict()
-        if not results:
+        if not dictionaries:
             raise StageError("tag", "no dictionary artifacts to evaluate")
+        score = dictionary_scorer(test, (p for d in dictionaries.values() for p in d.scores))
+        results = {name: score(d).as_dict() for name, d in dictionaries.items()}
         (tmp / "report.json").write_text(_json_text(results), encoding="utf-8")
         return {"evaluated": sorted(results)}
 

@@ -7,18 +7,20 @@ a sentence as one entity (B I ... I) and everything else O.
 :class:`~dictforge.corpus.PhraseTrie`, and :func:`conll_text` formats its
 tags as :func:`write_conll` would.  Evaluation is phrase-level: a predicted
 entity counts only when both boundaries match a gold entity exactly.
+:func:`dictionary_scorer` scores many dictionaries against one labeled split
+without tagging it again for each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, PhraseTrie
+from .corpus import Corpus, PhraseTrie, longest_first
 
 __all__ = [
     "BIO",
@@ -28,10 +30,12 @@ __all__ = [
     "match_phrase_spans",
     "tag_with_dictionary",
     "dictionary_codes",
+    "span_codes",
+    "check_phrases",
     "bio_spans",
     "validate_bio",
     "evaluate",
-    "evaluate_spans",
+    "dictionary_scorer",
     "read_dictionary",
     "write_dictionary",
     "read_conll",
@@ -77,11 +81,7 @@ class Dictionary:
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        if any(not p.strip() for p in self.scores):
-            raise ValueError("empty phrase in dictionary")
-        # tokens are lowercased before lookup, so such a phrase never matches
-        if cased := [p for p in self.scores if p != p.lower()]:
-            raise ValueError(f"dictionary phrase {cased[0]!r} is not lowercase")
+        check_phrases(self.scores, "dictionary")
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -101,6 +101,16 @@ class Dictionary:
         return PhraseTrie(self.scores)
 
 
+def check_phrases(phrases: Iterable[str], kind: str) -> None:
+    """Raise ``ValueError`` naming the first empty phrase or phrase with
+    capitals: tokens are lowercased before lookup, so it would never match."""
+    for p in phrases:
+        if not p.strip():
+            raise ValueError(f"empty {kind} phrase {p!r}")
+        if p != p.lower():
+            raise ValueError(f"{kind} phrase {p!r} is not lowercase")
+
+
 def write_dictionary(dictionary: Dictionary, fh) -> None:
     """Metadata header (``# key: value`` lines, provenance first), then one
     ``phrase TAB score`` row per entry in ranked order."""
@@ -116,7 +126,7 @@ def read_dictionary(path: str | Path) -> Dictionary:
     metadata: dict[str, str] = {}
     provenance = "manual"
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line:
                 continue
@@ -127,8 +137,13 @@ def read_dictionary(path: str | Path) -> Dictionary:
                 elif key.strip():
                     metadata[key.strip()] = value.strip()
                 continue
-            phrase, score = line.split("\t")
-            scores[phrase] = float(score)
+            try:
+                phrase, score = line.split("\t")
+                scores[phrase] = float(score)
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {lineno}: expected phrase TAB score, got {line!r}"
+                ) from None
     return Dictionary(scores=scores, provenance=provenance, metadata=metadata)
 
 
@@ -183,8 +198,13 @@ def dictionary_codes(corpus: Corpus, dictionary: Dictionary) -> np.ndarray:
     """:func:`tag_with_dictionary` of every sentence of an interned corpus,
     one code into :data:`BIO` per token in corpus order."""
     start, end, _ = dictionary.trie.match(corpus)
-    n = len(corpus.ids)
-    # how many matches hold each position: 1 inside a match, 0 outside
+    return span_codes(len(corpus.ids), start, end)
+
+
+def span_codes(n: int, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Codes into :data:`BIO` of ``n`` tokens holding the non-overlapping
+    entities ``start[r]:end[r]``."""
+    # how many entities hold each position: 1 inside one, 0 outside
     depth = np.cumsum(np.bincount(start, minlength=n + 1) - np.bincount(end, minlength=n + 1))
     codes = np.where(depth[:n] > 0, 1, 2).astype(np.int8)
     codes[start] = 0
@@ -243,14 +263,7 @@ class EvalReport:
         return cls(tp, fp, fn, p, r, f1)
 
     def as_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        return asdict(self)
 
 
 def evaluate(
@@ -261,29 +274,51 @@ def evaluate(
         raise ValueError(
             f"sentence count mismatch: {len(predicted)} predicted vs {len(gold)} gold"
         )
+    tp = fp = fn = 0
     for idx, (p, g) in enumerate(zip(predicted, gold)):
         if len(p) != len(g):
             raise ValueError(f"token count mismatch in sentence {idx}")
-    return evaluate_spans(predicted, [bio_spans(g) for g in gold])
-
-
-def evaluate_spans(
-    predicted: Sequence[Sequence[str]], gold_spans: Sequence[set[tuple[int, int]]]
-) -> EvalReport:
-    """:func:`evaluate` against gold entity spans already taken with
-    :func:`bio_spans`, so many predictions can be scored against one gold
-    set without re-reading its tags.  Sentences must be aligned."""
-    if len(predicted) != len(gold_spans):
-        raise ValueError(
-            f"sentence count mismatch: {len(predicted)} predicted vs {len(gold_spans)} gold"
-        )
-    tp = fp = fn = 0
-    for p, gold in zip(predicted, gold_spans):
-        pred = bio_spans(p)
-        tp += len(pred & gold)
-        fp += len(pred - gold)
-        fn += len(gold - pred)
+        pred, spans = bio_spans(p), bio_spans(g)
+        tp += len(pred & spans)
+        fp += len(pred - spans)
+        fn += len(spans - pred)
     return EvalReport.from_counts(tp, fp, fn)
+
+
+def dictionary_scorer(
+    labeled: Sequence[tuple[Sequence[str], Sequence[str]]], phrases: Iterable[str]
+) -> Callable[[Dictionary], EvalReport]:
+    """The score over a labeled split of any dictionary drawn from
+    ``phrases``, equal to :func:`evaluate` of :func:`tag_with_dictionary`.
+
+    The split is interned once, its gold entities are taken once as corpus
+    positions, and the occurrences of all of ``phrases`` are found once.  A
+    dictionary keeps its own phrases' occurrences and the longest-first,
+    non-overlapping matches among them.  A dictionary phrase outside
+    ``phrases`` raises ``ValueError``.
+    """
+    universe = dict.fromkeys(phrases)
+    corpus = Corpus.of_tokens([tokens for tokens, _ in labeled])
+    start, end, phrase = PhraseTrie(universe).occurrences(corpus)
+    gold = {
+        (first + s, first + e)
+        for first, (_, tags) in zip(corpus.starts.tolist(), labeled)
+        for s, e in bio_spans(tags)
+    }
+    # each occurrence's phrase, and whether it is a gold entity
+    names = list(universe)
+    found = [names[p] for p in phrase.tolist()]
+    hit = np.array([span in gold for span in zip(start.tolist(), end.tolist())], dtype=bool)
+
+    def score(dictionary: Dictionary) -> EvalReport:
+        if outside := dictionary.scores.keys() - universe.keys():
+            raise ValueError(f"dictionary phrase {min(outside)!r} is not among the scored phrases")
+        own = np.flatnonzero([p in dictionary.scores for p in found])
+        kept = own[longest_first(start[own], end[own])]
+        tp = int(hit[kept].sum())
+        return EvalReport.from_counts(tp, len(kept) - tp, len(gold) - tp)
+
+    return score
 
 
 def read_conll(path: str | Path, strict: bool = False) -> list[tuple[list[str], list[str]]]:

@@ -303,6 +303,14 @@ class TestTagCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_dictionary_row_exits_1_naming_file_and_line(self, bench, tmp_path, capsys):
+        root, sc, paths = bench
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("# provenance: manual\nflu\t1.0\nswine flu\n", encoding="utf-8")
+        code = main(["tag", "--dict", str(bad), "--input", str(root / "tiny.txt")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}, line 3: ")
+
 
 class TestCrfCommands:
     def test_train_then_tag_round_trip(self, bench, tmp_path, capsys):

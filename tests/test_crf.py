@@ -165,6 +165,12 @@ class TestExtractFeatures:
         with pytest.raises(ValueError):
             SentinelEmbeddings({})
 
+    @pytest.mark.parametrize("phrase", ["", " ", "Flu", "yellow Fever"])
+    def test_empty_or_cased_phrase_rejected(self, phrase):
+        # tokens are lowercased before lookup, so such a row never matches
+        with pytest.raises(ValueError, match=re.escape(repr(phrase))):
+            SentinelEmbeddings({"flu": np.array([1.0]), phrase: np.array([2.0])})
+
     def test_prev2_trigram_from_second_position(self):
         cfg = FeatureConfig(prev2=True)
         first = extract_features(["a", "b"], 0, (START, START), "B", cfg)
@@ -380,6 +386,22 @@ class TestCompile:
         for got, want in [(X.indptr, oracle.indptr), (X.indices, oracle.indices), (X.data, oracle.data)]:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+    def test_embedding_rows_past_int8(self):
+        # 300 phrases: a token's role indexes rows beyond any small dtype
+        words = [f"w{i}" for i in range(300)]
+        table = {w: np.array([i / 300.0, -1.0]) for i, w in enumerate(words)}
+        table["w298 w299"] = np.array([0.5, 0.5])
+        model = build_model(
+            [(["w0", "x"], ["B", "O"])],
+            FeatureConfig(embedding=True),
+            embeddings=SentinelEmbeddings(table),
+        )
+        test = [["w299", "x", "W298", "w299"], ["w150"]]
+        X = _compile(model, _Chain(model), [(tokens, None) for tokens in test], False).X
+        oracle = oracle_matrix(model, test)
+        assert X.data.tobytes() == oracle.data.tobytes()
+        assert X.indices.tobytes() == oracle.indices.tobytes()
 
     def test_fit_from_oracle_matrix_is_bit_identical(self, monkeypatch):
         model = build_model(

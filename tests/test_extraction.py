@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -225,6 +226,13 @@ class TestCandidateIO:
         p.write_text("influenza\t2\nhepatitis b\t1\n", encoding="utf-8")
         got = read_candidates(p)
         assert got == [CandidatePhrase("influenza", 2), CandidatePhrase("hepatitis b", 1)]
+
+    @pytest.mark.parametrize("row", ["influenza", "a\t1\t2", "influenza\tmany", "flu\t2.5", "\t"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        p = tmp_path / "candidates.tsv"
+        p.write_text(f"influenza\t2\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}, line 3: "):
+            read_candidates(p)
 
 
 # The per-sentence string matchers the id path replaced, kept as the oracle.

@@ -736,6 +736,19 @@ class TestRunPipeline:
             assert dev_f1(d) == evaluate(pred, [tags for _, tags in dev]).f1
         assert _dev_scorer(None, ())(Dictionary({"flu": 1.0})) == 0.0
 
+    def test_report_equals_evaluate_of_tagging(self, finished_run):
+        # each dictionary's test scores equal tagging the test split one
+        # sentence at a time and scoring it with evaluate
+        _, config, _ = finished_run
+        report = json.loads((config.outdir / "report.json").read_text(encoding="utf-8"))
+        test = read_conll(config.test, strict=True)
+        assert sorted(report) == ["cca", "cotrain"]
+        for name, entry in report.items():
+            d = read_dictionary(config.outdir / f"dict.{name}.tsv")
+            pred = [tag_with_dictionary(toks, d) for toks, _ in test]
+            assert entry == evaluate(pred, [tags for _, tags in test]).as_dict()
+            assert entry["tp"] > 0
+
     def test_views_table_is_the_written_table(self, finished_run, tmp_path):
         # cca, classify and cotrain load the table the views stage built,
         # and the design matrices rebuilt from it are the built ones

@@ -1,9 +1,10 @@
 """Dictionary tagger, BIO handling, and phrase-level evaluation."""
 
 import io
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dictforge.corpus import Corpus, PhraseTrie
@@ -15,8 +16,8 @@ from dictforge.tagging import (
     bio_spans,
     conll_text,
     dictionary_codes,
+    dictionary_scorer,
     evaluate,
-    evaluate_spans,
     match_phrase_spans,
     read_conll,
     read_dictionary,
@@ -132,6 +133,20 @@ _CORPUS_WORDS = ["flu", "Flu", "swine", "virus", "b", "B", "the", "x", "İ", ","
 _PHRASE_WORDS = ["flu", "swine", "virus", "b", "the", "i̇", ",", "nowhere"]
 
 
+def all_occurrences_oracle(sentences, phrases):
+    """Brute force: every (start, end, first listing) of a phrase inside a
+    sentence, by start and then longest first, in corpus positions."""
+    out, first = [], 0
+    for tokens in sentences:
+        words = [t.lower() for t in tokens]
+        for i in range(len(words)):
+            for j in range(len(words), i, -1):
+                if (key := " ".join(words[i:j])) in phrases:
+                    out.append((first + i, first + j, phrases.index(key)))
+        first += len(words)
+    return out
+
+
 class TestDictionaryCodes:
     """The trie matcher over an interned corpus against the per-sentence
     specification, tag_with_dictionary and match_phrase_spans."""
@@ -182,6 +197,29 @@ class TestDictionaryCodes:
         codes = dictionary_codes(Corpus.of_tokens(sentences), d(*phrases))
         assert "".join(BIO[c] for c in codes.tolist()) == tags
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sentences=st.lists(
+            st.lists(st.sampled_from(_CORPUS_WORDS), min_size=1, max_size=8), max_size=6
+        ),
+        phrases=st.lists(
+            st.lists(st.sampled_from(_PHRASE_WORDS), min_size=1, max_size=3).map(" ".join),
+            max_size=8,
+        ),
+    )
+    # nested ("flu" in "swine flu" in "swine flu virus"), overlapping
+    # ("swine flu", "flu virus") and duplicated phrases, and one ("virus
+    # swine") that would only occur across a sentence end
+    @example(
+        [["Swine", "flu", "virus", "swine", "flu"], ["swine", "x"]],
+        ["flu", "swine flu", "swine flu virus", "flu virus", "flu", "flu swine", "flu virus"],
+    )
+    @example([["the", "virus"], ["swine", "flu"]], ["virus swine", "virus", "the virus"])
+    def test_occurrences_equal_brute_force(self, sentences, phrases):
+        start, end, phrase = PhraseTrie(phrases).occurrences(Corpus.of_tokens(sentences))
+        got = list(zip(start.tolist(), end.tolist(), phrase.tolist()))
+        assert got == all_occurrences_oracle(sentences, phrases)
+
     def test_trie_built_once_per_dictionary(self):
         dictionary = d("flu", "swine flu")
         assert dictionary.trie is dictionary.trie
@@ -221,7 +259,29 @@ class TestBioSpans:
         validate_bio(["B", "I", "O", "B"])
 
 
+def count_spans_oracle(predicted, gold):
+    """Per-sentence span comparison by list membership."""
+    tp = fp = fn = 0
+    for p, g in zip(predicted, gold):
+        ps, gs = list(bio_spans(p)), list(bio_spans(g))
+        tp += sum(span in gs for span in ps)
+        fp += sum(span not in gs for span in ps)
+        fn += sum(span not in ps for span in gs)
+    return EvalReport.from_counts(tp, fp, fn)
+
+
+_TAGS = st.lists(st.sampled_from(["B", "I", "O"]), max_size=10)
+
+
 class TestEvaluate:
+    @given(st.lists(st.tuples(_TAGS, _TAGS), max_size=8))
+    def test_matches_count_oracle(self, pairs):
+        # predicted tags may be ill-formed
+        pairs = [(p[: len(g)] + ["O"] * (len(g) - len(p)), g) for p, g in pairs]
+        predicted = [p for p, _ in pairs]
+        gold = [g for _, g in pairs]
+        assert evaluate(predicted, gold) == count_spans_oracle(predicted, gold)
+
     def test_perfect(self):
         report = evaluate([["O", "B", "I"]], [["O", "B", "I"]])
         assert (report.precision, report.recall, report.f1) == (1.0, 1.0, 1.0)
@@ -253,7 +313,7 @@ class TestEvaluate:
         assert report.f1 == pytest.approx(2 * p * r / (p + r))
 
     def test_sentence_count_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sentence count"):
             evaluate([["O"]], [["O"], ["O"]])
 
     def test_token_count_mismatch(self):
@@ -267,34 +327,44 @@ class TestEvaluate:
         assert (two.tp, two.fp, two.fn) == (1, 1, 1)
 
 
-def count_spans_oracle(predicted, gold):
-    """Per-sentence span comparison by list membership."""
-    tp = fp = fn = 0
-    for p, g in zip(predicted, gold):
-        ps, gs = list(bio_spans(p)), list(bio_spans(g))
-        tp += sum(span in gs for span in ps)
-        fp += sum(span not in gs for span in ps)
-        fn += sum(span not in ps for span in gs)
-    return EvalReport.from_counts(tp, fp, fn)
+class TestDictionaryScorer:
+    """One occurrence list per labeled split against tagging and scoring
+    each dictionary afresh."""
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        split=st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(_CORPUS_WORDS), st.sampled_from(BIO)),
+                min_size=1,
+                max_size=8,
+            ),
+            max_size=6,
+        ),
+        universe=st.lists(
+            st.lists(st.sampled_from(_PHRASE_WORDS), min_size=1, max_size=3).map(" ".join),
+            max_size=8,
+        ),
+        picks=st.lists(st.integers(0, 7)),
+    )
+    def test_equals_evaluate_of_tagging(self, split, universe, picks):
+        labeled = [([t for t, _ in s], [g for _, g in s]) for s in split]
+        score = dictionary_scorer(labeled, universe)
+        dictionary = d(*(universe[i] for i in picks if i < len(universe)))
+        pred = [tag_with_dictionary(tokens, dictionary) for tokens, _ in labeled]
+        assert score(dictionary) == evaluate(pred, [tags for _, tags in labeled])
 
-_TAGS = st.lists(st.sampled_from(["B", "I", "O"]), max_size=10)
+    def test_scores_several_dictionaries(self):
+        labeled = [(["Swine", "flu", "spread"], ["B", "I", "O"]), (["flu"], ["B"])]
+        score = dictionary_scorer(labeled, ["flu", "swine flu", "flu spread"])
+        assert (score(d("swine flu")).tp, score(d("swine flu")).fn) == (1, 1)
+        assert (score(d("flu", "flu spread")).tp, score(d("flu", "flu spread")).fp) == (1, 1)
+        assert score(d("flu", "swine flu")).f1 == 1.0
 
-
-class TestEvaluateSpans:
-    @given(st.lists(st.tuples(_TAGS, _TAGS), max_size=8))
-    def test_matches_evaluate(self, pairs):
-        # predicted tags may be ill-formed; gold spans are taken once
-        pairs = [(p[: len(g)] + ["O"] * (len(g) - len(p)), g) for p, g in pairs]
-        predicted = [p for p, _ in pairs]
-        gold = [g for _, g in pairs]
-        report = evaluate_spans(predicted, [bio_spans(g) for g in gold])
-        assert report == evaluate(predicted, gold)
-        assert report == count_spans_oracle(predicted, gold)
-
-    def test_sentence_count_mismatch(self):
-        with pytest.raises(ValueError, match="sentence count"):
-            evaluate_spans([["O"]], [set(), set()])
+    def test_phrase_outside_the_universe_rejected(self):
+        score = dictionary_scorer([(["flu"], ["B"])], ["flu"])
+        with pytest.raises(ValueError, match="'swine flu'"):
+            score(d("flu", "swine flu"))
 
 
 class TestDictionaryIO:
@@ -336,6 +406,15 @@ class TestDictionaryIO:
         path = tmp_path / "hand.dict.tsv"
         path.write_text("yellow Fever\t1.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="'yellow Fever'"):
+            read_dictionary(path)
+
+    @pytest.mark.parametrize(
+        "row", ["flu", "flu\t1.0\t2.0", "flu\tmany", "flu 1.0", "\t"]
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "bad.dict.tsv"
+        path.write_text(f"# provenance: manual\nfever\t2.0\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}, line 4: "):
             read_dictionary(path)
 
     def test_membership_api(self):

@@ -244,5 +244,8 @@ def read_embeddings(path: str | Path) -> dict[str, np.ndarray]:
             phrase, _, vector = line.rstrip("\n").partition("\t")
             if not vector:
                 raise ValueError(f"{path}, line {lineno}: {phrase!r} has no vector components")
-            out[phrase] = np.array([float(v) for v in vector.split("\t")])
+            try:
+                out[phrase] = np.array([float(v) for v in vector.split("\t")])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {phrase!r}: {exc}") from None
     return out

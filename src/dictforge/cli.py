@@ -126,8 +126,8 @@ def _cmd_synth(args) -> int:
 def _cmd_tag(args) -> int:
     dictionary = read_dictionary(args.dict)
     with _open_out(args.out) as out:
-        for tokens, corpus in iter_chunks(args.input):
-            out.write(conll_text(tokens, corpus.starts, dictionary_codes(corpus, dictionary)))
+        for corpus in iter_chunks(args.input):
+            out.write(conll_text(corpus, dictionary_codes(corpus, dictionary)))
     return 0
 
 

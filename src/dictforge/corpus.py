@@ -4,14 +4,21 @@ phrase matching.
 A corpus file holds one document per line and is streamed in chunks of whole
 lines (about ``_CHUNK_CHARS`` characters each); a corpus directory holds one
 document per file and is streamed a file at a time.  Each chunk is
-NFC-normalized once and split by one pass of the terminator regex over the
-whole chunk; its whitespace-delimited pieces are tokens as they stand when
-they start and end alphanumeric, and go through the token regex otherwise.
+NFC-normalized once and split into whitespace pieces, line by line for a
+file so that the lines' piece counts place the document ends; one pass of
+the terminator regex over the whole chunk finds the sentence ends, placed
+by splitting only the lines that hold one.  The pieces are interned as each
+line is split, so only the distinct ones are kept, and each distinct piece
+is tokenized once: it is one token when it starts and ends alphanumeric and
+goes through the token regex otherwise.  Numpy then copies each piece's
+token type ids to its occurrences, so a repeated word costs one dict lookup.
 Memory is bounded by one chunk plus what the caller keeps.
 :func:`intern_corpus` keeps int32 token ids, one lowercase id per token type,
 sentence offsets and each sentence's document and index within it;
 :func:`iter_chunks` interns each chunk on its own and :func:`iter_sentences`
-yields :class:`Sentence` objects instead.  :class:`PhraseTrie` finds every
+yields :class:`Sentence` objects instead; :meth:`Corpus.of` and
+:meth:`Corpus.of_tokens` intern tokens given in memory as they stand.
+:class:`PhraseTrie` finds every
 occurrence of lowercase phrases in an interned corpus, and
 :func:`longest_first` keeps the longest-first, non-overlapping matches among
 them, for the views, dictionary tagging and scoring, and the CRF.
@@ -27,6 +34,7 @@ import string
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -80,29 +88,24 @@ class Sentence:
 # ``\s`` exactly ``str.isspace``.
 _TOKEN = re.compile(r"[^\W_]\S*(?<=[^\W_])|\S")
 
-# ``str.isspace`` by code point up to U+3000, the last whitespace character;
-# the final False stands for every code point above it.
-_SPACE = np.array([chr(c).isspace() for c in range(0x3001)] + [False])
+
+def _piece_tokens(piece: str) -> list[str]:
+    """The tokens of one whitespace piece: ``_TOKEN.findall``, but a piece
+    that starts and ends alphanumeric is the regex's first alternative whole."""
+    if piece[0].isalnum() and piece[-1].isalnum():
+        return [piece]
+    return _TOKEN.findall(piece)
 
 
 def tokenize(sentence_text: str) -> list[str]:
     """Whitespace tokenization with edge-punctuation detachment.
 
     Leading and trailing non-alphanumeric characters of each whitespace
-    chunk become single-character tokens; interior punctuation is kept, so
+    piece become single-character tokens; interior punctuation is kept, so
     hyphenated words ("Epstein-Barr") and decimals ("3.5") stay whole.
-    This is ``_TOKEN.findall``, run only on the chunks that do not start
-    and end alphanumeric: the others are one token each.
+    The reader applies the same rule once to each distinct piece.
     """
-    tokens: list[str] = []
-    whole, split = tokens.append, _TOKEN.findall
-    for piece in sentence_text.split():
-        # the regex's first alternative takes all of such a piece
-        if piece[0].isalnum() and piece[-1].isalnum():
-            whole(piece)
-        else:
-            tokens += split(piece)
-    return tokens
+    return [t for piece in sentence_text.split() for t in _piece_tokens(piece)]
 
 
 # Chunks (lowercased, period included) after which a period never ends a
@@ -149,51 +152,86 @@ def _sentence_ends(text: str) -> list[int]:
     return ends
 
 
+class _Ids(dict):
+    """Ids in order of first lookup: a missing key gets the next one."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = value = len(self)
+        return value
+
+
 class _Chunk(NamedTuple):
-    """The sentences of whole documents, not yet interned: sentence k is
-    ``tokens[starts[k]:starts[k + 1]]``, ``doc[k]`` numbers its document and
+    """The sentences of whole documents as interned whitespace pieces, not
+    yet tokenized: the i-th piece is ``pieces[piece[i]]``, the distinct
+    pieces being in order of first appearance; sentence k is pieces
+    ``starts[k]:starts[k + 1]``, ``doc[k]`` numbers its document and
     ``index[k]`` is its position among the document's sentences."""
 
-    tokens: list[str]
+    pieces: list[str]
+    piece: np.ndarray
     starts: np.ndarray
     doc: np.ndarray
     index: np.ndarray
 
 
-def _split(text: str, lines: bool, first: int = 0) -> _Chunk:
-    """Segment and tokenize ``text``: document ``first``, or with ``lines``
-    one document per line from ``first`` on, where a newline also ends a
-    sentence.  Sentences without tokens are dropped.
+def _segment(text: str, lines: bool, first: int = 0) -> _Chunk:
+    """Split ``text`` into interned whitespace pieces and sentences:
+    document ``first``, or with ``lines`` one document per
+    ``\\n``-separated line from ``first`` on, where a line end also ends a
+    sentence.  Sentences without pieces are dropped.
 
-    Tokens never hold whitespace and every boundary is at a whitespace
-    edge, so both are placed by their count of non-whitespace characters
-    before them: tokens come from one :func:`tokenize` and boundaries from
-    one terminator-regex pass over the whole text.
+    Each line's pieces are interned as it is split, so only the distinct
+    ones are kept.  Every boundary is at a piece edge, so both kinds are
+    placed by their count of pieces before them: line ends by the piece
+    counts of the lines, and the ends found by one terminator-regex pass
+    over the whole text by splitting only the lines that hold one, up to
+    the last.
     """
-    tokens = tokenize(text)
-    lengths = np.fromiter(map(len, tokens), np.int64, len(tokens))
-    at = np.cumsum(lengths) - lengths
-    if text.isascii():  # a byte per character, a quarter of the memory
-        codes = np.frombuffer(text.encode("ascii"), np.uint8)
-        spaces = np.flatnonzero(_SPACE[codes])
-    else:
-        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
-        spaces = np.flatnonzero(_SPACE[np.minimum(codes, len(_SPACE) - 1)])
-    newlines = np.flatnonzero(codes == 10) if lines else spaces[:0]
-    newlines -= np.searchsorted(spaces, newlines)
-    ends = np.array(_sentence_ends(text), dtype=np.int64)
-    bounds = np.sort(np.concatenate((ends - np.searchsorted(spaces, ends), newlines)))
-    segment = np.searchsorted(bounds, at, side="right")
-    starts = np.flatnonzero(np.diff(segment, prepend=-1))
-    doc = first + np.searchsorted(newlines, at[starts], side="right")
+    rows = text.split("\n") if lines else [text]
+    distinct = _Ids()
+    piece, counts, piece_id = [], [], distinct.__getitem__
+    for row in rows:
+        row_pieces = row.split()
+        counts.append(len(row_pieces))
+        piece += map(piece_id, row_pieces)
+    row_ends = np.cumsum(counts)
+    size = len(piece)
+    bounds = row_ends
+    if ends := _sentence_ends(text):
+        bounds = np.concatenate((bounds, _pieces_before(text, ends, rows, row_ends)))
+    starts = np.unique(np.concatenate(([0], bounds)))
+    starts = starts[starts < size]
+    doc = first + np.searchsorted(row_ends, starts, side="right")
     index = np.arange(len(starts)) - np.searchsorted(doc, doc)
-    return _Chunk(tokens, np.append(starts, len(tokens)), doc, index)
+    return _Chunk(list(distinct), np.array(piece, np.int64), np.append(starts, size), doc, index)
 
 
-def _sentences(doc_id: Callable[[int], str], chunk: _Chunk) -> Iterator[Sentence]:
-    tokens, starts, doc, index = chunk
-    for d, k, a, b in zip(doc.tolist(), index.tolist(), starts.tolist(), starts[1:].tolist()):
-        yield Sentence(doc_id(d), k, tuple(tokens[a:b]))
+def _pieces_before(text: str, ends: list[int], rows: list[str], row_ends: np.ndarray) -> np.ndarray:
+    """The number of pieces before each of the ascending positions ``ends``
+    of ``text``, each at a piece's end; ``rows`` are the ``\\n``-separated
+    parts of ``text`` and ``row_ends[i]`` counts the pieces up to the end of
+    row i.  Each end's row is split from the row's start or the previous
+    end in it, so rows without an end cost nothing."""
+    step = np.fromiter(map(len, rows), np.int64, len(rows)) + 1  # a row and its "\n"
+    row_starts = np.cumsum(step) - step
+    row_of = np.searchsorted(row_starts, ends, side="right") - 1
+    row_starts, before = row_starts.tolist(), [0, *row_ends.tolist()]
+    counts, row, at, count = [], -1, 0, 0
+    for end, r in zip(ends, row_of.tolist()):
+        if r != row:
+            row, at, count = r, row_starts[r], before[r]
+        count += len(text[at:end].split())
+        at = end
+        counts.append(count)
+    return np.array(counts, dtype=np.int64)
+
+
+def _sentences(corpus: Corpus) -> Iterator[Sentence]:
+    types = list(corpus.vocab)
+    tokens = list(map(types.__getitem__, corpus.ids.tolist()))
+    starts = corpus.starts.tolist()
+    for d, k, a, b in zip(corpus.doc.tolist(), corpus.index.tolist(), starts, starts[1:]):
+        yield Sentence(corpus.doc_id(d), k, tuple(tokens[a:b]))
 
 
 def segment_sentences(document: str, doc_id: str = "") -> list[Sentence]:
@@ -204,7 +242,7 @@ def segment_sentences(document: str, doc_id: str = "") -> list[Sentence]:
     period (lowercased, period included) is in ``_ABBREVIATIONS``.
     Empty or whitespace-only input yields an empty list.
     """
-    return list(_sentences(lambda d: doc_id, _split(document, False)))
+    return list(_sentences(_intern([doc_id].__getitem__, [_segment(document, False)])))
 
 
 def _read(path: str | Path) -> tuple[Callable[[int], str], Iterator[_Chunk]]:
@@ -220,7 +258,7 @@ def _read(path: str | Path) -> tuple[Callable[[int], str], Iterator[_Chunk]]:
     if path.is_dir():
         files = [p for p in sorted(path.iterdir()) if p.is_file()]
         chunks = (
-            _split(unicodedata.normalize("NFC", p.read_text(encoding="utf-8")), False, i)
+            _segment(unicodedata.normalize("NFC", p.read_text(encoding="utf-8")), False, i)
             for i, p in enumerate(files)
         )
         return [p.name for p in files].__getitem__, chunks
@@ -242,10 +280,11 @@ def _lines(path: Path) -> Iterator[_Chunk]:
     with path.open(encoding="utf-8") as fh:
         first = 1
         while lines := fh.readlines(_CHUNK_CHARS):
-            # NFC never composes across a newline, so one call covers the lines
+            # text mode ends every line with "\n" alone, and NFC never
+            # composes across one, so one call covers the lines
             count, text = len(lines), unicodedata.normalize("NFC", "".join(lines))
             del lines  # only the text is held while it is split
-            chunk = _split(text, True, first)
+            chunk = _segment(text, True, first)
             del text  # and only the chunk while the caller has it
             yield chunk
             first += count
@@ -253,17 +292,16 @@ def _lines(path: Path) -> Iterator[_Chunk]:
 
 def iter_sentences(path: str | Path) -> Iterator[Sentence]:
     """Stream sentences from a corpus location, chunk by chunk."""
-    doc_id, chunks = _read(path)
-    for chunk in chunks:
-        yield from _sentences(doc_id, chunk)
+    for corpus in iter_chunks(path):
+        yield from _sentences(corpus)
 
 
-def iter_chunks(path: str | Path) -> Iterator[tuple[list[str], "Corpus"]]:
-    """Stream a corpus location chunk by chunk: each chunk's token texts and
-    the chunk interned on its own (positions and ids start at 0 in each)."""
+def iter_chunks(path: str | Path) -> Iterator[Corpus]:
+    """Stream a corpus location chunk by chunk, each chunk interned on its
+    own (positions and ids start at 0 in each)."""
     doc_id, chunks = _read(path)
     for chunk in chunks:
-        yield chunk.tokens, _intern(doc_id, [chunk])
+        yield _intern(doc_id, [chunk])
 
 
 @dataclass(eq=False)
@@ -309,44 +347,67 @@ class Corpus:
 
     @classmethod
     def of(cls, sentences: Iterable[Sentence]) -> "Corpus":
-        """In-memory sentences, interned; doc ids are numbered in order of
-        first appearance."""
+        """In-memory sentences, interned with their tokens as given; doc ids
+        are numbered in order of first appearance."""
         sentences = list(sentences)
         names: dict[str, int] = {}
-        chunk = _Chunk(
-            [t for s in sentences for t in s.tokens],
-            np.cumsum([0] + [len(s.tokens) for s in sentences]),
+        chunk = _token_chunk(
+            [s.tokens for s in sentences],
             np.array([names.setdefault(s.doc_id, len(names)) for s in sentences], dtype=np.int64),
             np.array([s.index for s in sentences], dtype=np.int64),
         )
-        return _intern(list(names).__getitem__, [chunk])
+        return _intern(list(names).__getitem__, [chunk], split=False)
 
     @classmethod
     def of_tokens(cls, texts: Sequence[Sequence[str]]) -> "Corpus":
         """Token lists as the sentences of one document with doc id ``""``,
-        interned."""
-        chunk = _Chunk(
-            [t for tokens in texts for t in tokens],
-            np.cumsum([0] + [len(tokens) for tokens in texts]),
-            np.zeros(len(texts), dtype=np.int64),
-            np.arange(len(texts), dtype=np.int64),
+        interned with their tokens as given."""
+        chunk = _token_chunk(
+            texts, np.zeros(len(texts), dtype=np.int64), np.arange(len(texts), dtype=np.int64)
         )
-        return _intern([""].__getitem__, [chunk])
+        return _intern([""].__getitem__, [chunk], split=False)
 
 
-def _intern(doc_id: Callable[[int], str], chunks: Iterable[_Chunk]) -> Corpus:
-    """Intern chunk after chunk, so only one chunk's token strings are held."""
-    vocab: dict[str, int] = {}
+def _token_chunk(texts: Sequence[Sequence[str]], doc: np.ndarray, index: np.ndarray) -> _Chunk:
+    """Token lists as the sentences of a chunk, each token one piece."""
+    starts = np.cumsum([0] + [len(tokens) for tokens in texts])
+    distinct = _Ids()
+    piece = np.fromiter(map(distinct.__getitem__, chain.from_iterable(texts)), np.int64, starts[-1])
+    return _Chunk(list(distinct), piece, starts, doc, index)
+
+
+def _intern(doc_id: Callable[[int], str], chunks: Iterable[_Chunk], split: bool = True) -> Corpus:
+    """Intern chunk after chunk, so only one chunk's pieces are held.
+
+    Each distinct piece of a chunk is tokenized once (with ``split``;
+    otherwise it is one token as given), in order of first appearance, so
+    type ids follow first appearance too, and numpy copies its type ids to
+    every occurrence.
+    """
+    vocab = _Ids()
     ids, starts, docs, index = [np.zeros(0, np.int32)], [], [], []
     size = 0
     for chunk in chunks:
-        new = [t for t in dict.fromkeys(chunk.tokens) if t not in vocab]
-        vocab.update(zip(new, range(len(vocab), len(vocab) + len(new))))
-        ids.append(np.fromiter(map(vocab.__getitem__, chunk.tokens), np.int32, len(chunk.tokens)))
-        starts.append(chunk.starts[:-1] + size)
+        piece = chunk.piece
+        piece_types = [
+            list(map(vocab.__getitem__, _piece_tokens(p) if split else (p,)))
+            for p in chunk.pieces
+        ]
+        # the type ids of the distinct pieces, one after another
+        width = np.fromiter(map(len, piece_types), np.int64, len(piece_types))
+        flat = np.fromiter(chain.from_iterable(piece_types), np.int32, int(width.sum()))
+        # token offset of each piece, and of the chunk's end
+        count = width[piece]
+        at = np.concatenate(([0], np.cumsum(count)))
+        if len(flat) == len(width):  # one token per piece, as for given tokens
+            ids.append(flat[piece])
+        else:
+            offset = np.cumsum(width) - width
+            ids.append(flat[np.repeat(offset[piece] - at[:-1], count) + np.arange(at[-1])])
+        starts.append(at[chunk.starts[:-1]] + size)
         docs.append(chunk.doc)
         index.append(chunk.index)
-        size += len(chunk.tokens)
+        size += int(at[-1])
     lowers: dict[str, int] = {}
     lower = [lowers.setdefault(t.lower(), len(lowers)) for t in vocab]
     return Corpus(
@@ -354,7 +415,7 @@ def _intern(doc_id: Callable[[int], str], chunks: Iterable[_Chunk]) -> Corpus:
         starts=np.concatenate([*starts, [size]]).astype(np.int64),
         doc=np.concatenate([*docs, []]).astype(np.int64),
         index=np.concatenate([*index, []]).astype(np.int64),
-        vocab=vocab,
+        vocab=dict(vocab),  # a plain dict: looking up an unknown text adds nothing
         lower=np.array(lower, dtype=np.int32),
         lowers=lowers,
         doc_id=doc_id,

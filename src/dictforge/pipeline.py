@@ -443,6 +443,7 @@ class _Runner:
         self.outdir = config.outdir
         self._corpus = None
         self._dev = None
+        self._test = None
 
     # -- the corpus, read and interned once for extract and views ---------
 
@@ -461,6 +462,12 @@ class _Runner:
         if points > 1:
             raise StageError(stage, "grid has several points but inputs.dev is not set")
         return None
+
+    def test_rows(self) -> list:
+        """The test split, read once per run for tag and crf."""
+        if self._test is None:
+            self._test = read_conll(self.config.test, strict=True)
+        return self._test
 
     # -- stage bodies: write artifacts into tmp, return manifest details
 
@@ -579,7 +586,7 @@ class _Runner:
         return {"selection": chosen, "dictionary_size": len(dictionary)}
 
     def stage_tag(self, tmp: Path) -> dict:
-        test = read_conll(self.config.test, strict=True)
+        test = self.test_rows()
         dictionaries = {
             name: read_dictionary(path)
             for name in ("cca", "cotrain")
@@ -608,7 +615,7 @@ class _Runner:
         )
         details = {"selection": chosen, "grid": reports, "features": cfg.crf_features}
         if cfg.test is not None:
-            test = read_conll(cfg.test, strict=True)
+            test = self.test_rows()
             pred = tag_sentences(model, [toks for toks, _ in test])
             details["test"] = evaluate(pred, [tags for _, tags in test]).as_dict()
         model.save(tmp / "crf.model.npz")

@@ -144,6 +144,10 @@ def read_dictionary(path: str | Path) -> Dictionary:
                 raise ValueError(
                     f"{path}, line {lineno}: expected phrase TAB score, got {line!r}"
                 ) from None
+            try:
+                check_phrases((phrase,), "dictionary")
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
     return Dictionary(scores=scores, provenance=provenance, metadata=metadata)
 
 
@@ -358,16 +362,21 @@ def write_conll(sentences: Iterable[tuple[Sequence[str], Sequence[str]]], fh) ->
 
 # what follows a token on its CoNLL line, by tag code, then by tag code + 3
 # for the last token of a sentence (the blank line that ends it)
-_LINE_ENDS = np.array([f"\t{t}\n" for t in BIO] + [f"\t{t}\n\n" for t in BIO], dtype=object)
+_LINE_ENDS = [f"\t{t}\n" for t in BIO] + [f"\t{t}\n\n" for t in BIO]
 
 
-def conll_text(tokens: Sequence[str], starts: np.ndarray, codes: np.ndarray) -> str:
-    """What :func:`write_conll` writes for the sentences
-    ``tokens[starts[k]:starts[k + 1]]`` with tag codes into :data:`BIO`, as
-    one string."""
+def conll_text(corpus: Corpus, codes: np.ndarray) -> str:
+    """What :func:`write_conll` writes for the sentences of ``corpus`` with
+    tag codes into :data:`BIO`, as one string.  A line is a token type's
+    text and its ending, built once for each such pair that occurs."""
+    width = len(_LINE_ENDS)
     ends = codes.astype(np.int64)
-    ends[starts[1:] - 1] += len(BIO)
-    parts = [""] * (2 * len(tokens))
-    parts[::2] = tokens
-    parts[1::2] = _LINE_ENDS[ends].tolist()
-    return "".join(parts)
+    ends[corpus.starts[1:] - 1] += len(BIO)
+    key = corpus.ids * width + ends
+    texts = list(corpus.vocab)
+    lines = np.empty(len(texts) * width, dtype=object)
+    used = np.zeros(len(lines), dtype=bool)
+    used[key] = True
+    pairs = np.flatnonzero(used).tolist()
+    lines[pairs] = [texts[k // width] + _LINE_ENDS[k % width] for k in pairs]
+    return "".join(lines[key].tolist())

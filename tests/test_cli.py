@@ -311,6 +311,20 @@ class TestTagCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}, line 3: ")
 
+    @pytest.mark.parametrize("row,message", [
+        ("HIV\t1.0", "dictionary phrase 'HIV' is not lowercase"),
+        (" \t1.0", "empty dictionary phrase ' '"),
+    ])
+    def test_bad_dictionary_phrase_exits_1_naming_file_and_line(
+        self, bench, tmp_path, capsys, row, message
+    ):
+        root, sc, paths = bench
+        bad = tmp_path / "cased.tsv"
+        bad.write_text(f"# provenance: manual\nflu\t1.0\n{row}\n", encoding="utf-8")
+        code = main(["tag", "--dict", str(bad), "--input", str(root / "tiny.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}, line 3: {message}\n"
+
 
 class TestCrfCommands:
     def test_train_then_tag_round_trip(self, bench, tmp_path, capsys):
@@ -404,6 +418,20 @@ class TestCrfCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "word_identity" in captured.err
         assert captured.out == ""
+
+    def test_non_numeric_embedding_component_exits_1_naming_file_and_line(
+        self, bench, tmp_path, capsys
+    ):
+        root, sc, paths = bench
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("measles\t0.1\t0.2\nflu\t0.5\tx\n", encoding="utf-8")
+        model = tmp_path / "m.npz"
+        argv = ["crf", "train", "--data", str(root / "tiny.conll"), "--features", "baseline,emb",
+                "--emb", str(emb), "--lambda-grid", "0.1", "--out", str(model)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {emb}, line 2: 'flu': ") and "'x'" in err
+        assert not model.exists()
 
     def test_dict_feature_needs_dict_flag(self, bench, tmp_path):
         root, sc, paths = bench

@@ -1,5 +1,6 @@
 """Segmentation, tokenization and the chunked corpus reader."""
 
+import collections
 import re
 import string
 import sys
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 
 import dictforge.corpus
 from dictforge.corpus import (
-    _SPACE,
     _TOKEN,
+    Corpus,
+    Sentence,
     intern_corpus,
+    iter_chunks,
     iter_sentences,
     segment_sentences,
     tokenize,
@@ -122,7 +125,6 @@ class TestTokenize:
             ch = chr(cp)
             assert bool(alnum.match(ch)) == ch.isalnum(), hex(cp)
             assert bool(space.match(ch)) == ch.isspace(), hex(cp)
-            assert bool(_SPACE[min(cp, len(_SPACE) - 1)]) == ch.isspace(), hex(cp)
 
 
 class TestSegmentation:
@@ -212,9 +214,45 @@ class TestCorpusIO:
         (s,) = iter_sentences(p)
         assert s.tokens == ("café", "menu")
 
+    def test_given_tokens_are_never_split(self):
+        # CoNLL tokens such as "(HIV" are interned as they stand
+        corpus = Corpus.of_tokens([["(HIV", "x."], ["x.", "a b"]])
+        assert list(corpus.vocab) == ["(HIV", "x.", "a b"]
+        assert corpus.ids.tolist() == [0, 1, 1, 2]
+        assert corpus.starts.tolist() == [0, 2, 4]
+        corpus = Corpus.of([Sentence("d", 0, ("(HIV", "x."))])
+        assert list(corpus.vocab) == ["(HIV", "x."]
+        assert corpus.ids.tolist() == [0, 1]
+
 
 def _triples(sentences):
     return [(s.doc_id, s.index, s.tokens) for s in sentences]
+
+
+def _check_order(corpus, want):
+    """Type and lowercase ids follow first appearance in the oracle's
+    token stream."""
+    stream = [t for _, _, tokens in want for t in tokens]
+    assert list(corpus.vocab.items()) == [(t, i) for i, t in enumerate(dict.fromkeys(stream))]
+    lowers = dict.fromkeys(t.lower() for t in stream)
+    assert list(corpus.lowers.items()) == [(t, i) for i, t in enumerate(lowers)]
+
+
+def _check_reader(path, want):
+    """``intern_corpus`` and each ``iter_chunks`` chunk against the oracle's
+    sentences: the same sentences, and ids in order of first appearance."""
+    corpus = intern_corpus(path)
+    assert _interned(corpus) == want
+    _check_order(corpus, want)
+    chunked = []
+    for chunk in iter_chunks(path):
+        # a chunk holds whole documents
+        docs = {chunk.doc_id(d) for d in chunk.doc.tolist()}
+        own = [w for w in want if w[0] in docs]
+        assert _interned(chunk) == own
+        _check_order(chunk, own)
+        chunked += own
+    assert chunked == want
 
 
 def _interned(corpus):
@@ -288,7 +326,7 @@ def _oracle_read(path):
 _PIECES = st.sampled_from([
     "a", "B", "3", "x", " ", " ", "\t", ".", "?", "!", "?!", "...", "Dr.", "e.g.", "J.",
     "et al.", "e", "\u0301", "\u1100", "\u1161", "\u11a8", "\uac00", "\x1c", "\u2028",
-    "\xa0", "_", "(", ",",
+    "\xa0", "_", "(", ",", "(a),", "B.", "x-3)",
 ])
 _LINES = st.lists(
     st.tuples(st.lists(_PIECES, max_size=12).map("".join), st.sampled_from(["\n", "\r\n", "\r"])),
@@ -310,7 +348,7 @@ class TestChunkedReader:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dictforge.corpus, "_CHUNK_CHARS", chunk)
             assert _triples(iter_sentences(p)) == want
-            assert _interned(intern_corpus(p)) == want
+            _check_reader(p, want)
 
     @given(texts=st.lists(_LINES, min_size=1, max_size=3), chunk=st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
@@ -323,7 +361,7 @@ class TestChunkedReader:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dictforge.corpus, "_CHUNK_CHARS", chunk)
             assert _triples(iter_sentences(root)) == want
-            assert _interned(intern_corpus(root)) == want
+            _check_reader(root, want)
 
     def test_period_line_then_uppercase_line(self, tmp_path):
         # a terminator at a line's end sees the next line's capital, but the
@@ -336,6 +374,31 @@ class TestChunkedReader:
             ("corpus.txt:2", 1, ("Dr", ".")),
             ("corpus.txt:3", 0, ("Smith", "came")),
         ]
+
+    def test_each_distinct_piece_tokenized_once_per_chunk(self, tmp_path, monkeypatch):
+        line = "(a), B. x-3) flu (a), B. flu x-3) flu.\n"
+        p = tmp_path / "corpus.txt"
+        p.write_text(line * 6, encoding="utf-8")
+        size = 2 * len(tokenize(line))
+        # readlines stops once its lines exceed the hint: two lines a chunk
+        monkeypatch.setattr(dictforge.corpus, "_CHUNK_CHARS", 2 * len(line) - 1)
+        calls = collections.Counter()
+
+        class CountingToken:
+            def findall(self, piece):
+                calls[piece] += 1
+                return _TOKEN.findall(piece)
+
+        monkeypatch.setattr(dictforge.corpus, "_TOKEN", CountingToken())
+        # pieces that start and end alphanumeric ("flu") never reach the regex
+        once = {"(a),": 1, "B.": 1, "x-3)": 1, "flu.": 1}
+        for n, chunk in enumerate(iter_chunks(p), 1):
+            assert calls == once
+            assert len(chunk.ids) == size
+            calls.clear()
+        assert n == 3
+        intern_corpus(p)
+        assert calls == {piece: 3 for piece in once}
 
     @given(st.text(alphabet="ab .?!AB3x\n" + _EXOTIC, max_size=80))
     @settings(max_examples=60)

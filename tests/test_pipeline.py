@@ -803,6 +803,23 @@ class TestRunPipeline:
         for name in ("dict.cca.tsv", "dict.cotrain.tsv", "crf.json"):
             assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
 
+    def test_cold_run_reads_each_split_once(self, finished_run, tmp_path, monkeypatch):
+        # dev is shared by classify, cotrain and crf, test by tag and crf
+        _, config, _ = finished_run
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        reads = collections.Counter()
+
+        def counted(path, *args, **kwargs):
+            reads[path] += 1
+            return read_conll(path, *args, **kwargs)
+
+        monkeypatch.setattr("dictforge.pipeline.read_conll", counted)
+        manifest = run_pipeline(copy)
+        assert not any(record.get("cached") for record in manifest.stages.values())
+        assert reads == {config.train: 1, config.dev: 1, config.test: 1}
+        for name in ("report.json", "crf.json", "crf.model.npz"):
+            assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
+
     def test_no_file_hashed_twice_in_a_run(self, finished_run, tmp_path, monkeypatch):
         _, config, _ = finished_run
         seeds = tmp_path / "seeds.txt"

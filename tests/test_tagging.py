@@ -236,8 +236,7 @@ class TestDictionaryCodes:
         corpus = Corpus.of_tokens(sentences)
         out = io.StringIO()
         write_conll(((t, tag_with_dictionary(t, dictionary)) for t in sentences), out)
-        tokens = [t for tokens in sentences for t in tokens]
-        text = conll_text(tokens, corpus.starts, dictionary_codes(corpus, dictionary))
+        text = conll_text(corpus, dictionary_codes(corpus, dictionary))
         assert text == out.getvalue()
 
 

@@ -7,7 +7,8 @@ import argparse
 import math
 import sys
 from contextlib import nullcontext
-from itertools import islice
+from decimal import Decimal
+from itertools import count, islice, takewhile
 from typing import Iterator
 
 from .corpus import iter_chunks, iter_sentences
@@ -47,18 +48,15 @@ __all__ = ["main"]
 def _parse_lambda_grid(text: str) -> tuple[float, ...]:
     """Either an explicit list ("0.01,0.1,1"), parsed and checked like the
     ``crf.lambda_grid`` config key, or a decade range ("1e-4..10") of
-    finite positive bounds expanded one order of magnitude at a time."""
+    finite positive bounds expanded one exact decade at a time, so
+    "3e-5..3" gives 3e-05, 0.0003, ... 3.0."""
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = float(lo_s), float(hi_s)
-        if not 0 < lo <= hi < math.inf:
+        if not 0 < float(lo_s) <= float(hi_s) < math.inf:
             raise ValueError(f"bad grid range: {text!r}")
-        vals = []
-        v = lo
-        while v < hi * (1 + 1e-9):
-            vals.append(v)
-            v *= 10
-        return tuple(vals)
+        lo, hi = Decimal(lo_s.strip()), Decimal(hi_s.strip())
+        decades = (lo.scaleb(i) for i in count())
+        return tuple(map(float, takewhile(lambda v: v <= hi, decades)))
     parse, check = _KEYS["crf"]["lambda_grid"]
     vals = parse(text)
     for v in vals:

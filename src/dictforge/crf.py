@@ -12,12 +12,13 @@ A sentence list is compiled once into a sparse token×observation matrix
 X, so the emissions of every token are one product X @ W and the emission
 gradient is one product X.T @ (label marginals - gold one-hot).
 _observations names each token's observations and is the specification of
-X; the compiler builds the same rows without naming per token.  It interns
-the batch once as a Corpus, looks up each token type's lexical columns
-once, takes the window columns from the neighbours' types and the
-five-token shape pattern from a base-6 code, matches each dictionary and
-the embedding phrases in it with one PhraseTrie match each, and masks the
-resulting id matrix into the CSR arrays.
+X that extract_features reads; one featurizer, _columns, builds the same
+rows without naming per token, for build_model's index and for X alike.
+It interns the batch once as a Corpus, looks up each token type's lexical
+columns once, takes the window columns from the neighbours' types and the
+five-token shape pattern from a base-6 code, and matches each dictionary
+and the embedding phrases in it with one PhraseTrie match each.  A λ grid
+compiles its training set and its dev split once for every fit.
 Forward, backward and Viterbi run over the whole batch at once: sentences
 are padded longest first, and each step updates the prefix still running.
 """
@@ -28,7 +29,7 @@ import json
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +38,7 @@ from scipy.optimize import minimize
 from .corpus import (
     Corpus,
     PhraseTrie,
+    _Ids,
     SHAPE_ALL_CAPS,
     SHAPE_ALL_LOWER,
     SHAPE_INIT_CAP,
@@ -56,7 +58,7 @@ from .tagging import (
     tag_with_dictionary,
     validate_bio,
 )
-from .views import BOUNDARY
+from .views import BOUNDARY, _first_appearance
 
 __all__ = [
     "LABELS",
@@ -71,6 +73,7 @@ __all__ = [
     "train_crf_grid",
     "log_likelihood_and_gradient",
     "viterbi_decode",
+    "compile_tagger",
     "tag_sentences",
     "learning_curve",
     "standard_variants",
@@ -185,9 +188,9 @@ def _observations(
 ) -> list[dict[str, float]]:
     """Label-independent feature values, one mapping per token.
 
-    This is the readable specification of the observations: build_model
-    indexes their names in first-seen order, extract_features reads them,
-    and _compile must produce the same rows, in this order, per token.
+    This is the readable specification of the observations, which
+    extract_features reads: _columns must produce the same names, in this
+    order, per token, so build_model indexes them in first-seen order.
     """
     n = len(tokens)
     rows: list[dict[str, float]] = [{} for _ in range(n)]
@@ -496,10 +499,9 @@ def _compile(
     labels and gold transition ids.
 
     X holds exactly the rows _observations specifies, each listing its
-    indexed columns in the order _observations emits them, but features
-    are computed per family over the whole batch: a token×slot matrix of
-    column ids (-1 where a name is not in the index) is built block by
-    block and masked row by row into the CSR arrays.
+    indexed columns in the order _observations emits them: _columns'
+    matrix, with -1 where a name is not in the index, masked row by row
+    into the CSR arrays.
     """
     texts: list[Sequence[str]] = []
     gold: list[int] = []
@@ -519,45 +521,16 @@ def _compile(
                 gold_fids.extend(chain.pair_fid_map.get((a, b), ()))
     if not texts:
         raise ValueError("no sentences")
-    lengths = np.array([len(tokens) for tokens in texts], dtype=int)
-    # each token's position in its sentence
-    step = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    n = step.size
-    index, config = model.obs_index, model.config
-    # one n×width block of column ids per family, in _observations' order;
-    # the empty block keeps hstack defined when no family is on
-    blocks = [np.empty((n, 0), dtype=np.int64)]
-    corpus = Corpus.of_tokens(texts)
-    if config.baseline:
-        blocks.append(_lexical_ids(index, corpus, step, np.repeat(lengths, lengths)))
-    if config.dict_match:
-        for name, dictionary in model.dictionaries:
-            cols = np.array([index.get(f"dict:{name}={t}", -1) for t in LABELS])
-            blocks.append(cols[dictionary_codes(corpus, dictionary)][:, None])
-    values = None
-    if config.embedding:
-        emb = model.embeddings
-        if emb is None:
-            raise ValueError("embedding features enabled without a table")
-        # each token's row of `table`: its phrase's vector where it starts
-        # a known phrase, then the 2x (inside) and 4x (outside) sentinels
-        table = np.vstack([emb.matrix, np.full((2, emb.k), [[2.0 * emb.x], [4.0 * emb.x]])])
-        start, end, phrase = emb.trie.match(corpus)
-        # the 2x row inside a phrase and the 4x row outside, its own at its start
-        role = len(emb.phrases) + (span_codes(n, start, end) == BIO.index("O"))
-        role[start] = phrase
-        values = table[role]
-        cols = np.array([index.get(f"emb{j}", -1) for j in range(emb.k)])
-        blocks.append(np.broadcast_to(cols, (n, emb.k)))
-    ids = np.hstack(blocks)
-    vals = np.ones(ids.shape)
-    if values is not None:
-        vals[:, ids.shape[1] - values.shape[1] :] = values
+    index = model.obs_index
+    ids, vals, step = _columns(
+        texts, lambda name: index.get(name, -1), model.config, model.dictionaries, model.embeddings
+    )
     keep = ids >= 0
     X = sp.csr_matrix(
         (vals[keep], ids[keep], np.concatenate(([0], np.cumsum(keep.sum(axis=1))))),
-        shape=(n, chain.n_obs),
+        shape=(step.size, chain.n_obs),
     )
+    lengths = np.array([len(tokens) for tokens in texts], dtype=int)
     order = np.argsort(-lengths, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
@@ -575,6 +548,45 @@ def _compile(
     )
 
 
+def _columns(
+    texts: Sequence[Sequence[str]], lookup: Callable[[str], int], config: FeatureConfig,
+    dictionaries: tuple[tuple[str, Dictionary], ...], emb: SentinelEmbeddings | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The featurizer: a token×slot matrix of column ids, their values, and
+    each token's position in its sentence.  Row i holds ``lookup(name)`` of
+    the names _observations gives token i, in its order, and -1 in a
+    pre/suf slot past the token's length; each family is one block of
+    slots, computed over the whole batch.
+    """
+    lengths = np.array([len(tokens) for tokens in texts], dtype=int)
+    step = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    n = step.size
+    # the empty block keeps hstack defined when no family is on
+    blocks = [np.empty((n, 0), dtype=np.int64)]
+    corpus = Corpus.of_tokens(texts)
+    if config.baseline:
+        blocks.append(_lexical_ids(lookup, corpus, step, np.repeat(lengths, lengths)))
+    if config.dict_match:
+        for name, dictionary in dictionaries:
+            cols = np.array([lookup(f"dict:{name}={t}") for t in LABELS])
+            blocks.append(cols[dictionary_codes(corpus, dictionary)][:, None])
+    vals = np.ones((n, sum(block.shape[1] for block in blocks)))
+    if config.embedding:
+        if emb is None:
+            raise ValueError("embedding features enabled without a table")
+        # each token's row of `table`: its phrase's vector where it starts
+        # a known phrase, then the 2x (inside) and 4x (outside) sentinels
+        table = np.vstack([emb.matrix, np.full((2, emb.k), [[2.0 * emb.x], [4.0 * emb.x]])])
+        start, end, phrase = emb.trie.match(corpus)
+        # the 2x row inside a phrase and the 4x row outside, its own at its start
+        role = len(emb.phrases) + (span_codes(n, start, end) == BIO.index("O"))
+        role[start] = phrase
+        vals = np.hstack([vals, table[role]])
+        cols = np.array([lookup(f"emb{j}") for j in range(emb.k)])
+        blocks.append(np.broadcast_to(cols, (n, emb.k)))
+    return np.hstack(blocks), vals, step
+
+
 # word_shape's classes plus BOUNDARY: the digits of a wshape= code
 _SHAPES = (SHAPE_ALL_LOWER, SHAPE_INIT_CAP, SHAPE_ALL_CAPS, SHAPE_MIXED, SHAPE_NON_ALPHA, BOUNDARY)
 _SHAPE_IDX = {s: i for i, s in enumerate(_SHAPES)}
@@ -582,7 +594,7 @@ _WINDOW = (-2, -1, 1, 2)
 
 
 def _lexical_ids(
-    index: Mapping[str, int],
+    lookup: Callable[[str], int],
     corpus: Corpus,
     step: np.ndarray,
     size: np.ndarray,
@@ -609,10 +621,10 @@ def _lexical_ids(
         names = [f"w={low}", f"caps={caps}"]
         for length in range(1, min(4, len(low)) + 1):
             names += (f"pre{length}={low[:length]}", f"suf{length}={low[-length:]}")
-        own[t, : len(names)] = [index.get(name, -1) for name in names]
-        win[t] = [index.get(f"win{off:+d}={low}", -1) for off in _WINDOW]
+        own[t, : len(names)] = [lookup(name) for name in names]
+        win[t] = [lookup(f"win{off:+d}={low}") for off in _WINDOW]
         shape[t] = _SHAPE_IDX[caps]
-    win[bound] = [index.get(f"win{off:+d}={BOUNDARY}", -1) for off in _WINDOW]
+    win[bound] = [lookup(f"win{off:+d}={BOUNDARY}") for off in _WINDOW]
     shape[bound] = _SHAPE_IDX[BOUNDARY]
     # the types at offsets -2 .. +2 of every token, BOUNDARY past its sentence
     near = np.full((n, 5), bound)
@@ -623,7 +635,7 @@ def _lexical_ids(
     codes, code_of = np.unique(shape[near] @ digits, return_inverse=True)
     pattern = np.array(
         [
-            index.get("wshape=" + "|".join(_SHAPES[c // d % len(_SHAPES)] for d in digits), -1)
+            lookup("wshape=" + "|".join(_SHAPES[c // d % len(_SHAPES)] for d in digits))
             for c in codes.tolist()
         ],
         dtype=np.int64,
@@ -723,17 +735,14 @@ def build_model(
     embeddings: SentinelEmbeddings | None = None,
     regularizer: float = 1.0,
 ) -> CrfModel:
-    """Zero-weight model with the feature index frozen from the data."""
+    """Zero-weight model with the feature index frozen from the data: the
+    names _columns looks up, in order of first appearance in its row-major
+    id matrix, which is _observations' first-seen order."""
     named = _named_dicts(dictionaries)
-    if config.embedding and embeddings is None:
-        raise ValueError("embedding features enabled without a table")
-    obs_index: dict[str, int] = {}
-    for tokens, _ in sentences:
-        for feats in _observations(tokens, config, named, embeddings):
-            for name in feats:
-                if name not in obs_index:
-                    obs_index[name] = len(obs_index)
-    obs_names = list(obs_index)
+    names = _Ids()
+    ids, _, _ = _columns([t for t, _ in sentences], names.__getitem__, config, named, embeddings)
+    looked_up = list(names)
+    obs_names = [looked_up[i] for i in _first_appearance(ids[ids >= 0])[0].tolist()]
     trans_names = _trans_names(config)
     weights = np.zeros(len(obs_names) * len(LABELS) + len(trans_names))
     return CrfModel(
@@ -803,15 +812,12 @@ def train_crf(
     regularizer: float = 1.0,
     max_iters: int = 500,
 ) -> CrfModel:
-    """Build the feature index from the data and fit the weights."""
-    model = build_model(
-        sentences,
-        config,
-        dictionaries=dictionaries,
-        embeddings=embeddings,
-        regularizer=regularizer,
+    """The one-point :func:`train_crf_grid`."""
+    (model,) = train_crf_grid(
+        sentences, config, [regularizer],
+        dictionaries=dictionaries, embeddings=embeddings, max_iters=max_iters,
     )
-    return fit_weights(model, sentences, max_iters=max_iters)
+    return model
 
 
 def train_crf_grid(
@@ -823,9 +829,10 @@ def train_crf_grid(
     embeddings: SentinelEmbeddings | None = None,
     max_iters: int = 500,
 ) -> Iterator[CrfModel]:
-    """:func:`train_crf` at each regularizer in turn, with the feature index
-    built and the training set compiled once for all of them; every fit
-    starts from zero weights, so each model equals its own ``train_crf``."""
+    """Fit one model per regularizer, in turn, from zero weights, with the
+    feature index built (by the featurizer that builds X) and the training
+    set compiled once for all of them.  Every model shares that index, so
+    one :func:`compile_tagger` of a dev split decodes each of them."""
     if not sentences:
         raise ValueError("empty training set")
     model = build_model(sentences, config, dictionaries=dictionaries, embeddings=embeddings)
@@ -879,30 +886,43 @@ def _viterbi(
 _DECODE_CHUNK = 1024
 
 
-def tag_sentences(
+def compile_tagger(
     model: CrfModel, sentences: Iterable[Sequence[str]]
-) -> list[list[str]]:
-    """Exact argmax tag sequence of each sentence, in input order; ties
-    prefer B over I over O.  Sentences are decoded longest first in
-    batches of _DECODE_CHUNK."""
+) -> Callable[[np.ndarray], list[list[str]]]:
+    """Compile the sentences once for model's feature index, longest first
+    in batches of _DECODE_CHUNK, and return their decoder: weights of that
+    index (any fit of one :func:`train_crf_grid`) -> the exact argmax tag
+    sequence of each sentence, in input order; ties prefer B over I over O."""
     sentences = list(sentences)
-    out: list[list[str]] = [[] for _ in sentences]
     chain = _Chain(model)
-    start, trans = chain.scores(model.weights)
-    w_obs = model.weights[: chain.offset].reshape(chain.n_obs, len(LABELS))
     state_tag = np.array(LABELS)[chain.state_label]
     todo = sorted(
         (i for i, tokens in enumerate(sentences) if len(tokens)),
         key=lambda i: -len(sentences[i]),
     )
-    for lo in range(0, len(todo), _DECODE_CHUNK):
-        ids = todo[lo : lo + _DECODE_CHUNK]
-        comp = _compile(model, chain, [(sentences[i], None) for i in ids], False)
-        states = _viterbi(comp, (comp.X @ w_obs)[:, chain.state_label], start, trans)
-        tags = state_tag[states].tolist()
-        for i, end in zip(ids, np.cumsum(comp.lengths)):
-            out[i] = tags[end - len(sentences[i]) : end]
-    return out
+    batches = [
+        (ids, _compile(model, chain, [(sentences[i], None) for i in ids], False))
+        for ids in (todo[lo : lo + _DECODE_CHUNK] for lo in range(0, len(todo), _DECODE_CHUNK))
+    ]
+
+    def decode(weights: np.ndarray) -> list[list[str]]:
+        out: list[list[str]] = [[] for _ in sentences]
+        start, trans = chain.scores(weights)
+        w_obs = weights[: chain.offset].reshape(chain.n_obs, len(LABELS))
+        for ids, comp in batches:
+            states = _viterbi(comp, (comp.X @ w_obs)[:, chain.state_label], start, trans)
+            tags = state_tag[states].tolist()
+            for i, end in zip(ids, np.cumsum(comp.lengths)):
+                out[i] = tags[end - len(sentences[i]) : end]
+        return out
+
+    return decode
+
+
+def tag_sentences(model: CrfModel, sentences: Iterable[Sequence[str]]) -> list[list[str]]:
+    """:func:`compile_tagger`'s decoder of the sentences, run on the model's
+    own weights."""
+    return compile_tagger(model, sentences)(model.weights)
 
 
 def viterbi_decode(model: CrfModel, tokens: Sequence[str]) -> list[str]:
@@ -933,25 +953,10 @@ def standard_variants(
     vectors)."""
     out = [CurveVariant("baseline", config)]
     for name, d in _named_dicts(dictionaries):
-        out.append(
-            CurveVariant(
-                f"dict-{name}",
-                replace(config, dict_match=True),
-                ((name, d),),
-            )
-        )
-    if word_embeddings is not None:
-        out.append(
-            CurveVariant(
-                "cca-word", replace(config, embedding=True), (), word_embeddings
-            )
-        )
-    if phrase_embeddings is not None:
-        out.append(
-            CurveVariant(
-                "cca-phrase", replace(config, embedding=True), (), phrase_embeddings
-            )
-        )
+        out.append(CurveVariant(f"dict-{name}", replace(config, dict_match=True), ((name, d),)))
+    for name, table in (("cca-word", word_embeddings), ("cca-phrase", phrase_embeddings)):
+        if table is not None:
+            out.append(CurveVariant(name, replace(config, embedding=True), (), table))
     return out
 
 
@@ -973,27 +978,15 @@ def learning_curve(
     if sizes and sizes[-1] > len(train):
         raise ValueError(f"size {sizes[-1]} exceeds training set of {len(train)}")
     rows = []
-    gold = [tags for _, tags in test]
+    texts, gold = [tokens for tokens, _ in test], [tags for _, tags in test]
     for size in sizes:
-        subset = train[:size]
         for variant in variants:
             model = train_crf(
-                subset,
-                variant.config,
-                dictionaries=variant.dictionaries,
-                embeddings=variant.embeddings,
-                regularizer=regularizer,
-                max_iters=max_iters,
+                train[:size], variant.config, dictionaries=variant.dictionaries,
+                embeddings=variant.embeddings, regularizer=regularizer, max_iters=max_iters,
             )
-            predicted = tag_sentences(model, (tokens for tokens, _ in test))
-            report = evaluate(predicted, gold)
-            rows.append(
-                {
-                    "size": size,
-                    "variant": variant.name,
-                    **report.as_dict(),
-                }
-            )
+            report = evaluate(tag_sentences(model, texts), gold)
+            rows.append({"size": size, "variant": variant.name, **report.as_dict()})
     return rows
 
 

@@ -53,7 +53,14 @@ from .classifier import (
 )
 from .corpus import intern_corpus
 from .cotrain import dl_cotrain, dictionary_from_rules
-from .crf import CrfModel, FeatureConfig, SentinelEmbeddings, tag_sentences, train_crf_grid
+from .crf import (
+    CrfModel,
+    FeatureConfig,
+    SentinelEmbeddings,
+    compile_tagger,
+    tag_sentences,
+    train_crf_grid,
+)
 from .extraction import (
     extract_candidates,
     load_patterns,
@@ -313,6 +320,12 @@ def validate_config(path: str | Path) -> PipelineConfig:
 def model_select(reports: Iterable[Mapping]) -> dict:
     """Max dev F1; ties prefer smaller k, then smaller C/lambda, then
     smaller threshold/theta, then earliest report."""
+    return _selection(reports)[0]
+
+
+def _selection(reports: Iterable[Mapping]) -> tuple[dict, dict | None]:
+    """``model_select``'s choice and the runner-up, the next report in its
+    order (None for a one-point grid), so a reader can see the margin."""
     rows = [dict(r) for r in reports]
     if not rows:
         raise ValueError("no grid points were evaluated")
@@ -323,7 +336,8 @@ def model_select(reports: Iterable[Mapping]) -> dict:
             row.get("C", row.get("lambda", 0.0)),
             row.get("threshold", row.get("theta", 0.0)),
         )
-    return min(rows, key=key)
+    ranked = sorted(rows, key=key)
+    return ranked[0], ranked[1] if len(ranked) > 1 else None
 
 
 def select_crf(
@@ -337,8 +351,9 @@ def select_crf(
 ) -> tuple[CrfModel, dict, list[dict]]:
     """Train one CRF per lambda and keep the one ``model_select`` picks by
     dev F1 (0.0 without dev).  Returns (model, chosen row, every row); a
-    row is the lambda, its F1 and the fit's L-BFGS status."""
-    models, reports = {}, []
+    row is the lambda, its F1 and the fit's L-BFGS status.  The fits share
+    one feature index, so dev is compiled once and decoded per lambda."""
+    models, reports, decode = {}, [], None
     for model in train_crf_grid(
         train, features, lambdas, dictionaries=dictionaries, embeddings=embeddings,
         max_iters=max_iters,
@@ -346,8 +361,8 @@ def select_crf(
         lam = model.regularizer
         f1 = 0.0
         if dev is not None:
-            pred = tag_sentences(model, [toks for toks, _ in dev])
-            f1 = evaluate(pred, [tags for _, tags in dev]).f1
+            decode = decode or compile_tagger(model, [toks for toks, _ in dev])
+            f1 = evaluate(decode(model.weights), [tags for _, tags in dev]).f1
         models[lam] = model
         reports.append({"lambda": lam, "f1": f1, **model.solver})
     chosen = model_select(reports)
@@ -535,7 +550,7 @@ class _Runner:
                 for thr in cfg.svm_threshold_grid:
                     d = cut_dictionary(ranking, thr)
                     reports.append({"k": k, "C": C, "threshold": thr, "f1": dev_f1(d)})
-        chosen = model_select(reports)
+        chosen, runner_up = _selection(reports)
 
         k, C, thr = chosen["k"], chosen["C"], chosen["threshold"]
         svm, ranking = fitted[k, C]
@@ -557,6 +572,7 @@ class _Runner:
         (tmp / "svm.json").write_text(_json_text(record), encoding="utf-8")
         return {
             "selection": chosen,
+            "runner_up": runner_up,
             "grid_points": points,
             "fits": fits,
             "dictionary_size": len(dictionary),
@@ -572,7 +588,7 @@ class _Runner:
         for theta in cfg.cotrain_theta_grid:
             d = dictionary_from_rules(state, theta=theta)
             reports.append({"theta": theta, "f1": dev_f1(d)})
-        chosen = model_select(reports)
+        chosen, runner_up = _selection(reports)
         dictionary = dictionary_from_rules(state, theta=chosen["theta"])
         with open(tmp / "dict.cotrain.tsv", "w", encoding="utf-8") as fh:
             write_dictionary(dictionary, fh)
@@ -583,7 +599,7 @@ class _Runner:
             "selection": chosen,
         }
         (tmp / "cotrain.json").write_text(_json_text(record), encoding="utf-8")
-        return {"selection": chosen, "dictionary_size": len(dictionary)}
+        return {"selection": chosen, "runner_up": runner_up, "dictionary_size": len(dictionary)}
 
     def stage_tag(self, tmp: Path) -> dict:
         test = self.test_rows()

@@ -218,13 +218,21 @@ def span_codes(n: int, start: np.ndarray, end: np.ndarray) -> np.ndarray:
 def validate_bio(tags: Sequence[str]) -> None:
     """Raise unless the sequence is well-formed: tags in {B, I, O} and no
     entity starting with I."""
+    if (error := _bio_error(tags)) is not None:
+        raise ValueError(error[1])
+
+
+def _bio_error(tags: Sequence[str]) -> tuple[int, str] | None:
+    """The position of the first tag that makes the sequence ill-formed and
+    why, or None."""
     prev = "O"
-    for t in tags:
+    for i, t in enumerate(tags):
         if t not in ("B", "I", "O"):
-            raise ValueError(f"unknown tag {t!r}")
+            return i, f"unknown tag {t!r}"
         if t == "I" and prev == "O":
-            raise ValueError("I tag without a preceding B or I")
+            return i, "I tag without a preceding B or I"
         prev = t
+    return None
 
 
 def bio_spans(tags: Sequence[str]) -> set[tuple[int, int]]:
@@ -327,26 +335,36 @@ def dictionary_scorer(
 
 def read_conll(path: str | Path, strict: bool = False) -> list[tuple[list[str], list[str]]]:
     """CoNLL-style file: ``token TAB tag`` rows, blank line between
-    sentences.  With strict=True every sentence must be well-formed BIO."""
+    sentences.  With strict=True every sentence must be well-formed BIO.
+    A row without exactly one tab, and under strict an unknown tag or an I
+    after O, raises ValueError naming the file and line."""
     sentences: list[tuple[list[str], list[str]]] = []
     tokens: list[str] = []
     tags: list[str] = []
+    first = 0  # the line of the sentence's first token
 
     def flush():
         if tokens:
-            if strict:
-                validate_bio(tags)
+            if strict and (error := _bio_error(tags)) is not None:
+                raise ValueError(f"{path}, line {first + error[0]}: {error[1]}")
             sentences.append((list(tokens), list(tags)))
             tokens.clear()
             tags.clear()
 
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line.strip():
                 flush()
                 continue
-            token, _, tag = line.partition("\t")
+            try:
+                token, tag = line.split("\t")
+            except ValueError:
+                raise ValueError(
+                    f"{path}, line {lineno}: expected token TAB tag, got {line!r}"
+                ) from None
+            if not tokens:
+                first = lineno
             tokens.append(token)
             tags.append(tag)
     flush()

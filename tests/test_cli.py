@@ -67,6 +67,11 @@ class TestLambdaGrid:
         assert grid[0] == pytest.approx(1e-4)
         assert grid[-1] == pytest.approx(10.0)
 
+    def test_decade_range_steps_exact_decades(self):
+        # repeated multiplication by 10 would give 0.00030000000000000003
+        assert _parse_lambda_grid("3e-5..3") == (3e-05, 0.0003, 0.003, 0.03, 0.3, 3.0)
+        assert _parse_lambda_grid("1e-4..10") == (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0)
+
     def test_comma_list(self):
         assert _parse_lambda_grid("0.01,0.1,1") == (0.01, 0.1, 1.0)
 
@@ -431,6 +436,22 @@ class TestCrfCommands:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {emb}, line 2: 'flu': ") and "'x'" in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("rows,line,message", [
+        ("a\tO\nb\tX\n", 2, "unknown tag 'X'"),
+        ("a\tO\n\nb\tB\nc\tO\nd\tI\n", 5, "I tag without a preceding B or I"),
+        ("a\tO\na B\n", 2, "expected token TAB tag, got 'a B'"),
+    ])
+    def test_bad_conll_row_exits_1_naming_file_and_line(
+        self, tmp_path, capsys, rows, line, message
+    ):
+        bad = tmp_path / "bad.conll"
+        bad.write_text(rows, encoding="utf-8")
+        model = tmp_path / "m.npz"
+        argv = ["crf", "train", "--data", str(bad), "--lambda-grid", "0.1", "--out", str(model)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}, line {line}: {message}\n"
         assert not model.exists()
 
     def test_dict_feature_needs_dict_flag(self, bench, tmp_path):

@@ -23,6 +23,7 @@ from dictforge.crf import (
     FeatureConfig,
     SentinelEmbeddings,
     build_model,
+    compile_tagger,
     extract_features,
     fit_weights,
     learning_curve,
@@ -356,6 +357,19 @@ def sentences_of(words):
     return st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=6), min_size=1, max_size=5)
 
 
+def observation_names(sentences, config, dictionaries, embeddings):
+    """Every name _observations gives the sentences, in first-seen order:
+    the index build_model froze before it indexed through the featurizer."""
+    named = _named_dicts(dictionaries)
+    obs_index = {}
+    for tokens, _ in sentences:
+        for feats in _observations(tokens, config, named, embeddings):
+            for name in feats:
+                if name not in obs_index:
+                    obs_index[name] = len(obs_index)
+    return list(obs_index)
+
+
 class TestCompile:
     """The per-type assembly of X against _observations."""
 
@@ -386,6 +400,22 @@ class TestCompile:
         for got, want in [(X.indptr, oracle.indptr), (X.indices, oracle.indices), (X.data, oracle.data)]:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        baseline=st.booleans(),
+        prev2=st.booleans(),
+        dict_match=st.booleans(),
+        embedding=st.booleans(),
+        train=sentences_of(SEEN + UNSEEN),
+    )
+    def test_index_in_observations_first_seen_order(
+        self, baseline, prev2, dict_match, embedding, train
+    ):
+        config = FeatureConfig(baseline, prev2 and baseline, dict_match, embedding)
+        sentences = [(tokens, ["O"] * len(tokens)) for tokens in train]
+        model = build_model(sentences, config, dictionaries=COMPILE_DICTS, embeddings=COMPILE_EMB)
+        assert model.obs_names == observation_names(sentences, config, COMPILE_DICTS, COMPILE_EMB)
 
     def test_embedding_rows_past_int8(self):
         # 300 phrases: a token's role indexes rows beyond any small dtype
@@ -473,6 +503,16 @@ class TestTraining:
             assert model.weights.tobytes() == one.weights.tobytes()
             assert model.solver == one.solver
             assert model.obs_names == one.obs_names
+
+    def test_one_compile_decodes_every_fit_of_a_grid(self):
+        extras = dict(dictionaries=COMPILE_DICTS, embeddings=COMPILE_EMB)
+        config = FeatureConfig(prev2=True, dict_match=True, embedding=True)
+        grid = list(train_crf_grid(FIXTURE, config, [1e-3, 10.0], max_iters=60, **extras))
+        texts = [tokens for tokens, _ in FIXTURE] + [[], ["yellow", "fever", "hit", "Ebola"]]
+        decode = compile_tagger(grid[0], texts)
+        decoded = [decode(model.weights) for model in grid]
+        assert decoded == [tag_sentences(model, texts) for model in grid]
+        assert decoded[0] != decoded[1]
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):

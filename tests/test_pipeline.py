@@ -15,10 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dictforge.cca import CcaModel, accumulate_covariance, embed_phrases
-from dictforge.classifier import SeedSet, build_dictionary, train_svm
+from dictforge.classifier import SeedSet, build_dictionary, read_seeds, train_svm
 import dictforge.corpus
+import dictforge.crf
 from dictforge.corpus import intern_corpus, iter_sentences
-from dictforge.cotrain import dictionary_from_rules
+from dictforge.cotrain import dictionary_from_rules, dl_cotrain
 from dictforge.pipeline import (
     PipelineConfig,
     PipelineConfigError,
@@ -611,7 +612,7 @@ class TestRunPipeline:
         embeddings = dict(zip(names, embed_phrases(model, views.X[[first_row[p] for p in names]])))
         dev = read_conll(config.dev, strict=True)
 
-        from dictforge.classifier import read_seeds, resolve_seeds
+        from dictforge.classifier import resolve_seeds
 
         pos, neg, missing = resolve_seeds(read_seeds(config.seeds), embeddings)
         assert not missing
@@ -626,6 +627,32 @@ class TestRunPipeline:
                     f1 = evaluate(pred, [g for _, g in dev]).f1
                     rows.append({"k": k, "C": C, "threshold": thr, "f1": f1})
         assert model_select(rows) == chosen
+        rows.remove(chosen)
+        assert model_select(rows) == manifest.stages["classify"]["details"]["runner_up"]
+
+    def test_cotrain_runner_up_is_next_in_selection_order(self, finished_run, tmp_path):
+        workdir, config, manifest = finished_run
+        table = OccurrenceTable.load(config.outdir / "views.table.npz")
+        state = dl_cotrain(
+            table, read_seeds(config.seeds), m=config.cotrain_m, epsilon=config.cotrain_epsilon
+        )
+        dev = read_conll(config.dev, strict=True)
+        rows = [
+            {"theta": theta, "f1": _tagged_f1(dev, dictionary_from_rules(state, theta=theta))}
+            for theta in config.cotrain_theta_grid
+        ]
+        details = manifest.stages["cotrain"]["details"]
+        assert model_select(rows) == details["selection"]
+        rows.remove(details["selection"])
+        assert model_select(rows) == details["runner_up"]
+        # the margin lives in the manifest only; the artifacts keep their bytes
+        assert "runner_up" not in (config.outdir / "cotrain.json").read_text(encoding="utf-8")
+        assert "runner_up" not in (config.outdir / "svm.json").read_text(encoding="utf-8")
+        # a one-point grid has no runner-up
+        shutil.copytree(config.outdir, tmp_path / "out")
+        one = dataclasses.replace(config, outdir=tmp_path / "out", cotrain_theta_grid=(0.9,))
+        one_point = run_pipeline(one, stages=("cotrain",)).stages["cotrain"]["details"]
+        assert one_point["runner_up"] is None
 
     def test_failing_stage_quarantines_and_names_itself(self, workdir, tmp_path):
         config = validate_config(workdir / "pipeline.cfg")
@@ -819,6 +846,29 @@ class TestRunPipeline:
         assert reads == {config.train: 1, config.dev: 1, config.test: 1}
         for name in ("report.json", "crf.json", "crf.model.npz"):
             assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
+
+    def test_cold_run_compiles_each_split_once(self, finished_run, tmp_path, monkeypatch):
+        # with two lambdas, both fits decode one compile of dev; build_model
+        # indexes through the featurizer, so _observations never runs
+        _, config, _ = finished_run
+        copy = dataclasses.replace(config, outdir=tmp_path / "out", crf_lambda_grid=(0.05, 0.5))
+        compiled, observed = collections.Counter(), []
+        real = dictforge.crf._compile
+
+        def split_key(sentences):
+            return tuple(sorted(tuple(tokens) for tokens, _ in sentences))
+
+        def counted(model, chain, sentences, with_gold):
+            compiled[split_key(sentences)] += 1
+            return real(model, chain, sentences, with_gold)
+
+        monkeypatch.setattr("dictforge.crf._compile", counted)
+        monkeypatch.setattr("dictforge.crf._observations", lambda *args: observed.append(args))
+        manifest = run_pipeline(copy)
+        assert [row["lambda"] for row in manifest.stages["crf"]["details"]["grid"]] == [0.05, 0.5]
+        splits = (config.train, config.dev, config.test)
+        assert compiled == {split_key(read_conll(path)): 1 for path in splits}
+        assert observed == []
 
     def test_no_file_hashed_twice_in_a_run(self, finished_run, tmp_path, monkeypatch):
         _, config, _ = finished_run

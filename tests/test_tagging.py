@@ -442,3 +442,27 @@ class TestConllIO:
         with pytest.raises(ValueError):
             read_conll(p, strict=True)
         assert read_conll(p, strict=False) == [(["the", "flu"], ["O", "I"])]
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("a\tO\nb\tX\n", 2, "unknown tag 'X'"),
+        ("a\tB\nb\tI\n\n\nc\tO\nd\tI\n", 6, "I tag without a preceding B or I"),
+        ("a\tI\n", 1, "I tag without a preceding B or I"),
+        ("a\tB\nb\tI\nc\tB\nd\tO\ne\tO\nf\tb\n", 6, "unknown tag 'b'"),
+    ])
+    def test_strict_error_names_file_and_offending_line(self, tmp_path, text, line, message):
+        p = tmp_path / "bad.conll"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_conll(p, strict=True)
+        assert str(err.value) == f"{p}, line {line}: {message}"
+        # without strict the tags are read as written
+        assert [tag for _, tags in read_conll(p) for tag in tags] == re.findall(r"\t(\w+)", text)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("row", ["a B", "a\tB\tx", "a\t\tB"])
+    def test_row_without_exactly_one_tab_rejected(self, tmp_path, strict, row):
+        p = tmp_path / "bad.conll"
+        p.write_text(f"x\tO\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_conll(p, strict=strict)
+        assert str(err.value) == f"{p}, line 3: expected token TAB tag, got {row!r}"

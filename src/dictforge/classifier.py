@@ -72,7 +72,7 @@ def read_seeds(path: str | Path) -> SeedSet:
             elif line.lower() == "[negative]":
                 target = negatives
             elif target is None:
-                raise ValueError(f"line {lineno}: phrase before any section header")
+                raise ValueError(f"{path}, line {lineno}: phrase before any section header")
             else:
                 target.append(line.lower())
     return SeedSet.make(positives, negatives)

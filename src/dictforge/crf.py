@@ -494,14 +494,15 @@ def _compile(
     chain: _Chain,
     sentences: Sequence[tuple[Sequence[str], Sequence[str] | None]],
     with_gold: bool,
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> _Compiled:
     """Reduce sentences to X, the batch layout and (with_gold) the gold
     labels and gold transition ids.
 
     X holds exactly the rows _observations specifies, each listing its
     indexed columns in the order _observations emits them: _columns'
-    matrix, with -1 where a name is not in the index, masked row by row
-    into the CSR arrays.
+    matrix (``columns``, when the pass that built the index made it), with
+    -1 where a name is not in the index, masked row by row into the CSR arrays.
     """
     texts: list[Sequence[str]] = []
     gold: list[int] = []
@@ -522,7 +523,7 @@ def _compile(
     if not texts:
         raise ValueError("no sentences")
     index = model.obs_index
-    ids, vals, step = _columns(
+    ids, vals, step = columns or _columns(
         texts, lambda name: index.get(name, -1), model.config, model.dictionaries, model.embeddings
     )
     keep = ids >= 0
@@ -738,11 +739,20 @@ def build_model(
     """Zero-weight model with the feature index frozen from the data: the
     names _columns looks up, in order of first appearance in its row-major
     id matrix, which is _observations' first-seen order."""
+    return _indexed(sentences, config, dictionaries, embeddings, regularizer)[0]
+
+
+def _indexed(
+    sentences: Sequence[tuple[Sequence[str], Sequence[str]]], config: FeatureConfig,
+    dictionaries: Iterable, embeddings: SentinelEmbeddings | None, regularizer: float = 1.0,
+) -> tuple[CrfModel, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """build_model's model and its featurizer pass, ids renumbered: _compile's columns."""
     named = _named_dicts(dictionaries)
     names = _Ids()
-    ids, _, _ = _columns([t for t, _ in sentences], names.__getitem__, config, named, embeddings)
-    looked_up = list(names)
-    obs_names = [looked_up[i] for i in _first_appearance(ids[ids >= 0])[0].tolist()]
+    columns = _columns([t for t, _ in sentences], names.__getitem__, config, named, embeddings)
+    ids, looked_up = columns[0], list(names)
+    first, ids[ids >= 0] = _first_appearance(ids[ids >= 0])
+    obs_names = [looked_up[i] for i in first.tolist()]
     trans_names = _trans_names(config)
     weights = np.zeros(len(obs_names) * len(LABELS) + len(trans_names))
     return CrfModel(
@@ -753,7 +763,7 @@ def build_model(
         regularizer=regularizer,
         dictionaries=named,
         embeddings=embeddings,
-    )
+    ), columns
 
 
 def fit_weights(
@@ -830,14 +840,14 @@ def train_crf_grid(
     max_iters: int = 500,
 ) -> Iterator[CrfModel]:
     """Fit one model per regularizer, in turn, from zero weights, with the
-    feature index built (by the featurizer that builds X) and the training
-    set compiled once for all of them.  Every model shares that index, so
-    one :func:`compile_tagger` of a dev split decodes each of them."""
+    feature index built and the training set compiled once for all of them,
+    from one featurizer pass.  Every model shares that index, so one
+    :func:`compile_tagger` of a dev split decodes each of them."""
     if not sentences:
         raise ValueError("empty training set")
-    model = build_model(sentences, config, dictionaries=dictionaries, embeddings=embeddings)
+    model, columns = _indexed(sentences, config, dictionaries, embeddings)
     chain = _Chain(model)
-    compiled = _compile(model, chain, sentences, with_gold=True)
+    compiled = _compile(model, chain, sentences, True, columns)
     for lam in regularizers:
         yield _fit(replace(model, regularizer=lam), chain, compiled, None, max_iters)
 

@@ -308,7 +308,11 @@ def _literal(words: Sequence[str]) -> tuple[str, ...]:
 
 def load_patterns(path: str | Path) -> list[ExtractionPattern]:
     with open(path, encoding="utf-8") as fh:
-        return parse_patterns(fh)
+        try:
+            return parse_patterns(fh)
+        except ValueError as exc:
+            sep = ", " if str(exc).startswith("line ") else ": "  # no line: the whole file
+            raise ValueError(f"{path}{sep}{exc}") from None
 
 
 def write_candidates(candidates: Sequence[CandidatePhrase], fh) -> None:

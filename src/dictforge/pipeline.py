@@ -4,16 +4,16 @@ A run reads a declarative config (INI sections or the same structure as
 JSON), executes the stages extract → views → cca → classify | cotrain →
 tag → crf in dependency order, and records a manifest.  Each ``_STAGES`` row
 declares what its stage reads (config inputs and earlier artifacts, by name)
-and which package modules its body calls.  A rerun serves a stage from the
-manifest when the content hashes of its reads, its parameters and its code
-(``pipeline.py`` plus the import closure of its modules) are unchanged, so a
-moved output directory stays cached and a module edit re-executes only the
-stages that import it; a run hashes each file once.  Only extract and views
-read the corpus, which a run interns once for both; cca, classify and
-cotrain load the occurrence table views stores (``views.table.npz``).  Grid
-points are scored on the dev split and the winner is chosen by
-``model_select``; everything a later reader needs to reproduce the run lands
-next to the artifacts.
+and which package modules its body calls.  A body reads only through its
+row: it gets the row's resolved reads by name, each loaded by its
+``_READERS`` entry once per run and shared with every later stage.  A rerun
+serves a stage from the manifest when the content hashes of its reads, its
+parameters and its code (``pipeline.py`` plus the import closure of its
+modules) are unchanged, so a moved output directory stays cached and a module
+edit re-executes only the stages that import it.  A run loads and hashes each
+file once.  Grid points are scored on the dev split and the winner is chosen
+by ``model_select``; everything a later reader needs to reproduce the run
+lands next to the artifacts.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ __all__ = [
 
 class _Stage(NamedTuple):
     outputs: tuple[str, ...]  # artifacts it must leave in the output directory
-    reads: tuple[str, ...]  # [inputs] keys and earlier artifacts it hashes (see _inputs)
+    reads: tuple[str, ...]  # [inputs] keys and earlier artifacts, all its body reads (see _inputs)
     modules: tuple[str, ...]  # package modules its body calls (see _closure)
     section: str | None = None  # config section recorded as its manifest params
     needs: str | None = None  # optional [inputs] key it cannot run without
@@ -116,11 +116,24 @@ _STAGES = {
                       ("views", "classifier", "cotrain", "tagging"), "cotrain"),
     "tag": _Stage(("report.json",), ("test", "dict.cca.tsv?", "dict.cotrain.tsv?"),
                   ("tagging",), needs="test"),
-    "crf": _Stage(("crf.model.npz", "crf.json"),
-                  ("train", "dev", "test", "dict.cca.tsv if dict", "embeddings.tsv if emb"),
+    "crf": _Stage(("crf.model.npz", "crf.json"), ("train", "dev", "test",
+                  "dict.cca.tsv if dict_match", "embeddings.tsv if embedding"),
                   ("crf", "cca", "tagging"), "crf", needs="train"),
 }
 STAGES = tuple(_STAGES)
+
+# read name -> its loader; each looks its reader up here when called, so a patch applies
+_READERS: dict[str, Callable[[Path], object]] = {
+    "corpus": lambda path: intern_corpus(path),
+    "patterns": lambda path: load_patterns(path),
+    "seeds": lambda path: read_seeds(path),
+    **dict.fromkeys(("train", "dev", "test"), lambda path: read_conll(path, strict=True)),
+    "candidates.tsv": lambda path: read_candidates(path),
+    "views.table.npz": lambda path: OccurrenceTable.load(path),
+    "cca.model.npz": lambda path: CcaModel.load(path),
+    **dict.fromkeys(("dict.cca.tsv", "dict.cotrain.tsv"), lambda path: read_dictionary(path)),
+    "embeddings.tsv": lambda path: SentinelEmbeddings(read_embeddings(path)),
+}
 
 
 class PipelineConfigError(ValueError):
@@ -438,224 +451,196 @@ class RunManifest:
         return cls(**data)
 
 
-def _dev_scorer(
-    dev: Sequence[tuple[list[str], list[str]]] | None,
-    phrases: Iterable[str],
-) -> Callable[[Dictionary], float]:
-    """Dev F1 of a dictionary drawn from ``phrases`` (0.0 without dev), by
-    ``dictionary_scorer``."""
-    if dev is None:
-        return lambda dictionary: 0.0
-    score = dictionary_scorer(dev, phrases)
-    return lambda dictionary: score(dictionary).f1
+class _Reads(dict):
+    """A stage's resolved reads (see ``_inputs``) by name, each loaded by its
+    ``_READERS`` entry once per run into ``loaded`` and shared read-only with
+    every stage that reads it; any other name raises ``StageError``."""
+
+    def __init__(self, stage: str, paths: Mapping[str, Path], loaded: dict):
+        loaded.update({n: _READERS[n](path) for n, path in paths.items() if n not in loaded})
+        super().__init__({name: loaded[name] for name in paths})
+        self.stage, self.loaded = stage, loaded
+
+    def __missing__(self, name: str):
+        raise StageError(self.stage, f"undeclared read {name!r}")
+
+    def dev(self, points: int) -> list | None:
+        """The dev split; None without one, which only a one-point grid allows."""
+        if points > 1 and "dev" not in self:
+            raise StageError(self.stage, "grid has several points but inputs.dev is not set")
+        return self.get("dev")
+
+    def dev_f1(self, points: int) -> Callable[[Dictionary], float]:
+        """Dev F1 (0.0 without dev) of a dictionary drawn from the table's phrases
+        (every candidate has a row), by one ``dictionary_scorer`` per run."""
+        if (dev := self.dev(points)) is None:
+            return lambda dictionary: 0.0
+        if "dev scorer" not in self.loaded:
+            self.loaded["dev scorer"] = dictionary_scorer(dev, self["views.table.npz"].phrases)
+        return lambda dictionary: self.loaded["dev scorer"](dictionary).f1
 
 
-class _Runner:
-    """Holds one run's state: config and lazy inputs."""
+# -- stage bodies, run_pipeline's _stage_<name>: write artifacts into tmp
+# from the stage's reads, return manifest details
 
-    def __init__(self, config: PipelineConfig):
-        self.config = config
-        self.outdir = config.outdir
-        self._corpus = None
-        self._dev = None
-        self._test = None
 
-    # -- the corpus, read and interned once for extract and views ---------
+def _stage_extract(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
+    patterns = reads["patterns"]
+    cands = extract_candidates(reads["corpus"], patterns)
+    with open(tmp / "candidates.tsv", "w", encoding="utf-8") as fh:
+        write_candidates(cands, fh)
+    return {"candidates": len(cands), "patterns": len(patterns)}
 
-    def corpus(self):
-        if self._corpus is None:
-            self._corpus = intern_corpus(self.config.corpus)
-        return self._corpus
 
-    def dev_rows(self, stage: str, points: int) -> list | None:
-        """The dev split, read once per run; None without one, which only a
-        one-point grid allows."""
-        if self.config.dev is not None:
-            if self._dev is None:
-                self._dev = read_conll(self.config.dev, strict=True)
-            return self._dev
-        if points > 1:
-            raise StageError(stage, "grid has several points but inputs.dev is not set")
-        return None
+def _stage_views(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
+    occurrences = collect_occurrences(reads["corpus"], reads["candidates.tsv"])
+    table = build_design_matrices(occurrences).table
+    table.save(tmp / "views.table.npz")
+    return {
+        "occurrences": table.n,
+        "d_spelling": len(table.phrases) + 1,
+        "d_context": len(table.contexts),
+    }
 
-    def test_rows(self) -> list:
-        """The test split, read once per run for tag and crf."""
-        if self._test is None:
-            self._test = read_conll(self.config.test, strict=True)
-        return self._test
 
-    # -- stage bodies: write artifacts into tmp, return manifest details
+def _stage_cca(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
+    X, Z = reads["views.table.npz"].design_matrices()
+    summary = accumulate_covariance(X, Z)
+    model = solve_cca(summary, k=cfg.cca_k, kappa=cfg.cca_kappa, seed=cfg.cca_seed)
+    model.save(tmp / "cca.model.npz")
+    return {
+        "k": model.k,
+        "kappa": list(model.kappa),
+        "top_singular_values": [round(float(s), 6) for s in model.singular_values[:5]],
+        **model.solver,
+    }
 
-    def stage_extract(self, tmp: Path) -> dict:
-        patterns = load_patterns(self.config.patterns)
-        cands = extract_candidates(self.corpus(), patterns)
-        with open(tmp / "candidates.tsv", "w", encoding="utf-8") as fh:
-            write_candidates(cands, fh)
-        return {"candidates": len(cands), "patterns": len(patterns)}
 
-    def stage_views(self, tmp: Path) -> dict:
-        cands = read_candidates(self.outdir / "candidates.tsv")
-        table = build_design_matrices(collect_occurrences(self.corpus(), cands)).table
-        table.save(tmp / "views.table.npz")
-        return {
-            "occurrences": table.n,
-            "d_spelling": len(table.phrases) + 1,
-            "d_context": len(table.contexts),
-        }
-
-    def stage_cca(self, tmp: Path) -> dict:
-        cfg = self.config
-        X, Z = OccurrenceTable.load(self.outdir / "views.table.npz").design_matrices()
-        summary = accumulate_covariance(X, Z)
-        model = solve_cca(summary, k=cfg.cca_k, kappa=cfg.cca_kappa, seed=cfg.cca_seed)
-        model.save(tmp / "cca.model.npz")
-        return {
-            "k": model.k,
-            "kappa": list(model.kappa),
-            "top_singular_values": [round(float(s), 6) for s in model.singular_values[:5]],
-            **model.solver,
-        }
-
-    def stage_classify(self, tmp: Path) -> dict:
-        cfg = self.config
-        model = CcaModel.load(self.outdir / "cca.model.npz")
-        # a candidate's embedding is its spelling row (identity, caps bit) times phi1
-        table = OccurrenceTable.load(self.outdir / "views.table.npz")
-        id_of = {p: i for i, p in enumerate(table.phrases)}
-        names = [c.lower for c in read_candidates(self.outdir / "candidates.tsv")]
-        for name in names:
-            if name not in id_of:
-                raise StageError("classify", f"candidate {name!r} has no occurrence row")
-        rows = table.spelling_rows(np.array([id_of[p] for p in names], dtype=np.int64))
-        embeddings = dict(zip(names, embed_phrases(model, rows)))
-        seeds = read_seeds(cfg.seeds)
-        pos, neg, missing = resolve_seeds(seeds, embeddings)
-        if missing:
-            raise StageError(
-                "classify",
-                f"seeds missing from the candidate list: {', '.join(sorted(missing))}",
-            )
-        points = len(cfg.svm_k_grid) * len(cfg.svm_c_grid) * len(cfg.svm_threshold_grid)
-        dev_f1 = _dev_scorer(self.dev_rows("classify", points), embeddings)
-        # one fit and one ranking per (k, C); each threshold cuts the ranking
-        lowest = min(cfg.svm_threshold_grid)
-        fits, reports, fitted = [], [], {}
-        for k in cfg.svm_k_grid:
-            sliced = {p: v[:k] for p, v in embeddings.items()}
-            for C in cfg.svm_c_grid:
-                svm = train_svm(sliced, SeedSet.make(pos, neg), C=C)
-                ranking = build_dictionary(sorted(sliced), sliced, svm, threshold=lowest)
-                fitted[k, C] = svm, ranking
-                fits.append({"k": k, "C": C, **svm.solver})
-                for thr in cfg.svm_threshold_grid:
-                    d = cut_dictionary(ranking, thr)
-                    reports.append({"k": k, "C": C, "threshold": thr, "f1": dev_f1(d)})
-        chosen, runner_up = _selection(reports)
-
-        k, C, thr = chosen["k"], chosen["C"], chosen["threshold"]
-        svm, ranking = fitted[k, C]
-        dictionary = cut_dictionary(ranking, thr)
-        with open(tmp / "dict.cca.tsv", "w", encoding="utf-8") as fh:
-            write_dictionary(dictionary, fh)
-        ranked = [PhraseEmbedding(p, embeddings[p][:k]) for p in sorted(embeddings)]
-        with open(tmp / "embeddings.tsv", "w", encoding="utf-8") as fh:
-            write_embeddings(ranked, fh)
-        record = {
-            "weights": [float(w) for w in svm.weights],
-            "bias": float(svm.bias),
-            "C": C,
-            "k": k,
-            "threshold": thr,
-            "dev_f1": chosen["f1"],
-            "solver": svm.solver,
-        }
-        (tmp / "svm.json").write_text(_json_text(record), encoding="utf-8")
-        return {
-            "selection": chosen,
-            "runner_up": runner_up,
-            "grid_points": points,
-            "fits": fits,
-            "dictionary_size": len(dictionary),
-        }
-
-    def stage_cotrain(self, tmp: Path) -> dict:
-        cfg = self.config
-        table = OccurrenceTable.load(self.outdir / "views.table.npz")
-        dev_f1 = _dev_scorer(self.dev_rows("cotrain", len(cfg.cotrain_theta_grid)), table.phrases)
-        seeds = read_seeds(cfg.seeds)
-        state = dl_cotrain(table, seeds, m=cfg.cotrain_m, epsilon=cfg.cotrain_epsilon)
-        reports = []
-        for theta in cfg.cotrain_theta_grid:
-            d = dictionary_from_rules(state, theta=theta)
-            reports.append({"theta": theta, "f1": dev_f1(d)})
-        chosen, runner_up = _selection(reports)
-        dictionary = dictionary_from_rules(state, theta=chosen["theta"])
-        with open(tmp / "dict.cotrain.tsv", "w", encoding="utf-8") as fh:
-            write_dictionary(dictionary, fh)
-        record = {
-            "iterations": len(state.trace),
-            "spelling_rules": len(state.spelling_rules),
-            "context_rules": len(state.context_rules),
-            "selection": chosen,
-        }
-        (tmp / "cotrain.json").write_text(_json_text(record), encoding="utf-8")
-        return {"selection": chosen, "runner_up": runner_up, "dictionary_size": len(dictionary)}
-
-    def stage_tag(self, tmp: Path) -> dict:
-        test = self.test_rows()
-        dictionaries = {
-            name: read_dictionary(path)
-            for name in ("cca", "cotrain")
-            if (path := self.outdir / f"dict.{name}.tsv").is_file()
-        }
-        if not dictionaries:
-            raise StageError("tag", "no dictionary artifacts to evaluate")
-        score = dictionary_scorer(test, (p for d in dictionaries.values() for p in d.scores))
-        results = {name: score(d).as_dict() for name, d in dictionaries.items()}
-        (tmp / "report.json").write_text(_json_text(results), encoding="utf-8")
-        return {"evaluated": sorted(results)}
-
-    def stage_crf(self, tmp: Path) -> dict:
-        cfg = self.config
-        feats = FeatureConfig.from_flags(cfg.crf_features)
-        train = read_conll(cfg.train, strict=True)
-        dictionaries = ()
-        if feats.dict_match:
-            dictionaries = (read_dictionary(self.outdir / "dict.cca.tsv"),)
-        embeddings = None
-        if feats.embedding:
-            embeddings = SentinelEmbeddings(read_embeddings(self.outdir / "embeddings.tsv"))
-        dev = self.dev_rows("crf", len(cfg.crf_lambda_grid))
-        model, chosen, reports = select_crf(
-            train, feats, cfg.crf_lambda_grid, dev, cfg.crf_max_iters, dictionaries, embeddings
+def _stage_classify(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
+    # a candidate's embedding is its spelling row (identity, caps bit) times phi1
+    table = reads["views.table.npz"]
+    id_of = {p: i for i, p in enumerate(table.phrases)}
+    names = [c.lower for c in reads["candidates.tsv"]]
+    for name in names:
+        if name not in id_of:
+            raise StageError("classify", f"candidate {name!r} has no occurrence row")
+    rows = table.spelling_rows(np.array([id_of[p] for p in names], dtype=np.int64))
+    embeddings = dict(zip(names, embed_phrases(reads["cca.model.npz"], rows)))
+    pos, neg, missing = resolve_seeds(reads["seeds"], embeddings)
+    if missing:
+        raise StageError(
+            "classify",
+            f"seeds missing from the candidate list: {', '.join(sorted(missing))}",
         )
-        details = {"selection": chosen, "grid": reports, "features": cfg.crf_features}
-        if cfg.test is not None:
-            test = self.test_rows()
-            pred = tag_sentences(model, [toks for toks, _ in test])
-            details["test"] = evaluate(pred, [tags for _, tags in test]).as_dict()
-        model.save(tmp / "crf.model.npz")
-        (tmp / "crf.json").write_text(_json_text(details), encoding="utf-8")
-        return details
+    points = len(cfg.svm_k_grid) * len(cfg.svm_c_grid) * len(cfg.svm_threshold_grid)
+    dev_f1 = reads.dev_f1(points)
+    # one fit and one ranking per (k, C); each threshold cuts the ranking
+    lowest = min(cfg.svm_threshold_grid)
+    fits, reports, fitted = [], [], {}
+    for k in cfg.svm_k_grid:
+        sliced = {p: v[:k] for p, v in embeddings.items()}
+        for C in cfg.svm_c_grid:
+            svm = train_svm(sliced, SeedSet.make(pos, neg), C=C)
+            ranking = build_dictionary(sorted(sliced), sliced, svm, threshold=lowest)
+            fitted[k, C] = svm, ranking
+            fits.append({"k": k, "C": C, **svm.solver})
+            for thr in cfg.svm_threshold_grid:
+                d = cut_dictionary(ranking, thr)
+                reports.append({"k": k, "C": C, "threshold": thr, "f1": dev_f1(d)})
+    chosen, runner_up = _selection(reports)
+
+    k, C, thr = chosen["k"], chosen["C"], chosen["threshold"]
+    svm, ranking = fitted[k, C]
+    dictionary = cut_dictionary(ranking, thr)
+    with open(tmp / "dict.cca.tsv", "w", encoding="utf-8") as fh:
+        write_dictionary(dictionary, fh)
+    ranked = [PhraseEmbedding(p, embeddings[p][:k]) for p in sorted(embeddings)]
+    with open(tmp / "embeddings.tsv", "w", encoding="utf-8") as fh:
+        write_embeddings(ranked, fh)
+    record = {
+        "weights": [float(w) for w in svm.weights],
+        "bias": float(svm.bias),
+        "C": C,
+        "k": k,
+        "threshold": thr,
+        "dev_f1": chosen["f1"],
+        "solver": svm.solver,
+    }
+    (tmp / "svm.json").write_text(_json_text(record), encoding="utf-8")
+    return {
+        "selection": chosen,
+        "runner_up": runner_up,
+        "grid_points": points,
+        "fits": fits,
+        "dictionary_size": len(dictionary),
+    }
 
 
-def _inputs(config: PipelineConfig, stage: str, digests: _Digests) -> dict[str, str]:
-    """Content hashes of the files a stage reads, keyed by the names its row
-    reads them under, so a moved output directory keeps its cache.  An unset
+def _stage_cotrain(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
+    dev_f1 = reads.dev_f1(len(cfg.cotrain_theta_grid))
+    table, seeds = reads["views.table.npz"], reads["seeds"]
+    state = dl_cotrain(table, seeds, m=cfg.cotrain_m, epsilon=cfg.cotrain_epsilon)
+    reports = []
+    for theta in cfg.cotrain_theta_grid:
+        d = dictionary_from_rules(state, theta=theta)
+        reports.append({"theta": theta, "f1": dev_f1(d)})
+    chosen, runner_up = _selection(reports)
+    dictionary = dictionary_from_rules(state, theta=chosen["theta"])
+    with open(tmp / "dict.cotrain.tsv", "w", encoding="utf-8") as fh:
+        write_dictionary(dictionary, fh)
+    record = {
+        "iterations": len(state.trace),
+        "spelling_rules": len(state.spelling_rules),
+        "context_rules": len(state.context_rules),
+        "selection": chosen,
+    }
+    (tmp / "cotrain.json").write_text(_json_text(record), encoding="utf-8")
+    return {"selection": chosen, "runner_up": runner_up, "dictionary_size": len(dictionary)}
+
+
+def _stage_tag(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
+    dictionaries = {read.split(".")[1]: reads[read] for read in reads if read != "test"}
+    if not dictionaries:
+        raise StageError("tag", "no dictionary artifacts to evaluate")
+    score = dictionary_scorer(reads["test"], (p for d in dictionaries.values() for p in d.scores))
+    results = {name: score(d).as_dict() for name, d in dictionaries.items()}
+    (tmp / "report.json").write_text(_json_text(results), encoding="utf-8")
+    return {"evaluated": sorted(results)}
+
+
+def _stage_crf(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
+    dictionaries = (reads["dict.cca.tsv"],) if "dict.cca.tsv" in reads else ()
+    model, chosen, reports = select_crf(
+        reads["train"], FeatureConfig.from_flags(cfg.crf_features), cfg.crf_lambda_grid,
+        reads.dev(len(cfg.crf_lambda_grid)), cfg.crf_max_iters,
+        dictionaries, reads.get("embeddings.tsv"),
+    )
+    details = {"selection": chosen, "grid": reports, "features": cfg.crf_features}
+    if (test := reads.get("test")) is not None:
+        pred = tag_sentences(model, [toks for toks, _ in test])
+        details["test"] = evaluate(pred, [tags for _, tags in test]).as_dict()
+    model.save(tmp / "crf.model.npz")
+    (tmp / "crf.json").write_text(_json_text(details), encoding="utf-8")
+    return details
+
+
+def _inputs(config: PipelineConfig, stage: str) -> dict[str, Path]:
+    """The files a stage reads, by the names its row reads (and the manifest
+    hashes) them under, so a moved output directory keeps its cache.  An unset
     [inputs] key is not read, ``name?`` only if the artifact exists, and
-    ``name if flag`` only when crf.features names ``flag``."""
-    flags = {f.strip() for f in config.crf_features.split(",")}
-    inputs = {}
+    ``name if flag`` only when crf.features sets FeatureConfig.flag."""
+    flags = asdict(FeatureConfig.from_flags(config.crf_features))
+    paths = {}
     for read in _STAGES[stage].reads:
         read, _, flag = read.partition(" if ")
         name = read.rstrip("?")
         path = getattr(config, name) if name in _KEYS["inputs"] else config.outdir / name
-        if path is None or (flag and flag not in flags) or (name != read and not path.is_file()):
+        if path is None or (flag and not flags[flag]) or (name != read and not path.is_file()):
             continue
         if not path.is_file():
             raise StageError(stage, f"missing input: {path}")
-        inputs[name] = digests[path]
-    return inputs
+        paths[name] = path
+    return paths
 
 
 def run_pipeline(
@@ -699,10 +684,10 @@ def run_pipeline(
         config_hash=hashlib.sha256(config_blob.encode()).hexdigest(),
         stages=dict(previous),
     )
-    runner = _Runner(config)
     sources = _sources()
     imports = _imports(sources)
     digests = _Digests()
+    loaded: dict = {}  # read name -> its value, shared by the run's stages
 
     for stage in requested:
         needs = _STAGES[stage].needs
@@ -714,7 +699,8 @@ def run_pipeline(
             log(f"{stage}: skipped ({reason})")
             continue
 
-        inputs = _inputs(config, stage, digests)
+        paths = _inputs(config, stage)
+        inputs = {name: digests[path] for name, path in paths.items()}
         section = _STAGES[stage].section
         params = {key: getattr(config, _field(section, key)) for key in _KEYS.get(section, ())}
         closure = ("__init__", "pipeline", *_closure(_STAGES[stage].modules, imports))
@@ -741,7 +727,7 @@ def run_pipeline(
         tmp.mkdir()
         started = time.monotonic()
         try:
-            details = getattr(runner, f"stage_{stage}")(tmp)
+            details = globals()[f"_stage_{stage}"](config, tmp, _Reads(stage, paths, loaded))
             if missing := [n for n in _STAGES[stage].outputs if not (tmp / n).is_file()]:
                 raise StageError(stage, f"stage produced no {missing[0]}")
         except StageError:

@@ -71,6 +71,13 @@ class TestSeedSet:
         with pytest.raises(ValueError):
             read_seeds(p)
 
+    def test_error_names_file_and_line(self, tmp_path):
+        p = tmp_path / "seeds.txt"
+        p.write_text("# seeds\noops\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_seeds(p)
+        assert str(err.value) == f"{p}, line 2: phrase before any section header"
+
     def test_resolution_reports_missing(self):
         pos, neg, missing = resolve_seeds(SEEDS, {"a": np.zeros(2), "c": np.zeros(2)})
         assert pos == ["a"]

@@ -168,6 +168,24 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--stages", "cca", "--quiet"]) == 1
         assert "missing input" in capsys.readouterr().err
 
+    def test_stage_error_names_the_malformed_file(self, bench, tmp_path, capsys):
+        root, sc, paths = bench
+        patterns = tmp_path / "patterns.txt"
+        patterns.write_text("between the virus\n", encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[inputs]\n"
+            f"corpus = {paths['corpus']}\n"
+            f"patterns = {patterns}\n"
+            f"seeds = {paths['seeds']}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(cfg), "--stages", "extract", "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"[extract] ValueError: {patterns}, line 1: between pattern needs exactly one '...'\n"
+        )
+
     def test_partial_run_writes_manifest(self, bench, tmp_path, capsys):
         root, sc, paths = bench
         out = tmp_path / "out"

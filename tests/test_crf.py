@@ -491,18 +491,24 @@ class TestTraining:
     def test_grid_equals_train_crf_at_each_lambda(self, monkeypatch):
         config = FeatureConfig(dict_match=True, embedding=True)
         extras = dict(dictionaries=COMPILE_DICTS, embeddings=COMPILE_EMB)
-        builds = []
-        real = crf.build_model
-        monkeypatch.setattr(crf, "build_model", lambda *a, **k: builds.append(1) or real(*a, **k))
+        # one featurizer pass over the training set builds the index and X
+        passes = []
+        real = crf._columns
+        monkeypatch.setattr(crf, "_columns", lambda *a: passes.append(1) or real(*a))
         lambdas = [0.01, 0.1, 1.0]
         grid = list(train_crf_grid(FIXTURE, config, lambdas, max_iters=60, **extras))
-        assert len(builds) == 1
+        assert len(passes) == 1
         for lam, model in zip(lambdas, grid, strict=True):
             one = train_crf(FIXTURE, config, regularizer=lam, max_iters=60, **extras)
+            # X compiled through the frozen index fits the same weights
+            refit = fit_weights(
+                build_model(FIXTURE, config, regularizer=lam, **extras), FIXTURE, max_iters=60
+            )
             assert model.regularizer == lam
-            assert model.weights.tobytes() == one.weights.tobytes()
-            assert model.solver == one.solver
-            assert model.obs_names == one.obs_names
+            for other in (one, refit):
+                assert model.weights.tobytes() == other.weights.tobytes()
+                assert model.solver == other.solver
+                assert model.obs_names == other.obs_names
 
     def test_one_compile_decodes_every_fit_of_a_grid(self):
         extras = dict(dictionaries=COMPILE_DICTS, embeddings=COMPILE_EMB)

@@ -18,6 +18,7 @@ from dictforge.extraction import (
     extract_after_trigger,
     extract_between,
     extract_candidates,
+    load_patterns,
     parse_patterns,
     read_candidates,
     write_candidates,
@@ -212,6 +213,17 @@ class TestPatternParsing:
                 parse_patterns(["# first", line])
         with pytest.raises(ValueError, match="no patterns declared"):
             parse_patterns(["# nothing declared"])
+
+    def test_file_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "patterns.txt"
+        path.write_text("between the virus\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_patterns(path)
+        assert str(err.value) == f"{path}, line 1: between pattern needs exactly one '...'"
+        path.write_text("# nothing declared\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_patterns(path)
+        assert str(err.value) == f"{path}: no patterns declared"
 
 
 class TestCandidateIO:

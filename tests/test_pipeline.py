@@ -5,8 +5,10 @@ import collections
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from dictforge.cca import CcaModel, accumulate_covariance, embed_phrases
 from dictforge.classifier import SeedSet, build_dictionary, read_seeds, train_svm
 import dictforge.corpus
 import dictforge.crf
+import dictforge.pipeline
 from dictforge.corpus import intern_corpus, iter_sentences
 from dictforge.cotrain import dictionary_from_rules, dl_cotrain
 from dictforge.pipeline import (
@@ -28,11 +31,12 @@ from dictforge.pipeline import (
     StageError,
     _KEYS,
     _STAGES,
-    _Runner,
+    _READERS,
+    _Reads,
     _closure,
-    _dev_scorer,
     _field,
     _imports,
+    _inputs,
     _sha256,
     _sources,
     model_select,
@@ -42,6 +46,7 @@ from dictforge.pipeline import (
 from dictforge.synth import SynthSpec, generate
 from dictforge.tagging import (
     Dictionary,
+    dictionary_scorer,
     evaluate,
     read_conll,
     read_dictionary,
@@ -120,6 +125,40 @@ def _edit_module(monkeypatch, module):
     sources = _sources()
     edited = {**sources, module: sources[module] + b"\n# edited\n"}
     monkeypatch.setattr("dictforge.pipeline._sources", lambda: edited)
+
+
+# the stage loading its reads or running its body, and (stage, path) of each
+# file it opens for reading; an audit hook cannot be removed, so the one hook
+# is installed on first use and records only while a stage runs
+_BODY: list[str] = []
+_OPENED: list[tuple[str, Path]] = []
+_HOOKED: list = []
+
+
+def _record_open(event, args):
+    if event != "open" or not _BODY or not isinstance(args[0], (str, bytes, os.PathLike)):
+        return
+    path, mode, flags = args
+    if mode is None:
+        reading = flags & os.O_ACCMODE == os.O_RDONLY
+    else:
+        reading = not any(c in mode for c in "wax+")
+    if reading:
+        _OPENED.append((_BODY[-1], Path(os.fsdecode(path)).resolve()))
+
+
+def _tracked(fn, stage=None):
+    """``fn``, recording the files it opens under ``stage``, or under its
+    second argument (``_Reads.__init__``'s stage) when none is given."""
+
+    def run(*args):
+        _BODY.append(stage or args[1])
+        try:
+            return fn(*args)
+        finally:
+            _BODY.pop()
+
+    return run
 
 
 def write_minimal(tmp_path, **overrides):
@@ -361,7 +400,7 @@ def _tagged_f1(dev, dictionary):
 
 
 class TestDevScorer:
-    """The match-lattice dev F1 against tagging and scoring afresh."""
+    """Dev F1 by ``dictionary_scorer`` against tagging and scoring afresh."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -377,7 +416,7 @@ class TestDevScorer:
              ["a", "a b", "a b c", "b c"], [1, 3])
     def test_matches_tagging_oracle(self, dev, universe, picks):
         d = Dictionary({universe[i]: 1.0 for i in picks if i < len(universe)})
-        assert _dev_scorer(dev, universe)(d) == _tagged_f1(dev, d)
+        assert dictionary_scorer(dev, universe)(d).f1 == _tagged_f1(dev, d)
 
     @pytest.mark.parametrize("kept", [("a b c",), ("a b", "b c"), ("a", "b c"), ("b c",), ()])
     def test_nested_overlapping_and_sentence_end(self, kept):
@@ -385,21 +424,21 @@ class TestDevScorer:
         dev = [(["a", "b", "c"], ["O", "B", "I"]), (["x", "a", "b"], ["O", "B", "I"])]
         universe = ["a", "a b", "a b c", "b c", "b"]
         d = Dictionary(dict.fromkeys(kept, 1.0))
-        assert _dev_scorer(dev, universe)(d) == _tagged_f1(dev, d)
+        assert dictionary_scorer(dev, universe)(d).f1 == _tagged_f1(dev, d)
 
     def test_sentence_end_match_counts(self):
         dev = [(["x", "Flu"], ["O", "B"]), (["flu", "x"], ["O", "O"])]
         d = Dictionary({"flu": 1.0})
-        assert _dev_scorer(dev, ["flu"])(d) == pytest.approx(2 / 3) == _tagged_f1(dev, d)
+        assert dictionary_scorer(dev, ["flu"])(d).f1 == pytest.approx(2 / 3) == _tagged_f1(dev, d)
 
     def test_empty_dictionary_scores_zero(self):
         dev = [(["flu"], ["B"])]
-        assert _dev_scorer(dev, ["flu"])(Dictionary({})) == 0.0
+        assert dictionary_scorer(dev, ["flu"])(Dictionary({})).f1 == 0.0
 
     def test_phrase_outside_the_universe_rejected(self):
-        dev_f1 = _dev_scorer([(["flu"], ["B"])], ["flu"])
+        score = dictionary_scorer([(["flu"], ["B"])], ["flu"])
         with pytest.raises(ValueError, match="swine flu"):
-            dev_f1(Dictionary({"flu": 1.0, "swine flu": 0.5}))
+            score(Dictionary({"flu": 1.0, "swine flu": 0.5}))
 
 
 class TestRunPipeline:
@@ -748,20 +787,19 @@ class TestRunPipeline:
         np.testing.assert_allclose(cca["svd_residuals"], oracle, rtol=1e-6, atol=1e-9)
 
     def test_dev_scorer_matches_evaluate(self, finished_run):
-        # dev F1 from one match lattice over the candidate list equals
+        # the run's dev F1, one scorer over the table's phrases, equals
         # tagging and scoring each dictionary afresh
         _, config, _ = finished_run
         dev = read_conll(config.dev, strict=True)
         ranked = list(read_dictionary(config.outdir / "dict.cca.tsv").scores)
         rng = np.random.default_rng(0)
-        candidates = [c.lower for c in read_candidates(config.outdir / "candidates.tsv")]
-        dev_f1 = _dev_scorer(dev, candidates)
+        dev_f1 = _Reads("classify", _inputs(config, "classify"), {}).dev_f1(2)
         for size in (0, 1, len(ranked) // 2, len(ranked)):
             picked = rng.permutation(ranked)[:size]
             d = Dictionary({p: 1.0 for p in picked}, provenance="cca")
             pred = [tag_with_dictionary(toks, d) for toks, _ in dev]
             assert dev_f1(d) == evaluate(pred, [tags for _, tags in dev]).f1
-        assert _dev_scorer(None, ())(Dictionary({"flu": 1.0})) == 0.0
+        assert _Reads("cotrain", {}, {}).dev_f1(1)(Dictionary({"flu": 1.0})) == 0.0
 
     def test_report_equals_evaluate_of_tagging(self, finished_run):
         # each dictionary's test scores equal tagging the test split one
@@ -780,7 +818,8 @@ class TestRunPipeline:
         # cca, classify and cotrain load the table the views stage built,
         # and the design matrices rebuilt from it are the built ones
         _, config, _ = finished_run
-        _Runner(config).stage_views(tmp_path)
+        reads = _Reads("views", _inputs(config, "views"), {})
+        dictforge.pipeline._stage_views(config, tmp_path, reads)
         assert [p.name for p in tmp_path.iterdir()] == ["views.table.npz"]
         cands = read_candidates(config.outdir / "candidates.tsv")
         built = build_design_matrices(collect_occurrences(iter_sentences(config.corpus), cands))
@@ -797,16 +836,24 @@ class TestRunPipeline:
         self, finished_run, tmp_path, monkeypatch
     ):
         # the corpus is read and tokenized once (for extract and views) and
-        # matched once (by views), X and Z are
-        # built once (by cca), and the dev split is read once for classify,
-        # cotrain and crf
+        # matched once (by views), the candidates are read once (for views
+        # and classify), the table is loaded once (for cca, classify and
+        # cotrain), X and Z are built once (by cca), and the dev split is
+        # read once for classify, cotrain and crf and scored by one scorer
+        # for classify and cotrain
         _, config, _ = finished_run
         copy = dataclasses.replace(config, outdir=tmp_path / "out")
         calls = collections.Counter()
+        dev = read_conll(config.dev, strict=True)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name, args[0] if name == "read_conll" else None] += 1
+                key = None
+                if name == "read_conll":
+                    key = args[0]
+                elif name == "dictionary_scorer":
+                    key = "dev" if args[0] == dev else "test"
+                calls[name, key] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -814,19 +861,24 @@ class TestRunPipeline:
             ("intern_corpus", intern_corpus),
             ("collect_occurrences", collect_occurrences),
             ("read_conll", read_conll),
+            ("read_candidates", read_candidates),
+            ("dictionary_scorer", dictionary_scorer),
         ):
             monkeypatch.setattr(f"dictforge.pipeline.{name}", counted(name, fn))
         monkeypatch.setattr("dictforge.corpus._read", counted("_read", dictforge.corpus._read))
-        monkeypatch.setattr(
-            OccurrenceTable, "design_matrices",
-            counted("design_matrices", OccurrenceTable.design_matrices),
-        )
+        for name in ("load", "design_matrices"):
+            monkeypatch.setattr(
+                OccurrenceTable, name, counted(name, getattr(OccurrenceTable, name))
+            )
         manifest = run_pipeline(copy)
         assert not any(record.get("cached") for record in manifest.stages.values())
         assert calls["intern_corpus", None] == calls["_read", None] == 1
         assert calls["collect_occurrences", None] == 1
+        assert calls["read_candidates", None] == 1
+        assert calls["load", None] == 1
         assert calls["design_matrices", None] == 1
         assert calls["read_conll", config.dev] == 1
+        assert calls["dictionary_scorer", "dev"] == 1
         for name in ("dict.cca.tsv", "dict.cotrain.tsv", "crf.json"):
             assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
 
@@ -848,27 +900,80 @@ class TestRunPipeline:
             assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
 
     def test_cold_run_compiles_each_split_once(self, finished_run, tmp_path, monkeypatch):
-        # with two lambdas, both fits decode one compile of dev; build_model
+        # with two lambdas, both fits decode one compile of dev; the training
+        # split's index and X come from one featurizer pass, and build_model
         # indexes through the featurizer, so _observations never runs
         _, config, _ = finished_run
         copy = dataclasses.replace(config, outdir=tmp_path / "out", crf_lambda_grid=(0.05, 0.5))
-        compiled, observed = collections.Counter(), []
-        real = dictforge.crf._compile
+        compiled, featurized, observed = collections.Counter(), collections.Counter(), []
+        real_compile, real_columns = dictforge.crf._compile, dictforge.crf._columns
 
-        def split_key(sentences):
-            return tuple(sorted(tuple(tokens) for tokens, _ in sentences))
+        def split_key(texts):
+            return tuple(sorted(tuple(tokens) for tokens in texts))
 
-        def counted(model, chain, sentences, with_gold):
-            compiled[split_key(sentences)] += 1
-            return real(model, chain, sentences, with_gold)
+        def counted_compile(model, chain, sentences, *args):
+            compiled[split_key(tokens for tokens, _ in sentences)] += 1
+            return real_compile(model, chain, sentences, *args)
 
-        monkeypatch.setattr("dictforge.crf._compile", counted)
+        def counted_columns(texts, *args):
+            featurized[split_key(texts)] += 1
+            return real_columns(texts, *args)
+
+        monkeypatch.setattr("dictforge.crf._compile", counted_compile)
+        monkeypatch.setattr("dictforge.crf._columns", counted_columns)
         monkeypatch.setattr("dictforge.crf._observations", lambda *args: observed.append(args))
         manifest = run_pipeline(copy)
         assert [row["lambda"] for row in manifest.stages["crf"]["details"]["grid"]] == [0.05, 0.5]
         splits = (config.train, config.dev, config.test)
-        assert compiled == {split_key(read_conll(path)): 1 for path in splits}
+        once = {split_key(tokens for tokens, _ in read_conll(path)): 1 for path in splits}
+        assert compiled == featurized == once
         assert observed == []
+
+    def test_stages_open_only_their_resolved_reads(self, finished_run, tmp_path, monkeypatch):
+        # every file a stage opens, loading its reads or in its body, under
+        # the output directory or among the config's inputs is one of its
+        # resolved reads, and a cold run opens each resolved read once, in
+        # the first stage that reads it
+        _, config, _ = finished_run
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        if _record_open not in _HOOKED:
+            sys.addaudithook(_record_open)
+            _HOOKED.append(_record_open)
+        _OPENED.clear()
+        for stage in STAGES:
+            body = getattr(dictforge.pipeline, f"_stage_{stage}")
+            monkeypatch.setattr(dictforge.pipeline, f"_stage_{stage}", _tracked(body, stage))
+        monkeypatch.setattr(_Reads, "__init__", _tracked(_Reads.__init__))
+        manifest = run_pipeline(copy)
+        assert not any(record["cached"] for record in manifest.stages.values())
+        out = copy.outdir.resolve()
+        inputs = {getattr(copy, name).resolve() for name in _KEYS["inputs"]}
+        opened = [(s, p) for s, p in _OPENED if p in inputs or p.is_relative_to(out)]
+        resolved = {
+            stage: {path.resolve() for path in _inputs(copy, stage).values() if path is not None}
+            for stage in STAGES
+        }
+        for stage, path in opened:
+            assert path in resolved[stage], (stage, path)
+        assert collections.Counter(path for _, path in opened) == dict.fromkeys(
+            set().union(*resolved.values()), 1
+        )
+
+    def test_undeclared_read_raises(self, finished_run, tmp_path, monkeypatch):
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        # crf.features = baseline,dict: crf declares the embeddings, and they
+        # are absent; seeds it does not declare
+        reads = _Reads("crf", _inputs(copy, "crf"), {})
+        assert list(reads) == ["train", "dev", "test", "dict.cca.tsv"]
+        assert "embeddings.tsv" not in reads and reads.get("embeddings.tsv") is None
+        with pytest.raises(StageError, match=r"^\[crf\] undeclared read 'seeds'$"):
+            reads["seeds"]
+        monkeypatch.setattr("dictforge.pipeline._stage_cca", lambda cfg, tmp, reads: reads["seeds"])
+        (copy.outdir / "manifest.json").unlink()
+        with pytest.raises(StageError, match=r"^\[cca\] undeclared read 'seeds'$"):
+            run_pipeline(copy, stages=("cca",))
 
     def test_no_file_hashed_twice_in_a_run(self, finished_run, tmp_path, monkeypatch):
         _, config, _ = finished_run
@@ -1039,7 +1144,20 @@ class TestStageTable:
             for name in names:
                 assert name in written or name in paths - {"outdir"}, (stage, name)
             assert row.needs is None or row.needs in names, stage
+            assert set(names) <= _READERS.keys(), stage
             written.update(row.outputs)
+
+    def test_each_reader_is_in_its_stages_closure(self):
+        # so an edit to a reader's module re-executes every stage reading through it
+        imports = _imports(_sources())
+        namespace = vars(dictforge.pipeline)
+        for stage, row in _STAGES.items():
+            closure = set(_closure(row.modules, imports))
+            for read in row.reads:
+                reader = _READERS[read.partition(" if ")[0].rstrip("?")]
+                called = [namespace[n] for n in reader.__code__.co_names if n in namespace]
+                modules = {f.__module__.removeprefix("dictforge.") for f in called}
+                assert called and modules <= closure, (stage, read, modules)
 
     def test_closure_matches_an_ast_import_walk(self):
         for stage, row in _STAGES.items():

@@ -136,14 +136,29 @@ class CcaModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "CcaModel":
-        with np.load(path) as data:
-            return cls(
-                phi1=data["phi1"],
-                phi2=data["phi2"],
-                singular_values=data["singular_values"],
-                k=int(data["k"]),
-                kappa=tuple(float(v) for v in data["kappa"]),
-            )
+        """A :meth:`save` file.  A missing array, or arrays that disagree,
+        raise ``ValueError`` naming the file."""
+        keys = ("phi1", "phi2", "singular_values", "k", "kappa")
+        with np.load(path, allow_pickle=False) as data:
+            if missing := [key for key in keys if key not in data.files]:
+                raise ValueError(f"{path}: missing {', '.join(missing)}")
+            phi1, phi2, s, k, kappa = (data[key] for key in keys)
+        k = int(k)
+        checks = {
+            "phi1 does not have k columns": phi1.ndim == 2 and phi1.shape[1] == k,
+            "phi2 does not have k columns": phi2.ndim == 2 and phi2.shape[1] == k,
+            "singular_values does not hold k values": s.shape == (k,),
+            "kappa is not two values": kappa.shape == (2,),
+        }
+        if problems := [problem for problem, ok in checks.items() if not ok]:
+            raise ValueError(f"{path}: {'; '.join(problems)}")
+        return cls(
+            phi1=phi1,
+            phi2=phi2,
+            singular_values=s,
+            k=k,
+            kappa=tuple(float(v) for v in kappa),
+        )
 
 
 def _resolve_kappa(kappa, summary: CovarianceSummary) -> tuple[float, float]:

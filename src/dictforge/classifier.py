@@ -75,7 +75,10 @@ def read_seeds(path: str | Path) -> SeedSet:
                 raise ValueError(f"{path}, line {lineno}: phrase before any section header")
             else:
                 target.append(line.lower())
-    return SeedSet.make(positives, negatives)
+    try:
+        return SeedSet.make(positives, negatives)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def resolve_seeds(

@@ -2,10 +2,13 @@
 
 Two rule lists bootstrap each other from a few seed phrases: spelling
 rules test the full phrase string, context rules test a bigram of two
-(position, word) items from the six-slot context window.  Each iteration
-labels the collection with one list, then adds the strongest rules of the
-other view, growing both lists until nothing new qualifies.  A final
-threshold over positive spelling rules yields the comparison dictionary.
+(position, word) items from the six-slot context window.  Both lists are
+one type over a matrix of each occurrence's condition ids: one column for
+spelling (its phrase), fifteen for context (its bigrams).
+Each iteration labels the collection with one list, then adds the
+strongest rules of the other view, growing both lists until nothing new
+qualifies.  A final threshold over positive spelling rules yields the
+comparison dictionary.
 """
 
 from __future__ import annotations
@@ -71,100 +74,94 @@ class DecisionListState:
     trace: list[dict] = field(default_factory=list)
 
 
-class _Indexed:
-    """Phrase ids and the 15 context-bigram ids of each occurrence row,
-    and each view's condition keys ranked in lexicographic order."""
+class _DecisionList:
+    """One view's decision list over a c×n matrix of condition ids.
 
-    def __init__(self, table: OccurrenceTable):
-        self.n = table.n
-        self.phrase_ids = table.phrase_ids
-        self.phrases = table.phrases
-        self.phrase_of = {p: i for i, p in enumerate(table.phrases)}
-        # a bigram is a pair of context ids at two distinct positions,
-        # coded as first * d + second
-        first, second = np.triu_indices(len(CONTEXT_POSITIONS), k=1)
-        d = len(table.contexts)
-        codes = table.context_ids[:, first] * d + table.context_ids[:, second]
-        unique, inverse = np.unique(codes, return_inverse=True)
-        self.bigram_ids = inverse.reshape(self.n, len(first))
-        self.bigrams = [
-            (table.contexts[c // d], table.contexts[c % d]) for c in unique.tolist()
-        ]
-        self.phrase_rank = _ranks(sorted(range(len(self.phrases)), key=self.phrases.__getitem__))
-        # contexts are distinct, so bigram keys order as their pairs of
-        # context ranks do
-        context_rank = _ranks(sorted(range(d), key=table.contexts.__getitem__))
-        self.bigram_rank = _ranks(np.lexsort((context_rank[unique % d], context_rank[unique // d])))
+    ``ids[:, r]`` holds the c conditions occurrence row r satisfies: its
+    phrase (c = 1) in the spelling view, its fifteen context bigrams in
+    the context view.  Condition-major, so that finding each row's
+    strongest rule is a minimum across c contiguous rows.  ``rank``
+    orders ``conditions`` lexicographically.  Each condition carries the
+    label, strength and admission order of its rule, if it has one.
+    """
 
+    def __init__(self, view: str, ids: np.ndarray, conditions: list[tuple], rank: np.ndarray):
+        self.view = view
+        self.ids = ids
+        self.conditions = conditions
+        self.rank = rank
+        self.label = np.full(len(conditions), _UNLABELED, dtype=np.int8)
+        self.strength = np.full(len(conditions), -np.inf)
+        self.order = np.full(len(conditions), np.iinfo(np.int64).max, dtype=np.int64)
+        self.rules: list[Rule] = []
 
-def _ranks(order) -> np.ndarray:
-    """rank[i] = position of item i in ``order``, a permutation of 0..n-1."""
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return rank
-
-
-class _RuleArrays:
-    """Per-condition label/strength/insertion arrays for one view."""
-
-    def __init__(self, size: int):
-        self.label = np.full(size, _UNLABELED, dtype=np.int8)
-        self.strength = np.full(size, -np.inf)
-        self.order = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
-
-    def add(self, cid: int, label: int, strength: float, order: int) -> None:
+    def admit(self, cid: int, label: int, cm: int, ct: int, strength: float) -> Rule:
         self.label[cid] = label
         self.strength[cid] = strength
-        self.order[cid] = order
+        self.order[cid] = len(self.rules)
+        rule = Rule(self.view, self.conditions[cid], _LABEL_NAMES[label], cm, ct, strength)
+        self.rules.append(rule)
+        return rule
+
+    def label_rows(self) -> np.ndarray:
+        """Each row's label: its strongest matching rule decides, ties go
+        to the earlier addition; rows no rule matches are unlabeled."""
+        admitted = np.flatnonzero(self.label != _UNLABELED)
+        ranked = admitted[np.lexsort((self.order[admitted], -self.strength[admitted]))]
+        # rank of each condition's rule; conditions without one rank last
+        rank = np.full(len(self.label), len(ranked), dtype=np.int64)
+        rank[ranked] = np.arange(len(ranked))
+        best = rank[self.ids].min(axis=0)
+        return np.append(self.label[ranked], _UNLABELED).astype(np.int64)[best]
+
+    def select(self, labels: np.ndarray, limit: int, epsilon: float) -> list[Rule]:
+        """Admit up to ``limit`` new rules per label, positive first, counted
+        over the rows ``labels`` labels: strength strictly above epsilon,
+        ranked by count_match desc, ties by strength desc then by condition."""
+        mask = labels != _UNLABELED
+        # one count per (condition, label); the labels are 0 and 1
+        codes = self.ids[:, mask] * 2 + labels[mask]
+        counts = np.bincount(codes.ravel(), minlength=2 * len(self.label)).reshape(-1, 2)
+        total = counts.sum(axis=1)
+        added = []
+        for label in (_POS, _NEG):
+            match = counts[:, label]
+            strength = np.where(total >= 1, match / np.maximum(total, 1), -1.0)
+            qualifying = np.flatnonzero(
+                (total >= 1) & (strength > epsilon) & (self.label == _UNLABELED)
+            )
+            order = np.lexsort((self.rank[qualifying], -strength[qualifying], -match[qualifying]))
+            added += [
+                self.admit(cid, label, int(match[cid]), int(total[cid]), float(strength[cid]))
+                for cid in qualifying[order[:limit]].tolist()
+            ]
+        return added
 
 
-def _label_by_spelling(idx: _Indexed, arrays: _RuleArrays) -> np.ndarray:
-    return arrays.label[idx.phrase_ids].astype(np.int64)
-
-
-def _label_by_context(idx: _Indexed, arrays: _RuleArrays) -> np.ndarray:
-    """Strongest matching rule decides; ties go to the earlier addition."""
-    admitted = np.flatnonzero(arrays.label != _UNLABELED)
-    ranked = admitted[np.lexsort((arrays.order[admitted], -arrays.strength[admitted]))]
-    # rank of each condition's rule; conditions without one rank last
-    rank = np.full(len(arrays.label), len(ranked), dtype=np.int64)
-    rank[ranked] = np.arange(len(ranked))
-    best = rank[idx.bigram_ids].min(axis=1)
-    return np.append(arrays.label[ranked], _UNLABELED).astype(np.int64)[best]
-
-
-def _count(ids, labels, size: int):
-    """Totals and per-label match counts over labeled occurrences."""
-    mask = labels != _UNLABELED
-    rows, y = ids[mask], labels[mask]
-    # one count per (condition, label); the labels are 0 and 1
-    codes = rows * 2 + y.reshape((-1,) + (1,) * (rows.ndim - 1))
-    counts = np.bincount(codes.ravel(), minlength=2 * size).reshape(size, 2)
-    return counts.sum(axis=1), {_NEG: counts[:, _NEG], _POS: counts[:, _POS]}
-
-
-def _select_rules(
-    total: np.ndarray,
-    matches: dict[int, np.ndarray],
-    arrays: _RuleArrays,
-    key_rank: np.ndarray,
-    label: int,
-    limit: int,
-    epsilon: float,
-) -> list[tuple[int, int, int, float]]:
-    """Top ``limit`` new rules for one label: strength strictly above
-    epsilon, ranked by count_match desc, ties by strength desc then by
-    lexicographic condition (``key_rank``)."""
-    match = matches[label]
-    strength = np.where(total >= 1, match / np.maximum(total, 1), -1.0)
-    qualifying = np.flatnonzero(
-        (total >= 1) & (strength > epsilon) & (arrays.label == _UNLABELED)
+def _decision_lists(table: OccurrenceTable) -> tuple[_DecisionList, _DecisionList]:
+    """The empty spelling and context lists of ``table``'s rows.  A rank
+    is the inverse, by argsort, of the permutation that sorts the keys."""
+    spelling = _DecisionList(
+        "spelling",
+        table.phrase_ids[None, :],
+        [("full-string", p) for p in table.phrases],
+        np.argsort(sorted(range(len(table.phrases)), key=table.phrases.__getitem__)),
     )
-    order = np.lexsort((key_rank[qualifying], -strength[qualifying], -match[qualifying]))
-    return [
-        (cid, int(match[cid]), int(total[cid]), float(strength[cid]))
-        for cid in qualifying[order[:limit]].tolist()
-    ]
+    # a bigram is a pair of context ids at two distinct positions, coded as
+    # first * d + second
+    first, second = np.triu_indices(len(CONTEXT_POSITIONS), k=1)
+    d = len(table.contexts)
+    codes = table.context_ids.T[first] * d + table.context_ids.T[second]
+    unique, inverse = np.unique(codes, return_inverse=True)
+    # contexts are distinct, so bigrams order as their pairs of context ranks do
+    context_rank = np.argsort(sorted(range(d), key=table.contexts.__getitem__))
+    context = _DecisionList(
+        "context",
+        inverse.reshape(codes.shape),
+        [("bigram", table.contexts[c // d], table.contexts[c % d]) for c in unique.tolist()],
+        np.argsort(np.lexsort((context_rank[unique % d], context_rank[unique // d]))),
+    )
+    return spelling, context
 
 
 def dl_cotrain(
@@ -187,81 +184,32 @@ def dl_cotrain(
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    idx = _Indexed(table)
-
-    missing = [
-        s for s in (*seeds.positives, *seeds.negatives) if s not in idx.phrase_of
-    ]
+    phrase_of = {p: i for i, p in enumerate(table.phrases)}
+    missing = [s for s in (*seeds.positives, *seeds.negatives) if s not in phrase_of]
     if missing:
         raise ValueError(f"seeds never occur in the collection: {missing}")
 
-    spelling = _RuleArrays(len(idx.phrases))
-    context = _RuleArrays(len(idx.bigrams))
-    spelling_rules: list[Rule] = []
-    context_rules: list[Rule] = []
-    insertion = 0
-
-    def admit_spelling(phrase: str, label: int, cm: int, ct: int, strength: float):
-        nonlocal insertion
-        spelling.add(idx.phrase_of[phrase], label, strength, insertion)
-        insertion += 1
-        rule = Rule(
-            "spelling", ("full-string", phrase), _LABEL_NAMES[label], cm, ct, strength
-        )
-        spelling_rules.append(rule)
-        return rule
-
-    def admit_context(cid: int, label: int, cm: int, ct: int, strength: float):
-        nonlocal insertion
-        context.add(cid, label, strength, insertion)
-        insertion += 1
-        rule = Rule(
-            "context", ("bigram",) + idx.bigrams[cid], _LABEL_NAMES[label], cm, ct, strength
-        )
-        context_rules.append(rule)
-        return rule
-
-    for phrase in seeds.positives:
-        admit_spelling(phrase, _POS, 0, 0, 1.0)
-    for phrase in seeds.negatives:
-        admit_spelling(phrase, _NEG, 0, 0, 1.0)
+    spelling, context = _decision_lists(table)
+    for label, phrases in ((_POS, seeds.positives), (_NEG, seeds.negatives)):
+        for phrase in phrases:
+            spelling.admit(phrase_of[phrase], label, 0, 0, 1.0)
 
     trace: list[dict] = []
     i = 1
     while True:
-        added_this_iteration = []
-
-        y = _label_by_spelling(idx, spelling)
-        total, matches = _count(idx.bigram_ids, y, len(idx.bigrams))
-        added_ctx = []
-        for label in (_POS, _NEG):
-            for cid, cm, ct, strength in _select_rules(
-                total, matches, context, idx.bigram_rank, label, i * m, epsilon
-            ):
-                added_ctx.append(admit_context(cid, label, cm, ct, strength))
-
-        y = _label_by_context(idx, context)
-        total, matches = _count(idx.phrase_ids, y, len(idx.phrases))
-        added_sp = []
-        for label in (_POS, _NEG):
-            for cid, cm, ct, strength in _select_rules(
-                total, matches, spelling, idx.phrase_rank, label, i * m, epsilon
-            ):
-                added_sp.append(
-                    admit_spelling(idx.phrases[cid], label, cm, ct, strength)
-                )
-
-        added_this_iteration = added_ctx + added_sp
+        added = {}
+        for grown, labeler in ((context, spelling), (spelling, context)):
+            added[grown.view] = grown.select(labeler.label_rows(), i * m, epsilon)
         trace.append(
             {
                 "iteration": i,
-                "added_context": [r.as_dict() for r in added_ctx],
-                "added_spelling": [r.as_dict() for r in added_sp],
-                "spelling_rules": len(spelling_rules),
-                "context_rules": len(context_rules),
+                "added_context": [r.as_dict() for r in added["context"]],
+                "added_spelling": [r.as_dict() for r in added["spelling"]],
+                "spelling_rules": len(spelling.rules),
+                "context_rules": len(context.rules),
             }
         )
-        if not added_this_iteration:
+        if not (added["context"] or added["spelling"]):
             break
         if max_iters is not None and i >= max_iters:
             break
@@ -269,15 +217,14 @@ def dl_cotrain(
 
     # Final labeling: the spelling list where it fires, the context list
     # where spelling is silent.
-    y_sp = _label_by_spelling(idx, spelling)
-    y_ctx = _label_by_context(idx, context)
-    final = np.where(y_sp != _UNLABELED, y_sp, y_ctx)
+    y_sp = spelling.label_rows()
+    final = np.where(y_sp != _UNLABELED, y_sp, context.label_rows())
     labeled = {
         r: _LABEL_NAMES[int(v)] for r, v in enumerate(final) if v != _UNLABELED
     }
     return DecisionListState(
-        spelling_rules=spelling_rules,
-        context_rules=context_rules,
+        spelling_rules=spelling.rules,
+        context_rules=context.rules,
         labeled=labeled,
         iteration=i,
         m=m,

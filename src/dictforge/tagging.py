@@ -152,20 +152,18 @@ def read_dictionary(path: str | Path) -> Dictionary:
 
 
 def match_phrase_spans(
-    tokens: Sequence[str],
-    phrases: PhraseSet,
-    case_sensitive: bool = False,
+    tokens: Sequence[str], phrases: PhraseSet
 ) -> list[tuple[int, int, tuple[str, ...]]]:
     """Exact phrase occurrences as (start, end, matched key) triples.
 
     Longest match wins at each position, scanning left to right, and
-    matches never overlap.  Lowercased comparison unless case_sensitive.
+    matches never overlap.  Tokens are compared lowercased.
     """
     max_len = phrases.max_len
     if not max_len:
         return []
     starts = phrases.starts
-    words = tokens if case_sensitive else [t.lower() for t in tokens]
+    words = [t.lower() for t in tokens]
     spans: list[tuple[int, int, tuple[str, ...]]] = []
     i = 0
     n = len(words)
@@ -182,16 +180,10 @@ def match_phrase_spans(
     return spans
 
 
-def tag_with_dictionary(
-    tokens: Sequence[str],
-    dictionary: Dictionary,
-    case_sensitive: bool = False,
-) -> list[str]:
+def tag_with_dictionary(tokens: Sequence[str], dictionary: Dictionary) -> list[str]:
     """BIO tags for one sentence by exact dictionary matching."""
     tags = ["O"] * len(tokens)
-    for start, end, _ in match_phrase_spans(
-        tokens, dictionary.phrases, case_sensitive
-    ):
+    for start, end, _ in match_phrase_spans(tokens, dictionary.phrases):
         tags[start] = "B"
         for j in range(start + 1, end):
             tags[j] = "I"

@@ -336,6 +336,41 @@ class TestEmbed:
         assert back.k == model.k
         assert back.kappa == model.kappa
 
+    def test_load_names_file_for_missing_array(self, tmp_path):
+        path = tmp_path / "model.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, phi1=small_model().phi1)
+        with pytest.raises(ValueError) as err:
+            CcaModel.load(path)
+        assert str(err.value) == f"{path}: missing phi2, singular_values, k, kappa"
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("phi1", lambda m: m.phi1[:, :1], "phi1 does not have k columns"),
+            ("phi2", lambda m: np.hstack([m.phi2, m.phi2[:, :1]]), "phi2 does not have k columns"),
+            ("phi2", lambda m: m.phi2[:, 0], "phi2 does not have k columns"),
+            ("singular_values", lambda m: m.singular_values[:1], "singular_values does not hold k values"),
+            ("kappa", lambda m: np.array([1e-4, 1e-4, 1e-4]), "kappa is not two values"),
+        ],
+    )
+    def test_load_names_file_for_disagreeing_arrays(self, tmp_path, field, value, problem):
+        model = small_model()
+        arrays = {
+            "phi1": model.phi1,
+            "phi2": model.phi2,
+            "singular_values": model.singular_values,
+            "k": np.array(model.k),
+            "kappa": np.array(model.kappa),
+        }
+        arrays[field] = value(model)
+        path = tmp_path / "model.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError) as err:
+            CcaModel.load(path)
+        assert str(err.value) == f"{path}: {problem}"
+
     def test_embedding_tsv_roundtrip(self, tmp_path):
         embs = [
             PhraseEmbedding("influenza", np.array([0.25, -1.5])),

@@ -78,6 +78,20 @@ class TestSeedSet:
             read_seeds(p)
         assert str(err.value) == f"{p}, line 2: phrase before any section header"
 
+    def test_seed_in_both_classes_names_file(self, tmp_path):
+        p = tmp_path / "seeds.txt"
+        p.write_text("[positive]\nflu\n[negative]\nflu\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_seeds(p)
+        assert str(err.value) == f"{p}: seeds in both classes: ['flu']"
+
+    def test_duplicate_seed_names_file(self, tmp_path):
+        p = tmp_path / "seeds.txt"
+        p.write_text("[positive]\nflu\nFlu\n[negative]\nmutant\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_seeds(p)
+        assert str(err.value) == f"{p}: duplicate seed within a class"
+
     def test_resolution_reports_missing(self):
         pos, neg, missing = resolve_seeds(SEEDS, {"a": np.zeros(2), "c": np.zeros(2)})
         assert pos == ["a"]

@@ -258,44 +258,49 @@ class TestDictionaryFromRules:
             dictionary_from_rules(state, theta=1.5)
 
 
-# -- the heap and two-gather selection the rank-based one replaced, kept as
-# the oracle of rule choice: conditions are ordered by their keys themselves
+# -- the heap selection and argmin labeling the rank-based ones replaced,
+# kept as the oracle of rule choice: conditions are ordered by their keys
+# themselves
 
-def heap_select_rules(total, matches, arrays, keys, label, limit, epsilon):
-    match = matches[label]
-    strength = np.where(total >= 1, match / np.maximum(total, 1), -1.0)
-    qualifying = np.flatnonzero(
-        (total >= 1) & (strength > epsilon) & (arrays.label == cotrain._UNLABELED)
-    )
-    picked = [
-        (-int(match[cid]), -float(strength[cid]), keys[cid], int(cid))
-        for cid in qualifying
-    ]
-    top = heapq.nsmallest(limit, picked)
-    return [(cid, -nm, int(total[cid]), -ns) for nm, ns, _, cid in top]
+def heap_select(dl, labels, limit, epsilon):
+    unlabeled = cotrain._UNLABELED
+    match = {
+        label: np.bincount(dl.ids[:, labels == label].ravel(), minlength=len(dl.conditions))
+        for label in (cotrain._POS, cotrain._NEG)
+    }
+    total = match[cotrain._POS] + match[cotrain._NEG]
+    added = []
+    for label in (cotrain._POS, cotrain._NEG):
+        strength = np.where(total >= 1, match[label] / np.maximum(total, 1), -1.0)
+        qualifying = np.flatnonzero(
+            (total >= 1) & (strength > epsilon) & (dl.label == unlabeled)
+        )
+        picked = [
+            (-int(match[label][cid]), -float(strength[cid]), dl.conditions[cid], int(cid))
+            for cid in qualifying
+        ]
+        added += [
+            dl.admit(cid, label, -nm, int(total[cid]), -ns)
+            for nm, ns, _, cid in heapq.nsmallest(limit, picked)
+        ]
+    return added
 
 
-def argmin_label_by_context(idx, arrays):
-    s = arrays.strength[idx.bigram_ids]
+def argmin_label_rows(dl):
+    ids = dl.ids.T
+    n = len(ids)
+    s = dl.strength[ids]
     best = s.max(axis=1)
-    labels = np.full(idx.n, cotrain._UNLABELED, dtype=np.int64)
+    labels = np.full(n, cotrain._UNLABELED, dtype=np.int64)
     hit = np.isfinite(best)
     if not hit.any():
         return labels
-    order = arrays.order[idx.bigram_ids].astype(np.float64)
+    order = dl.order[ids].astype(np.float64)
     order[s < best[:, None]] = np.inf
     pick = order.argmin(axis=1)
-    chosen = idx.bigram_ids[np.arange(idx.n), pick]
-    labels[hit] = arrays.label[chosen[hit]]
+    chosen = ids[np.arange(n), pick]
+    labels[hit] = dl.label[chosen[hit]]
     return labels
-
-
-class KeyedIndexed(cotrain._Indexed):
-    """Hands the condition keys, not their ranks, to the rule selection."""
-
-    def __init__(self, table):
-        super().__init__(table)
-        self.phrase_rank, self.bigram_rank = self.phrases, self.bigrams
 
 
 @st.composite
@@ -322,15 +327,26 @@ class TestRuleChoiceByRank:
     def test_state_equals_heap_and_argmin_oracle(self, rows, m, epsilon):
         state = dl_cotrain(table(rows), SEEDS, m=m, epsilon=epsilon)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cotrain, "_Indexed", KeyedIndexed)
-            mp.setattr(cotrain, "_select_rules", heap_select_rules)
-            mp.setattr(cotrain, "_label_by_context", argmin_label_by_context)
+            mp.setattr(cotrain._DecisionList, "select", heap_select)
+            mp.setattr(cotrain._DecisionList, "label_rows", argmin_label_rows)
             oracle = dl_cotrain(table(rows), SEEDS, m=m, epsilon=epsilon)
         assert state == oracle
 
     @settings(max_examples=30, deadline=None)
     @given(tied_collections())
     def test_ranks_order_keys_lexicographically(self, rows):
-        idx = cotrain._Indexed(table(rows))
-        assert [idx.phrases[i] for i in np.argsort(idx.phrase_rank)] == sorted(idx.phrases)
-        assert [idx.bigrams[i] for i in np.argsort(idx.bigram_rank)] == sorted(idx.bigrams)
+        for dl in cotrain._decision_lists(table(rows)):
+            order = np.argsort(dl.rank)
+            assert [dl.conditions[i] for i in order] == sorted(dl.conditions)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_collections(), st.data())
+    def test_spelling_labels_are_the_phrase_rule_gather(self, rows, data):
+        t = table(rows)
+        spelling, _ = cotrain._decision_lists(t)
+        for cid in data.draw(st.permutations(range(len(t.phrases)))):
+            if data.draw(st.booleans()):
+                label = data.draw(st.sampled_from([cotrain._POS, cotrain._NEG]))
+                strength = data.draw(st.sampled_from([0.5, 0.75, 1.0]))
+                spelling.admit(cid, label, 1, 1, strength)
+        assert spelling.label_rows().tolist() == spelling.label[t.phrase_ids].tolist()

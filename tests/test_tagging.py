@@ -32,10 +32,10 @@ def d(*phrases, provenance="manual"):
     return Dictionary({p: 1.0 for p in phrases}, provenance=provenance)
 
 
-def longest_leftmost_oracle(tokens, phrases, case_sensitive=False):
+def longest_leftmost_oracle(tokens, phrases):
     """Brute force: at each position compare every phrase, keep the longest
     hit and resume after it."""
-    words = tokens if case_sensitive else [t.lower() for t in tokens]
+    words = [t.lower() for t in tokens]
     spans, i = [], 0
     while i < len(words):
         hits = [p for p in phrases if p and tuple(words[i : i + len(p)]) == p]
@@ -69,9 +69,6 @@ class TestTagger:
 
     def test_case_insensitive_default(self):
         assert tag_with_dictionary(["Influenza"], d("influenza")) == ["B"]
-
-    def test_case_sensitive_flag(self):
-        assert tag_with_dictionary(["Influenza"], d("influenza"), case_sensitive=True) == ["O"]
 
     def test_nonoverlapping_leftmost(self):
         tags = tag_with_dictionary("flu flu flu".split(), d("flu flu"))
@@ -115,13 +112,10 @@ class TestPhraseSet:
     @given(
         st.lists(_WORDS, max_size=15),
         st.lists(st.lists(_WORDS, min_size=1, max_size=4), max_size=6),
-        st.booleans(),
     )
-    def test_spans_match_brute_force_oracle(self, tokens, phrases, case_sensitive):
+    def test_spans_match_brute_force_oracle(self, tokens, phrases):
         phrase_set = PhraseSet(phrases)
-        assert match_phrase_spans(tokens, phrase_set, case_sensitive) == (
-            longest_leftmost_oracle(tokens, phrase_set, case_sensitive)
-        )
+        assert match_phrase_spans(tokens, phrase_set) == longest_leftmost_oracle(tokens, phrase_set)
 
 
 def per_sentence_codes(sentences, dictionary):

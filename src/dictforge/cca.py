@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,7 +33,6 @@ from .linalg import randomized_svd, sparse_cholesky, sym_inv_sqrt
 __all__ = [
     "CovarianceSummary",
     "CcaModel",
-    "PhraseEmbedding",
     "accumulate_covariance",
     "solve_cca",
     "embed_phrases",
@@ -225,12 +224,6 @@ def solve_cca(
     )
 
 
-@dataclass(frozen=True)
-class PhraseEmbedding:
-    phrase: str
-    vector: np.ndarray
-
-
 def embed_phrases(model: CcaModel, spelling_rows) -> np.ndarray:
     """Spelling-view projections phi1' x, one row per row of a (sparse)
     spelling matrix of width d1."""
@@ -241,11 +234,15 @@ def embed_phrases(model: CcaModel, spelling_rows) -> np.ndarray:
     return spelling_rows @ model.phi1
 
 
-def write_embeddings(embeddings: Iterable[PhraseEmbedding], fh) -> None:
-    """TSV: phrase, then the k vector components."""
-    for emb in embeddings:
-        vals = "\t".join(repr(float(v)) for v in emb.vector)
-        fh.write(f"{emb.phrase}\t{vals}\n")
+def write_embeddings(phrases: Sequence[str], vectors: np.ndarray, fh) -> None:
+    """TSV: each phrase, then the k components of its row of ``vectors``
+    (an n×k matrix, row-aligned with ``phrases``)."""
+    if len(vectors) != len(phrases):
+        raise ValueError(f"{len(phrases)} phrases but {len(vectors)} vector rows")
+    # tolist gives Python floats, whose repr is the shortest round-trip text
+    for phrase, row in zip(phrases, np.asarray(vectors, dtype=np.float64).tolist()):
+        vals = "\t".join(map(repr, row))
+        fh.write(f"{phrase}\t{vals}\n")
 
 
 def read_embeddings(path: str | Path) -> dict[str, np.ndarray]:

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import takewhile
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -82,9 +82,10 @@ def read_seeds(path: str | Path) -> SeedSet:
 
 
 def resolve_seeds(
-    seeds: SeedSet, embeddings: Mapping[str, np.ndarray]
+    seeds: SeedSet, embeddings: Container[str]
 ) -> tuple[list[str], list[str], list[str]]:
-    """Split seeds into (resolved positives, resolved negatives, missing).
+    """Split seeds into (resolved positives, resolved negatives, missing),
+    a seed resolving when it is in ``embeddings`` (a phrase collection).
 
     Missing seeds are returned, never silently dropped; callers decide
     whether to warn or fail.
@@ -135,21 +136,32 @@ def _fit(X: np.ndarray, y: np.ndarray, C: float, tol: float, max_epochs: int):
     is exact because the dual objective is available in closed form from
     the maintained w = sum_i alpha_i y_i x_i.  Returns the weights, the
     bias and the report {epochs, gap, converged} of the last sweep.
+
+    A coordinate step is a handful of scalar operations, which cost less
+    on Python floats than on NumPy scalars, so the sweep keeps y, q and
+    alpha as lists and each row as a contiguous 1-D array.  The arithmetic
+    is IEEE double either way; ``x_i.dot(w)`` is the BLAS ``ddot`` that
+    ``x_i @ w`` calls, with less dispatch, and the update keeps its
+    operation order, so every fit is bit-identical to the same sweep on
+    NumPy scalars.
     """
     n, d = X.shape
     Xa = np.hstack([X, np.ones((n, 1))])  # bias column
-    q = np.einsum("ij,ij->i", Xa, Xa)  # always >= 1
-    alpha = np.zeros(n)
+    rows = list(Xa)
+    q = np.einsum("ij,ij->i", Xa, Xa).tolist()  # always >= 1
+    labels = y.tolist()
+    alpha = [0.0] * n
     w = np.zeros(d + 1)
     epochs, gap, converged = 0, float("inf"), False
     while epochs < max_epochs and not converged:
         epochs += 1
-        for i in range(n):
-            g = y[i] * (Xa[i] @ w) - 1.0
-            a_new = min(max(alpha[i] - g / q[i], 0.0), C)
-            delta = a_new - alpha[i]
+        for i, (x_i, y_i, q_i) in enumerate(zip(rows, labels, q)):
+            a_i = alpha[i]
+            g = y_i * float(x_i.dot(w)) - 1.0
+            a_new = min(max(a_i - g / q_i, 0.0), C)
+            delta = a_new - a_i
             if delta != 0.0:
-                w += delta * y[i] * Xa[i]
+                w += delta * y_i * x_i
                 alpha[i] = a_new
         margins = y * (Xa @ w)
         primal = 0.5 * (w @ w) + C * np.sum(np.maximum(0.0, 1.0 - margins))
@@ -192,33 +204,40 @@ def train_svm(
 
 
 def build_dictionary(
-    candidates: Iterable[str],
-    embeddings: Mapping[str, np.ndarray],
+    candidates: Sequence[str],
+    embeddings: np.ndarray,
     model: SvmModel,
     metadata: Mapping[str, str] | None = None,
     threshold: float = 0.0,
 ) -> Dictionary:
     """Candidates scoring at least ``threshold``, ranked by margin descending.
 
-    Every candidate must have an embedding.  The default threshold keeps
-    exactly the phrases the classifier accepts; raising it trades recall
-    for precision and never grows the dictionary; the cut is
-    :func:`cut_dictionary` of the full ranking.
+    ``embeddings`` holds one row per candidate, in the candidates' order,
+    of the model's dimension; a column-prefix view of a wider matrix is
+    scored without a copy.  Equal scores rank in ascending phrase order,
+    whatever the candidates' order (``-0.0`` and ``0.0`` are equal).  The
+    default threshold keeps exactly the phrases the classifier accepts;
+    raising it trades recall for precision and never grows the dictionary;
+    the cut is :func:`cut_dictionary` of the full ranking.
     """
-    candidates = list(candidates)
-    for phrase in candidates:
-        if phrase not in embeddings:
-            raise KeyError(f"candidate {phrase!r} has no embedding")
-    vecs = [embeddings[p] for p in candidates]
-    E = np.array(vecs, dtype=np.float64) if vecs else np.empty((0, model.dims_used))
-    if E.shape[1:] != (model.dims_used,):
+    E = np.asarray(embeddings, dtype=np.float64)
+    if E.ndim != 2 or E.shape[1] != model.dims_used:
         raise ValueError(f"expected dim {model.dims_used}, got {E.shape[1:]}")
-    # vecdot sums each row as ``decision`` does; a matrix product may not,
-    # and would move scores in the last bit
+    if len(E) != len(candidates):
+        raise ValueError(f"{len(candidates)} candidates but {len(E)} embedding rows")
+    # vecdot sums each row as ``decision`` sums a contiguous vector; a
+    # matrix product may not, nor a row whose elements are strided, and
+    # either would move scores in the last bit
+    if E.strides[1] != E.itemsize:
+        E = np.ascontiguousarray(E)
     scores = np.vecdot(E, model.weights) + model.bias
-    scored = sorted(zip(candidates, scores.tolist()), key=lambda ps: (-ps[1], ps[0]))
+    # a stable sort by descending score of the rows in phrase order (the
+    # phrase sort is one linear pass over already sorted candidates)
+    by_phrase = np.array(sorted(range(len(E)), key=candidates.__getitem__), dtype=np.intp)
+    order = by_phrase[np.argsort(-scores[by_phrase], kind="stable")].tolist()
+    ranked = dict(zip([candidates[i] for i in order], scores[order].tolist()))
     meta = {"C": repr(model.C), "dims": str(model.dims_used), **(metadata or {})}
-    return cut_dictionary(Dictionary(dict(scored), "cca", meta), threshold)
+    return cut_dictionary(Dictionary(ranked, "cca", meta), threshold)
 
 
 def cut_dictionary(ranking: Dictionary, threshold: float) -> Dictionary:

@@ -36,7 +36,6 @@ import numpy as np
 from . import __version__
 from .cca import (
     CcaModel,
-    PhraseEmbedding,
     accumulate_covariance,
     embed_phrases,
     read_embeddings,
@@ -434,7 +433,9 @@ class RunManifest:
     def save(self, path: Path) -> None:
         # a write cut short leaves the previous manifest in place
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(_json_text(asdict(self)), encoding="utf-8")
+        # the fields as they are: ``asdict`` would deep-copy every stage record
+        data = {"version": self.version, "config_hash": self.config_hash, "stages": self.stages}
+        tmp.write_text(_json_text(data), encoding="utf-8")
         os.replace(tmp, path)
 
     @classmethod
@@ -517,31 +518,36 @@ def _stage_cca(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
 
 
 def _stage_classify(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
-    # a candidate's embedding is its spelling row (identity, caps bit) times phi1
+    # a candidate's embedding is its spelling row (identity, caps bit) times
+    # phi1: one row of E per distinct candidate, in ascending phrase order
     table = reads["views.table.npz"]
     id_of = {p: i for i, p in enumerate(table.phrases)}
     names = [c.lower for c in reads["candidates.tsv"]]
     for name in names:
         if name not in id_of:
             raise StageError("classify", f"candidate {name!r} has no occurrence row")
+    names = sorted(set(names))
     rows = table.spelling_rows(np.array([id_of[p] for p in names], dtype=np.int64))
-    embeddings = dict(zip(names, embed_phrases(reads["cca.model.npz"], rows)))
-    pos, neg, missing = resolve_seeds(reads["seeds"], embeddings)
+    E = embed_phrases(reads["cca.model.npz"], rows)
+    row_of = {p: i for i, p in enumerate(names)}
+    pos, neg, missing = resolve_seeds(reads["seeds"], row_of)
     if missing:
         raise StageError(
             "classify",
             f"seeds missing from the candidate list: {', '.join(sorted(missing))}",
         )
+    seeds = SeedSet.make(pos, neg)
     points = len(cfg.svm_k_grid) * len(cfg.svm_c_grid) * len(cfg.svm_threshold_grid)
     dev_f1 = reads.dev_f1(points)
-    # one fit and one ranking per (k, C); each threshold cuts the ranking
+    # one fit and one ranking per (k, C) on the column prefix E[:, :k]; each
+    # threshold cuts the ranking
     lowest = min(cfg.svm_threshold_grid)
     fits, reports, fitted = [], [], {}
     for k in cfg.svm_k_grid:
-        sliced = {p: v[:k] for p, v in embeddings.items()}
+        seed_rows = {p: E[row_of[p], :k] for p in (*pos, *neg)}
         for C in cfg.svm_c_grid:
-            svm = train_svm(sliced, SeedSet.make(pos, neg), C=C)
-            ranking = build_dictionary(sorted(sliced), sliced, svm, threshold=lowest)
+            svm = train_svm(seed_rows, seeds, C=C)
+            ranking = build_dictionary(names, E[:, :k], svm, threshold=lowest)
             fitted[k, C] = svm, ranking
             fits.append({"k": k, "C": C, **svm.solver})
             for thr in cfg.svm_threshold_grid:
@@ -554,9 +560,8 @@ def _stage_classify(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
     dictionary = cut_dictionary(ranking, thr)
     with open(tmp / "dict.cca.tsv", "w", encoding="utf-8") as fh:
         write_dictionary(dictionary, fh)
-    ranked = [PhraseEmbedding(p, embeddings[p][:k]) for p in sorted(embeddings)]
     with open(tmp / "embeddings.tsv", "w", encoding="utf-8") as fh:
-        write_embeddings(ranked, fh)
+        write_embeddings(names, E[:, :k], fh)
     record = {
         "weights": [float(w) for w in svm.weights],
         "bias": float(svm.bias),

@@ -213,12 +213,13 @@ class OccurrenceTable:
     def load(cls, path: str | Path) -> "OccurrenceTable":
         """A :meth:`save` file, ids widened to int64 (NumPy keeps int32
         arithmetic in int32, where cotrain's context bigram codes would
-        wrap).  Arrays that disagree raise ``ValueError`` naming the file."""
+        wrap).  A missing array, or arrays that disagree, raise
+        ``ValueError`` naming the file."""
+        keys = ("phrase_ids", "context_ids", "caps", "phrases", "positions", "words")
         with np.load(path, allow_pickle=False) as data:
-            ids, ctx, caps, phrases, positions, words = (
-                data[key]
-                for key in ("phrase_ids", "context_ids", "caps", "phrases", "positions", "words")
-            )
+            if missing := [key for key in keys if key not in data.files]:
+                raise ValueError(f"{path}: missing array(s) {', '.join(missing)}")
+            ids, ctx, caps, phrases, positions, words = (data[key] for key in keys)
         checks = {
             "context_ids is not six per row": ctx.shape == (len(ids), len(CONTEXT_POSITIONS)),
             "caps and phrases differ in length": caps.shape == phrases.shape,

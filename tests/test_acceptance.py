@@ -123,9 +123,11 @@ def benchmark_routes(seed, outdir, run_cotrain=False):
     svm = train_svm(embeddings, SeedSet.make(pos, neg), C=1.0)
     dev = read_conll(paths["dev"], strict=True)
 
+    ordered = sorted(embeddings)
+    matrix = np.array([embeddings[p] for p in ordered])
     best = None
     for thr in np.linspace(0.0, 1.0, 21):
-        d = build_dictionary(sorted(embeddings), embeddings, svm, threshold=float(thr))
+        d = build_dictionary(ordered, matrix, svm, threshold=float(thr))
         f = dev_f1(d, dev)
         if best is None or f > best[0]:
             best = (f, d)

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dictforge.cca
 from dictforge.cca import (
     CcaModel,
-    PhraseEmbedding,
     accumulate_covariance,
     embed_phrases,
     read_embeddings,
@@ -372,17 +374,41 @@ class TestEmbed:
         assert str(err.value) == f"{path}: {problem}"
 
     def test_embedding_tsv_roundtrip(self, tmp_path):
-        embs = [
-            PhraseEmbedding("influenza", np.array([0.25, -1.5])),
-            PhraseEmbedding("hepatitis b", np.array([1e-9, 3.0])),
-        ]
+        vectors = np.array([[0.25, -1.5], [1e-9, 3.0]])
         buf = io.StringIO()
-        write_embeddings(embs, buf)
+        write_embeddings(["influenza", "hepatitis b"], vectors, buf)
         p = tmp_path / "emb.tsv"
         p.write_text(buf.getvalue(), encoding="utf-8")
         back = read_embeddings(p)
         assert set(back) == {"influenza", "hepatitis b"}
-        np.testing.assert_array_equal(back["hepatitis b"], embs[1].vector)
+        np.testing.assert_array_equal(back["hepatitis b"], vectors[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        matrix=arrays(
+            np.float64,
+            st.tuples(st.integers(0, 6), st.integers(1, 8)),
+            elements=st.floats(allow_nan=False, allow_subnormal=True),
+        ),
+        prefix=st.integers(1, 8),
+    )
+    @example(matrix=np.array([[-0.0, 1e-9, 1e16, 5e-324, 0.0, -2.5e-310]]), prefix=6)
+    def test_embedding_text_is_repr_of_each_component(self, matrix, prefix):
+        # the writer formats tolist() rows; the text is repr of each
+        # component as a Python float, for a column-prefix view too
+        vectors = matrix[:, :prefix]
+        names = [f"p{i}" for i in range(len(vectors))]
+        buf = io.StringIO()
+        write_embeddings(names, vectors, buf)
+        expected = "".join(
+            name + "".join("\t" + repr(float(v)) for v in row) + "\n"
+            for name, row in zip(names, vectors)
+        )
+        assert buf.getvalue() == expected
+
+    def test_embedding_rows_must_match_phrases(self):
+        with pytest.raises(ValueError, match="2 phrases but 1 vector rows"):
+            write_embeddings(["a", "b"], np.zeros((1, 3)), io.StringIO())
 
     def test_embedding_without_components_rejected(self, tmp_path):
         p = tmp_path / "emb.tsv"

@@ -4,10 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dictforge.classifier import (
     SeedSet,
     SvmModel,
+    _fit,
     build_dictionary,
     cut_dictionary,
     read_seeds,
@@ -27,6 +31,11 @@ def separable_embeddings():
 
 
 SEEDS = SeedSet.make(["a", "b"], ["c", "d"])
+
+
+def rows(emb, names):
+    """The embeddings of ``names`` as a matrix, one row per name."""
+    return np.array([emb[p] for p in names], dtype=np.float64)
 
 
 def non_separable():
@@ -245,7 +254,7 @@ class TestBuildDictionary:
     def test_ranked_by_margin(self):
         model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
         emb = {"x": np.array([0.5]), "y": np.array([2.0]), "z": np.array([-1.0])}
-        d = build_dictionary(["x", "y", "z"], emb, model)
+        d = build_dictionary(["x", "y", "z"], rows(emb, ["x", "y", "z"]), model)
         assert list(d.scores) == ["y", "x"]
         assert d.provenance == "cca"
         assert d.metadata["C"] == "1.0"
@@ -254,13 +263,13 @@ class TestBuildDictionary:
         model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
         emb = {"x": np.array([-0.5])}
         with pytest.warns(UserWarning):
-            d = build_dictionary(["x"], emb, model)
+            d = build_dictionary(["x"], rows(emb, ["x"]), model)
         assert len(d) == 0
 
     def test_missing_embedding_fails(self):
         model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
-        with pytest.raises(KeyError):
-            build_dictionary(["nope"], {}, model)
+        with pytest.raises(ValueError, match="1 candidates but 0 embedding rows"):
+            build_dictionary(["nope"], np.empty((0, 1)), model)
 
     def test_threshold_monotonicity(self):
         model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
@@ -270,7 +279,7 @@ class TestBuildDictionary:
         for t in np.linspace(0.0, 2.0, 9):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                d = build_dictionary(sorted(emb), emb, model, threshold=float(t))
+                d = build_dictionary(sorted(emb), rows(emb, sorted(emb)), model, threshold=float(t))
             got = set(d.scores)
             if prev is not None:
                 assert got <= prev
@@ -279,7 +288,7 @@ class TestBuildDictionary:
     def test_threshold_keeps_boundary_score(self):
         model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
         emb = {"edge": np.array([0.5]), "below": np.array([0.499])}
-        d = build_dictionary(["edge", "below"], emb, model, threshold=0.5)
+        d = build_dictionary(["edge", "below"], rows(emb, ["edge", "below"]), model, threshold=0.5)
         assert list(d.scores) == ["edge"]
         assert d.metadata["threshold"] == "0.5"
 
@@ -287,36 +296,35 @@ class TestBuildDictionary:
         model = SvmModel(weights=np.array([1.0]), bias=-0.2, C=1.0, dims_used=1)
         rng = np.random.default_rng(11)
         emb = {f"p{i}": rng.standard_normal(1) for i in range(30)}
-        d = build_dictionary(sorted(emb), emb, model)
+        d = build_dictionary(sorted(emb), rows(emb, sorted(emb)), model)
         accepted = {p for p, v in emb.items() if model.predict(v)[0] == "entity"}
         assert set(d.scores) == accepted
 
     def test_negative_threshold_rejected(self):
         model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
         with pytest.raises(ValueError):
-            build_dictionary([], {}, model, threshold=-0.1)
+            build_dictionary([], np.empty((0, 1)), model, threshold=-0.1)
 
 
     @pytest.mark.parametrize("layout", ["own", "prefix", "element-strided"])
     @pytest.mark.parametrize("k", [1, 2, 7, 30])
     def test_scores_equal_decision_bit_for_bit(self, layout, k):
-        # one product over the stacked candidates scores each row exactly as
-        # ``decision`` scores it.  "prefix" is the pipeline's ``v[:k]`` of a
-        # row of a wider embedding matrix (a strided 2-D slice).  An
-        # element-strided vector is scored as its contiguous copy: the
-        # ranking stacks every vector into one contiguous matrix, while
-        # ``decision`` on the strided view takes BLAS's strided path
+        # one product over the candidates' matrix scores each row exactly as
+        # ``decision`` scores it.  "prefix" is the pipeline's column prefix
+        # ``E[:, :k]`` of a wider embedding matrix (a strided 2-D view).  An
+        # element-strided matrix is scored as its contiguous copy, while
+        # ``decision`` on a strided row takes BLAS's strided path
         rng = np.random.default_rng(k)
         M = rng.standard_normal((400, 60))
-        view = {
-            "own": lambda i: M[i, :k].copy(),
-            "prefix": lambda i: M[i, :k],
-            "element-strided": lambda i: M[i, ::2][:k],
+        matrix = {
+            "own": M[:, :k].copy(),
+            "prefix": M[:, :k],
+            "element-strided": M[:, ::2][:, :k],
         }[layout]
-        emb = {f"p{i:03d}": view(i) for i in range(len(M))}
+        names = [f"p{i:03d}" for i in range(len(M))]
         model = SvmModel(weights=rng.standard_normal(k), bias=0.1, C=1.0, dims_used=k)
-        d = build_dictionary(list(emb), emb, model)
-        decisions = {p: model.decision(np.ascontiguousarray(v)) for p, v in emb.items()}
+        d = build_dictionary(names, matrix, model)
+        decisions = {p: model.decision(np.ascontiguousarray(v)) for p, v in zip(names, matrix)}
         expected = sorted(
             ((p, s) for p, s in decisions.items() if s >= 0), key=lambda ps: (-ps[1], ps[0])
         )
@@ -325,7 +333,7 @@ class TestBuildDictionary:
     def test_embedding_of_the_wrong_dimension_fails(self):
         model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
         with pytest.raises(ValueError, match="expected dim 1"):
-            build_dictionary(["x"], {"x": np.array([1.0, 2.0])}, model)
+            build_dictionary(["x"], np.array([[1.0, 2.0]]), model)
 
 
 class TestCutDictionary:
@@ -334,24 +342,142 @@ class TestCutDictionary:
         rng = np.random.default_rng(5)
         emb = {f"p{i}": rng.standard_normal(2) for i in range(60)}
         emb["tie"] = emb["p0"].copy()  # equal scores keep phrase order
-        ranking = build_dictionary(sorted(emb), emb, model, threshold=0.0)
+        ranking = build_dictionary(sorted(emb), rows(emb, sorted(emb)), model, threshold=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for t in (0.0, 0.1, 0.35, 1.0, 5.0):
                 cut = cut_dictionary(ranking, t)
-                built = build_dictionary(sorted(emb), emb, model, threshold=t)
+                built = build_dictionary(sorted(emb), rows(emb, sorted(emb)), model, threshold=t)
                 assert list(cut.scores.items()) == list(built.scores.items())
                 assert cut.metadata == built.metadata
                 assert cut.provenance == built.provenance
 
     def test_empty_cut_warns(self):
         model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
-        ranking = build_dictionary(["x"], {"x": np.array([0.5])}, model)
+        ranking = build_dictionary(["x"], np.array([[0.5]]), model)
         with pytest.warns(UserWarning, match="empty"):
             assert len(cut_dictionary(ranking, 0.6)) == 0
 
     def test_negative_threshold_rejected(self):
         model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
-        ranking = build_dictionary(["x"], {"x": np.array([0.5])}, model)
+        ranking = build_dictionary(["x"], np.array([[0.5]]), model)
         with pytest.raises(ValueError):
             cut_dictionary(ranking, -0.1)
+
+
+def _numpy_scalar_fit(X, y, C, tol, max_epochs):
+    """The dual coordinate sweep on NumPy scalars and arrays, as ``_fit``
+    ran it before its sweep moved to Python floats: the oracle its result
+    must equal bit for bit."""
+    n, d = X.shape
+    Xa = np.hstack([X, np.ones((n, 1))])  # bias column
+    q = np.einsum("ij,ij->i", Xa, Xa)  # always >= 1
+    alpha = np.zeros(n)
+    w = np.zeros(d + 1)
+    epochs, gap, converged = 0, float("inf"), False
+    while epochs < max_epochs and not converged:
+        epochs += 1
+        for i in range(n):
+            g = y[i] * (Xa[i] @ w) - 1.0
+            a_new = min(max(alpha[i] - g / q[i], 0.0), C)
+            delta = a_new - alpha[i]
+            if delta != 0.0:
+                w += delta * y[i] * Xa[i]
+                alpha[i] = a_new
+        margins = y * (Xa @ w)
+        primal = 0.5 * (w @ w) + C * np.sum(np.maximum(0.0, 1.0 - margins))
+        dual = np.sum(alpha) - 0.5 * (w @ w)
+        gap = float(primal - dual)
+        converged = bool(gap <= tol * max(1.0, abs(primal)))
+    return w[:d], float(w[d]), {"epochs": epochs, "gap": gap, "converged": converged}
+
+
+@st.composite
+def svm_problems(draw):
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 25))
+    X = draw(arrays(np.float64, (n, d), elements=st.floats(-8.0, 8.0, width=64)))
+    y = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+    C = draw(st.floats(1e-3, 1e3))
+    return X, y, C
+
+
+class TestFitOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=svm_problems(), max_epochs=st.integers(1, 400))
+    def test_fit_equals_numpy_scalar_sweep_bit_for_bit(self, problem, max_epochs):
+        X, y, C = problem
+        w, b, report = _fit(X, y, C, 1e-6, max_epochs)
+        w0, b0, report0 = _numpy_scalar_fit(X, y, C, 1e-6, max_epochs)
+        assert w.tobytes() == w0.tobytes()
+        assert np.float64(b).tobytes() == np.float64(b0).tobytes()
+        assert report["epochs"] == report0["epochs"]
+        assert report["converged"] is report0["converged"]
+        assert repr(report["gap"]) == repr(report0["gap"])
+
+    def test_unconverged_fit_equals_the_oracle(self):
+        # an epoch cap that stops the fit short of the gap tolerance
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((30, 25))
+        y = np.where(rng.standard_normal(30) > 0, 1.0, -1.0)
+        w, b, report = _fit(X, y, 50.0, 1e-12, 2)
+        w0, b0, report0 = _numpy_scalar_fit(X, y, 50.0, 1e-12, 2)
+        assert report == report0 and report["converged"] is False
+        assert w.tobytes() == w0.tobytes() and b == b0
+
+
+# score ties are common when entries, weights and bias come from few values
+_TIE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
+
+
+@st.composite
+def rankings(draw):
+    n = draw(st.integers(0, 25))
+    k = draw(st.integers(1, 6))
+    names = draw(
+        st.lists(st.text("abc", min_size=1, max_size=4), min_size=n, max_size=n, unique=True)
+    )
+    M = draw(
+        arrays(np.float64, (n, 2 * k + 1), elements=st.one_of(_TIE_VALUES, st.floats(-4.0, 4.0)))
+    )
+    layout = draw(st.sampled_from(["own", "prefix", "element-strided"]))
+    matrix = {
+        "own": M[:, :k].copy(),
+        "prefix": M[:, :k],
+        "element-strided": M[:, ::2][:, :k],
+    }[layout]
+    weights = draw(arrays(np.float64, (k,), elements=_TIE_VALUES))
+    bias = draw(_TIE_VALUES)
+    threshold = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return names, matrix, SvmModel(weights=weights, bias=bias, C=1.0, dims_used=k), threshold
+
+
+class TestRankingOracle:
+    @staticmethod
+    def expected(names, matrix, model, threshold):
+        # HEAD's ranking: a Python key sort of each candidate's decision
+        scores = [model.decision(np.ascontiguousarray(row)) for row in matrix]
+        ranked = sorted(zip(names, scores), key=lambda ps: (-ps[1], ps[0]))
+        return [(p, repr(s)) for p, s in ranked if s >= threshold]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=rankings())
+    def test_ranking_equals_key_sort(self, case):
+        names, matrix, model, threshold = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            d = build_dictionary(names, matrix, model, threshold=threshold)
+        got = [(p, repr(s)) for p, s in d.scores.items()]
+        assert got == self.expected(names, matrix, model, threshold)
+
+    def test_signed_zero_scores_tie_in_phrase_order(self):
+        # signed-zero entries and bias score zero (negated, -0.0, for the
+        # descending sort): unsorted candidates with equal scores rank by phrase
+        names = ["d", "b", "c", "a"]
+        matrix = np.array([[-0.0], [0.0], [1.0], [-0.0]])
+        model = SvmModel(weights=np.array([1.0]), bias=-0.0, C=1.0, dims_used=1)
+        d = build_dictionary(names, matrix, model)
+        assert [(p, repr(s)) for p, s in d.scores.items()] == self.expected(
+            names, matrix, model, 0.0
+        )
+        assert list(d.scores) == ["c", "a", "b", "d"]

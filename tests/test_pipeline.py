@@ -37,6 +37,7 @@ from dictforge.pipeline import (
     _field,
     _imports,
     _inputs,
+    _json_text,
     _sha256,
     _sources,
     model_select,
@@ -658,10 +659,12 @@ class TestRunPipeline:
         rows = []
         for k in config.svm_k_grid:
             sliced = {p: v[:k] for p, v in embeddings.items()}
+            ordered = sorted(sliced)
+            matrix = np.array([sliced[p] for p in ordered])
             for C in config.svm_c_grid:
                 svm = train_svm(sliced, SeedSet.make(pos, neg), C=C)
                 for thr in config.svm_threshold_grid:
-                    d = build_dictionary(sorted(sliced), sliced, svm, threshold=thr)
+                    d = build_dictionary(ordered, matrix, svm, threshold=thr)
                     pred = [tag_with_dictionary(t, d) for t, _ in dev]
                     f1 = evaluate(pred, [g for _, g in dev]).f1
                     rows.append({"k": k, "C": C, "threshold": thr, "f1": f1})
@@ -1093,6 +1096,15 @@ class TestRunPipeline:
         loaded = RunManifest.load(config.outdir / "manifest.json")
         assert loaded.config_hash == manifest.config_hash
         assert set(loaded.stages) == set(manifest.stages)
+
+    def test_manifest_text_is_the_dataclass_as_json(self, finished_run, tmp_path):
+        # save writes the fields directly; the text is what asdict gave
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        manifest = run_pipeline(copy)
+        text = (copy.outdir / "manifest.json").read_text(encoding="utf-8")
+        assert text == _json_text(dataclasses.asdict(manifest))
 
     def test_crf_solver_status_recorded(self, finished_run, tmp_path):
         # one L-BFGS iteration cannot converge; every grid point says so in

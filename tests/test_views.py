@@ -337,6 +337,17 @@ class TestViewIO:
         with pytest.raises(ValueError, match=rf"views\.table\.npz: .*{problem}"):
             OccurrenceTable.load(p)
 
+    def test_load_names_file_for_missing_array(self, tmp_path):
+        vm, _ = build_fixture()
+        p = tmp_path / "views.table.npz"
+        with open(p, "wb") as fh:
+            np.savez(fh, phrase_ids=vm.table.phrase_ids)
+        with pytest.raises(ValueError) as err:
+            OccurrenceTable.load(p)
+        assert str(err.value) == (
+            f"{p}: missing array(s) context_ids, caps, phrases, positions, words"
+        )
+
     def test_pickled_names_rejected(self, tmp_path):
         vm, _ = build_fixture()
         p = tmp_path / "views.table.npz"

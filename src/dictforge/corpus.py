@@ -494,9 +494,10 @@ class PhraseTrie:
         """Kept matches in corpus order: match r is phrase ``phrase[r]`` (its
         index in the phrase list) at tokens ``start[r]:end[r]``.
 
-        The rule is :func:`~dictforge.tagging.match_phrase_spans` on
+        The rule is longest-leftmost, non-overlapping matching of
         lowercased tokens, one sentence at a time: :func:`longest_first`
-        over :meth:`occurrences`.
+        over :meth:`occurrences`.  ``tests/oracles.py`` keeps the rule's
+        token-string matcher, against which this is tested.
         """
         start, end, phrase = self.occurrences(corpus)
         kept = longest_first(start, end)

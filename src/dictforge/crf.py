@@ -10,15 +10,16 @@ gradients from the forward-backward recursions, run in log space.
 
 A sentence list is compiled once into a sparse token×observation matrix
 X, so the emissions of every token are one product X @ W and the emission
-gradient is one product X.T @ (label marginals - gold one-hot).
-_observations names each token's observations and is the specification of
-X that extract_features reads; one featurizer, _columns, builds the same
-rows without naming per token, for build_model's index and for X alike.
-It interns the batch once as a Corpus, looks up each token type's lexical
+gradient is one product X.T @ (label marginals - gold one-hot).  One
+featurizer, _columns, builds the rows of X, build_model's index, and the
+named features extract_features gives one step of one sentence.  It
+interns the batch once as a Corpus, looks up each token type's lexical
 columns once, takes the window columns from the neighbours' types and the
 five-token shape pattern from a base-6 code, and matches each dictionary
-and the embedding phrases in it with one PhraseTrie match each.  A λ grid
-compiles its training set and its dev split once for every fit.
+and the embedding phrases in it with one PhraseTrie match each.  The
+per-token string specification of those rows is kept as a test oracle in
+``tests/oracles.py``.  A λ grid compiles its training set and its dev split
+once for every fit.
 Forward, backward and Viterbi run over the whole batch at once: sentences
 are padded longest first, and each step updates the prefix still running.
 """
@@ -49,15 +50,14 @@ from .corpus import (
 from .tagging import (
     BIO,
     Dictionary,
-    PhraseSet,
     check_phrases,
     dictionary_codes,
     evaluate,
-    match_phrase_spans,
     span_codes,
-    tag_with_dictionary,
     validate_bio,
 )
+# not called here: perfbench/tracer.py's WRAPS wraps it under this module
+from .tagging import tag_with_dictionary  # noqa: F401
 from .views import BOUNDARY, _first_appearance
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "CurveVariant",
     "extract_features",
     "build_model",
-    "fit_weights",
     "train_crf",
     "train_crf_grid",
     "log_likelihood_and_gradient",
@@ -136,8 +135,8 @@ class SentinelEmbeddings:
     every dimension, and tokens outside any known phrase carry 4*x, so the
     three token roles stay linearly separable even when components are
     negative.  ``trie`` matches the phrases in an interned corpus, its
-    phrase index the row of ``matrix``; ``phrase_set`` and ``row`` serve
-    :func:`_observations`.
+    phrase index the row of ``matrix``.  Two tables compare equal only when
+    they are the same object.
     """
 
     def __init__(self, table: Mapping[str, np.ndarray]):
@@ -152,9 +151,6 @@ class SentinelEmbeddings:
             raise ValueError("non-finite embedding component")
         self.k = self.matrix.shape[1]
         self.x = float(np.max(np.abs(self.matrix)))
-        # phrase -> its row of matrix
-        self.row = {p: i for i, p in enumerate(self.phrases)}
-        self.phrase_set = PhraseSet(p.split(" ") for p in self.phrases)
         self.trie = PhraseTrie(self.phrases)
 
 
@@ -180,58 +176,38 @@ def _named_dicts(
     return tuple(out)
 
 
-def _observations(
+# the key of the last sentence _sentence_rows featurized, and its rows
+_last_sentence: tuple = (None, [])
+
+
+def _sentence_rows(
     tokens: Sequence[str],
     config: FeatureConfig,
     dictionaries: tuple[tuple[str, Dictionary], ...],
     embeddings: SentinelEmbeddings | None,
-) -> list[dict[str, float]]:
-    """Label-independent feature values, one mapping per token.
+) -> list[list[tuple[str, float]]]:
+    """Each token's observations as (name, value) pairs, in _columns' slot
+    order: the row of X a model indexing every name would hold.
 
-    This is the readable specification of the observations, which
-    extract_features reads: _columns must produce the same names, in this
-    order, per token, so build_model indexes them in first-seen order.
+    Path scoring asks for every position of one sentence in turn, so the
+    rows of the last sentence are kept for the next call.  Its key holds
+    the tokens, the config and the very dictionary and table objects, so
+    no object id is reused while it stands, and compares with ==: a
+    Dictionary by value, a SentinelEmbeddings by identity.
     """
-    n = len(tokens)
-    rows: list[dict[str, float]] = [{} for _ in range(n)]
-    if config.baseline:
-        lowers = [t.lower() for t in tokens]
-        shapes = [word_shape(t) for t in tokens]
-        for i, (low, feats) in enumerate(zip(lowers, rows)):
-            feats[f"w={low}"] = 1.0
-            feats[f"caps={shapes[i]}"] = 1.0
-            for length in range(1, min(4, len(low)) + 1):
-                feats[f"pre{length}={low[:length]}"] = 1.0
-                feats[f"suf{length}={low[-length:]}"] = 1.0
-            for off in (-2, -1, 1, 2):
-                j = i + off
-                feats[f"win{off:+d}={lowers[j] if 0 <= j < n else BOUNDARY}"] = 1.0
-            pattern = "|".join(
-                shapes[j] if 0 <= j < n else BOUNDARY for j in range(i - 2, i + 3)
-            )
-            feats[f"wshape={pattern}"] = 1.0
-    if config.dict_match:
-        for name, dictionary in dictionaries:
-            tags = tag_with_dictionary(tokens, dictionary)
-            for i in range(n):
-                rows[i][f"dict:{name}={tags[i]}"] = 1.0
-    if config.embedding:
-        if embeddings is None:
-            raise ValueError("embedding features enabled without a table")
-        starts: dict[int, tuple[str, ...]] = {}
-        inside: set[int] = set()
-        for s, e, key in match_phrase_spans(tokens, embeddings.phrase_set):
-            starts[s] = key
-            inside.update(range(s + 1, e))
-        for i in range(n):
-            if i in starts:
-                vec = embeddings.matrix[embeddings.row[" ".join(starts[i])]]
-            elif i in inside:
-                vec = np.full(embeddings.k, 2.0 * embeddings.x)
-            else:
-                vec = np.full(embeddings.k, 4.0 * embeddings.x)
-            for j, v in enumerate(vec):
-                rows[i][f"emb{j}"] = float(v)
+    global _last_sentence
+    key = (tuple(tokens), config, dictionaries, embeddings)
+    # read once: a call in another thread may replace the slot meanwhile
+    last_key, rows = _last_sentence
+    if last_key != key:
+        names = _Ids()
+        ids, vals, _ = _columns([tokens], names.__getitem__, config, dictionaries, embeddings)
+        looked_up = list(names)
+        rows = [
+            [(looked_up[i], v) for i, v in zip(row, values) if i >= 0]
+            for row, values in zip(ids.tolist(), vals.tolist())
+        ]
+        _last_sentence = key, rows
     return rows
 
 
@@ -253,8 +229,8 @@ def extract_features(
     """
     if not 0 <= position < len(tokens):
         raise IndexError(f"position {position} outside sentence")
-    obs = _observations(tokens, config, _named_dicts(dictionaries), embeddings)
-    out = {f"{name}|y={label}": v for name, v in obs[position].items()}
+    obs = _sentence_rows(tokens, config, _named_dicts(dictionaries), embeddings)
+    out = {f"{name}|y={label}": v for name, v in obs[position]}
     if config.baseline:
         if config.prev2:
             two_back, prev_label = prev_label
@@ -351,8 +327,16 @@ class CrfModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "CrfModel":
+        """A :meth:`save` file.  A missing array, or arrays that do not make
+        a valid model (weights that disagree with the feature index, say),
+        raise ``ValueError`` naming the file."""
         with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
+            meta = json.loads(str(data["meta"])) if "meta" in data.files else {}
+            keys = ["meta", "weights"]
+            if meta.get("embedding_phrases") is not None:
+                keys.append("emb_matrix")
+            if missing := [key for key in keys if key not in data.files]:
+                raise ValueError(f"{path}: missing array(s) {', '.join(missing)}")
             weights = np.array(data["weights"])
             emb = None
             if meta["embedding_phrases"] is not None:
@@ -375,15 +359,18 @@ class CrfModel:
             raise ValueError(
                 f"{path}: unknown feature config keys {', '.join(unknown)}; retrain the model"
             )
-        return cls(
-            config=FeatureConfig(**meta["config"]),
-            obs_names=list(meta["obs_names"]),
-            trans_names=list(meta["trans_names"]),
-            weights=weights,
-            regularizer=float(meta["regularizer"]),
-            dictionaries=dicts,
-            embeddings=emb,
-        )
+        try:
+            return cls(
+                config=FeatureConfig(**meta["config"]),
+                obs_names=list(meta["obs_names"]),
+                trans_names=list(meta["trans_names"]),
+                weights=weights,
+                regularizer=float(meta["regularizer"]),
+                dictionaries=dicts,
+                embeddings=emb,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _trans_names(config: FeatureConfig) -> list[str]:
@@ -499,10 +486,9 @@ def _compile(
     """Reduce sentences to X, the batch layout and (with_gold) the gold
     labels and gold transition ids.
 
-    X holds exactly the rows _observations specifies, each listing its
-    indexed columns in the order _observations emits them: _columns'
-    matrix (``columns``, when the pass that built the index made it), with
-    -1 where a name is not in the index, masked row by row into the CSR arrays.
+    X is _columns' matrix (``columns``, when the pass that built the index
+    made it), with -1 where a name is not in the index, masked row by row
+    into the CSR arrays: each row lists its indexed columns in slot order.
     """
     texts: list[Sequence[str]] = []
     gold: list[int] = []
@@ -555,9 +541,9 @@ def _columns(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The featurizer: a token×slot matrix of column ids, their values, and
     each token's position in its sentence.  Row i holds ``lookup(name)`` of
-    the names _observations gives token i, in its order, and -1 in a
-    pre/suf slot past the token's length; each family is one block of
-    slots, computed over the whole batch.
+    token i's observation names, in the order extract_features gives them,
+    and -1 in a pre/suf slot past the token's length; each family is one
+    block of slots, computed over the whole batch.
     """
     lengths = np.array([len(tokens) for tokens in texts], dtype=int)
     step = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -738,7 +724,8 @@ def build_model(
 ) -> CrfModel:
     """Zero-weight model with the feature index frozen from the data: the
     names _columns looks up, in order of first appearance in its row-major
-    id matrix, which is _observations' first-seen order."""
+    id matrix: the order in which extract_features, token after token, first
+    gives them."""
     return _indexed(sentences, config, dictionaries, embeddings, regularizer)[0]
 
 
@@ -766,21 +753,6 @@ def _indexed(
     ), columns
 
 
-def fit_weights(
-    model: CrfModel,
-    sentences: Sequence[tuple[Sequence[str], Sequence[str]]],
-    init: np.ndarray | None = None,
-    max_iters: int = 500,
-) -> CrfModel:
-    """Quasi-Newton fit of the weights; returns a new model carrying the
-    solver status."""
-    if not sentences:
-        raise ValueError("empty training set")
-    chain = _Chain(model)
-    compiled = _compile(model, chain, sentences, with_gold=True)
-    return _fit(model, chain, compiled, init, max_iters)
-
-
 def _fit(
     model: CrfModel,
     chain: _Chain,
@@ -788,7 +760,8 @@ def _fit(
     init: np.ndarray | None,
     max_iters: int,
 ) -> CrfModel:
-    """:func:`fit_weights` on a compiled training set."""
+    """Quasi-Newton fit of the weights on a compiled training set; returns
+    a new model carrying the solver status."""
     x0 = np.zeros_like(model.weights) if init is None else np.asarray(init, dtype=float)
     if x0.shape != model.weights.shape:
         raise ValueError("init shape mismatch")

@@ -29,8 +29,6 @@ __all__ = [
     "ExtractionPattern",
     "CandidatePhrase",
     "STOPWORDS",
-    "extract_between",
-    "extract_after_trigger",
     "extract_candidates",
     "aggregate_candidates",
     "parse_patterns",
@@ -189,22 +187,6 @@ def _phrases(corpus: Corpus, spans: np.ndarray) -> list[str]:
         texts[key] if key in texts else texts.setdefault(key, " ".join(lowers[i] for i in key if i >= 0))
         for key in map(tuple, keys.tolist())
     ]
-
-
-def extract_between(sentence: Sentence, pattern: ExtractionPattern) -> list[str]:
-    """Lowercase phrases of one sentence that :func:`_between` finds."""
-    if pattern.kind != "between":
-        raise ValueError("extract_between needs a 'between' pattern")
-    corpus = Corpus.of([sentence])
-    return _phrases(corpus, _between(corpus, pattern, _flags(corpus)))
-
-
-def extract_after_trigger(sentence: Sentence, pattern: ExtractionPattern) -> list[str]:
-    """Lowercase candidates of one sentence that :func:`_after_trigger` finds."""
-    if pattern.kind != "after_trigger":
-        raise ValueError("extract_after_trigger needs an 'after_trigger' pattern")
-    corpus = Corpus.of([sentence])
-    return _phrases(corpus, _after_trigger(corpus, pattern, _flags(corpus)))
 
 
 def aggregate_candidates(matches: Iterable[str]) -> list[CandidatePhrase]:

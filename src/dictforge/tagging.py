@@ -2,10 +2,11 @@
 
 A dictionary tagger marks every exact, non-overlapping dictionary match in
 a sentence as one entity (B I ... I) and everything else O.
-:func:`tag_with_dictionary` is the per-sentence specification;
 :func:`dictionary_codes` tags a whole interned corpus with the dictionary's
-:class:`~dictforge.corpus.PhraseTrie`, and :func:`conll_text` formats its
-tags as :func:`write_conll` would.  Evaluation is phrase-level: a predicted
+:class:`~dictforge.corpus.PhraseTrie`, :func:`tag_with_dictionary` tags one
+sentence through it, and :func:`conll_text` formats its tags as
+:func:`write_conll` would.  The string matcher that specifies the trie's
+longest-leftmost rule token by token lives in ``tests/oracles.py``.  Evaluation is phrase-level: a predicted
 entity counts only when both boundaries match a gold entity exactly.
 :func:`dictionary_scorer` scores many dictionaries against one labeled split
 without tagging it again for each.
@@ -26,8 +27,6 @@ __all__ = [
     "BIO",
     "Dictionary",
     "EvalReport",
-    "PhraseSet",
-    "match_phrase_spans",
     "tag_with_dictionary",
     "dictionary_codes",
     "span_codes",
@@ -47,21 +46,6 @@ PROVENANCES = ("cca", "cotrain", "manual", "candidate-list")
 
 # the tags, in the order of their codes
 BIO = ("B", "I", "O")
-
-
-class PhraseSet(frozenset):
-    """Phrases as token tuples, with the longest phrase length and the first
-    tokens computed once: matching never rescans the set or tries lengths
-    at a position where no phrase starts."""
-
-    max_len: int
-    starts: frozenset[str]
-
-    def __new__(cls, phrases: Iterable[Sequence[str]] = ()):
-        self = super().__new__(cls, map(tuple, phrases))
-        self.max_len = max(map(len, self), default=0)
-        self.starts = frozenset(p[0] for p in self if p)
-        return self
 
 
 @dataclass
@@ -90,11 +74,6 @@ class Dictionary:
         if isinstance(phrase, tuple):
             phrase = " ".join(phrase)
         return phrase.lower() in self.scores
-
-    @cached_property
-    def phrases(self) -> PhraseSet:
-        # built once: nothing mutates ``scores`` after construction
-        return PhraseSet(p.split(" ") for p in self.scores)
 
     @cached_property
     def trie(self) -> PhraseTrie:
@@ -151,48 +130,16 @@ def read_dictionary(path: str | Path) -> Dictionary:
     return Dictionary(scores=scores, provenance=provenance, metadata=metadata)
 
 
-def match_phrase_spans(
-    tokens: Sequence[str], phrases: PhraseSet
-) -> list[tuple[int, int, tuple[str, ...]]]:
-    """Exact phrase occurrences as (start, end, matched key) triples.
-
-    Longest match wins at each position, scanning left to right, and
-    matches never overlap.  Tokens are compared lowercased.
-    """
-    max_len = phrases.max_len
-    if not max_len:
-        return []
-    starts = phrases.starts
-    words = [t.lower() for t in tokens]
-    spans: list[tuple[int, int, tuple[str, ...]]] = []
-    i = 0
-    n = len(words)
-    while i < n:
-        hit = 0
-        if words[i] in starts:
-            for length in range(min(max_len, n - i), 0, -1):
-                key = tuple(words[i : i + length])
-                if key in phrases:
-                    spans.append((i, i + length, key))
-                    hit = length
-                    break
-        i += hit if hit else 1
-    return spans
-
-
 def tag_with_dictionary(tokens: Sequence[str], dictionary: Dictionary) -> list[str]:
-    """BIO tags for one sentence by exact dictionary matching."""
-    tags = ["O"] * len(tokens)
-    for start, end, _ in match_phrase_spans(tokens, dictionary.phrases):
-        tags[start] = "B"
-        for j in range(start + 1, end):
-            tags[j] = "I"
-    return tags
+    """BIO tags for one sentence by exact dictionary matching: the
+    :func:`dictionary_codes` of the sentence alone."""
+    return [BIO[c] for c in dictionary_codes(Corpus.of_tokens([tokens]), dictionary).tolist()]
 
 
 def dictionary_codes(corpus: Corpus, dictionary: Dictionary) -> np.ndarray:
-    """:func:`tag_with_dictionary` of every sentence of an interned corpus,
-    one code into :data:`BIO` per token in corpus order."""
+    """The dictionary tags of every sentence of an interned corpus, one code
+    into :data:`BIO` per token in corpus order: the trie's kept matches
+    (:meth:`~dictforge.corpus.PhraseTrie.match`) as entities."""
     start, end, _ = dictionary.trie.match(corpus)
     return span_codes(len(corpus.ids), start, end)
 

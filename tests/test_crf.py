@@ -25,7 +25,6 @@ from dictforge.crf import (
     build_model,
     compile_tagger,
     extract_features,
-    fit_weights,
     learning_curve,
     log_likelihood_and_gradient,
     standard_variants,
@@ -35,8 +34,9 @@ from dictforge.crf import (
     viterbi_decode,
     write_curve_tsv,
 )
-from dictforge.crf import _FLAGS, START, _Chain, _compile, _named_dicts, _observations
+from dictforge.crf import _FLAGS, START, _Chain, _compile, _named_dicts
 from dictforge.tagging import Dictionary, evaluate
+from oracles import fit_weights, observations
 
 # chain orders, named by prev2: first order, label trigrams, and None for
 # no transitions at all (the chain that crf.features = dict builds)
@@ -315,11 +315,11 @@ TEST_ENTITIES = ["marburg", "hendra", "yellow fever", "mpox"]
 
 
 def oracle_matrix(model, sentences):
-    """X built row by row from _observations, the specification that
-    _compile reproduces entry for entry."""
+    """X built row by row from the observations oracle, the specification
+    that _compile reproduces entry for entry."""
     cols, vals, indptr = [], [], [0]
     for tokens in sentences:
-        for feats in _observations(tokens, model.config, model.dictionaries, model.embeddings):
+        for feats in observations(tokens, model.config, model.dictionaries, model.embeddings):
             for name, v in feats.items():
                 if name in model.obs_index:
                     cols.append(model.obs_index[name])
@@ -358,12 +358,12 @@ def sentences_of(words):
 
 
 def observation_names(sentences, config, dictionaries, embeddings):
-    """Every name _observations gives the sentences, in first-seen order:
-    the index build_model froze before it indexed through the featurizer."""
+    """Every name the observations oracle gives the sentences, in
+    first-seen order: the index build_model must freeze."""
     named = _named_dicts(dictionaries)
     obs_index = {}
     for tokens, _ in sentences:
-        for feats in _observations(tokens, config, named, embeddings):
+        for feats in observations(tokens, config, named, embeddings):
             for name in feats:
                 if name not in obs_index:
                     obs_index[name] = len(obs_index)
@@ -371,7 +371,7 @@ def observation_names(sentences, config, dictionaries, embeddings):
 
 
 class TestCompile:
-    """The per-type assembly of X against _observations."""
+    """The per-type assembly of X against the observations oracle."""
 
     def test_duplicate_names_get_distinct_suffixes(self):
         names = [name for name, _ in _named_dicts(COMPILE_DICTS)]
@@ -451,6 +451,92 @@ class TestCompile:
         slow = fit_weights(model, FIXTURE)
         assert fast.weights.tobytes() == slow.weights.tobytes()
         assert fast.solver == slow.solver
+
+
+def oracle_features(tokens, position, prev_label, label, config, dictionaries, embeddings):
+    """The features of one step read from the observations oracle, plus
+    the label bigram and trigram indicators."""
+    obs = observations(tokens, config, _named_dicts(dictionaries), embeddings)
+    out = {f"{name}|y={label}": v for name, v in obs[position].items()}
+    if config.baseline:
+        if config.prev2:
+            two_back, prev_label = prev_label
+            if position >= 1:
+                out[f"t2|{two_back}>{prev_label}>{label}"] = 1.0
+        out[f"t|{prev_label}>{label}"] = 1.0
+    return out
+
+
+def assert_features_equal_oracle(tokens, config, dictionaries, embeddings, history=(START, START)):
+    """extract_features equals the oracle at every position and label: the
+    same names in the same order, and bit-identical values."""
+    prev = history if config.prev2 else history[1]
+    for position, label in product(range(len(tokens)), LABELS):
+        args = (tokens, position, prev, label, config, dictionaries, embeddings)
+        got, want = extract_features(*args), oracle_features(*args)
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+
+
+# every FeatureConfig: prev2 needs baseline
+ALL_CONFIGS = [
+    FeatureConfig(baseline, prev2, dict_match, embedding)
+    for baseline, prev2, dict_match, embedding in product((False, True), repeat=4)
+    if baseline or not prev2
+]
+
+
+class TestExtractFeaturesOracle:
+    """extract_features, read from one featurizer pass over the sentence,
+    against the observations oracle."""
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        tokens=st.lists(st.sampled_from(SEEN + UNSEEN), min_size=1, max_size=7),
+        history=st.tuples(*[st.sampled_from((START,) + LABELS)] * 2),
+    )
+    def test_equals_oracle_at_every_position_and_label(self, config, tokens, history):
+        assert_features_equal_oracle(tokens, config, COMPILE_DICTS, COMPILE_EMB, history)
+
+    def test_no_stale_row_is_served(self):
+        # the last sentence's rows are kept: each call below changes one
+        # part of the key that the one before it featurized
+        a, b = ["Yellow", "fever", "hit", "flu"], ["a", "FLU", "42"]
+        config = FeatureConfig(dict_match=True, embedding=True)
+        # a different dictionary under the first one's name, "manual"
+        other_dicts = [Dictionary({"flu": 1.0, "hit": 0.5}, provenance="manual"), *COMPILE_DICTS[1:]]
+        # the same phrases with other vectors
+        other_emb = SentinelEmbeddings({p: -2.0 * v for p, v in zip(COMPILE_EMB.phrases, COMPILE_EMB.matrix)})
+        calls = [
+            (a, config, COMPILE_DICTS, COMPILE_EMB),
+            (b, config, COMPILE_DICTS, COMPILE_EMB),
+            (a, config, COMPILE_DICTS, COMPILE_EMB),
+            (a, FeatureConfig(prev2=True, dict_match=True), COMPILE_DICTS, COMPILE_EMB),
+            (a, config, COMPILE_DICTS, COMPILE_EMB),
+            (a, config, other_dicts, COMPILE_EMB),
+            (a, config, other_dicts, other_emb),
+            (a, config, COMPILE_DICTS, COMPILE_EMB),
+        ]
+        for tokens, cfg, dictionaries, embeddings in calls:
+            assert_features_equal_oracle(tokens, cfg, dictionaries, embeddings)
+        # a token list edited in place is another sentence
+        tokens = ["flu", "fever", "hit"]
+        assert_features_equal_oracle(tokens, config, COMPILE_DICTS, COMPILE_EMB)
+        tokens[1] = "FEVER"
+        assert_features_equal_oracle(tokens, config, COMPILE_DICTS, COMPILE_EMB)
+
+    def test_one_featurizer_pass_per_sentence(self, monkeypatch):
+        passes = []
+        real = crf._columns
+        monkeypatch.setattr(crf, "_columns", lambda *a: passes.append(1) or real(*a))
+        config = FeatureConfig(prev2=True, dict_match=True, embedding=True)
+        for tokens in (["flu", "hit", "a"], ["Yellow", "fever"]):
+            for position, label in product(range(len(tokens)), LABELS):
+                extract_features(
+                    tokens, position, (START, "O"), label, config, COMPILE_DICTS, COMPILE_EMB
+                )
+        assert len(passes) == 2
 
 
 class TestTraining:
@@ -687,6 +773,34 @@ class TestPersistence:
         loaded = CrfModel.load(path)
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.embeddings is None
+
+    @staticmethod
+    def rewritten(path, drop=(), **arrays):
+        """The model file at path with the arrays ``drop`` left out and
+        ``arrays`` replaced, written next to it."""
+        with np.load(path, allow_pickle=False) as data:
+            kept = {key: data[key] for key in data.files if key not in drop}
+        out = path.with_name("edited.npz")
+        with open(out, "wb") as fh:
+            np.savez_compressed(fh, **{**kept, **arrays})
+        return out
+
+    @pytest.mark.parametrize("missing", ["meta", "weights", "emb_matrix"])
+    def test_missing_array_names_the_file(self, tmp_path, missing):
+        emb = SentinelEmbeddings({"flu": np.array([0.2, -0.1])})
+        model = train_crf(FIXTURE, FeatureConfig(embedding=True), embeddings=emb, regularizer=0.1)
+        model.save(tmp_path / "crf.model.npz")
+        path = self.rewritten(tmp_path / "crf.model.npz", drop=(missing,))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing array\\(s\\) {missing}$"):
+            CrfModel.load(path)
+
+    def test_weights_disagreeing_with_the_index_name_the_file(self, tmp_path):
+        model = train_crf(FIXTURE, regularizer=0.1)
+        model.save(tmp_path / "crf.model.npz")
+        path = self.rewritten(tmp_path / "crf.model.npz", weights=model.weights[:-1])
+        want = f"weight vector has ({model.weights.size - 1},), expected ({model.weights.size},)"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(want)}$"):
+            CrfModel.load(path)
 
 
 class TestLearningCurve:

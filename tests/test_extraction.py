@@ -15,14 +15,13 @@ from dictforge.extraction import (
     CandidatePhrase,
     ExtractionPattern,
     aggregate_candidates,
-    extract_after_trigger,
-    extract_between,
     extract_candidates,
     load_patterns,
     parse_patterns,
     read_candidates,
     write_candidates,
 )
+from oracles import extract_after_trigger, extract_between
 
 THE_VIRUS = ExtractionPattern("between", left=("the",), right=("virus",))
 

@@ -61,6 +61,7 @@ from dictforge.views import (
     collect_occurrences,
 )
 from dictforge.extraction import CandidatePhrase, read_candidates
+from oracles import string_tags
 
 
 MINIMAL = """
@@ -396,12 +397,13 @@ def _dev_split(draw):
 
 
 def _tagged_f1(dev, dictionary):
-    pred = [tag_with_dictionary(toks, dictionary) for toks, _ in dev]
+    pred = [string_tags(toks, dictionary) for toks, _ in dev]
     return evaluate(pred, [tags for _, tags in dev]).f1
 
 
 class TestDevScorer:
-    """Dev F1 by ``dictionary_scorer`` against tagging and scoring afresh."""
+    """Dev F1 by ``dictionary_scorer`` against tagging with the string
+    matcher and scoring afresh."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -904,11 +906,10 @@ class TestRunPipeline:
 
     def test_cold_run_compiles_each_split_once(self, finished_run, tmp_path, monkeypatch):
         # with two lambdas, both fits decode one compile of dev; the training
-        # split's index and X come from one featurizer pass, and build_model
-        # indexes through the featurizer, so _observations never runs
+        # split's index and X come from one featurizer pass
         _, config, _ = finished_run
         copy = dataclasses.replace(config, outdir=tmp_path / "out", crf_lambda_grid=(0.05, 0.5))
-        compiled, featurized, observed = collections.Counter(), collections.Counter(), []
+        compiled, featurized = collections.Counter(), collections.Counter()
         real_compile, real_columns = dictforge.crf._compile, dictforge.crf._columns
 
         def split_key(texts):
@@ -924,13 +925,11 @@ class TestRunPipeline:
 
         monkeypatch.setattr("dictforge.crf._compile", counted_compile)
         monkeypatch.setattr("dictforge.crf._columns", counted_columns)
-        monkeypatch.setattr("dictforge.crf._observations", lambda *args: observed.append(args))
         manifest = run_pipeline(copy)
         assert [row["lambda"] for row in manifest.stages["crf"]["details"]["grid"]] == [0.05, 0.5]
         splits = (config.train, config.dev, config.test)
         once = {split_key(tokens for tokens, _ in read_conll(path)): 1 for path in splits}
         assert compiled == featurized == once
-        assert observed == []
 
     def test_stages_open_only_their_resolved_reads(self, finished_run, tmp_path, monkeypatch):
         # every file a stage opens, loading its reads or in its body, under

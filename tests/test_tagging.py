@@ -12,13 +12,11 @@ from dictforge.tagging import (
     BIO,
     Dictionary,
     EvalReport,
-    PhraseSet,
     bio_spans,
     conll_text,
     dictionary_codes,
     dictionary_scorer,
     evaluate,
-    match_phrase_spans,
     read_conll,
     read_dictionary,
     tag_with_dictionary,
@@ -26,6 +24,7 @@ from dictforge.tagging import (
     write_conll,
     write_dictionary,
 )
+from oracles import PhraseSet, match_phrase_spans, phrase_set, string_tags
 
 
 def d(*phrases, provenance="manual"):
@@ -83,11 +82,6 @@ class TestTagger:
         dic = d("flu", "swine flu")
         assert tag_with_dictionary(tokens, dic) == tag_with_dictionary(tokens, dic)
 
-    def test_phrases_built_once(self):
-        dic = d("flu", "swine flu")
-        assert dic.phrases is dic.phrases
-        assert dic.phrases == {("flu",), ("swine", "flu")}
-
     @given(
         st.lists(st.sampled_from(["flu", "swine", "virus", "the"]), min_size=1, max_size=12)
     )
@@ -98,6 +92,8 @@ class TestTagger:
 
 
 class TestPhraseSet:
+    """The string matcher of tests/oracles.py against brute force."""
+
     def test_reports_longest_phrase_length(self):
         phrases = PhraseSet([["flu"], ["hepatitis", "b", "virus"], ["b", "virus"]])
         assert phrases.max_len == 3
@@ -119,7 +115,7 @@ class TestPhraseSet:
 
 
 def per_sentence_codes(sentences, dictionary):
-    return [BIO.index(t) for tokens in sentences for t in tag_with_dictionary(tokens, dictionary)]
+    return [BIO.index(t) for tokens in sentences for t in string_tags(tokens, dictionary)]
 
 
 # "İ" lowercases to two characters, "i̇" among the phrase words
@@ -143,7 +139,7 @@ def all_occurrences_oracle(sentences, phrases):
 
 class TestDictionaryCodes:
     """The trie matcher over an interned corpus against the per-sentence
-    specification, tag_with_dictionary and match_phrase_spans."""
+    string matcher of tests/oracles.py, string_tags and match_phrase_spans."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -165,7 +161,7 @@ class TestDictionaryCodes:
         want = [
             (first + s, first + e, phrases.index(" ".join(key)))
             for first, tokens in zip(corpus.starts.tolist(), sentences)
-            for s, e, key in match_phrase_spans(tokens, dictionary.phrases)
+            for s, e, key in match_phrase_spans(tokens, phrase_set(phrases))
         ]
         assert list(zip(start.tolist(), end.tolist(), phrase.tolist())) == want
 
@@ -321,8 +317,8 @@ class TestEvaluate:
 
 
 class TestDictionaryScorer:
-    """One occurrence list per labeled split against tagging and scoring
-    each dictionary afresh."""
+    """One occurrence list per labeled split against tagging each sentence
+    with the string matcher and scoring each dictionary afresh."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -344,7 +340,7 @@ class TestDictionaryScorer:
         labeled = [([t for t, _ in s], [g for _, g in s]) for s in split]
         score = dictionary_scorer(labeled, universe)
         dictionary = d(*(universe[i] for i in picks if i < len(universe)))
-        pred = [tag_with_dictionary(tokens, dictionary) for tokens, _ in labeled]
+        pred = [string_tags(tokens, dictionary) for tokens, _ in labeled]
         assert score(dictionary) == evaluate(pred, [tags for _, tags in labeled])
 
     def test_scores_several_dictionaries(self):

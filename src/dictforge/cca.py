@@ -247,8 +247,10 @@ def write_embeddings(phrases: Sequence[str], vectors: np.ndarray, fh) -> None:
 
 def read_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     """Phrase vectors of a :func:`write_embeddings` file; blank lines are
-    skipped, a phrase without components is an error."""
+    skipped, and a phrase without components, or with a different number
+    of them than the first row, is an error."""
     out: dict[str, np.ndarray] = {}
+    width = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -257,7 +259,12 @@ def read_embeddings(path: str | Path) -> dict[str, np.ndarray]:
             if not vector:
                 raise ValueError(f"{path}, line {lineno}: {phrase!r} has no vector components")
             try:
-                out[phrase] = np.array([float(v) for v in vector.split("\t")])
+                out[phrase] = row = np.array([float(v) for v in vector.split("\t")])
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {phrase!r}: {exc}") from None
+            width = width or len(row)
+            if len(row) != width:
+                raise ValueError(
+                    f"{path}, line {lineno}: {phrase!r} has {len(row)} components, expected {width}"
+                )
     return out

@@ -5,13 +5,13 @@ A corpus file holds one document per line and is streamed in chunks of whole
 lines (about ``_CHUNK_CHARS`` characters each); a corpus directory holds one
 document per file and is streamed a file at a time.  Each chunk is
 NFC-normalized once and split into whitespace pieces, line by line for a
-file so that the lines' piece counts place the document ends; one pass of
-the terminator regex over the whole chunk finds the sentence ends, placed
-by splitting only the lines that hold one.  The pieces are interned as each
-line is split, so only the distinct ones are kept, and each distinct piece
-is tokenized once: it is one token when it starts and ends alphanumeric and
-goes through the token regex otherwise.  Numpy then copies each piece's
-token type ids to its occurrences, so a repeated word costs one dict lookup.
+file so that the lines' piece counts place the document ends.  The pieces
+are interned as each line is split, so only the distinct ones are kept, and
+each distinct piece is judged once: whether a sentence may end after it
+(``[.?!]`` last, no abbreviation), whether one may start with it (uppercase
+or digit first) and its tokens (the piece whole when it starts and ends
+alphanumeric, the token regex otherwise).  Numpy then copies these to every
+occurrence, so a repeated word costs one dict lookup.
 Memory is bounded by one chunk plus what the caller keeps.
 :func:`intern_corpus` keeps int32 token ids, one lowercase id per token type,
 sentence offsets and each sentence's document and index within it;
@@ -108,7 +108,7 @@ def tokenize(sentence_text: str) -> list[str]:
     return [t for piece in sentence_text.split() for t in _piece_tokens(piece)]
 
 
-# Chunks (lowercased, period included) after which a period never ends a
+# Pieces (lowercased, period included) after which a period never ends a
 # sentence; single initials ("J. Smith") among them.
 _ABBREVIATIONS = frozenset(
     {
@@ -120,36 +120,15 @@ _ABBREVIATIONS = frozenset(
     | {f"{c}." for c in string.ascii_lowercase}
 )
 
-# A run of terminators followed by whitespace; group 1 is the character
-# after the whitespace.  (A lone first class scans faster than ``[.?!]+``.)
-_TERMINATOR_RUN = re.compile(r"[.?!][.?!]*(?=\s+(\S))")
-
 # readlines size hint: a chunk is the whole lines that first reach it
 _CHUNK_CHARS = 1 << 20
 
 
-def _word_before(document: str, pos: int) -> str:
-    """The whitespace-delimited chunk ending at ``pos`` (exclusive)."""
-    i = pos
-    while i > 0 and not document[i - 1].isspace():
-        i -= 1
-    return document[i:pos]
-
-
-def _sentence_ends(text: str) -> list[int]:
-    """Positions just past each ``[.?!]`` run that ends a sentence: one
-    followed by whitespace and an uppercase letter or digit, unless the run
-    is periods only and the chunk ending with it (lowercased, period
-    included) is in ``_ABBREVIATIONS``."""
-    ends = []
-    for m in _TERMINATOR_RUN.finditer(text):
-        after = m.group(1)
-        if not (after.isupper() or after.isdigit()):
-            continue
-        run = m.group()
-        if "?" in run or "!" in run or _word_before(text, m.end()).lower() not in _ABBREVIATIONS:
-            ends.append(m.end())
-    return ends
+def _ends_sentence(piece: str) -> bool:
+    """Whether a sentence ends after ``piece`` when the next piece starts
+    with an uppercase letter or a digit: ``piece`` ends in ``[.?!]`` and,
+    lowercased, is no abbreviation (none holds ``?`` or ``!``)."""
+    return piece[-1] in ".?!" and piece.lower() not in _ABBREVIATIONS
 
 
 class _Ids(dict):
@@ -181,49 +160,28 @@ def _segment(text: str, lines: bool, first: int = 0) -> _Chunk:
     sentence.  Sentences without pieces are dropped.
 
     Each line's pieces are interned as it is split, so only the distinct
-    ones are kept.  Every boundary is at a piece edge, so both kinds are
-    placed by their count of pieces before them: line ends by the piece
-    counts of the lines, and the ends found by one terminator-regex pass
-    over the whole text by splitting only the lines that hold one, up to
-    the last.
+    ones are kept, and the line ends are placed by the lines' piece counts.
+    A sentence also ends after piece i when :func:`_ends_sentence` holds
+    for it and piece i + 1 starts uppercase or with a digit; both are
+    decided once per distinct piece.
     """
-    rows = text.split("\n") if lines else [text]
     distinct = _Ids()
     piece, counts, piece_id = [], [], distinct.__getitem__
-    for row in rows:
+    for row in text.split("\n") if lines else [text]:
         row_pieces = row.split()
         counts.append(len(row_pieces))
         piece += map(piece_id, row_pieces)
+    pieces, piece = list(distinct), np.array(piece, np.int64)
+    ends = np.fromiter(map(_ends_sentence, pieces), bool, len(pieces))
+    opens = np.fromiter((p[0].isupper() or p[0].isdigit() for p in pieces), bool, len(pieces))
+    after = np.flatnonzero(ends[piece[:-1]] & opens[piece[1:]]) + 1
     row_ends = np.cumsum(counts)
     size = len(piece)
-    bounds = row_ends
-    if ends := _sentence_ends(text):
-        bounds = np.concatenate((bounds, _pieces_before(text, ends, rows, row_ends)))
-    starts = np.unique(np.concatenate(([0], bounds)))
+    starts = np.unique(np.concatenate(([0], row_ends, after)))
     starts = starts[starts < size]
     doc = first + np.searchsorted(row_ends, starts, side="right")
     index = np.arange(len(starts)) - np.searchsorted(doc, doc)
-    return _Chunk(list(distinct), np.array(piece, np.int64), np.append(starts, size), doc, index)
-
-
-def _pieces_before(text: str, ends: list[int], rows: list[str], row_ends: np.ndarray) -> np.ndarray:
-    """The number of pieces before each of the ascending positions ``ends``
-    of ``text``, each at a piece's end; ``rows`` are the ``\\n``-separated
-    parts of ``text`` and ``row_ends[i]`` counts the pieces up to the end of
-    row i.  Each end's row is split from the row's start or the previous
-    end in it, so rows without an end cost nothing."""
-    step = np.fromiter(map(len, rows), np.int64, len(rows)) + 1  # a row and its "\n"
-    row_starts = np.cumsum(step) - step
-    row_of = np.searchsorted(row_starts, ends, side="right") - 1
-    row_starts, before = row_starts.tolist(), [0, *row_ends.tolist()]
-    counts, row, at, count = [], -1, 0, 0
-    for end, r in zip(ends, row_of.tolist()):
-        if r != row:
-            row, at, count = r, row_starts[r], before[r]
-        count += len(text[at:end].split())
-        at = end
-        counts.append(count)
-    return np.array(counts, dtype=np.int64)
+    return _Chunk(pieces, piece, np.append(starts, size), doc, index)
 
 
 def _sentences(corpus: Corpus) -> Iterator[Sentence]:
@@ -238,7 +196,7 @@ def segment_sentences(document: str, doc_id: str = "") -> list[Sentence]:
     """Split a document at ``[.?!]`` runs followed by whitespace and an
     uppercase letter or digit, then tokenize each sentence.
 
-    A trailing-period split is suppressed when the chunk ending at the
+    A trailing-period split is suppressed when the piece ending at the
     period (lowercased, period included) is in ``_ABBREVIATIONS``.
     Empty or whitespace-only input yields an empty list.
     """

@@ -63,11 +63,13 @@ class Rule:
 
 @dataclass
 class DecisionListState:
-    """Both rule lists, the final labeling, and the iteration trace."""
+    """Both rule lists, the final label of each table row (1 positive,
+    0 negative, -1 unlabeled; an array, so left out of ``==``), and the
+    iteration trace."""
 
     spelling_rules: list[Rule]
     context_rules: list[Rule]
-    labeled: dict[int, str]
+    labels: np.ndarray = field(compare=False)
     iteration: int
     m: int
     epsilon: float
@@ -178,7 +180,7 @@ def dl_cotrain(
     from the context-labeled data; the loop ends when an iteration adds
     nothing (or at ``max_iters``).  Occurrences the current list cannot
     label are excluded from rule counts, not treated as negatives.  The
-    final ``labeled`` map is keyed by row of ``table``.
+    final ``labels`` are indexed by row of ``table``.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -218,14 +220,10 @@ def dl_cotrain(
     # Final labeling: the spelling list where it fires, the context list
     # where spelling is silent.
     y_sp = spelling.label_rows()
-    final = np.where(y_sp != _UNLABELED, y_sp, context.label_rows())
-    labeled = {
-        r: _LABEL_NAMES[int(v)] for r, v in enumerate(final) if v != _UNLABELED
-    }
     return DecisionListState(
         spelling_rules=spelling.rules,
         context_rules=context.rules,
-        labeled=labeled,
+        labels=np.where(y_sp != _UNLABELED, y_sp, context.label_rows()).astype(np.int8),
         iteration=i,
         m=m,
         epsilon=epsilon,

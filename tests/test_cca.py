@@ -416,6 +416,12 @@ class TestEmbed:
         with pytest.raises(ValueError, match=r"emb\.tsv, line 3: 'ebola' has no vector"):
             read_embeddings(p)
 
+    def test_ragged_rows_rejected(self, tmp_path):
+        p = tmp_path / "emb.tsv"
+        p.write_text("flu\t0.1\t0.2\n\nzika\t1\t2\nebola\t0.3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"emb\.tsv, line 4: 'ebola' has 1 components, expected 2"):
+            read_embeddings(p)
+
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "emb.tsv"
         p.write_text("\nflu\t0.5\t1.0\n\nzika\t1\t2\n", encoding="utf-8")

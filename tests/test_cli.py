@@ -257,7 +257,7 @@ class TestTagCommand:
         monkeypatch.setattr("dictforge.corpus._CHUNK_CHARS", 1)
         argv = ["tag", "--dict", str(root / "hand.dict.tsv"), "--input", str(root / "tiny.txt")]
         first = output_before_second_item(monkeypatch, capsys, argv, "iter_chunks")
-        n_tokens = len((root / "tiny.txt").read_text().splitlines()[0].split())
+        n_tokens = len((root / "tiny.txt").read_text(encoding="utf-8").splitlines()[0].split())
         assert first.count("\n") == n_tokens + 1 and first.endswith("\n\n")
 
     @staticmethod
@@ -371,7 +371,7 @@ class TestCrfCommands:
         assert code == 0
         rows = read_conll(out, strict=True)
         assert [len(t) for t, _ in rows] == [
-            len(line.split()) for line in (root / "tiny.txt").read_text().splitlines()
+            len(line.split()) for line in (root / "tiny.txt").read_text(encoding="utf-8").splitlines()
         ]
 
     def test_tag_decodes_in_chunks(self, bench, tmp_path, monkeypatch, capsys):
@@ -384,7 +384,7 @@ class TestCrfCommands:
         monkeypatch.setattr("dictforge.cli._TAG_CHUNK", 1)
         argv = ["crf", "tag", "--model", str(model_path), "--input", str(root / "tiny.txt")]
         first = output_before_second_item(monkeypatch, capsys, argv)
-        n_tokens = len((root / "tiny.txt").read_text().splitlines()[0].split())
+        n_tokens = len((root / "tiny.txt").read_text(encoding="utf-8").splitlines()[0].split())
         assert first.count("\n") == n_tokens + 1 and first.endswith("\n\n")
 
     def test_grid_needs_dev(self, bench, tmp_path):

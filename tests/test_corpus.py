@@ -320,13 +320,18 @@ def _oracle_read(path):
                 )
 
 
+# Pieces that decide sentence ends: mixed and inner terminator runs,
+# capitalized abbreviations, and openers outside ASCII (an uppercase letter,
+# a superscript digit, an Arabic-Indic digit).
+_END_PIECES = ["x?.", "A.!", "a.b", "Fig.", "ETC.", "No.", "É", "²", "٣"]
+
 # Pieces of a line: abbreviations and terminator runs, combining marks
 # (acute accent, Hangul jamo that NFC composes into syllables), whitespace
 # that ends no line (\x1c, \u2028, no-break space, tab) and blanks.
 _PIECES = st.sampled_from([
     "a", "B", "3", "x", " ", " ", "\t", ".", "?", "!", "?!", "...", "Dr.", "e.g.", "J.",
     "et al.", "e", "\u0301", "\u1100", "\u1161", "\u11a8", "\uac00", "\x1c", "\u2028",
-    "\xa0", "_", "(", ",", "(a),", "B.", "x-3)",
+    "\xa0", "_", "(", ",", "(a),", "B.", "x-3)", *_END_PIECES,
 ])
 _LINES = st.lists(
     st.tuples(st.lists(_PIECES, max_size=12).map("".join), st.sampled_from(["\n", "\r\n", "\r"])),
@@ -400,7 +405,33 @@ class TestChunkedReader:
         intern_corpus(p)
         assert calls == {piece: 3 for piece in once}
 
-    @given(st.text(alphabet="ab .?!AB3x\n" + _EXOTIC, max_size=80))
+    def test_each_distinct_piece_judged_once_per_chunk(self, tmp_path, monkeypatch):
+        line = "It spread. Dr. Smith came! It spread. No. 3 x?. É flu.\n"
+        p = tmp_path / "corpus.txt"
+        p.write_text(line * 6, encoding="utf-8")
+        # two lines a chunk, as above
+        monkeypatch.setattr(dictforge.corpus, "_CHUNK_CHARS", 2 * len(line) - 1)
+        want = list(_oracle_read(p))
+        calls = collections.Counter()
+        rule = dictforge.corpus._ends_sentence
+
+        def counting(piece):
+            calls[piece] += 1
+            return rule(piece)
+
+        monkeypatch.setattr(dictforge.corpus, "_ends_sentence", counting)
+        once = dict.fromkeys(line.split(), 1)
+        sentences = []
+        for n, chunk in enumerate(iter_chunks(p), 1):
+            assert calls == once
+            sentences += _interned(chunk)
+            calls.clear()
+        assert n == 3
+        assert sentences == want
+        intern_corpus(p)
+        assert calls == {piece: 3 for piece in once}
+
+    @given(st.lists(st.sampled_from([*"ab .?!AB3x\n" + _EXOTIC, *_END_PIECES]), max_size=60).map("".join))
     @settings(max_examples=60)
     def test_segment_sentences_matches_oracle(self, doc):
         assert _triples(segment_sentences(doc, "d")) == _oracle_segment(doc, "d")

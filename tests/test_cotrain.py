@@ -66,7 +66,9 @@ class TestDlCotrain:
 
     def test_terminates_and_labels_everything_on_clean_data(self):
         state = dl_cotrain(table(clean_collection()), SEEDS, m=5, epsilon=0.9)
-        assert len(state.labeled) == 24
+        assert state.labels.dtype == np.int8
+        assert state.labels.shape == (24,)
+        assert (state.labels != cotrain._UNLABELED).sum() == 24
         assert state.trace[-1]["added_context"] == []
         assert state.trace[-1]["added_spelling"] == []
 
@@ -157,7 +159,8 @@ class TestDlCotrain:
             r.condition[1]: r.label for r in state.spelling_rules
         }
         context_rules = state.context_rules
-        for row, label in state.labeled.items():
+        for row in np.flatnonzero(state.labels != cotrain._UNLABELED).tolist():
+            label = cotrain._LABEL_NAMES[int(state.labels[row])]
             o = rows[row]
             if o[4] in spelling_label:
                 assert spelling_label[o[4]] == label
@@ -204,7 +207,7 @@ class TestDictionaryFromRules:
         return DecisionListState(
             spelling_rules=list(rules),
             context_rules=[],
-            labeled={},
+            labels=np.zeros(0, dtype=np.int8),
             iteration=1,
             m=5,
             epsilon=0.95,
@@ -331,6 +334,7 @@ class TestRuleChoiceByRank:
             mp.setattr(cotrain._DecisionList, "label_rows", argmin_label_rows)
             oracle = dl_cotrain(table(rows), SEEDS, m=m, epsilon=epsilon)
         assert state == oracle
+        assert state.labels.tolist() == oracle.labels.tolist()
 
     @settings(max_examples=30, deadline=None)
     @given(tied_collections())

@@ -486,7 +486,7 @@ class TestRunPipeline:
         workdir, config, _ = finished_run
         run_pipeline(config)  # ensure everything cached
         seeds = config.seeds.read_text(encoding="utf-8")
-        sc_entities = (workdir / "data" / "entities.txt").read_text().splitlines()
+        sc_entities = (workdir / "data" / "entities.txt").read_text(encoding="utf-8").splitlines()
         spare = next(e for e in sc_entities if f"\n{e}\n" not in "\n" + seeds)
         lines = seeds.splitlines()
         lines[1] = spare  # swap one positive seed

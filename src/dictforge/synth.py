@@ -9,6 +9,19 @@ occurrence gets the other class's context with probability
 1 - context_fidelity), and through capitalization.  The generator keeps
 the planted truth, so downstream dictionaries and taggers can be scored
 exactly.
+
+Every draw before the final shuffle goes through :class:`_Draws`, which
+computes numpy's own answers in Python from the PCG64 bit generator's raw
+64-bit outputs, fetched ``_BLOCK`` at a time with ``random_raw``; a scalar
+``Generator`` call costs microseconds of overhead, and a corpus makes tens
+of thousands of them.  ``integers(n)`` is numpy's bounded method for a range
+below 2**32, Lemire's multiply-and-reject on 32-bit words (the low half of a
+raw output first, the high half kept for the next 32-bit draw), and
+``random()`` is the top 53 bits of one whole raw output, the kept half left
+in place.  Before the shuffle, ``settle`` puts the bit generator where
+numpy's calls would have left it: the start state advanced by the raw
+outputs used, with the kept half in ``has_uint32``/``uinteger``.  So a seed
+gives the same corpus bytes as drawing from the ``Generator`` directly.
 """
 
 from __future__ import annotations
@@ -38,6 +51,15 @@ _SYLLABLES = (
     "mek", "sil", "tor", "nar", "bel", "cru", "fen",
 )
 
+# words a nonce phrase must not reuse
+_RESERVED = frozenset(
+    GLUE + STOP_AFTER + ENTITY_LEFT + ENTITY_RIGHT + DISTRACTOR_LEFT
+    + DISTRACTOR_RIGHT + tuple(w for t in TRIGGERS for w in t)
+)
+
+# raw 64-bit outputs fetched per random_raw call
+_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -58,6 +80,10 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_sentences < 2000:
             raise ValueError("need at least 2000 sentences for the labeled tail")
+        if self.seeds_per_class < 1:
+            raise ValueError("seeds_per_class must be at least 1")
+        if self.min_mentions < 1:
+            raise ValueError("min_mentions must be at least 1")
         if self.n_entities < self.seeds_per_class:
             raise ValueError("fewer entities than seeds")
         if self.n_distractors < self.seeds_per_class:
@@ -66,6 +92,8 @@ class SynthSpec:
             raise ValueError("context_fidelity must be in (0.5, 1]")
         if not 0.0 < self.mention_rate < 1.0:
             raise ValueError("mention_rate must be in (0, 1)")
+        if not 0.0 <= self.trigger_rate <= 1.0:
+            raise ValueError("trigger_rate must be in [0, 1]")
         if not 0.0 < self.entity_share < 1.0:
             raise ValueError("entity_share must be in (0, 1)")
         if not 0.0 <= self.cap_distractor_rate < 1.0:
@@ -132,40 +160,94 @@ class SynthCorpus:
         return paths
 
 
-def _pick(rng: np.random.Generator, pool):
-    return pool[int(rng.integers(len(pool)))]
+class _Draws:
+    """``int(rng.integers(n))`` and ``float(rng.random())`` of a PCG64
+    ``Generator``, bit for bit, from its raw outputs (see the module
+    docstring).  Draw only through this object until :meth:`settle`."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._bitgen = rng.bit_generator
+        self._mark()
+
+    def _mark(self) -> None:
+        state = self._bitgen.state
+        self._start = state
+        self._fetched = 0
+        self._raw: list[int] = []  # the block's unused outputs, last first
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def _refill(self) -> int:
+        """The next raw output, from a new block."""
+        self._raw = self._bitgen.random_raw(_BLOCK).tolist()[::-1]
+        self._fetched += _BLOCK
+        return self._raw.pop()
+
+    def integers(self, n: int) -> int:
+        """A draw from ``range(n)``, for 1 <= n <= 2**32."""
+        if n == 1:
+            return 0
+        threshold = (0x100000000 - n) % n
+        while True:
+            half = self._half
+            if half is None:
+                raw = self._raw
+                word = raw.pop() if raw else self._refill()
+                self._half = word >> 32
+                m = (word & 0xFFFFFFFF) * n
+            else:
+                self._half = None
+                m = half * n
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def random(self) -> float:
+        raw = self._raw
+        word = raw.pop() if raw else self._refill()
+        return (word >> 11) * (1.0 / 9007199254740992.0)
+
+    def settle(self) -> None:
+        """Leave the bit generator as numpy's own calls would have."""
+        bitgen = self._bitgen
+        bitgen.state = self._start
+        bitgen.advance(self._fetched - len(self._raw))
+        state = bitgen.state
+        state["has_uint32"] = int(self._half is not None)
+        state["uinteger"] = self._half or 0
+        bitgen.state = state
+        self._mark()
 
 
-def _nonce_word(rng: np.random.Generator, taken: set[str]) -> str:
-    reserved = set(GLUE + STOP_AFTER + ENTITY_LEFT + ENTITY_RIGHT)
-    reserved |= set(DISTRACTOR_LEFT + DISTRACTOR_RIGHT)
-    reserved |= {w for t in TRIGGERS for w in t}
+def _pick(draws: _Draws, pool):
+    return pool[draws.integers(len(pool))]
+
+
+def _nonce_word(draws: _Draws, taken: set[str]) -> str:
     while True:
         word = "".join(
-            _pick(rng, _SYLLABLES) for _ in range(int(rng.integers(2, 4)))
+            _pick(draws, _SYLLABLES) for _ in range(2 + draws.integers(2))
         )
-        if word not in taken and word not in reserved:
+        if word not in taken and word not in _RESERVED:
             taken.add(word)
             return word
 
 
 def _invent_phrases(
-    rng: np.random.Generator, count: int, cap_rate: float, taken: set[str]
+    draws: _Draws, count: int, cap_rate: float, taken: set[str]
 ) -> list[str]:
     phrases = []
     for _ in range(count):
         words = [
-            _nonce_word(rng, taken)
-            for _ in range(1 if rng.random() < 0.6 else 2)
+            _nonce_word(draws, taken)
+            for _ in range(1 if draws.random() < 0.6 else 2)
         ]
-        if rng.random() < cap_rate:
+        if draws.random() < cap_rate:
             words = [w.capitalize() for w in words]
         phrases.append(" ".join(words))
     return phrases
 
 
 def _mention_sentence(
-    rng: np.random.Generator,
+    draws: _Draws,
     surface: list[str],
     is_entity: bool,
     with_trigger: bool,
@@ -173,26 +255,26 @@ def _mention_sentence(
 ) -> tuple[list[str], list[str]]:
     # one fidelity draw per occurrence: a contaminated mention takes the
     # other class's context on both sides
-    matched = rng.random() < fidelity
+    matched = draws.random() < fidelity
     if is_entity == matched:
         left_pool, right_pool = ENTITY_LEFT, ENTITY_RIGHT
     else:
         left_pool, right_pool = DISTRACTOR_LEFT, DISTRACTOR_RIGHT
-    toks = [_pick(rng, GLUE) for _ in range(int(rng.integers(0, 4)))]
+    toks = [_pick(draws, GLUE) for _ in range(draws.integers(4))]
     if with_trigger:
-        toks.append(_pick(rng, left_pool))
-        toks.extend(_pick(rng, TRIGGERS))
+        toks.append(_pick(draws, left_pool))
+        toks.extend(_pick(draws, TRIGGERS))
     else:
         # fill the whole left window with class words so untriggered
         # mentions carry as much signal as triggered ones
-        toks.extend(_pick(rng, left_pool) for _ in range(3))
+        toks.extend(_pick(draws, left_pool) for _ in range(3))
     start = len(toks)
     toks.extend(surface)
     end = len(toks)
-    toks.append(_pick(rng, STOP_AFTER))
-    toks.append(_pick(rng, right_pool))
-    toks.append(_pick(rng, right_pool))
-    toks.extend(_pick(rng, GLUE) for _ in range(int(rng.integers(0, 3))))
+    toks.append(_pick(draws, STOP_AFTER))
+    toks.append(_pick(draws, right_pool))
+    toks.append(_pick(draws, right_pool))
+    toks.extend(_pick(draws, GLUE) for _ in range(draws.integers(3)))
     tags = ["O"] * len(toks)
     if is_entity:
         tags[start] = "B"
@@ -201,17 +283,18 @@ def _mention_sentence(
     return toks, tags
 
 
-def _filler_sentence(rng: np.random.Generator) -> tuple[list[str], list[str]]:
-    toks = [_pick(rng, GLUE) for _ in range(int(rng.integers(5, 11)))]
+def _filler_sentence(draws: _Draws) -> tuple[list[str], list[str]]:
+    toks = [_pick(draws, GLUE) for _ in range(5 + draws.integers(6))]
     return toks, ["O"] * len(toks)
 
 
 def generate(spec: SynthSpec = SynthSpec()) -> SynthCorpus:
     rng = np.random.default_rng(spec.seed)
+    draws = _Draws(rng)
     taken: set[str] = set()
-    entities = _invent_phrases(rng, spec.n_entities, 1.0, taken)
+    entities = _invent_phrases(draws, spec.n_entities, 1.0, taken)
     distractors = _invent_phrases(
-        rng, spec.n_distractors, spec.cap_distractor_rate, taken
+        draws, spec.n_distractors, spec.cap_distractor_rate, taken
     )
 
     # every planted phrase gets min_mentions guaranteed trigger mentions
@@ -233,18 +316,19 @@ def generate(spec: SynthSpec = SynthSpec()) -> SynthCorpus:
     if n_mentions > spec.n_sentences:
         raise ValueError("mention schedule exceeds sentence budget")
     while len(schedule) < n_mentions:
-        if rng.random() < spec.entity_share:
+        if draws.random() < spec.entity_share:
             pool, is_entity = entity_surfaces, True
         else:
             pool, is_entity = distractor_surfaces, False
-        surface = pool[int(rng.integers(len(pool)))]
-        schedule.append((surface, is_entity, rng.random() < spec.trigger_rate))
+        surface = _pick(draws, pool)
+        schedule.append((surface, is_entity, draws.random() < spec.trigger_rate))
 
     rows = [
-        _mention_sentence(rng, surface, is_entity, with_trigger, spec.context_fidelity)
+        _mention_sentence(draws, surface, is_entity, with_trigger, spec.context_fidelity)
         for surface, is_entity, with_trigger in schedule
     ]
-    rows.extend(_filler_sentence(rng) for _ in range(spec.n_sentences - len(rows)))
+    rows.extend(_filler_sentence(draws) for _ in range(spec.n_sentences - len(rows)))
+    draws.settle()
     order = rng.permutation(len(rows))
     rows = [rows[i] for i in order]
     sentences = [toks for toks, _ in rows]

@@ -13,6 +13,8 @@ can check the program against an independent reading of the rule.
 * :func:`fit_weights` fits a model's weights on sentences compiled here.
 * :func:`extract_between` and :func:`extract_after_trigger` run one
   extraction pattern over one sentence.
+* :class:`NumpyDraws` makes ``synth._Draws``'s draws by the ``Generator``'s
+  own calls, the specification of what ``synth.generate`` draws.
 """
 
 from __future__ import annotations
@@ -174,3 +176,12 @@ def extract_after_trigger(sentence: Sentence, pattern: ExtractionPattern) -> lis
         raise ValueError("extract_after_trigger needs an 'after_trigger' pattern")
     corpus = Corpus.of([sentence])
     return _phrases(corpus, _after_trigger(corpus, pattern, _flags(corpus)))
+
+
+class NumpyDraws:
+    """``synth._Draws`` with each draw one call on the ``Generator``."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.integers = lambda n: int(rng.integers(n))
+        self.random = lambda: float(rng.random())
+        self.settle = lambda: None

@@ -1,12 +1,18 @@
 """Generator bookkeeping: the planted truth must match what the corpus
 actually contains, or every downstream score is meaningless."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dictforge.corpus import iter_sentences
 from dictforge.extraction import extract_candidates, load_patterns
-from dictforge.synth import TRIGGERS, SynthCorpus, SynthSpec, generate
+from dictforge.synth import _BLOCK, TRIGGERS, SynthCorpus, SynthSpec, _Draws, generate
 from dictforge.tagging import bio_spans, read_conll, validate_bio
+from oracles import NumpyDraws
 
 SMALL = SynthSpec(n_sentences=2500, n_entities=12, n_distractors=30, seed=5)
 
@@ -32,6 +38,12 @@ class TestSpecValidation:
             {"mention_rate": 1.0},
             {"entity_share": 0.0},
             {"cap_distractor_rate": 1.0},
+            {"seeds_per_class": -1},
+            {"seeds_per_class": 0},
+            {"min_mentions": 0},
+            {"min_mentions": -3},
+            {"trigger_rate": -0.1},
+            {"trigger_rate": 1.5},
         ],
     )
     def test_bad_knobs_rejected(self, kw):
@@ -45,6 +57,83 @@ class TestSpecValidation:
         )
         with pytest.raises(ValueError, match="budget"):
             generate(spec)
+
+
+# ranges like generate's (2 and 3: word and tail counts, 5: class context
+# pools, 22: GLUE, 30: syllables, 1600: a large pool of surfaces), plus one
+# that rejects about half of its 32-bit words
+_POOLS = (1, 2, 3, 5, 22, 30, 1600, 2**31 + 7)
+
+
+class TestDraws:
+    """``_Draws`` returns what the ``Generator``'s own calls would, and
+    leaves the bit generator where they would."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        # runs of one kind of call: (None = random(), pool size), repeats
+        runs=st.lists(
+            st.tuples(st.sampled_from((None,) + _POOLS), st.integers(1, 600)),
+            max_size=10,
+        ),
+    )
+    @example(seed=0, runs=[(None, _BLOCK - 1), (5, 3), (None, 2), (2**31 + 7, 900)])
+    @example(seed=1, runs=[(30, 2 * _BLOCK + 1)])
+    @example(seed=2, runs=[])
+    def test_matches_twin_generator(self, seed, runs):
+        rng = np.random.default_rng(seed)
+        twin = np.random.default_rng(seed)
+        draws = _Draws(rng)
+        for n, repeats in runs:
+            for _ in range(repeats):
+                if n is None:
+                    assert draws.random() == float(twin.random())
+                else:
+                    assert draws.integers(n) == int(twin.integers(n))
+        draws.settle()
+        # drawing on after a settle, and settling again, stays in step
+        assert draws.integers(22) == int(twin.integers(22))
+        assert draws.random() == float(twin.random())
+        draws.settle()
+        state, want = rng.bit_generator.state, twin.bit_generator.state
+        if not want["has_uint32"]:
+            # numpy leaves a used half behind in uinteger; nothing reads it
+            want["uinteger"] = state["uinteger"]
+        assert state == want
+        assert (rng.permutation(50) == twin.permutation(50)).all()
+        assert (rng.integers(1000, size=5) == twin.integers(1000, size=5)).all()
+
+
+# corpora on which _Draws must give what one Generator call per draw gives:
+# SMALL, the default spec, and the benchmark's demo and wide shapes
+_ORACLE_SPECS = [SMALL, SynthSpec()] + [
+    replace(spec, seed=seed)
+    for spec in (
+        SynthSpec(n_sentences=8000, n_entities=30, n_distractors=90),
+        SynthSpec(
+            n_sentences=5500,
+            n_entities=320,
+            n_distractors=1280,
+            min_mentions=3,
+            mention_rate=0.9,
+        ),
+    )
+    for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("spec", _ORACLE_SPECS)
+def test_generate_draws_as_the_generator_calls_do(spec, tmp_path, monkeypatch):
+    got = generate(spec)
+    monkeypatch.setattr("dictforge.synth._Draws", NumpyDraws)
+    want = generate(spec)
+    assert got == want
+    got_paths = got.write(tmp_path / "draws")
+    want_paths = want.write(tmp_path / "numpy")
+    assert got_paths.keys() == want_paths.keys()
+    for name, path in got_paths.items():
+        assert path.read_bytes() == want_paths[name].read_bytes(), name
 
 
 class TestDeterminism:

@@ -7,6 +7,8 @@ deterministic dual coordinate descent on the bias-augmented objective
     min_{w,b}  0.5 (||w||^2 + b^2) + C * sum_i hinge(y_i (w.x_i + b))
 
 so no external optimizer is involved and retraining is bit-reproducible.
+The sweep runs on Python floats over rows signed by their labels, which
+keeps every step bit-identical to the plain sweep (see ``_fit``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tagging import Dictionary
+from .tagging import Dictionary, _prechecked
 
 __all__ = [
     "SeedSet",
@@ -138,34 +140,42 @@ def _fit(X: np.ndarray, y: np.ndarray, C: float, tol: float, max_epochs: int):
     bias and the report {epochs, gap, converged} of the last sweep.
 
     A coordinate step is a handful of scalar operations, which cost less
-    on Python floats than on NumPy scalars, so the sweep keeps y, q and
-    alpha as lists and each row as a contiguous 1-D array.  The arithmetic
-    is IEEE double either way; ``x_i.dot(w)`` is the BLAS ``ddot`` that
-    ``x_i @ w`` calls, with less dispatch, and the update keeps its
-    operation order, so every fit is bit-identical to the same sweep on
-    NumPy scalars.
+    on Python floats than on NumPy scalars, so the sweep keeps q and alpha
+    as lists and each row as a contiguous 1-D array.  Each row is signed
+    by its label (y_i = ±1) before the sweep: a sign flip is exact, so
+    ``y_i x_i . w`` is ``y_i * (x_i . w)`` and ``delta * (y_i x_i)`` is
+    ``(delta * y_i) * x_i`` to the bit.  ``.dot`` is the BLAS ``ddot``
+    that ``@`` calls, with less dispatch; the clip compares as ``min`` and
+    ``max`` do, and ``w`` is updated through one scratch buffer with the
+    same two roundings as ``w += delta * y_i * x_i``.  The gap check
+    computes ``w . w`` once and reduces without ``np.sum``'s wrapper.  So
+    every fit is bit-identical to the same sweep on NumPy scalars.
     """
     n, d = X.shape
     Xa = np.hstack([X, np.ones((n, 1))])  # bias column
-    rows = list(Xa)
+    rows = list(Xa * y[:, None])
     q = np.einsum("ij,ij->i", Xa, Xa).tolist()  # always >= 1
-    labels = y.tolist()
     alpha = [0.0] * n
     w = np.zeros(d + 1)
+    step = np.empty(d + 1)
+    multiply, add = np.multiply, np.add
     epochs, gap, converged = 0, float("inf"), False
     while epochs < max_epochs and not converged:
         epochs += 1
-        for i, (x_i, y_i, q_i) in enumerate(zip(rows, labels, q)):
+        for i, (yx_i, q_i) in enumerate(zip(rows, q)):
             a_i = alpha[i]
-            g = y_i * float(x_i.dot(w)) - 1.0
-            a_new = min(max(a_i - g / q_i, 0.0), C)
+            a_new = a_i - (float(yx_i.dot(w)) - 1.0) / q_i
+            if a_new < 0.0:
+                a_new = 0.0
+            if a_new > C:
+                a_new = C
             delta = a_new - a_i
             if delta != 0.0:
-                w += delta * y_i * x_i
+                add(w, multiply(yx_i, delta, out=step), out=w)
                 alpha[i] = a_new
-        margins = y * (Xa @ w)
-        primal = 0.5 * (w @ w) + C * np.sum(np.maximum(0.0, 1.0 - margins))
-        dual = np.sum(alpha) - 0.5 * (w @ w)
+        ww = w @ w
+        primal = 0.5 * ww + C * np.maximum(0.0, 1.0 - y * (Xa @ w)).sum()
+        dual = np.add.reduce(alpha) - 0.5 * ww
         gap = float(primal - dual)
         converged = bool(gap <= tol * max(1.0, abs(primal)))
     return w[:d], float(w[d]), {"epochs": epochs, "gap": gap, "converged": converged}
@@ -243,11 +253,13 @@ def build_dictionary(
 def cut_dictionary(ranking: Dictionary, threshold: float) -> Dictionary:
     """The prefix of a ranking (such as one built at a lower threshold)
     scoring at least ``threshold``.  An empty result is valid but warned
-    about, since it usually means the classifier or seeds are off."""
+    about, since it usually means the classifier or seeds are off.  The
+    ranking's phrases were checked when it was built, so the cut's are not
+    checked again."""
     if threshold < 0.0:
         raise ValueError("threshold must be >= 0")
     scores = dict(takewhile(lambda ps: ps[1] >= threshold, ranking.scores.items()))
     if not scores:
         warnings.warn("classifier accepted no candidates; dictionary is empty")
     meta = {**ranking.metadata, "threshold": repr(threshold)}
-    return Dictionary(scores=scores, provenance=ranking.provenance, metadata=meta)
+    return _prechecked(scores, ranking.provenance, meta)

@@ -7,13 +7,17 @@ one type over a matrix of each occurrence's condition ids: one column for
 spelling (its phrase), fifteen for context (its bigrams).
 Each iteration labels the collection with one list, then adds the
 strongest rules of the other view, growing both lists until nothing new
-qualifies.  A final threshold over positive spelling rules yields the
-comparison dictionary.
+qualifies.  Each list keeps its (condition, label) counts from one
+selection to the next and recounts only the rows whose label moved; it
+admits each label's chosen rules in one batch, and a :class:`Rule` is a
+record (a named tuple).  A final threshold over positive spelling rules
+yields the comparison dictionary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,13 +38,14 @@ _POS = 1
 _LABEL_NAMES = {_POS: "positive", _NEG: "negative"}
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """One decision-list rule with the counts it was admitted on.
 
     ``condition`` is ("full-string", phrase) for spelling rules or
     ("bigram", (pos1, word1), (pos2, word2)) for context rules.  Seed
     rules carry strength 1.0 with zero counts (given, not estimated).
+    A record, since a run admits thousands of rules and a tuple is the
+    cheapest immutable object to build.
     """
 
     view: str
@@ -51,14 +56,7 @@ class Rule:
     strength: float
 
     def as_dict(self) -> dict:
-        return {
-            "view": self.view,
-            "condition": self.condition,
-            "label": self.label,
-            "count_match": self.count_match,
-            "count_total": self.count_total,
-            "strength": self.strength,
-        }
+        return self._asdict()
 
 
 @dataclass
@@ -85,6 +83,8 @@ class _DecisionList:
     strongest rule is a minimum across c contiguous rows.  ``rank``
     orders ``conditions`` lexicographically.  Each condition carries the
     label, strength and admission order of its rule, if it has one.
+    ``counts`` holds each (condition, label) count over the row labels
+    ``counted``, the ones the last selection counted.
     """
 
     def __init__(self, view: str, ids: np.ndarray, conditions: list[tuple], rank: np.ndarray):
@@ -96,6 +96,8 @@ class _DecisionList:
         self.strength = np.full(len(conditions), -np.inf)
         self.order = np.full(len(conditions), np.iinfo(np.int64).max, dtype=np.int64)
         self.rules: list[Rule] = []
+        self.counts = np.zeros((len(conditions), 2), dtype=np.int64)
+        self.counted = np.full(ids.shape[1], _UNLABELED, dtype=np.int64)
 
     def admit(self, cid: int, label: int, cm: int, ct: int, strength: float) -> Rule:
         self.label[cid] = label
@@ -116,27 +118,48 @@ class _DecisionList:
         best = rank[self.ids].min(axis=0)
         return np.append(self.label[ranked], _UNLABELED).astype(np.int64)[best]
 
+    def _count(self, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """The (condition, label) counts of ``rows`` labeled ``labels``."""
+        codes = self.ids[:, rows] * 2 + labels
+        return np.bincount(codes.ravel(), minlength=self.counts.size).reshape(-1, 2)
+
     def select(self, labels: np.ndarray, limit: int, epsilon: float) -> list[Rule]:
         """Admit up to ``limit`` new rules per label, positive first, counted
         over the rows ``labels`` labels: strength strictly above epsilon,
         ranked by count_match desc, ties by strength desc then by condition."""
-        mask = labels != _UNLABELED
-        # one count per (condition, label); the labels are 0 and 1
-        codes = self.ids[:, mask] * 2 + labels[mask]
-        counts = np.bincount(codes.ravel(), minlength=2 * len(self.label)).reshape(-1, 2)
-        total = counts.sum(axis=1)
+        # rows whose label moved since the last count leave their old
+        # (condition, label) counts and join their new ones
+        moved = np.flatnonzero(labels != self.counted)
+        for row_labels, sign in ((self.counted[moved], -1), (labels[moved], 1)):
+            labeled = row_labels != _UNLABELED
+            if labeled.any():
+                self.counts += sign * self._count(moved[labeled], row_labels[labeled])
+        self.counted = labels.copy()
+        total = self.counts.sum(axis=1)
         added = []
         for label in (_POS, _NEG):
-            match = counts[:, label]
+            match = self.counts[:, label]
             strength = np.where(total >= 1, match / np.maximum(total, 1), -1.0)
             qualifying = np.flatnonzero(
                 (total >= 1) & (strength > epsilon) & (self.label == _UNLABELED)
             )
             order = np.lexsort((self.rank[qualifying], -strength[qualifying], -match[qualifying]))
-            added += [
-                self.admit(cid, label, int(match[cid]), int(total[cid]), float(strength[cid]))
-                for cid in qualifying[order[:limit]].tolist()
+            chosen = qualifying[order[:limit]]
+            self.label[chosen] = label
+            self.strength[chosen] = strength[chosen]
+            self.order[chosen] = np.arange(len(self.rules), len(self.rules) + len(chosen))
+            name = _LABEL_NAMES[label]
+            new_rules = [
+                Rule(self.view, self.conditions[cid], name, cm, ct, s)
+                for cid, cm, ct, s in zip(
+                    chosen.tolist(),
+                    match[chosen].tolist(),
+                    total[chosen].tolist(),
+                    strength[chosen].tolist(),
+                )
             ]
+            self.rules += new_rules
+            added += new_rules
         return added
 
 

@@ -80,6 +80,15 @@ class Dictionary:
         return PhraseTrie(self.scores)
 
 
+def _prechecked(scores: dict[str, float], provenance: str, metadata: dict[str, str]) -> Dictionary:
+    """A :class:`Dictionary` of phrases and provenance already checked,
+    such as a prefix of another dictionary's, built without checking them
+    again."""
+    dictionary = object.__new__(Dictionary)
+    vars(dictionary).update(scores=scores, provenance=provenance, metadata=metadata)
+    return dictionary
+
+
 def check_phrases(phrases: Iterable[str], kind: str) -> None:
     """Raise ``ValueError`` naming the first empty phrase or phrase with
     capitals: tokens are lowercased before lookup, so it would never match."""

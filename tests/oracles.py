@@ -15,6 +15,9 @@ can check the program against an independent reading of the rule.
   extraction pattern over one sentence.
 * :class:`NumpyDraws` makes ``synth._Draws``'s draws by the ``Generator``'s
   own calls, the specification of what ``synth.generate`` draws.
+* :func:`dual_cd_fit` is the SVM's dual coordinate sweep on Python floats,
+  with each step's label product, ``min``/``max`` clip and temporary update
+  written out, the reference ``classifier._fit`` must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -185,3 +188,33 @@ class NumpyDraws:
         self.integers = lambda n: int(rng.integers(n))
         self.random = lambda: float(rng.random())
         self.settle = lambda: None
+
+
+def dual_cd_fit(X: np.ndarray, y: np.ndarray, C: float, tol: float, max_epochs: int):
+    """``classifier._fit``'s sweep over unsigned rows, each step multiplying
+    by its label: the same weights, bias and report {epochs, gap,
+    converged}."""
+    n, d = X.shape
+    Xa = np.hstack([X, np.ones((n, 1))])  # bias column
+    rows = list(Xa)
+    q = np.einsum("ij,ij->i", Xa, Xa).tolist()  # always >= 1
+    labels = y.tolist()
+    alpha = [0.0] * n
+    w = np.zeros(d + 1)
+    epochs, gap, converged = 0, float("inf"), False
+    while epochs < max_epochs and not converged:
+        epochs += 1
+        for i, (x_i, y_i, q_i) in enumerate(zip(rows, labels, q)):
+            a_i = alpha[i]
+            g = y_i * float(x_i.dot(w)) - 1.0
+            a_new = min(max(a_i - g / q_i, 0.0), C)
+            delta = a_new - a_i
+            if delta != 0.0:
+                w += delta * y_i * x_i
+                alpha[i] = a_new
+        margins = y * (Xa @ w)
+        primal = 0.5 * (w @ w) + C * np.sum(np.maximum(0.0, 1.0 - margins))
+        dual = np.sum(alpha) - 0.5 * (w @ w)
+        gap = float(primal - dual)
+        converged = bool(gap <= tol * max(1.0, abs(primal)))
+    return w[:d], float(w[d]), {"epochs": epochs, "gap": gap, "converged": converged}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dictforge import tagging
 from dictforge.classifier import (
     SeedSet,
     SvmModel,
@@ -19,6 +20,8 @@ from dictforge.classifier import (
     svm_objective,
     train_svm,
 )
+from dictforge.tagging import Dictionary
+from oracles import dual_cd_fit
 
 
 def separable_embeddings():
@@ -352,6 +355,16 @@ class TestCutDictionary:
                 assert cut.metadata == built.metadata
                 assert cut.provenance == built.provenance
 
+    def test_cut_is_not_checked_again(self, monkeypatch):
+        model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
+        ranking = build_dictionary(["x", "y", "z"], np.array([[0.5], [0.2], [-1.0]]), model)
+        checks = []
+        monkeypatch.setattr(tagging, "check_phrases", lambda *a: checks.append(a))
+        cut = cut_dictionary(ranking, 0.3)
+        assert checks == []
+        assert cut == Dictionary({"x": 0.5}, "cca", {**ranking.metadata, "threshold": "0.3"})
+        assert tagging.tag_with_dictionary(["x", "y"], cut) == ["B", "O"]
+
     def test_empty_cut_warns(self):
         model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
         ranking = build_dictionary(["x"], np.array([[0.5]]), model)
@@ -424,6 +437,42 @@ class TestFitOracle:
         w0, b0, report0 = _numpy_scalar_fit(X, y, 50.0, 1e-12, 2)
         assert report == report0 and report["converged"] is False
         assert w.tobytes() == w0.tobytes() and b == b0
+
+
+@st.composite
+def seed_problems(draw):
+    """Seed embeddings with both classes, some rows repeated and some zero,
+    and their (X, y) in ``train_svm``'s row order: positives first."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 25))
+    X = draw(arrays(np.float64, (n, d), elements=st.floats(-8.0, 8.0, width=64)))
+    for i in range(n):
+        kind = draw(st.sampled_from(["own", "own", "zero", "repeat"]))
+        if kind == "zero":
+            X[i] = 0.0
+        elif kind == "repeat":
+            X[i] = X[draw(st.integers(0, n - 1))]
+    n_pos = draw(st.integers(1, n - 1))
+    y = np.array([1.0] * n_pos + [-1.0] * (n - n_pos))
+    names = [f"p{i}" for i in range(n)]
+    seeds = SeedSet.make(names[:n_pos], names[n_pos:])
+    return dict(zip(names, X)), seeds, X, y
+
+
+class TestSweepOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=seed_problems(), C=st.sampled_from([0.01, 0.1, 1.0, 10.0]))
+    def test_train_svm_equals_the_unsigned_sweep_bit_for_bit(self, problem, C):
+        # an epoch cap keeps the slowest draws short and leaves some fits
+        # unconverged, whose report must match too
+        embeddings, seeds, X, y = problem
+        model = train_svm(embeddings, seeds, C=C, max_epochs=1000)
+        w, b, report = dual_cd_fit(X, y, C, 1e-6, 1000)
+        assert model.weights.tobytes() == w.tobytes()
+        assert np.float64(model.bias).tobytes() == np.float64(b).tobytes()
+        assert model.solver["epochs"] == report["epochs"]
+        assert model.solver["converged"] is report["converged"]
+        assert np.float64(model.solver["gap"]).tobytes() == np.float64(report["gap"]).tobytes()
 
 
 # score ties are common when entries, weights and bias come from few values

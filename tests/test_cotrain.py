@@ -354,3 +354,67 @@ class TestRuleChoiceByRank:
                 strength = data.draw(st.sampled_from([0.5, 0.75, 1.0]))
                 spelling.admit(cid, label, 1, 1, strength)
         assert spelling.label_rows().tolist() == spelling.label[t.phrase_ids].tolist()
+
+
+# -- the kept counts: after each selection, a list's (condition, label)
+# counts are a full recount over the labels it was given
+
+def recount(dl, labels):
+    counted = labels != cotrain._UNLABELED
+    codes = dl.ids[:, counted] * 2 + labels[counted]
+    return np.bincount(codes.ravel(), minlength=2 * len(dl.conditions)).reshape(-1, 2)
+
+
+def cotrain_with_recounts(rows, m, epsilon):
+    """Run ``dl_cotrain`` and record, after each selection, its view, the
+    row labels counted before and after it, the kept counts and their
+    recount."""
+    select = cotrain._DecisionList.select
+    checks = []
+
+    def checked(dl, labels, limit, epsilon):
+        before = dl.counted.copy()
+        added = select(dl, labels, limit, epsilon)
+        checks.append((dl.view, before, labels.copy(), dl.counts.copy(), recount(dl, labels)))
+        return added
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cotrain._DecisionList, "select", checked)
+        dl_cotrain(table(rows), SEEDS, m=m, epsilon=epsilon)
+    return checks
+
+
+def relabeled(before, after):
+    """Whether a row labeled before is labeled otherwise after."""
+    return bool(((before != cotrain._UNLABELED) & (after != before)).any())
+
+
+class TestKeptCounts:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        tied_collections(),
+        st.integers(1, 3),
+        st.sampled_from([0.3, 0.5, 0.6, 0.95]),
+    )
+    def test_kept_counts_equal_a_full_recount(self, rows, m, epsilon):
+        for _, _, _, kept, full in cotrain_with_recounts(rows, m, epsilon):
+            assert kept.tolist() == full.tolist()
+
+    def test_a_relabeled_row_moves_its_counts(self):
+        # row 1 is first labeled positive by the context rule
+        # ((-3, c), (1, c)) of strength 2/3, then negative once a stronger
+        # negative context rule matches it: its counts move between labels
+        contexts = [
+            ("ebola", "ccc", "cab"),
+            ("mutant", "cbb", "cac"),
+            ("same", "bbc", "bba"),
+            ("zika", "abb", "bbc"),
+            ("mutant", "acc", "cba"),
+            ("ebola", "caa", "cba"),
+        ]
+        rows = [occ(p, list(left), list(right), r) for r, (p, left, right) in enumerate(contexts)]
+        checks = cotrain_with_recounts(rows, m=1, epsilon=0.5)
+        moved = [view for view, before, after, _, _ in checks if relabeled(before, after)]
+        assert moved == ["spelling"]
+        for _, _, _, kept, full in checks:
+            assert kept.tolist() == full.tolist()

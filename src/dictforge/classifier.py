@@ -217,7 +217,6 @@ def build_dictionary(
     candidates: Sequence[str],
     embeddings: np.ndarray,
     model: SvmModel,
-    metadata: Mapping[str, str] | None = None,
     threshold: float = 0.0,
 ) -> Dictionary:
     """Candidates scoring at least ``threshold``, ranked by margin descending.
@@ -246,7 +245,7 @@ def build_dictionary(
     by_phrase = np.array(sorted(range(len(E)), key=candidates.__getitem__), dtype=np.intp)
     order = by_phrase[np.argsort(-scores[by_phrase], kind="stable")].tolist()
     ranked = dict(zip([candidates[i] for i in order], scores[order].tolist()))
-    meta = {"C": repr(model.C), "dims": str(model.dims_used), **(metadata or {})}
+    meta = {"C": repr(model.C), "dims": str(model.dims_used)}
     return cut_dictionary(Dictionary(ranked, "cca", meta), threshold)
 
 

@@ -60,6 +60,9 @@ SHAPE_ALL_CAPS = "allCaps"
 SHAPE_MIXED = "mixed"
 SHAPE_NON_ALPHA = "nonAlpha"
 
+# Distinguished symbol for context slots that fall outside the sentence.
+BOUNDARY = "⊥"
+
 
 def word_shape(text: str) -> str:
     """Capitalization shape of ``text``; a pure function of the string."""
@@ -137,6 +140,16 @@ class _Ids(dict):
     def __missing__(self, key: str) -> int:
         self[key] = value = len(self)
         return value
+
+
+def _first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes in order of first appearance, and each code's
+    position among them."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return distinct[order], rank[inverse]
 
 
 class _Chunk(NamedTuple):

@@ -194,16 +194,15 @@ def dl_cotrain(
     seeds: SeedSet,
     m: int = 5,
     epsilon: float = 0.95,
-    max_iters: int | None = None,
 ) -> DecisionListState:
     """Run the alternating decision-list algorithm to a fixed point.
 
     Iteration i adds up to i*m new context rules per label from the
     spelling-labeled data, then up to i*m new spelling rules per label
     from the context-labeled data; the loop ends when an iteration adds
-    nothing (or at ``max_iters``).  Occurrences the current list cannot
-    label are excluded from rule counts, not treated as negatives.  The
-    final ``labels`` are indexed by row of ``table``.
+    nothing.  Occurrences the current list cannot label are excluded from
+    rule counts, not treated as negatives.  The final ``labels`` are
+    indexed by row of ``table``.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -235,8 +234,6 @@ def dl_cotrain(
             }
         )
         if not (added["context"] or added["spelling"]):
-            break
-        if max_iters is not None and i >= max_iters:
             break
         i += 1
 

@@ -37,8 +37,10 @@ import scipy.sparse as sp
 from scipy.optimize import minimize
 
 from .corpus import (
+    BOUNDARY,
     Corpus,
     PhraseTrie,
+    _first_appearance,
     _Ids,
     SHAPE_ALL_CAPS,
     SHAPE_ALL_LOWER,
@@ -58,7 +60,6 @@ from .tagging import (
 )
 # not called here: perfbench/tracer.py's WRAPS wraps it under this module
 from .tagging import tag_with_dictionary  # noqa: F401
-from .views import BOUNDARY, _first_appearance
 
 __all__ = [
     "LABELS",

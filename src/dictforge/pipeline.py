@@ -8,12 +8,12 @@ and which package modules its body calls.  A body reads only through its
 row: it gets the row's resolved reads by name, each loaded by its
 ``_READERS`` entry once per run and shared with every later stage.  A rerun
 serves a stage from the manifest when the content hashes of its reads, its
-parameters and its code (``pipeline.py`` plus the import closure of its
-modules) are unchanged, so a moved output directory stays cached and a module
-edit re-executes only the stages that import it.  A run loads and hashes each
-file once.  Grid points are scored on the dev split and the winner is chosen
-by ``model_select``; everything a later reader needs to reproduce the run
-lands next to the artifacts.
+parameters, its code (``pipeline.py`` plus the import closure of its
+modules) and the numpy and scipy versions are unchanged, so a moved output
+directory stays cached and a module edit re-executes only the stages that
+import it.  A run loads and hashes each file once.  Grid points are scored
+on the dev split and the winner is chosen by ``model_select``; everything a
+later reader needs to reproduce the run lands next to the artifacts.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .cca import (
@@ -43,7 +44,6 @@ from .cca import (
     write_embeddings,
 )
 from .classifier import (
-    SeedSet,
     build_dictionary,
     cut_dictionary,
     read_seeds,
@@ -109,8 +109,8 @@ _STAGES = {
                     ("corpus", "extraction", "views")),
     "cca": _Stage(("cca.model.npz",), ("views.table.npz",), ("views", "cca"), "cca"),
     "classify": _Stage(("dict.cca.tsv", "embeddings.tsv", "svm.json"),
-                       ("candidates.tsv", "seeds", "dev", "cca.model.npz", "views.table.npz"),
-                       ("extraction", "views", "cca", "classifier", "tagging"), "svm"),
+                       ("seeds", "dev", "cca.model.npz", "views.table.npz"),
+                       ("views", "cca", "classifier", "tagging"), "svm"),
     "cotrain": _Stage(("dict.cotrain.tsv", "cotrain.json"), ("views.table.npz", "seeds", "dev"),
                       ("views", "classifier", "cotrain", "tagging"), "cotrain"),
     "tag": _Stage(("report.json",), ("test", "dict.cca.tsv?", "dict.cotrain.tsv?"),
@@ -473,7 +473,8 @@ class _Reads(dict):
 
     def dev_f1(self, points: int) -> Callable[[Dictionary], float]:
         """Dev F1 (0.0 without dev) of a dictionary drawn from the table's phrases
-        (every candidate has a row), by one ``dictionary_scorer`` per run."""
+        (classify ranks exactly these, cotrain's rules name some of them), by
+        one ``dictionary_scorer`` per run."""
         if (dev := self.dev(points)) is None:
             return lambda dictionary: 0.0
         if "dev scorer" not in self.loaded:
@@ -518,25 +519,18 @@ def _stage_cca(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
 
 
 def _stage_classify(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
-    # a candidate's embedding is its spelling row (identity, caps bit) times
-    # phi1: one row of E per distinct candidate, in ascending phrase order
+    # a phrase's embedding is its spelling row (identity, caps bit) times
+    # phi1: one row of E per phrase of the occurrence table, the candidates
+    # that occur, in ascending phrase order
     table = reads["views.table.npz"]
-    id_of = {p: i for i, p in enumerate(table.phrases)}
-    names = [c.lower for c in reads["candidates.tsv"]]
-    for name in names:
-        if name not in id_of:
-            raise StageError("classify", f"candidate {name!r} has no occurrence row")
-    names = sorted(set(names))
-    rows = table.spelling_rows(np.array([id_of[p] for p in names], dtype=np.int64))
-    E = embed_phrases(reads["cca.model.npz"], rows)
+    ids = sorted(range(len(table.phrases)), key=table.phrases.__getitem__)
+    names = [table.phrases[i] for i in ids]
+    E = embed_phrases(reads["cca.model.npz"], table.spelling_rows(np.array(ids, dtype=np.int64)))
     row_of = {p: i for i, p in enumerate(names)}
-    pos, neg, missing = resolve_seeds(reads["seeds"], row_of)
-    if missing:
-        raise StageError(
-            "classify",
-            f"seeds missing from the candidate list: {', '.join(sorted(missing))}",
-        )
-    seeds = SeedSet.make(pos, neg)
+    seeds = reads["seeds"]
+    if missing := resolve_seeds(seeds, row_of)[2]:
+        raise StageError("classify", "seeds with no occurrence in views.table.npz: "
+                         + ", ".join(sorted(missing)))
     points = len(cfg.svm_k_grid) * len(cfg.svm_c_grid) * len(cfg.svm_threshold_grid)
     dev_f1 = reads.dev_f1(points)
     # one fit and one ranking per (k, C) on the column prefix E[:, :k]; each
@@ -544,7 +538,7 @@ def _stage_classify(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
     lowest = min(cfg.svm_threshold_grid)
     fits, reports, fitted = [], [], {}
     for k in cfg.svm_k_grid:
-        seed_rows = {p: E[row_of[p], :k] for p in (*pos, *neg)}
+        seed_rows = {p: E[row_of[p], :k] for p in (*seeds.positives, *seeds.negatives)}
         for C in cfg.svm_c_grid:
             svm = train_svm(seed_rows, seeds, C=C)
             ranking = build_dictionary(names, E[:, :k], svm, threshold=lowest)
@@ -691,6 +685,8 @@ def run_pipeline(
     )
     sources = _sources()
     imports = _imports(sources)
+    # a numpy or scipy release may change the bytes a stage writes
+    libraries = {"numpy": np.__version__, "scipy": scipy.__version__}
     digests = _Digests()
     loaded: dict = {}  # read name -> its value, shared by the run's stages
 
@@ -710,9 +706,8 @@ def run_pipeline(
         params = {key: getattr(config, _field(section, key)) for key in _KEYS.get(section, ())}
         closure = ("__init__", "pipeline", *_closure(_STAGES[stage].modules, imports))
         code = hashlib.sha256(b"".join(m.encode() + sources[m] for m in closure)).hexdigest()
-        signature = hashlib.sha256(
-            _json_text({"inputs": inputs, "params": params, "code": code}).encode()
-        ).hexdigest()
+        covered = {"inputs": inputs, "params": params, "code": code, "libraries": libraries}
+        signature = hashlib.sha256(_json_text(covered).encode()).hexdigest()
 
         prev = previous.get(stage)
         if (
@@ -751,9 +746,7 @@ def run_pipeline(
 
         manifest.stages[stage] = {
             "signature": signature,
-            "inputs": inputs,
-            "params": params,
-            "code": code,
+            **covered,
             "outputs": outputs,
             "elapsed_s": round(elapsed, 3),
             "cached": False,

@@ -90,11 +90,15 @@ def _prechecked(scores: dict[str, float], provenance: str, metadata: dict[str, s
 
 
 def check_phrases(phrases: Iterable[str], kind: str) -> None:
-    """Raise ``ValueError`` naming the first empty phrase or phrase with
-    capitals: tokens are lowercased before lookup, so it would never match."""
+    """Raise ``ValueError`` naming the first phrase that could never match:
+    an empty one, one with capitals (tokens are lowercased before lookup) or
+    one whose words are not joined by single spaces (tokens hold no
+    whitespace, and a phrase is its tokens joined by one space)."""
     for p in phrases:
         if not p.strip():
             raise ValueError(f"empty {kind} phrase {p!r}")
+        if p != " ".join(p.split()):
+            raise ValueError(f"{kind} phrase {p!r} is not words joined by single spaces")
         if p != p.lower():
             raise ValueError(f"{kind} phrase {p!r} is not lowercase")
 

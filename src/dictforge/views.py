@@ -25,8 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, PhraseTrie
-from .extraction import CandidatePhrase
+from .corpus import BOUNDARY, Corpus, PhraseTrie, _first_appearance
 
 __all__ = [
     "BOUNDARY",
@@ -40,9 +39,6 @@ __all__ = [
     "write_triplets",
     "read_triplets",
 ]
-
-# Distinguished symbol for context slots that fall outside the sentence.
-BOUNDARY = "⊥"
 
 CONTEXT_POSITIONS = (-3, -2, -1, 1, 2, 3)
 
@@ -119,14 +115,13 @@ class Occurrences:
         )
 
 
-def collect_occurrences(
-    corpus: Corpus | Iterable, candidates: Sequence[CandidatePhrase]
-) -> Occurrences:
+def collect_occurrences(corpus: Corpus | Iterable, candidates: Sequence) -> Occurrences:
     """Maximal non-overlapping candidate matches of an interned corpus (or
     of :class:`~dictforge.corpus.Sentence` objects, interned first), found
     by :meth:`~dictforge.corpus.PhraseTrie.match`: the longest candidate wins
     at each position, and scanning left to right makes ties resolve
-    leftmost."""
+    leftmost.  Each candidate is matched by its ``lower`` phrase, as a
+    :class:`~dictforge.extraction.CandidatePhrase` row holds it."""
     if not candidates:
         raise ValueError("candidate list is empty")
     if not isinstance(corpus, Corpus):
@@ -236,16 +231,6 @@ class OccurrenceTable:
             contexts=list(zip(positions.tolist(), words.tolist())),
             caps=caps.astype(bool),
         )
-
-
-def _first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct codes in order of first appearance, and each code's
-    position among them."""
-    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return distinct[order], rank[inverse]
 
 
 def _table(

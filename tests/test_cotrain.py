@@ -197,10 +197,6 @@ class TestDlCotrain:
         with pytest.raises(ValueError):
             dl_cotrain(table(rows), SEEDS, m=1, epsilon=1.0)
 
-    def test_max_iters_cap(self):
-        state = dl_cotrain(table(clean_collection()), SEEDS, m=1, epsilon=0.9, max_iters=1)
-        assert state.iteration == 1
-
 
 class TestDictionaryFromRules:
     def state_with(self, *rules):

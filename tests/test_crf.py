@@ -166,9 +166,12 @@ class TestExtractFeatures:
         with pytest.raises(ValueError):
             SentinelEmbeddings({})
 
-    @pytest.mark.parametrize("phrase", ["", " ", "Flu", "yellow Fever"])
+    @pytest.mark.parametrize(
+        "phrase", ["", " ", "Flu", "yellow Fever", "flu ", " flu", "yellow  fever", "yellow\tfever"]
+    )
     def test_empty_or_cased_phrase_rejected(self, phrase):
-        # tokens are lowercased before lookup, so such a row never matches
+        # tokens are lowercased before lookup and hold no whitespace, and a
+        # phrase is its tokens joined by one space, so such a row never matches
         with pytest.raises(ValueError, match=re.escape(repr(phrase))):
             SentinelEmbeddings({"flu": np.array([1.0]), phrase: np.array([2.0])})
 

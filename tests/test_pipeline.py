@@ -539,19 +539,41 @@ class TestRunPipeline:
         manifest = run_pipeline(copy, stages=(stage,))
         assert manifest.stages[stage]["cached"] is False
         inputs = manifest.stages[stage]["inputs"]
-        assert "corpus" not in inputs
-        if stage == "cotrain":
-            assert "candidates.tsv" not in inputs
+        assert "corpus" not in inputs and "candidates.tsv" not in inputs
         assert (copy.outdir / artifact).read_bytes() == (config.outdir / artifact).read_bytes()
 
-    def test_candidate_without_occurrence_names_itself(self, finished_run, tmp_path):
-        workdir, config, _ = finished_run
-        shutil.copytree(config.outdir, tmp_path / "out")
-        copy = dataclasses.replace(config, outdir=tmp_path / "out")
-        with open(copy.outdir / "candidates.tsv", "a", encoding="utf-8") as fh:
-            fh.write("zzyzx quux\t1\n")
-        with pytest.raises(StageError, match=r"\[classify\].*'zzyzx quux'"):
-            run_pipeline(copy, stages=("classify",))
+    @staticmethod
+    def _nested_candidate_run(tmp_path, seeds):
+        """A run in which every occurrence of the candidate ``x b`` lies
+        inside one of ``x b c``, so the occurrence table has no ``x b``;
+        ``q`` is a second phrase with an occurrence, for the negative seed."""
+        path = write_minimal(
+            tmp_path, cca=["k = 1"], svm=["c_grid = 1", "k_grid = 1"], cotrain=["theta_grid = 1"]
+        )
+        data = tmp_path / "d"
+        (data / "c.txt").write_text(
+            "the x b c virus spread\nwith y x b c today\nthe q virus spread\n", encoding="utf-8"
+        )
+        (data / "p.txt").write_text("between the ... virus\nbetween y ... c\n", encoding="utf-8")
+        (data / "s.txt").write_text(seeds, encoding="utf-8")
+        return validate_config(path)
+
+    def test_candidate_inside_a_longer_one_is_not_embedded(self, tmp_path):
+        config = self._nested_candidate_run(tmp_path, "[positive]\nx b c\n[negative]\nq\n")
+        manifest = run_pipeline(config)
+        assert {s for s, rec in manifest.stages.items() if "skipped" not in rec} == {
+            "extract", "views", "cca", "classify", "cotrain"
+        }
+        candidates = [c.lower for c in read_candidates(config.outdir / "candidates.tsv")]
+        assert sorted(candidates) == ["q", "x b", "x b c"]
+        embedded = (config.outdir / "embeddings.tsv").read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[0] for line in embedded] == ["q", "x b c"]
+
+    def test_seed_without_occurrence_names_itself(self, tmp_path):
+        # `x b` is a candidate, but it has no row of the occurrence table to embed
+        config = self._nested_candidate_run(tmp_path, "[positive]\nx b c\n[negative]\nq\nx b\n")
+        with pytest.raises(StageError, match=r"^\[classify\] .*views\.table\.npz: x b$"):
+            run_pipeline(config)
 
     @pytest.mark.parametrize("stage", ["cca", "classify", "cotrain"])
     def test_inconsistent_table_names_stage_and_file(self, finished_run, tmp_path, stage):
@@ -580,7 +602,7 @@ class TestRunPipeline:
             "extract": {"corpus", "patterns"},
             "views": {"corpus", "candidates.tsv"},
             "cca": {"views.table.npz"},
-            "classify": {"candidates.tsv", "seeds", "dev", "cca.model.npz", "views.table.npz"},
+            "classify": {"seeds", "dev", "cca.model.npz", "views.table.npz"},
             "cotrain": {"views.table.npz", "seeds", "dev"},
             "tag": {"test", "dict.cca.tsv", "dict.cotrain.tsv"},
             "crf": {"train", "dev", "test", "dict.cca.tsv"},
@@ -595,6 +617,21 @@ class TestRunPipeline:
         manifest = run_pipeline(copy)
         assert not any(rec["cached"] for rec in manifest.stages.values())
 
+    @pytest.mark.parametrize("library", ["numpy", "scipy"])
+    def test_library_version_change_reexecutes_every_stage(
+        self, finished_run, tmp_path, monkeypatch, library
+    ):
+        # a release may change the bytes a stage writes, so no stage is served
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        module = sys.modules[library]
+        monkeypatch.setattr(module, "__version__", module.__version__ + "+changed")
+        manifest = run_pipeline(copy)
+        assert not any(rec["cached"] for rec in manifest.stages.values())
+        for record in manifest.stages.values():
+            assert record["libraries"][library] == module.__version__
+
     @pytest.mark.parametrize(
         "module, rerun",
         [
@@ -603,6 +640,8 @@ class TestRunPipeline:
             ("linalg", {"cca", "classify", "crf"}),
             ("synth", set()),
             ("cli", set()),
+            ("extraction", {"extract", "views"}),
+            ("views", {"views", "cca", "classify", "cotrain"}),
         ],
     )
     def test_module_edit_reexecutes_the_stages_that_import_it(
@@ -1140,11 +1179,11 @@ class TestStageTable:
     CLOSURES = {
         "extract": {"corpus", "extraction"},
         "views": {"corpus", "extraction", "views"},
-        "cca": {"cca", "linalg", "views", "extraction", "corpus"},
-        "classify": {"cca", "linalg", "classifier", "tagging", "extraction", "corpus", "views"},
-        "cotrain": {"cotrain", "classifier", "tagging", "views", "extraction", "corpus"},
+        "cca": {"cca", "linalg", "views", "corpus"},
+        "classify": {"cca", "linalg", "classifier", "tagging", "corpus", "views"},
+        "cotrain": {"cotrain", "classifier", "tagging", "views", "corpus"},
         "tag": {"tagging", "corpus"},
-        "crf": {"crf", "corpus", "tagging", "views", "extraction", "cca", "linalg"},
+        "crf": {"crf", "corpus", "tagging", "cca", "linalg"},
     }
 
     def test_reads_name_config_paths_or_earlier_outputs(self):

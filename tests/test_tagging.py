@@ -397,6 +397,23 @@ class TestDictionaryIO:
         with pytest.raises(ValueError, match="'yellow Fever'"):
             read_dictionary(path)
 
+    @pytest.mark.parametrize("phrase", ["flu ", " flu", "yellow  fever", "yellow\tfever", "flu\n"])
+    def test_phrase_not_joined_by_single_spaces_rejected(self, phrase):
+        # a phrase is its tokens joined by one space, and no token holds
+        # whitespace, so such a phrase would load and then never match
+        with pytest.raises(ValueError, match=re.escape(f"{phrase!r} is not words joined")):
+            Dictionary({"flu": 1.0, phrase: 1.0})
+
+    @pytest.mark.parametrize("phrase", ["flu ", " flu", "yellow  fever"])
+    def test_read_names_file_and_line_of_badly_spaced_phrase(self, tmp_path, phrase):
+        path = tmp_path / "hand.dict.tsv"
+        path.write_text(f"# provenance: manual\nfever\t2.0\n{phrase}\t1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_dictionary(path)
+        assert str(err.value) == (
+            f"{path}, line 3: dictionary phrase {phrase!r} is not words joined by single spaces"
+        )
+
     @pytest.mark.parametrize(
         "row", ["flu", "flu\t1.0\t2.0", "flu\tmany", "flu 1.0", "\t"]
     )

@@ -22,6 +22,12 @@ per-token string specification of those rows is kept as a test oracle in
 once for every fit.
 Forward, backward and Viterbi run over the whole batch at once: sentences
 are padded longest first, and each step updates the prefix still running.
+A compiled training set also holds what every objective call reads and no
+weight changes, built once: X's transpose, the gold one-hot and its index,
+each token's batch column and each sentence's last step.  Each forward
+and backward step is a few ufunc calls, in place, and the backward step
+turns its own array into that step's pair expectations, in place, so no
+T×B×m×m array is ever held.
 """
 
 from __future__ import annotations
@@ -135,9 +141,10 @@ class SentinelEmbeddings:
     phrase's vector; later tokens of the phrase carry the constant 2*x in
     every dimension, and tokens outside any known phrase carry 4*x, so the
     three token roles stay linearly separable even when components are
-    negative.  ``trie`` matches the phrases in an interned corpus, its
-    phrase index the row of ``matrix``.  Two tables compare equal only when
-    they are the same object.
+    negative.  A table whose components are all zero is rejected: its
+    sentinels would be zero too.  ``trie`` matches the phrases in an
+    interned corpus, its phrase index the row of ``matrix``.  Two tables
+    compare equal only when they are the same object.
     """
 
     def __init__(self, table: Mapping[str, np.ndarray]):
@@ -152,6 +159,8 @@ class SentinelEmbeddings:
             raise ValueError("non-finite embedding component")
         self.k = self.matrix.shape[1]
         self.x = float(np.max(np.abs(self.matrix)))
+        if self.x == 0.0:
+            raise ValueError("every embedding component is zero")
         self.trie = PhraseTrie(self.phrases)
 
 
@@ -459,15 +468,36 @@ class _Compiled:
     order[r] sits in column r, active[t] sentences are still running at
     step t (always a prefix of the columns), and token i sits at flat
     index slot[i] of the T×B grid.
+
+    A training set (gold labels given) also holds what every objective
+    call reads and no weight changes, built here once: XT, X's transpose
+    as CSR; the gold one-hot and its (row, label) index gold_at; each
+    token's batch column; and each sentence's last (step, column).
     """
 
     X: sp.csr_matrix
     lengths: np.ndarray
     order: np.ndarray
-    active: np.ndarray
+    active: list[int]
     slot: np.ndarray
     gold: np.ndarray | None
     gold_fids: np.ndarray | None
+    XT: sp.csr_matrix | None = field(init=False, default=None)
+    gold_onehot: np.ndarray | None = field(init=False, default=None)
+    gold_at: tuple[np.ndarray, np.ndarray] | None = field(init=False, default=None)
+    column: np.ndarray | None = field(init=False, default=None)
+    last: tuple[np.ndarray, np.ndarray] | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        if self.gold is None:
+            return
+        n, B = self.gold.size, self.order.size
+        self.XT = self.X.T.tocsr()
+        self.gold_at = (np.arange(n), self.gold)
+        self.gold_onehot = np.zeros((n, len(LABELS)))
+        self.gold_onehot[self.gold_at] = 1.0
+        self.column = self.slot % B
+        self.last = (self.lengths[self.order] - 1, np.arange(B))
 
     def padded(self, token_rows: np.ndarray) -> np.ndarray:
         """Scatter per-token rows into a T×B×m array, zero elsewhere."""
@@ -523,7 +553,7 @@ def _compile(
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     T, B = int(lengths.max()), order.size
-    active = (lengths[order][None, :] > np.arange(T)[:, None]).sum(axis=1)
+    active = (lengths[order][None, :] > np.arange(T)[:, None]).sum(axis=1).tolist()
     slot = step * B + np.repeat(rank, lengths)
     return _Compiled(
         X,
@@ -637,15 +667,9 @@ def _lexical_ids(
     )
 
 
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(x))) along axis; an all -inf slice gives -inf without a
-    floating-point warning."""
-    peak = np.max(x, axis=axis, keepdims=True)
-    peak[~np.isfinite(peak)] = 0.0
-    total = np.exp(x - peak).sum(axis=axis)
-    out = np.full_like(total, -np.inf)
-    np.log(total, out=out, where=total > 0)
-    return out + np.squeeze(peak, axis=axis)
+# the peak a log-sum-exp slice is shifted by is clamped here, so an all -inf
+# slice gives exp(-inf) = 0, log(0) = -inf, and -inf again, not nan
+_FLOOR = np.finfo(float).min
 
 
 def _neg_objective(
@@ -657,42 +681,72 @@ def _neg_objective(
     """Negative (log-likelihood - lambda * ||w||^2) and its gradient.
 
     Forward and backward run over the whole batch at once, one step per
-    position, on the prefix of sentences still active at that step."""
+    position, on the prefix of sentences still active at that step.  Each
+    step's log-sum-exp is a few ufunc calls, in place on that step's
+    array; the backward step then turns its own array into the pair
+    expectations, in place, and adds them up.  What no weight changes
+    (X's transpose, the gold one-hot, the batch columns) is _Compiled's,
+    built once per training set.  Every operation and its order are those
+    of the one-expression-per-step objective in ``tests/oracles.py``, so
+    value and gradient are the same bits."""
     n_lab = len(LABELS)
     w_obs = weights[: chain.offset].reshape(chain.n_obs, n_lab)
     start, trans = chain.scores(weights)
     E = comp.X @ w_obs
-    estate = E[:, chain.state_label]
-    S = comp.padded(estate)
+    S = comp.padded(E[:, chain.state_label])
     T, B, m = S.shape
     alpha = np.full_like(S, -np.inf)
     beta = np.zeros_like(S)
     alpha[0] = start + S[0]
-    for t in range(1, T):
-        a = comp.active[t]
-        alpha[t, :a] = _logsumexp(alpha[t - 1, :a, :, None] + trans, axis=1) + S[t, :a]
-    log_z = _logsumexp(alpha[comp.lengths[comp.order] - 1, np.arange(B)], axis=1)
     pair_expect = np.zeros((m, m))
-    for t in range(T - 1, 0, -1):
-        a = comp.active[t]
-        ahead = trans + (S[t, :a] + beta[t, :a])[:, None, :]
-        beta[t - 1, :a] = _logsumexp(ahead, axis=2)
-        pair_expect += np.exp(
-            alpha[t - 1, :a, :, None] + ahead - log_z[:a, None, None]
-        ).sum(axis=0)
-    start_expect = np.exp(alpha[0] + beta[0] - log_z[:, None]).sum(axis=0)
-    # state marginals of every token, in token order
-    node = np.exp(
-        alpha.reshape(T * B, m)[comp.slot]
-        + beta.reshape(T * B, m)[comp.slot]
-        - log_z[comp.slot % B, None]
-    )
+    active = comp.active
+    # log(0) is -inf here, and exp of a far negative score rounds to 0
+    with np.errstate(divide="ignore", under="ignore"):
+        for t in range(1, T):
+            a = active[t]
+            x = alpha[t - 1, :a, :, None] + trans
+            peak = np.maximum.reduce(x, axis=1)
+            np.maximum(peak, _FLOOR, out=peak)
+            np.subtract(x, peak[:, None, :], out=x)
+            np.exp(x, out=x)
+            total = np.add.reduce(x, axis=1)
+            np.log(total, out=total)
+            total += peak
+            np.add(total, S[t, :a], out=alpha[t, :a])
+        x = alpha[comp.last]
+        peak = np.maximum.reduce(x, axis=1)
+        np.maximum(peak, _FLOOR, out=peak)
+        np.subtract(x, peak[:, None], out=x)
+        np.exp(x, out=x)
+        log_z = np.add.reduce(x, axis=1)
+        np.log(log_z, out=log_z)
+        log_z += peak
+        for t in range(T - 1, 0, -1):
+            a = active[t]
+            ahead = trans + (S[t, :a] + beta[t, :a])[:, None, :]
+            peak = np.maximum.reduce(ahead, axis=2)
+            np.maximum(peak, _FLOOR, out=peak)
+            x = ahead - peak[:, :, None]
+            np.exp(x, out=x)
+            total = np.add.reduce(x, axis=2)
+            np.log(total, out=total)
+            np.add(total, peak, out=beta[t - 1, :a])
+            # the pair marginals of step t, summed over the batch
+            ahead += alpha[t - 1, :a, :, None]
+            ahead -= log_z[:a, None, None]
+            np.exp(ahead, out=ahead)
+            pair_expect += np.add.reduce(ahead, axis=0)
+        start_expect = np.exp(alpha[0] + beta[0] - log_z[:, None]).sum(axis=0)
+        # state marginals of every token, in token order
+        node = np.exp(
+            alpha.reshape(T * B, m)[comp.slot]
+            + beta.reshape(T * B, m)[comp.slot]
+            - log_z[comp.column, None]
+        )
 
-    gold_onehot = np.zeros((E.shape[0], n_lab))
-    gold_onehot[np.arange(E.shape[0]), comp.gold] = 1.0
     grad = np.zeros_like(weights)
-    grad[: chain.offset] = (comp.X.T @ (node @ chain.to_label - gold_onehot)).ravel()
-    gold_score = float(E[np.arange(E.shape[0]), comp.gold].sum())
+    grad[: chain.offset] = (comp.XT @ (node @ chain.to_label - comp.gold_onehot)).ravel()
+    gold_score = float(E[comp.gold_at].sum())
     gold_score += float(weights[comp.gold_fids].sum())
     ll = gold_score - float(log_z.sum())
     np.subtract.at(grad, comp.gold_fids, 1.0)
@@ -758,17 +812,13 @@ def _fit(
     model: CrfModel,
     chain: _Chain,
     compiled: _Compiled,
-    init: np.ndarray | None,
     max_iters: int,
 ) -> CrfModel:
-    """Quasi-Newton fit of the weights on a compiled training set; returns
-    a new model carrying the solver status."""
-    x0 = np.zeros_like(model.weights) if init is None else np.asarray(init, dtype=float)
-    if x0.shape != model.weights.shape:
-        raise ValueError("init shape mismatch")
+    """Quasi-Newton fit of the weights on a compiled training set, from
+    zero weights; returns a new model carrying the solver status."""
     result = minimize(
         _neg_objective,
-        x0,
+        np.zeros_like(model.weights),
         args=(model, chain, compiled),
         jac=True,
         method="L-BFGS-B",
@@ -823,7 +873,7 @@ def train_crf_grid(
     chain = _Chain(model)
     compiled = _compile(model, chain, sentences, True, columns)
     for lam in regularizers:
-        yield _fit(replace(model, regularizer=lam), chain, compiled, None, max_iters)
+        yield _fit(replace(model, regularizer=lam), chain, compiled, max_iters)
 
 
 def log_likelihood_and_gradient(

@@ -11,6 +11,9 @@ can check the program against an independent reading of the rule.
 * :func:`observations` names each token's label-independent CRF
   observations, the specification of the rows ``crf._columns`` builds.
 * :func:`fit_weights` fits a model's weights on sentences compiled here.
+* :func:`neg_objective` is the CRF training objective with one NumPy
+  expression per forward and backward step, each step's log-sum-exp in a
+  helper, the specification ``crf._neg_objective`` must equal bit for bit.
 * :func:`extract_between` and :func:`extract_after_trigger` run one
   extraction pattern over one sentence.
 * :class:`NumpyDraws` makes ``synth._Draws``'s draws by the ``Generator``'s
@@ -150,7 +153,6 @@ def observations(
 def fit_weights(
     model: CrfModel,
     sentences: Sequence[tuple[Sequence[str], Sequence[str]]],
-    init: np.ndarray | None = None,
     max_iters: int = 500,
 ) -> CrfModel:
     """Quasi-Newton fit of the model's weights on the sentences, compiled
@@ -161,7 +163,85 @@ def fit_weights(
         raise ValueError("empty training set")
     chain = crf._Chain(model)
     compiled = crf._compile(model, chain, sentences, with_gold=True)
-    return crf._fit(model, chain, compiled, init, max_iters)
+    return crf._fit(model, chain, compiled, max_iters)
+
+
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along axis; an all -inf slice gives -inf without a
+    floating-point warning."""
+    peak = np.max(x, axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    total = np.exp(x - peak).sum(axis=axis)
+    out = np.full_like(total, -np.inf)
+    np.log(total, out=out, where=total > 0)
+    return out + np.squeeze(peak, axis=axis)
+
+
+def neg_objective(
+    weights: np.ndarray,
+    model: CrfModel,
+    chain: crf._Chain,
+    comp: crf._Compiled,
+) -> tuple[float, np.ndarray]:
+    """Negative (log-likelihood - lambda * ||w||^2) and its gradient.
+
+    Forward and backward run over the whole batch at once, one step per
+    position, on the prefix of sentences still active at that step."""
+    n_lab = len(crf.LABELS)
+    w_obs = weights[: chain.offset].reshape(chain.n_obs, n_lab)
+    start, trans = chain.scores(weights)
+    E = comp.X @ w_obs
+    estate = E[:, chain.state_label]
+    S = comp.padded(estate)
+    T, B, m = S.shape
+    alpha = np.full_like(S, -np.inf)
+    beta = np.zeros_like(S)
+    alpha[0] = start + S[0]
+    for t in range(1, T):
+        a = comp.active[t]
+        alpha[t, :a] = _logsumexp(alpha[t - 1, :a, :, None] + trans, axis=1) + S[t, :a]
+    log_z = _logsumexp(alpha[comp.lengths[comp.order] - 1, np.arange(B)], axis=1)
+    pair_expect = np.zeros((m, m))
+    for t in range(T - 1, 0, -1):
+        a = comp.active[t]
+        ahead = trans + (S[t, :a] + beta[t, :a])[:, None, :]
+        beta[t - 1, :a] = _logsumexp(ahead, axis=2)
+        pair_expect += np.exp(
+            alpha[t - 1, :a, :, None] + ahead - log_z[:a, None, None]
+        ).sum(axis=0)
+    start_expect = np.exp(alpha[0] + beta[0] - log_z[:, None]).sum(axis=0)
+    # state marginals of every token, in token order
+    node = np.exp(
+        alpha.reshape(T * B, m)[comp.slot]
+        + beta.reshape(T * B, m)[comp.slot]
+        - log_z[comp.slot % B, None]
+    )
+
+    gold_onehot = np.zeros((E.shape[0], n_lab))
+    gold_onehot[np.arange(E.shape[0]), comp.gold] = 1.0
+    grad = np.zeros_like(weights)
+    grad[: chain.offset] = (comp.X.T @ (node @ chain.to_label - gold_onehot)).ravel()
+    gold_score = float(E[np.arange(E.shape[0]), comp.gold].sum())
+    gold_score += float(weights[comp.gold_fids].sum())
+    ll = gold_score - float(log_z.sum())
+    np.subtract.at(grad, comp.gold_fids, 1.0)
+    if chain.pair_fids.size:
+        np.add.at(
+            grad,
+            chain.pair_fids,
+            pair_expect[chain.pair_rows, chain.pair_cols],
+        )
+    for si, fids in enumerate(chain.start_fids):
+        for fid in fids:
+            grad[fid] += start_expect[si]
+    lam = model.regularizer
+    value = -(ll - lam * float(weights @ weights))
+    grad += 2.0 * lam * weights
+    if not np.isfinite(value):
+        raise ValueError(
+            f"objective diverged: value={value}, |w|={np.linalg.norm(weights):.3g}"
+        )
+    return value, grad
 
 
 def extract_between(sentence: Sentence, pattern: ExtractionPattern) -> list[str]:

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from dictforge import crf
@@ -36,7 +37,7 @@ from dictforge.crf import (
 )
 from dictforge.crf import _FLAGS, START, _Chain, _compile, _named_dicts
 from dictforge.tagging import Dictionary, evaluate
-from oracles import fit_weights, observations
+from oracles import fit_weights, neg_objective, observations
 
 # chain orders, named by prev2: first order, label trigrams, and None for
 # no transitions at all (the chain that crf.features = dict builds)
@@ -165,6 +166,12 @@ class TestExtractFeatures:
     def test_empty_embedding_table_rejected(self):
         with pytest.raises(ValueError):
             SentinelEmbeddings({})
+
+    def test_all_zero_embedding_table_rejected(self):
+        # x = 0 would make the 2x and 4x sentinels zero vectors too, so a
+        # phrase start, its inside and the outside would look alike
+        with pytest.raises(ValueError, match="every embedding component is zero"):
+            SentinelEmbeddings({"flu": np.zeros(2), "yellow fever": np.zeros(2)})
 
     @pytest.mark.parametrize(
         "phrase", ["", " ", "Flu", "yellow Fever", "flu ", " flu", "yellow  fever", "yellow\tfever"]
@@ -568,12 +575,17 @@ class TestTraining:
 
     def test_objective_invariant_to_initialization(self):
         model = build_model(FIXTURE, regularizer=0.5)
+        chain = _Chain(model)
+        compiled = _compile(model, chain, FIXTURE, with_gold=True)
         rng = np.random.default_rng(21)
         finals = []
         for _ in range(2):
             init = rng.normal(0.0, 1.0, size=model.weights.shape)
-            fitted = fit_weights(model, FIXTURE, init=init)
-            ll, _ = log_likelihood_and_gradient(fitted, FIXTURE)
+            result = minimize(
+                crf._neg_objective, init, args=(model, chain, compiled),
+                jac=True, method="L-BFGS-B", options={"gtol": 1e-5, "maxiter": 500},
+            )
+            ll, _ = log_likelihood_and_gradient(replace(model, weights=result.x), FIXTURE)
             finals.append(ll)
         assert finals[0] == pytest.approx(finals[1], abs=1e-6)
 
@@ -710,6 +722,49 @@ class TestBatching:
         grad_sum = np.sum([g for _, g in singles], axis=0)
         assert abs(ll - ll_sum) <= 1e-12 * abs(ll_sum)
         assert np.max(np.abs(grad - grad_sum)) <= 1e-12 * np.max(np.abs(grad_sum))
+
+    @pytest.mark.parametrize("prev2", ORDERS)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 7), min_size=1, max_size=8),
+        log_scale=st.floats(-2.0, math.log10(50.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lengths=[1], log_scale=0.0, seed=0)
+    @example(lengths=[1, 1, 1], log_scale=-2.0, seed=1)
+    @example(lengths=[6], log_scale=math.log10(50.0), seed=2)
+    @example(lengths=[4, 4, 4, 4], log_scale=1.0, seed=3)
+    @example(lengths=[7, 1, 3, 1, 7], log_scale=math.log10(50.0), seed=4)
+    def test_objective_is_the_oracles_bit_for_bit(self, prev2, lengths, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        pool = ["flu", "hit", "the", "coast", "Ebola", "yellow", "fever", "ran"]
+        sentences = []
+        for n in lengths:
+            tokens = [pool[int(j)] for j in rng.integers(0, len(pool), n)]
+            tags, prev = [], "O"
+            for _ in range(n):
+                prev = str(rng.choice(["B", "O"] if prev == "O" else list(LABELS)))
+                tags.append(prev)
+            sentences.append((tokens, tags))
+        model = build_model(
+            sentences,
+            order_config(prev2, extras=True),
+            dictionaries=[Dictionary({"flu": 1.0, "yellow fever": 0.5}, provenance="manual")],
+            embeddings=SentinelEmbeddings(
+                {"flu": np.array([0.3, -0.2]), "ebola": np.array([0.1, 0.4])}
+            ),
+            regularizer=0.1,
+        )
+        chain = _Chain(model)
+        compiled = _compile(model, chain, sentences, with_gold=True)
+        weights = rng.normal(0.0, 10.0**log_scale, size=model.weights.shape)
+        # the kernel scopes its own floating-point state; the oracle needs
+        # underflow ignored, as NumPy's default state has it
+        with np.errstate(all="raise"):
+            value, grad = crf._neg_objective(weights, model, chain, compiled)
+        expect_value, expect_grad = neg_objective(weights, model, chain, compiled)
+        assert value == expect_value
+        assert np.array_equal(grad, expect_grad)
 
     @pytest.mark.parametrize("prev2", [False, True])
     def test_batch_decode_matches_enumerated_singles(self, prev2):

@@ -221,6 +221,10 @@ def build_dictionary(
 ) -> Dictionary:
     """Candidates scoring at least ``threshold``, ranked by margin descending.
 
+    The candidates are phrases :func:`~dictforge.tagging.check_phrases`
+    accepts, such as a candidate list's or an occurrence table's; they are
+    not checked here, so a caller ranking the same phrases under several
+    models checks them once.
     ``embeddings`` holds one row per candidate, in the candidates' order,
     of the model's dimension; a column-prefix view of a wider matrix is
     scored without a copy.  Equal scores rank in ascending phrase order,
@@ -246,7 +250,7 @@ def build_dictionary(
     order = by_phrase[np.argsort(-scores[by_phrase], kind="stable")].tolist()
     ranked = dict(zip([candidates[i] for i in order], scores[order].tolist()))
     meta = {"C": repr(model.C), "dims": str(model.dims_used)}
-    return cut_dictionary(Dictionary(ranked, "cca", meta), threshold)
+    return cut_dictionary(_prechecked(ranked, "cca", meta), threshold)
 
 
 def cut_dictionary(ranking: Dictionary, threshold: float) -> Dictionary:

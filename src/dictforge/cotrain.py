@@ -5,13 +5,18 @@ rules test the full phrase string, context rules test a bigram of two
 (position, word) items from the six-slot context window.  Both lists are
 one type over a matrix of each occurrence's condition ids: one column for
 spelling (its phrase), fifteen for context (its bigrams).
+Bigrams of the table's d contexts are interned through a d²-long presence
+array when d² is at most the number of bigram codes, by ``np.unique``'s
+sort otherwise.
 Each iteration labels the collection with one list, then adds the
 strongest rules of the other view, growing both lists until nothing new
-qualifies.  Each list keeps its (condition, label) counts from one
-selection to the next and recounts only the rows whose label moved; it
-admits each label's chosen rules in one batch, and a :class:`Rule` is a
-record (a named tuple).  A final threshold over positive spelling rules
-yields the comparison dictionary.
+qualifies.  The spelling list labels its rows by one gather of its
+conditions' labels, the context list by each row's strongest rule.  Each
+list keeps its (condition, label) counts from one selection to the next
+and recounts only the rows whose label moved; it admits each label's
+chosen rules in one batch, and a :class:`Rule` is a record (a named
+tuple), which the iteration trace holds as admitted.  A final threshold
+over positive spelling rules yields the comparison dictionary.
 """
 
 from __future__ import annotations
@@ -55,15 +60,13 @@ class Rule(NamedTuple):
     count_total: int
     strength: float
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 @dataclass
 class DecisionListState:
     """Both rule lists, the final label of each table row (1 positive,
     0 negative, -1 unlabeled; an array, so left out of ``==``), and the
-    iteration trace."""
+    iteration trace: per iteration, the :class:`Rule` records each list
+    admitted and both lists' sizes after it."""
 
     spelling_rules: list[Rule]
     context_rules: list[Rule]
@@ -109,7 +112,10 @@ class _DecisionList:
 
     def label_rows(self) -> np.ndarray:
         """Each row's label: its strongest matching rule decides, ties go
-        to the earlier addition; rows no rule matches are unlabeled."""
+        to the earlier addition; rows no rule matches are unlabeled.  A row
+        of a one-column list matches one condition, whose label it takes."""
+        if len(self.ids) == 1:
+            return self.label[self.ids[0]].astype(np.int64)
         admitted = np.flatnonzero(self.label != _UNLABELED)
         ranked = admitted[np.lexsort((self.order[admitted], -self.strength[admitted]))]
         # rank of each condition's rule; conditions without one rank last
@@ -163,6 +169,22 @@ class _DecisionList:
         return added
 
 
+def _intern(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` of codes in [0, size), the
+    inverse shaped as ``codes``.  When ``size`` is at most the number of
+    codes, a size-long presence array gives both (``flatnonzero``, then
+    ``cumsum``) in time and memory linear in the codes; a larger code
+    space falls back to ``np.unique``'s sort."""
+    if size > codes.size:
+        unique, inverse = np.unique(codes, return_inverse=True)
+        return unique, inverse.reshape(codes.shape)
+    present = np.zeros(size, dtype=bool)
+    present[codes] = True
+    index = np.cumsum(present)
+    index -= 1
+    return np.flatnonzero(present), index[codes]
+
+
 def _decision_lists(table: OccurrenceTable) -> tuple[_DecisionList, _DecisionList]:
     """The empty spelling and context lists of ``table``'s rows.  A rank
     is the inverse, by argsort, of the permutation that sorts the keys."""
@@ -177,12 +199,12 @@ def _decision_lists(table: OccurrenceTable) -> tuple[_DecisionList, _DecisionLis
     first, second = np.triu_indices(len(CONTEXT_POSITIONS), k=1)
     d = len(table.contexts)
     codes = table.context_ids.T[first] * d + table.context_ids.T[second]
-    unique, inverse = np.unique(codes, return_inverse=True)
+    unique, inverse = _intern(codes, d * d)
     # contexts are distinct, so bigrams order as their pairs of context ranks do
     context_rank = np.argsort(sorted(range(d), key=table.contexts.__getitem__))
     context = _DecisionList(
         "context",
-        inverse.reshape(codes.shape),
+        inverse,
         [("bigram", table.contexts[c // d], table.contexts[c % d]) for c in unique.tolist()],
         np.argsort(np.lexsort((context_rank[unique % d], context_rank[unique // d]))),
     )
@@ -227,8 +249,8 @@ def dl_cotrain(
         trace.append(
             {
                 "iteration": i,
-                "added_context": [r.as_dict() for r in added["context"]],
-                "added_spelling": [r.as_dict() for r in added["spelling"]],
+                "added_context": added["context"],
+                "added_spelling": added["spelling"],
                 "spelling_rules": len(spelling.rules),
                 "context_rules": len(context.rules),
             }

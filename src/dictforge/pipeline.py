@@ -11,9 +11,11 @@ serves a stage from the manifest when the content hashes of its reads, its
 parameters, its code (``pipeline.py`` plus the import closure of its
 modules) and the numpy and scipy versions are unchanged, so a moved output
 directory stays cached and a module edit re-executes only the stages that
-import it.  A run loads and hashes each file once.  Grid points are scored
-on the dev split and the winner is chosen by ``model_select``; everything a
-later reader needs to reproduce the run lands next to the artifacts.
+import it.  An executed stage's record also holds the BLAS numpy reports and
+the BLAS thread variables, recorded but outside the signature.  A run loads
+and hashes each file once.  Grid points are scored on the dev split and the
+winner is chosen by ``model_select``; everything a later reader needs to
+reproduce the run lands next to the artifacts.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .extraction import (
 )
 from .tagging import (
     Dictionary,
+    check_phrases,
     dictionary_scorer,
     evaluate,
     read_conll,
@@ -397,15 +400,30 @@ class _Digests(dict):
         return digest
 
 
+# the thread counts of OpenMP, OpenBLAS and MKL, recorded with each stage
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _sources() -> dict[str, bytes]:
     """The package's modules by name, as their files hold them."""
     return {p.stem: p.read_bytes() for p in Path(__file__).parent.glob("*.py")}
 
 
 def _imports(sources: Mapping[str, bytes]) -> dict[str, list[str]]:
-    """Each module's ``from .x import`` targets."""
-    pattern = re.compile(r"^[ \t]*from \.(\w+) import", re.M)
-    return {name: pattern.findall(source.decode()) for name, source in sources.items()}
+    """Each module's ``from .x import`` targets, where only spaces or tabs
+    precede the statement on its line.  The literal is searched for first
+    and its line prefix tested after, which is cheaper than a multiline
+    regex anchored at every line start."""
+    pattern = re.compile(r"from \.(\w+) import")
+    targets = {}
+    for name, source in sources.items():
+        text = source.decode()
+        targets[name] = [
+            m[1]
+            for m in pattern.finditer(text)
+            if not text[text.rfind("\n", 0, m.start()) + 1 : m.start()].strip(" \t")
+        ]
+    return targets
 
 
 def _closure(modules: Iterable[str], imports: Mapping[str, list[str]]) -> list[str]:
@@ -525,6 +543,8 @@ def _stage_classify(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
     table = reads["views.table.npz"]
     ids = sorted(range(len(table.phrases)), key=table.phrases.__getitem__)
     names = [table.phrases[i] for i in ids]
+    # checked once here: build_dictionary ranks them under every (k, C)
+    check_phrases(names, "candidate")
     E = embed_phrases(reads["cca.model.npz"], table.spelling_rows(np.array(ids, dtype=np.int64)))
     row_of = {p: i for i, p in enumerate(names)}
     seeds = reads["seeds"]
@@ -687,6 +707,12 @@ def run_pipeline(
     imports = _imports(sources)
     # a numpy or scipy release may change the bytes a stage writes
     libraries = {"numpy": np.__version__, "scipy": scipy.__version__}
+    # so may the BLAS and its thread count: recorded, not signed
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    environment = {
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+    }
     digests = _Digests()
     loaded: dict = {}  # read name -> its value, shared by the run's stages
 
@@ -747,6 +773,7 @@ def run_pipeline(
         manifest.stages[stage] = {
             "signature": signature,
             **covered,
+            "environment": environment,
             "outputs": outputs,
             "elapsed_s": round(elapsed, 3),
             "cached": False,

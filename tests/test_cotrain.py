@@ -56,7 +56,7 @@ class TestDlCotrain:
     def test_perfect_predictor_joins_context_list_in_iteration_one(self):
         state = dl_cotrain(table(clean_collection()), SEEDS, m=20, epsilon=0.95)
         first = state.trace[0]
-        added = {tuple(r["condition"]) for r in first["added_context"]}
+        added = {r.condition for r in first["added_context"]}
         assert ("bigram", (1, "virus"), (2, "spreads")) in added
 
     def test_bootstraps_unlabeled_phrases(self):
@@ -91,11 +91,11 @@ class TestDlCotrain:
                     oracle_total[bg] += 1
                     oracle_match[bg, label] += 1
         for r in state.trace[0]["added_context"]:
-            cond = tuple(r["condition"])
-            assert r["count_total"] == oracle_total[cond]
-            assert r["count_match"] == oracle_match[cond, r["label"]]
-            assert r["strength"] == pytest.approx(
-                oracle_match[cond, r["label"]] / oracle_total[cond]
+            cond = r.condition
+            assert r.count_total == oracle_total[cond]
+            assert r.count_match == oracle_match[cond, r.label]
+            assert r.strength == pytest.approx(
+                oracle_match[cond, r.label] / oracle_total[cond]
             )
 
     def test_near_one_epsilon_stalls_early_on_noisy_data(self):
@@ -349,7 +349,48 @@ class TestRuleChoiceByRank:
                 label = data.draw(st.sampled_from([cotrain._POS, cotrain._NEG]))
                 strength = data.draw(st.sampled_from([0.5, 0.75, 1.0]))
                 spelling.admit(cid, label, 1, 1, strength)
-        assert spelling.label_rows().tolist() == spelling.label[t.phrase_ids].tolist()
+        labels = spelling.label_rows()
+        assert labels.dtype == np.int64
+        assert labels.tolist() == spelling.label[t.phrase_ids].tolist()
+
+
+# -- bigram interning: the dense presence map, and its np.unique fallback
+# for a code space larger than the code count
+
+
+class TestIntern:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_equals_np_unique(self, data, dense):
+        shape = data.draw(st.tuples(st.integers(1, 15), st.integers(1, 40)))
+        # dense: a code space no larger than the code count; else larger
+        size = data.draw(
+            st.integers(1, shape[0] * shape[1]) if dense
+            else st.integers(shape[0] * shape[1] + 1, 10_000)
+        )
+        codes = np.array(
+            data.draw(st.lists(st.integers(0, size - 1), min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1])),
+            dtype=np.int64,
+        ).reshape(shape)
+        unique, inverse = cotrain._intern(codes, size)
+        expected, expected_inverse = np.unique(codes, return_inverse=True)
+        assert unique.dtype == expected.dtype and inverse.dtype == expected_inverse.dtype
+        assert unique.tolist() == expected.tolist()
+        assert inverse.shape == codes.shape
+        assert inverse.tolist() == expected_inverse.reshape(codes.shape).tolist()
+
+    def test_branch_follows_the_code_space(self, monkeypatch):
+        # the presence map up to a code space as large as the code count,
+        # np.unique's sort beyond it
+        sorted_sizes = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda a, **k: sorted_sizes.append(a.size) or unique(a, **k))
+        codes = np.arange(6).reshape(2, 3)
+        cotrain._intern(codes, 6)
+        assert sorted_sizes == []
+        cotrain._intern(codes, 7)
+        assert sorted_sizes == [6]
 
 
 # -- the kept counts: after each selection, a list's (condition, label)

@@ -47,6 +47,7 @@ from dictforge.pipeline import (
 from dictforge.synth import SynthSpec, generate
 from dictforge.tagging import (
     Dictionary,
+    check_phrases,
     dictionary_scorer,
     evaluate,
     read_conll,
@@ -632,6 +633,32 @@ class TestRunPipeline:
         for record in manifest.stages.values():
             assert record["libraries"][library] == module.__version__
 
+    def test_environment_recorded_outside_the_signature(
+        self, finished_run, tmp_path, monkeypatch
+    ):
+        # the BLAS and its thread variables are recorded by each executed
+        # stage, null when unset; changing them re-executes no stage
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        (copy.outdir / "manifest.json").unlink()
+        manifest = run_pipeline(copy, stages=("extract",))
+        environment = {
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "threads": {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": None},
+        }
+        assert manifest.stages["extract"]["environment"] == environment
+        on_disk = json.loads((copy.outdir / "manifest.json").read_text(encoding="utf-8"))
+        assert on_disk["stages"]["extract"]["environment"] == environment
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        again = run_pipeline(copy, stages=("extract",))
+        assert again.stages["extract"]["cached"] is True
+        assert again.stages["extract"]["environment"] == environment
+
     @pytest.mark.parametrize(
         "module, rerun",
         [
@@ -803,6 +830,29 @@ class TestRunPipeline:
         assert manifest.stages["classify"]["cached"] is False
         fits = len(config.svm_k_grid) * len(config.svm_c_grid)
         assert calls == {"train_svm": fits, "build_dictionary": fits}
+        for name in ("dict.cca.tsv", "embeddings.tsv"):
+            assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
+
+    def test_classify_checks_the_table_phrases_once(self, finished_run, tmp_path, monkeypatch):
+        # the (k, C) rankings are built from the table's phrases checked once
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        checked = []
+
+        def counted(phrases, kind):
+            phrases = list(phrases)
+            checked.append((phrases, kind))
+            return check_phrases(phrases, kind)
+
+        monkeypatch.setattr("dictforge.tagging.check_phrases", counted)
+        monkeypatch.setattr("dictforge.pipeline.check_phrases", counted)
+        (copy.outdir / "manifest.json").unlink()  # the copy would be served from cache
+        manifest = run_pipeline(copy, stages=("classify",))
+        assert manifest.stages["classify"]["cached"] is False
+        assert len(config.svm_k_grid) * len(config.svm_c_grid) > 1
+        table = OccurrenceTable.load(copy.outdir / "views.table.npz")
+        assert checked == [(sorted(table.phrases), "candidate")]
         for name in ("dict.cca.tsv", "embeddings.tsv"):
             assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
 
@@ -1208,6 +1258,25 @@ class TestStageTable:
                 called = [namespace[n] for n in reader.__code__.co_names if n in namespace]
                 modules = {f.__module__.removeprefix("dictforge.") for f in called}
                 assert called and modules <= closure, (stage, read, modules)
+
+    def test_imports_match_the_line_anchored_regex(self):
+        # the literal search with its line-prefix test finds what a
+        # multiline regex anchored at each line start finds
+        anchored = re.compile(r"^[ \t]*from \.(\w+) import", re.M)
+        crafted = (
+            "from .a import x\n"
+            "    from .b import y\n"
+            "\t \tfrom .c import z\n"
+            "x = 1  # from .d import w\n"
+            '"""Docs: use from .e import f, or\n'
+            'from .g import h."""\n'
+            "  from .i import j; from .k import l\n"
+            "xfrom .m import n\r\nfrom .o import p"
+        )
+        sources = {**_sources(), "crafted": crafted.encode()}
+        expected = {name: anchored.findall(text.decode()) for name, text in sources.items()}
+        assert _imports(sources) == expected
+        assert expected["crafted"] == ["a", "b", "c", "g", "i", "o"]
 
     def test_closure_matches_an_ast_import_walk(self):
         for stage, row in _STAGES.items():

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import takewhile
+from itertools import islice
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Sequence
 
@@ -30,6 +30,8 @@ __all__ = [
     "resolve_seeds",
     "train_svm",
     "svm_objective",
+    "rank_candidates",
+    "threshold_prefix",
     "build_dictionary",
     "cut_dictionary",
 ]
@@ -213,25 +215,21 @@ def train_svm(
     return SvmModel(weights=w, bias=b, C=C, dims_used=X.shape[1], solver=solver)
 
 
-def build_dictionary(
+def rank_candidates(
     candidates: Sequence[str],
     embeddings: np.ndarray,
     model: SvmModel,
     threshold: float = 0.0,
-) -> Dictionary:
-    """Candidates scoring at least ``threshold``, ranked by margin descending.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates scoring at least ``threshold`` as (order, scores):
+    their row indices ranked by margin descending, and their margins in
+    that order.
 
-    The candidates are phrases :func:`~dictforge.tagging.check_phrases`
-    accepts, such as a candidate list's or an occurrence table's; they are
-    not checked here, so a caller ranking the same phrases under several
-    models checks them once.
     ``embeddings`` holds one row per candidate, in the candidates' order,
     of the model's dimension; a column-prefix view of a wider matrix is
     scored without a copy.  Equal scores rank in ascending phrase order,
     whatever the candidates' order (``-0.0`` and ``0.0`` are equal).  The
-    default threshold keeps exactly the phrases the classifier accepts;
-    raising it trades recall for precision and never grows the dictionary;
-    the cut is :func:`cut_dictionary` of the full ranking.
+    cut is :func:`threshold_prefix` of the full ranking.
     """
     E = np.asarray(embeddings, dtype=np.float64)
     if E.ndim != 2 or E.shape[1] != model.dims_used:
@@ -247,22 +245,52 @@ def build_dictionary(
     # a stable sort by descending score of the rows in phrase order (the
     # phrase sort is one linear pass over already sorted candidates)
     by_phrase = np.array(sorted(range(len(E)), key=candidates.__getitem__), dtype=np.intp)
-    order = by_phrase[np.argsort(-scores[by_phrase], kind="stable")].tolist()
-    ranked = dict(zip([candidates[i] for i in order], scores[order].tolist()))
-    meta = {"C": repr(model.C), "dims": str(model.dims_used)}
-    return cut_dictionary(_prechecked(ranked, "cca", meta), threshold)
+    order = by_phrase[np.argsort(-scores[by_phrase], kind="stable")]
+    ranked = scores[order]
+    kept = threshold_prefix(ranked, threshold)
+    return order[:kept], ranked[:kept]
+
+
+def threshold_prefix(scores: np.ndarray, threshold: float) -> int:
+    """How many of the descending ``scores`` are at least ``threshold``
+    (``-0.0`` equals ``0.0``).  An empty prefix is valid but warned about,
+    since it usually means the classifier or seeds are off."""
+    if threshold < 0.0:
+        raise ValueError("threshold must be >= 0")
+    kept = int(np.searchsorted(-scores, -threshold, side="right"))
+    if not kept:
+        warnings.warn("classifier accepted no candidates; dictionary is empty")
+    return kept
+
+
+def build_dictionary(
+    candidates: Sequence[str],
+    embeddings: np.ndarray,
+    model: SvmModel,
+    threshold: float = 0.0,
+) -> Dictionary:
+    """The :func:`rank_candidates` ranking as a dictionary: candidates
+    scoring at least ``threshold``, ranked by margin descending.
+
+    The candidates are phrases :func:`~dictforge.tagging.check_phrases`
+    accepts, such as a candidate list's or an occurrence table's; they are
+    not checked here, so a caller ranking the same phrases under several
+    models checks them once.  The default threshold keeps exactly the
+    phrases the classifier accepts; raising it trades recall for precision
+    and never grows the dictionary.
+    """
+    order, scores = rank_candidates(candidates, embeddings, model, threshold)
+    ranked = dict(zip([candidates[i] for i in order.tolist()], scores.tolist()))
+    meta = {"C": repr(model.C), "dims": str(model.dims_used), "threshold": repr(threshold)}
+    return _prechecked(ranked, "cca", meta)
 
 
 def cut_dictionary(ranking: Dictionary, threshold: float) -> Dictionary:
     """The prefix of a ranking (such as one built at a lower threshold)
-    scoring at least ``threshold``.  An empty result is valid but warned
-    about, since it usually means the classifier or seeds are off.  The
+    scoring at least ``threshold``, by :func:`threshold_prefix`.  The
     ranking's phrases were checked when it was built, so the cut's are not
     checked again."""
-    if threshold < 0.0:
-        raise ValueError("threshold must be >= 0")
-    scores = dict(takewhile(lambda ps: ps[1] >= threshold, ranking.scores.items()))
-    if not scores:
-        warnings.warn("classifier accepted no candidates; dictionary is empty")
+    scores = np.fromiter(ranking.scores.values(), np.float64, len(ranking))
+    kept = threshold_prefix(scores, threshold)
     meta = {**ranking.metadata, "threshold": repr(threshold)}
-    return _prechecked(scores, ranking.provenance, meta)
+    return _prechecked(dict(islice(ranking.scores.items(), kept)), ranking.provenance, meta)

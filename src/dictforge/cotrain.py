@@ -16,13 +16,15 @@ list keeps its (condition, label) counts from one selection to the next
 and recounts only the rows whose label moved; it admits each label's
 chosen rules in one batch, and a :class:`Rule` is a record (a named
 tuple), which the iteration trace holds as admitted.  A final threshold
-over positive spelling rules yields the comparison dictionary.
+over positive spelling rules yields the comparison dictionary; a grid of
+thresholds is scored as masks over the table's phrases
+(:func:`rule_strengths`), without building a dictionary for each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "DecisionListState",
     "dl_cotrain",
     "dictionary_from_rules",
+    "rule_strengths",
 ]
 
 _UNLABELED = -1
@@ -297,3 +300,16 @@ def dictionary_from_rules(state: DecisionListState, theta: float) -> Dictionary:
             "iterations": str(state.iteration),
         },
     )
+
+
+def rule_strengths(state: DecisionListState, phrases: Sequence[str]) -> np.ndarray:
+    """The strength of each phrase's positive spelling rule, ``-inf`` for a
+    phrase without one, from one pass over the rules: ``strengths >= theta``
+    masks exactly the phrases of ``dictionary_from_rules(state, theta)``.
+    ``phrases`` holds every phrase a rule names, such as the table's."""
+    index = {p: i for i, p in enumerate(phrases)}
+    strengths = np.full(len(index), -np.inf)
+    for r in state.spelling_rules:
+        if r.label == "positive":
+            strengths[index[r.condition[1]]] = r.strength
+    return strengths

@@ -11,11 +11,13 @@ serves a stage from the manifest when the content hashes of its reads, its
 parameters, its code (``pipeline.py`` plus the import closure of its
 modules) and the numpy and scipy versions are unchanged, so a moved output
 directory stays cached and a module edit re-executes only the stages that
-import it.  An executed stage's record also holds the BLAS numpy reports and
-the BLAS thread variables, recorded but outside the signature.  A run loads
-and hashes each file once.  Grid points are scored on the dev split and the
-winner is chosen by ``model_select``; everything a later reader needs to
-reproduce the run lands next to the artifacts.
+import it.  An executed stage's record also holds the Python version, the
+BLAS numpy reports and the BLAS thread variables, recorded but outside the
+signature.  A run loads and hashes each file once.  Grid points are scored
+on the dev split, classify's and cotrain's as masks over the table's
+phrases, and the winner is chosen by ``model_select``; only the winner is
+built as a dictionary, and everything a later reader needs to reproduce the
+run lands next to the artifacts.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import shutil
 import tempfile
@@ -46,14 +49,16 @@ from .cca import (
     write_embeddings,
 )
 from .classifier import (
+    SeedSet,
     build_dictionary,
-    cut_dictionary,
+    rank_candidates,
     read_seeds,
     resolve_seeds,
+    threshold_prefix,
     train_svm,
 )
 from .corpus import intern_corpus
-from .cotrain import dl_cotrain, dictionary_from_rules
+from .cotrain import DecisionListState, dictionary_from_rules, dl_cotrain, rule_strengths
 from .crf import (
     CrfModel,
     FeatureConfig,
@@ -489,10 +494,11 @@ class _Reads(dict):
             raise StageError(self.stage, "grid has several points but inputs.dev is not set")
         return self.get("dev")
 
-    def dev_f1(self, points: int) -> Callable[[Dictionary], float]:
+    def dev_f1(self, points: int) -> Callable[[Dictionary | np.ndarray], float]:
         """Dev F1 (0.0 without dev) of a dictionary drawn from the table's phrases
-        (classify ranks exactly these, cotrain's rules name some of them), by
-        one ``dictionary_scorer`` per run."""
+        (classify ranks exactly these, cotrain's rules name some of them), given
+        as a mask over them or as a ``Dictionary``, by one ``dictionary_scorer``
+        per run."""
         if (dev := self.dev(points)) is None:
             return lambda dictionary: 0.0
         if "dev scorer" not in self.loaded:
@@ -536,6 +542,51 @@ def _stage_cca(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
     }
 
 
+def _svm_grid(
+    cfg: PipelineConfig,
+    names: Sequence[str],
+    table_ids: np.ndarray,
+    E: np.ndarray,
+    seeds: SeedSet,
+    dev_f1: Callable[[np.ndarray], float],
+) -> tuple[list[dict], list[dict], dict]:
+    """The classify grid: the fit report and the SVM of each (k, C), and
+    each point's report.  Row r of ``E`` embeds ``names[r]``, the table's
+    phrase ``table_ids[r]``.
+
+    One fit and one ranking per (k, C) on the column prefix E[:, :k]; each
+    threshold keeps a prefix of the ranking, scored by ``dev_f1`` as a mask
+    over the table's phrases.
+    """
+    row_of = {p: i for i, p in enumerate(names)}
+    lowest = min(cfg.svm_threshold_grid)
+    fits, reports, fitted = [], [], {}
+    for k in cfg.svm_k_grid:
+        seed_rows = {p: E[row_of[p], :k] for p in (*seeds.positives, *seeds.negatives)}
+        for C in cfg.svm_c_grid:
+            svm = fitted[k, C] = train_svm(seed_rows, seeds, C=C)
+            order, scores = rank_candidates(names, E[:, :k], svm, threshold=lowest)
+            ranked = table_ids[order]
+            fits.append({"k": k, "C": C, **svm.solver})
+            for thr in cfg.svm_threshold_grid:
+                mask = np.zeros(len(table_ids), dtype=bool)
+                mask[ranked[: threshold_prefix(scores, thr)]] = True
+                reports.append({"k": k, "C": C, "threshold": thr, "f1": dev_f1(mask)})
+    return fits, reports, fitted
+
+
+def _theta_grid(
+    state: DecisionListState,
+    phrases: Sequence[str],
+    thetas: Iterable[float],
+    dev_f1: Callable[[np.ndarray], float],
+) -> list[dict]:
+    """Each theta's report, its dictionary scored by ``dev_f1`` as a mask
+    over ``phrases``, the table's."""
+    strengths = rule_strengths(state, phrases)
+    return [{"theta": theta, "f1": dev_f1(strengths >= theta)} for theta in thetas]
+
+
 def _stage_classify(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
     # a phrase's embedding is its spelling row (identity, caps bit) times
     # phi1: one row of E per phrase of the occurrence table, the candidates
@@ -543,35 +594,21 @@ def _stage_classify(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
     table = reads["views.table.npz"]
     ids = sorted(range(len(table.phrases)), key=table.phrases.__getitem__)
     names = [table.phrases[i] for i in ids]
-    # checked once here: build_dictionary ranks them under every (k, C)
+    # checked once here: build_dictionary does not check them
     check_phrases(names, "candidate")
-    E = embed_phrases(reads["cca.model.npz"], table.spelling_rows(np.array(ids, dtype=np.int64)))
-    row_of = {p: i for i, p in enumerate(names)}
+    table_ids = np.array(ids, dtype=np.int64)
+    E = embed_phrases(reads["cca.model.npz"], table.spelling_rows(table_ids))
     seeds = reads["seeds"]
-    if missing := resolve_seeds(seeds, row_of)[2]:
+    if missing := resolve_seeds(seeds, set(names))[2]:
         raise StageError("classify", "seeds with no occurrence in views.table.npz: "
                          + ", ".join(sorted(missing)))
     points = len(cfg.svm_k_grid) * len(cfg.svm_c_grid) * len(cfg.svm_threshold_grid)
-    dev_f1 = reads.dev_f1(points)
-    # one fit and one ranking per (k, C) on the column prefix E[:, :k]; each
-    # threshold cuts the ranking
-    lowest = min(cfg.svm_threshold_grid)
-    fits, reports, fitted = [], [], {}
-    for k in cfg.svm_k_grid:
-        seed_rows = {p: E[row_of[p], :k] for p in (*seeds.positives, *seeds.negatives)}
-        for C in cfg.svm_c_grid:
-            svm = train_svm(seed_rows, seeds, C=C)
-            ranking = build_dictionary(names, E[:, :k], svm, threshold=lowest)
-            fitted[k, C] = svm, ranking
-            fits.append({"k": k, "C": C, **svm.solver})
-            for thr in cfg.svm_threshold_grid:
-                d = cut_dictionary(ranking, thr)
-                reports.append({"k": k, "C": C, "threshold": thr, "f1": dev_f1(d)})
+    fits, reports, fitted = _svm_grid(cfg, names, table_ids, E, seeds, reads.dev_f1(points))
     chosen, runner_up = _selection(reports)
-
+    # only the chosen point becomes a dictionary
     k, C, thr = chosen["k"], chosen["C"], chosen["threshold"]
-    svm, ranking = fitted[k, C]
-    dictionary = cut_dictionary(ranking, thr)
+    svm = fitted[k, C]
+    dictionary = build_dictionary(names, E[:, :k], svm, threshold=thr)
     with open(tmp / "dict.cca.tsv", "w", encoding="utf-8") as fh:
         write_dictionary(dictionary, fh)
     with open(tmp / "embeddings.tsv", "w", encoding="utf-8") as fh:
@@ -599,11 +636,9 @@ def _stage_cotrain(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
     dev_f1 = reads.dev_f1(len(cfg.cotrain_theta_grid))
     table, seeds = reads["views.table.npz"], reads["seeds"]
     state = dl_cotrain(table, seeds, m=cfg.cotrain_m, epsilon=cfg.cotrain_epsilon)
-    reports = []
-    for theta in cfg.cotrain_theta_grid:
-        d = dictionary_from_rules(state, theta=theta)
-        reports.append({"theta": theta, "f1": dev_f1(d)})
+    reports = _theta_grid(state, table.phrases, cfg.cotrain_theta_grid, dev_f1)
     chosen, runner_up = _selection(reports)
+    # only the chosen theta becomes a dictionary
     dictionary = dictionary_from_rules(state, theta=chosen["theta"])
     with open(tmp / "dict.cotrain.tsv", "w", encoding="utf-8") as fh:
         write_dictionary(dictionary, fh)
@@ -707,9 +742,11 @@ def run_pipeline(
     imports = _imports(sources)
     # a numpy or scipy release may change the bytes a stage writes
     libraries = {"numpy": np.__version__, "scipy": scipy.__version__}
-    # so may the BLAS and its thread count: recorded, not signed
+    # so may the BLAS and its thread count: recorded, not signed, as is the
+    # Python version
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     environment = {
+        "python": platform.python_version(),
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
     }

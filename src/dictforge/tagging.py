@@ -9,7 +9,8 @@ sentence through it, and :func:`conll_text` formats its tags as
 longest-leftmost rule token by token lives in ``tests/oracles.py``.  Evaluation is phrase-level: a predicted
 entity counts only when both boundaries match a gold entity exactly.
 :func:`dictionary_scorer` scores many dictionaries against one labeled split
-without tagging it again for each.
+without tagging it again for each, each one a boolean mask over the scored
+phrases (a :class:`Dictionary` is mapped to its mask).
 """
 
 from __future__ import annotations
@@ -251,33 +252,47 @@ def evaluate(
 
 def dictionary_scorer(
     labeled: Sequence[tuple[Sequence[str], Sequence[str]]], phrases: Iterable[str]
-) -> Callable[[Dictionary], EvalReport]:
+) -> Callable[[Dictionary | np.ndarray], EvalReport]:
     """The score over a labeled split of any dictionary drawn from
     ``phrases``, equal to :func:`evaluate` of :func:`tag_with_dictionary`.
 
     The split is interned once, its gold entities are taken once as corpus
     positions, and the occurrences of all of ``phrases`` are found once.  A
-    dictionary keeps its own phrases' occurrences and the longest-first,
-    non-overlapping matches among them.  A dictionary phrase outside
-    ``phrases`` raises ``ValueError``.
+    dictionary is given as a boolean mask over the distinct ``phrases`` in
+    their first-listed order, or as a :class:`Dictionary`, whose phrases are
+    mapped to that mask; a dictionary phrase outside ``phrases`` raises
+    ``ValueError``.  It keeps its own phrases' occurrences and the
+    longest-first, non-overlapping matches among them.
     """
-    universe = dict.fromkeys(phrases)
+    index: dict[str, int] = {}
+    for p in phrases:
+        index.setdefault(p, len(index))
     corpus = Corpus.of_tokens([tokens for tokens, _ in labeled])
-    start, end, phrase = PhraseTrie(universe).occurrences(corpus)
+    start, end, phrase = PhraseTrie(index).occurrences(corpus)
     gold = {
         (first + s, first + e)
         for first, (_, tags) in zip(corpus.starts.tolist(), labeled)
         for s, e in bio_spans(tags)
     }
-    # each occurrence's phrase, and whether it is a gold entity
-    names = list(universe)
-    found = [names[p] for p in phrase.tolist()]
+    # whether each occurrence is a gold entity
     hit = np.array([span in gold for span in zip(start.tolist(), end.tolist())], dtype=bool)
 
-    def score(dictionary: Dictionary) -> EvalReport:
-        if outside := dictionary.scores.keys() - universe.keys():
-            raise ValueError(f"dictionary phrase {min(outside)!r} is not among the scored phrases")
-        own = np.flatnonzero([p in dictionary.scores for p in found])
+    def score(dictionary: Dictionary | np.ndarray) -> EvalReport:
+        if isinstance(dictionary, Dictionary):
+            try:
+                ids = [index[p] for p in dictionary.scores]
+            except KeyError:
+                outside = min(dictionary.scores.keys() - index.keys())
+                raise ValueError(
+                    f"dictionary phrase {outside!r} is not among the scored phrases"
+                ) from None
+            mask = np.zeros(len(index), dtype=bool)
+            mask[ids] = True
+        else:
+            mask = np.asarray(dictionary)
+            if mask.dtype != bool or mask.shape != (len(index),):
+                raise ValueError(f"expected a boolean mask over {len(index)} phrases")
+        own = np.flatnonzero(mask[phrase])
         kept = own[longest_first(start[own], end[own])]
         tp = int(hit[kept].sum())
         return EvalReport.from_counts(tp, len(kept) - tp, len(gold) - tp)

@@ -21,19 +21,29 @@ can check the program against an independent reading of the rule.
 * :func:`dual_cd_fit` is the SVM's dual coordinate sweep on Python floats,
   with each step's label product, ``min``/``max`` clip and temporary update
   written out, the reference ``classifier._fit`` must equal bit for bit.
+* :func:`string_scorer` scores a :class:`Dictionary` on a labeled split by
+  its phrase strings, :func:`ranked_cut` builds a classifier dictionary by
+  a Python sort on (−score, phrase) and a ``takewhile`` cut, and
+  :func:`classify_grid` and :func:`theta_grid` build and score a dictionary
+  at every grid point: the specification the classify and cotrain grids,
+  which score phrase-id masks, must equal.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import warnings
+from itertools import takewhile
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from dictforge import crf
-from dictforge.corpus import Corpus, Sentence, word_shape
+from dictforge.classifier import SeedSet, SvmModel, train_svm
+from dictforge.corpus import Corpus, PhraseTrie, Sentence, longest_first, word_shape
+from dictforge.cotrain import DecisionListState, dictionary_from_rules
 from dictforge.crf import CrfModel, FeatureConfig, SentinelEmbeddings
 from dictforge.extraction import ExtractionPattern, _after_trigger, _between, _flags, _phrases
-from dictforge.tagging import Dictionary
+from dictforge.tagging import Dictionary, EvalReport, bio_spans
 from dictforge.views import BOUNDARY
 
 
@@ -298,3 +308,92 @@ def dual_cd_fit(X: np.ndarray, y: np.ndarray, C: float, tol: float, max_epochs: 
         gap = float(primal - dual)
         converged = bool(gap <= tol * max(1.0, abs(primal)))
     return w[:d], float(w[d]), {"epochs": epochs, "gap": gap, "converged": converged}
+
+
+def string_scorer(
+    labeled: Sequence[tuple[Sequence[str], Sequence[str]]], phrases: Iterable[str]
+) -> Callable[[Dictionary], EvalReport]:
+    """The score over a labeled split of a dictionary drawn from ``phrases``:
+    of every occurrence of ``phrases``, those whose phrase string the
+    dictionary holds, and the longest-first, non-overlapping matches among
+    them."""
+    universe = dict.fromkeys(phrases)
+    corpus = Corpus.of_tokens([tokens for tokens, _ in labeled])
+    start, end, phrase = PhraseTrie(universe).occurrences(corpus)
+    gold = {
+        (first + s, first + e)
+        for first, (_, tags) in zip(corpus.starts.tolist(), labeled)
+        for s, e in bio_spans(tags)
+    }
+    names = list(universe)
+    found = [names[p] for p in phrase.tolist()]
+    hit = np.array([span in gold for span in zip(start.tolist(), end.tolist())], dtype=bool)
+
+    def score(dictionary: Dictionary) -> EvalReport:
+        if outside := dictionary.scores.keys() - universe.keys():
+            raise ValueError(f"dictionary phrase {min(outside)!r} is not among the scored phrases")
+        own = np.flatnonzero([p in dictionary.scores for p in found])
+        kept = own[longest_first(start[own], end[own])]
+        tp = int(hit[kept].sum())
+        return EvalReport.from_counts(tp, len(kept) - tp, len(gold) - tp)
+
+    return score
+
+
+def ranked_cut(
+    names: Sequence[str], embeddings: np.ndarray, model: SvmModel, threshold: float
+) -> Dictionary:
+    """``classifier.build_dictionary``: each row's margin as ``np.vecdot``
+    of the contiguous row and the weights, plus the bias; the phrases sorted
+    by (−margin, phrase) in Python, which holds ``-0.0`` equal to ``0.0``;
+    then the prefix scoring at least ``threshold``, warned about when
+    empty."""
+    if threshold < 0.0:
+        raise ValueError("threshold must be >= 0")
+    E = np.ascontiguousarray(embeddings, dtype=np.float64)
+    margins = (np.vecdot(E, model.weights) + model.bias).tolist()
+    order = sorted(range(len(names)), key=lambda i: (-margins[i], names[i]))
+    scores = dict(takewhile(lambda ps: ps[1] >= threshold,
+                            ((names[i], margins[i]) for i in order)))
+    if not scores:
+        warnings.warn("classifier accepted no candidates; dictionary is empty")
+    meta = {"C": repr(model.C), "dims": str(model.dims_used), "threshold": repr(threshold)}
+    return Dictionary(scores, "cca", meta)
+
+
+def classify_grid(
+    names: Sequence[str],
+    embeddings: np.ndarray,
+    seeds: SeedSet,
+    k_grid: Sequence[int],
+    c_grid: Sequence[float],
+    thresholds: Sequence[float],
+    score: Callable[[Dictionary], float],
+) -> tuple[list[dict], dict]:
+    """Each classify grid point's report, built and scored as a dictionary,
+    and the SVM fit of each (k, C).  Each (k, C) builds the ranking of its
+    fit at the lowest threshold, and each threshold cuts it; an empty
+    ranking and each empty cut warn, as the cut does."""
+    row_of = {p: i for i, p in enumerate(names)}
+    lowest = min(thresholds)
+    reports, fitted = [], {}
+    for k in k_grid:
+        seed_rows = {p: embeddings[row_of[p], :k] for p in (*seeds.positives, *seeds.negatives)}
+        for C in c_grid:
+            svm = fitted[k, C] = train_svm(seed_rows, seeds, C=C)
+            ranking = ranked_cut(names, embeddings[:, :k], svm, lowest)
+            for thr in thresholds:
+                cut = dict(takewhile(lambda ps: ps[1] >= thr, ranking.scores.items()))
+                if not cut:
+                    warnings.warn("classifier accepted no candidates; dictionary is empty")
+                f1 = score(Dictionary(cut, "cca", {**ranking.metadata, "threshold": repr(thr)}))
+                reports.append({"k": k, "C": C, "threshold": thr, "f1": f1})
+    return reports, fitted
+
+
+def theta_grid(
+    state: DecisionListState, thetas: Sequence[float], score: Callable[[Dictionary], float]
+) -> list[dict]:
+    """Each co-training theta's report: ``dictionary_from_rules`` at the
+    theta, scored."""
+    return [{"theta": t, "f1": score(dictionary_from_rules(state, theta=t))} for t in thetas]

@@ -6,9 +6,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import re
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +19,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dictforge.cca import CcaModel, accumulate_covariance, embed_phrases
-from dictforge.classifier import SeedSet, build_dictionary, read_seeds, train_svm
+from dictforge.classifier import (
+    SeedSet,
+    SvmModel,
+    build_dictionary,
+    rank_candidates,
+    read_seeds,
+    train_svm,
+)
 import dictforge.corpus
 import dictforge.crf
 import dictforge.pipeline
 from dictforge.corpus import intern_corpus, iter_sentences
-from dictforge.cotrain import dictionary_from_rules, dl_cotrain
+from dictforge.cotrain import (
+    DecisionListState,
+    Rule,
+    dictionary_from_rules,
+    dl_cotrain,
+    rule_strengths,
+)
 from dictforge.pipeline import (
     PipelineConfig,
     PipelineConfigError,
@@ -38,8 +53,11 @@ from dictforge.pipeline import (
     _imports,
     _inputs,
     _json_text,
+    _selection,
     _sha256,
     _sources,
+    _svm_grid,
+    _theta_grid,
     model_select,
     run_pipeline,
     validate_config,
@@ -62,7 +80,7 @@ from dictforge.views import (
     collect_occurrences,
 )
 from dictforge.extraction import CandidatePhrase, read_candidates
-from oracles import string_tags
+from oracles import classify_grid, ranked_cut, string_scorer, string_tags, theta_grid
 
 
 MINIMAL = """
@@ -445,6 +463,153 @@ class TestDevScorer:
             score(Dictionary({"flu": 1.0, "swine flu": 0.5}))
 
 
+@st.composite
+def _classify_inputs(draw):
+    """Table phrases in table order, their sorted names and table ids, a
+    two-column embedding of few distinct values (so margins tie), and seeds
+    of both classes."""
+    phrases = draw(
+        st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(" ".join),
+                 unique=True, min_size=2, max_size=10)
+    )
+    names = sorted(phrases)
+    table_ids = np.array([phrases.index(p) for p in names], dtype=np.int64)
+    value = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    E = np.array(draw(st.lists(st.lists(value, min_size=2, max_size=2),
+                               min_size=len(names), max_size=len(names))))
+    shuffled = draw(st.permutations(names))
+    p = draw(st.integers(1, len(names) - 1))
+    q = draw(st.integers(1, len(names) - p))
+    return phrases, names, table_ids, E, SeedSet(tuple(shuffled[:p]), tuple(shuffled[p : p + q]))
+
+
+def _recorded(run):
+    """``run()`` and the (category, message) of each warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _items(dictionary):
+    # the ranked entries, each score by its repr so that -0.0 is not 0.0
+    return [(p, repr(s)) for p, s in dictionary.scores.items()]
+
+
+class TestGridMasks:
+    """The classify and cotrain grids, scored as phrase-id masks, against
+    building and scoring a dictionary at every grid point
+    (``oracles.classify_grid`` and ``oracles.theta_grid``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=_classify_inputs(), dev=_dev_split(), data=st.data())
+    def test_classify_grid_equals_dictionary_oracle(self, inputs, dev, data):
+        phrases, names, table_ids, E, seeds = inputs
+        k_grid = data.draw(st.sampled_from([(1,), (2,), (1, 2)]))
+        c_grid = data.draw(st.sampled_from([(0.1,), (1.0,), (0.1, 1.0)]))
+        # zero of either sign, a threshold above every margin (empty cuts)
+        # and, when one is nonnegative, a margin itself (ties at the cut)
+        thresholds = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.5, 1e9]),
+                                        min_size=1, max_size=4))
+        margins = []
+        for k in k_grid:
+            prefix = np.ascontiguousarray(E[:, :k])
+            for C in c_grid:
+                svm = train_svm(dict(zip(names, prefix)), seeds, C=C)
+                margins += (np.vecdot(prefix, svm.weights) + svm.bias).tolist()
+        if nonnegative := sorted(m for m in margins if m >= 0):
+            thresholds.append(data.draw(st.sampled_from(nonnegative)))
+        cfg = PipelineConfig(
+            Path("corpus"), Path("patterns"), Path("seeds"), Path("out"),
+            svm_k_grid=k_grid, svm_c_grid=c_grid, svm_threshold_grid=tuple(thresholds),
+        )
+        by_mask = dictionary_scorer(dev, phrases)
+        by_string = string_scorer(dev, phrases)
+
+        def grid():
+            fits, reports, fitted = _svm_grid(
+                cfg, names, table_ids, E, seeds, lambda mask: by_mask(mask).f1
+            )
+            chosen, runner_up = _selection(reports)
+            k, C, thr = chosen["k"], chosen["C"], chosen["threshold"]
+            built = build_dictionary(names, E[:, :k], fitted[k, C], threshold=thr)
+            return fits, reports, chosen, runner_up, built
+
+        def oracle():
+            reports, fitted = classify_grid(
+                names, E, seeds, k_grid, c_grid, thresholds, lambda d: by_string(d).f1
+            )
+            chosen, runner_up = _selection(reports)
+            k, C, thr = chosen["k"], chosen["C"], chosen["threshold"]
+            return reports, chosen, runner_up, ranked_cut(names, E[:, :k], fitted[k, C], thr)
+
+        (fits, reports, chosen, runner_up, built), got = _recorded(grid)
+        (want_reports, want_chosen, want_runner_up, want_dictionary), want = _recorded(oracle)
+        assert [(f["k"], f["C"]) for f in fits] == [(k, C) for k in k_grid for C in c_grid]
+        assert reports == want_reports
+        assert [repr(r["threshold"]) for r in reports] == [
+            repr(r["threshold"]) for r in want_reports
+        ]
+        assert (chosen, runner_up) == (want_chosen, want_runner_up)
+        assert _items(built) == _items(want_dictionary)
+        assert built.metadata == want_dictionary.metadata
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), max_size=8),
+        bias=st.sampled_from([0.0, -0.0, 0.5]),
+        threshold=st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, 2.0]),
+        data=st.data(),
+    )
+    def test_ranking_cut_equals_sorted_takewhile(self, values, bias, threshold, data):
+        # margins of either zero sign, ties, and thresholds at, between and
+        # above them; the candidates in any order
+        names = data.draw(st.permutations("abcdefgh"[: len(values)]))
+        model = SvmModel(weights=np.array([1.0]), bias=bias, C=1.0, dims_used=1)
+        E = np.array(values).reshape(-1, 1)
+        built, got = _recorded(lambda: build_dictionary(names, E, model, threshold))
+        want_dictionary, want = _recorded(lambda: ranked_cut(names, E, model, threshold))
+        assert _items(built) == _items(want_dictionary)
+        assert built.metadata == want_dictionary.metadata
+        assert got == want
+        (order, scores), ranked = _recorded(lambda: rank_candidates(names, E, model, threshold))
+        assert ranked == want
+        assert [names[i] for i in order.tolist()] == list(built.scores)
+        assert scores.tolist() == list(built.scores.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dev=_dev_split(),
+        phrases=st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(" ".join),
+                         unique=True, min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_theta_grid_equals_dictionary_oracle(self, dev, phrases, data):
+        strength = st.sampled_from([0.5, 0.6, 0.7, 0.75, 0.9, 1.0])
+        label = st.sampled_from(["positive", "negative"])
+        rules = [
+            Rule("spelling", ("full-string", p), data.draw(label), 0, 0, data.draw(strength))
+            for p in phrases
+            if data.draw(st.booleans())
+        ]
+        state = DecisionListState(rules, [], np.zeros(0, dtype=np.int8), 1, 5, 0.95)
+        thetas = data.draw(st.lists(strength, min_size=1, max_size=4))
+        by_mask = dictionary_scorer(dev, phrases)
+        by_string = string_scorer(dev, phrases)
+        reports, got = _recorded(
+            lambda: _theta_grid(state, phrases, thetas, lambda mask: by_mask(mask).f1)
+        )
+        want_reports, want = _recorded(lambda: theta_grid(state, thetas, lambda d: by_string(d).f1))
+        assert reports == want_reports
+        assert _selection(reports) == _selection(want_reports)
+        assert got == want
+        strengths = rule_strengths(state, phrases)
+        for theta in thetas:
+            kept = {p for p, s in zip(phrases, strengths.tolist()) if s >= theta}
+            assert kept == set(dictionary_from_rules(state, theta).scores)
+
+
 class TestRunPipeline:
     def test_all_artifacts_present(self, finished_run):
         workdir, config, manifest = finished_run
@@ -648,6 +813,7 @@ class TestRunPipeline:
         (copy.outdir / "manifest.json").unlink()
         manifest = run_pipeline(copy, stages=("extract",))
         environment = {
+            "python": platform.python_version(),
             "blas": {"name": blas["name"], "version": blas["version"]},
             "threads": {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": None},
         }
@@ -658,6 +824,27 @@ class TestRunPipeline:
         again = run_pipeline(copy, stages=("extract",))
         assert again.stages["extract"]["cached"] is True
         assert again.stages["extract"]["environment"] == environment
+
+    def test_python_version_recorded_outside_the_signature(
+        self, finished_run, tmp_path, monkeypatch
+    ):
+        # every executed stage records the Python version; another version
+        # leaves each signature as it was, so no stage re-executes
+        _, config, manifest = finished_run
+        for record in manifest.stages.values():
+            if "skipped" not in record:
+                assert record["environment"]["python"] == platform.python_version()
+        shutil.copytree(config.outdir, tmp_path / "out")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        monkeypatch.setattr(platform, "python_version", lambda: "3.99.0")
+        again = run_pipeline(copy)
+        assert all(rec.get("cached", True) for rec in again.stages.values())
+        (copy.outdir / "manifest.json").unlink()
+        fresh = run_pipeline(copy, stages=("extract", "views"))
+        for stage in ("extract", "views"):
+            assert fresh.stages[stage]["cached"] is False
+            assert fresh.stages[stage]["environment"]["python"] == "3.99.0"
+            assert fresh.stages[stage]["signature"] == manifest.stages[stage]["signature"]
 
     @pytest.mark.parametrize(
         "module, rerun",
@@ -815,7 +1002,9 @@ class TestRunPipeline:
         workdir, config, _ = finished_run
         shutil.copytree(config.outdir, tmp_path / "out")
         copy = dataclasses.replace(config, outdir=tmp_path / "out")
-        calls = {"train_svm": 0, "build_dictionary": 0}
+        # the thresholds are scored on each ranking's prefixes, and only the
+        # chosen point is built as a dictionary
+        calls = {"train_svm": 0, "rank_candidates": 0, "build_dictionary": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -823,13 +1012,18 @@ class TestRunPipeline:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name, fn in (("train_svm", train_svm), ("build_dictionary", build_dictionary)):
+        for name, fn in (
+            ("train_svm", train_svm),
+            ("rank_candidates", rank_candidates),
+            ("build_dictionary", build_dictionary),
+        ):
             monkeypatch.setattr(f"dictforge.pipeline.{name}", counted(name, fn))
         (copy.outdir / "manifest.json").unlink()  # the copy would be served from cache
         manifest = run_pipeline(copy, stages=("classify",))
         assert manifest.stages["classify"]["cached"] is False
         fits = len(config.svm_k_grid) * len(config.svm_c_grid)
-        assert calls == {"train_svm": fits, "build_dictionary": fits}
+        assert len(config.svm_threshold_grid) > 1
+        assert calls == {"train_svm": fits, "rank_candidates": fits, "build_dictionary": 1}
         for name in ("dict.cca.tsv", "embeddings.tsv"):
             assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
 

@@ -3,6 +3,7 @@
 import io
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -342,6 +343,38 @@ class TestDictionaryScorer:
         dictionary = d(*(universe[i] for i in picks if i < len(universe)))
         pred = [string_tags(tokens, dictionary) for tokens, _ in labeled]
         assert score(dictionary) == evaluate(pred, [tags for _, tags in labeled])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        split=st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(_CORPUS_WORDS), st.sampled_from(BIO)),
+                min_size=1,
+                max_size=8,
+            ),
+            max_size=6,
+        ),
+        universe=st.lists(
+            st.lists(st.sampled_from(_PHRASE_WORDS), min_size=1, max_size=3).map(" ".join),
+            max_size=8,
+        ),
+        picks=st.lists(st.integers(0, 7)),
+    )
+    def test_mask_scores_as_its_dictionary(self, split, universe, picks):
+        # a mask over the distinct phrases, in their first-listed order, and
+        # a dictionary of the same phrases score the same report
+        labeled = [([t for t, _ in s], [g for _, g in s]) for s in split]
+        score = dictionary_scorer(labeled, universe)
+        dictionary = d(*(universe[i] for i in picks if i < len(universe)))
+        mask = np.array([p in dictionary.scores for p in dict.fromkeys(universe)], dtype=bool)
+        assert score(mask) == score(dictionary)
+
+    def test_mask_must_be_boolean_over_the_universe(self):
+        score = dictionary_scorer([(["flu"], ["B"])], ["flu", "swine flu", "flu"])
+        assert score(np.array([True, False])).f1 == 1.0
+        for bad in (np.array([True]), np.array([True, False, True]), np.array([1, 0])):
+            with pytest.raises(ValueError, match="boolean mask over 2 phrases"):
+                score(bad)
 
     def test_scores_several_dictionaries(self):
         labeled = [(["Swine", "flu", "spread"], ["B", "I", "O"]), (["flu"], ["B"])]

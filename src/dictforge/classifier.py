@@ -21,7 +21,7 @@ from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tagging import Dictionary, _prechecked
+from .tagging import Dictionary, _prechecked, check_phrases
 
 __all__ = [
     "SeedSet",
@@ -62,7 +62,9 @@ class SeedSet:
 
 def read_seeds(path: str | Path) -> SeedSet:
     """Seed file: one phrase per line under ``[positive]`` / ``[negative]``
-    section headers; ``#`` comments and blank lines ignored."""
+    section headers; ``#`` comments and blank lines ignored.  A seed that
+    could never match (:func:`~dictforge.tagging.check_phrases`) raises
+    ``ValueError`` naming the file and line."""
     positives: list[str] = []
     negatives: list[str] = []
     target: list[str] | None = None
@@ -78,6 +80,10 @@ def read_seeds(path: str | Path) -> SeedSet:
             elif target is None:
                 raise ValueError(f"{path}, line {lineno}: phrase before any section header")
             else:
+                try:
+                    check_phrases((line.lower(),), "seed")
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
                 target.append(line.lower())
     try:
         return SeedSet.make(positives, negatives)

@@ -18,10 +18,11 @@ sentence offsets and each sentence's document and index within it;
 :func:`iter_chunks` interns each chunk on its own and :func:`iter_sentences`
 yields :class:`Sentence` objects instead; :meth:`Corpus.of` and
 :meth:`Corpus.of_tokens` intern tokens given in memory as they stand.
-:class:`PhraseTrie` finds every
-occurrence of lowercase phrases in an interned corpus, and
-:func:`longest_first` keeps the longest-first, non-overlapping matches among
-them, for the views, dictionary tagging and scoring, and the CRF.
+:class:`PhraseTrie`, built level by level with one ``np.unique`` of (node,
+word) keys per depth, finds every occurrence of lowercase phrases in an
+interned corpus, and :func:`longest_first` keeps the longest-first,
+non-overlapping matches among them, for the views, dictionary tagging and
+scoring, and the CRF.
 Segmentation and tokenization are deterministic, rule-based approximations;
 a token is traced back to its source through its sentence's doc id and
 index and its position in the sentence.
@@ -34,7 +35,7 @@ import string
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -360,13 +361,14 @@ def _intern(doc_id: Callable[[int], str], chunks: Iterable[_Chunk], split: bool 
     size = 0
     for chunk in chunks:
         piece = chunk.piece
-        piece_types = [
-            list(map(vocab.__getitem__, _piece_tokens(p) if split else (p,)))
-            for p in chunk.pieces
-        ]
-        # the type ids of the distinct pieces, one after another
-        width = np.fromiter(map(len, piece_types), np.int64, len(piece_types))
-        flat = np.fromiter(chain.from_iterable(piece_types), np.int32, int(width.sum()))
+        if split:
+            piece_types = [list(map(vocab.__getitem__, _piece_tokens(p))) for p in chunk.pieces]
+            # the type ids of the distinct pieces, one after another
+            width = np.fromiter(map(len, piece_types), np.int64, len(piece_types))
+            flat = np.fromiter(chain.from_iterable(piece_types), np.int32, int(width.sum()))
+        else:  # each piece is one token, as given
+            width = np.ones(len(chunk.pieces), np.int64)
+            flat = np.fromiter(map(vocab.__getitem__, chunk.pieces), np.int32, len(chunk.pieces))
         # token offset of each piece, and of the chunk's end
         count = width[piece]
         at = np.concatenate(([0], np.cumsum(count)))
@@ -403,28 +405,39 @@ class PhraseTrie:
     ids, built once and matched in any number of interned corpora."""
 
     def __init__(self, phrases: Iterable[str]):
-        self.words: dict[str, int] = {}
-        edges: dict[tuple[int, int], int] = {}  # (node, word id) -> child node
-        ends_at = [-1]  # node -> the first phrase it completes, or -1
-        for p, phrase in enumerate(phrases):
-            node = 0
-            for word in phrase.split(" "):
-                w = self.words.setdefault(word, len(self.words))
-                node = edges.setdefault((node, w), len(ends_at))
-                if node == len(ends_at):
-                    ends_at.append(-1)
-            if ends_at[node] < 0:
-                ends_at[node] = p
+        """Word ids follow first listing.  The trie is built level by
+        level: at each depth one ``np.unique`` over the phrases longer than
+        it interns the level's edges (node, word), so the nodes of a depth
+        are numbered after those above it, in edge-key order."""
+        phrases = list(phrases)
+        listed = " ".join(phrases).split(" ") if phrases else []  # every word, in order
+        self.words = words = dict(zip(dict.fromkeys(listed), range(len(listed))))
         # word id len(words) stands for every word no phrase holds
-        self.width = width = len(self.words) + 1
-        edge_keys = {node * width + w: child for (node, w), child in edges.items()}
-        self.keys = np.array([-1, *sorted(edge_keys)], dtype=np.int64)  # -1: no key equals it
-        self.children = np.array([-1, *map(edge_keys.__getitem__, self.keys[1:].tolist())])
-        self.ends_at = np.array(ends_at)
+        self.width = width = len(words) + 1
+        flat = np.fromiter(map(words.__getitem__, listed), np.int64, len(listed))
+        size = np.fromiter(map(str.count, phrases, repeat(" ")), np.int64, len(phrases)) + 1
+        first = np.cumsum(size) - size  # each phrase's first word in ``flat``
+        node = np.zeros(len(phrases), np.int64)  # each phrase's node at the current depth
+        live = np.arange(len(phrases))  # the phrases longer than the depth
+        keys, children, nodes = [np.array([-1])], [np.array([-1])], 1  # -1: no key equals it
+        depth = 0
+        while len(live := live[size[live] > depth]):
+            edge = node[live] * width + flat[first[live] + depth]
+            level, child = np.unique(edge, return_inverse=True)
+            keys.append(level)
+            children.append(nodes + np.arange(len(level)))
+            node[live] = nodes + child
+            nodes += len(level)
+            depth += 1
+        self.keys = np.concatenate(keys)
+        self.children = np.concatenate(children)
+        # node -> the first phrase it completes, or -1
+        first_end = np.full(nodes, len(phrases), np.int64)
+        np.minimum.at(first_end, node, np.arange(len(phrases)))
+        self.ends_at = np.where(first_end < len(phrases), first_end, -1)
         self.root = np.full(width, -1, dtype=np.int64)  # the root's children, by word id
-        for (node, w), child in edges.items():
-            if node == 0:
-                self.root[w] = child
+        at_root = self.keys[1:] < width  # the root's edges come first
+        self.root[self.keys[1:][at_root]] = self.children[1:][at_root]
 
     def occurrences(self, corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every occurrence of a phrase inside a sentence of ``corpus``,
@@ -438,7 +451,7 @@ class PhraseTrie:
         """
         unknown = self.width - 1
         word_of = np.fromiter(
-            (self.words.get(w, unknown) for w in corpus.lowers), np.int64, len(corpus.lowers)
+            map(self.words.get, corpus.lowers, repeat(unknown)), np.int64, len(corpus.lowers)
         )
         words = word_of[corpus.lower][corpus.ids]
         # each live start position stands at a trie node, ``depth`` words in

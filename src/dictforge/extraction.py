@@ -10,14 +10,17 @@ Two pattern kinds produce the high-recall, low-precision candidate list:
 
 Matching runs on the interned corpus: literals are found as id sequences,
 one numpy pass per literal word, and never across a sentence boundary.
-Aggregation merges matches by lowercase form and is independent of stream
-order.
+Every pattern's spans become one matrix of lowercase ids, a row per span;
+the rows are counted by numpy, each distinct row is joined into its text
+once, and the candidates are sorted by frequency, then text, so the result
+is independent of stream order.  ``tests/oracles.py`` keeps the count over
+joined strings it must equal.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -30,7 +33,6 @@ __all__ = [
     "CandidatePhrase",
     "STOPWORDS",
     "extract_candidates",
-    "aggregate_candidates",
     "parse_patterns",
     "load_patterns",
     "write_candidates",
@@ -98,26 +100,22 @@ class CandidatePhrase(NamedTuple):
     freq: int
 
 
-def _is_punct(text: str) -> bool:
-    return not any(c.isalnum() for c in text)
-
-
 # Token flags: bit 0 punctuation, bit 1 stopword, bit 2 coordinator.
 _PUNCT, _STOP, _COORD = 1, 2, 4
 
 
 def _flags(corpus: Corpus) -> np.ndarray:
-    """Each token's flags, read from its type and lowercase form."""
-    lowers = list(corpus.lowers)
-    per_type = np.fromiter(
-        (
-            _PUNCT * _is_punct(text) + _STOP * (low in STOPWORDS) + _COORD * (low in _COORDINATORS)
-            for text, low in zip(corpus.vocab, map(lowers.__getitem__, corpus.lower.tolist()))
-        ),
-        np.int8,
-        len(corpus.vocab),
-    )
-    return per_type[corpus.ids]
+    """Each token's flags: the stopword and coordinator bits set on the
+    lowercase forms that are such words, the punctuation bit (no
+    alphanumeric character) read once per type."""
+    words = np.zeros(len(corpus.lowers), np.int8)
+    for flag, forms in ((_STOP, STOPWORDS), (_COORD, _COORDINATORS)):
+        words[[corpus.lowers[w] for w in forms if w in corpus.lowers]] += flag
+    # a type that is not all alphanumeric is punctuation when no character is
+    types = list(corpus.vocab)
+    punct = ~np.fromiter(map(str.isalnum, types), bool, len(types))
+    punct[punct] = [not any(map(str.isalnum, types[t])) for t in np.flatnonzero(punct).tolist()]
+    return (words[corpus.lower] + _PUNCT * punct)[corpus.ids]
 
 
 def _find_literal(corpus: Corpus, literal: tuple[str, ...], case_sensitive: bool) -> np.ndarray:
@@ -176,44 +174,53 @@ def _after_trigger(corpus: Corpus, pattern: ExtractionPattern, flags: np.ndarray
     return spans[np.lexsort((spans[:, 1], spans[:, 0])), 1:]
 
 
-def _phrases(corpus: Corpus, spans: np.ndarray) -> list[str]:
-    """The lowercase text of each (start, end) span, joined once per
-    distinct id sequence."""
+def _count(corpus: Corpus, spans: np.ndarray) -> list[CandidatePhrase]:
+    """Each distinct lowercase text of the (start, end) spans with the
+    number of spans that read it, sorted by frequency descending, then text.
+
+    Each span is a row of lowercase ids padded past its end; the rows are
+    interned column by column, so a code stays below spans x (lowercase
+    forms + 1) however long the rows are, and each distinct row is joined
+    once.
+    """
+    if not len(spans):
+        return []
     lowers = list(corpus.lowers)
-    at = spans[:, :1] + np.arange(np.max(spans[:, 1] - spans[:, 0], initial=0))
+    at = spans[:, :1] + np.arange(np.max(spans[:, 1] - spans[:, 0]))
     keys = np.where(at < spans[:, 1:], corpus.lower_ids[np.minimum(at, len(corpus.ids) - 1)], -1)
-    texts: dict[tuple[int, ...], str] = {}
-    return [
-        texts[key] if key in texts else texts.setdefault(key, " ".join(lowers[i] for i in key if i >= 0))
-        for key in map(tuple, keys.tolist())
-    ]
-
-
-def aggregate_candidates(matches: Iterable[str]) -> list[CandidatePhrase]:
-    """Count matches by lowercase form, sorted by frequency descending,
-    then form, so the result is independent of stream order."""
-    counts = Counter(matches)
-    return sorted(
-        (CandidatePhrase(lower, freq) for lower, freq in counts.items()),
-        key=lambda c: (-c.freq, c.lower),
-    )
+    code = np.zeros(len(spans), np.int64)
+    for column in keys.T:
+        code = np.unique(code * (len(lowers) + 1) + (column + 1), return_inverse=True)[1]
+    counts = np.bincount(code)
+    row = np.empty(len(counts), np.int64)
+    row[code] = np.arange(len(code))  # a span of each distinct row
+    # each distinct row's text, a column of words at a time
+    words, rows = np.array(lowers, dtype=object), keys[row]
+    text = words[rows[:, 0]]
+    for column in rows.T[1:]:
+        more = column >= 0
+        text[more] = text[more] + " " + words[column[more]]
+    texts: dict[str, int] = {}
+    for phrase, n in zip(text.tolist(), counts.tolist()):
+        texts[phrase] = texts.get(phrase, 0) + n  # given tokens may hold spaces
+    names = sorted(texts)  # by text, then stably by descending frequency
+    ranked = map(CandidatePhrase._make, zip(names, map(texts.__getitem__, names)))
+    return sorted(ranked, key=itemgetter(1), reverse=True)
 
 
 def extract_candidates(
     corpus: Corpus | Iterable[Sentence], patterns: Sequence[ExtractionPattern]
 ) -> list[CandidatePhrase]:
     """Run every pattern over an interned corpus (or sentences, interned
-    first) and aggregate."""
+    first) and count the matches by lowercase form, sorted by frequency
+    descending, then form, so the result is independent of stream order."""
     if not isinstance(corpus, Corpus):
         corpus = Corpus.of(corpus)
     flags = _flags(corpus)
-    return aggregate_candidates(
-        phrase
-        for p in patterns
-        for phrase in _phrases(
-            corpus, (_between if p.kind == "between" else _after_trigger)(corpus, p, flags)
-        )
-    )
+    spans = [
+        (_between if p.kind == "between" else _after_trigger)(corpus, p, flags) for p in patterns
+    ]
+    return _count(corpus, np.concatenate([np.zeros((0, 2), np.int64), *spans]))
 
 
 def parse_patterns(lines: Iterable[str]) -> list[ExtractionPattern]:

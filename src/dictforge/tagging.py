@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -269,13 +270,11 @@ def dictionary_scorer(
         index.setdefault(p, len(index))
     corpus = Corpus.of_tokens([tokens for tokens, _ in labeled])
     start, end, phrase = PhraseTrie(index).occurrences(corpus)
-    gold = {
-        (first + s, first + e)
-        for first, (_, tags) in zip(corpus.starts.tolist(), labeled)
-        for s, e in bio_spans(tags)
-    }
-    # whether each occurrence is a gold entity
-    hit = np.array([span in gold for span in zip(start.tolist(), end.tolist())], dtype=bool)
+    gold_start, gold_end = _gold_spans(corpus, [tags for _, tags in labeled])
+    # whether each occurrence is a gold entity, a span start:end coded as
+    # start * width + end
+    width = len(corpus.ids) + 1
+    hit = np.isin(start * width + end, gold_start * width + gold_end)
 
     def score(dictionary: Dictionary | np.ndarray) -> EvalReport:
         if isinstance(dictionary, Dictionary):
@@ -295,16 +294,54 @@ def dictionary_scorer(
         own = np.flatnonzero(mask[phrase])
         kept = own[longest_first(start[own], end[own])]
         tp = int(hit[kept].sum())
-        return EvalReport.from_counts(tp, len(kept) - tp, len(gold) - tp)
+        return EvalReport.from_counts(tp, len(kept) - tp, len(gold_start) - tp)
 
     return score
+
+
+# tag codes; any other tag is 3
+_TAG_CODES = {"B": 0, "I": 1, "O": 2}
+
+
+def _gold_spans(corpus: Corpus, tags: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """The entities of :func:`bio_spans` of each sentence's tags, as corpus
+    positions ``start[r]:end[r]`` in corpus order.
+
+    An entity opens at B, or at an I while none is open; it closes at O, at
+    B or at the sentence end.  An open entity stays open over I and over an
+    unknown tag, which opens none.
+    """
+    starts = corpus.starts
+    if [len(t) for t in tags] != np.diff(starts).tolist():
+        raise ValueError("expected one tag per token of each sentence")
+    n = len(corpus.ids)
+    code = np.fromiter(map(_TAG_CODES.get, chain.from_iterable(tags), repeat(3)), np.int8, n)
+    first = np.zeros(n + 1, dtype=bool)
+    first[starts] = True
+    # whether an entity is open after each position: B and I open or keep
+    # one, O closes it, and an unknown tag leaves it as it was, so the state
+    # is carried from the sentence's last known tag (none: closed)
+    known = (code < 3) | first[:n]
+    state = known & (code < 2)
+    last = np.maximum.accumulate(np.where(known, np.arange(n), 0))
+    open_after = state[last]
+    open_before = np.zeros(n, dtype=bool)
+    open_before[1:] = open_after[:-1] & ~first[1:n]
+    opens = (code == 0) | ((code == 1) & ~open_before)
+    closes = open_before & ((code == 0) | (code == 2))
+    # a sentence's last position, where an entity open after it ends
+    last_token = starts[1:][starts[1:] > starts[:-1]] - 1
+    ends = np.concatenate((np.flatnonzero(closes), last_token[open_after[last_token]] + 1))
+    return np.flatnonzero(opens), np.sort(ends)
 
 
 def read_conll(path: str | Path, strict: bool = False) -> list[tuple[list[str], list[str]]]:
     """CoNLL-style file: ``token TAB tag`` rows, blank line between
     sentences.  With strict=True every sentence must be well-formed BIO.
-    A row without exactly one tab, and under strict an unknown tag or an I
-    after O, raises ValueError naming the file and line."""
+    A row without exactly one tab, an empty token or one holding
+    whitespace (the corpus reader yields neither), and under strict an
+    unknown tag or an I after O, raises ValueError naming the file and
+    line."""
     sentences: list[tuple[list[str], list[str]]] = []
     tokens: list[str] = []
     tags: list[str] = []
@@ -330,6 +367,12 @@ def read_conll(path: str | Path, strict: bool = False) -> list[tuple[list[str], 
                 raise ValueError(
                     f"{path}, line {lineno}: expected token TAB tag, got {line!r}"
                 ) from None
+            # the only printable whitespace is the space, so a printable
+            # token without one needs no split
+            clean = token and token.isprintable() and " " not in token
+            if not clean and token.split() != [token]:
+                what = "empty token" if not token else f"token {token!r} holds whitespace"
+                raise ValueError(f"{path}, line {lineno}: {what}")
             if not tokens:
                 first = lineno
             tokens.append(token)

@@ -15,7 +15,14 @@ can check the program against an independent reading of the rule.
   expression per forward and backward step, each step's log-sum-exp in a
   helper, the specification ``crf._neg_objective`` must equal bit for bit.
 * :func:`extract_between` and :func:`extract_after_trigger` run one
-  extraction pattern over one sentence.
+  extraction pattern over one sentence; :func:`span_texts` joins each span's
+  lowercase text and :func:`aggregate_candidates` counts the texts with a
+  ``Counter``, and :func:`string_candidates` runs both over every pattern:
+  the specification of ``extraction.extract_candidates``, which counts id
+  rows.
+* :class:`DictTrie` is ``PhraseTrie`` built by a Python loop over every
+  word of every phrase, one dict edge at a time, the specification of the
+  level-by-level build.
 * :class:`NumpyDraws` makes ``synth._Draws``'s draws by the ``Generator``'s
   own calls, the specification of what ``synth.generate`` draws.
 * :func:`dual_cd_fit` is the SVM's dual coordinate sweep on Python floats,
@@ -32,6 +39,7 @@ can check the program against an independent reading of the rule.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from itertools import takewhile
 from typing import Callable, Iterable, Sequence
 
@@ -42,7 +50,13 @@ from dictforge.classifier import SeedSet, SvmModel, train_svm
 from dictforge.corpus import Corpus, PhraseTrie, Sentence, longest_first, word_shape
 from dictforge.cotrain import DecisionListState, dictionary_from_rules
 from dictforge.crf import CrfModel, FeatureConfig, SentinelEmbeddings
-from dictforge.extraction import ExtractionPattern, _after_trigger, _between, _flags, _phrases
+from dictforge.extraction import (
+    CandidatePhrase,
+    ExtractionPattern,
+    _after_trigger,
+    _between,
+    _flags,
+)
 from dictforge.tagging import Dictionary, EvalReport, bio_spans
 from dictforge.views import BOUNDARY
 
@@ -254,12 +268,44 @@ def neg_objective(
     return value, grad
 
 
+def span_texts(corpus: Corpus, spans: np.ndarray) -> list[str]:
+    """The lowercase text of each (start, end) span."""
+    lowers = list(corpus.lowers)
+    words = corpus.lower_ids.tolist()
+    return [" ".join(lowers[i] for i in words[s:e]) for s, e in spans.tolist()]
+
+
+def aggregate_candidates(matches: Iterable[str]) -> list[CandidatePhrase]:
+    """Count matches by lowercase form, sorted by frequency descending,
+    then form."""
+    counts = Counter(matches)
+    return sorted(
+        (CandidatePhrase(lower, freq) for lower, freq in counts.items()),
+        key=lambda c: (-c.freq, c.lower),
+    )
+
+
+def string_candidates(
+    corpus: Corpus, patterns: Sequence[ExtractionPattern]
+) -> list[CandidatePhrase]:
+    """``extraction.extract_candidates`` of an interned corpus, counting
+    each pattern's span texts as strings."""
+    flags = _flags(corpus)
+    return aggregate_candidates(
+        text
+        for p in patterns
+        for text in span_texts(
+            corpus, (_between if p.kind == "between" else _after_trigger)(corpus, p, flags)
+        )
+    )
+
+
 def extract_between(sentence: Sentence, pattern: ExtractionPattern) -> list[str]:
     """Lowercase phrases of one sentence that ``extraction._between`` finds."""
     if pattern.kind != "between":
         raise ValueError("extract_between needs a 'between' pattern")
     corpus = Corpus.of([sentence])
-    return _phrases(corpus, _between(corpus, pattern, _flags(corpus)))
+    return span_texts(corpus, _between(corpus, pattern, _flags(corpus)))
 
 
 def extract_after_trigger(sentence: Sentence, pattern: ExtractionPattern) -> list[str]:
@@ -268,7 +314,35 @@ def extract_after_trigger(sentence: Sentence, pattern: ExtractionPattern) -> lis
     if pattern.kind != "after_trigger":
         raise ValueError("extract_after_trigger needs an 'after_trigger' pattern")
     corpus = Corpus.of([sentence])
-    return _phrases(corpus, _after_trigger(corpus, pattern, _flags(corpus)))
+    return span_texts(corpus, _after_trigger(corpus, pattern, _flags(corpus)))
+
+
+class DictTrie(PhraseTrie):
+    """:class:`PhraseTrie` with its arrays built one word at a time: node
+    ids in order of creation, each edge a dict entry."""
+
+    def __init__(self, phrases: Iterable[str]):
+        self.words: dict[str, int] = {}
+        edges: dict[tuple[int, int], int] = {}  # (node, word id) -> child node
+        ends_at = [-1]  # node -> the first phrase it completes, or -1
+        for p, phrase in enumerate(phrases):
+            node = 0
+            for word in phrase.split(" "):
+                w = self.words.setdefault(word, len(self.words))
+                node = edges.setdefault((node, w), len(ends_at))
+                if node == len(ends_at):
+                    ends_at.append(-1)
+            if ends_at[node] < 0:
+                ends_at[node] = p
+        self.width = width = len(self.words) + 1
+        edge_keys = {node * width + w: child for (node, w), child in edges.items()}
+        self.keys = np.array([-1, *sorted(edge_keys)], dtype=np.int64)
+        self.children = np.array([-1, *map(edge_keys.__getitem__, self.keys[1:].tolist())])
+        self.ends_at = np.array(ends_at)
+        self.root = np.full(width, -1, dtype=np.int64)
+        for (node, w), child in edges.items():
+            if node == 0:
+                self.root[w] = child
 
 
 class NumpyDraws:

@@ -90,6 +90,18 @@ class TestSeedSet:
             read_seeds(p)
         assert str(err.value) == f"{p}, line 2: phrase before any section header"
 
+    @pytest.mark.parametrize("seed, why", [
+        ("minoce  baho", "is not words joined by single spaces"),
+        ("minoce\xa0baho", "is not words joined by single spaces"),
+    ])
+    def test_seed_that_can_never_match_names_file_and_line(self, tmp_path, seed, why):
+        # a seed is matched as lowercase words joined by single spaces
+        p = tmp_path / "seeds.txt"
+        p.write_text(f"[positive]\nflu\n{seed}  # edited\n[negative]\nmutant\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_seeds(p)
+        assert str(err.value) == f"{p}, line 3: seed phrase {seed.lower()!r} {why}"
+
     def test_seed_in_both_classes_names_file(self, tmp_path):
         p = tmp_path / "seeds.txt"
         p.write_text("[positive]\nflu\n[negative]\nflu\n", encoding="utf-8")

@@ -6,22 +6,27 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dictforge.corpus import intern_corpus, iter_sentences, segment_sentences
+from dictforge.corpus import Corpus, intern_corpus, iter_sentences, segment_sentences
 from dictforge.extraction import (
     STOPWORDS,
     CandidatePhrase,
     ExtractionPattern,
-    aggregate_candidates,
+    _flags,
     extract_candidates,
     load_patterns,
     parse_patterns,
     read_candidates,
     write_candidates,
 )
-from oracles import extract_after_trigger, extract_between
+from oracles import (
+    aggregate_candidates,
+    extract_after_trigger,
+    extract_between,
+    string_candidates,
+)
 
 THE_VIRUS = ExtractionPattern("between", left=("the",), right=("virus",))
 
@@ -358,3 +363,70 @@ class TestIdPathOracle:
         corpus = intern_corpus(path)
         assert extract_candidates(corpus, [between]) == [CandidatePhrase("zika", 1)]
         assert extract_candidates(corpus, [after]) == []
+
+
+# "hepatitis b" is one given token here, so its text equals the two tokens'
+_ROW_WORDS = ["the", "The", "virus", "VIRUS", "of", "and", "or", ",", ".", "flu", "Flu",
+              "hepatitis", "b", "hepatitis b", "with", "a", "zika", "ZIKA", "mumps"]
+_ROW_LITERALS = st.sampled_from(["the", "The", "virus", "of", "and", ",", "with", "nowhere"])
+_ROW_PATTERNS = st.lists(
+    st.builds(
+        lambda kind, first, second, max_len, case_sensitive: ExtractionPattern(
+            kind, max_phrase_len=max_len, case_sensitive=case_sensitive,
+            **({"left": first, "right": second} if kind == "between" else {"trigger": first}),
+        ),
+        st.sampled_from(["between", "after_trigger"]),
+        st.lists(_ROW_LITERALS, min_size=1, max_size=2).map(tuple),
+        st.lists(_ROW_LITERALS, min_size=1, max_size=2).map(tuple),
+        st.integers(1, 8),
+        st.booleans(),
+    ),
+    max_size=4,
+).flatmap(lambda ps: st.permutations(ps + ps[:1]))  # a pattern repeated: its spans twice
+
+
+class TestIdRowCounts:
+    """Counting the spans as rows of lowercase ids against counting their
+    joined texts with a Counter (tests/oracles.py)."""
+
+    @given(
+        sentences=st.lists(st.lists(st.sampled_from(_ROW_WORDS), max_size=16), max_size=10),
+        patterns=_ROW_PATTERNS,
+    )
+    @settings(max_examples=300, deadline=None)
+    # two id rows, one token and two, that join to the same text
+    @example([["the", "hepatitis b", "virus"], ["The", "hepatitis", "B", "virus"]], [THE_VIRUS])
+    def test_equals_string_counts(self, sentences, patterns):
+        corpus = Corpus.of_tokens(sentences)
+        assert extract_candidates(corpus, patterns) == string_candidates(corpus, patterns)
+
+    @given(st.lists(st.lists(st.sampled_from(
+        ["Epstein-Barr", "3.5", "e.g", "a_b", "-", "(", "", "²", "The", "AND", "Or", ",", "flu"]
+    ), max_size=8), max_size=4))
+    def test_flags_equal_per_token_rule(self, sentences):
+        corpus = Corpus.of_tokens(sentences)
+        want = [
+            (not any(c.isalnum() for c in t)) + 2 * (t.lower() in STOPWORDS)
+            + 4 * (t.lower() in {",", "and", "or"})
+            for t in (t for tokens in sentences for t in tokens)
+        ]
+        assert _flags(corpus).tolist() == want
+
+    def test_no_span_counts_nothing(self):
+        corpus = Corpus.of_tokens([["the", "virus"], []])
+        assert extract_candidates(corpus, [THE_VIRUS]) == []
+        assert extract_candidates(corpus, []) == []
+
+    def test_rows_whose_one_code_would_overflow(self):
+        # 8,191 lowercase forms: one code of a five-word row in base 8,192 =
+        # 2**13 would hold its first word's id times 2**52, so rows whose
+        # first words are 4,096 ids apart would wrap to the same int64 code
+        words = [f"w{i}" for i in range(8190)]
+        rows = [["after", words[i], *words[7:11]] for i in (0, 4096, 1, 4097)]
+        corpus = Corpus.of_tokens([words, *rows, *rows[:2]])
+        assert len(corpus.lowers) == 8191
+        after = ExtractionPattern("after_trigger", trigger=("after",), max_phrase_len=5)
+        got = extract_candidates(corpus, [after])
+        assert got == string_candidates(corpus, [after])
+        assert got == [("w0 w7 w8 w9 w10", 2), ("w4096 w7 w8 w9 w10", 2),
+                       ("w1 w7 w8 w9 w10", 1), ("w4097 w7 w8 w9 w10", 1)]

@@ -25,7 +25,8 @@ from dictforge.tagging import (
     write_conll,
     write_dictionary,
 )
-from oracles import PhraseSet, match_phrase_spans, phrase_set, string_tags
+from dictforge.tagging import _gold_spans
+from oracles import DictTrie, PhraseSet, match_phrase_spans, phrase_set, string_tags
 
 
 def d(*phrases, provenance="manual"):
@@ -231,6 +232,37 @@ class TestDictionaryCodes:
         assert text == out.getvalue()
 
 
+class TestPhraseTrieBuild:
+    """The level-by-level trie against the word-by-word dict builder of
+    tests/oracles.py: the same word ids and the same occurrences."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sentences=st.lists(
+            st.lists(st.sampled_from(_CORPUS_WORDS), min_size=1, max_size=8), max_size=6
+        ),
+        phrases=st.lists(
+            st.lists(st.sampled_from(_PHRASE_WORDS), min_size=1, max_size=4).map(" ".join),
+            max_size=10,
+        ),
+    )
+    # duplicates, shared prefixes, phrases that are prefixes of others, an
+    # empty word, and no phrase at all
+    @example(
+        [["swine", "flu", "virus", "flu"], ["flu", "swine"]],
+        ["swine flu virus", "flu", "swine", "swine flu", "flu", "swine flu virus", "flu swine"],
+    )
+    @example([["the", "", "b"]], ["the", "the  b", "", "b"])
+    @example([["flu"]], [])
+    def test_occurrences_equal_dict_trie(self, sentences, phrases):
+        trie, oracle = PhraseTrie(phrases), DictTrie(phrases)
+        assert list(trie.words.items()) == list(oracle.words.items())
+        assert trie.width == oracle.width
+        corpus = Corpus.of_tokens(sentences)
+        for got, want in zip(trie.occurrences(corpus), oracle.occurrences(corpus)):
+            assert got.tolist() == want.tolist()
+
+
 class TestBioSpans:
     def test_basic(self):
         assert bio_spans(["O", "B", "I", "O", "B"]) == {(1, 3), (4, 5)}
@@ -383,6 +415,35 @@ class TestDictionaryScorer:
         assert (score(d("flu", "flu spread")).tp, score(d("flu", "flu spread")).fp) == (1, 1)
         assert score(d("flu", "swine flu")).f1 == 1.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(["B", "I", "O", "X"]), max_size=7), max_size=6),
+        st.lists(st.integers(0, 5)),
+    )
+    # I first, I after O, B after B, I after an unknown tag, an empty sentence
+    @example([["I", "I", "O", "I"], ["O", "I", "B", "B", "I"], [], ["X", "I", "B", "X", "I"]], [])
+    def test_gold_spans_and_hits_equal_bio_spans(self, tag_lists, picks):
+        # ill-formed and unknown tags: each entity is bio_spans' of its sentence
+        sentences = [["flu", "swine"][: len(tags)] + ["flu"] * (len(tags) - 2) for tags in tag_lists]
+        corpus = Corpus.of_tokens(sentences)
+        start, end = _gold_spans(corpus, tag_lists)
+        want = sorted(
+            (first + s, first + e)
+            for first, tags in zip(corpus.starts.tolist(), tag_lists)
+            for s, e in bio_spans(tags)
+        )
+        assert list(zip(start.tolist(), end.tolist())) == want
+        # a hit is an occurrence that is a gold entity, as evaluate counts it
+        labeled = list(zip(sentences, tag_lists))
+        universe = ["flu", "swine", "flu flu", "flu swine", "swine flu", "flu flu flu"]
+        dictionary = d(*(universe[i] for i in picks))
+        pred = [string_tags(tokens, dictionary) for tokens in sentences]
+        assert dictionary_scorer(labeled, universe)(dictionary) == evaluate(pred, tag_lists)
+
+    def test_tags_must_align_with_tokens(self):
+        with pytest.raises(ValueError, match="one tag per token"):
+            dictionary_scorer([(["flu", "virus"], ["B"])], ["flu"])
+
     def test_phrase_outside_the_universe_rejected(self):
         score = dictionary_scorer([(["flu"], ["B"])], ["flu"])
         with pytest.raises(ValueError, match="'swine flu'"):
@@ -497,6 +558,28 @@ class TestConllIO:
         assert str(err.value) == f"{p}, line {line}: {message}"
         # without strict the tags are read as written
         assert [tag for _, tags in read_conll(p) for tag in tags] == re.findall(r"\t(\w+)", text)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("row, message", [
+        ("\tO", "empty token"),
+        ("x y\tO", "token 'x y' holds whitespace"),
+        ("x\xa0y\tB", "token 'x\\xa0y' holds whitespace"),
+    ])
+    def test_token_no_corpus_holds_rejected(self, tmp_path, strict, row, message):
+        # the corpus reader never yields an empty token or one holding
+        # whitespace, so no dictionary phrase could match it
+        p = tmp_path / "bad.conll"
+        p.write_text(f"the\tO\nflu\tB\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_conll(p, strict=strict)
+        assert str(err.value) == f"{p}, line 4: {message}"
+
+    def test_unprintable_token_without_whitespace_accepted(self, tmp_path):
+        # a soft hyphen, a zero-width space and NUL are no whitespace
+        tokens = ["soft\xadhyphen", "zero\u200bwidth", "\x00"]
+        p = tmp_path / "gold.conll"
+        p.write_text("".join(f"{t}\tO\n" for t in tokens), encoding="utf-8")
+        assert read_conll(p, strict=True) == [(tokens, ["O"] * 3)]
 
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("row", ["a B", "a\tB\tx", "a\t\tB"])

@@ -9,19 +9,21 @@ deterministic dual coordinate descent on the bias-augmented objective
 so no external optimizer is involved and retraining is bit-reproducible.
 The sweep runs on Python floats over rows signed by their labels, which
 keeps every step bit-identical to the plain sweep (see ``_fit``).
+:func:`build_dictionary` cuts the margin ranking at a threshold into a
+:class:`~dictforge.tagging.Dictionary`, built, and so checked, as any
+other.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tagging import Dictionary, _prechecked, check_phrases
+from .tagging import Dictionary, check_phrases
 
 __all__ = [
     "SeedSet",
@@ -33,7 +35,6 @@ __all__ = [
     "rank_candidates",
     "threshold_prefix",
     "build_dictionary",
-    "cut_dictionary",
 ]
 
 
@@ -278,25 +279,12 @@ def build_dictionary(
     """The :func:`rank_candidates` ranking as a dictionary: candidates
     scoring at least ``threshold``, ranked by margin descending.
 
-    The candidates are phrases :func:`~dictforge.tagging.check_phrases`
-    accepts, such as a candidate list's or an occurrence table's; they are
-    not checked here, so a caller ranking the same phrases under several
-    models checks them once.  The default threshold keeps exactly the
-    phrases the classifier accepts; raising it trades recall for precision
-    and never grows the dictionary.
+    The dictionary checks its phrases as any :class:`Dictionary` does, so a
+    kept candidate that could never match raises ``ValueError``.  The
+    default threshold keeps exactly the phrases the classifier accepts;
+    raising it trades recall for precision and never grows the dictionary.
     """
     order, scores = rank_candidates(candidates, embeddings, model, threshold)
     ranked = dict(zip([candidates[i] for i in order.tolist()], scores.tolist()))
     meta = {"C": repr(model.C), "dims": str(model.dims_used), "threshold": repr(threshold)}
-    return _prechecked(ranked, "cca", meta)
-
-
-def cut_dictionary(ranking: Dictionary, threshold: float) -> Dictionary:
-    """The prefix of a ranking (such as one built at a lower threshold)
-    scoring at least ``threshold``, by :func:`threshold_prefix`.  The
-    ranking's phrases were checked when it was built, so the cut's are not
-    checked again."""
-    scores = np.fromiter(ranking.scores.values(), np.float64, len(ranking))
-    kept = threshold_prefix(scores, threshold)
-    meta = {**ranking.metadata, "threshold": repr(threshold)}
-    return _prechecked(dict(islice(ranking.scores.items(), kept)), ranking.provenance, meta)
+    return Dictionary(ranked, "cca", meta)

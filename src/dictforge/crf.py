@@ -57,6 +57,7 @@ from .corpus import (
 )
 from .tagging import (
     BIO,
+    BIO_CODES,
     Dictionary,
     check_phrases,
     dictionary_codes,
@@ -88,8 +89,6 @@ __all__ = [
 
 LABELS = BIO
 START = "^"
-
-_LABEL_IDX = {lab: i for i, lab in enumerate(LABELS)}
 
 
 @dataclass(frozen=True)
@@ -288,11 +287,11 @@ class CrfModel:
         """Weight index for a feature name from extract_features, or None
         when the feature was never indexed."""
         head, sep, label = name.rpartition("|y=")
-        if sep and label in _LABEL_IDX:
+        if sep and label in BIO_CODES:
             col = self.obs_index.get(head)
             if col is None:
                 return None
-            return col * len(LABELS) + _LABEL_IDX[label]
+            return col * len(LABELS) + BIO_CODES[label]
         tid = self.trans_index.get(name)
         if tid is None:
             return None
@@ -409,9 +408,9 @@ class _Chain:
         self.n_obs = len(model.obs_names)
         self.offset = self.n_obs * len(LABELS)
         history = [(START,) + LABELS] if cfg.prev2 else []
-        self.states = sorted(product(*history, LABELS), key=lambda s: _LABEL_IDX[s[-1]])
+        self.states = sorted(product(*history, LABELS), key=lambda s: BIO_CODES[s[-1]])
         self.index = {s: i for i, s in enumerate(self.states)}
-        self.state_label = np.array([_LABEL_IDX[s[-1]] for s in self.states])
+        self.state_label = np.array([BIO_CODES[s[-1]] for s in self.states])
         # state -> label one-hot, so state marginals @ to_label are label marginals
         self.to_label = np.eye(len(LABELS))[self.state_label]
 
@@ -532,7 +531,7 @@ def _compile(
             validate_bio(tags)
             if len(tags) != len(tokens):
                 raise ValueError("token/tag length mismatch")
-            gold.extend(_LABEL_IDX[t] for t in tags)
+            gold.extend(BIO_CODES[t] for t in tags)
             path = chain.state_path(tags)
             gold_fids.extend(chain.start_fids[path[0]])
             for a, b in zip(path, path[1:]):

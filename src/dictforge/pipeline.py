@@ -264,7 +264,10 @@ def _violation(value, check: tuple | None) -> str | None:
 
 def _raw_sections(path: Path) -> dict[str, dict[str, str]]:
     """{section: {key: raw text}}, lowercased, from INI or JSON."""
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PipelineConfigError([f"{path}: not UTF-8 text ({exc.reason})"]) from exc
     try:
         if path.suffix != ".json" and text.lstrip()[:1] != "{":
             parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -481,7 +484,12 @@ class _Reads(dict):
     every stage that reads it; any other name raises ``StageError``."""
 
     def __init__(self, stage: str, paths: Mapping[str, Path], loaded: dict):
-        loaded.update({n: _READERS[n](path) for n, path in paths.items() if n not in loaded})
+        for name, path in paths.items():
+            if name not in loaded:
+                try:
+                    loaded[name] = _READERS[name](path)
+                except UnicodeDecodeError as exc:
+                    raise StageError(stage, f"{path}: not UTF-8 text ({exc.reason})") from exc
         super().__init__({name: loaded[name] for name in paths})
         self.stage, self.loaded = stage, loaded
 
@@ -594,7 +602,8 @@ def _stage_classify(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
     table = reads["views.table.npz"]
     ids = sorted(range(len(table.phrases)), key=table.phrases.__getitem__)
     names = [table.phrases[i] for i in ids]
-    # checked once here: build_dictionary does not check them
+    # checked here, as embeddings.tsv writes every one of them out; the
+    # dictionary checks only its own
     check_phrases(names, "candidate")
     table_ids = np.array(ids, dtype=np.int64)
     E = embed_phrases(reads["cca.model.npz"], table.spelling_rows(table_ids))

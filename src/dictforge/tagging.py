@@ -6,11 +6,16 @@ a sentence as one entity (B I ... I) and everything else O.
 :class:`~dictforge.corpus.PhraseTrie`, :func:`tag_with_dictionary` tags one
 sentence through it, and :func:`conll_text` formats its tags as
 :func:`write_conll` would.  The string matcher that specifies the trie's
-longest-leftmost rule token by token lives in ``tests/oracles.py``.  Evaluation is phrase-level: a predicted
-entity counts only when both boundaries match a gold entity exactly.
-:func:`dictionary_scorer` scores many dictionaries against one labeled split
-without tagging it again for each, each one a boolean mask over the scored
-phrases (a :class:`Dictionary` is mapped to its mask).
+longest-leftmost rule token by token lives in ``tests/oracles.py``.
+
+Evaluation is phrase-level, the CoNLL convention: a predicted entity counts
+only when both boundaries match a gold entity exactly.  One rule turns tags
+into entities, ``_entity_spans`` over a whole split at once; :func:`evaluate`
+applies it to predicted and gold tags, and :func:`dictionary_scorer` to gold
+tags, then scores many dictionaries against that split without tagging it
+again for each, each one a boolean mask over the scored phrases (a
+:class:`Dictionary` is mapped to its mask).  The rule's statement one
+sentence at a time is a test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,13 +32,13 @@ from .corpus import Corpus, PhraseTrie, longest_first
 
 __all__ = [
     "BIO",
+    "BIO_CODES",
     "Dictionary",
     "EvalReport",
     "tag_with_dictionary",
     "dictionary_codes",
     "span_codes",
     "check_phrases",
-    "bio_spans",
     "validate_bio",
     "evaluate",
     "dictionary_scorer",
@@ -46,8 +51,9 @@ __all__ = [
 
 PROVENANCES = ("cca", "cotrain", "manual", "candidate-list")
 
-# the tags, in the order of their codes
+# the tags, in the order of their codes, and each tag's code
 BIO = ("B", "I", "O")
+BIO_CODES = {tag: code for code, tag in enumerate(BIO)}
 
 
 @dataclass
@@ -82,15 +88,6 @@ class Dictionary:
         return PhraseTrie(self.scores)
 
 
-def _prechecked(scores: dict[str, float], provenance: str, metadata: dict[str, str]) -> Dictionary:
-    """A :class:`Dictionary` of phrases and provenance already checked,
-    such as a prefix of another dictionary's, built without checking them
-    again."""
-    dictionary = object.__new__(Dictionary)
-    vars(dictionary).update(scores=scores, provenance=provenance, metadata=metadata)
-    return dictionary
-
-
 def check_phrases(phrases: Iterable[str], kind: str) -> None:
     """Raise ``ValueError`` naming the first phrase that could never match:
     an empty one, one with capitals (tokens are lowercased before lookup) or
@@ -116,6 +113,9 @@ def write_dictionary(dictionary: Dictionary, fh) -> None:
 
 
 def read_dictionary(path: str | Path) -> Dictionary:
+    """What :func:`write_dictionary` writes.  A row that is not ``phrase
+    TAB score``, a phrase that could never match and a phrase listed twice
+    raise ``ValueError`` naming the file and line."""
     scores: dict[str, float] = {}
     metadata: dict[str, str] = {}
     provenance = "manual"
@@ -133,7 +133,7 @@ def read_dictionary(path: str | Path) -> Dictionary:
                 continue
             try:
                 phrase, score = line.split("\t")
-                scores[phrase] = float(score)
+                score = float(score)
             except ValueError:
                 raise ValueError(
                     f"{path}, line {lineno}: expected phrase TAB score, got {line!r}"
@@ -142,6 +142,9 @@ def read_dictionary(path: str | Path) -> Dictionary:
                 check_phrases((phrase,), "dictionary")
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            if phrase in scores:
+                raise ValueError(f"{path}, line {lineno}: duplicate phrase {phrase!r}")
+            scores[phrase] = score
     return Dictionary(scores=scores, provenance=provenance, metadata=metadata)
 
 
@@ -189,29 +192,6 @@ def _bio_error(tags: Sequence[str]) -> tuple[int, str] | None:
     return None
 
 
-def bio_spans(tags: Sequence[str]) -> set[tuple[int, int]]:
-    """Entity spans as (start, end) token indices, end exclusive.
-
-    Tolerates ill-formed input (an I after O opens a new entity) so
-    arbitrary model output can be scored; gold data should be validated
-    separately with :func:`validate_bio`.
-    """
-    spans = set()
-    start = None
-    for i, t in enumerate(tags):
-        if t == "B" or (t == "I" and start is None):
-            if start is not None:
-                spans.add((start, i))
-            start = i
-        elif t == "O":
-            if start is not None:
-                spans.add((start, i))
-                start = None
-    if start is not None:
-        spans.add((start, len(tags)))
-    return spans
-
-
 @dataclass(frozen=True)
 class EvalReport:
     tp: int
@@ -235,20 +215,21 @@ class EvalReport:
 def evaluate(
     predicted: Sequence[Sequence[str]], gold: Sequence[Sequence[str]]
 ) -> EvalReport:
-    """Exact-extent phrase evaluation over aligned tag sequences."""
+    """Exact-extent phrase evaluation over aligned tag sequences.  The
+    entities of both are taken by ``_entity_spans`` as positions in the gold
+    sentences laid end to end; a hit is a predicted entity that is also a
+    gold one."""
     if len(predicted) != len(gold):
         raise ValueError(
             f"sentence count mismatch: {len(predicted)} predicted vs {len(gold)} gold"
         )
-    tp = fp = fn = 0
-    for idx, (p, g) in enumerate(zip(predicted, gold)):
-        if len(p) != len(g):
-            raise ValueError(f"token count mismatch in sentence {idx}")
-        pred, spans = bio_spans(p), bio_spans(g)
-        tp += len(pred & spans)
-        fp += len(pred - spans)
-        fn += len(spans - pred)
-    return EvalReport.from_counts(tp, fp, fn)
+    starts = np.cumsum([0, *map(len, gold)])
+    gold_start, gold_end = _entity_spans(starts, gold)
+    start, end = _entity_spans(starts, predicted)
+    # a span start:end coded as start * width + end
+    width = starts[-1] + 1
+    tp = int(np.isin(start * width + end, gold_start * width + gold_end).sum())
+    return EvalReport.from_counts(tp, len(start) - tp, len(gold_start) - tp)
 
 
 def dictionary_scorer(
@@ -270,7 +251,7 @@ def dictionary_scorer(
         index.setdefault(p, len(index))
     corpus = Corpus.of_tokens([tokens for tokens, _ in labeled])
     start, end, phrase = PhraseTrie(index).occurrences(corpus)
-    gold_start, gold_end = _gold_spans(corpus, [tags for _, tags in labeled])
+    gold_start, gold_end = _entity_spans(corpus.starts, [tags for _, tags in labeled])
     # whether each occurrence is a gold entity, a span start:end coded as
     # start * width + end
     width = len(corpus.ids) + 1
@@ -299,23 +280,25 @@ def dictionary_scorer(
     return score
 
 
-# tag codes; any other tag is 3
-_TAG_CODES = {"B": 0, "I": 1, "O": 2}
-
-
-def _gold_spans(corpus: Corpus, tags: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
-    """The entities of :func:`bio_spans` of each sentence's tags, as corpus
-    positions ``start[r]:end[r]`` in corpus order.
+def _entity_spans(
+    starts: np.ndarray, tags: Sequence[Sequence[str]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The entities of the sentences ``starts[k]:starts[k + 1]`` holding
+    ``tags[k]``, as positions ``start[r]:end[r]`` in order: the one rule
+    that turns tags into entities.
 
     An entity opens at B, or at an I while none is open; it closes at O, at
     B or at the sentence end.  An open entity stays open over I and over an
-    unknown tag, which opens none.
+    unknown tag, which opens none.  So ill-formed output is scored as it
+    stands; gold data is checked apart, by :func:`validate_bio`.
     """
-    starts = corpus.starts
-    if [len(t) for t in tags] != np.diff(starts).tolist():
-        raise ValueError("expected one tag per token of each sentence")
-    n = len(corpus.ids)
-    code = np.fromiter(map(_TAG_CODES.get, chain.from_iterable(tags), repeat(3)), np.int8, n)
+    sizes = np.diff(starts).tolist()
+    if (lengths := [len(t) for t in tags]) != sizes:
+        k = next(k for k, (a, b) in enumerate(zip(lengths, sizes)) if a != b)
+        raise ValueError(f"token count mismatch in sentence {k}: expected one tag per token")
+    n = int(starts[-1])
+    # each tag's code into BIO; any other tag is 3
+    code = np.fromiter(map(BIO_CODES.get, chain.from_iterable(tags), repeat(3)), np.int8, n)
     first = np.zeros(n + 1, dtype=bool)
     first[starts] = True
     # whether an entity is open after each position: B and I open or keep

@@ -5,6 +5,9 @@ The program runs each rule below over a whole interned corpus at once; the
 versions here state it one sentence at a time, on token strings, so a test
 can check the program against an independent reading of the rule.
 
+* :func:`bio_spans` turns one sentence's tags into its entities, the
+  specification of the one entity rule ``tagging._entity_spans`` runs over
+  a whole split for ``evaluate`` and ``dictionary_scorer``.
 * :class:`PhraseSet` and :func:`match_phrase_spans` are the longest-leftmost,
   non-overlapping phrase matcher on token strings, the specification of
   ``PhraseTrie.match``; :func:`string_tags` tags one sentence with it.
@@ -57,7 +60,7 @@ from dictforge.extraction import (
     _between,
     _flags,
 )
-from dictforge.tagging import Dictionary, EvalReport, bio_spans
+from dictforge.tagging import Dictionary, EvalReport
 from dictforge.views import BOUNDARY
 
 
@@ -102,6 +105,29 @@ def match_phrase_spans(
                     hit = length
                     break
         i += hit if hit else 1
+    return spans
+
+
+def bio_spans(tags: Sequence[str]) -> set[tuple[int, int]]:
+    """Entity spans as (start, end) token indices, end exclusive.
+
+    An entity opens at B, or at an I while none is open, and closes at O, at
+    B or at the sentence end; any other tag leaves it as it was.  So an
+    ill-formed sequence is scored as it stands.
+    """
+    spans = set()
+    start = None
+    for i, t in enumerate(tags):
+        if t == "B" or (t == "I" and start is None):
+            if start is not None:
+                spans.add((start, i))
+            start = i
+        elif t == "O":
+            if start is not None:
+                spans.add((start, i))
+                start = None
+    if start is not None:
+        spans.add((start, len(tags)))
     return spans
 
 

@@ -1,5 +1,6 @@
 """Seed handling and the linear margin classifier."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,19 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dictforge import tagging
 from dictforge.classifier import (
     SeedSet,
     SvmModel,
     _fit,
     build_dictionary,
-    cut_dictionary,
     read_seeds,
     resolve_seeds,
     svm_objective,
     train_svm,
 )
-from dictforge.tagging import Dictionary
 from oracles import dual_cd_fit
 
 
@@ -345,49 +343,17 @@ class TestBuildDictionary:
         )
         assert list(d.scores.items()) == expected
 
+    @pytest.mark.parametrize("phrase", ["Flu", "a  b"])
+    def test_phrase_that_can_never_match_rejected(self, phrase):
+        # tokens are lowercased and hold no whitespace, so no text matches it
+        model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
+        with pytest.raises(ValueError, match=re.escape(repr(phrase))):
+            build_dictionary(["flu", phrase], np.array([[1.0], [2.0]]), model)
+
     def test_embedding_of_the_wrong_dimension_fails(self):
         model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
         with pytest.raises(ValueError, match="expected dim 1"):
             build_dictionary(["x"], np.array([[1.0, 2.0]]), model)
-
-
-class TestCutDictionary:
-    def test_cut_of_low_ranking_equals_build_at_threshold(self):
-        model = SvmModel(weights=np.array([1.0, -0.5]), bias=0.1, C=2.0, dims_used=2)
-        rng = np.random.default_rng(5)
-        emb = {f"p{i}": rng.standard_normal(2) for i in range(60)}
-        emb["tie"] = emb["p0"].copy()  # equal scores keep phrase order
-        ranking = build_dictionary(sorted(emb), rows(emb, sorted(emb)), model, threshold=0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for t in (0.0, 0.1, 0.35, 1.0, 5.0):
-                cut = cut_dictionary(ranking, t)
-                built = build_dictionary(sorted(emb), rows(emb, sorted(emb)), model, threshold=t)
-                assert list(cut.scores.items()) == list(built.scores.items())
-                assert cut.metadata == built.metadata
-                assert cut.provenance == built.provenance
-
-    def test_cut_is_not_checked_again(self, monkeypatch):
-        model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
-        ranking = build_dictionary(["x", "y", "z"], np.array([[0.5], [0.2], [-1.0]]), model)
-        checks = []
-        monkeypatch.setattr(tagging, "check_phrases", lambda *a: checks.append(a))
-        cut = cut_dictionary(ranking, 0.3)
-        assert checks == []
-        assert cut == Dictionary({"x": 0.5}, "cca", {**ranking.metadata, "threshold": "0.3"})
-        assert tagging.tag_with_dictionary(["x", "y"], cut) == ["B", "O"]
-
-    def test_empty_cut_warns(self):
-        model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
-        ranking = build_dictionary(["x"], np.array([[0.5]]), model)
-        with pytest.warns(UserWarning, match="empty"):
-            assert len(cut_dictionary(ranking, 0.6)) == 0
-
-    def test_negative_threshold_rejected(self):
-        model = SvmModel(weights=np.array([1.0]), bias=0.0, C=1.0, dims_used=1)
-        ranking = build_dictionary(["x"], np.array([[0.5]]), model)
-        with pytest.raises(ValueError):
-            cut_dictionary(ranking, -0.1)
 
 
 def _numpy_scalar_fit(X, y, C, tol, max_epochs):

@@ -15,13 +15,8 @@ from dictforge.cli import _parse_lambda_grid, main
 from dictforge.corpus import iter_sentences
 from dictforge.crf import CrfModel
 from dictforge.synth import SynthSpec, generate
-from dictforge.tagging import (
-    bio_spans,
-    read_conll,
-    read_dictionary,
-    tag_with_dictionary,
-    write_conll,
-)
+from dictforge.tagging import read_conll, read_dictionary, tag_with_dictionary, write_conll
+from oracles import bio_spans
 
 
 @pytest.fixture(scope="module")

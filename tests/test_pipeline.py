@@ -289,6 +289,13 @@ class TestValidateConfig:
         with pytest.raises(PipelineConfigError, match="not found"):
             validate_config(tmp_path / "none.cfg")
 
+    def test_config_not_utf8_names_the_file(self, tmp_path):
+        path = write_minimal(tmp_path)
+        path.write_bytes(path.read_bytes() + b"# caf\xff\n")
+        with pytest.raises(PipelineConfigError) as err:
+            validate_config(path)
+        assert err.value.errors == [f"{path}: not UTF-8 text (invalid start byte)"]
+
     @pytest.mark.parametrize(
         "section, line, name",
         [
@@ -969,6 +976,21 @@ class TestRunPipeline:
         kept = list((broken.outdir / "quarantine").iterdir())
         assert len(kept) == 2 and all(p.name.startswith("classify-") for p in kept)
 
+    @pytest.mark.parametrize(
+        "name, stage, text",
+        [("corpus", "extract", b"a b c\nan \xff d\n"),
+         ("seeds", "classify", b"[positive]\nx\xff\n[negative]\ny\n")],
+    )
+    def test_input_not_utf8_names_stage_and_file(self, finished_run, tmp_path, name, stage, text):
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        bad = tmp_path / f"{name}.txt"
+        bad.write_bytes(text)
+        copy = dataclasses.replace(config, **{name: bad}, outdir=tmp_path / "out")
+        with pytest.raises(StageError) as err:
+            run_pipeline(copy, stages=(stage,))
+        assert str(err.value) == f"[{stage}] {bad}: not UTF-8 text (invalid start byte)"
+
     def test_missing_dependency_artifact_fails(self, workdir, tmp_path):
         config = validate_config(workdir / "pipeline.cfg")
         fresh = dataclasses.replace(config, outdir=tmp_path / "empty")
@@ -1028,7 +1050,8 @@ class TestRunPipeline:
             assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
 
     def test_classify_checks_the_table_phrases_once(self, finished_run, tmp_path, monkeypatch):
-        # the (k, C) rankings are built from the table's phrases checked once
+        # the (k, C) rankings are built from the table's phrases checked
+        # once, and the one dictionary built checks its own phrases
         _, config, _ = finished_run
         shutil.copytree(config.outdir, tmp_path / "out")
         copy = dataclasses.replace(config, outdir=tmp_path / "out")
@@ -1043,10 +1066,12 @@ class TestRunPipeline:
         monkeypatch.setattr("dictforge.pipeline.check_phrases", counted)
         (copy.outdir / "manifest.json").unlink()  # the copy would be served from cache
         manifest = run_pipeline(copy, stages=("classify",))
+        monkeypatch.undo()  # reading the dictionary back checks it again
         assert manifest.stages["classify"]["cached"] is False
         assert len(config.svm_k_grid) * len(config.svm_c_grid) > 1
         table = OccurrenceTable.load(copy.outdir / "views.table.npz")
-        assert checked == [(sorted(table.phrases), "candidate")]
+        selected = list(read_dictionary(copy.outdir / "dict.cca.tsv").scores)
+        assert checked == [(sorted(table.phrases), "candidate"), (selected, "dictionary")]
         for name in ("dict.cca.tsv", "embeddings.tsv"):
             assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from dictforge.corpus import iter_sentences
 from dictforge.extraction import extract_candidates, load_patterns
 from dictforge.synth import _BLOCK, TRIGGERS, SynthCorpus, SynthSpec, _Draws, generate
-from dictforge.tagging import bio_spans, read_conll, validate_bio
-from oracles import NumpyDraws
+from dictforge.tagging import read_conll, validate_bio
+from oracles import NumpyDraws, bio_spans
 
 SMALL = SynthSpec(n_sentences=2500, n_entities=12, n_distractors=30, seed=5)
 

@@ -13,7 +13,6 @@ from dictforge.tagging import (
     BIO,
     Dictionary,
     EvalReport,
-    bio_spans,
     conll_text,
     dictionary_codes,
     dictionary_scorer,
@@ -25,8 +24,8 @@ from dictforge.tagging import (
     write_conll,
     write_dictionary,
 )
-from dictforge.tagging import _gold_spans
-from oracles import DictTrie, PhraseSet, match_phrase_spans, phrase_set, string_tags
+from dictforge.tagging import _entity_spans
+from oracles import DictTrie, PhraseSet, bio_spans, match_phrase_spans, phrase_set, string_tags
 
 
 def d(*phrases, provenance="manual"):
@@ -282,7 +281,7 @@ class TestBioSpans:
 
 
 def count_spans_oracle(predicted, gold):
-    """Per-sentence span comparison by list membership."""
+    """Per-sentence comparison of :func:`bio_spans` by list membership."""
     tp = fp = fn = 0
     for p, g in zip(predicted, gold):
         ps, gs = list(bio_spans(p)), list(bio_spans(g))
@@ -292,13 +291,18 @@ def count_spans_oracle(predicted, gold):
     return EvalReport.from_counts(tp, fp, fn)
 
 
-_TAGS = st.lists(st.sampled_from(["B", "I", "O"]), max_size=10)
+_TAGS = st.lists(st.sampled_from(["B", "I", "O", "X"]), max_size=10)
 
 
 class TestEvaluate:
     @given(st.lists(st.tuples(_TAGS, _TAGS), max_size=8))
+    # an empty sentence between others, an entity open over an unknown tag
+    # in either sequence, and no sentence at all
+    @example([(["B", "I"], ["B", "I"]), ([], []), (["X", "B", "X", "I"], ["I", "B", "I", "I"])])
+    @example([(["O", "I", "X"], ["B", "X", "O"]), ([], [])])
+    @example([])
     def test_matches_count_oracle(self, pairs):
-        # predicted tags may be ill-formed
+        # predicted and gold tags may be ill-formed or unknown
         pairs = [(p[: len(g)] + ["O"] * (len(g) - len(p)), g) for p, g in pairs]
         predicted = [p for p, _ in pairs]
         gold = [g for _, g in pairs]
@@ -335,12 +339,15 @@ class TestEvaluate:
         assert report.f1 == pytest.approx(2 * p * r / (p + r))
 
     def test_sentence_count_mismatch(self):
-        with pytest.raises(ValueError, match="sentence count"):
+        with pytest.raises(ValueError, match="sentence count mismatch: 1 predicted vs 2 gold"):
             evaluate([["O"]], [["O"], ["O"]])
 
     def test_token_count_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="token count mismatch in sentence 0"):
             evaluate([["O", "O"]], [["O"]])
+        # equal totals, so only the sentence-by-sentence count tells
+        with pytest.raises(ValueError, match="token count mismatch in sentence 1"):
+            evaluate([["B"], ["O", "O"], ["O"]], [["B"], ["O"], ["O", "O"]])
 
     def test_counts_add_over_sentences(self):
         one = evaluate([["B", "O"]], [["B", "O"]])
@@ -426,7 +433,7 @@ class TestDictionaryScorer:
         # ill-formed and unknown tags: each entity is bio_spans' of its sentence
         sentences = [["flu", "swine"][: len(tags)] + ["flu"] * (len(tags) - 2) for tags in tag_lists]
         corpus = Corpus.of_tokens(sentences)
-        start, end = _gold_spans(corpus, tag_lists)
+        start, end = _entity_spans(corpus.starts, tag_lists)
         want = sorted(
             (first + s, first + e)
             for first, tags in zip(corpus.starts.tolist(), tag_lists)
@@ -516,6 +523,14 @@ class TestDictionaryIO:
         path.write_text(f"# provenance: manual\nfever\t2.0\n\n{row}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}, line 4: "):
             read_dictionary(path)
+
+    def test_repeated_phrase_names_file_and_line(self, tmp_path):
+        # a second score would replace the first but keep its rank
+        path = tmp_path / "twice.dict.tsv"
+        path.write_text("# provenance: manual\nflu\t1.0\nebola\t0.8\nflu\t0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_dictionary(path)
+        assert str(err.value) == f"{path}, line 4: duplicate phrase 'flu'"
 
     def test_membership_api(self):
         dic = d("hepatitis b")

@@ -1,8 +1,9 @@
 """One-config orchestration of the dictionary workflow.
 
 A run reads a declarative config (INI sections or the same structure as
-JSON), executes the stages extract → views → cca → classify | cotrain →
-tag → crf in dependency order, and records a manifest.  Each ``_STAGES`` row
+JSON), executes the stages extract → views → cca → classify → embed |
+cotrain → tag → crf in dependency order, and records a manifest once per
+run, also when a stage fails.  Each ``_STAGES`` row
 declares what its stage reads (config inputs and earlier artifacts, by name)
 and which package modules its body calls.  A body reads only through its
 row: it gets the row's resolved reads by name, each loaded by its
@@ -116,9 +117,12 @@ _STAGES = {
     "views": _Stage(("views.table.npz",), ("corpus", "candidates.tsv"),
                     ("corpus", "extraction", "views")),
     "cca": _Stage(("cca.model.npz",), ("views.table.npz",), ("views", "cca"), "cca"),
-    "classify": _Stage(("dict.cca.tsv", "embeddings.tsv", "svm.json"),
+    "classify": _Stage(("dict.cca.tsv", "svm.json"),
                        ("seeds", "dev", "cca.model.npz", "views.table.npz"),
                        ("views", "cca", "classifier", "tagging"), "svm"),
+    # served from cache while the selection it reads from svm.json stays put
+    "embed": _Stage(("embeddings.tsv",), ("svm.json", "cca.model.npz", "views.table.npz"),
+                    ("views", "cca", "tagging")),
     "cotrain": _Stage(("dict.cotrain.tsv", "cotrain.json"), ("views.table.npz", "seeds", "dev"),
                       ("views", "classifier", "cotrain", "tagging"), "cotrain"),
     "tag": _Stage(("report.json",), ("test", "dict.cca.tsv?", "dict.cotrain.tsv?"),
@@ -140,7 +144,12 @@ _READERS: dict[str, Callable[[Path], object]] = {
     "cca.model.npz": lambda path: CcaModel.load(path),
     **dict.fromkeys(("dict.cca.tsv", "dict.cotrain.tsv"), lambda path: read_dictionary(path)),
     "embeddings.tsv": lambda path: SentinelEmbeddings(read_embeddings(path)),
+    "svm.json": lambda path: _read_json(path),
 }
+
+
+def _read_json(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 class PipelineConfigError(ValueError):
@@ -595,18 +604,18 @@ def _theta_grid(
     return [{"theta": theta, "f1": dev_f1(strengths >= theta)} for theta in thetas]
 
 
-def _stage_classify(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
-    # a phrase's embedding is its spelling row (identity, caps bit) times
-    # phi1: one row of E per phrase of the occurrence table, the candidates
-    # that occur, in ascending phrase order
+def _embedded(reads: _Reads) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The phrases of the occurrence table (the candidates that occur) in
+    ascending order, their table ids, and E, their row-aligned embeddings: a
+    phrase's embedding is its spelling row (identity, caps bit) times phi1."""
     table = reads["views.table.npz"]
-    ids = sorted(range(len(table.phrases)), key=table.phrases.__getitem__)
-    names = [table.phrases[i] for i in ids]
-    # checked here, as embeddings.tsv writes every one of them out; the
-    # dictionary checks only its own
-    check_phrases(names, "candidate")
-    table_ids = np.array(ids, dtype=np.int64)
-    E = embed_phrases(reads["cca.model.npz"], table.spelling_rows(table_ids))
+    ids = table.ascending
+    names = [table.phrases[i] for i in ids.tolist()]
+    return names, ids, embed_phrases(reads["cca.model.npz"], table.spelling_rows(ids))
+
+
+def _stage_classify(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
+    names, table_ids, E = _embedded(reads)
     seeds = reads["seeds"]
     if missing := resolve_seeds(seeds, set(names))[2]:
         raise StageError("classify", "seeds with no occurrence in views.table.npz: "
@@ -620,8 +629,6 @@ def _stage_classify(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
     dictionary = build_dictionary(names, E[:, :k], svm, threshold=thr)
     with open(tmp / "dict.cca.tsv", "w", encoding="utf-8") as fh:
         write_dictionary(dictionary, fh)
-    with open(tmp / "embeddings.tsv", "w", encoding="utf-8") as fh:
-        write_embeddings(names, E[:, :k], fh)
     record = {
         "weights": [float(w) for w in svm.weights],
         "bias": float(svm.bias),
@@ -639,6 +646,17 @@ def _stage_classify(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
         "fits": fits,
         "dictionary_size": len(dictionary),
     }
+
+
+def _stage_embed(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
+    names, _, E = _embedded(reads)
+    # checked here, as embeddings.tsv writes every one of them out; the
+    # dictionaries check only their own
+    check_phrases(names, "candidate")
+    k = reads["svm.json"]["k"]
+    with open(tmp / "embeddings.tsv", "w", encoding="utf-8") as fh:
+        write_embeddings(names, E[:, :k], fh)
+    return {"phrases": len(names), "k": k}
 
 
 def _stage_cotrain(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
@@ -718,7 +736,8 @@ def run_pipeline(
     all match the previous manifest is skipped; an unreadable manifest is
     logged and counts as none.  Grid points run serially: ``jobs`` must be
     1.  A failing stage moves its partial outputs to ``<outdir>/quarantine/``
-    and aborts the run.
+    and aborts the run.  The manifest is written once, when the run ends or
+    fails; a killed run leaves the previous one whole.
     """
     if jobs != 1:
         raise ValueError(f"grid points run serially; jobs must be 1, got {jobs}")
@@ -762,73 +781,78 @@ def run_pipeline(
     digests = _Digests()
     loaded: dict = {}  # read name -> its value, shared by the run's stages
 
-    for stage in requested:
-        needs = _STAGES[stage].needs
-        if needs is not None and getattr(config, needs) is None:
-            reason = f"inputs.{needs} is not set"
-            if stages is not None:
-                raise StageError(stage, f"requested but not runnable: {reason}")
-            manifest.stages[stage] = {"skipped": reason}
-            log(f"{stage}: skipped ({reason})")
-            continue
+    # saved once, also when a stage fails, so that the stages finished
+    # before it are served from cache next time
+    try:
+        for stage in requested:
+            needs = _STAGES[stage].needs
+            if needs is not None and getattr(config, needs) is None:
+                reason = f"inputs.{needs} is not set"
+                if stages is not None:
+                    raise StageError(stage, f"requested but not runnable: {reason}")
+                manifest.stages[stage] = {"skipped": reason}
+                log(f"{stage}: skipped ({reason})")
+                continue
 
-        paths = _inputs(config, stage)
-        inputs = {name: digests[path] for name, path in paths.items()}
-        section = _STAGES[stage].section
-        params = {key: getattr(config, _field(section, key)) for key in _KEYS.get(section, ())}
-        closure = ("__init__", "pipeline", *_closure(_STAGES[stage].modules, imports))
-        code = hashlib.sha256(b"".join(m.encode() + sources[m] for m in closure)).hexdigest()
-        covered = {"inputs": inputs, "params": params, "code": code, "libraries": libraries}
-        signature = hashlib.sha256(_json_text(covered).encode()).hexdigest()
+            paths = _inputs(config, stage)
+            inputs = {name: digests[path] for name, path in paths.items()}
+            section = _STAGES[stage].section
+            params = {key: getattr(config, _field(section, key))
+                      for key in _KEYS.get(section, ())}
+            closure = ("__init__", "pipeline", *_closure(_STAGES[stage].modules, imports))
+            code = hashlib.sha256(
+                b"".join(m.encode() + sources[m] for m in closure)
+            ).hexdigest()
+            covered = {"inputs": inputs, "params": params, "code": code, "libraries": libraries}
+            signature = hashlib.sha256(_json_text(covered).encode()).hexdigest()
 
-        prev = previous.get(stage)
-        if (
-            prev
-            and prev.get("signature") == signature
-            and all(
-                (outdir / name).is_file() and digests[outdir / name] == digest
-                for name, digest in prev.get("outputs", {}).items()
-            )
-        ):
-            manifest.stages[stage] = {**prev, "cached": True}
-            log(f"{stage}: cached")
-            continue
+            prev = previous.get(stage)
+            if (
+                prev
+                and prev.get("signature") == signature
+                and all(
+                    (outdir / name).is_file() and digests[outdir / name] == digest
+                    for name, digest in prev.get("outputs", {}).items()
+                )
+            ):
+                manifest.stages[stage] = {**prev, "cached": True}
+                log(f"{stage}: cached")
+                continue
 
-        tmp = outdir / f".{stage}.tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        tmp.mkdir()
-        started = time.monotonic()
-        try:
-            details = globals()[f"_stage_{stage}"](config, tmp, _Reads(stage, paths, loaded))
-            if missing := [n for n in _STAGES[stage].outputs if not (tmp / n).is_file()]:
-                raise StageError(stage, f"stage produced no {missing[0]}")
-        except StageError:
-            _quarantine(outdir, stage, tmp)
-            raise
-        except Exception as exc:
-            _quarantine(outdir, stage, tmp)
-            raise StageError(stage, f"{type(exc).__name__}: {exc}") from exc
-        elapsed = time.monotonic() - started
+            tmp = outdir / f".{stage}.tmp"
+            shutil.rmtree(tmp, ignore_errors=True)
+            tmp.mkdir()
+            started = time.monotonic()
+            try:
+                details = globals()[f"_stage_{stage}"](config, tmp, _Reads(stage, paths, loaded))
+                if missing := [n for n in _STAGES[stage].outputs if not (tmp / n).is_file()]:
+                    raise StageError(stage, f"stage produced no {missing[0]}")
+            except StageError:
+                _quarantine(outdir, stage, tmp)
+                raise
+            except Exception as exc:
+                _quarantine(outdir, stage, tmp)
+                raise StageError(stage, f"{type(exc).__name__}: {exc}") from exc
+            elapsed = time.monotonic() - started
 
-        outputs = {}
-        for name in _STAGES[stage].outputs:
-            shutil.move(str(tmp / name), str(outdir / name))
-            outputs[name] = digests[outdir / name] = _sha256(outdir / name)
-        shutil.rmtree(tmp)
+            outputs = {}
+            for name in _STAGES[stage].outputs:
+                shutil.move(str(tmp / name), str(outdir / name))
+                outputs[name] = digests[outdir / name] = _sha256(outdir / name)
+            shutil.rmtree(tmp)
 
-        manifest.stages[stage] = {
-            "signature": signature,
-            **covered,
-            "environment": environment,
-            "outputs": outputs,
-            "elapsed_s": round(elapsed, 3),
-            "cached": False,
-            "details": details,
-        }
-        log(f"{stage}: done in {elapsed:.1f}s")
+            manifest.stages[stage] = {
+                "signature": signature,
+                **covered,
+                "environment": environment,
+                "outputs": outputs,
+                "elapsed_s": round(elapsed, 3),
+                "cached": False,
+                "details": details,
+            }
+            log(f"{stage}: done in {elapsed:.1f}s")
+    finally:
         manifest.save(manifest_path)
-
-    manifest.save(manifest_path)
     return manifest
 
 

@@ -115,10 +115,18 @@ def write_dictionary(dictionary: Dictionary, fh) -> None:
 def read_dictionary(path: str | Path) -> Dictionary:
     """What :func:`write_dictionary` writes.  A row that is not ``phrase
     TAB score``, a phrase that could never match and a phrase listed twice
-    raise ``ValueError`` naming the file and line."""
+    raise ``ValueError`` naming the file and line of the first of them."""
     scores: dict[str, float] = {}
+    lines: list[int] = []  # the line of each phrase of ``scores``
     metadata: dict[str, str] = {}
     provenance = "manual"
+
+    def error(lineno: int, message: str) -> ValueError:
+        # the phrases are checked once, by the constructor, so a bad phrase
+        # before this line is found here
+        _locate_bad_phrase(path, scores, lines)
+        return ValueError(f"{path}, line {lineno}: {message}")
+
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
@@ -135,17 +143,26 @@ def read_dictionary(path: str | Path) -> Dictionary:
                 phrase, score = line.split("\t")
                 score = float(score)
             except ValueError:
-                raise ValueError(
-                    f"{path}, line {lineno}: expected phrase TAB score, got {line!r}"
-                ) from None
-            try:
-                check_phrases((phrase,), "dictionary")
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+                raise error(lineno, f"expected phrase TAB score, got {line!r}") from None
             if phrase in scores:
-                raise ValueError(f"{path}, line {lineno}: duplicate phrase {phrase!r}")
+                raise error(lineno, f"duplicate phrase {phrase!r}")
             scores[phrase] = score
-    return Dictionary(scores=scores, provenance=provenance, metadata=metadata)
+            lines.append(lineno)
+    try:
+        return Dictionary(scores=scores, provenance=provenance, metadata=metadata)
+    except ValueError:
+        _locate_bad_phrase(path, scores, lines)
+        raise
+
+
+def _locate_bad_phrase(path: str | Path, phrases: Iterable[str], lines: Sequence[int]) -> None:
+    """Raise :func:`check_phrases`'s error for the first bad one of
+    ``phrases``, naming its line of ``path``; return if all pass."""
+    for phrase, lineno in zip(phrases, lines):
+        try:
+            check_phrases((phrase,), "dictionary")
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
 
 
 def tag_with_dictionary(tokens: Sequence[str], dictionary: Dictionary) -> list[str]:

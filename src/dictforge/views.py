@@ -12,7 +12,7 @@ built from one interned occurrence table, a phrase id and six (position,
 word) ids per row, so their rows are aligned by construction; Z has one
 column per (position, word) slot of the table and none held in reserve.
 A pipeline run stores the table, not the matrices, as ``views.table.npz``,
-which cca, classify and cotrain load.
+which cca, classify, embed and cotrain load.
 """
 
 from __future__ import annotations
@@ -162,6 +162,13 @@ class OccurrenceTable:
     @property
     def n(self) -> int:
         return len(self.phrase_ids)
+
+    @cached_property
+    def ascending(self) -> np.ndarray:
+        """Phrase ids in ascending phrase order, sorted once per table: the
+        row order of the classify grid and of ``embeddings.tsv``."""
+        return np.array(sorted(range(len(self.phrases)), key=self.phrases.__getitem__),
+                        dtype=np.int64)
 
     def first_rows(self) -> dict[str, int]:
         """Row of each phrase's first occurrence."""

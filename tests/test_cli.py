@@ -569,3 +569,55 @@ class TestCrfCommands:
         assert len(scores) == 2 and scores[0] == scores[1]
         assert "(lambda=0.1)" in err
         assert CrfModel.load(model_path).regularizer == 0.1
+
+
+@pytest.fixture(scope="module")
+def tiny_model(bench):
+    root, sc, paths = bench
+    model = root / "tiny.model.npz"
+    argv = ["crf", "train", "--data", str(root / "tiny.conll"), "--max-iters", "5",
+            "--out", str(model)]
+    assert main(argv) == 0
+    return model
+
+
+# one command line per subcommand and text input flag, BAD standing for the
+# file that is not UTF-8 and MODEL for a trained model
+_TEXT_INPUTS = {
+    "tag --dict": ["tag", "--dict", "BAD", "--input", "tiny.txt"],
+    "tag --input": ["tag", "--dict", "hand.dict.tsv", "--input", "BAD"],
+    "crf train --data": ["crf", "train", "--data", "BAD"],
+    "crf train --dev": ["crf", "train", "--data", "tiny.conll", "--dev", "BAD"],
+    "crf train --dict": ["crf", "train", "--data", "tiny.conll", "--features", "baseline,dict",
+                         "--dict", "BAD"],
+    "crf train --emb": ["crf", "train", "--data", "tiny.conll", "--features", "baseline,emb",
+                        "--emb", "BAD"],
+    "crf tag --input": ["crf", "tag", "--model", "MODEL", "--input", "BAD"],
+    "crf curve --train": ["crf", "curve", "--train", "BAD", "--test", "tiny.conll"],
+    "crf curve --test": ["crf", "curve", "--train", "tiny.conll", "--test", "BAD"],
+    "crf curve --dict": ["crf", "curve", "--train", "tiny.conll", "--test", "tiny.conll",
+                         "--dict", "BAD"],
+    "crf curve --word-emb": ["crf", "curve", "--train", "tiny.conll", "--test", "tiny.conll",
+                             "--word-emb", "BAD"],
+    "crf curve --phrase-emb": ["crf", "curve", "--train", "tiny.conll", "--test", "tiny.conll",
+                               "--phrase-emb", "BAD"],
+}
+
+
+class TestNotUtf8Input:
+    @pytest.mark.parametrize("command", list(_TEXT_INPUTS))
+    def test_names_the_file(self, bench, tiny_model, tmp_path, capsys, command):
+        # the message the pipeline gives for its own reads, not the codec's
+        root, sc, paths = bench
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"flu\t1.0\nab\xff\n")
+        files = {"BAD": str(bad), "MODEL": str(tiny_model)}
+        argv = [
+            files.get(arg, str(root / arg) if arg.endswith((".txt", ".tsv", ".conll")) else arg)
+            for arg in _TEXT_INPUTS[command]
+        ]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+        if command.startswith(("crf train", "crf curve")):
+            assert not out.exists()

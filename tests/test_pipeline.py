@@ -4,6 +4,7 @@ import ast
 import collections
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import platform
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dictforge.cca import CcaModel, accumulate_covariance, embed_phrases
+from dictforge.cca import CcaModel, accumulate_covariance, embed_phrases, write_embeddings
 from dictforge.classifier import (
     SeedSet,
     SvmModel,
@@ -648,7 +649,7 @@ class TestRunPipeline:
         workdir, config, _ = finished_run
         fresh = dataclasses.replace(config, outdir=workdir / "out2")
         run_pipeline(
-            fresh, stages=("extract", "views", "cca", "classify", "cotrain", "tag")
+            fresh, stages=("extract", "views", "cca", "classify", "embed", "cotrain", "tag")
         )
         for name in (
             "views.table.npz", "dict.cca.tsv", "dict.cotrain.tsv", "report.json", "embeddings.tsv"
@@ -671,6 +672,51 @@ class TestRunPipeline:
         finally:
             config.seeds.write_text(seeds, encoding="utf-8")
             run_pipeline(config, stages=("classify",))
+
+    def test_seed_comment_rerun_serves_embed_from_cache(self, finished_run, tmp_path):
+        # the comment leaves svm.json's bytes as they were, so embed, which
+        # reads the selection from it, is served from cache
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text(
+            config.seeds.read_text(encoding="utf-8") + "# a comment\n", encoding="utf-8"
+        )
+        copy = dataclasses.replace(config, seeds=seeds, outdir=tmp_path / "out")
+        before = (copy.outdir / "embeddings.tsv").read_bytes()
+        lines = []
+        manifest = run_pipeline(copy, log=lines.append)
+        assert {s for s, rec in manifest.stages.items() if not rec["cached"]} == {
+            "classify", "cotrain"
+        }
+        assert manifest.stages["embed"]["cached"] is True and "embed: cached" in lines
+        assert (copy.outdir / "embeddings.tsv").read_bytes() == before
+
+    def test_seed_swap_reexecutes_embed_at_the_selected_k(self, finished_run, tmp_path):
+        # a swapped seed moves the SVM, so svm.json changes and embed writes
+        # the table's phrases in ascending order at the selected k
+        workdir, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        lines = config.seeds.read_text(encoding="utf-8").splitlines()
+        entities = (workdir / "data" / "entities.txt").read_text(encoding="utf-8").splitlines()
+        lines[1] = next(e for e in entities if e not in lines)
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        copy = dataclasses.replace(config, seeds=seeds, outdir=tmp_path / "out")
+        manifest = run_pipeline(copy, stages=("classify", "embed"))
+        assert manifest.stages["classify"]["cached"] is False
+        assert manifest.stages["embed"]["cached"] is False
+        svm = (copy.outdir / "svm.json").read_bytes()
+        assert svm != (config.outdir / "svm.json").read_bytes()
+        k = json.loads(svm)["k"]
+        table = OccurrenceTable.load(copy.outdir / "views.table.npz")
+        names = sorted(table.phrases)
+        rows = table.spelling_rows(np.array([table.phrases.index(p) for p in names]))
+        E = embed_phrases(CcaModel.load(copy.outdir / "cca.model.npz"), rows)
+        expected = io.StringIO()
+        write_embeddings(names, E[:, :k], expected)
+        assert (copy.outdir / "embeddings.tsv").read_text(encoding="utf-8") == expected.getvalue()
+        assert manifest.stages["embed"]["details"] == {"phrases": len(names), "k": k}
 
     def test_locators_follow_view_row_order(self, finished_run):
         # doc ids "corpus.txt:10" < "corpus.txt:2" sort apart from stream order
@@ -735,7 +781,7 @@ class TestRunPipeline:
         config = self._nested_candidate_run(tmp_path, "[positive]\nx b c\n[negative]\nq\n")
         manifest = run_pipeline(config)
         assert {s for s, rec in manifest.stages.items() if "skipped" not in rec} == {
-            "extract", "views", "cca", "classify", "cotrain"
+            "extract", "views", "cca", "classify", "embed", "cotrain"
         }
         candidates = [c.lower for c in read_candidates(config.outdir / "candidates.tsv")]
         assert sorted(candidates) == ["q", "x b", "x b c"]
@@ -776,6 +822,7 @@ class TestRunPipeline:
             "views": {"corpus", "candidates.tsv"},
             "cca": {"views.table.npz"},
             "classify": {"seeds", "dev", "cca.model.npz", "views.table.npz"},
+            "embed": {"svm.json", "cca.model.npz", "views.table.npz"},
             "cotrain": {"views.table.npz", "seeds", "dev"},
             "tag": {"test", "dict.cca.tsv", "dict.cotrain.tsv"},
             "crf": {"train", "dev", "test", "dict.cca.tsv"},
@@ -858,11 +905,11 @@ class TestRunPipeline:
         [
             ("crf", {"crf"}),
             ("cotrain", {"cotrain"}),
-            ("linalg", {"cca", "classify", "crf"}),
+            ("linalg", {"cca", "classify", "embed", "crf"}),
             ("synth", set()),
             ("cli", set()),
             ("extraction", {"extract", "views"}),
-            ("views", {"views", "cca", "classify", "cotrain"}),
+            ("views", {"views", "cca", "classify", "embed", "cotrain"}),
         ],
     )
     def test_module_edit_reexecutes_the_stages_that_import_it(
@@ -1046,12 +1093,12 @@ class TestRunPipeline:
         fits = len(config.svm_k_grid) * len(config.svm_c_grid)
         assert len(config.svm_threshold_grid) > 1
         assert calls == {"train_svm": fits, "rank_candidates": fits, "build_dictionary": 1}
-        for name in ("dict.cca.tsv", "embeddings.tsv"):
+        for name in ("dict.cca.tsv", "svm.json"):
             assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
 
-    def test_classify_checks_the_table_phrases_once(self, finished_run, tmp_path, monkeypatch):
-        # the (k, C) rankings are built from the table's phrases checked
-        # once, and the one dictionary built checks its own phrases
+    def test_embed_checks_the_table_phrases_once(self, finished_run, tmp_path, monkeypatch):
+        # embed checks the table's phrases once, as embeddings.tsv writes
+        # them all out; classify's one dictionary checks only its own
         _, config, _ = finished_run
         shutil.copytree(config.outdir, tmp_path / "out")
         copy = dataclasses.replace(config, outdir=tmp_path / "out")
@@ -1065,13 +1112,13 @@ class TestRunPipeline:
         monkeypatch.setattr("dictforge.tagging.check_phrases", counted)
         monkeypatch.setattr("dictforge.pipeline.check_phrases", counted)
         (copy.outdir / "manifest.json").unlink()  # the copy would be served from cache
-        manifest = run_pipeline(copy, stages=("classify",))
+        manifest = run_pipeline(copy, stages=("classify", "embed"))
         monkeypatch.undo()  # reading the dictionary back checks it again
-        assert manifest.stages["classify"]["cached"] is False
+        assert not any(record["cached"] for record in manifest.stages.values())
         assert len(config.svm_k_grid) * len(config.svm_c_grid) > 1
         table = OccurrenceTable.load(copy.outdir / "views.table.npz")
         selected = list(read_dictionary(copy.outdir / "dict.cca.tsv").scores)
-        assert checked == [(sorted(table.phrases), "candidate"), (selected, "dictionary")]
+        assert checked == [(selected, "dictionary"), (sorted(table.phrases), "candidate")]
         for name in ("dict.cca.tsv", "embeddings.tsv"):
             assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
 
@@ -1310,6 +1357,32 @@ class TestRunPipeline:
         assert max(hashed.values()) == 1
         assert config.corpus in hashed and copy.outdir / "views.table.npz" in hashed
 
+    def test_manifest_saved_once_per_run_and_when_a_stage_fails(
+        self, workdir, tmp_path, monkeypatch
+    ):
+        config = validate_config(workdir / "pipeline.cfg")
+        bad_seeds = tmp_path / "bad_seeds.txt"
+        bad_seeds.write_text("[positive]\nnot a real phrase\n[negative]\nalso missing\n",
+                             encoding="utf-8")
+        broken = dataclasses.replace(config, seeds=bad_seeds, outdir=tmp_path / "out")
+        saves = []
+        real = RunManifest.save
+        monkeypatch.setattr(RunManifest, "save", lambda self, path: saves.append(real(self, path)))
+        with pytest.raises(StageError, match=r"\[classify\]"):
+            run_pipeline(broken)
+        assert len(saves) == 1
+        finished = RunManifest.load(broken.outdir / "manifest.json").stages
+        assert set(finished) == {"extract", "views", "cca"}
+        manifest = run_pipeline(broken, stages=("extract", "views", "cca"))
+        assert len(saves) == 2
+        assert all(record["cached"] for record in manifest.stages.values())
+        fixed = dataclasses.replace(broken, seeds=config.seeds)
+        manifest = run_pipeline(fixed)
+        assert len(saves) == 3
+        assert {s for s, rec in manifest.stages.items() if rec.get("cached")} == {
+            "extract", "views", "cca"
+        }
+
     def test_interrupted_manifest_write_keeps_the_previous(
         self, finished_run, tmp_path, monkeypatch
     ):
@@ -1450,6 +1523,7 @@ class TestStageTable:
         "views": {"corpus", "extraction", "views"},
         "cca": {"cca", "linalg", "views", "corpus"},
         "classify": {"cca", "linalg", "classifier", "tagging", "corpus", "views"},
+        "embed": {"cca", "linalg", "tagging", "corpus", "views"},
         "cotrain": {"cotrain", "classifier", "tagging", "views", "corpus"},
         "tag": {"tagging", "corpus"},
         "crf": {"crf", "corpus", "tagging", "cca", "linalg"},
@@ -1476,7 +1550,8 @@ class TestStageTable:
                 reader = _READERS[read.partition(" if ")[0].rstrip("?")]
                 called = [namespace[n] for n in reader.__code__.co_names if n in namespace]
                 modules = {f.__module__.removeprefix("dictforge.") for f in called}
-                assert called and modules <= closure, (stage, read, modules)
+                # pipeline.py is in every stage's code fingerprint
+                assert called and modules <= closure | {"pipeline"}, (stage, read, modules)
 
     def test_imports_match_the_line_anchored_regex(self):
         # the literal search with its line-prefix test finds what a

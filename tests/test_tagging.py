@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dictforge.tagging
 from dictforge.corpus import Corpus, PhraseTrie
 from dictforge.tagging import (
     BIO,
@@ -531,6 +532,31 @@ class TestDictionaryIO:
         with pytest.raises(ValueError) as err:
             read_dictionary(path)
         assert str(err.value) == f"{path}, line 4: duplicate phrase 'flu'"
+
+    def test_read_checks_the_phrases_in_one_pass(self, tmp_path, monkeypatch):
+        path = tmp_path / "hand.dict.tsv"
+        path.write_text("# provenance: manual\nflu\t1.0\nyellow fever\t0.5\nhiv\t0.2\n",
+                        encoding="utf-8")
+        passes = []
+        real = dictforge.tagging.check_phrases
+
+        def counted(phrases, kind):
+            passes.append(list(phrases))
+            return real(passes[-1], kind)
+
+        monkeypatch.setattr("dictforge.tagging.check_phrases", counted)
+        assert list(read_dictionary(path).scores) == ["flu", "yellow fever", "hiv"]
+        assert passes == [["flu", "yellow fever", "hiv"]]
+
+    @pytest.mark.parametrize("later", ["flu\t0.5", "fever", "# provenance: wishful"])
+    def test_read_names_the_first_bad_line(self, tmp_path, later):
+        # a bad phrase is found before a duplicate, a malformed row or an
+        # unknown provenance on a later line
+        path = tmp_path / "hand.dict.tsv"
+        path.write_text(f"flu\t1.0\nHIV\t0.8\n{later}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_dictionary(path)
+        assert str(err.value) == f"{path}, line 2: dictionary phrase 'HIV' is not lowercase"
 
     def test_membership_api(self):
         dic = d("hepatitis b")

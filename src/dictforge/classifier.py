@@ -156,17 +156,21 @@ def _fit(X: np.ndarray, y: np.ndarray, C: float, tol: float, max_epochs: int):
     ``(delta * y_i) * x_i`` to the bit.  ``.dot`` is the BLAS ``ddot``
     that ``@`` calls, with less dispatch; the clip compares as ``min`` and
     ``max`` do, and ``w`` is updated through one scratch buffer with the
-    same two roundings as ``w += delta * y_i * x_i``.  The gap check
+    same two roundings as ``w += delta * y_i * x_i``.  The gap check takes
+    the margins ``y_i (x_i . w)`` as one gemv over the signed rows, exact by
+    the same sign flip, and the hinge in one preallocated buffer; it
     computes ``w . w`` once and reduces without ``np.sum``'s wrapper.  So
     every fit is bit-identical to the same sweep on NumPy scalars.
     """
     n, d = X.shape
     Xa = np.hstack([X, np.ones((n, 1))])  # bias column
-    rows = list(Xa * y[:, None])
+    signed = Xa * y[:, None]
+    rows = list(signed)
     q = np.einsum("ij,ij->i", Xa, Xa).tolist()  # always >= 1
     alpha = [0.0] * n
     w = np.zeros(d + 1)
     step = np.empty(d + 1)
+    hinge = np.empty(n)
     multiply, add = np.multiply, np.add
     epochs, gap, converged = 0, float("inf"), False
     while epochs < max_epochs and not converged:
@@ -182,9 +186,10 @@ def _fit(X: np.ndarray, y: np.ndarray, C: float, tol: float, max_epochs: int):
             if delta != 0.0:
                 add(w, multiply(yx_i, delta, out=step), out=w)
                 alpha[i] = a_new
-        ww = w @ w
-        primal = 0.5 * ww + C * np.maximum(0.0, 1.0 - y * (Xa @ w)).sum()
-        dual = np.add.reduce(alpha) - 0.5 * ww
+        ww = w.dot(w)
+        np.maximum(np.subtract(1.0, signed.dot(w, out=hinge), out=hinge), 0.0, out=hinge)
+        primal = 0.5 * ww + C * add.reduce(hinge)
+        dual = add.reduce(alpha) - 0.5 * ww
         gap = float(primal - dual)
         converged = bool(gap <= tol * max(1.0, abs(primal)))
     return w[:d], float(w[d]), {"epochs": epochs, "gap": gap, "converged": converged}

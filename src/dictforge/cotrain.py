@@ -190,12 +190,12 @@ def _intern(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _decision_lists(table: OccurrenceTable) -> tuple[_DecisionList, _DecisionList]:
     """The empty spelling and context lists of ``table``'s rows.  A rank
-    is the inverse, by argsort, of the permutation that sorts the keys."""
+    is the inverse of the permutation that sorts the keys: the spelling
+    rank that of the table's cached ascending order."""
+    rank = np.empty(len(table.phrases), np.int64)
+    rank[table.ascending] = np.arange(len(table.phrases))
     spelling = _DecisionList(
-        "spelling",
-        table.phrase_ids[None, :],
-        [("full-string", p) for p in table.phrases],
-        np.argsort(sorted(range(len(table.phrases)), key=table.phrases.__getitem__)),
+        "spelling", table.phrase_ids[None, :], [("full-string", p) for p in table.phrases], rank
     )
     # a bigram is a pair of context ids at two distinct positions, coded as
     # first * d + second

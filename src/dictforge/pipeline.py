@@ -1,24 +1,26 @@
 """One-config orchestration of the dictionary workflow.
 
 A run reads a declarative config (INI sections or the same structure as
-JSON), executes the stages extract → views → cca → classify → embed |
+JSON), executes the stages extract → views → cca → match → classify → embed |
 cotrain → tag → crf in dependency order, and records a manifest once per
 run, also when a stage fails.  Each ``_STAGES`` row
 declares what its stage reads (config inputs and earlier artifacts, by name)
 and which package modules its body calls.  A body reads only through its
-row: it gets the row's resolved reads by name, each loaded by its
-``_READERS`` entry once per run and shared with every later stage.  A rerun
-serves a stage from the manifest when the content hashes of its reads, its
-parameters, its code (``pipeline.py`` plus the import closure of its
-modules) and the numpy and scipy versions are unchanged, so a moved output
-directory stays cached and a module edit re-executes only the stages that
-import it.  An executed stage's record also holds the Python version, the
-BLAS numpy reports and the BLAS thread variables, recorded but outside the
-signature.  A run loads and hashes each file once.  Grid points are scored
-on the dev split, classify's and cotrain's as masks over the table's
-phrases, and the winner is chosen by ``model_select``; only the winner is
-built as a dictionary, and everything a later reader needs to reproduce the
-run lands next to the artifacts.
+row: it gets the row's resolved reads by name, shared with every later
+stage.  A read the run itself wrote is the value its stage handed on, equal
+to what its ``_READERS`` entry would read back; any other is loaded by that
+entry once per run.  A rerun serves a stage from the manifest when the
+content hashes of its reads, its parameters, its code (``pipeline.py`` plus
+the import closure of its modules) and the numpy and scipy versions are
+unchanged, so a moved output directory stays cached and a module edit
+re-executes only the stages that import it.  An executed stage's record
+also holds the Python version, the BLAS numpy reports and the BLAS thread
+variables, recorded but outside the signature.  A run hashes each file
+once.  Grid points are scored on the dev split, classify's and cotrain's as
+masks over the table's phrases on the match stage's ``dev.matches.npz``,
+which a seed edit leaves cached, and the winner is chosen by
+``model_select``; only the winner is built as a dictionary, and everything a
+later reader needs to reproduce the run lands next to the artifacts.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import re
 import shutil
 import tempfile
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -75,7 +77,7 @@ from .extraction import (
     write_candidates,
 )
 from .tagging import (
-    Dictionary,
+    PhraseMatches,
     check_phrases,
     dictionary_scorer,
     evaluate,
@@ -117,13 +119,17 @@ _STAGES = {
     "views": _Stage(("views.table.npz",), ("corpus", "candidates.tsv"),
                     ("corpus", "extraction", "views")),
     "cca": _Stage(("cca.model.npz",), ("views.table.npz",), ("views", "cca"), "cca"),
+    # served from cache on a seed edit: neither of its reads moves with the seeds
+    "match": _Stage(("dev.matches.npz",), ("dev", "views.table.npz"), ("views", "tagging"),
+                    needs="dev"),
     "classify": _Stage(("dict.cca.tsv", "svm.json"),
-                       ("seeds", "dev", "cca.model.npz", "views.table.npz"),
+                       ("seeds", "dev.matches.npz if dev", "cca.model.npz", "views.table.npz"),
                        ("views", "cca", "classifier", "tagging"), "svm"),
     # served from cache while the selection it reads from svm.json stays put
     "embed": _Stage(("embeddings.tsv",), ("svm.json", "cca.model.npz", "views.table.npz"),
                     ("views", "cca", "tagging")),
-    "cotrain": _Stage(("dict.cotrain.tsv", "cotrain.json"), ("views.table.npz", "seeds", "dev"),
+    "cotrain": _Stage(("dict.cotrain.tsv", "cotrain.json"),
+                      ("views.table.npz", "seeds", "dev.matches.npz if dev"),
                       ("views", "classifier", "cotrain", "tagging"), "cotrain"),
     "tag": _Stage(("report.json",), ("test", "dict.cca.tsv?", "dict.cotrain.tsv?"),
                   ("tagging",), needs="test"),
@@ -142,6 +148,7 @@ _READERS: dict[str, Callable[[Path], object]] = {
     "candidates.tsv": lambda path: read_candidates(path),
     "views.table.npz": lambda path: OccurrenceTable.load(path),
     "cca.model.npz": lambda path: CcaModel.load(path),
+    "dev.matches.npz": lambda path: PhraseMatches.load(path),
     **dict.fromkeys(("dict.cca.tsv", "dict.cotrain.tsv"), lambda path: read_dictionary(path)),
     "embeddings.tsv": lambda path: SentinelEmbeddings(read_embeddings(path)),
     "svm.json": lambda path: _read_json(path),
@@ -490,7 +497,9 @@ class RunManifest:
 class _Reads(dict):
     """A stage's resolved reads (see ``_inputs``) by name, each loaded by its
     ``_READERS`` entry once per run into ``loaded`` and shared read-only with
-    every stage that reads it; any other name raises ``StageError``."""
+    every stage that reads it; any other name raises ``StageError``.  A read
+    some stage of the run wrote is not loaded: that stage handed its value
+    on (``hand``)."""
 
     def __init__(self, stage: str, paths: Mapping[str, Path], loaded: dict):
         for name, path in paths.items():
@@ -505,22 +514,29 @@ class _Reads(dict):
     def __missing__(self, name: str):
         raise StageError(self.stage, f"undeclared read {name!r}")
 
-    def dev(self, points: int) -> list | None:
-        """The dev split; None without one, which only a one-point grid allows."""
-        if points > 1 and "dev" not in self:
-            raise StageError(self.stage, "grid has several points but inputs.dev is not set")
-        return self.get("dev")
+    def hand(self, name: str, value) -> None:
+        """Give the later stages of the run ``value`` as the artifact ``name``
+        this stage writes; it must equal what ``_READERS[name]`` reads back
+        from the written file, types and dtypes included."""
+        if name not in _STAGES[self.stage].outputs:
+            raise StageError(self.stage, f"hands on {name!r}, which it does not write")
+        self.loaded[name] = value
 
-    def dev_f1(self, points: int) -> Callable[[Dictionary | np.ndarray], float]:
-        """Dev F1 (0.0 without dev) of a dictionary drawn from the table's phrases
-        (classify ranks exactly these, cotrain's rules name some of them), given
-        as a mask over them or as a ``Dictionary``, by one ``dictionary_scorer``
-        per run."""
-        if (dev := self.dev(points)) is None:
-            return lambda dictionary: 0.0
-        if "dev scorer" not in self.loaded:
-            self.loaded["dev scorer"] = dictionary_scorer(dev, self["views.table.npz"].phrases)
-        return lambda dictionary: self.loaded["dev scorer"](dictionary).f1
+    def dev(self, points: int, name: str = "dev"):
+        """The dev split, or the read ``name`` made from it; None without
+        dev, which only a one-point grid allows."""
+        if points > 1 and name not in self:
+            raise StageError(self.stage, "grid has several points but inputs.dev is not set")
+        return self.get(name)
+
+    def dev_f1(self, points: int) -> Callable[[np.ndarray], float]:
+        """Dev F1 (0.0 without dev) of a dictionary drawn from the table's
+        phrases (classify ranks exactly these, cotrain's rules name some of
+        them), given as a mask over them and scored on the match stage's
+        ``dev.matches.npz``."""
+        if (matches := self.dev(points, "dev.matches.npz")) is None:
+            return lambda mask: 0.0
+        return lambda mask: matches.score(mask).f1
 
 
 # -- stage bodies, run_pipeline's _stage_<name>: write artifacts into tmp
@@ -532,6 +548,7 @@ def _stage_extract(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
     cands = extract_candidates(reads["corpus"], patterns)
     with open(tmp / "candidates.tsv", "w", encoding="utf-8") as fh:
         write_candidates(cands, fh)
+    reads.hand("candidates.tsv", cands)
     return {"candidates": len(cands), "patterns": len(patterns)}
 
 
@@ -539,6 +556,7 @@ def _stage_views(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
     occurrences = collect_occurrences(reads["corpus"], reads["candidates.tsv"])
     table = build_design_matrices(occurrences).table
     table.save(tmp / "views.table.npz")
+    reads.hand("views.table.npz", table)
     return {
         "occurrences": table.n,
         "d_spelling": len(table.phrases) + 1,
@@ -551,12 +569,22 @@ def _stage_cca(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
     summary = accumulate_covariance(X, Z)
     model = solve_cca(summary, k=cfg.cca_k, kappa=cfg.cca_kappa, seed=cfg.cca_seed)
     model.save(tmp / "cca.model.npz")
+    # the solver report is not saved, so it is not handed on
+    reads.hand("cca.model.npz", replace(model, solver=None))
     return {
         "k": model.k,
         "kappa": list(model.kappa),
         "top_singular_values": [round(float(s), 6) for s in model.singular_values[:5]],
         **model.solver,
     }
+
+
+def _stage_match(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
+    matches = PhraseMatches.find(reads["dev"], reads["views.table.npz"].phrases)
+    matches.save(tmp / "dev.matches.npz")
+    reads.hand("dev.matches.npz", matches)
+    return {"occurrences": len(matches.phrase), "hits": int(matches.hit.sum()),
+            "gold": matches.gold}
 
 
 def _svm_grid(
@@ -639,6 +667,8 @@ def _stage_classify(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
         "solver": svm.solver,
     }
     (tmp / "svm.json").write_text(_json_text(record), encoding="utf-8")
+    reads.hand("dict.cca.tsv", dictionary)
+    reads.hand("svm.json", record)
     return {
         "selection": chosen,
         "runner_up": runner_up,
@@ -676,6 +706,7 @@ def _stage_cotrain(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
         "selection": chosen,
     }
     (tmp / "cotrain.json").write_text(_json_text(record), encoding="utf-8")
+    reads.hand("dict.cotrain.tsv", dictionary)
     return {"selection": chosen, "runner_up": runner_up, "dictionary_size": len(dictionary)}
 
 
@@ -709,14 +740,19 @@ def _inputs(config: PipelineConfig, stage: str) -> dict[str, Path]:
     """The files a stage reads, by the names its row reads (and the manifest
     hashes) them under, so a moved output directory keeps its cache.  An unset
     [inputs] key is not read, ``name?`` only if the artifact exists, and
-    ``name if flag`` only when crf.features sets FeatureConfig.flag."""
-    flags = asdict(FeatureConfig.from_flags(config.crf_features))
+    ``name if key`` only when ``key`` is a set [inputs] key, or a
+    FeatureConfig flag that crf.features sets."""
+    # each key's truth: an [inputs] key's is whether it is set
+    truth = {
+        **asdict(FeatureConfig.from_flags(config.crf_features)),
+        **{key: getattr(config, key) is not None for key in _KEYS["inputs"]},
+    }
     paths = {}
     for read in _STAGES[stage].reads:
-        read, _, flag = read.partition(" if ")
+        read, _, key = read.partition(" if ")
         name = read.rstrip("?")
         path = getattr(config, name) if name in _KEYS["inputs"] else config.outdir / name
-        if path is None or (flag and not flags[flag]) or (name != read and not path.is_file()):
+        if path is None or (key and not truth[key]) or (name != read and not path.is_file()):
             continue
         if not path.is_file():
             raise StageError(stage, f"missing input: {path}")

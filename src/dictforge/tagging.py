@@ -11,11 +11,14 @@ longest-leftmost rule token by token lives in ``tests/oracles.py``.
 Evaluation is phrase-level, the CoNLL convention: a predicted entity counts
 only when both boundaries match a gold entity exactly.  One rule turns tags
 into entities, ``_entity_spans`` over a whole split at once; :func:`evaluate`
-applies it to predicted and gold tags, and :func:`dictionary_scorer` to gold
-tags, then scores many dictionaries against that split without tagging it
-again for each, each one a boolean mask over the scored phrases (a
-:class:`Dictionary` is mapped to its mask).  The rule's statement one
-sentence at a time is a test oracle in ``tests/oracles.py``.
+applies it to predicted and gold tags, and :class:`PhraseMatches` to gold
+tags: it holds every occurrence of a phrase list in a split with its gold
+hit, and scores many dictionaries drawn from the list against that split
+without tagging it again for each, each one a boolean mask over the
+phrases.  :func:`dictionary_scorer` maps a :class:`Dictionary` to its mask.
+The matches can be saved, so a pipeline run finds them once per phrase list
+and split.  The rule's statement one sentence at a time is a test oracle in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "validate_bio",
     "evaluate",
     "dictionary_scorer",
+    "PhraseMatches",
     "read_dictionary",
     "write_dictionary",
     "read_conll",
@@ -255,46 +259,122 @@ def dictionary_scorer(
     """The score over a labeled split of any dictionary drawn from
     ``phrases``, equal to :func:`evaluate` of :func:`tag_with_dictionary`.
 
-    The split is interned once, its gold entities are taken once as corpus
-    positions, and the occurrences of all of ``phrases`` are found once.  A
-    dictionary is given as a boolean mask over the distinct ``phrases`` in
-    their first-listed order, or as a :class:`Dictionary`, whose phrases are
-    mapped to that mask; a dictionary phrase outside ``phrases`` raises
-    ``ValueError``.  It keeps its own phrases' occurrences and the
-    longest-first, non-overlapping matches among them.
+    The split's :class:`PhraseMatches` of the distinct ``phrases`` are found
+    once.  A dictionary is given as a boolean mask over the distinct
+    ``phrases`` in their first-listed order, or as a :class:`Dictionary`,
+    whose phrases are mapped to that mask; a dictionary phrase outside
+    ``phrases`` raises ``ValueError``.
     """
-    index: dict[str, int] = {}
-    for p in phrases:
-        index.setdefault(p, len(index))
-    corpus = Corpus.of_tokens([tokens for tokens, _ in labeled])
-    start, end, phrase = PhraseTrie(index).occurrences(corpus)
-    gold_start, gold_end = _entity_spans(corpus.starts, [tags for _, tags in labeled])
-    # whether each occurrence is a gold entity, a span start:end coded as
-    # start * width + end
-    width = len(corpus.ids) + 1
-    hit = np.isin(start * width + end, gold_start * width + gold_end)
+    index = {p: i for i, p in enumerate(dict.fromkeys(phrases))}
+    matches = PhraseMatches.find(labeled, index)
 
     def score(dictionary: Dictionary | np.ndarray) -> EvalReport:
-        if isinstance(dictionary, Dictionary):
-            try:
-                ids = [index[p] for p in dictionary.scores]
-            except KeyError:
-                outside = min(dictionary.scores.keys() - index.keys())
-                raise ValueError(
-                    f"dictionary phrase {outside!r} is not among the scored phrases"
-                ) from None
-            mask = np.zeros(len(index), dtype=bool)
-            mask[ids] = True
-        else:
-            mask = np.asarray(dictionary)
-            if mask.dtype != bool or mask.shape != (len(index),):
-                raise ValueError(f"expected a boolean mask over {len(index)} phrases")
-        own = np.flatnonzero(mask[phrase])
-        kept = own[longest_first(start[own], end[own])]
-        tp = int(hit[kept].sum())
-        return EvalReport.from_counts(tp, len(kept) - tp, len(gold_start) - tp)
+        if not isinstance(dictionary, Dictionary):
+            return matches.score(dictionary)
+        try:
+            ids = [index[p] for p in dictionary.scores]
+        except KeyError:
+            outside = min(dictionary.scores.keys() - index.keys())
+            raise ValueError(
+                f"dictionary phrase {outside!r} is not among the scored phrases"
+            ) from None
+        mask = np.zeros(len(index), dtype=bool)
+        mask[ids] = True
+        return matches.score(mask)
 
     return score
+
+
+@dataclass(frozen=True, eq=False)
+class PhraseMatches:
+    """Every occurrence of a list's phrases in a labeled split, and whether
+    each is a gold entity: all that scoring a dictionary drawn from the list
+    needs of the split.
+
+    Occurrence r is phrase ``phrase[r]`` (its index in the list) at tokens
+    ``start[r]:end[r]`` of the split's sentences laid end to end, in the
+    order :meth:`~dictforge.corpus.PhraseTrie.occurrences` gives them: by
+    start, then longest first.  ``hit[r]`` says whether it is a gold
+    entity, ``gold`` counts the split's gold entities and ``n_phrases`` the
+    list's phrases.
+    """
+
+    start: np.ndarray
+    end: np.ndarray
+    phrase: np.ndarray
+    hit: np.ndarray
+    gold: int
+    n_phrases: int
+
+    @classmethod
+    def find(
+        cls, labeled: Sequence[tuple[Sequence[str], Sequence[str]]], phrases: Iterable[str]
+    ) -> "PhraseMatches":
+        """The matches of the distinct ``phrases`` in ``labeled``: the split
+        is interned once, its gold entities are taken once as positions and
+        the occurrences of all the phrases are found in one trie walk."""
+        phrases = list(phrases)
+        corpus = Corpus.of_tokens([tokens for tokens, _ in labeled])
+        start, end, phrase = PhraseTrie(phrases).occurrences(corpus)
+        gold_start, gold_end = _entity_spans(corpus.starts, [tags for _, tags in labeled])
+        # a span start:end coded as start * width + end
+        width = len(corpus.ids) + 1
+        hit = np.isin(start * width + end, gold_start * width + gold_end)
+        return cls(start, end, phrase, hit, len(gold_start), len(phrases))
+
+    def score(self, mask: np.ndarray) -> EvalReport:
+        """The score of the dictionary holding the phrases ``mask`` sets: its
+        own phrases' occurrences, the longest-first, non-overlapping ones
+        among them kept."""
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (self.n_phrases,):
+            raise ValueError(f"expected a boolean mask over {self.n_phrases} phrases")
+        own = np.flatnonzero(mask[self.phrase])
+        kept = own[longest_first(self.start[own], self.end[own])]
+        tp = int(self.hit[kept].sum())
+        return EvalReport.from_counts(tp, len(kept) - tp, self.gold - tp)
+
+    def save(self, path: str | Path) -> None:
+        """An ``.npz`` of int32 positions and ids, the hit bits and the two
+        counts; nothing pickled."""
+        with open(path, "wb") as fh:
+            np.savez(
+                fh,
+                start=self.start.astype(np.int32),
+                end=self.end.astype(np.int32),
+                phrase=self.phrase.astype(np.int32),
+                hit=self.hit,
+                gold=np.array(self.gold),
+                n_phrases=np.array(self.n_phrases),
+            )
+
+    @classmethod
+    def load(cls, path: str | Path) -> "PhraseMatches":
+        """A :meth:`save` file, positions and ids widened to int64.  A
+        missing array, arrays that disagree or a phrase id out of range
+        raise ``ValueError`` naming the file."""
+        keys = ("start", "end", "phrase", "hit", "gold", "n_phrases")
+        with np.load(path, allow_pickle=False) as data:
+            if missing := [key for key in keys if key not in data.files]:
+                raise ValueError(f"{path}: missing array(s) {', '.join(missing)}")
+            start, end, phrase, hit, gold, n_phrases = (data[key] for key in keys)
+        checks = {
+            "start, end, phrase and hit are not one row each":
+                start.ndim == 1 and start.shape == end.shape == phrase.shape == hit.shape,
+            "gold and n_phrases are not single counts": gold.shape == n_phrases.shape == (),
+            "a phrase id is out of range":
+                n_phrases.shape == () and np.all((phrase >= 0) & (phrase < n_phrases)),
+        }
+        if problems := [problem for problem, ok in checks.items() if not ok]:
+            raise ValueError(f"{path}: {'; '.join(problems)}")
+        return cls(
+            start=start.astype(np.int64),
+            end=end.astype(np.int64),
+            phrase=phrase.astype(np.int64),
+            hit=hit.astype(bool),
+            gold=int(gold),
+            n_phrases=int(n_phrases),
+        )
 
 
 def _entity_spans(

@@ -30,7 +30,9 @@ can check the program against an independent reading of the rule.
   own calls, the specification of what ``synth.generate`` draws.
 * :func:`dual_cd_fit` is the SVM's dual coordinate sweep on Python floats,
   with each step's label product, ``min``/``max`` clip and temporary update
-  written out, the reference ``classifier._fit`` must equal bit for bit.
+  written out, the reference ``classifier._fit`` must equal bit for bit;
+  :func:`signed_sweep_fit` is the signed sweep with the gap check's margins
+  taken over the unsigned rows, as one NumPy expression.
 * :func:`string_scorer` scores a :class:`Dictionary` on a labeled split by
   its phrase strings, :func:`ranked_cut` builds a classifier dictionary by
   a Python sort on (−score, phrase) and a ``takewhile`` cut, and
@@ -405,6 +407,36 @@ def dual_cd_fit(X: np.ndarray, y: np.ndarray, C: float, tol: float, max_epochs: 
         margins = y * (Xa @ w)
         primal = 0.5 * (w @ w) + C * np.sum(np.maximum(0.0, 1.0 - margins))
         dual = np.sum(alpha) - 0.5 * (w @ w)
+        gap = float(primal - dual)
+        converged = bool(gap <= tol * max(1.0, abs(primal)))
+    return w[:d], float(w[d]), {"epochs": epochs, "gap": gap, "converged": converged}
+
+
+def signed_sweep_fit(X: np.ndarray, y: np.ndarray, C: float, tol: float, max_epochs: int):
+    """``classifier._fit`` with its gap check written as one expression:
+    margins as ``y * (Xa @ w)`` over the unsigned rows and the hinge through
+    NumPy temporaries.  The same weights, bias and report {epochs, gap,
+    converged}."""
+    n, d = X.shape
+    Xa = np.hstack([X, np.ones((n, 1))])  # bias column
+    rows = list(Xa * y[:, None])
+    q = np.einsum("ij,ij->i", Xa, Xa).tolist()  # always >= 1
+    alpha = [0.0] * n
+    w = np.zeros(d + 1)
+    step = np.empty(d + 1)
+    epochs, gap, converged = 0, float("inf"), False
+    while epochs < max_epochs and not converged:
+        epochs += 1
+        for i, (yx_i, q_i) in enumerate(zip(rows, q)):
+            a_i = alpha[i]
+            a_new = min(max(a_i - (float(yx_i.dot(w)) - 1.0) / q_i, 0.0), C)
+            delta = a_new - a_i
+            if delta != 0.0:
+                np.add(w, np.multiply(yx_i, delta, out=step), out=w)
+                alpha[i] = a_new
+        ww = w @ w
+        primal = 0.5 * ww + C * np.maximum(0.0, 1.0 - y * (Xa @ w)).sum()
+        dual = np.add.reduce(alpha) - 0.5 * ww
         gap = float(primal - dual)
         converged = bool(gap <= tol * max(1.0, abs(primal)))
     return w[:d], float(w[d]), {"epochs": epochs, "gap": gap, "converged": converged}

@@ -19,7 +19,7 @@ from dictforge.classifier import (
     svm_objective,
     train_svm,
 )
-from oracles import dual_cd_fit
+from oracles import dual_cd_fit, signed_sweep_fit
 
 
 def separable_embeddings():
@@ -451,6 +451,30 @@ class TestSweepOracle:
         assert model.solver["epochs"] == report["epochs"]
         assert model.solver["converged"] is report["converged"]
         assert np.float64(model.solver["gap"]).tobytes() == np.float64(report["gap"]).tobytes()
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 39),
+        d=st.integers(1, 24),
+        scale=st.sampled_from([1e-3, 0.1, 1.0, 100.0]),
+        C=st.sampled_from([0.01, 0.1, 1.0, 10.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_equals_the_expression_gap_check_bit_for_bit(self, n, d, scale, C, seed):
+        # the gap check's one gemv over the signed rows and its in-place
+        # hinge reproduce y * (Xa @ w) and NumPy's temporaries to the bit
+        rng = np.random.default_rng(seed)
+        X = scale * rng.standard_normal((n, d))
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        w, b, report = _fit(X, y, C, 1e-6, 500)
+        w0, b0, report0 = signed_sweep_fit(X, y, C, 1e-6, 500)
+        assert w.tobytes() == w0.tobytes()
+        assert np.float64(b).tobytes() == np.float64(b0).tobytes()
+        assert report["epochs"] == report0["epochs"]
+        assert report["converged"] is report0["converged"]
+        assert np.float64(report["gap"]).tobytes() == np.float64(report0["gap"]).tobytes()
 
 
 # score ties are common when entries, weights and bias come from few values

@@ -66,6 +66,7 @@ from dictforge.pipeline import (
 from dictforge.synth import SynthSpec, generate
 from dictforge.tagging import (
     Dictionary,
+    PhraseMatches,
     check_phrases,
     dictionary_scorer,
     evaluate,
@@ -649,10 +650,12 @@ class TestRunPipeline:
         workdir, config, _ = finished_run
         fresh = dataclasses.replace(config, outdir=workdir / "out2")
         run_pipeline(
-            fresh, stages=("extract", "views", "cca", "classify", "embed", "cotrain", "tag")
+            fresh,
+            stages=("extract", "views", "cca", "match", "classify", "embed", "cotrain", "tag"),
         )
         for name in (
-            "views.table.npz", "dict.cca.tsv", "dict.cotrain.tsv", "report.json", "embeddings.tsv"
+            "views.table.npz", "dev.matches.npz", "dict.cca.tsv", "dict.cotrain.tsv",
+            "report.json", "embeddings.tsv",
         ):
             assert (config.outdir / name).read_bytes() == (fresh.outdir / name).read_bytes()
 
@@ -691,6 +694,82 @@ class TestRunPipeline:
         }
         assert manifest.stages["embed"]["cached"] is True and "embed: cached" in lines
         assert (copy.outdir / "embeddings.tsv").read_bytes() == before
+
+    def test_seed_comment_rerun_neither_reads_nor_matches_dev(
+        self, finished_run, tmp_path, monkeypatch
+    ):
+        # neither of match's reads moves with the seeds, so classify and
+        # cotrain score their grids on its cached dev.matches.npz
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text(
+            config.seeds.read_text(encoding="utf-8") + "# a comment\n", encoding="utf-8"
+        )
+        copy = dataclasses.replace(config, seeds=seeds, outdir=tmp_path / "out")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a seed-comment rerun read or matched the dev split")
+
+        for target in (
+            "dictforge.pipeline.read_conll", "dictforge.tagging.read_conll",
+            "dictforge.pipeline.dictionary_scorer", "dictforge.tagging.dictionary_scorer",
+        ):
+            monkeypatch.setattr(target, forbidden)
+        monkeypatch.setattr(dictforge.corpus.PhraseTrie, "__init__", forbidden)
+        manifest = run_pipeline(copy)
+        assert {s for s, rec in manifest.stages.items() if not rec["cached"]} == {
+            "classify", "cotrain"
+        }
+        assert manifest.stages["match"]["cached"] is manifest.stages["embed"]["cached"] is True
+        for path in config.outdir.iterdir():
+            if path.is_file() and path.name != "manifest.json":
+                assert (copy.outdir / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_dev_tag_edit_reexecutes_match_not_the_views(self, finished_run, tmp_path):
+        # one O turned into B adds a gold entity: match and the stages that
+        # score on dev re-execute, the stages before them are served from cache
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        lines = config.dev.read_text(encoding="utf-8").splitlines()
+        row = next(i for i, line in enumerate(lines) if line.endswith("\tO"))
+        lines[row] = lines[row][:-1] + "B"
+        dev = tmp_path / "dev.conll"
+        dev.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        copy = dataclasses.replace(config, dev=dev, outdir=tmp_path / "out")
+        manifest = run_pipeline(copy)
+        ran = {s for s, rec in manifest.stages.items() if not rec["cached"]}
+        assert {"match", "classify", "cotrain", "crf"} <= ran
+        assert not ran & {"extract", "views", "cca"}
+        gold = manifest.stages["match"]["details"]["gold"]
+        assert gold == RunManifest.load(config.outdir / "manifest.json").stages["match"][
+            "details"]["gold"] + 1
+
+    def test_unset_dev_never_opens_stale_matches(self, finished_run, tmp_path, monkeypatch):
+        # a dev.matches.npz left by a run with dev is not read once dev is
+        # unset: one-point grids score 0.0, and a grid of several points
+        # still needs dev
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        assert (tmp_path / "out" / "dev.matches.npz").is_file()
+
+        def stale(path):
+            raise AssertionError(f"opened {path}")
+
+        monkeypatch.setattr(PhraseMatches, "load", stale)
+        one_point = dataclasses.replace(
+            config, dev=None, outdir=tmp_path / "out", svm_c_grid=(1.0,), svm_k_grid=(10,),
+            svm_threshold_grid=(0.0,), cotrain_theta_grid=(0.9,),
+        )
+        manifest = run_pipeline(one_point, stages=("classify", "cotrain"))
+        for stage in ("classify", "cotrain"):
+            record = manifest.stages[stage]
+            assert record["cached"] is False and "dev.matches.npz" not in record["inputs"]
+            assert record["details"]["selection"]["f1"] == 0.0
+        several = dataclasses.replace(config, dev=None, outdir=tmp_path / "out")
+        with pytest.raises(StageError, match=r"^\[classify\] grid has several points but "
+                           r"inputs\.dev is not set$"):
+            run_pipeline(several, stages=("classify",))
 
     def test_seed_swap_reexecutes_embed_at_the_selected_k(self, finished_run, tmp_path):
         # a swapped seed moves the SVM, so svm.json changes and embed writes
@@ -821,9 +900,10 @@ class TestRunPipeline:
             "extract": {"corpus", "patterns"},
             "views": {"corpus", "candidates.tsv"},
             "cca": {"views.table.npz"},
-            "classify": {"seeds", "dev", "cca.model.npz", "views.table.npz"},
+            "match": {"dev", "views.table.npz"},
+            "classify": {"seeds", "dev.matches.npz", "cca.model.npz", "views.table.npz"},
             "embed": {"svm.json", "cca.model.npz", "views.table.npz"},
-            "cotrain": {"views.table.npz", "seeds", "dev"},
+            "cotrain": {"views.table.npz", "seeds", "dev.matches.npz"},
             "tag": {"test", "dict.cca.tsv", "dict.cotrain.tsv"},
             "crf": {"train", "dev", "test", "dict.cca.tsv"},
         }
@@ -909,7 +989,8 @@ class TestRunPipeline:
             ("synth", set()),
             ("cli", set()),
             ("extraction", {"extract", "views"}),
-            ("views", {"views", "cca", "classify", "embed", "cotrain"}),
+            ("views", {"views", "cca", "match", "classify", "embed", "cotrain"}),
+            ("tagging", {"match", "classify", "embed", "cotrain", "tag", "crf"}),
         ],
     )
     def test_module_edit_reexecutes_the_stages_that_import_it(
@@ -1015,7 +1096,7 @@ class TestRunPipeline:
         broken = dataclasses.replace(
             config, seeds=bad_seeds, outdir=tmp_path / "out"
         )
-        run_pipeline(broken, stages=("extract", "views", "cca"))
+        run_pipeline(broken, stages=("extract", "views", "cca", "match"))
         # back to back, within the same second: each failure keeps its own
         for _ in range(2):
             with pytest.raises(StageError, match=r"\[classify\]"):
@@ -1147,10 +1228,12 @@ class TestRunPipeline:
         np.testing.assert_allclose(cca["svd_residuals"], oracle, rtol=1e-6, atol=1e-9)
 
     def test_dev_scorer_matches_evaluate(self, finished_run):
-        # the run's dev F1, one scorer over the table's phrases, equals
-        # tagging and scoring each dictionary afresh
+        # the run's dev F1, a mask over the table's phrases scored on the
+        # match stage's dev.matches.npz, equals tagging and scoring each
+        # dictionary afresh
         _, config, _ = finished_run
         dev = read_conll(config.dev, strict=True)
+        phrases = OccurrenceTable.load(config.outdir / "views.table.npz").phrases
         ranked = list(read_dictionary(config.outdir / "dict.cca.tsv").scores)
         rng = np.random.default_rng(0)
         dev_f1 = _Reads("classify", _inputs(config, "classify"), {}).dev_f1(2)
@@ -1158,8 +1241,9 @@ class TestRunPipeline:
             picked = rng.permutation(ranked)[:size]
             d = Dictionary({p: 1.0 for p in picked}, provenance="cca")
             pred = [tag_with_dictionary(toks, d) for toks, _ in dev]
-            assert dev_f1(d) == evaluate(pred, [tags for _, tags in dev]).f1
-        assert _Reads("cotrain", {}, {}).dev_f1(1)(Dictionary({"flu": 1.0})) == 0.0
+            mask = np.isin(phrases, picked)
+            assert dev_f1(mask) == evaluate(pred, [tags for _, tags in dev]).f1
+        assert _Reads("cotrain", {}, {}).dev_f1(1)(np.ones(len(phrases), bool)) == 0.0
 
     def test_report_equals_evaluate_of_tagging(self, finished_run):
         # each dictionary's test scores equal tagging the test split one
@@ -1196,11 +1280,11 @@ class TestRunPipeline:
         self, finished_run, tmp_path, monkeypatch
     ):
         # the corpus is read and tokenized once (for extract and views) and
-        # matched once (by views), the candidates are read once (for views
-        # and classify), the table is loaded once (for cca, classify and
-        # cotrain), X and Z are built once (by cca), and the dev split is
-        # read once for classify, cotrain and crf and scored by one scorer
-        # for classify and cotrain
+        # matched once (by views); the candidates, the table, the cca model
+        # and the dev matches are never read back, as the stages that wrote
+        # them hand them on; X and Z are built once (by cca), and the dev
+        # split is read once for match and crf and its phrases matched once,
+        # by match, for classify and cotrain
         _, config, _ = finished_run
         copy = dataclasses.replace(config, outdir=tmp_path / "out")
         calls = collections.Counter()
@@ -1211,7 +1295,7 @@ class TestRunPipeline:
                 key = None
                 if name == "read_conll":
                     key = args[0]
-                elif name == "dictionary_scorer":
+                elif name in ("dictionary_scorer", "PhraseMatches.find"):
                     key = "dev" if args[0] == dev else "test"
                 calls[name, key] += 1
                 return fn(*args, **kwargs)
@@ -1226,19 +1310,24 @@ class TestRunPipeline:
         ):
             monkeypatch.setattr(f"dictforge.pipeline.{name}", counted(name, fn))
         monkeypatch.setattr("dictforge.corpus._read", counted("_read", dictforge.corpus._read))
-        for name in ("load", "design_matrices"):
-            monkeypatch.setattr(
-                OccurrenceTable, name, counted(name, getattr(OccurrenceTable, name))
-            )
+        for cls, name in (
+            (OccurrenceTable, "load"), (OccurrenceTable, "design_matrices"),
+            (CcaModel, "load"), (PhraseMatches, "load"), (PhraseMatches, "find"),
+        ):
+            key = f"{cls.__name__}.{name}"
+            monkeypatch.setattr(cls, name, counted(key, getattr(cls, name)))
         manifest = run_pipeline(copy)
         assert not any(record.get("cached") for record in manifest.stages.values())
         assert calls["intern_corpus", None] == calls["_read", None] == 1
         assert calls["collect_occurrences", None] == 1
-        assert calls["read_candidates", None] == 1
-        assert calls["load", None] == 1
-        assert calls["design_matrices", None] == 1
+        assert calls["read_candidates", None] == 0
+        assert calls["OccurrenceTable.load", None] == 0
+        assert calls["CcaModel.load", None] == 0
+        assert calls["PhraseMatches.load", None] == 0
+        assert calls["OccurrenceTable.design_matrices", None] == 1
         assert calls["read_conll", config.dev] == 1
-        assert calls["dictionary_scorer", "dev"] == 1
+        assert calls["PhraseMatches.find", "dev"] == 1
+        assert calls["dictionary_scorer", "dev"] == 0
         for name in ("dict.cca.tsv", "dict.cotrain.tsv", "crf.json"):
             assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
 
@@ -1286,11 +1375,46 @@ class TestRunPipeline:
         once = {split_key(tokens for tokens, _ in read_conll(path)): 1 for path in splits}
         assert compiled == featurized == once
 
+    def test_handed_values_equal_their_readers(self, finished_run, tmp_path, monkeypatch):
+        # each artifact a stage hands on is what its reader parses from the
+        # written file, and stages reading every artifact from disk, one run
+        # each, write the bytes a cold run that hands them on writes
+        _, config, _ = finished_run
+        cold = dataclasses.replace(config, outdir=tmp_path / "cold")
+        handed = {}
+        real = _Reads.hand
+
+        def record(self, name, value):
+            handed[name] = value
+            real(self, name, value)
+
+        monkeypatch.setattr(_Reads, "hand", record)
+        run_pipeline(cold)
+        monkeypatch.undo()
+        assert set(handed) == {
+            "candidates.tsv", "views.table.npz", "cca.model.npz", "dev.matches.npz",
+            "svm.json", "dict.cca.tsv", "dict.cotrain.tsv",
+        }
+        for name, value in handed.items():
+            _assert_same(value, _READERS[name](cold.outdir / name), name)
+        for name in ("dict.cca.tsv", "dict.cotrain.tsv"):
+            assert list(handed[name].scores) == list(read_dictionary(cold.outdir / name).scores)
+        shutil.copytree(cold.outdir, tmp_path / "copy")
+        copy = dataclasses.replace(config, outdir=tmp_path / "copy")
+        (copy.outdir / "manifest.json").unlink()
+        for stage in STAGES[1:]:
+            assert run_pipeline(copy, stages=(stage,)).stages[stage]["cached"] is False
+        for path in cold.outdir.iterdir():
+            if path.is_file() and path.name != "manifest.json":
+                blob = path.read_bytes()
+                assert (copy.outdir / path.name).read_bytes() == blob, path.name
+                assert (config.outdir / path.name).read_bytes() == blob, path.name
+
     def test_stages_open_only_their_resolved_reads(self, finished_run, tmp_path, monkeypatch):
         # every file a stage opens, loading its reads or in its body, under
         # the output directory or among the config's inputs is one of its
-        # resolved reads, and a cold run opens each resolved read once, in
-        # the first stage that reads it
+        # resolved reads, and a cold run opens each resolved read it did not
+        # write once, in the first stage that reads it
         _, config, _ = finished_run
         copy = dataclasses.replace(config, outdir=tmp_path / "out")
         if _record_open not in _HOOKED:
@@ -1312,8 +1436,10 @@ class TestRunPipeline:
         }
         for stage, path in opened:
             assert path in resolved[stage], (stage, path)
+        # the run's own artifacts are handed on, not read back
+        written = {out / name for row in _STAGES.values() for name in row.outputs}
         assert collections.Counter(path for _, path in opened) == dict.fromkeys(
-            set().union(*resolved.values()), 1
+            set().union(*resolved.values()) - written, 1
         )
 
     def test_undeclared_read_raises(self, finished_run, tmp_path, monkeypatch):
@@ -1372,15 +1498,15 @@ class TestRunPipeline:
             run_pipeline(broken)
         assert len(saves) == 1
         finished = RunManifest.load(broken.outdir / "manifest.json").stages
-        assert set(finished) == {"extract", "views", "cca"}
-        manifest = run_pipeline(broken, stages=("extract", "views", "cca"))
+        assert set(finished) == {"extract", "views", "cca", "match"}
+        manifest = run_pipeline(broken, stages=("extract", "views", "cca", "match"))
         assert len(saves) == 2
         assert all(record["cached"] for record in manifest.stages.values())
         fixed = dataclasses.replace(broken, seeds=config.seeds)
         manifest = run_pipeline(fixed)
         assert len(saves) == 3
         assert {s for s, rec in manifest.stages.items() if rec.get("cached")} == {
-            "extract", "views", "cca"
+            "extract", "views", "cca", "match"
         }
 
     def test_interrupted_manifest_write_keeps_the_previous(
@@ -1507,6 +1633,30 @@ class TestRunPipeline:
         assert "test" in on_disk
 
 
+def _assert_same(got, want, where):
+    """``got`` equals ``want`` in types and values, arrays in dtype, shape
+    and memory layout too, floats by their repr (so -0.0 is not 0.0)."""
+    assert type(got) is type(want), (where, type(got), type(want))
+    if isinstance(got, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+            want.flags.c_contiguous, want.flags.f_contiguous), where
+        assert got.tobytes() == want.tobytes(), where
+    elif dataclasses.is_dataclass(got):
+        for f in dataclasses.fields(got):
+            _assert_same(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
+    elif isinstance(got, (list, tuple)):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{where}[{i}]")
+    elif isinstance(got, dict):
+        assert got.keys() == want.keys(), where
+        for key in got:
+            _assert_same(got[key], want[key], f"{where}[{key!r}]")
+    else:
+        assert repr(got) == repr(want), where
+
+
 def _ast_imports(module):
     """The package modules ``module`` imports, by its parsed ``from .x import`` nodes."""
     tree = ast.parse(_sources()[module])
@@ -1522,6 +1672,7 @@ class TestStageTable:
         "extract": {"corpus", "extraction"},
         "views": {"corpus", "extraction", "views"},
         "cca": {"cca", "linalg", "views", "corpus"},
+        "match": {"views", "tagging", "corpus"},
         "classify": {"cca", "linalg", "classifier", "tagging", "corpus", "views"},
         "embed": {"cca", "linalg", "tagging", "corpus", "views"},
         "cotrain": {"cotrain", "classifier", "tagging", "views", "corpus"},

@@ -14,6 +14,7 @@ from dictforge.tagging import (
     BIO,
     Dictionary,
     EvalReport,
+    PhraseMatches,
     conll_text,
     dictionary_codes,
     dictionary_scorer,
@@ -456,6 +457,78 @@ class TestDictionaryScorer:
         score = dictionary_scorer([(["flu"], ["B"])], ["flu"])
         with pytest.raises(ValueError, match="'swine flu'"):
             score(d("flu", "swine flu"))
+
+
+_NESTED = ["hepatitis", "hepatitis b", "b virus", "b", "virus"]
+
+
+class TestPhraseMatches:
+    """A split's saved matches of a phrase list against scoring each mask
+    afresh with ``dictionary_scorer``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        split=st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["hepatitis", "Hepatitis", "b", "B", "virus", "x"]),
+                    st.sampled_from("BIO"),
+                ),
+                min_size=1,
+                max_size=8,
+            ),
+            max_size=6,
+        ),
+        mask=st.lists(st.booleans(), min_size=len(_NESTED), max_size=len(_NESTED)),
+    )
+    # nested ("hepatitis" in "hepatitis b") and overlapping ("hepatitis b",
+    # "b virus") occurrences, one at a sentence end
+    @example(
+        [[("Hepatitis", "B"), ("b", "I"), ("virus", "O")], [("x", "O"), ("b", "B"), ("virus", "I")]],
+        [True, True, True, False, False],
+    )
+    def test_saved_matches_score_as_the_scorer(self, tmp_path_factory, split, mask):
+        labeled = [([t for t, _ in s], [g for _, g in s]) for s in split]
+        path = tmp_path_factory.mktemp("matches") / "dev.matches.npz"
+        PhraseMatches.find(labeled, _NESTED).save(path)
+        loaded = PhraseMatches.load(path)
+        mask = np.array(mask)
+        assert loaded.score(mask) == dictionary_scorer(labeled, _NESTED)(mask)
+
+    def test_round_trip(self, tmp_path):
+        labeled = [(["Hepatitis", "b", "virus"], ["B", "I", "O"]), (["b", "virus"], ["B", "I"])]
+        found = PhraseMatches.find(labeled, _NESTED)
+        found.save(tmp_path / "m.npz")
+        loaded = PhraseMatches.load(tmp_path / "m.npz")
+        for name in ("start", "end", "phrase", "hit"):
+            got, want = getattr(loaded, name), getattr(found, name)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+        assert (loaded.gold, loaded.n_phrases) == (found.gold, found.n_phrases) == (2, 5)
+        # by start, then longest first: hepatitis b, hepatitis, b virus, b, virus, ...
+        assert [_NESTED[p] for p in loaded.phrase.tolist()[:3]] == [
+            "hepatitis b", "hepatitis", "b virus"
+        ]
+
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            (lambda arrays: arrays.pop("hit"), "missing array"),
+            (lambda arrays: arrays.update(end=arrays["end"][:-1]), "not one row each"),
+            (lambda arrays: arrays.update(phrase=arrays["phrase"] + 5), "phrase id is out of range"),
+            (lambda arrays: arrays.update(phrase=arrays["phrase"] - 1), "phrase id is out of range"),
+        ],
+        ids=["missing", "ragged", "id-past-the-list", "negative-id"],
+    )
+    def test_load_names_the_file(self, tmp_path, damage, problem):
+        path = tmp_path / "dev.matches.npz"
+        PhraseMatches.find([(["hepatitis", "b"], ["B", "I"])], _NESTED).save(path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        damage(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*{problem}"):
+            PhraseMatches.load(path)
 
 
 class TestDictionaryIO:

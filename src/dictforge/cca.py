@@ -28,6 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
+from .corpus import load_npz
 from .linalg import randomized_svd, sparse_cholesky, sym_inv_sqrt
 
 __all__ = [
@@ -135,13 +136,12 @@ class CcaModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "CcaModel":
-        """A :meth:`save` file.  A missing array, or arrays that disagree,
+        """A :meth:`save` file.  What :func:`~dictforge.corpus.load_npz`
+        rejects, arrays that disagree and singular values that increase
         raise ``ValueError`` naming the file."""
-        keys = ("phi1", "phi2", "singular_values", "k", "kappa")
-        with np.load(path, allow_pickle=False) as data:
-            if missing := [key for key in keys if key not in data.files]:
-                raise ValueError(f"{path}: missing {', '.join(missing)}")
-            phi1, phi2, s, k, kappa = (data[key] for key in keys)
+        phi1, phi2, s, k, kappa = load_npz(path, ("phi1", "phi2", "singular_values", "k", "kappa"))
+        if k.shape != ():
+            raise ValueError(f"{path}: k is not one count")
         k = int(k)
         checks = {
             "phi1 does not have k columns": phi1.ndim == 2 and phi1.shape[1] == k,
@@ -151,13 +151,10 @@ class CcaModel:
         }
         if problems := [problem for problem, ok in checks.items() if not ok]:
             raise ValueError(f"{path}: {'; '.join(problems)}")
-        return cls(
-            phi1=phi1,
-            phi2=phi2,
-            singular_values=s,
-            k=k,
-            kappa=tuple(float(v) for v in kappa),
-        )
+        try:
+            return cls(phi1, phi2, s, k, tuple(float(v) for v in kappa))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _resolve_kappa(kappa, summary: CovarianceSummary) -> tuple[float, float]:

@@ -22,7 +22,8 @@ yields :class:`Sentence` objects instead; :meth:`Corpus.of` and
 word) keys per depth, finds every occurrence of lowercase phrases in an
 interned corpus, and :func:`longest_first` keeps the longest-first,
 non-overlapping matches among them, for the views, dictionary tagging and
-scoring, and the CRF.
+scoring, and the CRF.  :func:`load_npz` reads the package's ``.npz``
+artifacts, nothing unpickled.
 Segmentation and tokenization are deterministic, rule-based approximations;
 a token is traced back to its source through its sentence's doc id and
 index and its position in the sentence.
@@ -33,6 +34,7 @@ from __future__ import annotations
 import re
 import string
 import unicodedata
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -499,3 +501,22 @@ def longest_first(start: np.ndarray, end: np.ndarray) -> np.ndarray:
             kept.append(r)
             reached = e
     return np.array(kept, dtype=np.int64)
+
+
+def load_npz(
+    path: str | Path, keys: Sequence[str], optional: Sequence[str] = ()
+) -> list[np.ndarray | None]:
+    """The arrays ``keys``, then ``optional`` (None where absent), of the
+    ``.npz`` file at ``path``, nothing unpickled.  A file that is not a
+    readable ``.npz``, an array that does not load (an object array among
+    them) and a missing one of ``keys`` raise ``ValueError`` naming the
+    file; so should the caller's checks of the arrays."""
+    try:
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as data:
+            if missing := [key for key in keys if key not in data.files]:
+                raise ValueError(f"missing array(s) {', '.join(missing)}")
+            return [data[key] if key in data.files else None for key in (*keys, *optional)]
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"{path}: not a readable .npz file ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

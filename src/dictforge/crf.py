@@ -48,6 +48,7 @@ from .corpus import (
     PhraseTrie,
     _first_appearance,
     _Ids,
+    load_npz,
     SHAPE_ALL_CAPS,
     SHAPE_ALL_LOWER,
     SHAPE_INIT_CAP,
@@ -336,46 +337,37 @@ class CrfModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "CrfModel":
-        """A :meth:`save` file.  A missing array, or arrays that do not make
-        a valid model (weights that disagree with the feature index, say),
-        raise ``ValueError`` naming the file."""
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"])) if "meta" in data.files else {}
-            keys = ["meta", "weights"]
-            if meta.get("embedding_phrases") is not None:
-                keys.append("emb_matrix")
-            if missing := [key for key in keys if key not in data.files]:
-                raise ValueError(f"{path}: missing array(s) {', '.join(missing)}")
-            weights = np.array(data["weights"])
-            emb = None
-            if meta["embedding_phrases"] is not None:
-                matrix = np.array(data["emb_matrix"])
-                emb = SentinelEmbeddings(
-                    dict(zip(meta["embedding_phrases"], matrix))
-                )
-        dicts = tuple(
-            (
-                entry["name"],
-                Dictionary(
-                    scores=dict(entry["scores"]),
-                    provenance=entry["provenance"],
-                    metadata=entry["metadata"],
-                ),
-            )
-            for entry in meta["dictionaries"]
-        )
-        if unknown := sorted(set(meta["config"]) - set(FeatureConfig.__dataclass_fields__)):
-            raise ValueError(
-                f"{path}: unknown feature config keys {', '.join(unknown)}; retrain the model"
-            )
+        """A :meth:`save` file.  What :func:`~dictforge.corpus.load_npz`
+        rejects, a meta record without the saved fields and arrays that do
+        not make a valid model (weights that disagree with the feature index,
+        say) raise ``ValueError`` naming the file."""
+        meta, weights, matrix = load_npz(path, ("meta", "weights"), optional=("emb_matrix",))
         try:
+            meta = json.loads(str(meta))
+            saved = ("config", "obs_names", "trans_names", "regularizer", "dictionaries",
+                     "embedding_phrases")
+            if missing := [key for key in saved if key not in meta]:
+                raise ValueError(f"meta lacks {', '.join(missing)}")
+            emb = None
+            if (phrases := meta["embedding_phrases"]) is not None:
+                if matrix is None:
+                    raise ValueError("missing array(s) emb_matrix")
+                emb = SentinelEmbeddings(dict(zip(phrases, matrix)))
+            if unknown := sorted(set(meta["config"]) - set(FeatureConfig.__dataclass_fields__)):
+                raise ValueError(
+                    f"unknown feature config keys {', '.join(unknown)}; retrain the model"
+                )
             return cls(
                 config=FeatureConfig(**meta["config"]),
                 obs_names=list(meta["obs_names"]),
                 trans_names=list(meta["trans_names"]),
                 weights=weights,
                 regularizer=float(meta["regularizer"]),
-                dictionaries=dicts,
+                dictionaries=tuple(
+                    (entry["name"], Dictionary(dict(entry["scores"]), entry["provenance"],
+                                               entry["metadata"]))
+                    for entry in meta["dictionaries"]
+                ),
                 embeddings=emb,
             )
         except ValueError as exc:

@@ -20,7 +20,9 @@ once.  Grid points are scored on the dev split, classify's and cotrain's as
 masks over the table's phrases on the match stage's ``dev.matches.npz``,
 which a seed edit leaves cached, and the winner is chosen by
 ``model_select``; only the winner is built as a dictionary, and everything a
-later reader needs to reproduce the run lands next to the artifacts.
+later reader needs to reproduce the run lands next to the artifacts.  The
+tag stage scores its dictionaries the same way, as masks over their phrases
+on one ``PhraseMatches`` of the test split.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ from .extraction import (
 from .tagging import (
     PhraseMatches,
     check_phrases,
-    dictionary_scorer,
     evaluate,
     read_conll,
     read_dictionary,
@@ -714,8 +715,14 @@ def _stage_tag(cfg: PipelineConfig, tmp: Path, reads: _Reads) -> dict:
     dictionaries = {read.split(".")[1]: reads[read] for read in reads if read != "test"}
     if not dictionaries:
         raise StageError("tag", "no dictionary artifacts to evaluate")
-    score = dictionary_scorer(reads["test"], (p for d in dictionaries.values() for p in d.scores))
-    results = {name: score(d).as_dict() for name, d in dictionaries.items()}
+    # every phrase either dictionary holds, matched once; each dictionary is
+    # the mask of its own phrases over them
+    phrases = dict.fromkeys(p for d in dictionaries.values() for p in d.scores)
+    matches = PhraseMatches.find(reads["test"], phrases)
+    results = {
+        name: matches.score(np.fromiter(map(d.scores.__contains__, phrases), bool)).as_dict()
+        for name, d in dictionaries.items()
+    }
     (tmp / "report.json").write_text(_json_text(results), encoding="utf-8")
     return {"evaluated": sorted(results)}
 

@@ -15,7 +15,8 @@ applies it to predicted and gold tags, and :class:`PhraseMatches` to gold
 tags: it holds every occurrence of a phrase list in a split with its gold
 hit, and scores many dictionaries drawn from the list against that split
 without tagging it again for each, each one a boolean mask over the
-phrases.  :func:`dictionary_scorer` maps a :class:`Dictionary` to its mask.
+phrases; a :class:`Dictionary` ``d`` alone scores as
+``PhraseMatches.find(split, d.scores).score(np.ones(len(d), dtype=bool))``.
 The matches can be saved, so a pipeline run finds them once per phrase list
 and split.  The rule's statement one sentence at a time is a test oracle in
 ``tests/oracles.py``.
@@ -27,11 +28,11 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, PhraseTrie, longest_first
+from .corpus import Corpus, PhraseTrie, load_npz, longest_first
 
 __all__ = [
     "BIO",
@@ -44,7 +45,6 @@ __all__ = [
     "check_phrases",
     "validate_bio",
     "evaluate",
-    "dictionary_scorer",
     "PhraseMatches",
     "read_dictionary",
     "write_dictionary",
@@ -253,38 +253,6 @@ def evaluate(
     return EvalReport.from_counts(tp, len(start) - tp, len(gold_start) - tp)
 
 
-def dictionary_scorer(
-    labeled: Sequence[tuple[Sequence[str], Sequence[str]]], phrases: Iterable[str]
-) -> Callable[[Dictionary | np.ndarray], EvalReport]:
-    """The score over a labeled split of any dictionary drawn from
-    ``phrases``, equal to :func:`evaluate` of :func:`tag_with_dictionary`.
-
-    The split's :class:`PhraseMatches` of the distinct ``phrases`` are found
-    once.  A dictionary is given as a boolean mask over the distinct
-    ``phrases`` in their first-listed order, or as a :class:`Dictionary`,
-    whose phrases are mapped to that mask; a dictionary phrase outside
-    ``phrases`` raises ``ValueError``.
-    """
-    index = {p: i for i, p in enumerate(dict.fromkeys(phrases))}
-    matches = PhraseMatches.find(labeled, index)
-
-    def score(dictionary: Dictionary | np.ndarray) -> EvalReport:
-        if not isinstance(dictionary, Dictionary):
-            return matches.score(dictionary)
-        try:
-            ids = [index[p] for p in dictionary.scores]
-        except KeyError:
-            outside = min(dictionary.scores.keys() - index.keys())
-            raise ValueError(
-                f"dictionary phrase {outside!r} is not among the scored phrases"
-            ) from None
-        mask = np.zeros(len(index), dtype=bool)
-        mask[ids] = True
-        return matches.score(mask)
-
-    return score
-
-
 @dataclass(frozen=True, eq=False)
 class PhraseMatches:
     """Every occurrence of a list's phrases in a labeled split, and whether
@@ -350,17 +318,19 @@ class PhraseMatches:
 
     @classmethod
     def load(cls, path: str | Path) -> "PhraseMatches":
-        """A :meth:`save` file, positions and ids widened to int64.  A
-        missing array, arrays that disagree or a phrase id out of range
-        raise ``ValueError`` naming the file."""
-        keys = ("start", "end", "phrase", "hit", "gold", "n_phrases")
-        with np.load(path, allow_pickle=False) as data:
-            if missing := [key for key in keys if key not in data.files]:
-                raise ValueError(f"{path}: missing array(s) {', '.join(missing)}")
-            start, end, phrase, hit, gold, n_phrases = (data[key] for key in keys)
+        """A :meth:`save` file, positions and ids widened to int64.  What
+        :func:`~dictforge.corpus.load_npz` rejects, arrays that disagree, an
+        empty or reversed span and a phrase id out of range raise
+        ``ValueError`` naming the file."""
+        start, end, phrase, hit, gold, n_phrases = load_npz(
+            path, ("start", "end", "phrase", "hit", "gold", "n_phrases")
+        )
         checks = {
             "start, end, phrase and hit are not one row each":
                 start.ndim == 1 and start.shape == end.shape == phrase.shape == hit.shape,
+            "hit is not boolean": hit.dtype == bool,
+            "a span does not end after its start":
+                start.shape == end.shape and np.all(end > start),
             "gold and n_phrases are not single counts": gold.shape == n_phrases.shape == (),
             "a phrase id is out of range":
                 n_phrases.shape == () and np.all((phrase >= 0) & (phrase < n_phrases)),
@@ -371,7 +341,7 @@ class PhraseMatches:
             start=start.astype(np.int64),
             end=end.astype(np.int64),
             phrase=phrase.astype(np.int64),
-            hit=hit.astype(bool),
+            hit=hit,
             gold=int(gold),
             n_phrases=int(n_phrases),
         )

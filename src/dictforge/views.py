@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import BOUNDARY, Corpus, PhraseTrie, _first_appearance
+from .corpus import BOUNDARY, Corpus, PhraseTrie, _first_appearance, load_npz
 
 __all__ = [
     "BOUNDARY",
@@ -215,15 +215,14 @@ class OccurrenceTable:
     def load(cls, path: str | Path) -> "OccurrenceTable":
         """A :meth:`save` file, ids widened to int64 (NumPy keeps int32
         arithmetic in int32, where cotrain's context bigram codes would
-        wrap).  A missing array, or arrays that disagree, raise
-        ``ValueError`` naming the file."""
-        keys = ("phrase_ids", "context_ids", "caps", "phrases", "positions", "words")
-        with np.load(path, allow_pickle=False) as data:
-            if missing := [key for key in keys if key not in data.files]:
-                raise ValueError(f"{path}: missing array(s) {', '.join(missing)}")
-            ids, ctx, caps, phrases, positions, words = (data[key] for key in keys)
+        wrap).  What :func:`~dictforge.corpus.load_npz` rejects, or arrays
+        that disagree, raise ``ValueError`` naming the file."""
+        ids, ctx, caps, phrases, positions, words = load_npz(
+            path, ("phrase_ids", "context_ids", "caps", "phrases", "positions", "words")
+        )
         checks = {
-            "context_ids is not six per row": ctx.shape == (len(ids), len(CONTEXT_POSITIONS)),
+            "phrase_ids is not one row": ids.ndim == 1,
+            "context_ids is not six per row": ctx.shape == ids.shape + (len(CONTEXT_POSITIONS),),
             "caps and phrases differ in length": caps.shape == phrases.shape,
             "positions and words differ in length": positions.shape == words.shape,
             "a phrase id is out of range": np.all((ids >= 0) & (ids < len(phrases))),

@@ -7,7 +7,9 @@ can check the program against an independent reading of the rule.
 
 * :func:`bio_spans` turns one sentence's tags into its entities, the
   specification of the one entity rule ``tagging._entity_spans`` runs over
-  a whole split for ``evaluate`` and ``dictionary_scorer``.
+  a whole split for ``evaluate`` and ``PhraseMatches``; :func:`dictionary_mask`
+  gives a :class:`Dictionary` to ``PhraseMatches.score`` as the mask of its
+  phrases over the matched ones.
 * :class:`PhraseSet` and :func:`match_phrase_spans` are the longest-leftmost,
   non-overlapping phrase matcher on token strings, the specification of
   ``PhraseTrie.match``; :func:`string_tags` tags one sentence with it.
@@ -131,6 +133,13 @@ def bio_spans(tags: Sequence[str]) -> set[tuple[int, int]]:
     if start is not None:
         spans.add((start, len(tags)))
     return spans
+
+
+def dictionary_mask(dictionary: Dictionary, phrases: Sequence[str]) -> np.ndarray:
+    """The boolean mask over ``phrases`` that sets the dictionary's own, as
+    ``PhraseMatches.find(split, phrases).score`` takes a dictionary drawn
+    from them."""
+    return np.array([p in dictionary.scores for p in phrases], dtype=bool)
 
 
 def phrase_set(phrases: Iterable[str]) -> PhraseSet:

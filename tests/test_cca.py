@@ -344,7 +344,7 @@ class TestEmbed:
             np.savez(fh, phi1=small_model().phi1)
         with pytest.raises(ValueError) as err:
             CcaModel.load(path)
-        assert str(err.value) == f"{path}: missing phi2, singular_values, k, kappa"
+        assert str(err.value) == f"{path}: missing array(s) phi2, singular_values, k, kappa"
 
     @pytest.mark.parametrize(
         "field, value, problem",
@@ -354,6 +354,10 @@ class TestEmbed:
             ("phi2", lambda m: m.phi2[:, 0], "phi2 does not have k columns"),
             ("singular_values", lambda m: m.singular_values[:1], "singular_values does not hold k values"),
             ("kappa", lambda m: np.array([1e-4, 1e-4, 1e-4]), "kappa is not two values"),
+            # the model's own check, named by the file too
+            ("singular_values", lambda m: m.singular_values[::-1],
+             "singular values must be non-increasing"),
+            ("k", lambda m: np.array([m.k, m.k]), "k is not one count"),
         ],
     )
     def test_load_names_file_for_disagreeing_arrays(self, tmp_path, field, value, problem):

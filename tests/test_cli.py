@@ -382,6 +382,22 @@ class TestCrfCommands:
         n_tokens = len((root / "tiny.txt").read_text(encoding="utf-8").splitlines()[0].split())
         assert first.count("\n") == n_tokens + 1 and first.endswith("\n\n")
 
+    @pytest.mark.parametrize("damage", ["truncated", "meta-without-embedding-phrases"])
+    def test_tag_with_a_damaged_model_exits_1(self, bench, tiny_model, tmp_path, capsys, damage):
+        root, sc, paths = bench
+        model = tmp_path / "damaged.model.npz"
+        if damage == "truncated":
+            model.write_bytes(tiny_model.read_bytes()[:-40])
+        else:
+            with np.load(tiny_model, allow_pickle=False) as data:
+                arrays = dict(data)
+            meta = json.loads(str(arrays["meta"]))
+            del meta["embedding_phrases"]
+            np.savez(model, **{**arrays, "meta": np.array(json.dumps(meta))})
+        argv = ["crf", "tag", "--model", str(model), "--input", str(root / "tiny.txt")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {model}: ")
+
     def test_grid_needs_dev(self, bench, tmp_path):
         root, sc, paths = bench
         with pytest.raises(SystemExit, match="--dev"):

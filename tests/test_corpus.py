@@ -7,6 +7,7 @@ import sys
 import unicodedata
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,10 @@ from dictforge.corpus import (
     tokenize,
     word_shape,
 )
+from dictforge.cca import CcaModel
+from dictforge.crf import CrfModel
+from dictforge.tagging import PhraseMatches
+from dictforge.views import OccurrenceTable
 
 
 # Beyond ASCII: underscore (a word character that is not alphanumeric),
@@ -435,3 +440,46 @@ class TestChunkedReader:
     @settings(max_examples=60)
     def test_segment_sentences_matches_oracle(self, doc):
         assert _triples(segment_sentences(doc, "d")) == _oracle_segment(doc, "d")
+
+
+# each .npz loader and the arrays it needs, all of which go through load_npz
+_NPZ_LOADERS = {
+    "table": (OccurrenceTable.load, ("phrase_ids", "context_ids", "caps", "phrases", "positions",
+                                     "words")),
+    "cca": (CcaModel.load, ("phi1", "phi2", "singular_values", "k", "kappa")),
+    "matches": (PhraseMatches.load, ("start", "end", "phrase", "hit", "gold", "n_phrases")),
+    "crf": (CrfModel.load, ("meta", "weights")),
+}
+
+
+class TestLoadNpz:
+    """The .npz loaders' shared contract: a file they cannot read raises
+    ``ValueError`` starting with its path, and nothing is unpickled."""
+
+    @pytest.mark.parametrize("loader", list(_NPZ_LOADERS))
+    def test_text_file_names_the_file(self, tmp_path, loader):
+        # not numpy's advice to load the file unsafely
+        path = tmp_path / "artifact.npz"
+        path.write_text("flu\t1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            _NPZ_LOADERS[loader][0](path)
+        assert str(err.value) == f"{path}: not a readable .npz file (File is not a zip file)"
+
+    @pytest.mark.parametrize("loader", list(_NPZ_LOADERS))
+    def test_truncated_file_names_the_file(self, tmp_path, loader):
+        load, keys = _NPZ_LOADERS[loader]
+        path = tmp_path / "artifact.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, **{key: np.arange(3) for key in keys})
+        path.write_bytes(path.read_bytes()[:-40])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not a readable \.npz"):
+            load(path)
+
+    @pytest.mark.parametrize("loader", list(_NPZ_LOADERS))
+    def test_object_array_is_not_unpickled(self, tmp_path, loader):
+        load, keys = _NPZ_LOADERS[loader]
+        path = tmp_path / "artifact.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, **{key: np.array([None], dtype=object) for key in keys})
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: Object arrays cannot"):
+            load(path)

@@ -1,5 +1,6 @@
 """Linear-chain tagger: features, likelihood, training, decoding."""
 
+import json
 import math
 import random
 import re
@@ -850,6 +851,16 @@ class TestPersistence:
         model.save(tmp_path / "crf.model.npz")
         path = self.rewritten(tmp_path / "crf.model.npz", drop=(missing,))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing array\\(s\\) {missing}$"):
+            CrfModel.load(path)
+
+    def test_meta_without_a_saved_field_names_the_file(self, tmp_path):
+        model = train_crf(FIXTURE, regularizer=0.1)
+        model.save(tmp_path / "crf.model.npz")
+        with np.load(tmp_path / "crf.model.npz", allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+        del meta["embedding_phrases"]
+        path = self.rewritten(tmp_path / "crf.model.npz", meta=np.array(json.dumps(meta)))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: meta lacks embedding_phrases$"):
             CrfModel.load(path)
 
     def test_weights_disagreeing_with_the_index_name_the_file(self, tmp_path):

@@ -11,6 +11,7 @@ import platform
 import re
 import shutil
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -68,7 +69,6 @@ from dictforge.tagging import (
     Dictionary,
     PhraseMatches,
     check_phrases,
-    dictionary_scorer,
     evaluate,
     read_conll,
     read_dictionary,
@@ -82,7 +82,14 @@ from dictforge.views import (
     collect_occurrences,
 )
 from dictforge.extraction import CandidatePhrase, read_candidates
-from oracles import classify_grid, ranked_cut, string_scorer, string_tags, theta_grid
+from oracles import (
+    classify_grid,
+    dictionary_mask,
+    ranked_cut,
+    string_scorer,
+    string_tags,
+    theta_grid,
+)
 
 
 MINIMAL = """
@@ -429,9 +436,15 @@ def _tagged_f1(dev, dictionary):
     return evaluate(pred, [tags for _, tags in dev]).f1
 
 
+def _mask_f1(dev, universe, dictionary):
+    """F1 of ``dictionary`` as its mask over ``universe`` on the dev matches
+    of ``universe``, as classify, cotrain and tag score."""
+    return PhraseMatches.find(dev, universe).score(dictionary_mask(dictionary, universe)).f1
+
+
 class TestDevScorer:
-    """Dev F1 by ``dictionary_scorer`` against tagging with the string
-    matcher and scoring afresh."""
+    """Dev F1 of a dictionary as a mask on ``PhraseMatches`` against tagging
+    with the string matcher and scoring afresh."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -447,7 +460,7 @@ class TestDevScorer:
              ["a", "a b", "a b c", "b c"], [1, 3])
     def test_matches_tagging_oracle(self, dev, universe, picks):
         d = Dictionary({universe[i]: 1.0 for i in picks if i < len(universe)})
-        assert dictionary_scorer(dev, universe)(d).f1 == _tagged_f1(dev, d)
+        assert _mask_f1(dev, universe, d) == _tagged_f1(dev, d)
 
     @pytest.mark.parametrize("kept", [("a b c",), ("a b", "b c"), ("a", "b c"), ("b c",), ()])
     def test_nested_overlapping_and_sentence_end(self, kept):
@@ -455,21 +468,16 @@ class TestDevScorer:
         dev = [(["a", "b", "c"], ["O", "B", "I"]), (["x", "a", "b"], ["O", "B", "I"])]
         universe = ["a", "a b", "a b c", "b c", "b"]
         d = Dictionary(dict.fromkeys(kept, 1.0))
-        assert dictionary_scorer(dev, universe)(d).f1 == _tagged_f1(dev, d)
+        assert _mask_f1(dev, universe, d) == _tagged_f1(dev, d)
 
     def test_sentence_end_match_counts(self):
         dev = [(["x", "Flu"], ["O", "B"]), (["flu", "x"], ["O", "O"])]
         d = Dictionary({"flu": 1.0})
-        assert dictionary_scorer(dev, ["flu"])(d).f1 == pytest.approx(2 / 3) == _tagged_f1(dev, d)
+        assert _mask_f1(dev, ["flu"], d) == pytest.approx(2 / 3) == _tagged_f1(dev, d)
 
     def test_empty_dictionary_scores_zero(self):
         dev = [(["flu"], ["B"])]
-        assert dictionary_scorer(dev, ["flu"])(Dictionary({})).f1 == 0.0
-
-    def test_phrase_outside_the_universe_rejected(self):
-        score = dictionary_scorer([(["flu"], ["B"])], ["flu"])
-        with pytest.raises(ValueError, match="swine flu"):
-            score(Dictionary({"flu": 1.0, "swine flu": 0.5}))
+        assert _mask_f1(dev, ["flu"], Dictionary({})) == 0.0
 
 
 @st.composite
@@ -532,12 +540,12 @@ class TestGridMasks:
             Path("corpus"), Path("patterns"), Path("seeds"), Path("out"),
             svm_k_grid=k_grid, svm_c_grid=c_grid, svm_threshold_grid=tuple(thresholds),
         )
-        by_mask = dictionary_scorer(dev, phrases)
+        by_mask = PhraseMatches.find(dev, phrases)
         by_string = string_scorer(dev, phrases)
 
         def grid():
             fits, reports, fitted = _svm_grid(
-                cfg, names, table_ids, E, seeds, lambda mask: by_mask(mask).f1
+                cfg, names, table_ids, E, seeds, lambda mask: by_mask.score(mask).f1
             )
             chosen, runner_up = _selection(reports)
             k, C, thr = chosen["k"], chosen["C"], chosen["threshold"]
@@ -604,10 +612,10 @@ class TestGridMasks:
         ]
         state = DecisionListState(rules, [], np.zeros(0, dtype=np.int8), 1, 5, 0.95)
         thetas = data.draw(st.lists(strength, min_size=1, max_size=4))
-        by_mask = dictionary_scorer(dev, phrases)
+        by_mask = PhraseMatches.find(dev, phrases)
         by_string = string_scorer(dev, phrases)
         reports, got = _recorded(
-            lambda: _theta_grid(state, phrases, thetas, lambda mask: by_mask(mask).f1)
+            lambda: _theta_grid(state, phrases, thetas, lambda mask: by_mask.score(mask).f1)
         )
         want_reports, want = _recorded(lambda: theta_grid(state, thetas, lambda d: by_string(d).f1))
         assert reports == want_reports
@@ -711,11 +719,9 @@ class TestRunPipeline:
         def forbidden(*args, **kwargs):
             raise AssertionError("a seed-comment rerun read or matched the dev split")
 
-        for target in (
-            "dictforge.pipeline.read_conll", "dictforge.tagging.read_conll",
-            "dictforge.pipeline.dictionary_scorer", "dictforge.tagging.dictionary_scorer",
-        ):
+        for target in ("dictforge.pipeline.read_conll", "dictforge.tagging.read_conll"):
             monkeypatch.setattr(target, forbidden)
+        monkeypatch.setattr(PhraseMatches, "find", forbidden)
         monkeypatch.setattr(dictforge.corpus.PhraseTrie, "__init__", forbidden)
         manifest = run_pipeline(copy)
         assert {s for s, rec in manifest.stages.items() if not rec["cached"]} == {
@@ -1119,6 +1125,15 @@ class TestRunPipeline:
             run_pipeline(copy, stages=(stage,))
         assert str(err.value) == f"[{stage}] {bad}: not UTF-8 text (invalid start byte)"
 
+    def test_truncated_artifact_names_stage_and_file(self, finished_run, tmp_path):
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        table = tmp_path / "out" / "views.table.npz"
+        table.write_bytes(table.read_bytes()[:-40])
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        with pytest.raises(StageError, match=rf"^\[cca\] ValueError: {re.escape(str(table))}: "):
+            run_pipeline(copy, stages=("cca",))
+
     def test_missing_dependency_artifact_fails(self, workdir, tmp_path):
         config = validate_config(workdir / "pipeline.cfg")
         fresh = dataclasses.replace(config, outdir=tmp_path / "empty")
@@ -1284,7 +1299,8 @@ class TestRunPipeline:
         # and the dev matches are never read back, as the stages that wrote
         # them hand them on; X and Z are built once (by cca), and the dev
         # split is read once for match and crf and its phrases matched once,
-        # by match, for classify and cotrain
+        # by match, for classify and cotrain; the test split's phrases are
+        # matched once, by tag, for both dictionaries
         _, config, _ = finished_run
         copy = dataclasses.replace(config, outdir=tmp_path / "out")
         calls = collections.Counter()
@@ -1295,7 +1311,7 @@ class TestRunPipeline:
                 key = None
                 if name == "read_conll":
                     key = args[0]
-                elif name in ("dictionary_scorer", "PhraseMatches.find"):
+                elif name == "PhraseMatches.find":
                     key = "dev" if args[0] == dev else "test"
                 calls[name, key] += 1
                 return fn(*args, **kwargs)
@@ -1306,7 +1322,6 @@ class TestRunPipeline:
             ("collect_occurrences", collect_occurrences),
             ("read_conll", read_conll),
             ("read_candidates", read_candidates),
-            ("dictionary_scorer", dictionary_scorer),
         ):
             monkeypatch.setattr(f"dictforge.pipeline.{name}", counted(name, fn))
         monkeypatch.setattr("dictforge.corpus._read", counted("_read", dictforge.corpus._read))
@@ -1326,8 +1341,7 @@ class TestRunPipeline:
         assert calls["PhraseMatches.load", None] == 0
         assert calls["OccurrenceTable.design_matrices", None] == 1
         assert calls["read_conll", config.dev] == 1
-        assert calls["PhraseMatches.find", "dev"] == 1
-        assert calls["dictionary_scorer", "dev"] == 0
+        assert calls["PhraseMatches.find", "dev"] == calls["PhraseMatches.find", "test"] == 1
         for name in ("dict.cca.tsv", "dict.cotrain.tsv", "crf.json"):
             assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
 
@@ -1703,6 +1717,38 @@ class TestStageTable:
                 modules = {f.__module__.removeprefix("dictforge.") for f in called}
                 # pipeline.py is in every stage's code fingerprint
                 assert called and modules <= closure | {"pipeline"}, (stage, read, modules)
+
+    def test_stage_bodies_call_only_their_closure(self):
+        # so an edit to any module whose code a stage body runs re-executes
+        # the stage: each package function or class the body names, itself
+        # or through the pipeline helpers it names (nested code included), is
+        # defined in the stage's closure or in pipeline.py.  Names are looked
+        # up in pipeline's namespace; a call through an attribute of a value,
+        # such as ``matches.score``, names no module and is outside this view
+        imports = _imports(_sources())
+        namespace = vars(dictforge.pipeline)
+
+        def names(code):
+            yield from code.co_names
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    yield from names(const)
+
+        for stage, row in _STAGES.items():
+            closure = set(_closure(row.modules, imports))
+            modules, seen, todo = set(), set(), [namespace[f"_stage_{stage}"]]
+            while todo:
+                for name in names(todo.pop().__code__):
+                    value = namespace.get(name)
+                    module = getattr(value, "__module__", None) or ""
+                    if name in seen or not module.startswith("dictforge."):
+                        continue
+                    seen.add(name)
+                    if module != "dictforge.pipeline":
+                        modules.add(module.removeprefix("dictforge."))
+                    elif isinstance(value, types.FunctionType):
+                        todo.append(value)
+            assert modules and modules <= closure, (stage, modules - closure)
 
     def test_imports_match_the_line_anchored_regex(self):
         # the literal search with its line-prefix test finds what a

@@ -17,7 +17,6 @@ from dictforge.tagging import (
     PhraseMatches,
     conll_text,
     dictionary_codes,
-    dictionary_scorer,
     evaluate,
     read_conll,
     read_dictionary,
@@ -27,7 +26,15 @@ from dictforge.tagging import (
     write_dictionary,
 )
 from dictforge.tagging import _entity_spans
-from oracles import DictTrie, PhraseSet, bio_spans, match_phrase_spans, phrase_set, string_tags
+from oracles import (
+    DictTrie,
+    PhraseSet,
+    bio_spans,
+    dictionary_mask,
+    match_phrase_spans,
+    phrase_set,
+    string_tags,
+)
 
 
 def d(*phrases, provenance="manual"):
@@ -359,8 +366,9 @@ class TestEvaluate:
 
 
 class TestDictionaryScorer:
-    """One occurrence list per labeled split against tagging each sentence
-    with the string matcher and scoring each dictionary afresh."""
+    """One ``PhraseMatches`` per labeled split, each dictionary scored as the
+    mask of its phrases, against tagging each sentence with the string
+    matcher and scoring each dictionary afresh."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -380,10 +388,11 @@ class TestDictionaryScorer:
     )
     def test_equals_evaluate_of_tagging(self, split, universe, picks):
         labeled = [([t for t, _ in s], [g for _, g in s]) for s in split]
-        score = dictionary_scorer(labeled, universe)
+        matches = PhraseMatches.find(labeled, universe)
         dictionary = d(*(universe[i] for i in picks if i < len(universe)))
         pred = [string_tags(tokens, dictionary) for tokens, _ in labeled]
-        assert score(dictionary) == evaluate(pred, [tags for _, tags in labeled])
+        got = matches.score(dictionary_mask(dictionary, universe))
+        assert got == evaluate(pred, [tags for _, tags in labeled])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -402,24 +411,30 @@ class TestDictionaryScorer:
         picks=st.lists(st.integers(0, 7)),
     )
     def test_mask_scores_as_its_dictionary(self, split, universe, picks):
-        # a mask over the distinct phrases, in their first-listed order, and
-        # a dictionary of the same phrases score the same report
+        # a dictionary's mask over a phrase list that holds it (with phrases
+        # listed twice, too) scores as the dictionary's own phrases matched
+        # alone: so the tag stage scores both dictionaries on one find
         labeled = [([t for t, _ in s], [g for _, g in s]) for s in split]
-        score = dictionary_scorer(labeled, universe)
         dictionary = d(*(universe[i] for i in picks if i < len(universe)))
-        mask = np.array([p in dictionary.scores for p in dict.fromkeys(universe)], dtype=bool)
-        assert score(mask) == score(dictionary)
+        among = PhraseMatches.find(labeled, universe).score(dictionary_mask(dictionary, universe))
+        alone = PhraseMatches.find(labeled, dictionary.scores)
+        assert among == alone.score(np.ones(len(dictionary), dtype=bool))
 
     def test_mask_must_be_boolean_over_the_universe(self):
-        score = dictionary_scorer([(["flu"], ["B"])], ["flu", "swine flu", "flu"])
-        assert score(np.array([True, False])).f1 == 1.0
+        matches = PhraseMatches.find([(["flu"], ["B"])], ["flu", "swine flu"])
+        assert matches.score(np.array([True, False])).f1 == 1.0
         for bad in (np.array([True]), np.array([True, False, True]), np.array([1, 0])):
             with pytest.raises(ValueError, match="boolean mask over 2 phrases"):
-                score(bad)
+                matches.score(bad)
 
     def test_scores_several_dictionaries(self):
         labeled = [(["Swine", "flu", "spread"], ["B", "I", "O"]), (["flu"], ["B"])]
-        score = dictionary_scorer(labeled, ["flu", "swine flu", "flu spread"])
+        phrases = ["flu", "swine flu", "flu spread"]
+        matches = PhraseMatches.find(labeled, phrases)
+
+        def score(dictionary):
+            return matches.score(dictionary_mask(dictionary, phrases))
+
         assert (score(d("swine flu")).tp, score(d("swine flu")).fn) == (1, 1)
         assert (score(d("flu", "flu spread")).tp, score(d("flu", "flu spread")).fp) == (1, 1)
         assert score(d("flu", "swine flu")).f1 == 1.0
@@ -447,16 +462,12 @@ class TestDictionaryScorer:
         universe = ["flu", "swine", "flu flu", "flu swine", "swine flu", "flu flu flu"]
         dictionary = d(*(universe[i] for i in picks))
         pred = [string_tags(tokens, dictionary) for tokens in sentences]
-        assert dictionary_scorer(labeled, universe)(dictionary) == evaluate(pred, tag_lists)
+        matches = PhraseMatches.find(labeled, universe)
+        assert matches.score(dictionary_mask(dictionary, universe)) == evaluate(pred, tag_lists)
 
     def test_tags_must_align_with_tokens(self):
         with pytest.raises(ValueError, match="one tag per token"):
-            dictionary_scorer([(["flu", "virus"], ["B"])], ["flu"])
-
-    def test_phrase_outside_the_universe_rejected(self):
-        score = dictionary_scorer([(["flu"], ["B"])], ["flu"])
-        with pytest.raises(ValueError, match="'swine flu'"):
-            score(d("flu", "swine flu"))
+            PhraseMatches.find([(["flu", "virus"], ["B"])], ["flu"])
 
 
 _NESTED = ["hepatitis", "hepatitis b", "b virus", "b", "virus"]
@@ -464,7 +475,7 @@ _NESTED = ["hepatitis", "hepatitis b", "b virus", "b", "virus"]
 
 class TestPhraseMatches:
     """A split's saved matches of a phrase list against scoring each mask
-    afresh with ``dictionary_scorer``."""
+    on matches found afresh."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -493,7 +504,7 @@ class TestPhraseMatches:
         PhraseMatches.find(labeled, _NESTED).save(path)
         loaded = PhraseMatches.load(path)
         mask = np.array(mask)
-        assert loaded.score(mask) == dictionary_scorer(labeled, _NESTED)(mask)
+        assert loaded.score(mask) == PhraseMatches.find(labeled, _NESTED).score(mask)
 
     def test_round_trip(self, tmp_path):
         labeled = [(["Hepatitis", "b", "virus"], ["B", "I", "O"]), (["b", "virus"], ["B", "I"])]
@@ -516,8 +527,10 @@ class TestPhraseMatches:
             (lambda arrays: arrays.update(end=arrays["end"][:-1]), "not one row each"),
             (lambda arrays: arrays.update(phrase=arrays["phrase"] + 5), "phrase id is out of range"),
             (lambda arrays: arrays.update(phrase=arrays["phrase"] - 1), "phrase id is out of range"),
+            (lambda arrays: arrays.update(end=arrays["start"]), "does not end after its start"),
+            (lambda arrays: arrays.update(hit=arrays["hit"].astype(np.int8)), "hit is not boolean"),
         ],
-        ids=["missing", "ragged", "id-past-the-list", "negative-id"],
+        ids=["missing", "ragged", "id-past-the-list", "negative-id", "empty-span", "integer-hit"],
     )
     def test_load_names_the_file(self, tmp_path, damage, problem):
         path = tmp_path / "dev.matches.npz"

@@ -318,12 +318,14 @@ class TestViewIO:
         "key, edit, problem",
         [
             ("phrase_ids", lambda a: a[:-1], "six per row"),
+            ("phrase_ids", lambda a: a.reshape(-1, 1), "phrase_ids is not one row"),
+            ("phrase_ids", lambda a: a[0], "phrase_ids is not one row"),
             ("caps", lambda a: a[:-1], "caps and phrases"),
             ("words", lambda a: a[:-1], "positions and words"),
             ("phrase_ids", lambda a: a + 5, "phrase id is out of range"),
             ("context_ids", lambda a: a - 1, "context id is out of range"),
         ],
-        ids=["short-phrase-ids", "short-caps", "short-words", "phrase-id-range", "context-id-range"],
+        ids=["short-phrase-ids", "2d-phrase-ids", "0d-phrase-ids", "short-caps", "short-words", "phrase-id-range", "context-id-range"],
     )
     def test_inconsistent_table_rejected(self, tmp_path, key, edit, problem):
         vm, _ = build_fixture()

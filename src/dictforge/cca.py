@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
-from .corpus import load_npz
+from .corpus import check_phrases, load_npz, open_text
 from .linalg import randomized_svd, sparse_cholesky, sym_inv_sqrt
 
 __all__ = [
@@ -244,24 +244,32 @@ def write_embeddings(phrases: Sequence[str], vectors: np.ndarray, fh) -> None:
 
 def read_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     """Phrase vectors of a :func:`write_embeddings` file; blank lines are
-    skipped, and a phrase without components, or with a different number
-    of them than the first row, is an error."""
+    skipped.  A phrase that could never match or is listed twice, and one
+    without components, with a component that is not a finite number or
+    with a different number of them than the first row, raise
+    ``ValueError`` naming the file and line."""
     out: dict[str, np.ndarray] = {}
     width = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             phrase, _, vector = line.rstrip("\n").partition("\t")
-            if not vector:
-                raise ValueError(f"{path}, line {lineno}: {phrase!r} has no vector components")
             try:
-                out[phrase] = row = np.array([float(v) for v in vector.split("\t")])
+                if phrase in out:
+                    raise ValueError(f"duplicate phrase {phrase!r}")
+                check_phrases((phrase,), "embedding")
+                if not vector:
+                    raise ValueError(f"{phrase!r} has no vector components")
+                try:
+                    out[phrase] = row = np.array([float(v) for v in vector.split("\t")])
+                except ValueError as exc:
+                    raise ValueError(f"{phrase!r}: {exc}") from None
+                if not np.isfinite(row).all():
+                    raise ValueError(f"{phrase!r} has a non-finite component")
+                width = width or len(row)
+                if len(row) != width:
+                    raise ValueError(f"{phrase!r} has {len(row)} components, expected {width}")
             except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {phrase!r}: {exc}") from None
-            width = width or len(row)
-            if len(row) != width:
-                raise ValueError(
-                    f"{path}, line {lineno}: {phrase!r} has {len(row)} components, expected {width}"
-                )
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
     return out

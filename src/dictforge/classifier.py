@@ -23,7 +23,8 @@ from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tagging import Dictionary, check_phrases
+from .corpus import check_phrases, open_text
+from .tagging import Dictionary
 
 __all__ = [
     "SeedSet",
@@ -64,12 +65,12 @@ class SeedSet:
 def read_seeds(path: str | Path) -> SeedSet:
     """Seed file: one phrase per line under ``[positive]`` / ``[negative]``
     section headers; ``#`` comments and blank lines ignored.  A seed that
-    could never match (:func:`~dictforge.tagging.check_phrases`) raises
+    could never match (:func:`~dictforge.corpus.check_phrases`) raises
     ``ValueError`` naming the file and line."""
     positives: list[str] = []
     negatives: list[str] = []
     target: list[str] | None = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

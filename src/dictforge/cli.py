@@ -6,10 +6,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from decimal import Decimal
 from itertools import count, islice, takewhile
-from typing import Iterator
 
 from .corpus import iter_chunks, iter_sentences
 from .crf import (
@@ -65,26 +64,10 @@ def _parse_lambda_grid(text: str) -> tuple[float, ...]:
     return vals
 
 
-@contextmanager
-def _utf8(path: str):
-    """A decode error of the reads inside the block names ``path``, as the
-    pipeline names the files it reads."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
-def _read(reader, path: str, **kwargs):
-    """``reader(path)``, a decode error naming ``path``."""
-    with _utf8(path):
-        return reader(path, **kwargs)
-
-
 def _features_and_dicts(args) -> tuple[FeatureConfig, tuple]:
     """The --features config and the --dict dictionaries it needs."""
     config = FeatureConfig.from_flags(args.features)
-    dictionaries = tuple(_read(read_dictionary, p) for p in args.dict or ())
+    dictionaries = tuple(read_dictionary(p) for p in args.dict or ())
     if config.dict_match and not dictionaries:
         raise SystemExit("--features includes dict but no --dict given")
     return config, dictionaries
@@ -96,17 +79,12 @@ def _load_crf_extras(args) -> tuple[FeatureConfig, tuple, SentinelEmbeddings | N
     if config.embedding:
         if not args.emb:
             raise SystemExit("--features includes emb but no --emb given")
-        embeddings = SentinelEmbeddings(_read(read_embeddings, args.emb))
+        embeddings = SentinelEmbeddings(read_embeddings(args.emb))
     return config, dictionaries, embeddings
 
 
 # sentences `forge crf tag` reads ahead and decodes in one batch
 _TAG_CHUNK = 1024
-
-
-def _read_tokens(path: str) -> Iterator[list[str]]:
-    """Token texts of each corpus sentence, streamed."""
-    return (list(s.tokens) for s in iter_sentences(path))
 
 
 def _open_out(path: str | None):
@@ -138,8 +116,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_tag(args) -> int:
-    dictionary = _read(read_dictionary, args.dict)
-    with _open_out(args.out) as out, _utf8(args.input):
+    dictionary = read_dictionary(args.dict)
+    with _open_out(args.out) as out:
         for corpus in iter_chunks(args.input):
             out.write(conll_text(corpus, dictionary_codes(corpus, dictionary)))
     return 0
@@ -147,11 +125,11 @@ def _cmd_tag(args) -> int:
 
 def _cmd_crf_train(args) -> int:
     config, dictionaries, embeddings = _load_crf_extras(args)
-    train = _read(read_conll, args.data, strict=True)
+    train = read_conll(args.data, strict=True)
     grid = _parse_lambda_grid(args.lambda_grid)
     if len(grid) > 1 and not args.dev:
         raise SystemExit("--lambda-grid has several points; --dev is required")
-    dev = _read(read_conll, args.dev, strict=True) if args.dev else None
+    dev = read_conll(args.dev, strict=True) if args.dev else None
     model, chosen, reports = select_crf(
         train, config, grid, dev, args.max_iters, dictionaries, embeddings
     )
@@ -164,8 +142,8 @@ def _cmd_crf_train(args) -> int:
 
 def _cmd_crf_tag(args) -> int:
     model = CrfModel.load(args.model)
-    sentences = _read_tokens(args.input)
-    with _open_out(args.out) as out, _utf8(args.input):
+    sentences = (list(s.tokens) for s in iter_sentences(args.input))  # streamed
+    with _open_out(args.out) as out:
         while chunk := list(islice(sentences, _TAG_CHUNK)):
             write_conll(zip(chunk, tag_sentences(model, chunk)), out)
     return 0
@@ -173,13 +151,11 @@ def _cmd_crf_tag(args) -> int:
 
 def _cmd_crf_curve(args) -> int:
     config, dictionaries = _features_and_dicts(args)
-    word_emb = SentinelEmbeddings(_read(read_embeddings, args.word_emb)) if args.word_emb else None
-    phrase_emb = (
-        SentinelEmbeddings(_read(read_embeddings, args.phrase_emb)) if args.phrase_emb else None
-    )
+    word_emb = SentinelEmbeddings(read_embeddings(args.word_emb)) if args.word_emb else None
+    phrase_emb = SentinelEmbeddings(read_embeddings(args.phrase_emb)) if args.phrase_emb else None
     variants = standard_variants(config, dictionaries, word_emb, phrase_emb)
-    train = _read(read_conll, args.train, strict=True)
-    test = _read(read_conll, args.test, strict=True)
+    train = read_conll(args.train, strict=True)
+    test = read_conll(args.test, strict=True)
     sizes = [int(v) for v in args.sizes.replace(",", " ").split()]
     rows = learning_curve(
         train, test, sizes, variants,

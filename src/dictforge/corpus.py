@@ -22,7 +22,10 @@ yields :class:`Sentence` objects instead; :meth:`Corpus.of` and
 word) keys per depth, finds every occurrence of lowercase phrases in an
 interned corpus, and :func:`longest_first` keeps the longest-first,
 non-overlapping matches among them, for the views, dictionary tagging and
-scoring, and the CRF.  :func:`load_npz` reads the package's ``.npz``
+scoring, and the CRF; :func:`check_phrases` rejects a listed phrase that
+could never match.  :func:`open_text` opens every text file the package
+reads, so a file that is not UTF-8 is named (inside a corpus directory,
+the file itself), and :func:`load_npz` reads the package's ``.npz``
 artifacts, nothing unpickled.
 Segmentation and tokenization are deterministic, rule-based approximations;
 a token is traced back to its source through its sentence's doc id and
@@ -35,11 +38,12 @@ import re
 import string
 import unicodedata
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -231,11 +235,7 @@ def _read(path: str | Path) -> tuple[Callable[[int], str], Iterator[_Chunk]]:
     path = Path(path)
     if path.is_dir():
         files = [p for p in sorted(path.iterdir()) if p.is_file()]
-        chunks = (
-            _segment(unicodedata.normalize("NFC", p.read_text(encoding="utf-8")), False, i)
-            for i, p in enumerate(files)
-        )
-        return [p.name for p in files].__getitem__, chunks
+        return [p.name for p in files].__getitem__, _files(files)
     if path.is_file():
         return _LineIds(path.name), _lines(path)
     raise FileNotFoundError(f"corpus path does not exist: {path}")
@@ -250,8 +250,15 @@ class _LineIds(NamedTuple):
         return f"{self.name}:{line}"
 
 
+def _files(files: Sequence[Path]) -> Iterator[_Chunk]:
+    for i, path in enumerate(files):
+        with open_text(path) as fh:
+            chunk = _segment(unicodedata.normalize("NFC", fh.read()), False, i)
+        yield chunk
+
+
 def _lines(path: Path) -> Iterator[_Chunk]:
-    with path.open(encoding="utf-8") as fh:
+    with open_text(path) as fh:
         first = 1
         while lines := fh.readlines(_CHUNK_CHARS):
             # text mode ends every line with "\n" alone, and NFC never
@@ -402,6 +409,20 @@ def intern_corpus(path: str | Path) -> Corpus:
     return _intern(*_read(path))
 
 
+def check_phrases(phrases: Iterable[str], kind: str) -> None:
+    """Raise ``ValueError`` naming the first phrase that could never match:
+    an empty one, one with capitals (tokens are lowercased before lookup) or
+    one whose words are not joined by single spaces (tokens hold no
+    whitespace, and a phrase is its tokens joined by one space)."""
+    for p in phrases:
+        if not p.strip():
+            raise ValueError(f"empty {kind} phrase {p!r}")
+        if p != " ".join(p.split()):
+            raise ValueError(f"{kind} phrase {p!r} is not words joined by single spaces")
+        if p != p.lower():
+            raise ValueError(f"{kind} phrase {p!r} is not lowercase")
+
+
 class PhraseTrie:
     """Lowercase space-joined phrases as a trie over the phrases' own word
     ids, built once and matched in any number of interned corpora."""
@@ -501,6 +522,17 @@ def longest_first(start: np.ndarray, end: np.ndarray) -> np.ndarray:
             kept.append(r)
             reached = e
     return np.array(kept, dtype=np.int64)
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text; a ``UnicodeDecodeError`` raised while
+    the block reads it becomes a ``ValueError`` naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_npz(

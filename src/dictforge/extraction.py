@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, tokenize
+from .corpus import Corpus, Sentence, open_text, tokenize
 
 __all__ = [
     "ExtractionPattern",
@@ -296,12 +296,13 @@ def _literal(words: Sequence[str]) -> tuple[str, ...]:
 
 
 def load_patterns(path: str | Path) -> list[ExtractionPattern]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return parse_patterns(fh)
-        except ValueError as exc:
-            sep = ", " if str(exc).startswith("line ") else ": "  # no line: the whole file
-            raise ValueError(f"{path}{sep}{exc}") from None
+    with open_text(path) as fh:
+        lines = fh.readlines()
+    try:
+        return parse_patterns(lines)
+    except ValueError as exc:
+        sep = ", " if str(exc).startswith("line ") else ": "  # no line: the whole file
+        raise ValueError(f"{path}{sep}{exc}") from None
 
 
 def write_candidates(candidates: Sequence[CandidatePhrase], fh) -> None:
@@ -312,7 +313,7 @@ def write_candidates(candidates: Sequence[CandidatePhrase], fh) -> None:
 
 def read_candidates(path: str | Path) -> list[CandidatePhrase]:
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line:

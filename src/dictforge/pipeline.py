@@ -62,7 +62,7 @@ from .classifier import (
     threshold_prefix,
     train_svm,
 )
-from .corpus import intern_corpus
+from .corpus import intern_corpus, open_text
 from .cotrain import DecisionListState, dictionary_from_rules, dl_cotrain, rule_strengths
 from .crf import (
     CrfModel,
@@ -152,12 +152,21 @@ _READERS: dict[str, Callable[[Path], object]] = {
     "dev.matches.npz": lambda path: PhraseMatches.load(path),
     **dict.fromkeys(("dict.cca.tsv", "dict.cotrain.tsv"), lambda path: read_dictionary(path)),
     "embeddings.tsv": lambda path: SentinelEmbeddings(read_embeddings(path)),
-    "svm.json": lambda path: _read_json(path),
+    "svm.json": lambda path: _read_svm(path),
 }
 
 
-def _read_json(path: Path):
-    return json.loads(path.read_text(encoding="utf-8"))
+def _read_svm(path: Path) -> dict:
+    """The classify stage's record; JSON that is not an object with a
+    positive integer ``k`` raises ``ValueError`` naming the file."""
+    with open_text(path) as fh:
+        try:
+            record = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
+    if not (isinstance(record, dict) and type(record.get("k")) is int and record["k"] > 0):
+        raise ValueError(f"{path}: not an object with a positive integer k")
+    return record
 
 
 class PipelineConfigError(ValueError):
@@ -282,9 +291,10 @@ def _violation(value, check: tuple | None) -> str | None:
 def _raw_sections(path: Path) -> dict[str, dict[str, str]]:
     """{section: {key: raw text}}, lowercased, from INI or JSON."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise PipelineConfigError([f"{path}: not UTF-8 text ({exc.reason})"]) from exc
+        with open_text(path) as fh:
+            text = fh.read()
+    except ValueError as exc:
+        raise PipelineConfigError([str(exc)]) from None
     try:
         if path.suffix != ".json" and text.lstrip()[:1] != "{":
             parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -505,10 +515,7 @@ class _Reads(dict):
     def __init__(self, stage: str, paths: Mapping[str, Path], loaded: dict):
         for name, path in paths.items():
             if name not in loaded:
-                try:
-                    loaded[name] = _READERS[name](path)
-                except UnicodeDecodeError as exc:
-                    raise StageError(stage, f"{path}: not UTF-8 text ({exc.reason})") from exc
+                loaded[name] = _READERS[name](path)
         super().__init__({name: loaded[name] for name in paths})
         self.stage, self.loaded = stage, loaded
 

@@ -20,6 +20,10 @@ phrases; a :class:`Dictionary` ``d`` alone scores as
 The matches can be saved, so a pipeline run finds them once per phrase list
 and split.  The rule's statement one sentence at a time is a test oracle in
 ``tests/oracles.py``.
+
+:func:`read_dictionary` and :func:`read_conll` open their files through
+:func:`~dictforge.corpus.open_text` and check each row where they read it,
+so an error names the file and line of the first bad one.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, PhraseTrie, load_npz, longest_first
+from .corpus import Corpus, PhraseTrie, check_phrases, load_npz, longest_first, open_text
 
 __all__ = [
     "BIO",
@@ -92,20 +96,6 @@ class Dictionary:
         return PhraseTrie(self.scores)
 
 
-def check_phrases(phrases: Iterable[str], kind: str) -> None:
-    """Raise ``ValueError`` naming the first phrase that could never match:
-    an empty one, one with capitals (tokens are lowercased before lookup) or
-    one whose words are not joined by single spaces (tokens hold no
-    whitespace, and a phrase is its tokens joined by one space)."""
-    for p in phrases:
-        if not p.strip():
-            raise ValueError(f"empty {kind} phrase {p!r}")
-        if p != " ".join(p.split()):
-            raise ValueError(f"{kind} phrase {p!r} is not words joined by single spaces")
-        if p != p.lower():
-            raise ValueError(f"{kind} phrase {p!r} is not lowercase")
-
-
 def write_dictionary(dictionary: Dictionary, fh) -> None:
     """Metadata header (``# key: value`` lines, provenance first), then one
     ``phrase TAB score`` row per entry in ranked order."""
@@ -117,56 +107,38 @@ def write_dictionary(dictionary: Dictionary, fh) -> None:
 
 
 def read_dictionary(path: str | Path) -> Dictionary:
-    """What :func:`write_dictionary` writes.  A row that is not ``phrase
-    TAB score``, a phrase that could never match and a phrase listed twice
-    raise ``ValueError`` naming the file and line of the first of them."""
+    """What :func:`write_dictionary` writes.  Each line is checked where it
+    is read: a row that is not ``phrase TAB score``, a phrase that could
+    never match, a phrase listed twice and an unknown provenance raise
+    ``ValueError`` naming the file and line."""
     scores: dict[str, float] = {}
-    lines: list[int] = []  # the line of each phrase of ``scores``
     metadata: dict[str, str] = {}
     provenance = "manual"
-
-    def error(lineno: int, message: str) -> ValueError:
-        # the phrases are checked once, by the constructor, so a bad phrase
-        # before this line is found here
-        _locate_bad_phrase(path, scores, lines)
-        return ValueError(f"{path}, line {lineno}: {message}")
-
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition(":")
-                if key.strip() == "provenance":
-                    provenance = value.strip()
-                elif key.strip():
-                    metadata[key.strip()] = value.strip()
-                continue
             try:
-                phrase, score = line.split("\t")
-                score = float(score)
-            except ValueError:
-                raise error(lineno, f"expected phrase TAB score, got {line!r}") from None
-            if phrase in scores:
-                raise error(lineno, f"duplicate phrase {phrase!r}")
-            scores[phrase] = score
-            lines.append(lineno)
-    try:
-        return Dictionary(scores=scores, provenance=provenance, metadata=metadata)
-    except ValueError:
-        _locate_bad_phrase(path, scores, lines)
-        raise
-
-
-def _locate_bad_phrase(path: str | Path, phrases: Iterable[str], lines: Sequence[int]) -> None:
-    """Raise :func:`check_phrases`'s error for the first bad one of
-    ``phrases``, naming its line of ``path``; return if all pass."""
-    for phrase, lineno in zip(phrases, lines):
-        try:
-            check_phrases((phrase,), "dictionary")
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+                if line.startswith("#"):
+                    key, _, value = line.lstrip("# ").partition(":")
+                    if key.strip() == "provenance":
+                        provenance = value.strip()
+                        if provenance not in PROVENANCES:
+                            raise ValueError(f"unknown provenance {provenance!r}")
+                    elif key.strip():
+                        metadata[key.strip()] = value.strip()
+                elif line:
+                    try:
+                        phrase, score = line.split("\t")
+                        score = float(score)
+                    except ValueError:
+                        raise ValueError(f"expected phrase TAB score, got {line!r}") from None
+                    if phrase in scores:
+                        raise ValueError(f"duplicate phrase {phrase!r}")
+                    check_phrases((phrase,), "dictionary")
+                    scores[phrase] = score
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    return Dictionary(scores=scores, provenance=provenance, metadata=metadata)
 
 
 def tag_with_dictionary(tokens: Sequence[str], dictionary: Dictionary) -> list[str]:
@@ -405,7 +377,7 @@ def read_conll(path: str | Path, strict: bool = False) -> list[tuple[list[str], 
             tokens.clear()
             tags.clear()
 
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line.strip():

@@ -426,6 +426,25 @@ class TestEmbed:
         with pytest.raises(ValueError, match=r"emb\.tsv, line 4: 'ebola' has 1 components, expected 2"):
             read_embeddings(p)
 
+    @pytest.mark.parametrize(
+        "row, problem",
+        [("flu\t3\t4", "duplicate phrase 'flu'"),
+         ("Zika\t3\t4", "embedding phrase 'Zika' is not lowercase"),
+         ("yellow  fever\t3\t4",
+          "embedding phrase 'yellow  fever' is not words joined by single spaces"),
+         ("\t3\t4", "empty embedding phrase ''"),
+         ("zika\tnan\t4", "'zika' has a non-finite component"),
+         ("zika\t3\t-inf", "'zika' has a non-finite component")],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, row, problem):
+        # a repeated phrase is not merged, and a table the CRF would reject
+        # is rejected where the file shows it
+        p = tmp_path / "emb.tsv"
+        p.write_text(f"flu\t1\t2\n\nebola\t0.5\t1\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_embeddings(p)
+        assert str(err.value) == f"{p}, line 4: {problem}"
+
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "emb.tsv"
         p.write_text("\nflu\t0.5\t1.0\n\nzika\t1\t2\n", encoding="utf-8")

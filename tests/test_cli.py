@@ -637,3 +637,18 @@ class TestNotUtf8Input:
         assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
         if command.startswith(("crf train", "crf curve")):
             assert not out.exists()
+
+
+def test_tag_names_the_file_inside_a_corpus_directory(bench, tmp_path, capsys):
+    # the file that is not UTF-8, not the directory given
+    root, sc, paths = bench
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_text("The flu spread.\n", encoding="utf-8")
+    (docs / "b.txt").write_bytes(b"ab\xff\n")
+    argv = ["tag", "--dict", str(root / "hand.dict.tsv"), "--input", str(docs),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {docs / 'b.txt'}: not UTF-8 text (invalid start byte)\n"
+    )

@@ -24,9 +24,11 @@ from dictforge.corpus import (
     tokenize,
     word_shape,
 )
-from dictforge.cca import CcaModel
+from dictforge.cca import CcaModel, read_embeddings
+from dictforge.classifier import read_seeds
 from dictforge.crf import CrfModel
-from dictforge.tagging import PhraseMatches
+from dictforge.extraction import load_patterns, read_candidates
+from dictforge.tagging import PhraseMatches, read_conll, read_dictionary
 from dictforge.views import OccurrenceTable
 
 
@@ -483,3 +485,33 @@ class TestLoadNpz:
             np.savez(fh, **{key: np.array([None], dtype=object) for key in keys})
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: Object arrays cannot"):
             load(path)
+
+
+# each text reader, called on a path; all of them open it through open_text
+_TEXT_READERS = {
+    "read_conll": read_conll,
+    "read_dictionary": read_dictionary,
+    "read_candidates": read_candidates,
+    "load_patterns": load_patterns,
+    "read_embeddings": read_embeddings,
+    "read_seeds": read_seeds,
+    "intern_corpus": intern_corpus,
+    "intern_corpus on a directory": intern_corpus,
+    "iter_chunks": lambda path: list(iter_chunks(path)),
+}
+
+
+@pytest.mark.parametrize("reader", list(_TEXT_READERS))
+def test_text_not_utf8_names_the_file(tmp_path, reader):
+    # the file itself, not the codec's error; inside a corpus directory,
+    # the file among the others that is not UTF-8
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"flu\t1.0\nab\xff\n")
+    path = bad
+    if reader.endswith("directory"):
+        (tmp_path / "a.txt").write_text("Alpha.", encoding="utf-8")
+        (tmp_path / "c.txt").write_text("Gamma.", encoding="utf-8")
+        path = tmp_path
+    with pytest.raises(ValueError) as err:
+        _TEXT_READERS[reader](path)
+    assert str(err.value) == f"{bad}: not UTF-8 text (invalid start byte)"

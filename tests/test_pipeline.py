@@ -1116,6 +1116,7 @@ class TestRunPipeline:
          ("seeds", "classify", b"[positive]\nx\xff\n[negative]\ny\n")],
     )
     def test_input_not_utf8_names_stage_and_file(self, finished_run, tmp_path, name, stage, text):
+        # the reader's own ValueError, as for any other bad input
         _, config, _ = finished_run
         shutil.copytree(config.outdir, tmp_path / "out")
         bad = tmp_path / f"{name}.txt"
@@ -1123,7 +1124,9 @@ class TestRunPipeline:
         copy = dataclasses.replace(config, **{name: bad}, outdir=tmp_path / "out")
         with pytest.raises(StageError) as err:
             run_pipeline(copy, stages=(stage,))
-        assert str(err.value) == f"[{stage}] {bad}: not UTF-8 text (invalid start byte)"
+        assert str(err.value) == (
+            f"[{stage}] ValueError: {bad}: not UTF-8 text (invalid start byte)"
+        )
 
     def test_truncated_artifact_names_stage_and_file(self, finished_run, tmp_path):
         _, config, _ = finished_run
@@ -1217,6 +1220,25 @@ class TestRunPipeline:
         assert checked == [(selected, "dictionary"), (sorted(table.phrases), "candidate")]
         for name in ("dict.cca.tsv", "embeddings.tsv"):
             assert (copy.outdir / name).read_bytes() == (config.outdir / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [('{"k": ', "not JSON (Expecting value: line 1 column 7 (char 6))"),
+         ("{}", "not an object with a positive integer k"),
+         ("[1]", "not an object with a positive integer k"),
+         ('{"k": 0}', "not an object with a positive integer k"),
+         ('{"k": "10"}', "not an object with a positive integer k"),
+         ('{"k": true}', "not an object with a positive integer k")],
+    )
+    def test_damaged_svm_record_names_stage_and_file(self, finished_run, tmp_path, text, problem):
+        _, config, _ = finished_run
+        shutil.copytree(config.outdir, tmp_path / "out")
+        svm = tmp_path / "out" / "svm.json"
+        svm.write_text(text, encoding="utf-8")
+        copy = dataclasses.replace(config, outdir=tmp_path / "out")
+        with pytest.raises(StageError) as err:
+            run_pipeline(copy, stages=("embed",))
+        assert str(err.value) == f"[embed] ValueError: {svm}: {problem}"
 
     def test_solver_reports_recorded(self, finished_run, cca_residual_oracle):
         workdir, config, _ = finished_run
